@@ -108,7 +108,7 @@ def test_fig7_bottom_intervention_cost(benchmark, save_artifact):
             # Modelled runtime: paper-scale cost model, which folds the
             # measured per-intervention work multipliers.
             modelled = cm.expected_runtime("VA", 4, scenario=name)
-            ops = result.counters["intervention_edge_ops"]
+            ops = result.metrics.value("engine.intervention_edge_ops")
             rows.append((name, modelled, ops, wall))
         return rows
 

@@ -307,12 +307,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         root.attrs["cached"] = cached
         if payload is None:
             from .analytics import CONFIRMED, DEATHS, summarize, target_series
-            from .core.parallel import _inject_worker_faults, _needs_tick_loop
-            from .core.runner import (
-                load_region_assets,
-                run_instance,
-                run_instance_checkpointed,
-            )
+            from .core.parallel import inject_worker_faults
+            from .core.runner import execute_specs, load_region_assets
             from .resilience import FaultPlan, RetryPolicy
             from .resilience.supervisor import supervise_map
 
@@ -325,21 +321,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     raise SystemExit(f"bad --inject spec: {exc}")
             ck_plan = _resolve_checkpoint(args, store)
 
-            def _run(item, attempt, plan):
-                _inject_worker_faults(item, attempt, plan, allow_exit=False)
-                with tracer.span("load-assets", attempt=attempt):
-                    assets = load_region_assets(args.region, args.scale,
-                                                args.seed)
-                with tracer.span("run-engine", attempt=attempt):
-                    if _needs_tick_loop(ck_plan, plan):
-                        result, model = run_instance_checkpointed(
-                            item, assets, plan=ck_plan, attempt=attempt,
-                            faults=plan, allow_exit=False, metrics=reg)
-                    else:
-                        result, model = run_instance(assets, params,
-                                                     n_days=args.days,
-                                                     seed=args.seed)
-                reg.merge(result.metrics)
+            def _payload(_spec, result, model):
                 summary = summarize(result, model)
                 return {
                     "confirmed": target_series(summary, model, CONFIRMED),
@@ -347,6 +329,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     "attack_rate": np.asarray(result.attack_rate(model)),
                     "peak_day": np.asarray(result.peak_day(model)),
                 }
+
+            def _run(item, attempt, plan):
+                inject_worker_faults(item, attempt, plan, allow_exit=False,
+                                     metrics=reg)
+                with tracer.span("load-assets", attempt=attempt):
+                    load_region_assets(args.region, args.scale, args.seed)
+                with tracer.span("run-engine", attempt=attempt):
+                    [(payload, lane_dump)] = execute_specs(
+                        [item], plan=ck_plan, attempt=attempt, faults=plan,
+                        metrics=reg, reduce=_payload)
+                reg.merge(lane_dump)
+                return payload
 
             retry = RetryPolicy(max_attempts=args.retries,
                                 base_delay_s=0.05, seed=args.fault_seed)

@@ -8,14 +8,18 @@ own region inputs, and only the small aggregated series cross process
 boundaries — the classic scatter/gather layout of the mpi4py guide, with
 ``ProcessPoolExecutor`` standing in for MPI ranks.
 
-Fan-out is *supervised*, not mapped: each instance is submitted as its own
-future under :func:`repro.resilience.supervisor.supervise_map`, so one
-worker exception no longer aborts the batch, a dead worker rebuilds the
-pool and salvages everything already completed, and specs that keep
-failing are quarantined instead of killing the night (see
-:func:`supervise_instances`).  Because every retry re-runs the same spec
-with the same seed, a recovered batch is bit-identical to an undisturbed
-one.
+Fan-out is *supervised*, not mapped: specs are partitioned into batchable
+replicate groups (a spec with no partner is a group of one) and each
+group is submitted as its own future under
+:func:`repro.resilience.supervisor.supervise_map`, so one worker
+exception no longer aborts the batch, a dead worker rebuilds the pool and
+salvages everything already completed, and specs that keep failing are
+quarantined instead of killing the night (see
+:func:`supervise_instances`).  There is one worker entry
+(:func:`_execute_group`) over one executor
+(:func:`repro.core.runner.execute_specs`).  Because every retry re-runs
+the same spec with the same seed, a recovered batch is bit-identical to
+an undisturbed one.
 
 Fan-out is also *warm*: specs are submitted sorted by their asset key
 ``(region, scale, asset_seed)`` so each worker's per-process asset LRU
@@ -120,15 +124,16 @@ def _spec_key(spec: InstanceSpec) -> str:
     return spec.label or f"{spec.region_code}:{spec.seed}"
 
 
-def _inject_worker_faults(spec: InstanceSpec, attempt: int,
-                          faults: FaultPlan | None, *,
-                          allow_exit: bool) -> None:
-    """Apply the worker-side fault sites for (spec, attempt).
+def inject_worker_faults(spec: InstanceSpec, attempt: int,
+                         faults: FaultPlan | None, *,
+                         allow_exit: bool, metrics=None) -> None:
+    """Apply the pre-run worker fault sites for (spec, attempt).
 
     ``worker.crash`` kills the process hard when ``allow_exit`` (pool
     workers — the parent sees ``BrokenProcessPool`` and rebuilds); the
     in-process path raises it as a transient :class:`InjectedFault`
-    instead, since exiting would kill the supervisor itself.
+    instead, since exiting would kill the supervisor itself.  A
+    ``worker.slow`` delay that fires is counted on ``metrics``.
     """
     if faults is None:
         return
@@ -143,154 +148,73 @@ def _inject_worker_faults(spec: InstanceSpec, attempt: int,
     delay = faults.delay("worker.slow", key, attempt)
     if delay > 0:
         time.sleep(delay)
-
-
-def _needs_tick_loop(checkpoint, faults: FaultPlan | None) -> bool:
-    """Whether execution must go through the checkpoint-aware tick loop.
-
-    True when checkpointing is enabled *or* a ``worker.crash_mid_run``
-    rule is present (the crash-tick drill needs the driver-owned loop
-    even with checkpointing off — that is the no-checkpoint baseline).
-    """
-    return ((checkpoint is not None and checkpoint.enabled)
-            or (faults is not None
-                and faults.active("worker.crash_mid_run")))
-
-
-def _execute_one(spec: InstanceSpec, attempt: int = 0,
-                 faults: FaultPlan | None = None, *,
-                 allow_exit: bool = False,
-                 checkpoint=None) -> tuple[InstanceOutcome, dict]:
-    """Worker: run one spec; return its outcome plus a telemetry dump.
-
-    Imports happen inside the worker so forked/spawned processes
-    initialise cleanly; the per-process ``load_region_assets`` LRU cache
-    (inside :func:`~repro.core.runner.execute_spec`) amortises input
-    construction across a worker's instances.
-
-    Telemetry that is not embedded in the result object would otherwise
-    die with the worker, so each execution fills a fresh registry and
-    ships its kind-preserving dump home for the parent to merge.  Faults
-    are injected *before* the simulation touches its RNG stream, so a
-    retried attempt reproduces the clean run bit for bit.
-    """
-    from ..obs.registry import MetricsRegistry
-    from .runner import execute_spec, execute_spec_checkpointed
-
-    _inject_worker_faults(spec, attempt, faults, allow_exit=allow_exit)
-    reg = MetricsRegistry()
-    if faults is not None and faults.delay("worker.slow",
-                                           _spec_key(spec), attempt) > 0:
-        reg.inc("faults.worker.slow")
-    if _needs_tick_loop(checkpoint, faults):
-        outcome = execute_spec_checkpointed(
-            spec, plan=checkpoint, attempt=attempt, faults=faults,
-            allow_exit=allow_exit, metrics=reg)
-    else:
-        outcome = execute_spec(spec, metrics=reg)
-    return outcome, reg.dump()
-
-
-def _execute_one_pooled(spec: InstanceSpec, attempt: int,
-                        faults: FaultPlan | None,
-                        checkpoint=None) -> tuple[InstanceOutcome, dict]:
-    """Pool-worker entry: like :func:`_execute_one`, with hard crashes."""
-    return _execute_one(spec, attempt, faults, allow_exit=True,
-                        checkpoint=checkpoint)
+        if metrics is not None:
+            metrics.inc("faults.worker.slow")
 
 
 def _execute_group(specs: list[InstanceSpec], attempt: int = 0,
                    faults: FaultPlan | None = None, *,
                    allow_exit: bool = False,
                    checkpoint=None) -> tuple[list, dict]:
-    """Worker: run one batchable spec group through the stacked kernel.
+    """Worker: run one spec group; the fan-out's only work function.
 
-    Faults are injected per spec *before* the batch is built: a spec
-    whose injection raises is **evicted** — it becomes an ``("err",
-    exc)`` entry while the surviving lanes run batched, so one poisoned
-    replicate never costs the group its results.  The parent re-triages
-    evictions through the per-spec retry/quarantine machinery.
+    Imports happen inside the worker so forked/spawned processes
+    initialise cleanly; the per-process asset LRU (inside
+    :func:`~repro.core.runner.execute_specs`) amortises input
+    construction across a worker's groups.  Telemetry not embedded in
+    the results would die with the worker, so each call fills a fresh
+    registry and ships its kind-preserving dump home for the parent to
+    merge.
+
+    Faults are injected per spec *before* anything touches an RNG
+    stream, so a retried attempt reproduces the clean run bit for bit.
+    A single is a group of one: its fault raises straight to the
+    supervisor, which retries or quarantines it under its own spec key.
+    In a group of K >= 2 a spec whose injection raises is **evicted** —
+    it becomes an ``("err", exc)`` entry while the surviving lanes run
+    batched, so one poisoned replicate never costs the group its
+    results; the parent re-triages evictions per spec.
 
     A :class:`~repro.epihiper.batch.BatchIncompatible` group (lane models
-    that cannot share a tick loop) falls back to per-spec serial
-    execution inside this worker — same results, no batch speedup.
+    that cannot share a tick loop) falls back to one group per spec
+    inside this worker — same results, no batch speedup.
 
     Returns:
-        ``(entries, batch_dump)`` — per-spec entries in input order, each
+        ``(entries, group_dump)`` — per-spec entries in input order, each
         ``("ok", (outcome, lane_dump))`` or ``("err", exception)``, plus
-        the batch-level telemetry dump (``runner.assets_s``, batch phase
-        timers, ``batch.size``).
+        the group-level telemetry dump (``runner.*_s``, batch phase
+        timers, ``checkpoint.*``).
     """
     from ..epihiper.batch import BatchIncompatible
     from ..obs.registry import MetricsRegistry
-    from .runner import (
-        execute_spec,
-        execute_spec_checkpointed,
-        execute_specs_batched,
-        execute_specs_batched_checkpointed,
-    )
+    from .runner import execute_specs
 
+    reg = MetricsRegistry()
     entries: list = [None] * len(specs)
     live: list[int] = []
     for j, spec in enumerate(specs):
         try:
-            _inject_worker_faults(spec, attempt, faults,
-                                  allow_exit=allow_exit)
+            inject_worker_faults(spec, attempt, faults,
+                                 allow_exit=allow_exit, metrics=reg)
         except Exception as exc:  # noqa: BLE001 — parent re-triages
+            if len(specs) == 1:
+                raise
             entries[j] = ("err", exc)
             continue
         live.append(j)
-    reg = MetricsRegistry()
     if live:
-        if faults is not None:
-            for j in live:
-                if faults.delay("worker.slow", _spec_key(specs[j]),
-                                attempt) > 0:
-                    reg.inc("faults.worker.slow")
         live_specs = [specs[j] for j in live]
-        tick_loop = _needs_tick_loop(checkpoint, faults)
+        run = functools.partial(
+            execute_specs, plan=checkpoint, attempt=attempt, faults=faults,
+            allow_exit=allow_exit, metrics=reg)
         try:
-            if tick_loop:
-                pairs = execute_specs_batched_checkpointed(
-                    live_specs, plan=checkpoint, attempt=attempt,
-                    faults=faults, allow_exit=allow_exit, metrics=reg)
-            else:
-                pairs = execute_specs_batched(live_specs, metrics=reg)
+            pairs = run(live_specs)
         except BatchIncompatible:
             reg.inc("batch.incompatible")
-            pairs = []
-            for spec in live_specs:
-                lane_reg = MetricsRegistry()
-                if tick_loop:
-                    outcome = execute_spec_checkpointed(
-                        spec, plan=checkpoint, attempt=attempt,
-                        faults=faults, allow_exit=allow_exit,
-                        metrics=lane_reg)
-                else:
-                    outcome = execute_spec(spec, metrics=lane_reg)
-                pairs.append((outcome, lane_reg.dump()))
+            pairs = [pair for spec in live_specs for pair in run([spec])]
         for j, pair in zip(live, pairs):
             entries[j] = ("ok", pair)
     return entries, reg.dump()
-
-
-def _execute_group_pooled(specs: list[InstanceSpec], attempt: int,
-                          faults: FaultPlan | None,
-                          checkpoint=None) -> tuple[list, dict]:
-    """Pool-worker entry: like :func:`_execute_group`, with hard crashes."""
-    return _execute_group(specs, attempt, faults, allow_exit=True,
-                          checkpoint=checkpoint)
-
-
-def _asset_key(spec: InstanceSpec) -> AssetKey:
-    """The canonical key ``load_region_assets`` caches on.
-
-    This is :meth:`AssetKey.of_spec` — one key type shared with the
-    runner cache, replicate batch grouping, and the plane manifest, so
-    the warm preload can never drift from what executions actually cache
-    on (the historical tuple dropped ``truth_days``).
-    """
-    return AssetKey.of_spec(spec)
 
 
 def _scaled_timeout_of(checkpoint, retry: RetryPolicy):
@@ -354,25 +278,6 @@ def _prebuild_plane(asset_keys: tuple[AssetKey, ...], sink) -> None:
             pass
 
 
-def pool_chunksize(n_specs: int, workers: int) -> int:
-    """Batch size yielding ~4 contiguous chunks per worker.
-
-    The supervised fan-out submits one future per instance (retries and
-    quarantine need per-instance failure domains), so this no longer
-    feeds a ``pool.map``; it remains the sizing rule for bulk transports
-    that do batch (benchmarks, external executors).
-
-    Callers sizing chunks for *batched* replicate execution must count
-    group items, not specs: :func:`supervise_instances` computes its
-    batch groups **before** the warm-pool asset-key sort reorders
-    submission, and each group crosses to a worker as one indivisible
-    item — so ``pool_chunksize(len(groups), workers)``, never
-    ``pool_chunksize(len(specs), workers)``, and a replicate batch is
-    never split across workers by a chunk boundary.
-    """
-    return max(1, n_specs // (4 * workers))
-
-
 def supervise_instances(
     specs: list[InstanceSpec],
     *,
@@ -427,120 +332,102 @@ def supervise_instances(
 
     sink = registry if registry is not None else global_registry()
     if not specs:
-        return supervise_map(_execute_one, [], registry=sink)
-    workers = min(max_workers or os.cpu_count() or 1, len(specs))
+        return FanoutResult(results=[])
     ck_enabled = checkpoint is not None and checkpoint.enabled
     ck_saved0 = sink.value("checkpoint.ticks_saved") if ck_enabled else 0
     timeout_of = (_scaled_timeout_of(checkpoint, retry)
                   if ck_enabled and retry is not None else None)
+    fn = functools.partial(_execute_group, checkpoint=checkpoint)
+    pool_fn = functools.partial(_execute_group, checkpoint=checkpoint,
+                                allow_exit=True)
 
-    # Partition into batchable replicate groups BEFORE any warm-pool
-    # sorting: the asset-key sort reorders submission, and chunking over
-    # already-formed groups is what guarantees a batch is never split
-    # across workers (each group crosses as one indivisible item).
-    group_idx = (batch_groups(specs) if batching_enabled()
-                 else [[i] for i in range(len(specs))])
-    multi = [g for g in group_idx if len(g) > 1]
-    single_idx = [g[0] for g in group_idx if len(g) == 1]
-
-    if not multi:
-        res = _fanout_singles(
-            specs, list(range(len(specs))), workers=workers,
-            parallel=parallel, sink=sink, retry=retry, faults=faults,
-            ledger=ledger, on_failure=on_failure, checkpoint=checkpoint,
-            timeout_of=timeout_of)
-        if ck_enabled:
-            res.ticks_saved = int(
-                sink.value("checkpoint.ticks_saved") - ck_saved0)
-        return res
-
-    sink.inc("batch.groups", len(multi))
-
-    # ---- phase 1: replicate groups through the batched kernel --------
-    group_items = [[specs[i] for i in g] for g in multi]
-    group_keys = [f"batch/{_spec_key(gi[0])}+{len(gi) - 1}"
-                  for gi in group_items]
+    results: list = [None] * len(specs)
+    quarantined: list[tuple[int, QuarantineRecord]] = []
+    evicted: list[tuple[int, BaseException]] = []
 
     def merge_group(_i: int, res: tuple[list, dict]) -> None:
         entries, dump = res
         sink.merge(dump)
         for entry in entries:
-            if entry is not None and entry[0] == "ok":
+            if entry[0] == "ok":
                 sink.merge(entry[1][1])
 
-    fn_group = (functools.partial(_execute_group, checkpoint=checkpoint)
-                if checkpoint is not None else _execute_group)
-    pool_group = (functools.partial(_execute_group_pooled,
-                                    checkpoint=checkpoint)
-                  if checkpoint is not None else _execute_group_pooled)
+    def fan(groups: list[list[int]], **resume) -> FanoutResult:
+        """One supervised pass over index groups (a single is a group of
+        one), harvested into ``results`` / ``quarantined`` / ``evicted``."""
+        items = [[specs[i] for i in g] for g in groups]
+        keys = [_spec_key(it[0]) if len(it) == 1
+                else f"batch/{_spec_key(it[0])}+{len(it) - 1}" for it in items]
+        common = dict(keys=keys, retry=retry, faults=faults,
+                      on_failure=on_failure, registry=sink, ledger=ledger,
+                      on_result=merge_group, **resume)
+        workers = min(max_workers or os.cpu_count() or 1,
+                      sum(len(g) for g in groups))
+        if not parallel or workers <= 1:
+            res = supervise_map(fn, items, **common)
+        else:
+            # Pool whenever the caller asked for parallelism and there is
+            # more than one instance — even a single group: process
+            # isolation is what turns a hard worker death into a
+            # rebuild-and-salvage instead of taking down the supervisor.
+            workers = min(workers, len(items))
+            order = sorted(range(len(items)),
+                           key=lambda i: AssetKey.of_spec(items[i][0]))
+            freq = Counter(AssetKey.of_spec(s) for it in items for s in it)
+            warm_keys = tuple(
+                k for k, _ in freq.most_common(max_preload_assets()))
+            if warm_keys and plane_enabled():
+                _prebuild_plane(warm_keys, sink)
 
-    # Pool whenever the caller asked for parallelism — even a single
-    # group: process isolation is what turns a hard worker death into a
-    # rebuild-and-salvage instead of taking down the supervisor.
-    if parallel and workers > 1:
-        g_workers = min(workers, len(group_items))
-        order = sorted(range(len(group_items)),
-                       key=lambda i: _asset_key(group_items[i][0]))
-        freq = Counter(_asset_key(gi[0]) for gi in group_items)
-        warm_keys = tuple(
-            k for k, _ in freq.most_common(max_preload_assets()))
-        if warm_keys and plane_enabled():
-            _prebuild_plane(warm_keys, sink)
+            def make_pool() -> ProcessPoolExecutor:
+                return ProcessPoolExecutor(
+                    max_workers=workers,
+                    initializer=_warm_worker,
+                    initargs=(warm_keys,),
+                )
 
-        def make_group_pool() -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(
-                max_workers=g_workers,
-                initializer=_warm_worker,
-                initargs=(warm_keys,),
-            )
+            res = supervise_map(
+                fn, items, make_pool=make_pool, pool_fn=pool_fn,
+                submit_order=order, timeout_of=timeout_of, **common)
+            sink.gauge("parallel.workers", workers)
+        qiter = iter(res.quarantined)
+        for g, group_res in zip(groups, res.results):
+            if group_res is None:
+                # The whole group was given up on (a single out of
+                # attempts, repeated pool loss, a batch-level error —
+                # under RAISE the exception already propagated): one
+                # record per spec, so the report stays per instance.
+                rec = next(qiter)
+                quarantined.extend(
+                    (pos, QuarantineRecord(
+                        key=_spec_key(specs[pos]), item=specs[pos],
+                        error=rec.error, kind=rec.kind,
+                        attempts=rec.attempts)) for pos in g)
+                continue
+            for pos, (tag, payload) in zip(g, group_res[0]):
+                if tag == "ok":
+                    results[pos] = payload[0]
+                else:
+                    evicted.append((pos, payload))
+        return res
 
-        gres = supervise_map(
-            fn_group, group_items, keys=group_keys,
-            make_pool=make_group_pool, pool_fn=pool_group,
-            submit_order=order, retry=retry, faults=faults,
-            on_failure=on_failure, registry=sink, ledger=ledger,
-            on_result=merge_group, timeout_of=timeout_of)
-        sink.gauge("parallel.workers", g_workers)
-    else:
-        gres = supervise_map(
-            fn_group, group_items, keys=group_keys, retry=retry,
-            faults=faults, on_failure=on_failure, registry=sink,
-            ledger=ledger, on_result=merge_group)
-
-    results: list = [None] * len(specs)
-    quarantined: list[tuple[int, QuarantineRecord]] = []
-    evicted: list[tuple[int, BaseException]] = []
-    qmap = {rec.key: rec for rec in gres.quarantined}
-    for g, gi, gkey, res in zip(multi, group_items, group_keys,
-                                gres.results):
-        if res is None:
-            # The whole group was given up on (repeated pool loss or an
-            # unexpected batch-level error — under RAISE the exception
-            # already propagated out of supervise_map): expand the group
-            # record to per-spec records so the report stays per
-            # instance.
-            rec = qmap[gkey]
-            for pos, spec in zip(g, gi):
-                quarantined.append((pos, QuarantineRecord(
-                    key=_spec_key(spec), item=spec, error=rec.error,
-                    kind=rec.kind, attempts=rec.attempts)))
-            continue
-        entries, _dump = res
-        for pos, entry in zip(g, entries):
-            tag, payload = entry
-            if tag == "ok":
-                results[pos] = payload[0]
-            else:
-                evicted.append((pos, payload))
+    # Groups are formed BEFORE the warm-pool asset-key sort reorders
+    # submission, and each crosses to a worker as one indivisible item, so
+    # a replicate batch is never split across workers.
+    groups = (batch_groups(specs) if batching_enabled()
+              else [[i] for i in range(len(specs))])
+    n_multi = sum(len(g) > 1 for g in groups)
+    if n_multi:
+        sink.inc("batch.groups", n_multi)
+    gres = fan(groups)
 
     # ---- eviction triage: per-spec retry/quarantine ------------------
     # Mirrors ``_Supervisor.on_error`` for the first (batched) attempt:
-    # a transient eviction re-enters the solo fan-out at attempt 1 with
+    # a transient eviction re-runs as a group of one at attempt 1 with
     # one failure charged against its budget; a permanent one (or a
     # one-attempt policy) is quarantined here.
     policy = retry if retry is not None else NO_RETRY_POLICY
-    retry_pos: set[int] = set()
-    n_evict_retries = 0
+    retry_pos: list[int] = []
     for pos, exc in sorted(evicted, key=lambda pair: pair[0]):
         spec = specs[pos]
         key = _spec_key(spec)
@@ -565,110 +452,21 @@ def supervise_instances(
         sink.observe("retry.backoff_s", delay)
         if delay > 0:
             time.sleep(delay)
-        n_evict_retries += 1
-        retry_pos.add(pos)
-
-    # ---- phase 2: singles plus retried evictions, per-spec futures ---
-    solo_idx = sorted(single_idx + list(retry_pos))
-    sres = None
-    if solo_idx:
-        sres = _fanout_singles(
-            specs, solo_idx, workers=workers, parallel=parallel,
-            sink=sink, retry=retry, faults=faults, ledger=ledger,
-            on_failure=on_failure, checkpoint=checkpoint,
-            timeout_of=timeout_of,
-            start_attempts=[1 if i in retry_pos else 0 for i in solo_idx],
-            prior_failures=[1 if i in retry_pos else 0 for i in solo_idx])
-        qiter = iter(sres.quarantined)
-        for i, outcome in zip(solo_idx, sres.results):
-            if outcome is None:
-                quarantined.append((i, next(qiter)))
-            else:
-                results[i] = outcome
+        retry_pos.append(pos)
+    sres = fan([[pos] for pos in retry_pos],
+               start_attempts=[1] * len(retry_pos),
+               prior_failures=[1] * len(retry_pos))
 
     quarantined.sort(key=lambda pair: pair[0])
     return FanoutResult(
         results=results,
         quarantined=[rec for _i, rec in quarantined],
-        attempts=gres.attempts + (sres.attempts if sres else 0),
-        retries=(gres.retries + n_evict_retries
-                 + (sres.retries if sres else 0)),
-        pool_rebuilds=(gres.pool_rebuilds
-                       + (sres.pool_rebuilds if sres else 0)),
+        attempts=gres.attempts + sres.attempts,
+        retries=gres.retries + len(retry_pos) + sres.retries,
+        pool_rebuilds=gres.pool_rebuilds + sres.pool_rebuilds,
         ticks_saved=(int(sink.value("checkpoint.ticks_saved") - ck_saved0)
                      if ck_enabled else 0),
     )
-
-
-def _fanout_singles(
-    specs: list[InstanceSpec],
-    idx: list[int],
-    *,
-    workers: int,
-    parallel: bool,
-    sink,
-    retry: RetryPolicy | None,
-    faults: FaultPlan | None,
-    ledger,
-    on_failure: str,
-    checkpoint=None,
-    timeout_of=None,
-    start_attempts: list[int] | None = None,
-    prior_failures: list[int] | None = None,
-) -> FanoutResult:
-    """Per-spec supervised fan-out over ``specs[i] for i in idx``.
-
-    The historical one-future-per-instance path, shared by the no-batch
-    case and phase 2 of the batched flow (singleton groups plus specs
-    evicted from their batch, which arrive with non-zero
-    ``start_attempts`` / ``prior_failures`` so their attempt sequence
-    continues where the batch left off).  Results come back unpacked
-    (outcome or None), in ``idx`` order.
-    """
-    items = [specs[i] for i in idx]
-    keys = [_spec_key(s) for s in items]
-    fn_one = (functools.partial(_execute_one, checkpoint=checkpoint)
-              if checkpoint is not None else _execute_one)
-    pool_one = (functools.partial(_execute_one_pooled, checkpoint=checkpoint)
-                if checkpoint is not None else _execute_one_pooled)
-
-    def merge_dump(_i: int, pair: tuple[InstanceOutcome, dict]) -> None:
-        sink.merge(pair[1])
-
-    if not parallel or len(items) == 1 or workers <= 1:
-        res = supervise_map(
-            fn_one, items, keys=keys, retry=retry, faults=faults,
-            on_failure=on_failure, registry=sink, ledger=ledger,
-            on_result=merge_dump, start_attempts=start_attempts,
-            prior_failures=prior_failures)
-    else:
-        s_workers = min(workers, len(items))
-        order = sorted(range(len(items)),
-                       key=lambda i: _asset_key(items[i]))
-        freq = Counter(_asset_key(s) for s in items)
-        warm_keys = tuple(
-            k for k, _ in freq.most_common(max_preload_assets()))
-        if warm_keys and plane_enabled():
-            _prebuild_plane(warm_keys, sink)
-
-        def make_pool() -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(
-                max_workers=s_workers,
-                initializer=_warm_worker,
-                initargs=(warm_keys,),
-            )
-
-        res = supervise_map(
-            fn_one, items, keys=keys, make_pool=make_pool,
-            pool_fn=pool_one, submit_order=order, retry=retry,
-            faults=faults, on_failure=on_failure, registry=sink,
-            ledger=ledger, on_result=merge_dump,
-            start_attempts=start_attempts, prior_failures=prior_failures,
-            timeout_of=timeout_of)
-        sink.gauge("parallel.workers", s_workers)
-    res.results = [pair[0] if pair is not None else None
-                   for pair in res.results]
-    return res
 
 
 def run_instances(

@@ -242,34 +242,11 @@ def run_instance(
     return result, model
 
 
-def execute_spec(spec, *, metrics=None) -> "InstanceOutcome":
-    """Execute one :class:`~repro.core.parallel.InstanceSpec` end to end.
-
-    This is the unit of work the fan-out and the result store agree on:
-    build (or reuse) the region assets, run the simulation, and reduce it
-    to the small gathered summary.  Workers call it across process
-    boundaries; :func:`repro.store.memo.run_instances_memoized` calls it
-    only for specs the store cannot serve.
-
-    Args:
-        spec: the instance to execute.
-        metrics: registry receiving ``runner.*`` timing plus the run's
-            aggregated ``engine.*`` telemetry; defaults to the process
-            :func:`~repro.obs.registry.global_registry` (pool workers pass
-            a fresh registry and ship its dump back to the parent).
-    """
-    from ..obs.registry import global_registry
+def _outcome_of(spec, result: SimulationResult,
+                model: Any) -> "InstanceOutcome":
+    """Reduce one run to the small gathered summary the store keeps."""
     from .parallel import InstanceOutcome
 
-    reg = metrics if metrics is not None else global_registry()
-    with reg.timer("runner.assets_s"):
-        assets = load_region_assets(spec.region_code, spec.scale,
-                                    spec.asset_seed, metrics=reg)
-    with reg.timer("runner.simulate_s"):
-        result, model = run_instance(
-            assets, spec.params, n_days=spec.n_days, seed=spec.seed)
-    reg.inc("runner.instances")
-    reg.merge(result.metrics)
     return InstanceOutcome(
         spec=spec,
         confirmed=confirmed_series(result, model, spec.n_days),
@@ -278,233 +255,64 @@ def execute_spec(spec, *, metrics=None) -> "InstanceOutcome":
     )
 
 
-def _checkpoint_manager_for(plan, spec, reg):
-    """(manager, instance key) for ``spec`` under ``plan`` (None-safe)."""
-    if plan is None or not plan.enabled:
-        return None, None
-    from ..store.keys import instance_key
+def execute_specs(
+    specs: list, *, plan=None, attempt: int = 0, faults=None,
+    allow_exit: bool = False, metrics=None, reduce=_outcome_of,
+) -> list[tuple[Any, dict]]:
+    """Execute one batchable spec group end to end.
 
-    return plan.manager(metrics=reg), instance_key(spec, salt=plan.salt)
+    The unit of work the fan-out and the result store agree on, and the
+    only driver tick loop in ``repro.core``: build (or reuse) the region
+    assets, prepare one lane per spec, resume from the newest applicable
+    checkpoint, step to the horizon — dying at an injected
+    ``worker.crash_mid_run`` tick, snapshotting every ``plan.every`` ticks
+    — and reduce each lane.  A group of one drives the solo
+    :class:`~repro.epihiper.engine.Simulation`; a group of K >= 2 (all
+    sharing :func:`~repro.core.batching.group_key`) stacks its lanes into
+    a :class:`~repro.epihiper.batch.BatchedSimulation` and advances them K
+    per vectorized tick.  Either way every lane's output is bit-identical
+    to :func:`run_instance`, resumed or not.
 
+    The failure domain is the group: a crash rule firing for *any* lane
+    kills the whole group at that tick (what a real worker death does),
+    and resume restores every lane from the greatest tick *common* to all
+    lanes' checkpoint chains — a crash mid-write may leave some lanes one
+    snapshot ahead, and lanes must re-enter the loop aligned.  Snapshots
+    are still independent blobs under each lane's own instance key, so a
+    group re-formed differently later reuses them lane by lane.  A blob
+    the CAS rejects (corrupt — quarantined there) or that loads but does
+    not *apply* (format bump, changed intervention stack) is invalidated
+    and the next-older common tick is tried, down to tick 0.
 
-def _restore_or_restart(manager, ck_key, sim, rebuild, *, attempt, reg):
-    """Resume ``sim`` from the newest applicable checkpoint, or tick 0.
+    With no plan (or ``every=0``) and no crash rule the loop pays two
+    integer comparisons per tick and writes nothing.
 
-    Walks the checkpoint chain newest-first.  A blob the CAS rejects
-    (corrupt — quarantined there) is skipped by the manager; a blob that
-    loads but does not *apply* (format bump, changed intervention stack)
-    is invalidated and the next-older one is tried, rebuilding the
-    simulation first since a failed apply may have partially mutated it.
-    Returns ``(sim, start_tick)``.
-    """
-    from ..checkpoint.format import CheckpointError
-
-    if manager is None:
-        return sim, 0
-    while True:
-        latest = manager.load_latest(ck_key)
-        if latest is None:
-            return sim, 0
-        tick, payload = latest
-        try:
-            start_tick = sim.restore_state(payload)
-        except CheckpointError:
-            manager.invalidate(ck_key, tick)
-            sim = rebuild()
-            continue
-        manager.resumed(ck_key, start_tick, attempt=attempt)
-        return sim, start_tick
-
-
-def run_instance_checkpointed(
-    spec, assets: RegionAssets, *, plan=None, attempt: int = 0,
-    faults=None, allow_exit: bool = False, metrics=None,
-) -> tuple[SimulationResult, Any]:
-    """Run one spec's simulation under the checkpoint-aware tick loop.
-
-    The driver owns the loop so it can resume from the newest valid
-    snapshot, write one every ``plan.every`` ticks, and die
-    deterministically at an injected ``worker.crash_mid_run`` tick (hard
-    ``os._exit`` in pool workers, a transient :class:`InjectedFault`
-    in-process).  With no plan (or ``every=0``) and no crash rule this
-    degenerates to the plain loop — no snapshots, no per-tick checks
-    beyond two comparisons — and a resumed run's outputs are
-    byte-identical to an uninterrupted one.
-
-    Shared by :func:`execute_spec_checkpointed` (the fan-out's unit of
-    work) and the CLI's solo ``simulate --checkpoint-every`` path, which
-    needs the raw ``(result, model)`` pair like :func:`run_instance`.
-
-    Args:
-        spec: the instance to run (``params`` / ``n_days`` / ``seed``).
-        assets: the region inputs (callers cache these).
-        plan: optional :class:`~repro.checkpoint.manager.CheckpointPlan`.
-        attempt: the supervised attempt number (fault-rule matching).
-        faults: optional fault plan (``worker.crash_mid_run`` site).
-        allow_exit: pool workers die hard; in-process raises instead.
-        metrics: registry receiving the ``checkpoint.*`` counters and
-            ``runner.ticks_executed``.
-    """
-    import os as _os
-
-    from ..obs.registry import global_registry
-    from ..resilience.faults import CRASH_EXIT_CODE, InjectedFault
-    from .parallel import _spec_key
-
-    reg = metrics if metrics is not None else global_registry()
-    fault_key = _spec_key(spec)
-    crash_tick = (faults.crash_tick(fault_key, attempt)
-                  if faults is not None else None)
-    manager, ck_key = _checkpoint_manager_for(plan, spec, reg)
-
-    def rebuild():
-        sim, _model = prepare_instance(assets, spec.params, seed=spec.seed)
-        sim.begin()
-        return sim
-
-    sim, model = prepare_instance(assets, spec.params, seed=spec.seed)
-    sim.begin()
-    sim, _tick = _restore_or_restart(
-        manager, ck_key, sim, rebuild, attempt=attempt, reg=reg)
-    n_days = spec.n_days
-    while sim.tick < n_days:
-        if crash_tick is not None and sim.tick == crash_tick:
-            if allow_exit:
-                _os._exit(CRASH_EXIT_CODE)
-            raise InjectedFault(
-                "worker.crash_mid_run",
-                f"{fault_key} attempt {attempt} tick {sim.tick}")
-        sim.step()
-        reg.inc("runner.ticks_executed")
-        if (manager is not None and sim.tick < n_days
-                and sim.tick % plan.every == 0):
-            manager.write(ck_key, sim.save_state(), tick=sim.tick)
-    return sim.finish(), model
-
-
-def execute_spec_checkpointed(
-    spec, *, plan=None, attempt: int = 0, faults=None,
-    allow_exit: bool = False, metrics=None,
-) -> "InstanceOutcome":
-    """Execute one spec with periodic checkpoints and crash-tick faults.
-
-    The checkpoint-aware twin of :func:`execute_spec`: the tick loop is
-    :func:`run_instance_checkpointed`; everything around it (asset
-    cache, timers, outcome reduction) matches the plain executor.
-
-    Args:
-        spec: the instance to execute.
-        plan: optional :class:`~repro.checkpoint.manager.CheckpointPlan`.
-        attempt: the supervised attempt number (fault-rule matching).
-        faults: optional fault plan (``worker.crash_mid_run`` site).
-        allow_exit: pool workers die hard; in-process raises instead.
-        metrics: as :func:`execute_spec`; additionally receives the
-            ``checkpoint.*`` counters and ``runner.ticks_executed``.
-    """
-    from ..obs.registry import global_registry
-    from .parallel import InstanceOutcome
-
-    reg = metrics if metrics is not None else global_registry()
-    with reg.timer("runner.assets_s"):
-        assets = load_region_assets(spec.region_code, spec.scale,
-                                    spec.asset_seed, metrics=reg)
-    with reg.timer("runner.simulate_s"):
-        result, model = run_instance_checkpointed(
-            spec, assets, plan=plan, attempt=attempt, faults=faults,
-            allow_exit=allow_exit, metrics=reg)
-    reg.inc("runner.instances")
-    reg.merge(result.metrics)
-    return InstanceOutcome(
-        spec=spec,
-        confirmed=confirmed_series(result, model, spec.n_days),
-        attack_rate=result.attack_rate(model),
-        transitions=result.log.size,
-    )
-
-
-def execute_specs_batched(
-    specs: list, *, metrics=None
-) -> list[tuple["InstanceOutcome", dict]]:
-    """Execute one batchable spec group through the stacked kernel.
-
-    The group executor the fan-out routes replicate batches to: all specs
-    must share :func:`~repro.core.batching.group_key` (one region-asset
-    build, one horizon).  Lanes are prepared per spec, stacked into a
-    :class:`~repro.epihiper.batch.BatchedSimulation`, and advanced K per
-    vectorized tick; each spec still gets its own
-    :class:`~repro.core.parallel.InstanceOutcome`, bit-identical to a solo
-    :func:`execute_spec` run.
-
-    Raises :class:`~repro.epihiper.batch.BatchIncompatible` when the lane
-    models cannot share a tick loop — callers fall back to per-spec
-    serial execution.
+    Raises :class:`~repro.epihiper.batch.BatchIncompatible` when K >= 2
+    lane models cannot share a tick loop — callers fall back to one group
+    per spec.
 
     Args:
         specs: the group (>= 1 spec, shared group key).
-        metrics: registry receiving the batch-level telemetry —
-            ``runner.assets_s`` / ``runner.batch_setup_s`` /
-            ``runner.simulate_s`` timers, the ``batch.size`` gauge, and
-            the ``batch.*`` phase timers; defaults to the process
+        plan: optional :class:`~repro.checkpoint.manager.CheckpointPlan`.
+        attempt: the supervised attempt number (fault-rule matching).
+        faults: optional fault plan (``worker.crash_mid_run`` site).
+        allow_exit: pool workers die hard (``os._exit``); in-process
+            callers get a transient :class:`InjectedFault` instead.
+        metrics: registry receiving the group-level telemetry —
+            ``runner.assets_s`` / ``runner.simulate_s`` timers,
+            ``runner.ticks_executed``, the ``checkpoint.*`` counters and,
+            for K >= 2, ``runner.batch_setup_s`` plus the ``batch.*``
+            gauge and phase timers; defaults to the process
             :func:`~repro.obs.registry.global_registry`.
+        reduce: ``(spec, result, model) -> summary`` applied to every
+            lane's raw result (default: the gathered
+            :class:`~repro.core.parallel.InstanceOutcome`).
 
     Returns:
-        One ``(outcome, dump)`` pair per spec, in input order.  The dump
-        is the spec's own per-lane telemetry (``runner.instances`` plus
-        the lane's ``engine.*`` counters), shaped exactly like a solo
-        worker's registry dump so the fan-out's merge path is unchanged.
-    """
-    from ..epihiper.batch import BatchedSimulation
-    from ..obs.registry import MetricsRegistry, global_registry
-    from .parallel import InstanceOutcome
-
-    reg = metrics if metrics is not None else global_registry()
-    first = specs[0]
-    with reg.timer("runner.assets_s"):
-        assets = load_region_assets(first.region_code, first.scale,
-                                    first.asset_seed, metrics=reg)
-    with reg.timer("runner.batch_setup_s"):
-        lanes = [prepare_instance(assets, s.params, seed=s.seed)
-                 for s in specs]
-        batch = BatchedSimulation([sim for sim, _model in lanes],
-                                  metrics=reg)
-    with reg.timer("runner.simulate_s"):
-        results = batch.run(first.n_days)
-    out: list[tuple[InstanceOutcome, dict]] = []
-    for spec, (_sim, model), result in zip(specs, lanes, results):
-        lane_reg = MetricsRegistry()
-        lane_reg.inc("runner.instances")
-        lane_reg.merge(result.metrics)
-        outcome = InstanceOutcome(
-            spec=spec,
-            confirmed=confirmed_series(result, model, spec.n_days),
-            attack_rate=result.attack_rate(model),
-            transitions=result.log.size,
-        )
-        out.append((outcome, lane_reg.dump()))
-    return out
-
-
-def execute_specs_batched_checkpointed(
-    specs: list, *, plan=None, attempt: int = 0, faults=None,
-    allow_exit: bool = False, metrics=None,
-) -> list[tuple["InstanceOutcome", dict]]:
-    """Checkpoint-aware twin of :func:`execute_specs_batched`.
-
-    The whole group shares one tick loop, so the failure domain is the
-    group: a ``worker.crash_mid_run`` rule firing for *any* lane kills
-    the batch at that tick (matching what a real worker death does), and
-    resume restores every lane from the greatest tick *common* to all
-    lanes' checkpoint chains — a crash mid-write may leave some lanes one
-    snapshot ahead, and lanes must re-enter the loop aligned
-    (:class:`~repro.epihiper.batch.BatchIncompatible` otherwise).
-    Per-lane snapshots are still independent blobs under each lane's own
-    instance key, so a group re-formed differently later can still reuse
-    them lane by lane.
-
-    Raises :class:`~repro.epihiper.batch.BatchIncompatible` exactly like
-    the plain group executor — callers fall back to per-spec serial
-    execution (which stays checkpoint-aware through
-    :func:`execute_spec_checkpointed`).
+        One ``(summary, dump)`` pair per spec, in input order.  The dump
+        is the spec's own telemetry (``runner.instances`` plus the lane's
+        ``engine.*`` counters) in registry-dump shape, so the fan-out
+        merges it the same way whatever the group size.
     """
     import os as _os
 
@@ -513,22 +321,22 @@ def execute_specs_batched_checkpointed(
     from ..epihiper.batch import BatchedSimulation, BatchIncompatible
     from ..obs.registry import MetricsRegistry, global_registry
     from ..resilience.faults import CRASH_EXIT_CODE, InjectedFault
-    from .parallel import InstanceOutcome, _spec_key
+    from ..store.keys import instance_key
+    from .parallel import _spec_key
 
     reg = metrics if metrics is not None else global_registry()
     first = specs[0]
     n_days = first.n_days
-    crash_tick = None
-    if faults is not None:
-        fired = [t for t in (faults.crash_tick(_spec_key(s), attempt)
-                             for s in specs) if t is not None]
-        if fired:
-            crash_tick = min(fired)
-    manager = ck_keys = None
+    if n_days < 0:
+        raise ValueError("n_days must be non-negative")
+    batched = len(specs) > 1
+    fired = [] if faults is None else [
+        t for s in specs
+        if (t := faults.crash_tick(_spec_key(s), attempt)) is not None]
+    crash_tick = min(fired, default=-1)
+    manager, ck_keys, every = None, [], 0
     if plan is not None and plan.enabled:
-        from ..store.keys import instance_key
-
-        manager = plan.manager(metrics=reg)
+        manager, every = plan.manager(metrics=reg), plan.every
         ck_keys = [instance_key(s, salt=plan.salt) for s in specs]
     with reg.timer("runner.assets_s"):
         assets = load_region_assets(first.region_code, first.scale,
@@ -537,73 +345,91 @@ def execute_specs_batched_checkpointed(
     def build():
         lanes = [prepare_instance(assets, s.params, seed=s.seed)
                  for s in specs]
-        batch = BatchedSimulation([sim for sim, _model in lanes],
-                                  metrics=reg)
-        batch.begin()
-        return lanes, batch
+        sims = [sim for sim, _model in lanes]
+        engine = BatchedSimulation(sims, metrics=reg) if batched else sims[0]
+        engine.begin()
+        return lanes, engine
 
-    with reg.timer("runner.batch_setup_s"):
-        lanes, batch = build()
-    with reg.timer("runner.simulate_s"):
-        tick_now = 0
-        if manager is not None:
-            common = set(manager.ticks(ck_keys[0]))
-            for k in ck_keys[1:]:
-                common &= set(manager.ticks(k))
-            for tick in sorted(common, reverse=True):
-                payloads = [manager.store.get(checkpoint_blob_key(k, tick))
-                            for k in ck_keys]
-                if any(p is None for p in payloads):
-                    for k, p in zip(ck_keys, payloads):
-                        if p is None:
-                            manager.invalidate(k, tick)
-                    continue
+    # Setup (build, resume) closes before the simulate timer opens, so a
+    # rebuild after an inapplicable snapshot is never counted twice.  Only
+    # a batch has a setup timer of its own; a solo run's setup has always
+    # been part of its simulate time.
+    setup_timer = "runner.batch_setup_s" if batched else "runner.simulate_s"
+    with reg.timer(setup_timer):
+        lanes, engine = build()
+        start = 0
+        common = (set.intersection(*(set(manager.ticks(k)) for k in ck_keys))
+                  if manager is not None else ())
+        for ck_tick in sorted(common, reverse=True):
+            payloads = [manager.store.get(checkpoint_blob_key(k, ck_tick))
+                        for k in ck_keys]
+            stale = [k for k, p in zip(ck_keys, payloads) if p is None]
+            if not stale:
                 try:
-                    tick_now = batch.restore_state(payloads)
+                    start = engine.restore_state(
+                        payloads if batched else payloads[0])
                 except (CheckpointError, BatchIncompatible):
+                    # A failed apply may have partially mutated the lanes.
+                    stale = ck_keys
+                    lanes, engine = build()
+                else:
                     for k in ck_keys:
-                        manager.invalidate(k, tick)
-                    with reg.timer("runner.batch_setup_s"):
-                        lanes, batch = build()  # a failed apply may have
-                        tick_now = 0            # partially mutated lanes
-                    continue
-                for k in ck_keys:
-                    manager.resumed(k, tick_now, attempt=attempt)
-                break
-        since_flush = 0
-        while tick_now < n_days:
-            if crash_tick is not None and tick_now == crash_tick:
+                        manager.resumed(k, start, attempt=attempt)
+                    break
+            for k in stale:
+                manager.invalidate(k, ck_tick)
+    with reg.timer("runner.simulate_s"):
+        tick = flushed = start
+        while tick < n_days:
+            if tick == crash_tick:
                 if allow_exit:
                     _os._exit(CRASH_EXIT_CODE)
                 raise InjectedFault(
                     "worker.crash_mid_run",
-                    f"batch/{_spec_key(first)} attempt {attempt} "
-                    f"tick {tick_now}")
-            batch.step()
-            tick_now += 1
-            since_flush += 1
-            reg.inc("runner.ticks_executed", len(specs))
-            if (manager is not None and tick_now < n_days
-                    and tick_now % plan.every == 0):
-                snaps = batch.save_state(ticks_since_flush=since_flush)
-                since_flush = 0
+                    f"{'batch/' if batched else ''}{_spec_key(first)} "
+                    f"attempt {attempt} tick {tick}")
+            engine.step()
+            tick += 1
+            if every and tick % every == 0 and tick < n_days:
+                # The batch defers its per-tick bookkeeping; its snapshot
+                # flushes it so every lane's payload is self-contained.
+                snaps = (engine.save_state(ticks_since_flush=tick - flushed)
+                         if batched else [engine.save_state()])
+                flushed = tick
                 for k, snap in zip(ck_keys, snaps):
-                    manager.write(k, snap, tick=tick_now)
-        batch.flush(since_flush)
-        results = batch.finish()
-    out: list[tuple[InstanceOutcome, dict]] = []
+                    manager.write(k, snap, tick=tick)
+        if batched:
+            engine.flush(tick - flushed)
+        results = engine.finish() if batched else [engine.finish()]
+    reg.inc("runner.ticks_executed", (n_days - start) * len(specs))
+    out = []
     for spec, (_sim, model), result in zip(specs, lanes, results):
         lane_reg = MetricsRegistry()
         lane_reg.inc("runner.instances")
         lane_reg.merge(result.metrics)
-        outcome = InstanceOutcome(
-            spec=spec,
-            confirmed=confirmed_series(result, model, spec.n_days),
-            attack_rate=result.attack_rate(model),
-            transitions=result.log.size,
-        )
-        out.append((outcome, lane_reg.dump()))
+        out.append((reduce(spec, result, model), lane_reg.dump()))
     return out
+
+
+def execute_spec(spec, *, metrics=None) -> "InstanceOutcome":
+    """Execute one spec: :func:`execute_specs` on a group of one.
+
+    Returns the bare outcome; the lane's telemetry is merged into
+    ``metrics`` (default: the process registry) alongside the group's.
+    """
+    from ..obs.registry import global_registry
+
+    reg = metrics if metrics is not None else global_registry()
+    [(outcome, lane_dump)] = execute_specs([spec], metrics=reg)
+    reg.merge(lane_dump)
+    return outcome
+
+
+def execute_specs_batched(
+    specs: list, *, metrics=None
+) -> list[tuple["InstanceOutcome", dict]]:
+    """Execute one spec group: :func:`execute_specs` without a plan."""
+    return execute_specs(specs, metrics=metrics)
 
 
 def confirmed_series(

@@ -37,8 +37,8 @@ SCHEDULED_CHANGE_BYTES: int = 24
 TRANSITION_BYTES: int = 16
 EDGE_OP_BYTES: int = 8
 
-#: Work counters (``engine.<name>``) every simulation publishes; pinned so
-#: the legacy ``counters`` view exposes the full key set from tick zero.
+#: Work counters (``engine.<name>``) every simulation publishes; declared
+#: up front so snapshots carry the full key set from tick zero.
 ENGINE_COUNTERS: tuple[str, ...] = (
     "contacts_evaluated",
     "transitions",
@@ -75,16 +75,6 @@ class SimulationResult:
     state_counts: np.ndarray
     memory_series: np.ndarray
     metrics: MetricsRegistry
-
-    @property
-    def counters(self) -> dict[str, int | float]:
-        """Legacy work-counter view (read-only snapshot).
-
-        Same keys and value types as the pre-``repro.obs`` counters dict
-        (``ranks.py`` cost accounting reads these unchanged); mutations
-        affect only the returned copy.
-        """
-        return self.metrics.snapshot(prefix="engine.", strip=True)
 
     def attack_rate(self, model: DiseaseModel) -> float:
         """Fraction of the population ever infected."""
@@ -168,16 +158,6 @@ class Simulation:
             self.metrics.declare(f"engine.{name}", TIMER)
 
     # -- derived structures ----------------------------------------------------
-
-    @property
-    def counters(self) -> dict[str, int | float]:
-        """Legacy work-counter view over the ``engine.*`` registry.
-
-        Read-only snapshot with the historical keys (``transitions``,
-        ``transmission_s``, ...); publication happens through
-        :attr:`metrics`.
-        """
-        return self.metrics.snapshot(prefix="engine.", strip=True)
 
     @property
     def incident(self) -> IncidentEdges:

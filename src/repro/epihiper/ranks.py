@@ -108,16 +108,17 @@ def simulate_rank_execution(
     max_edges = int(per_rank_edges.max()) if per_rank_edges.size else 0
     share = max_edges / max(1, net.n_edges)
 
+    transitions = result.metrics.value("engine.transitions")
     compute = (
         n_ticks * max_edges * C_SCAN
-        + result.counters["contacts_evaluated"] * share * C_EVAL
-        + result.counters["transitions"] * share * C_TRANSITION
+        + result.metrics.value("engine.contacts_evaluated") * share * C_EVAL
+        + transitions * share * C_TRANSITION
     )
 
     # Halo traffic: transitions on nodes with cut edges must be shipped to
     # the neighbouring ranks; approximate the touched fraction by the cut
     # fraction (each update goes to at most a couple of partner ranks).
-    halo_updates = int(result.counters["transitions"] * cut_fraction * 2)
+    halo_updates = int(transitions * cut_fraction * 2)
     halo_bytes = halo_updates * BYTES_PER_STATE_UPDATE
     comm = 0.0
     if p > 1:

@@ -15,7 +15,6 @@ from .cas import (
     LEASE_DONE,
     LEASE_TIMEOUT,
     LEASE_VACATED,
-    CASStats,
     ContentStore,
     LeaseTable,
     StoreStats,
@@ -38,7 +37,6 @@ from .memo import (
 )
 
 __all__ = [
-    "CASStats",
     "ContentStore",
     "INSTANCE_NAMESPACE",
     "LEASE_DONE",

@@ -138,10 +138,6 @@ class StoreStats:
                 for name in _STAT_NAMES}
 
 
-#: The issue-era name for the store counters; same deprecation shim.
-CASStats = StoreStats
-
-
 @dataclass
 class ContentStore:
     """A content-addressed result store rooted at ``root``.

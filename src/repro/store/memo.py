@@ -24,6 +24,7 @@ how ``core.parallel`` defers its own ``runner`` imports).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
@@ -63,6 +64,26 @@ def outcome_from_payload(
     )
 
 
+def _publish(key: str, outcome: "InstanceOutcome", *,
+             store: ContentStore | None, ledger: RunLedger | None,
+             ck_manager) -> None:
+    """Land one executed result: blob, checkpoint reclaim, journal."""
+    if store is not None:
+        store.put(key, outcome_payload(outcome), family=INSTANCE_NAMESPACE)
+        if ck_manager is not None:
+            # Terminal blob is durable: the checkpoint chain is now dead
+            # weight — reclaim it.
+            ck_manager.discard(key)
+    if ledger is not None:
+        # Completion events carry the spec itself: the surrogate corpus
+        # builder replays these to recover (features, output) training
+        # pairs — CAS keys alone are not invertible.
+        from ..surrogate.corpus import spec_record
+
+        ledger.instance_completed(key, label=outcome.spec.label,
+                                  spec=spec_record(outcome.spec))
+
+
 def _resolve_remote(
     spec: "InstanceSpec",
     key: str,
@@ -75,6 +96,7 @@ def _resolve_remote(
     faults,
     timeout_s: float,
     checkpoint=None,
+    publish,
 ) -> tuple["InstanceOutcome | None", QuarantineRecord | None]:
     """Resolve a miss whose lease another process holds.
 
@@ -110,15 +132,7 @@ def _resolve_remote(
             outcome = res.results[0]
             if outcome is None:
                 return None, res.quarantined[0]
-            store.put(key, outcome_payload(outcome),
-                      family=INSTANCE_NAMESPACE)
-            if checkpoint is not None and checkpoint.enabled:
-                checkpoint.manager(metrics=registry).discard(key)
-            if ledger is not None:
-                from ..surrogate.corpus import spec_record
-
-                ledger.instance_completed(key, label=outcome.spec.label,
-                                          spec=spec_record(outcome.spec))
+            publish(key, outcome)
             return outcome, None
         finally:
             leases.release(key)
@@ -158,7 +172,8 @@ def supervise_instances_memoized(
 
     Args:
         specs: the instances (order of results matches the input).
-        store: the content store; None falls back to plain execution.
+        store: the content store; with None every spec is a miss and
+            nothing is published.
         ledger: optional run journal; records a ``cache_hit`` per served
             instance, an ``instance_completed`` per executed one,
             ``instance_failed`` per quarantine, and run-level
@@ -204,27 +219,13 @@ def supervise_instances_memoized(
         ledger.run_started(n_instances=len(specs),
                            cached=store is not None)
     if store is None:
-        res = supervise_instances(
-            specs, parallel=parallel, max_workers=max_workers,
-            registry=reg, retry=retry, faults=faults, ledger=ledger,
-            on_failure=on_failure, checkpoint=checkpoint)
-        reg.inc("memo.misses", len(specs))
-        reg.observe("memo.batch_s", watch.elapsed())
-        if ledger is not None:
-            from ..surrogate.corpus import spec_record
-
-            for o in res.completed():
-                ledger.instance_completed(
-                    instance_key(o.spec, salt=salt), label=o.spec.label,
-                    spec=spec_record(o.spec))
-            ledger.run_completed(hits=0, misses=len(specs),
-                                 wall_s=watch.elapsed())
-        return res
-
+        leases = None  # nothing to coalesce on without published blobs
     keys = [instance_key(s, salt=salt) for s in specs]
     # One store lookup per unique key: duplicate specs in a batch are
-    # executed once and fanned back out to every position.
-    payload_of = {k: store.get(k) for k in dict.fromkeys(keys)}
+    # executed once and fanned back out to every position.  No store is
+    # the all-miss case of the same partition.
+    payload_of = {k: store.get(k) if store is not None else None
+                  for k in dict.fromkeys(keys)}
 
     out: list["InstanceOutcome" | None] = [None] * len(specs)
     exec_of: dict[str, int] = {}
@@ -238,8 +239,6 @@ def supervise_instances_memoized(
                 ledger.cache_hit(key, label=spec.label)
         else:
             exec_of.setdefault(key, i)
-
-    from ..surrogate.corpus import spec_record
 
     base_of: dict[str, "InstanceOutcome"] = {}
     # Cross-process exclusivity: a miss whose lease another live process
@@ -270,9 +269,11 @@ def supervise_instances_memoized(
                 ledger.cache_hit(key, label=specs[i].label, remote=True)
 
     exec_idx = sorted(exec_of.values())
-    ck_manager = (checkpoint.manager(metrics=reg)
-                  if checkpoint is not None and checkpoint.enabled
-                  else None)
+    publish = functools.partial(
+        _publish, store=store, ledger=ledger,
+        ck_manager=(checkpoint.manager(metrics=reg)
+                    if checkpoint is not None and checkpoint.enabled
+                    else None))
     # Quarantine records arrive sorted by position, so pairing them with
     # the None slots of the execution results is a simple in-order walk.
     failed_of: dict[str, object] = {}
@@ -287,19 +288,8 @@ def supervise_instances_memoized(
             if outcome is None:
                 failed_of[keys[i]] = next(qiter)
                 continue
-            store.put(keys[i], outcome_payload(outcome),
-                      family=INSTANCE_NAMESPACE)
             base_of[keys[i]] = outcome
-            if ck_manager is not None:
-                # Terminal blob is durable: the checkpoint chain is now
-                # dead weight — reclaim it.
-                ck_manager.discard(keys[i])
-            if ledger is not None:
-                # Completion events carry the spec itself: the surrogate
-                # corpus builder replays these to recover (features, output)
-                # training pairs — CAS keys alone are not invertible.
-                ledger.instance_completed(keys[i], label=outcome.spec.label,
-                                          spec=spec_record(outcome.spec))
+            publish(keys[i], outcome)
     finally:
         # Release *before* waiting on anyone else's keys: every process
         # finishes its own work first, so lease waits can never form a
@@ -311,7 +301,8 @@ def supervise_instances_memoized(
         outcome, rec = _resolve_remote(
             specs[i], key, store=store, leases=leases, ledger=ledger,
             registry=reg, retry=retry, faults=faults,
-            timeout_s=lease_timeout_s, checkpoint=checkpoint)
+            timeout_s=lease_timeout_s, checkpoint=checkpoint,
+            publish=publish)
         if outcome is not None:
             base_of[key] = outcome
         else:
@@ -341,8 +332,9 @@ def supervise_instances_memoized(
     reg.inc("memo.misses", len(exec_idx))
     reg.observe("memo.batch_s", watch.elapsed())
     if ledger is not None:
-        extra = {"store_" + k: v
-                 for k, v in store.stats.snapshot().items()}
+        extra = ({"store_" + k: v
+                  for k, v in store.stats.snapshot().items()}
+                 if store is not None else {})
         if quarantined:
             extra["quarantined"] = len(quarantined)
         if remote_of:
@@ -380,7 +372,8 @@ def run_instances_memoized(
 
     Args:
         specs: the instances (order of results matches the input).
-        store: the content store; None falls back to plain execution.
+        store: the content store; with None every spec is a miss and
+            nothing is published.
         ledger: optional run journal; records a ``cache_hit`` per served
             instance, an ``instance_completed`` per executed one, and
             run-level start/complete events with the batch counters.

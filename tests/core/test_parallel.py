@@ -6,12 +6,11 @@ import pytest
 from repro.core.designs import ExperimentDesign, factorial_cells
 from repro.core.parallel import (
     InstanceSpec,
-    _asset_key,
     gather_ensemble,
-    pool_chunksize,
     run_instances,
     specs_for_design,
 )
+from repro.plane.manifest import AssetKey
 
 
 def make_specs(n=4, region="VT"):
@@ -66,12 +65,6 @@ def test_specs_for_design():
     assert len(seeds) == 4  # distinct RNG streams per instance
 
 
-def test_pool_chunksize_batches():
-    assert pool_chunksize(3, 4) == 1  # never zero
-    assert pool_chunksize(32, 4) == 2  # ~4 chunks per worker
-    assert pool_chunksize(1000, 8) == 31
-
-
 def test_mixed_regions_keep_input_order():
     specs = make_specs(2, region="VT") + make_specs(2, region="WY")
     specs = [specs[2], specs[0], specs[3], specs[1]]  # interleave regions
@@ -83,7 +76,8 @@ def test_mixed_regions_keep_input_order():
 
 def test_asset_key_groups_by_inputs():
     a, b = make_specs(2)
-    assert _asset_key(a) == _asset_key(b)  # same region/scale/asset seed
+    # same region/scale/asset seed
+    assert AssetKey.of_spec(a) == AssetKey.of_spec(b)
 
 
 def test_gather_ensemble():

@@ -52,7 +52,9 @@ def assert_result_identical(solo, batched, label=""):
         np.testing.assert_array_equal(
             getattr(solo.log, field), getattr(batched.log, field),
             err_msg=f"{label} log.{field} diverged")
-    s_counters, b_counters = solo.counters, batched.counters
+    s_counters, b_counters = (
+        r.metrics.snapshot(prefix="engine.", strip=True)
+        for r in (solo, batched))
     for key in EXACT_COUNTERS:
         assert s_counters[key] == b_counters[key], (
             f"{label} counter {key}: solo {s_counters[key]} "

@@ -78,7 +78,7 @@ def test_different_seeds_diverge(va_assets, covid_model):
 
 def test_counters_populated(va_run):
     _pop, _net, result = va_run
-    c = result.counters
+    c = result.metrics.snapshot(prefix="engine.", strip=True)
     assert c["contacts_evaluated"] > 0
     assert c["transitions"] >= c["transmissions"] > 0
 

@@ -118,8 +118,8 @@ def test_d2ct_touches_more_edges_than_d1ct(va_assets, covid_model):
                       days=50, n_seeds=30)
     sim2, _ = run_sim(va_assets, covid_model, [make_d2ct(1.0, 1.0)],
                       days=50, n_seeds=30)
-    assert (sim2.counters["intervention_edge_ops"]
-            > sim1.counters["intervention_edge_ops"])
+    assert (sim2.metrics.value("engine.intervention_edge_ops")
+            > sim1.metrics.value("engine.intervention_edge_ops"))
 
 
 def test_scenario_presets_exist(va_assets, covid_model):
@@ -140,7 +140,7 @@ def test_combined_stack_runs(va_assets, covid_model):
 def test_ta_isolates_asymptomatic(va_assets, covid_model):
     sim, _ = run_sim(va_assets, covid_model, [make_ta(1.0)], days=60,
                      n_seeds=40)
-    assert sim.counters["intervention_edge_ops"] > 0
+    assert sim.metrics.value("engine.intervention_edge_ops") > 0
 
 
 def test_vaccination_protects(va_assets, covid_model):
@@ -179,7 +179,7 @@ def test_vaccination_rx_failures_still_susceptible(va_assets, covid_model):
     _sim, result = run_sim(
         va_assets, covid_model,
         [make_vaccination(1.0, 0.0, day=0)], days=60, n_seeds=30)
-    assert result.counters["transmissions"] > 0
+    assert result.metrics.value("engine.transmissions") > 0
 
 
 def test_vaccination_age_targeting(va_assets, covid_model):

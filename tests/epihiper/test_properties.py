@@ -127,7 +127,7 @@ def test_property_isolation_blocks_all_transmission(seed):
     sim.suppressor.suppress(np.arange(net.n_edges, dtype=np.int64))
     sim.seed_infections(np.array([0, 1]))
     result = sim.run(30)
-    assert result.counters["transmissions"] == 0
+    assert result.metrics.value("engine.transmissions") == 0
     exposed_ever = np.unique(
         result.log.pid[result.log.state == MODEL.code("Exposed")])
     assert exposed_ever.size == 2

@@ -216,10 +216,8 @@ def test_simulation_trajectories_identical_across_backends(vt_assets,
         np.testing.assert_array_equal(base.log.pid, other.log.pid)
         np.testing.assert_array_equal(base.log.state, other.log.state)
         np.testing.assert_array_equal(base.log.infector, other.log.infector)
-        assert base.counters["contacts_evaluated"] == \
-            other.counters["contacts_evaluated"]
-        assert base.counters["transmissions"] == \
-            other.counters["transmissions"]
+        for name in ("engine.contacts_evaluated", "engine.transmissions"):
+            assert base.metrics.value(name) == other.metrics.value(name)
 
 
 def test_incremental_accounting_matches_rescan(vt_assets, covid_model):
@@ -240,5 +238,5 @@ def test_phase_timing_counters_populated(vt_assets, covid_model):
     sim.seed_infections(uniform_seeds(pop, 10, sim.rng))
     result = sim.run(10)
     for key in ("interventions_s", "transmission_s", "progression_s"):
-        assert result.counters[key] >= 0.0
-    assert result.counters["transmission_s"] > 0.0
+        assert result.metrics.value(f"engine.{key}") >= 0.0
+    assert result.metrics.value("engine.transmission_s") > 0.0

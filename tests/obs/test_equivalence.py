@@ -40,19 +40,8 @@ def test_traced_run_is_bit_identical(tmp_path, vt_assets, covid_model):
     np.testing.assert_array_equal(bare.log.state, traced.log.state)
     np.testing.assert_array_equal(bare.log.infector, traced.log.infector)
     # Work counters (not clocks) are identical too.
-    for key in ("transitions", "contacts_evaluated", "ticks"):
-        if key in bare.counters:
-            assert bare.counters[key] == traced.counters[key]
-
-
-def test_legacy_counters_view_mirrors_registry(vt_assets, covid_model):
-    result = _run(vt_assets, covid_model)
-    counters = result.counters
-    for key, val in counters.items():
-        assert result.metrics.value(f"engine.{key}") == val
-    # Types preserved: counters int, phase timers float.
-    assert isinstance(counters["transitions"], int)
-    assert isinstance(counters["transmission_s"], float)
+    for key in ("engine.transitions", "engine.contacts_evaluated"):
+        assert bare.metrics.value(key) == traced.metrics.value(key)
 
 
 def test_trace_phase_totals_equal_legacy_counters(tmp_path, vt_assets,
@@ -68,6 +57,6 @@ def test_trace_phase_totals_equal_legacy_counters(tmp_path, vt_assets,
     # Same observations on both sides of the JSONL stream — exact equality,
     # not approximate: there is one measurement, viewed twice.
     for phase in ("interventions", "transmission", "progression"):
-        assert table[phase] == result.counters[f"{phase}_s"]
+        assert table[phase] == result.metrics.value(f"engine.{phase}_s")
     shares = [share for _, _, share in s.engine_phase_table()]
     assert sum(shares) == pytest.approx(1.0)
