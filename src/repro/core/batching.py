@@ -16,16 +16,10 @@ scenario service broker) route whole groups to the batched executor and
 keep per-instance retry/quarantine semantics by *evicting* faulting specs
 from their group rather than failing the group.
 
-Batching is on by default and controlled by two environment variables:
-
-- ``REPRO_BATCH_REPLICATES`` — set to ``0`` / ``false`` / ``off`` / ``no``
-  to disable grouping entirely (every spec runs solo, the historical
-  path).  Results are bit-identical either way; the knob exists for
-  debugging and A/B timing.
-- ``REPRO_MAX_BATCH_LANES`` — cap on lanes per batched kernel (default
-  64).  Wider batches amortise per-tick dispatch further but grow the
-  stacked ``(K, N)`` / ``(K, E)`` working set; past the cache-friendly
-  width the speedup flattens.
+Batching is on by default.  Set ``REPRO_BATCH_REPLICATES`` to ``0`` /
+``false`` / ``off`` / ``no`` to disable grouping entirely (every spec runs
+solo, the historical path).  Results are bit-identical either way; the
+knob exists for debugging and A/B timing.
 """
 
 from __future__ import annotations
@@ -38,7 +32,9 @@ from ..plane.manifest import AssetKey
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from .parallel import InstanceSpec
 
-#: Default cap on replicate lanes sharing one batched kernel.
+#: Cap on replicate lanes sharing one batched kernel: wider batches
+#: amortise per-tick dispatch further but grow the stacked ``(K, N)`` /
+#: ``(K, E)`` working set, and past the cache-friendly width gain nothing.
 MAX_BATCH_LANES: int = 64
 
 #: Values of ``REPRO_BATCH_REPLICATES`` that disable batching.
@@ -57,28 +53,12 @@ def batching_enabled() -> bool:
     return raw.strip().lower() not in _DISABLE_TOKENS
 
 
-def max_batch_lanes() -> int:
-    """The effective lane cap: ``REPRO_MAX_BATCH_LANES`` or the default."""
-    raw = os.environ.get("REPRO_MAX_BATCH_LANES")
-    if raw is None or not raw.strip():
-        return MAX_BATCH_LANES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_MAX_BATCH_LANES must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(
-            f"REPRO_MAX_BATCH_LANES must be >= 1, got {value}")
-    return value
-
-
 def group_key(spec: "InstanceSpec") -> tuple[AssetKey, int]:
     """The sharing key two specs must agree on to ride one batch.
 
     The canonical :class:`~repro.plane.manifest.AssetKey` (which pins the
     shared population/network/surveillance bundle — the same key the
-    runner cache, warm preload, and plane manifest use) plus the tick
+    runner cache, fan-out preload, and plane manifest use) plus the tick
     horizon.  Cell parameters and seeds deliberately do not participate:
     the batched engine takes heterogeneous models and RNG streams as
     lanes (it falls back to per-instance execution itself, via
@@ -90,7 +70,7 @@ def group_key(spec: "InstanceSpec") -> tuple[AssetKey, int]:
 
 def batch_groups(
     specs: Sequence[Any],
-    max_lanes: int | None = None,
+    max_lanes: int = MAX_BATCH_LANES,
 ) -> list[list[int]]:
     """Partition spec indices into batchable groups.
 
@@ -103,18 +83,17 @@ def batch_groups(
 
     Args:
         specs: objects with the :func:`group_key` fields.
-        max_lanes: lane cap override (default: :func:`max_batch_lanes`).
+        max_lanes: lanes per kernel at most.
 
     Returns:
         Index groups covering ``0..len(specs)-1`` exactly once.  A group
         of size 1 means the spec has no batch partner and should run solo.
     """
-    cap = max_lanes if max_lanes is not None else max_batch_lanes()
     by_key: dict[tuple, list[int]] = {}
     for i, spec in enumerate(specs):
         by_key.setdefault(group_key(spec), []).append(i)
     groups: list[list[int]] = []
     for members in by_key.values():
-        for lo in range(0, len(members), cap):
-            groups.append(members[lo:lo + cap])
+        for lo in range(0, len(members), max_lanes):
+            groups.append(members[lo:lo + max_lanes])
     return groups

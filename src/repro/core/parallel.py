@@ -21,12 +21,14 @@ quarantined instead of killing the night (see
 the same spec with the same seed, a recovered batch is bit-identical to
 an undisturbed one.
 
-Fan-out is also *warm*: specs are submitted sorted by their asset key
-``(region, scale, asset_seed)`` so each worker's per-process asset LRU
-mostly hits instead of thrashing across regions, and a pool initializer
-pre-loads the dominant asset keys once per worker so the first instance on
-every worker starts hot.  Results are restored to input order before
-returning.
+Fan-out is also *warm*: before a pool exists the supervisor loads the
+fan-out's asset bundles into its own cache (:func:`_preload_assets`), so
+fork workers inherit them copy-on-write, plane workers attach segments
+the supervisor owns (which therefore outlive each per-call pool), and the
+next fan-out from this process finds them resident.  Specs are submitted
+sorted by asset key, so a worker that does build lazily (spawn start
+method, bundles past the byte budget) mostly hits instead of thrashing
+across regions.  Results are restored to input order before returning.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Any
 import numpy as np
 
 from ..params import DEFAULT_SCALE, DEFAULT_SEED
-from ..plane.manifest import AssetKey, plane_enabled
+from ..plane.manifest import AssetKey
 from ..resilience.faults import CRASH_EXIT_CODE, FaultPlan, InjectedFault
 from ..resilience.retry import (
     NO_RETRY_POLICY,
@@ -58,31 +60,6 @@ from ..resilience.supervisor import (
     supervise_map,
 )
 from .batching import batch_groups, batching_enabled
-
-#: Cap on asset keys the pool initializer builds per worker: warming the
-#: dominant regions is a win, rebuilding every region in every worker is not.
-#: Overridable per deployment via ``REPRO_MAX_PRELOAD_ASSETS`` (see
-#: :func:`max_preload_assets`) — service workloads skew to a few hot
-#: regions and want a smaller warm set than a 50-state nightly sweep.
-MAX_PRELOAD_ASSETS: int = 4
-
-
-def max_preload_assets() -> int:
-    """The effective preload cap: ``REPRO_MAX_PRELOAD_ASSETS`` or the
-    module default.  ``0`` disables pre-warming entirely."""
-    raw = os.environ.get("REPRO_MAX_PRELOAD_ASSETS")
-    if raw is None or not raw.strip():
-        return MAX_PRELOAD_ASSETS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_MAX_PRELOAD_ASSETS must be an integer, got {raw!r}")
-    if value < 0:
-        raise ValueError(
-            f"REPRO_MAX_PRELOAD_ASSETS must be >= 0, got {value}")
-    return value
-
 
 @dataclass(frozen=True, slots=True)
 class InstanceSpec:
@@ -247,35 +224,23 @@ def _scaled_timeout_of(checkpoint, retry: RetryPolicy):
     return timeout_of
 
 
-def _warm_worker(asset_keys: tuple[AssetKey, ...]) -> None:
-    """Pool initializer: warm the dominant assets into the worker cache.
+def _preload_assets(keys, sink) -> None:
+    """Make a fan-out's bundles resident here before its pool exists.
 
-    With the plane on this *attaches* read-only zero-copy views to the
-    node's segments (built once by the supervisor's
-    :func:`_prebuild_plane`) instead of rebuilding a private copy per
-    worker — the warm-up cost drops from a full synthesis to an mmap.
+    Stops at the first insert that evicts: past the byte budget, loading
+    more only displaces what was just loaded.  A key that fails to load is
+    left to its spec's own supervised attempt.
     """
     from .runner import load_assets
 
-    for key in asset_keys:
-        load_assets(key)
-
-
-def _prebuild_plane(asset_keys: tuple[AssetKey, ...], sink) -> None:
-    """Build the warm set into the node plane before starting the pool.
-
-    One deterministic build in the supervisor instead of a lease race
-    among the first wave of workers: every worker then attaches views,
-    and a fork-context pool inherits the parent's mappings outright.
-    Failures fall through silently — workers simply build private copies.
-    """
-    from .runner import load_assets
-
-    for key in asset_keys:
+    evictions = sink.value("assets.cache.evictions")
+    for key in keys:
         try:
             load_assets(key, metrics=sink)
-        except Exception:  # noqa: BLE001 — warm-up must never kill the run
-            pass
+        except Exception:  # noqa: BLE001 — reported per spec, under retry
+            continue
+        if sink.value("assets.cache.evictions") > evictions:
+            break
 
 
 def supervise_instances(
@@ -374,21 +339,12 @@ def supervise_instances(
             order = sorted(range(len(items)),
                            key=lambda i: AssetKey.of_spec(items[i][0]))
             freq = Counter(AssetKey.of_spec(s) for it in items for s in it)
-            warm_keys = tuple(
-                k for k, _ in freq.most_common(max_preload_assets()))
-            if warm_keys and plane_enabled():
-                _prebuild_plane(warm_keys, sink)
-
-            def make_pool() -> ProcessPoolExecutor:
-                return ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_warm_worker,
-                    initargs=(warm_keys,),
-                )
-
+            _preload_assets([k for k, _n in freq.most_common()], sink)
             res = supervise_map(
-                fn, items, make_pool=make_pool, pool_fn=pool_fn,
-                submit_order=order, timeout_of=timeout_of, **common)
+                fn, items,
+                make_pool=lambda: ProcessPoolExecutor(max_workers=workers),
+                pool_fn=pool_fn, submit_order=order, timeout_of=timeout_of,
+                **common)
             sink.gauge("parallel.workers", workers)
         qiter = iter(res.quarantined)
         for g, group_res in zip(groups, res.results):
@@ -411,9 +367,9 @@ def supervise_instances(
                     evicted.append((pos, payload))
         return res
 
-    # Groups are formed BEFORE the warm-pool asset-key sort reorders
-    # submission, and each crosses to a worker as one indivisible item, so
-    # a replicate batch is never split across workers.
+    # Groups are formed BEFORE the asset-key sort reorders submission, and
+    # each crosses to a worker as one indivisible item, so a replicate
+    # batch is never split across workers.
     groups = (batch_groups(specs) if batching_enabled()
               else [[i] for i in range(len(specs))])
     n_multi = sum(len(g) > 1 for g in groups)

@@ -36,6 +36,7 @@ from ..epihiper.engine import Simulation, SimulationResult
 from ..epihiper.initialization import initialize_from_surveillance
 from ..epihiper.npi import make_d1ct, make_ro, make_sc, make_sh, make_vhi
 from ..params import DEFAULT_SCALE, DEFAULT_SEED
+from ..plane.bundle import bundle_nbytes
 from ..plane.manifest import AssetKey, plane_enabled
 from ..surveillance.truth import GroundTruth, generate_region_truth
 from ..synthpop.contacts import ContactNetwork, build_region_network
@@ -60,26 +61,27 @@ class RegionAssets:
     scale: float
 
 
-class _AssetCache:
-    """Per-process LRU of asset bundles, bounded by the preload cap.
+#: Byte budget of the per-process asset cache, in ``bundle_nbytes``: all
+#: 51 regions at scale 1e-3 total 57.1 MB and VA at 1e-2 is 12.4 MB, so a
+#: national sweep stays resident 4.5 times over, or ~20 of the largest
+#: 1:100 bundles.  A constant on purpose — there is no number to guess.
+ASSET_CACHE_BYTES: int = 256 * 2**20
 
-    Replaces the historical unbounded-in-practice ``lru_cache(maxsize=64)``:
-    a worker could pin 64 full bundles while the warm-pool preload cap
-    (:func:`~repro.core.parallel.max_preload_assets`) promised at most a
-    handful.  The capacity is re-read on every insert, so deployments that
-    tune ``REPRO_MAX_PRELOAD_ASSETS`` at runtime shrink (or grow) the
-    working set without a restart, and hit/miss/eviction counts publish as
-    ``assets.cache.*`` on the process registry.
+
+class _AssetCache:
+    """Per-process LRU of asset bundles, bounded by resident bytes.
+
+    Every entry is charged :func:`~repro.plane.bundle.bundle_nbytes` —
+    plane-attached views and private builds alike — and inserting evicts
+    least-recently-used entries until the total fits ``max_bytes``.  The
+    entry just inserted is never evicted, so a single bundle larger than
+    the whole budget still runs.  Publishes ``assets.cache.hits`` /
+    ``misses`` / ``evictions`` and the ``assets.cache.bytes`` gauge.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, max_bytes: int = ASSET_CACHE_BYTES) -> None:
+        self.max_bytes = max_bytes
         self._entries: OrderedDict[AssetKey, RegionAssets] = OrderedDict()
-
-    @staticmethod
-    def capacity() -> int:
-        from .parallel import max_preload_assets
-
-        return max(1, max_preload_assets())
 
     def get(self, key: AssetKey, reg) -> RegionAssets | None:
         assets = self._entries.get(key)
@@ -93,10 +95,14 @@ class _AssetCache:
     def put(self, key: AssetKey, assets: RegionAssets, reg) -> None:
         self._entries[key] = assets
         self._entries.move_to_end(key)
-        cap = self.capacity()
-        while len(self._entries) > cap:
-            self._entries.popitem(last=False)
+        # Sizes are recomputed (~15 us each), not stored: an insert is
+        # already a miss that cost a build or an attach.
+        total = sum(bundle_nbytes(a) for a in self._entries.values())
+        while total > self.max_bytes and len(self._entries) > 1:
+            _key, evicted = self._entries.popitem(last=False)
+            total -= bundle_nbytes(evicted)
             reg.inc("assets.cache.evictions")
+        reg.gauge("assets.cache.bytes", total)
 
     def clear(self) -> None:
         self._entries.clear()
@@ -120,14 +126,14 @@ def _build_assets(key: AssetKey) -> RegionAssets:
 def load_assets(key: AssetKey, *, metrics=None) -> RegionAssets:
     """The region assets for ``key``: cache, plane, or a fresh build.
 
-    Resolution order:
+    The one place residency is decided.  Resolution order:
 
-    1. the per-process :class:`_AssetCache` (bounded LRU);
+    1. the per-process :class:`_AssetCache` (LRU bounded by bytes);
     2. with ``REPRO_PLANE=1``, the node-shared plane — attach (or build
        exactly once per node) read-only zero-copy views;
-    3. a private build, exactly the historical behaviour — also the
+    3. a private build (counted as ``assets.cache.builds``) — also the
        silent fallback when the plane is unavailable (no ``/dev/shm``,
-       segment too large, lease timeout).
+       segment too large, lease timeout) — either of which is then cached.
     """
     from ..obs.registry import global_registry
 
@@ -139,10 +145,9 @@ def load_assets(key: AssetKey, *, metrics=None) -> RegionAssets:
         from ..plane.lifecycle import ensure_assets
 
         assets = ensure_assets(key, lambda: _build_assets(key), metrics=reg)
-        if assets is not None:
-            _ASSET_CACHE.put(key, assets, reg)
-            return assets
-    assets = _build_assets(key)
+    if assets is None:
+        assets = _build_assets(key)
+        reg.inc("assets.cache.builds")
     _ASSET_CACHE.put(key, assets, reg)
     return assets
 
@@ -339,8 +344,7 @@ def execute_specs(
         manager, every = plan.manager(metrics=reg), plan.every
         ck_keys = [instance_key(s, salt=plan.salt) for s in specs]
     with reg.timer("runner.assets_s"):
-        assets = load_region_assets(first.region_code, first.scale,
-                                    first.asset_seed, metrics=reg)
+        assets = load_assets(AssetKey.of_spec(first), metrics=reg)
 
     def build():
         lanes = [prepare_instance(assets, s.params, seed=s.seed)

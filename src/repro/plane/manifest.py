@@ -8,12 +8,9 @@ they are (the :class:`AssetKey` plus the code-version salt, so stale
 bytes from an older source tree can never be attached), and *who* built
 them (owner pid — dead owners make a segment reclaimable).
 
-:class:`AssetKey` is also the fix for a long-standing cache-key mismatch:
-``load_region_assets`` caches on ``(region, scale, seed, truth_days)``
-while the warm-pool preload keyed on only the first three, so a preloaded
-bundle could silently miss for specs with a non-default truth horizon.
-One canonical key type is now shared by the runner cache, the warm
-preload, replicate batch grouping, and the plane manifest.
+:class:`AssetKey` is the one canonical identity of a bundle; every
+consumer keys on it, so no two can disagree on what a bundle is (a preload
+keyed without ``truth_days`` once silently missed the cache).
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ class AssetKey:
     """Everything that determines one region-asset bundle, canonically.
 
     The single key type for every consumer that identifies "one build of
-    one region's inputs": the per-process asset cache, the warm-pool
+    one region's inputs": the per-process asset cache, the fan-out's
     preload, replicate batch grouping, and the plane manifest.  Ordered,
     hashable and picklable, so it can sort submission schedules and cross
     process boundaries unchanged.

@@ -7,8 +7,7 @@ question within minutes of each other.  This package turns the
 reproduction's execution stack into a long-running service:
 
 - :mod:`~repro.service.api` — the versioned ``/v1`` surface: one routing
-  table, one error envelope, legacy unversioned paths as deprecated
-  aliases;
+  table, one error envelope;
 - :mod:`~repro.service.queue` — bounded admission with priority,
   deterministic aging (no starvation), and request coalescing keyed on
   canonical :func:`~repro.store.keys.instance_key` cache keys;

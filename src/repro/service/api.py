@@ -4,11 +4,9 @@ Every service endpoint lives under ``/v1`` and is declared once in
 :data:`ROUTES`; both HTTP front ends — the single-process
 :class:`~repro.service.server.ScenarioHandler` and the sharded
 :class:`~repro.service.router.RouterHandler` — dispatch through
-:func:`resolve` instead of growing ``if path ==`` chains.  The legacy
-unversioned paths of the first service release keep answering as
-deprecated aliases: same handler, same body, plus a ``Deprecation``
-header and a ``Link: ...; rel="successor-version"`` pointer at the
-``/v1`` route.
+:func:`resolve` instead of growing ``if path ==`` chains.  A path outside
+the table — the unversioned paths of the first service release included —
+gets the enveloped 404 ``not_found``.
 
 Every non-2xx response is the same envelope::
 
@@ -143,45 +141,27 @@ ROUTES: tuple[Route, ...] = (
 
 @dataclass(frozen=True, slots=True)
 class Resolution:
-    """A matched route plus how it was reached."""
+    """A matched route with its captured path and query arguments."""
 
     route: Route
     args: dict[str, str]
     query: dict[str, str]
-    deprecated: bool  #: matched through a legacy unversioned alias
-    canonical_path: str  #: the ``/v1`` path of this resource
 
 
 def resolve(method: str, raw_path: str) -> Resolution | None:
-    """Match a request line against the table.
-
-    Unversioned paths are resolved as deprecated aliases of their ``/v1``
-    twin, so one table serves both surfaces.
-    """
+    """Match a request line against the table (None: no such route)."""
     split = urlsplit(raw_path)
     path = split.path.rstrip("/") or "/"
-    deprecated = not (path == API_PREFIX
-                      or path.startswith(API_PREFIX + "/"))
-    vpath = API_PREFIX + path if deprecated else path
     query = {name: values[-1]
              for name, values in parse_qs(split.query).items()}
     for route in ROUTES:
         if route.method != method:
             continue
-        match = route.pattern.fullmatch(vpath)
+        match = route.pattern.fullmatch(path)
         if match is not None:
             return Resolution(route=route, args=match.groupdict(),
-                              query=query, deprecated=deprecated,
-                              canonical_path=vpath)
+                              query=query)
     return None
-
-
-def deprecation_headers(canonical_path: str) -> dict[str, str]:
-    """Headers stamped on responses served through a legacy alias."""
-    return {
-        "Deprecation": "true",
-        "Link": f'<{canonical_path}>; rel="successor-version"',
-    }
 
 
 # -- request validation --------------------------------------------------------
@@ -262,15 +242,11 @@ class JsonApiHandler(BaseHTTPRequestHandler):
     Subclasses implement ``api_<route name>`` methods taking the route's
     named groups as keyword arguments plus the parsed ``query`` mapping;
     they return ``(status, payload)`` or raise :class:`ApiError`.
-    Envelope rendering, legacy-alias deprecation headers, and the 404 /
-    500 fallbacks live here, once.
+    Envelope rendering and the 404 / 500 fallbacks live here, once.
     """
 
     server_version = "repro-service/2.0"
     protocol_version = "HTTP/1.1"
-
-    #: Set by dispatch for the duration of one request.
-    _alias_headers: dict[str, str]
 
     def log_message(self, fmt: str, *args: Any) -> None:
         """Silenced: the obs registry is the service's telemetry."""
@@ -283,9 +259,7 @@ class JsonApiHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        merged = dict(self._alias_headers)
-        merged.update(headers or {})
-        for name, value in merged.items():
+        for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
@@ -304,15 +278,11 @@ class JsonApiHandler(BaseHTTPRequestHandler):
     # -- dispatch --------------------------------------------------------------
 
     def _dispatch(self, method: str) -> None:
-        self._alias_headers = {}
         resolution = resolve(method, self.path)
         if resolution is None:
             self._send_error_envelope(
                 ApiError(NOT_FOUND, f"no route for {self.path!r}"))
             return
-        if resolution.deprecated:
-            self._alias_headers = deprecation_headers(
-                resolution.canonical_path)
         handler = getattr(self, f"api_{resolution.route.name}")
         try:
             status, payload = handler(query=resolution.query,

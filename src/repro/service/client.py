@@ -29,8 +29,8 @@ class ServiceError(RuntimeError):
 
     Attributes:
         status: HTTP status code (0 when the connection itself failed).
-        code: the envelope's error code ("" for transport failures or
-            pre-envelope servers).
+        code: the envelope's error code ("" for transport failures and
+            bodies that are not the envelope).
         payload: decoded JSON error body when the service sent one.
     """
 
@@ -86,20 +86,16 @@ def error_from_payload(status: int,
                        payload: dict[str, Any]) -> ServiceError:
     """Map an error envelope to the matching typed exception.
 
-    Understands both the ``/v1`` envelope (``{"error": {"code": ...}}``)
-    and the pre-envelope flat shape (``{"error": "message"}``) so the
-    client still renders something useful against an old server.
+    A body that is not the envelope (an intermediary's error page, an
+    empty body) yields a plain :class:`ServiceError` carrying the status.
     """
     error = payload.get("error")
-    if isinstance(error, dict):
-        code = str(error.get("code", ""))
-        message = str(error.get("message", f"HTTP {status}"))
-        retry_after_s = error.get("retry_after_s")
-    else:
-        code = ""
-        message = str(error) if error else f"HTTP {status}"
-        retry_after_s = payload.get("retry_after_s")
-    if code == QUEUE_FULL or (not code and status == 429):
+    if not isinstance(error, dict):
+        error = {}
+    code = str(error.get("code", ""))
+    message = str(error.get("message", f"HTTP {status}"))
+    retry_after_s = error.get("retry_after_s")
+    if code == QUEUE_FULL:
         return QueueFullError(
             message, status=status, payload=payload,
             retry_after_s=float(retry_after_s or 1.0))

@@ -17,9 +17,8 @@ the versioned surface declared in :mod:`repro.service.api`:
 - ``GET /v1/metrics`` — flat JSON snapshot of the obs registry
   (``service.*``, ``memo.*``, ``retry.*``, ``store.*``, worker telemetry).
 
-The unversioned paths of the first release still answer as deprecated
-aliases (same body, ``Deprecation`` header).  Handler threads only touch
-the lock-guarded queue; all execution stays on the broker thread.
+Handler threads only touch the lock-guarded queue; all execution stays
+on the broker thread.
 Shutdown is graceful by default: stop admitting, finish everything
 queued, then stop the broker — a request accepted with ``202`` is never
 silently dropped.

@@ -201,11 +201,11 @@ class ContentStore:
     def get(self, key: str) -> dict[str, np.ndarray] | None:
         """Load and verify a payload, or None on miss.
 
-        Integrity is checked against the digest embedded at
-        :meth:`put` time; an unreadable blob or a digest mismatch is
-        quarantined and reads as a miss, so corruption costs one
-        recomputation instead of propagating bad arrays downstream.
-        Hits refresh LRU recency.
+        Integrity is checked against the digest embedded at :meth:`put`
+        time; an unreadable blob, a digest mismatch or a missing digest
+        (every put writes one, so its absence is damage) is quarantined
+        and reads as a miss, so corruption costs one recomputation instead
+        of propagating bad arrays downstream.  Hits refresh LRU recency.
         """
         path = self.path_of(key)
         try:
@@ -220,7 +220,7 @@ class ContentStore:
             self.metrics.inc("store.misses")
             return None
         digest = payload.pop(DIGEST_KEY, None)
-        if digest is not None and not np.array_equal(
+        if digest is None or not np.array_equal(
                 np.asarray(digest), payload_digest(payload)):
             # Decompressed fine but does not say what was written.
             self._quarantine(path)

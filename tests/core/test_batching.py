@@ -11,11 +11,9 @@ import numpy as np
 import pytest
 
 from repro.core.batching import (
-    MAX_BATCH_LANES,
     batch_groups,
     batching_enabled,
     group_key,
-    max_batch_lanes,
 )
 from repro.core.parallel import (
     InstanceSpec,
@@ -96,17 +94,6 @@ def test_batching_env_knobs(monkeypatch):
         assert not batching_enabled()
     monkeypatch.setenv("REPRO_BATCH_REPLICATES", "1")
     assert batching_enabled()
-
-    monkeypatch.delenv("REPRO_MAX_BATCH_LANES", raising=False)
-    assert max_batch_lanes() == MAX_BATCH_LANES
-    monkeypatch.setenv("REPRO_MAX_BATCH_LANES", "8")
-    assert max_batch_lanes() == 8
-    monkeypatch.setenv("REPRO_MAX_BATCH_LANES", "batchy")
-    with pytest.raises(ValueError, match="integer"):
-        max_batch_lanes()
-    monkeypatch.setenv("REPRO_MAX_BATCH_LANES", "0")
-    with pytest.raises(ValueError, match=">= 1"):
-        max_batch_lanes()
 
 
 # ---- batched fan-out: equivalence and telemetry ----------------------------

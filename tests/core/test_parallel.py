@@ -86,22 +86,3 @@ def test_gather_ensemble():
     assert ens.shape == (3, 26)
     with pytest.raises(ValueError):
         gather_ensemble([])
-
-
-def test_max_preload_assets_env_override(monkeypatch):
-    from repro.core.parallel import MAX_PRELOAD_ASSETS, max_preload_assets
-
-    monkeypatch.delenv("REPRO_MAX_PRELOAD_ASSETS", raising=False)
-    assert max_preload_assets() == MAX_PRELOAD_ASSETS
-    monkeypatch.setenv("REPRO_MAX_PRELOAD_ASSETS", "9")
-    assert max_preload_assets() == 9
-    monkeypatch.setenv("REPRO_MAX_PRELOAD_ASSETS", "0")
-    assert max_preload_assets() == 0  # pre-warming disabled
-    monkeypatch.setenv("REPRO_MAX_PRELOAD_ASSETS", "  ")
-    assert max_preload_assets() == MAX_PRELOAD_ASSETS  # blank = default
-    monkeypatch.setenv("REPRO_MAX_PRELOAD_ASSETS", "four")
-    with pytest.raises(ValueError, match="must be an integer"):
-        max_preload_assets()
-    monkeypatch.setenv("REPRO_MAX_PRELOAD_ASSETS", "-1")
-    with pytest.raises(ValueError, match=">= 0"):
-        max_preload_assets()

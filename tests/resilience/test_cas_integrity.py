@@ -89,17 +89,19 @@ def test_unreadable_blob_quarantined(tmp_path):
     assert store.quarantined_keys() == [KEY]
 
 
-def test_legacy_digestless_blob_still_served(tmp_path):
-    """Blobs written before the integrity digest existed must keep reading."""
+def test_digestless_blob_is_quarantined(tmp_path):
+    """Every put embeds a digest, so a blob without one has lost it: it is
+    corrupt, not legacy, and must not be served unverified."""
     store = ContentStore(tmp_path)
     path = store.path_of(KEY)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         np.savez_compressed(fh, **payload())  # no __digest__ entry
-    got = store.get(KEY)
-    assert got is not None
-    assert np.array_equal(got["confirmed"], payload()["confirmed"])
-    assert store.stats.hits == 1 and store.stats.corrupt == 0
+    assert store.get(KEY) is None
+    assert store.stats.hits == 0 and store.stats.misses == 1
+    assert store.stats.corrupt == 1
+    assert store.quarantined_keys() == [KEY]
+    assert not store.contains(KEY)
 
 
 def test_summary_counts_corruption(tmp_path):

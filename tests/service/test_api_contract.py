@@ -1,10 +1,9 @@
-"""The versioned /v1 surface: routing table, envelope, legacy aliases.
+"""The versioned /v1 surface: routing table and error envelope.
 
 Contract tests for :mod:`repro.service.api`: every endpoint lives under
-``/v1``, every non-2xx body is the uniform error envelope with a code
-from the documented enum, legacy unversioned paths still answer (with
-``Deprecation`` headers), and the client raises typed exceptions off the
-envelope's ``code`` — not off message prose.
+``/v1`` and nowhere else, every non-2xx body is the uniform error
+envelope with a code from the documented enum, and the client raises
+typed exceptions off the envelope's ``code`` — not off message prose.
 """
 
 import http.client
@@ -19,7 +18,6 @@ from repro.service.api import (
     STATUS_OF_CODE,
     ApiError,
     BadRequest,
-    deprecation_headers,
     error_envelope,
     resolve,
 )
@@ -45,7 +43,6 @@ class TestRoutingTable:
                 ("POST", "/v1/scenarios", "submit_scenario")]:
             res = resolve(method, path)
             assert res is not None and res.route.name == name
-            assert not res.deprecated
 
     def test_path_args_are_captured(self):
         res = resolve("GET", "/v1/scenarios/s2-r000042")
@@ -55,29 +52,12 @@ class TestRoutingTable:
         res = resolve("GET", "/v1/scenarios?state=done&limit=5")
         assert res.query == {"state": "done", "limit": "5"}
 
-    def test_legacy_paths_resolve_as_deprecated_aliases(self):
-        for path, name in [("/healthz", "healthz"),
-                           ("/metrics", "metrics"),
-                           ("/scenarios", "list_scenarios"),
-                           ("/scenarios/r000001", "get_scenario")]:
-            res = resolve("GET", path)
-            assert res is not None and res.route.name == name
-            assert res.deprecated
-            assert res.canonical_path == "/v1" + path
-
     def test_unknown_path_resolves_to_none(self):
         assert resolve("GET", "/v1/nope") is None
         assert resolve("DELETE", "/v1/scenarios") is None
 
     def test_trailing_slash_is_tolerated(self):
         assert resolve("GET", "/v1/healthz/").route.name == "healthz"
-
-    def test_deprecation_headers_point_at_the_successor(self):
-        headers = deprecation_headers("/v1/healthz")
-        assert headers["Deprecation"] == "true"
-        assert "successor-version" in headers["Link"]
-        assert "/v1/healthz" in headers["Link"]
-
 
 class TestEnvelope:
     def test_error_envelope_shape(self):
@@ -129,10 +109,12 @@ class TestClientTyping:
         assert isinstance(exc, QueueFullError)
         assert exc.retry_after_s == 3.5
 
-    def test_legacy_flat_error_body_still_works(self):
-        exc = error_from_payload(429, {"error": "full", "retry_after_s": 2.0})
-        assert isinstance(exc, QueueFullError)
-        assert exc.retry_after_s == 2.0
+    def test_non_envelope_body_is_a_plain_service_error(self):
+        # An intermediary's error page, or nothing at all: no code to type.
+        for body in ({}, {"error": "full", "retry_after_s": 2.0}):
+            exc = error_from_payload(429, body)
+            assert type(exc) is ServiceError
+            assert (exc.status, exc.code) == (429, "")
 
 
 @pytest.fixture()
@@ -212,24 +194,15 @@ class TestHttpSurface:
         assert status == 503
         assert payload["error"]["code"] == "draining"
 
-    def test_legacy_alias_answers_with_deprecation_headers(self, server):
-        status, headers, payload = raw_request(server, "GET", "/healthz")
-        assert status == 200
-        assert payload["status"] == "ok"
-        assert headers["Deprecation"] == "true"
-        assert 'rel="successor-version"' in headers["Link"]
-        assert "/v1/healthz" in headers["Link"]
-
-    def test_versioned_path_has_no_deprecation_headers(self, server):
-        _, headers, _ = raw_request(server, "GET", "/v1/healthz")
-        assert "Deprecation" not in headers
-
-    def test_legacy_submit_alias_works(self, server):
-        status, headers, payload = raw_request(server, "POST", "/scenarios",
-                                               submission(0.2))
-        assert status == 202
-        assert payload["id"]
-        assert headers["Deprecation"] == "true"
+    def test_unversioned_path_is_an_enveloped_404(self, server):
+        # The first release's unversioned aliases are gone: they are
+        # unknown routes like any other.
+        for method, path, body in [("GET", "/healthz", None),
+                                   ("GET", "/metrics", None),
+                                   ("POST", "/scenarios", submission(0.2))]:
+            status, _, payload = raw_request(server, method, path, body)
+            assert status == 404
+            assert payload["error"]["code"] == "not_found"
 
     def test_client_raises_not_found(self, server):
         client = ServiceClient(
