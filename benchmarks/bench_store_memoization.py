@@ -56,16 +56,17 @@ def test_cold_vs_warm_calibration(benchmark, tmp_path, save_artifact):
     cold, warm, t_cold, t_warm, t_exec_cold, t_exec_warm = \
         benchmark.pedantic(rounds, rounds=1, iterations=1)
 
-    s = store.stats
+    hits, misses, puts = (int(store.metrics.value(f"store.{name}"))
+                          for name in ("hits", "misses", "puts"))
     speedup = t_cold / t_warm if t_warm > 0 else float("inf")
     exec_speedup = (t_exec_cold / t_exec_warm if t_exec_warm > 0
                     else float("inf"))
     save_artifact(
         "store_memoization",
         "memoized calibration round (12 cells, VA, 60 days)\n"
-        f"cold round: {t_cold:.2f}s ({s.misses} misses, "
-        f"{s.puts} blobs stored)\n"
-        f"warm round: {t_warm:.2f}s ({s.hits} hits, "
+        f"cold round: {t_cold:.2f}s ({misses} misses, "
+        f"{puts} blobs stored)\n"
+        f"warm round: {t_warm:.2f}s ({hits} hits, "
         f"0 simulations executed)\n"
         f"round speedup: {speedup:.2f}x (MCMC runs either way)\n"
         f"instance execution cold: {t_exec_cold:.3f}s  "
@@ -73,8 +74,8 @@ def test_cold_vs_warm_calibration(benchmark, tmp_path, save_artifact):
         f"store: {len(store)} blobs, {store.total_bytes():,} bytes")
 
     # The warm pass executed nothing: every instance was a hit.
-    assert s.misses == CAL_ARGS["n_cells"]
-    assert s.hits == CAL_ARGS["n_cells"]
+    assert misses == CAL_ARGS["n_cells"]
+    assert hits == CAL_ARGS["n_cells"]
     # ...and is bit-identical to the cold pass.
     np.testing.assert_array_equal(cold.sim_series, warm.sim_series)
     assert t_warm < t_cold

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -36,6 +34,7 @@ import numpy as np
 
 from ..obs.registry import MetricsRegistry
 from ..store.cas import CHECKPOINT_FAMILY, ContentStore, LeaseTable
+from ..store.files import atomic_write, read_json
 from ..store.ledger import RunLedger
 
 #: Key family label of checkpoint blobs in the CAS (``repro store stats``
@@ -120,13 +119,11 @@ class CheckpointManager:
 
     def ticks(self, instance_key: str) -> list[int]:
         """Ticks with a recorded snapshot, ascending ([] when none)."""
+        record = read_json(self.pointer_path(instance_key)) or {}
         try:
-            record = json.loads(self.pointer_path(instance_key).read_text(
-                encoding="utf-8"))
-            out = sorted({int(t) for t in record["ticks"]})
-        except (OSError, ValueError, TypeError, KeyError):
+            return sorted({int(t) for t in record["ticks"]})
+        except (ValueError, TypeError, KeyError):
             return []
-        return out
 
     def latest_tick(self, instance_key: str) -> int | None:
         """Newest recorded snapshot tick (no blob validation)."""
@@ -135,18 +132,9 @@ class CheckpointManager:
 
     def _write_pointer(self, instance_key: str, ticks: list[int]) -> None:
         """Atomically replace the pointer (readers never see a torn file)."""
-        path = self.pointer_path(instance_key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        record = json.dumps({"instance": instance_key, "ticks": ticks},
-                            sort_keys=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(record)
-            os.replace(tmp, path)
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
+        with atomic_write(self.pointer_path(instance_key)) as fh:
+            json.dump({"instance": instance_key, "ticks": ticks}, fh,
+                      sort_keys=True)
 
     # -- events ----------------------------------------------------------------
 

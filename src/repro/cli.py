@@ -417,9 +417,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     print(f"{args.region}: calibrated {args.cells} cells over "
           f"{args.days} days (onset at surveillance day {cal.onset_day})")
     if store is not None:
-        s = store.stats
-        print(f"  store: {s.hits} hits, {s.misses} misses "
-              f"({s.hit_rate:.0%} served)")
+        hits = int(store.metrics.value("store.hits"))
+        misses = int(store.metrics.value("store.misses"))
+        served = hits / (hits + misses) if hits + misses else 1.0
+        print(f"  store: {hits} hits, {misses} misses "
+              f"({served:.0%} served)")
     for k, name in enumerate(cal.space.names):
         print(f"  {name:<16} posterior {post[:, k].mean():.3f} "
               f"± {post[:, k].std():.3f}  (tightening {tight[k]:.2f}x)")

@@ -60,10 +60,12 @@ def group_key(spec: "InstanceSpec") -> tuple[AssetKey, int]:
     shared population/network/surveillance bundle — the same key the
     runner cache, fan-out preload, and plane manifest use) plus the tick
     horizon.  Cell parameters and seeds deliberately do not participate:
-    the batched engine takes heterogeneous models and RNG streams as
-    lanes (it falls back to per-instance execution itself, via
-    :class:`~repro.epihiper.batch.BatchIncompatible`, in the rare case a
-    parameter produces a structurally incompatible model).
+    the batched engine takes heterogeneous cells and RNG streams as
+    lanes.  In the rare case a parameter produces a structurally
+    incompatible model its constructor raises
+    :class:`~repro.epihiper.batch.BatchIncompatible`, and the worker
+    entry (``core/parallel._execute_group``) re-runs the group as one
+    group per spec.
     """
     return (AssetKey.of_spec(spec), int(spec.n_days))
 

@@ -30,6 +30,13 @@ resolves all its ``auto`` lanes *together* (one decision over the summed
 frontier workload) so they land on the same kernel and the candidate scan
 stays one stacked operation.
 
+What may share a batch is decided once, at construction
+(:func:`_require_compatible`): lanes must share assets, tick, state-space
+size, progression structure and dwell values, the sigma / iota / omega
+tables and susceptible -> exposed map, and base edge activity.  Anything
+else raises :class:`BatchIncompatible` and the caller runs the group as
+singles; the tick loop itself carries no per-lane fallback.
+
 Interventions and NPIs need no porting: they reach state only through the
 lane's public surface (``health``, ``enter_state``, ``suppressor``,
 ``edge_weight``, ``node_susceptibility``, ``rng``), all of which resolve to
@@ -62,7 +69,6 @@ from .transmission import (
     MINUTES_PER_DAY,
     TransmissionBackend,
     _frontier_candidates,
-    _sample_transmissions,
     batched_dense_candidates,
     dense_candidate_tables,
 )
@@ -90,9 +96,11 @@ BATCH_DENSE_AMORTIZATION: float = 4.0
 class BatchIncompatible(ValueError):
     """The given lanes cannot share one batched tick loop.
 
-    Raised on construction when lanes disagree on assets, tick position,
-    or state-space size.  Callers (the parallel fan-out) treat this as a
-    signal to fall back to per-instance serial execution.
+    Raised on construction, before any lane is touched, when
+    :func:`_require_compatible` finds a mismatch; the message names it.
+    There is no in-kernel detour: the worker entry
+    (``core/parallel._execute_group``) answers by running the group as
+    one group per spec — the solo reference path.
     """
 
 
@@ -202,51 +210,66 @@ class _SchedTables:
         self.sd = np.asarray(sds, dtype=np.float64)
 
 
-def _build_sched_tables(lanes):
-    """Shared scheduling tables, or ``None`` if lanes are incompatible.
+def _require_compatible(first: Simulation, sim: Simulation) -> None:
+    """Raise :class:`BatchIncompatible` unless ``sim`` can share ``first``'s
+    tick loop; the message names the mismatch.
 
-    Lanes may differ in transition *probabilities* (calibration moves the
-    symptomatic fraction) but must agree on the PTTS graph structure and
-    dwell-distribution values so the padded tables and canonical dwell
-    objects serve every lane; on disagreement callers fall back to
-    per-lane scheduling.
+    The one place "what may share a batch" is decided.  Lanes may differ
+    in seed, transmissibility, transition *probabilities* (calibration
+    moves TAU and the symptomatic fraction), interventions and backend;
+    everything the stacked kernels read once for the whole batch must
+    agree: the assets, the tick, the state-space size, the PTTS graph
+    structure and dwell-distribution values (the padded scheduling tables
+    and canonical dwell objects serve every lane), the sigma / iota /
+    omega tables and susceptible -> exposed map (one Eq. 1 evaluation and
+    one entry-code gather), and the base edge activity (one row serves
+    the stacked active mask).
     """
-    first = lanes[0].model
-    for code in range(first.n_states):
-        out0 = first.out_edges.get(code)
-        for sim in lanes[1:]:
-            out = sim.model.out_edges.get(code)
-            if (out0 is None) != (out is None):
-                return None
-            if out0 is None:
+    if sim.pop is not first.pop or sim.net is not first.net:
+        raise BatchIncompatible(
+            "lanes must share population and network assets")
+    if sim.tick != first.tick:
+        raise BatchIncompatible("lanes must sit at the same tick")
+    a, b = first.model, sim.model
+    if b.n_states != a.n_states:
+        raise BatchIncompatible("lane models must share a state-space size")
+    if b is not a:
+        for code in range(a.n_states):
+            out0, out = a.out_edges.get(code), b.out_edges.get(code)
+            if out0 is None and out is None:
                 continue
-            if (not np.array_equal(out0[0], out[0])
-                    or sim.model.out_cum[code].shape
-                    != first.out_cum[code].shape
-                    or len(out0[2]) != len(out[2])
-                    or any(not _dwell_equal(x, y)
-                           for x, y in zip(out0[2], out[2]))):
-                return None
-    return _SchedTables(lanes)
-
-
-def _tables_shared(a, b) -> bool:
-    """Whether two models share the arrays the propensity kernel reads."""
-    if a is b:
-        return True
-    return (
-        np.array_equal(a.susceptibility, b.susceptibility)
-        and np.array_equal(a.infectivity, b.infectivity)
-        and np.array_equal(a.omega, b.omega)
-    )
+            if (out0 is None or out is None
+                    or not np.array_equal(out0[0], out[0])
+                    or b.out_cum[code].shape != a.out_cum[code].shape):
+                raise BatchIncompatible(
+                    "lane models must share a progression structure "
+                    f"(state {code})")
+            # Equal destinations: the dwell lists are equally long.
+            if any(not _dwell_equal(x, y) for x, y in zip(out0[2], out[2])):
+                raise BatchIncompatible(
+                    f"lane models must share dwell values (state {code})")
+        if not (np.array_equal(a.susceptibility, b.susceptibility)
+                and np.array_equal(a.infectivity, b.infectivity)
+                and np.array_equal(a.omega, b.omega)):
+            raise BatchIncompatible(
+                "lane models must share sigma / iota / omega tables")
+        if not np.array_equal(a.exposed_of, b.exposed_of):
+            raise BatchIncompatible(
+                "lane models must share the susceptible -> exposed map")
+    if not np.array_equal(sim.base_active, first.base_active):
+        raise BatchIncompatible("lanes must share base edge activity")
 
 
 class BatchedSimulation:
     """Advance K replicate :class:`Simulation` lanes through shared ticks.
 
     Lanes must share their population and network objects (same region
-    assets), sit at the same tick, and have models with equal state-space
-    size; seeds, cell parameters (model transmissibility, symptomatic
+    assets), sit at the same tick, and have models that agree on
+    state-space size, progression structure and dwell values, the
+    sigma / iota / omega tables and susceptible -> exposed map, and base
+    edge activity (:func:`_require_compatible`; any mismatch raises
+    :class:`BatchIncompatible` and leaves the lanes as they were handed
+    in); seeds, cell parameters (model transmissibility, symptomatic
     fraction), interventions, and backends may differ per lane.
 
     After construction each lane's ``health``, ``sched.dwell``,
@@ -266,14 +289,7 @@ class BatchedSimulation:
             raise BatchIncompatible("batched simulation needs at least one lane")
         first = lanes[0]
         for sim in lanes[1:]:
-            if sim.pop is not first.pop or sim.net is not first.net:
-                raise BatchIncompatible(
-                    "lanes must share population and network assets")
-            if sim.tick != first.tick:
-                raise BatchIncompatible("lanes must sit at the same tick")
-            if sim.model.n_states != first.model.n_states:
-                raise BatchIncompatible(
-                    "lane models must share a state-space size")
+            _require_compatible(first, sim)
         self.lanes = list(lanes)
         k = len(self.lanes)
         n = first.pop.size
@@ -317,23 +333,9 @@ class BatchedSimulation:
         self._lane_offsets = self._lane_arange * n
         self._n_pop = n
 
-        # Shared per-code scheduling tables for the cross-lane scheduler;
-        # None when lane models disagree structurally (falls back to
-        # per-lane ``schedule_entries``, still bit-identical).
-        self._sched_tables = _build_sched_tables(self.lanes)
-
-        # When every lane reads the same sigma / iota / omega tables the
-        # whole batch shares one Eq. 1 propensity evaluation; calibration
-        # sweeps hit this (TAU moves the scalar transmissibility, SYMP the
-        # progression probabilities — neither touches these tables).
-        self._shared_tables = all(
-            _tables_shared(sim.model, first.model) for sim in self.lanes[1:])
-        # Shared susceptible-state -> exposed-state mapping lets the fired
-        # transmissions of all lanes resolve their entry codes in one
-        # stacked gather.
-        self._exposed_shared = self._shared_tables and all(
-            np.array_equal(sim.model.exposed_of, first.model.exposed_of)
-            for sim in self.lanes[1:])
+        # Per-code scheduling tables for the cross-lane scheduler (lanes
+        # agree on structure and dwell values; probabilities are per lane).
+        self._sched_tables = _SchedTables(self.lanes)
 
         # One incident CSR serves every lane (it is read-only and the
         # lanes share the network); build it eagerly so frontier/auto
@@ -358,15 +360,10 @@ class BatchedSimulation:
         self._census_offsets = (
             np.arange(k, dtype=np.int32) * self._n_states)[:, None]
 
-        # Lanes share the network, so their base edge-activity copies are
-        # equal byte for byte; one row then serves the whole stacked
-        # active-mask evaluation.  (Nothing mutates base_active — NPIs act
-        # through the suppressor — but verify, cheaply, once.)
-        self._base_active = (
-            first.base_active
-            if all(np.array_equal(sim.base_active, first.base_active)
-                   for sim in self.lanes[1:])
-            else None)
+        # One row serves the whole stacked active-mask evaluation: the
+        # lanes' base edge-activity copies are equal (checked above) and
+        # nothing mutates them — NPIs act through the suppressor.
+        self._base_active = first.base_active
 
         # Census bookkeeping is deferred: per-tick snapshots of the cheap
         # python counters accumulate here and expand into each lane's
@@ -496,7 +493,8 @@ class BatchedSimulation:
     def _batched_propensities(self, sus_cat, inf_cat, dur_cat, w_cat, counts):
         """Eq. 1 firing probabilities for the whole flat candidate batch.
 
-        Requires shared model tables.  The arithmetic chain matches
+        Reads the model tables every lane shares off lane 0 (only the
+        scalar transmissibility is per lane).  The arithmetic chain matches
         :func:`~repro.epihiper.transmission._sample_transmissions` term
         for term (float multiplication is order-sensitive), so each lane's
         slice of ``p`` is bit-identical to its solo propensities.
@@ -516,57 +514,6 @@ class BatchedSimulation:
             counts)
         return -np.expm1(-rho)
 
-    def _apply_entries(self, entries) -> None:
-        """Batched :meth:`Simulation.enter_state` over several lanes.
-
-        ``entries`` is ``[(lane, pids, codes, infectors-or-None), ...]``
-        in lane order; pids are int64, codes int8 (the dtypes
-        ``TransitionRecorder.record`` would coerce to).  One flat write
-        updates every lane's health row; recording and next-hop
-        scheduling (the RNG consumer) then run per lane, exactly as the
-        lane's own ``enter_state`` would.
-        """
-        if not entries:
-            return
-        sizes = [entry[1].shape[0] for entry in entries]
-        total = sum(sizes)
-        if len(entries) == 1:
-            lane, pids, codes, infectors = entries[0]
-            pids_cat, codes_cat = pids, codes
-            flat = pids + self._lane_offsets[lane]
-            inf_cat = (infectors if infectors is not None
-                       else np.full(total, -1, dtype=np.int64))
-        else:
-            pids_cat = np.concatenate([entry[1] for entry in entries])
-            codes_cat = np.concatenate([entry[2] for entry in entries])
-            flat = pids_cat + np.repeat(
-                self._lane_offsets[[entry[0] for entry in entries]], sizes)
-            inf_cat = np.concatenate([
-                entry[3] if entry[3] is not None
-                else np.full(entry[1].shape[0], -1, dtype=np.int64)
-                for entry in entries])
-        self._health_flat[flat] = codes_cat
-        ticks = np.full(total, self.lanes[0].tick, dtype=np.int32)
-        off = 0
-        for (lane, pids, codes, _), size in zip(entries, sizes):
-            sim = self.lanes[lane]
-            sim.recorder.record_chunks(
-                ticks[off:off + size], pids, codes, inf_cat[off:off + size])
-            self._ct_transitions[lane] += size
-            off += size
-        if self._sched_tables is None or len(entries) < 4:
-            # Few lanes fired (or incompatible models): the per-lane
-            # scheduler's python is cheaper than the batched machinery.
-            for lane, pids, codes, _ in entries:
-                sim = self.lanes[lane]
-                schedule_entries(sim.model, sim.sched, pids, codes,
-                                 sim.pop.age_group, sim.rng)
-        else:
-            lane_cat = np.repeat(
-                np.asarray([entry[0] for entry in entries], dtype=np.int64),
-                sizes)
-            self._schedule_batch(lane_cat, pids_cat, codes_cat)
-
     def _apply_flat(self, sizes, pids_cat, codes_cat, inf_cat) -> None:
         """Batched ``enter_state`` from lane-major flat entry arrays.
 
@@ -576,7 +523,7 @@ class BatchedSimulation:
         for progression entries.  One flat write updates every lane's
         health row; recording runs per lane (each lane owns its
         recorder), and next-hop scheduling goes through the cross-lane
-        batched scheduler when the lane models share tables.
+        batched scheduler unless only a few lanes have entries.
         """
         total = pids_cat.shape[0]
         if total == 0:
@@ -600,7 +547,9 @@ class BatchedSimulation:
                 codes_cat[off:off + n_k], inf_cat[off:off + n_k])
             self._ct_transitions[i] += n_k
             off += n_k
-        if self._sched_tables is None or active < 4:
+        if active < 4:
+            # Few lanes fired: the per-lane scheduler's python is cheaper
+            # than the batched machinery.
             off = 0
             for i, n_k in enumerate(sl):
                 if n_k == 0:
@@ -779,120 +728,86 @@ class BatchedSimulation:
                     sim.suppressor.total_operations - ops_before)
 
         with self.metrics.timer("batch.transmission_s"):
-            if self._shared_tables:
-                np.take(first.model.is_susceptible, self._health,
-                        out=self._sus)
-                np.take(first.model.is_infectious, self._health,
-                        out=self._inf)
-            else:
-                for i, sim in enumerate(self.lanes):
-                    self._sus[i] = sim.model.is_susceptible[sim.health]
-                    self._inf[i] = sim.model.is_infectious[sim.health]
-            if self._base_active is not None:
-                # Stacked twin of EdgeSuppressor.active_mask_into.
-                np.equal(self._supp_count, 0, out=self._active)
-                np.logical_and(self._active, self._base_active,
-                               out=self._active)
-            else:
-                for i, sim in enumerate(self.lanes):
-                    sim.suppressor.active_mask_into(
-                        sim.base_active, self._active[i])
+            np.take(first.model.is_susceptible, self._health, out=self._sus)
+            np.take(first.model.is_infectious, self._health, out=self._inf)
+            # Stacked twin of EdgeSuppressor.active_mask_into.
+            np.equal(self._supp_count, 0, out=self._active)
+            np.logical_and(self._active, self._base_active, out=self._active)
 
             resolved = self._resolve_backends()
             sus_cat, inf_cat, dur_cat, w_cat, counts = (
                 self._candidate_segments(resolved))
 
-            if self._shared_tables and self._exposed_shared:
-                total = int(sus_cat.shape[0])
-                if total:
-                    p = self._batched_propensities(
-                        sus_cat, inf_cat, dur_cat, w_cat, counts)
-                    # One uniform block per lane, drawn into contiguous
-                    # slices of a flat buffer (``Generator.random(out=...)``
-                    # consumes the stream exactly like ``random(n)``), then
-                    # a single whole-batch Bernoulli compare and a single
-                    # reduceat for the per-lane fire counts.
-                    cl = counts.tolist()
-                    u = np.empty(total, dtype=np.float64)
-                    starts = []
-                    lane_ids = []
-                    off = 0
-                    for i, n_k in enumerate(cl):
-                        self._ct_contacts[i] += n_k
-                        if n_k:
-                            starts.append(off)
-                            lane_ids.append(i)
-                            self.lanes[i].rng.random(out=u[off:off + n_k])
-                            off += n_k
-                    fired_flat = u < p
-                    n_fired = np.add.reduceat(fired_flat, starts).tolist()
-                    # Fired contacts, extracted for all lanes at once.
-                    # Only the shuffle permutation is per lane (each
-                    # lane's own generator, its solo bytes); the shuffled
-                    # gather, the first-exposure dedup, and the entry-code
-                    # lookup run on the lane-keyed flat arrays — unique on
-                    # ``lane * N + pid`` is the per-lane uniques
-                    # concatenated, first occurrences included.
-                    f_sus = sus_cat[fired_flat]
-                    f_inf = inf_cat[fired_flat]
-                    perm_parts = []
-                    part_lanes = []
-                    for i, nf in zip(lane_ids, n_fired):
-                        if nf:
-                            perm_parts.append(
-                                self.lanes[i].rng.permutation(nf))
-                            part_lanes.append(i)
-                    if perm_parts:
-                        if len(perm_parts) == 1:
-                            perm_cat = perm_parts[0]
-                            lane_rep_f = np.full(
-                                perm_cat.shape[0], part_lanes[0],
-                                dtype=np.int64)
-                        else:
-                            psizes = [q.shape[0] for q in perm_parts]
-                            perm_cat = np.concatenate(perm_parts)
-                            perm_cat += np.repeat(
-                                np.concatenate(
-                                    ([0], np.cumsum(psizes)[:-1])), psizes)
-                            lane_rep_f = np.repeat(
-                                np.asarray(part_lanes, dtype=np.int64),
-                                psizes)
-                        f_sus = f_sus[perm_cat]
-                        f_inf = f_inf[perm_cat]
-                        key = lane_rep_f * self._n_pop + f_sus
-                        uniq_key, first_idx = np.unique(
-                            key, return_index=True)
-                        codes_cat = first.model.exposed_of[
-                            self._health_flat[uniq_key]]
-                        lane_u = uniq_key // self._n_pop
-                        pids_cat = uniq_key - lane_u * self._n_pop
-                        tsizes = np.bincount(
-                            lane_u, minlength=len(self.lanes))
-                        for i, c in enumerate(tsizes.tolist()):
-                            if c:
-                                self._ct_transmissions[i] += c
-                        self._apply_flat(tsizes, pids_cat, codes_cat,
-                                         f_inf[first_idx])
-            else:
-                entries = []
+            total = int(sus_cat.shape[0])
+            if total:
+                p = self._batched_propensities(
+                    sus_cat, inf_cat, dur_cat, w_cat, counts)
+                # One uniform block per lane, drawn into contiguous
+                # slices of a flat buffer (``Generator.random(out=...)``
+                # consumes the stream exactly like ``random(n)``), then
+                # a single whole-batch Bernoulli compare and a single
+                # reduceat for the per-lane fire counts.
+                cl = counts.tolist()
+                u = np.empty(total, dtype=np.float64)
+                starts = []
+                lane_ids = []
                 off = 0
-                for i, sim in enumerate(self.lanes):
-                    n_k = int(counts[i])
+                for i, n_k in enumerate(cl):
                     self._ct_contacts[i] += n_k
-                    if n_k == 0:
-                        continue
-                    events = _sample_transmissions(
-                        sim.model, sim.health, sim.node_susceptibility,
-                        sim.node_infectivity, sus_cat[off:off + n_k],
-                        inf_cat[off:off + n_k], dur_cat[off:off + n_k],
-                        w_cat[off:off + n_k], sim.rng)
-                    off += n_k
-                    if events.pids.size:
-                        self._ct_transmissions[i] += int(events.pids.size)
-                        entries.append((i, events.pids,
-                                        events.exposed_codes,
-                                        events.infectors))
-                self._apply_entries(entries)
+                    if n_k:
+                        starts.append(off)
+                        lane_ids.append(i)
+                        self.lanes[i].rng.random(out=u[off:off + n_k])
+                        off += n_k
+                fired_flat = u < p
+                n_fired = np.add.reduceat(fired_flat, starts).tolist()
+                # Fired contacts, extracted for all lanes at once.
+                # Only the shuffle permutation is per lane (each
+                # lane's own generator, its solo bytes); the shuffled
+                # gather, the first-exposure dedup, and the entry-code
+                # lookup run on the lane-keyed flat arrays — unique on
+                # ``lane * N + pid`` is the per-lane uniques
+                # concatenated, first occurrences included.
+                f_sus = sus_cat[fired_flat]
+                f_inf = inf_cat[fired_flat]
+                perm_parts = []
+                part_lanes = []
+                for i, nf in zip(lane_ids, n_fired):
+                    if nf:
+                        perm_parts.append(
+                            self.lanes[i].rng.permutation(nf))
+                        part_lanes.append(i)
+                if perm_parts:
+                    if len(perm_parts) == 1:
+                        perm_cat = perm_parts[0]
+                        lane_rep_f = np.full(
+                            perm_cat.shape[0], part_lanes[0],
+                            dtype=np.int64)
+                    else:
+                        psizes = [q.shape[0] for q in perm_parts]
+                        perm_cat = np.concatenate(perm_parts)
+                        perm_cat += np.repeat(
+                            np.concatenate(
+                                ([0], np.cumsum(psizes)[:-1])), psizes)
+                        lane_rep_f = np.repeat(
+                            np.asarray(part_lanes, dtype=np.int64),
+                            psizes)
+                    f_sus = f_sus[perm_cat]
+                    f_inf = f_inf[perm_cat]
+                    key = lane_rep_f * self._n_pop + f_sus
+                    uniq_key, first_idx = np.unique(
+                        key, return_index=True)
+                    codes_cat = first.model.exposed_of[
+                        self._health_flat[uniq_key]]
+                    lane_u = uniq_key // self._n_pop
+                    pids_cat = uniq_key - lane_u * self._n_pop
+                    tsizes = np.bincount(
+                        lane_u, minlength=len(self.lanes))
+                    for i, c in enumerate(tsizes.tolist()):
+                        if c:
+                            self._ct_transmissions[i] += c
+                    self._apply_flat(tsizes, pids_cat, codes_cat,
+                                     f_inf[first_idx])
 
         with self.metrics.timer("batch.progression_s"):
             sizes, pids_flat, codes_flat, n_hit = batched_progression_step(

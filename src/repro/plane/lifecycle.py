@@ -38,6 +38,7 @@ from typing import Callable
 
 from ..obs.registry import MetricsRegistry, global_registry
 from ..store.cas import LEASE_DONE, LEASE_TIMEOUT, LeaseTable
+from ..store.files import pid_alive
 from . import segment as seg
 from .bundle import assets_from_views, bundle_arrays
 from .manifest import (
@@ -74,16 +75,6 @@ def keep_on_exit() -> bool:
     """
     return (os.environ.get("REPRO_PLANE_KEEP", "").strip().lower()
             in _KEEP_TRUTHY)
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - other-uid process
-        return True
-    return True
 
 
 def _segment_name(key: str) -> str:
@@ -299,7 +290,7 @@ class PlaneRuntime:
             except ValueError:
                 path.unlink(missing_ok=True)
                 continue
-            if _pid_alive(pid):
+            if pid_alive(pid):
                 live += 1
             else:
                 path.unlink(missing_ok=True)
@@ -464,7 +455,7 @@ def plane_stats(root: Path | None = None) -> dict:
             "segment": m.segment,
             "nbytes": m.nbytes,
             "owner_pid": m.owner_pid,
-            "owner_alive": _pid_alive(m.owner_pid),
+            "owner_alive": pid_alive(m.owner_pid),
             "live_refs": live,
         })
     return {"root": str(rt.root), "segments": entries,

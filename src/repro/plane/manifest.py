@@ -23,6 +23,7 @@ from hashlib import sha256
 from pathlib import Path
 
 from ..params import DEFAULT_SCALE, DEFAULT_SEED
+from ..store.files import atomic_write
 
 #: Manifest format version; attachers refuse manifests from the future.
 PLANE_FORMAT: int = 1
@@ -191,17 +192,9 @@ class Manifest:
 
 def write_manifest(root: Path, m: Manifest) -> Path:
     """Publish ``m`` atomically (write-temp-then-rename)."""
-    mdir = manifest_dir(root)
-    mdir.mkdir(parents=True, exist_ok=True)
     path = manifest_path(root, m.key)
-    fd, tmp = tempfile.mkstemp(dir=mdir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(m.to_json())
-        os.replace(tmp, path)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
+    with atomic_write(path) as fh:
+        fh.write(m.to_json())
     return path
 
 

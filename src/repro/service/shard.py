@@ -49,6 +49,7 @@ from typing import Any
 
 from ..obs.registry import Stopwatch
 from ..store.cas import ContentStore, LeaseTable
+from ..store.files import atomic_write, read_json, read_jsonl
 from ..store.ledger import RunLedger
 from .queue import RequestRecord
 
@@ -127,25 +128,9 @@ def read_spool(path: Path) -> dict[str, dict[str, Any]]:
     Torn trailing lines (the process died mid-append) are skipped, same
     discipline as ledger replay.
     """
-    out: dict[str, dict[str, Any]] = {}
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError:
-        return out
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if record.get("event") != SPOOL_EVENT:
-            continue
-        rid = record.get("id")
-        if isinstance(rid, str):
-            out[rid] = record
-    return out
+    return {record["id"]: record for record in read_jsonl(path)
+            if record.get("event") == SPOOL_EVENT
+            and isinstance(record.get("id"), str)}
 
 
 @dataclass(frozen=True)
@@ -241,12 +226,9 @@ def shard_main(config: ShardConfig) -> None:
                                     daemon=True)
     serve_thread.start()
     port_file = Path(config.port_file)
-    port_file.parent.mkdir(parents=True, exist_ok=True)
-    tmp = port_file.with_suffix(".tmp")
-    tmp.write_text(json.dumps({
-        "shard": config.index, "port": server.server_address[1],
-        "pid": os.getpid(), "host": config.host}))
-    tmp.replace(port_file)  # atomic publish: readers never see a torn file
+    with atomic_write(port_file) as fh:
+        json.dump({"shard": config.index, "port": server.server_address[1],
+                   "pid": os.getpid(), "host": config.host}, fh)
     try:
         while not stop.is_set():
             stop.wait(0.2)
@@ -359,12 +341,10 @@ class ShardFleet:
         for handle in self.shards:
             port_file = Path(handle.config.port_file)
             while handle.address is None:
-                try:
-                    info = json.loads(port_file.read_text())
+                info = read_json(port_file)  # published atomically
+                if info is not None:
                     handle.address = (info["host"], int(info["port"]))
                     break
-                except (OSError, ValueError, KeyError):
-                    pass
                 if not handle.process.is_alive():
                     raise RuntimeError(
                         f"shard {handle.index} exited before publishing "

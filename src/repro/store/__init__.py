@@ -8,6 +8,8 @@ subsystem is the reproduction's durability layer:
 - :mod:`~repro.store.keys` — canonical, code-version-salted cache keys;
 - :mod:`~repro.store.cas` — the content-addressed npz blob store;
 - :mod:`~repro.store.ledger` — the append-only JSONL run journal;
+- :mod:`~repro.store.files` — the shared on-disk idioms (journal
+  open/read, atomic publish, JSON-or-absent, pid liveness);
 - :mod:`~repro.store.memo` — cache-aware instance execution.
 """
 
@@ -17,7 +19,6 @@ from .cas import (
     LEASE_VACATED,
     ContentStore,
     LeaseTable,
-    StoreStats,
     default_store,
 )
 from .keys import (
@@ -46,7 +47,6 @@ __all__ = [
     "LedgerReplay",
     "RunLedger",
     "SPEED_ONLY_PARAMS",
-    "StoreStats",
     "canonical_params",
     "canonical_value",
     "code_version_salt",

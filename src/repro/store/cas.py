@@ -6,9 +6,12 @@ objects).  The store is safe against the failure modes a 30-week nightly
 pipeline actually meets:
 
 - **Torn writes** — payloads are written to a temp file in the same
-  directory and published with an atomic ``os.replace``; readers never see
-  a half-written blob, and concurrent writers of the same key are
-  last-writer-wins with identical content.
+  directory and published with an atomic ``os.replace``
+  (:func:`~repro.store.files.atomic_write`); readers never see a
+  half-written blob — the temp's ``.tmp`` suffix keeps it out of every
+  listing, so another handle's ``gc`` cannot delete it mid-write — and
+  concurrent writers of the same key are last-writer-wins with identical
+  content.
 - **Corrupt blobs** — every payload is published with an integrity digest
   (checksum on write) that is verified on read; an unreadable or
   digest-mismatched blob is quarantined under ``quarantine/`` and treated
@@ -16,7 +19,7 @@ pipeline actually meets:
   evidence behind), not an operator intervention.
 - **Disk growth** — an optional size bound is enforced by LRU eviction on
   access time (reads touch the blob's mtime), with eviction counted in the
-  stats alongside hits and misses.
+  ``store.*`` metrics alongside hits and misses.
 - **Concurrent executors** — a :class:`LeaseTable` on the store directory
   is the cross-process in-flight table: before executing a miss, a worker
   process acquires a per-key lease (atomic ``O_EXCL`` create), so two
@@ -33,7 +36,6 @@ import json
 import os
 import tempfile
 import time
-import warnings
 import zipfile
 from collections import Counter
 from dataclasses import dataclass, field
@@ -44,6 +46,7 @@ import numpy as np
 
 from ..obs.registry import MetricsRegistry
 from ..resilience.faults import FaultPlan
+from .files import atomic_write, open_journal, pid_alive, read_jsonl
 
 #: Default size bound (bytes) for the user-level default store.
 DEFAULT_MAX_BYTES: int = 4 * 1024**3
@@ -84,58 +87,6 @@ def payload_digest(payload: Mapping[str, np.ndarray]) -> np.ndarray:
         h.update(str(arr.shape).encode())
         h.update(arr.tobytes())
     return np.frombuffer(h.digest(), dtype=np.uint8).copy()
-
-
-class StoreStats:
-    """Deprecated read-only view over a store's ``store.*`` metrics.
-
-    The counters themselves live in the store's
-    :class:`~repro.obs.registry.MetricsRegistry` under ``store.hits``,
-    ``store.misses``, ``store.puts`` and ``store.evictions``; this class
-    survives one release so code written against ``store.stats.hits``
-    keeps reading the same numbers.  Constructing it directly (rather
-    than reading it off :attr:`ContentStore.stats`) warns.
-    """
-
-    def __init__(self, metrics: MetricsRegistry | None = None) -> None:
-        if metrics is None:
-            warnings.warn(
-                "StoreStats is deprecated: store counters now live in the "
-                "store's MetricsRegistry (store.metrics / repro.obs)",
-                DeprecationWarning, stacklevel=2)
-            metrics = MetricsRegistry()
-        self._metrics = metrics
-
-    @property
-    def hits(self) -> int:
-        return int(self._metrics.value("store.hits"))
-
-    @property
-    def misses(self) -> int:
-        return int(self._metrics.value("store.misses"))
-
-    @property
-    def puts(self) -> int:
-        return int(self._metrics.value("store.puts"))
-
-    @property
-    def evictions(self) -> int:
-        return int(self._metrics.value("store.evictions"))
-
-    @property
-    def corrupt(self) -> int:
-        return int(self._metrics.value("store.corrupt"))
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (1.0 when nothing was looked up)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 1.0
-
-    def snapshot(self) -> dict[str, int]:
-        """Counters as a plain dict (for ledger events and reports)."""
-        return {name: int(self._metrics.value(f"store.{name}"))
-                for name in _STAT_NAMES}
 
 
 @dataclass
@@ -182,11 +133,6 @@ class ContentStore:
     def quarantined_keys(self) -> list[str]:
         """Content keys currently held in quarantine (sorted)."""
         return sorted(b.stem for b in self.quarantine_dir.glob("*.npz"))
-
-    @property
-    def stats(self) -> StoreStats:
-        """Legacy read-only counter view (see :class:`StoreStats`)."""
-        return StoreStats(self.metrics)
 
     def path_of(self, key: str) -> Path:
         """On-disk location of ``key`` (whether or not it exists)."""
@@ -262,17 +208,8 @@ class ContentStore:
             if self.faults.fires("cas.corrupt", key, attempt):
                 digest = np.bitwise_xor(digest, np.uint8(0xFF))
                 self.metrics.inc("faults.cas.corrupt")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".npz")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez_compressed(fh, **dict(payload),
-                                    **{DIGEST_KEY: digest})
-            os.replace(tmp_name, path)
-        except BaseException:
-            Path(tmp_name).unlink(missing_ok=True)
-            raise
+        with atomic_write(path, "wb") as fh:
+            np.savez_compressed(fh, **dict(payload), **{DIGEST_KEY: digest})
         self.metrics.inc("store.puts")
         if family is not None:
             self._append_family(key, family)
@@ -289,23 +226,14 @@ class ContentStore:
 
     def _append_family(self, key: str, family: str) -> None:
         """Record one key→family assignment (append-only, last wins)."""
-        with self.family_path.open("a", encoding="utf-8") as fh:
+        with open_journal(self.family_path) as fh:
             fh.write(json.dumps({"key": key, "family": family}) + "\n")
 
     def _family_index(self) -> dict[str, str]:
-        """Current key→family map (torn trailing lines tolerated)."""
-        index: dict[str, str] = {}
-        try:
-            lines = self.family_path.read_text(encoding="utf-8").splitlines()
-        except FileNotFoundError:
-            return index
-        for line in lines:
-            try:
-                rec = json.loads(line)
-                index[rec["key"]] = rec["family"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                continue
-        return index
+        """Current key→family map (torn and malformed lines tolerated)."""
+        return {rec["key"]: rec["family"]
+                for rec in read_jsonl(self.family_path)
+                if "key" in rec and "family" in rec}
 
     def family_counts(self) -> dict[str, int]:
         """Live blob counts per key family (sorted by family name).
@@ -320,9 +248,14 @@ class ContentStore:
             counts[index.get(key, "(unlabelled)")] += 1
         return dict(sorted(counts.items()))
 
+    def _blobs(self) -> Iterator[Path]:
+        """Every published blob file.  In-flight writes are ``.tmp``
+        files in the same directories, which this glob cannot match."""
+        return self._objects.glob("??/*.npz")
+
     def keys(self) -> Iterator[str]:
         """All stored content keys."""
-        for blob in self._objects.glob("??/*.npz"):
+        for blob in self._blobs():
             yield blob.stem
 
     def __len__(self) -> int:
@@ -330,8 +263,7 @@ class ContentStore:
 
     def total_bytes(self) -> int:
         """Bytes consumed by stored blobs."""
-        return sum(b.stat().st_size
-                   for b in self._objects.glob("??/*.npz"))
+        return sum(b.stat().st_size for b in self._blobs())
 
     def gc(self, max_bytes: int | None = None) -> list[str]:
         """Evict least-recently-used blobs until under ``max_bytes``.
@@ -345,7 +277,7 @@ class ContentStore:
         now = time.time()
         blobs = []
         exempt_bytes = 0
-        for blob in self._objects.glob("??/*.npz"):
+        for blob in self._blobs():
             st = blob.stat()
             # In-flight checkpoints are not eviction fodder: losing one
             # turns a cheap resume into a tick-0 re-execution.  They still
@@ -371,7 +303,7 @@ class ContentStore:
     def clear(self) -> int:
         """Delete every blob.  Returns how many were removed."""
         removed = 0
-        for blob in self._objects.glob("??/*.npz"):
+        for blob in self._blobs():
             blob.unlink(missing_ok=True)
             removed += 1
         return removed
@@ -492,14 +424,10 @@ class LeaseTable:
         holder = self.holder(key)
         if not holder:
             return False  # free or torn: nothing worth re-stamping
-        record = json.dumps({**holder, "ts": time.time()})
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(record)
-            os.replace(tmp, path)
+            with atomic_write(path) as fh:
+                json.dump({**holder, "ts": time.time()}, fh)
         except OSError:
-            Path(tmp).unlink(missing_ok=True)
             return False
         self.metrics.inc("lease.renewed")
         return True
@@ -547,13 +475,7 @@ class LeaseTable:
             return True  # torn or malformed record
         if time.time() - ts > self.ttl_s:
             return True
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return True  # owner died without releasing
-        except PermissionError:  # pragma: no cover - other-uid process
-            pass
-        return False
+        return not pid_alive(pid)  # owner died without releasing
 
     # -- waiting ---------------------------------------------------------------
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, IO
 
+from .files import open_journal, read_jsonl
+
 
 class RunLedger:
     """An append-only event journal backed by one JSONL file.
@@ -53,8 +55,7 @@ class RunLedger:
             record["run_id"] = self.run_id
         record.update(fields)
         if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "a", encoding="utf-8")
+            self._fh = open_journal(self.path)
         line = json.dumps(record, sort_keys=True)
         if self.faults is not None:
             attempt = self._event_seq[event]
@@ -163,19 +164,5 @@ def replay_ledger(path: str | Path) -> LedgerReplay:
     A missing file replays as empty (a first run is a resume from
     nothing); unparseable lines — a torn final write — are skipped.
     """
-    path = Path(path)
-    if not path.exists():
-        return LedgerReplay(events=())
-    events: list[dict[str, Any]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict) and "event" in record:
-                events.append(record)
-    return LedgerReplay(events=tuple(events))
+    return LedgerReplay(events=tuple(
+        record for record in read_jsonl(path) if "event" in record))

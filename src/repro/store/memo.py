@@ -332,8 +332,8 @@ def supervise_instances_memoized(
     reg.inc("memo.misses", len(exec_idx))
     reg.observe("memo.batch_s", watch.elapsed())
     if ledger is not None:
-        extra = ({"store_" + k: v
-                  for k, v in store.stats.snapshot().items()}
+        extra = ({"store_" + k: v for k, v in store.metrics.snapshot(
+                      prefix="store.", strip=True).items()}
                  if store is not None else {})
         if quarantined:
             extra["quarantined"] = len(quarantined)

@@ -17,12 +17,11 @@ stats`` surfaces and the ops loop acts on.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Any
 
 from ..store.cas import ContentStore
+from ..store.files import atomic_write, read_json
 from .corpus import corpus_version
 from .model import MODEL_NAMESPACE, SurrogateModel
 
@@ -68,27 +67,15 @@ class ModelRegistry:
             "p_eta": model.basis.p,
             "seed": model.seed,
         }
-        path = self.pointer_path
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".latest-",
-                                        suffix=".json")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(info, fh, sort_keys=True, indent=1)
-            os.replace(tmp_name, path)
-        except BaseException:
-            Path(tmp_name).unlink(missing_ok=True)
-            raise
+        with atomic_write(self.pointer_path) as fh:
+            json.dump(info, fh, sort_keys=True, indent=1)
         return key
 
     # -- resolve ---------------------------------------------------------------
 
     def latest_info(self) -> dict[str, Any] | None:
         """The pointer record, or None when nothing was ever published."""
-        try:
-            return json.loads(self.pointer_path.read_text(encoding="utf-8"))
-        except (FileNotFoundError, json.JSONDecodeError):
-            return None
+        return read_json(self.pointer_path)
 
     def latest(self, *, salt: str | None = None) -> SurrogateModel | None:
         """Load the latest model, or None when absent or incompatible.

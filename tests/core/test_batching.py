@@ -7,6 +7,8 @@ store integration (per-replicate cache keys), and the supervisor's
 continued-attempt plumbing that keeps eviction retries accountable.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,39 @@ def test_batched_run_instances_matches_unbatched(monkeypatch):
     assert on["runner.instances"] == len(specs)
     assert "batch.size" not in reg_off.snapshot()
     assert reg_off.snapshot()["runner.instances"] == len(specs)
+
+
+def test_incompatible_group_runs_as_singles(monkeypatch):
+    """A group the batched constructor rejects is re-run by the worker
+    entry as one group per spec — the solo reference path, bit for bit."""
+    from repro.core import runner
+    from tests.epihiper.test_batched_equivalence import dwell_variant_model
+
+    real = runner.model_for_params
+    monkeypatch.setattr(
+        runner, "model_for_params",
+        lambda params: (dwell_variant_model(params["TAU"])
+                        if params.get("VARIANT") else real(params)))
+    specs = make_specs(3)
+    specs[1] = dataclasses.replace(
+        specs[1], params={"TAU": 0.3, "VARIANT": 1})
+    reg = MetricsRegistry()
+    outcomes = run_instances(specs, parallel=False, registry=reg)
+
+    for spec, got in zip(specs, outcomes):
+        assets = runner.load_region_assets(
+            spec.region_code, scale=spec.scale, seed=spec.asset_seed)
+        result, model = runner.run_instance(
+            assets, spec.params, n_days=spec.n_days, seed=spec.seed)
+        np.testing.assert_array_equal(
+            got.confirmed,
+            runner.confirmed_series(result, model, spec.n_days))
+        assert got.attack_rate == result.attack_rate(model)
+        assert got.transitions == result.log.size
+    snap = reg.snapshot()
+    assert snap["batch.incompatible"] == 1
+    assert snap["batch.groups"] == 1
+    assert snap["runner.instances"] == 3
 
 
 def test_batched_pooled_matches_serial():

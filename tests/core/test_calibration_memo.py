@@ -25,15 +25,16 @@ def store(tmp_path):
 def test_repeat_workflow_serves_everything_from_store(store):
     first = run_calibration_workflow("VT", **ARGS, store=store,
                                      parallel=False)
-    assert store.stats.misses == ARGS["n_cells"]
-    assert store.stats.hits == 0
+    assert store.metrics.value("store.misses") == ARGS["n_cells"]
+    assert store.metrics.value("store.hits") == 0
 
     second = run_calibration_workflow("VT", **ARGS, store=store,
                                       parallel=False)
     # The acceptance criterion: zero simulation executions on the repeat.
-    assert store.stats.misses == ARGS["n_cells"]  # no new misses
-    assert store.stats.hits == ARGS["n_cells"]
-    assert store.stats.puts == ARGS["n_cells"]
+    # no new misses
+    assert store.metrics.value("store.misses") == ARGS["n_cells"]
+    assert store.metrics.value("store.hits") == ARGS["n_cells"]
+    assert store.metrics.value("store.puts") == ARGS["n_cells"]
     # Cached and uncached paths are bit-identical.
     np.testing.assert_array_equal(first.sim_series, second.sim_series)
     np.testing.assert_array_equal(first.observed, second.observed)
@@ -66,11 +67,12 @@ def test_iterative_rounds_reuse_across_calls(store):
                   mcmc_samples=100, mcmc_burn_in=100)
     first = run_iterative_calibration("VT", **kwargs, store=store,
                                       parallel=False)
-    executed = store.stats.misses
+    executed = store.metrics.value("store.misses")
     assert executed == first[-1].sim_series.shape[0]  # every row simulated
     second = run_iterative_calibration("VT", **kwargs, store=store,
                                        parallel=False)
-    assert store.stats.misses == executed  # the repeat call runs nothing
+    # the repeat call runs nothing
+    assert store.metrics.value("store.misses") == executed
     np.testing.assert_array_equal(first[-1].sim_series,
                                   second[-1].sim_series)
 

@@ -10,13 +10,26 @@ parameters, and mid-run intervention triggers.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.epihiper import Simulation, uniform_seeds
 from repro.epihiper.batch import BatchIncompatible, BatchedSimulation
-from repro.epihiper.covid import build_covid_model_with_symp_fraction
+from repro.epihiper.covid import (
+    ASYMPT,
+    PRESYMPT,
+    SUSCEPTIBLE,
+    SYMPT,
+    build_covid_model_with_symp_fraction,
+    covid_progressions,
+    covid_states,
+    covid_transmissions,
+)
+from repro.epihiper.disease import DiseaseModel
 from repro.epihiper.npi import make_sc, make_sh, make_vhi
+from repro.epihiper.states import FixedDwell
 from repro.obs.registry import MetricsRegistry
 
 pytestmark = pytest.mark.fast
@@ -28,10 +41,33 @@ N_DAYS = 30
 EXACT_COUNTERS = ("contacts_evaluated", "transmissions", "transitions")
 
 
+def dwell_variant_model(tau=0.35):
+    """The COVID model with one dwell changed (Presympt -> Sympt: 1 -> 2
+    days) — same states and graph, so only the dwell comparison differs."""
+    progressions = [
+        dataclasses.replace(p, dwell=FixedDwell(2))
+        if (p.src, p.dst) == (PRESYMPT, SYMPT) else p
+        for p in covid_progressions()]
+    return DiseaseModel("covid19-dwell", covid_states(), progressions,
+                        covid_transmissions(), tau)
+
+
+def omega_variant_model(tau=0.35):
+    """The COVID model with one transmission rate halved
+    (Susceptible x Asympt) — only the omega table differs."""
+    transmissions = [
+        dataclasses.replace(t, omega=0.5)
+        if (t.susceptible, t.infectious) == (SUSCEPTIBLE, ASYMPT) else t
+        for t in covid_transmissions()]
+    return DiseaseModel("covid19-omega", covid_states(),
+                        covid_progressions(), transmissions, tau)
+
+
 def make_lane(pop, net, *, seed, backend="auto", tau=0.35, symp=0.65,
-              interventions=None, n_seeds=8):
+              interventions=None, n_seeds=8, model=None):
     """One deterministic, seeded, not-yet-run replicate lane."""
-    model = build_covid_model_with_symp_fraction(tau, symp)
+    if model is None:
+        model = build_covid_model_with_symp_fraction(tau, symp)
     if interventions is None:
         interventions = [make_sc(start=5), make_vhi(0.6),
                          make_sh(0.5, start=8, end=20)]
@@ -88,7 +124,8 @@ def test_batched_heterogeneous_cells_and_backends(vt_assets):
     """Mixed TAU/SYMP cells and mixed backends in one batch stay exact.
 
     This is the calibration-sweep shape: lanes differ in model parameters
-    (so the shared-propensity fast path must detach cleanly) and in
+    (per-lane transmissibility and choice columns ride the one stacked
+    propensity evaluation and the one cross-lane scheduler) and in
     backend choice (so per-lane frontier gathers coexist with the stacked
     dense scan in the same tick).
     """
@@ -169,6 +206,25 @@ def test_batched_rejects_incompatible_lanes(vt_assets, va_assets):
         BatchedSimulation([c, d])
     with pytest.raises(BatchIncompatible, match="at least one lane"):
         BatchedSimulation([])
+    # Structural mismatches the stacked kernels cannot absorb: rejected at
+    # construction, before any lane array is rebound to a stack row.
+    flipped, _ = make_lane(pop, net, seed=7)
+    flipped.base_active[0] = not flipped.base_active[0]
+    for odd, reason in [
+        (make_lane(pop, net, seed=5, model=dwell_variant_model())[0],
+         "dwell values"),
+        (make_lane(pop, net, seed=6, model=omega_variant_model())[0],
+         "omega tables"),
+        (flipped, "base edge activity"),
+    ]:
+        lanes = [make_lane(pop, net, seed=8)[0], odd]
+        arrays = [(sim.health, sim.sched.dwell, sim.edge_weight)
+                  for sim in lanes]
+        with pytest.raises(BatchIncompatible, match=reason):
+            BatchedSimulation(lanes)
+        for sim, (health, dwell, weight) in zip(lanes, arrays):
+            assert sim.health is health and sim.sched.dwell is dwell
+            assert sim.edge_weight is weight
 
 
 def test_batch_metrics_surface(vt_assets):

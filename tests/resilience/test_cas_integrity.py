@@ -37,7 +37,7 @@ def test_roundtrip_verifies_clean(tmp_path):
     got = store.get(KEY)
     assert got is not None and DIGEST_KEY not in got
     assert np.array_equal(got["confirmed"], payload()["confirmed"])
-    assert store.stats.corrupt == 0
+    assert store.metrics.value("store.corrupt") == 0
 
 
 def test_injected_corruption_quarantined_as_miss(tmp_path):
@@ -48,7 +48,8 @@ def test_injected_corruption_quarantined_as_miss(tmp_path):
     assert store.get(KEY) is None  # digest mismatch detected
     assert not path.exists()  # moved out of the object tree...
     assert store.quarantined_keys() == [KEY]  # ...into quarantine
-    assert store.stats.corrupt == 1 and store.stats.misses == 1
+    assert store.metrics.value("store.corrupt") == 1
+    assert store.metrics.value("store.misses") == 1
 
 
 def test_requarantined_key_recovers_on_rewrite(tmp_path):
@@ -85,7 +86,7 @@ def test_unreadable_blob_quarantined(tmp_path):
     path = store.put(KEY, payload())
     path.write_bytes(b"not a zip at all")
     assert store.get(KEY) is None
-    assert store.stats.corrupt == 1
+    assert store.metrics.value("store.corrupt") == 1
     assert store.quarantined_keys() == [KEY]
 
 
@@ -98,8 +99,9 @@ def test_digestless_blob_is_quarantined(tmp_path):
     with open(path, "wb") as fh:
         np.savez_compressed(fh, **payload())  # no __digest__ entry
     assert store.get(KEY) is None
-    assert store.stats.hits == 0 and store.stats.misses == 1
-    assert store.stats.corrupt == 1
+    assert store.metrics.value("store.hits") == 0
+    assert store.metrics.value("store.misses") == 1
+    assert store.metrics.value("store.corrupt") == 1
     assert store.quarantined_keys() == [KEY]
     assert not store.contains(KEY)
 

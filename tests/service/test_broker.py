@@ -44,7 +44,7 @@ def test_run_once_completes_requests(store):
         assert set(rec.result) == {"confirmed", "attack_rate",
                                    "transitions"}
     assert broker.registry.value("service.completed") == 2
-    assert store.stats.puts == 2
+    assert store.metrics.value("store.puts") == 2
 
 
 def test_resubmit_serves_from_store_without_executing(store):

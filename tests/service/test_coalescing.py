@@ -64,7 +64,7 @@ def test_concurrent_identical_submits_execute_once(tmp_path):
 
     # Exactly one simulation executed for the whole stampede.
     assert reg.value("runner.instances") == 1
-    assert store.stats.puts == 1
+    assert store.metrics.value("store.puts") == 1
     assert reg.value("memo.misses") == 1
     assert reg.value("service.completed") == N_SUBMITTERS
 
@@ -95,7 +95,7 @@ def test_concurrent_submits_against_live_broker(tmp_path):
 
     assert all(rec.state == DONE for rec in records)
     assert reg.value("runner.instances") == 1
-    assert store.stats.puts == 1
+    assert store.metrics.value("store.puts") == 1
     reference = records[0].result
     for rec in records:
         for name in reference:

@@ -38,17 +38,20 @@ def test_miss_then_hit_counted(store):
     assert store.get(KEY) is None
     store.put(KEY, payload())
     assert store.get(KEY) is not None
-    assert store.stats.misses == 1
-    assert store.stats.hits == 1
-    assert store.stats.puts == 1
-    assert store.stats.hit_rate == 0.5
+    assert store.metrics.value("store.misses") == 1
+    assert store.metrics.value("store.hits") == 1
+    assert store.metrics.value("store.puts") == 1
+    lookups = (store.metrics.value("store.hits")
+               + store.metrics.value("store.misses"))
+    assert store.metrics.value("store.hits") / lookups == 0.5
 
 
 def test_contains_does_not_count(store):
     assert not store.contains(KEY)
     store.put(KEY, payload())
     assert store.contains(KEY)
-    assert store.stats.hits == store.stats.misses == 0
+    assert store.metrics.value("store.hits") == 0
+    assert store.metrics.value("store.misses") == 0
 
 
 def test_no_temp_files_left_behind(store):
@@ -65,7 +68,7 @@ def test_put_existing_key_is_noop(store):
     assert first.stat().st_mtime_ns == mtime
     np.testing.assert_array_equal(store.get(KEY)["confirmed"],
                                   payload()["confirmed"])
-    assert store.stats.puts == 1
+    assert store.metrics.value("store.puts") == 1
 
 
 def test_invalid_key_rejected(store):
@@ -81,7 +84,7 @@ def test_corrupt_blob_is_a_miss_and_removed(store):
     path.write_bytes(b"definitely not an npz")
     assert store.get(KEY) is None
     assert not path.exists()
-    assert store.stats.misses == 1
+    assert store.metrics.value("store.misses") == 1
 
 
 def test_keys_len_total_bytes(store):
@@ -105,7 +108,7 @@ def test_lru_eviction_drops_oldest(store):
     evicted = store.gc(max_bytes=one_blob + 1)
     assert evicted == [KEY2, KEY3]
     assert store.contains(KEY)
-    assert store.stats.evictions == 2
+    assert store.metrics.value("store.evictions") == 2
 
 
 def test_get_refreshes_recency(store):
@@ -123,7 +126,7 @@ def test_put_enforces_bound(tmp_path):
     store = ContentStore(tmp_path, max_bytes=1)  # everything evicts
     store.put(KEY, payload())
     assert len(store) == 0
-    assert store.stats.evictions == 1
+    assert store.metrics.value("store.evictions") == 1
 
 
 def test_gc_without_bound_rejected(store):
@@ -188,3 +191,37 @@ def test_family_index_tolerates_torn_lines(store):
     with store.family_path.open("a", encoding="utf-8") as fh:
         fh.write('{"key": "truncat')
     assert store.family_counts() == {"fam/a": 1}
+
+
+def test_inflight_put_invisible_to_listings_and_gc(store, monkeypatch):
+    """A second handle's keys/len/total_bytes/gc/clear neither list nor
+    touch a blob another writer is still writing (its temp shares the
+    object directory), and that put then completes."""
+    other = ContentStore(store.root)
+    other.put(KEY2, payload())
+    seen = {}
+    real_savez = np.savez_compressed
+
+    def savez_then_look(fh, **arrays):
+        real_savez(fh, **arrays)
+        fh.flush()
+        temps = [p for p in store.path_of(KEY).parent.iterdir()
+                 if p.name != f"{KEY}.npz"]
+        seen["temps"] = len(temps)
+        seen["keys"] = sorted(other.keys())
+        seen["len"] = len(other)
+        seen["bytes"] = other.total_bytes()
+        seen["evicted"] = other.gc(0)
+        seen["cleared"] = other.clear()
+        seen["temps_after"] = [p for p in temps if p.exists()]
+
+    monkeypatch.setattr(np, "savez_compressed", savez_then_look)
+    size2 = other.path_of(KEY2).stat().st_size
+    store.put(KEY, payload())
+    monkeypatch.undo()
+    assert seen["temps"] == 1 and len(seen["temps_after"]) == 1
+    assert seen["keys"] == [KEY2] and seen["len"] == 1
+    assert seen["bytes"] == size2
+    assert seen["evicted"] == [KEY2] and seen["cleared"] == 0
+    assert store.get(KEY) is not None
+    assert sorted(store.keys()) == [KEY]

@@ -37,17 +37,18 @@ def test_cold_run_matches_plain_execution(store):
         np.testing.assert_array_equal(p.confirmed, m.confirmed)
         assert p.attack_rate == m.attack_rate
         assert p.transitions == m.transitions
-    assert store.stats.misses == len(specs)
-    assert store.stats.puts == len(specs)
+    assert store.metrics.value("store.misses") == len(specs)
+    assert store.metrics.value("store.puts") == len(specs)
 
 
 def test_warm_run_executes_nothing_and_is_bit_identical(store):
     specs = make_specs()
     cold = run_instances_memoized(specs, store=store, parallel=False)
-    assert store.stats.misses == len(specs)
+    assert store.metrics.value("store.misses") == len(specs)
     warm = run_instances_memoized(specs, store=store, parallel=False)
-    assert store.stats.misses == len(specs)  # unchanged: zero executions
-    assert store.stats.hits == len(specs)
+    # unchanged: zero executions
+    assert store.metrics.value("store.misses") == len(specs)
+    assert store.metrics.value("store.hits") == len(specs)
     for c, w in zip(cold, warm):
         np.testing.assert_array_equal(c.confirmed, w.confirmed)
         assert c.confirmed.dtype == w.confirmed.dtype == np.float64
@@ -61,8 +62,9 @@ def test_partial_overlap_runs_only_misses(store):
     specs = make_specs(4)  # first two cached, last two new
     out = run_instances_memoized(specs, store=store, parallel=False)
     assert [o.spec.label for o in out] == [s.label for s in specs]
-    assert store.stats.hits == 2
-    assert store.stats.misses == 2 + 2  # cold probe of 2 + new probe of 2
+    assert store.metrics.value("store.hits") == 2
+    # cold probe of 2 + new probe of 2
+    assert store.metrics.value("store.misses") == 2 + 2
 
 
 def test_duplicate_specs_execute_once(store):
@@ -72,7 +74,8 @@ def test_duplicate_specs_execute_once(store):
                         seed=spec.seed, label="twin",
                         asset_seed=spec.asset_seed)
     out = run_instances_memoized([spec, twin], store=store, parallel=False)
-    assert store.stats.puts == 1  # one execution for both positions
+    # one execution for both positions
+    assert store.metrics.value("store.puts") == 1
     np.testing.assert_array_equal(out[0].confirmed, out[1].confirmed)
     assert out[0].spec.label == spec.label
     assert out[1].spec.label == "twin"
@@ -120,7 +123,8 @@ def test_salt_partitions_the_store(store):
     specs = make_specs(1)
     run_instances_memoized(specs, store=store, salt="v1", parallel=False)
     run_instances_memoized(specs, store=store, salt="v2", parallel=False)
-    assert store.stats.puts == 2  # different salt, different blob
+    # different salt, different blob
+    assert store.metrics.value("store.puts") == 2
     run_instances_memoized(specs, store=store, salt="v1", parallel=False)
-    assert store.stats.puts == 2
-    assert store.stats.hits == 1
+    assert store.metrics.value("store.puts") == 2
+    assert store.metrics.value("store.hits") == 1
