@@ -150,10 +150,10 @@ def test_resilience_checkpointed_retry(benchmark, save_artifact, tmp_path):
 
     results = benchmark.pedantic(scenarios, rounds=1, iterations=1)
     base = results["clean every=0"]["wall"]
-    lines = [f"{'scenario':>20}{'wall (s)':>10}{'overhead':>10}"
+    lines = [f"{'scenario':>20}{'wall (ms)':>10}{'overhead':>10}"
              f"{'re-executed':>13}{'ticks saved':>13}"]
     for name, r in results.items():
-        lines.append(f"{name:>20}{r['wall']:>10.2f}"
+        lines.append(f"{name:>20}{r['wall'] * 1e3:>10.1f}"
                      f"{r['wall'] / base - 1:>+10.1%}"
                      f"{r['re_executed']:>13}{r['saved']:>13}")
     save_artifact("resilience_checkpointed_retry", "\n".join(lines))

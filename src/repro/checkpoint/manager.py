@@ -5,16 +5,19 @@ Snapshots are published as ordinary content-store blobs under the
 ``(instance cache key, tick)`` — so every integrity property result blobs
 enjoy (atomic publish, SHA-256 digest verified on read, corrupt blobs
 quarantined and served as misses) applies to checkpoints for free.  A
-small per-instance pointer file (``<store>/checkpoints/<key>.json``,
-atomically replaced) lists the ticks written; resume walks it newest
-first, falling back past invalid blobs to older snapshots and finally to
-tick 0.
+small per-instance pointer journal (``<store>/checkpoints/<key>.jsonl``,
+append-only: ``{"tick": t}`` per write, ``{"drop": t}`` per invalidation,
+a torn tail costs that one snapshot) lists the ticks written.  Only the
+newest :data:`RETAINED` are kept — a write is publish blob → append line
+→ unlink older blobs, so a crash between any two steps leaves at worst an
+orphan blob for the LRU gc; resume walks them newest first, falling back
+past invalid blobs to the older snapshot and finally to tick 0.
 
-Every checkpoint write doubles as a **lease heartbeat**: long instances
+Checkpoint writes double as the **lease heartbeat**: long instances
 outlive the :class:`~repro.store.cas.LeaseTable` stale-break TTL, so the
-executing worker re-stamps the instance's lease record on each write,
-keeping slow-but-alive holders from being stolen while dead holders still
-are.
+executing worker re-stamps the instance's lease record from its writes
+(at most once per quarter TTL), keeping slow-but-alive holders from being
+stolen while dead holders still are.
 
 :class:`CheckpointPlan` is the picklable knob bundle the execution plane
 threads from the CLI down into pool workers; workers derive the instance
@@ -32,9 +35,9 @@ from typing import Mapping
 
 import numpy as np
 
-from ..obs.registry import MetricsRegistry
+from ..obs.registry import MetricsRegistry, Stopwatch
 from ..store.cas import CHECKPOINT_FAMILY, ContentStore, LeaseTable
-from ..store.files import atomic_write, read_json
+from ..store.files import open_journal, read_jsonl
 from ..store.ledger import RunLedger
 
 #: Key family label of checkpoint blobs in the CAS (``repro store stats``
@@ -44,6 +47,10 @@ CHECKPOINT_NAMESPACE = CHECKPOINT_FAMILY
 
 #: Store-root subdirectory holding the per-instance tick pointers.
 CHECKPOINT_DIRNAME = "checkpoints"
+
+#: Snapshots kept per instance.  Two is the minimum that leaves a group a
+#: common tick to resume from when a crash lands between two lanes' writes.
+RETAINED = 2
 
 #: Counters this layer publishes (under ``checkpoint.``).
 CHECKPOINT_COUNTERS = ("written", "resumed", "bytes", "invalid",
@@ -108,33 +115,46 @@ class CheckpointManager:
         self._leases = (LeaseTable(Path(plan.lease_root))
                         if plan.lease_root else None)
         self._ledger: RunLedger | None = None
+        # Per key, while this manager is its writer: the un-dropped ticks
+        # (read from the journal once) and a clock since the last heartbeat.
+        self._chain: dict[str, list[int]] = {}
+        self._renewed: dict[str, Stopwatch] = {}
         for name in CHECKPOINT_COUNTERS:
             self.metrics.counter(f"checkpoint.{name}")
 
-    # -- pointer file ----------------------------------------------------------
+    # -- pointer journal -------------------------------------------------------
 
     def pointer_path(self, instance_key: str) -> Path:
-        """The per-instance tick-pointer file."""
-        return self.store.root / CHECKPOINT_DIRNAME / f"{instance_key}.json"
+        """The per-instance tick-pointer journal."""
+        return self.store.root / CHECKPOINT_DIRNAME / f"{instance_key}.jsonl"
+
+    def _journal(self, instance_key: str, op: str, tick: int) -> None:
+        with open_journal(self.pointer_path(instance_key)) as fh:
+            fh.write(json.dumps({op: int(tick)}) + "\n")
+
+    def _journaled(self, instance_key: str) -> list[int]:
+        """Every tick written and not since dropped, ascending.
+
+        A chain is a prefix of one execution: a write at tick t after a
+        restart from further back supersedes whatever an earlier attempt
+        listed beyond t (the re-execution re-lists those as it gets there).
+        """
+        live: set[int] = set()
+        for record in read_jsonl(self.pointer_path(instance_key)):
+            if isinstance(tick := record.get("tick"), int):
+                live = {t for t in live if t < tick} | {tick}
+            elif isinstance(record.get("drop"), int):
+                live.discard(record["drop"])
+        return sorted(live)
 
     def ticks(self, instance_key: str) -> list[int]:
-        """Ticks with a recorded snapshot, ascending ([] when none)."""
-        record = read_json(self.pointer_path(instance_key)) or {}
-        try:
-            return sorted({int(t) for t in record["ticks"]})
-        except (ValueError, TypeError, KeyError):
-            return []
+        """The newest :data:`RETAINED` un-dropped ticks, ascending."""
+        return self._journaled(instance_key)[-RETAINED:]
 
     def latest_tick(self, instance_key: str) -> int | None:
         """Newest recorded snapshot tick (no blob validation)."""
         ticks = self.ticks(instance_key)
         return ticks[-1] if ticks else None
-
-    def _write_pointer(self, instance_key: str, ticks: list[int]) -> None:
-        """Atomically replace the pointer (readers never see a torn file)."""
-        with atomic_write(self.pointer_path(instance_key)) as fh:
-            json.dump({"instance": instance_key, "ticks": ticks}, fh,
-                      sort_keys=True)
 
     # -- events ----------------------------------------------------------------
 
@@ -151,22 +171,34 @@ class CheckpointManager:
               tick: int) -> str:
         """Publish one snapshot; returns its blob key.
 
+        Blob, then journal line, then the blobs that fell out of the
+        newest :data:`RETAINED` are unlinked — a tick is never listed
+        before its blob exists nor pruned before its successor is listed.
         Also the lease heartbeat: the instance's lease record is
-        re-stamped so a long run is not stolen mid-flight by a contender
-        reading a lapsed TTL.
+        re-stamped (at most once per quarter TTL) so a long run is not
+        stolen mid-flight by a contender reading a lapsed TTL.
         """
         blob_key = checkpoint_blob_key(instance_key, tick)
         path = self.store.put(blob_key, payload,
                               family=CHECKPOINT_NAMESPACE)
-        ticks = self.ticks(instance_key)
-        if tick not in ticks:
-            ticks = sorted(ticks + [int(tick)])
-            self._write_pointer(instance_key, ticks)
+        self._journal(instance_key, "tick", tick)
+        chain = self._chain.get(instance_key)
+        if chain is None:  # first write here: adopt what a past attempt left
+            chain = self._journaled(instance_key)
+        else:
+            chain = [t for t in chain if t < tick] + [int(tick)]
+        for old in chain[:-RETAINED]:
+            self.store.path_of(checkpoint_blob_key(instance_key, old)).unlink(
+                missing_ok=True)
+        self._chain[instance_key] = chain[-RETAINED:]
         size = path.stat().st_size
         self.metrics.inc("checkpoint.written")
         self.metrics.inc("checkpoint.bytes", int(size))
         if self._leases is not None:
-            self._leases.renew(instance_key)
+            last = self._renewed.get(instance_key)
+            if last is None or last.elapsed() >= self._leases.ttl_s / 4:
+                self._leases.renew(instance_key)
+                self._renewed[instance_key] = Stopwatch()
         self._ledger_event("checkpoint_written", key=instance_key,
                            tick=int(tick), bytes=int(size))
         return blob_key
@@ -176,9 +208,9 @@ class CheckpointManager:
     ) -> tuple[int, dict[str, np.ndarray]] | None:
         """Newest *valid* snapshot as ``(tick, payload)``, or None.
 
-        Walks the pointer newest-first; a missing or corrupt blob (the
-        CAS quarantines it) counts as ``checkpoint.invalid`` and falls
-        back to the next-older snapshot, then to None — the tick-0
+        Walks the retained ticks newest-first; a missing or corrupt blob
+        (the CAS quarantines it) counts as ``checkpoint.invalid`` and
+        falls back to the older snapshot, then to None — the tick-0
         restart the supervisor always had.
         """
         for tick in reversed(self.ticks(instance_key)):
@@ -194,15 +226,15 @@ class CheckpointManager:
 
         The blob — if still present, e.g. a restore-time format mismatch
         the CAS digest cannot catch — is quarantined for post-mortem, and
-        the tick leaves the pointer so later resumes go straight to the
-        next-older snapshot.
+        a ``drop`` line takes the tick out of the pointer so later
+        resumes go straight to the next-older snapshot.
         """
         self.metrics.inc("checkpoint.invalid")
         path = self.store.path_of(checkpoint_blob_key(instance_key, tick))
         if path.exists():
             self.store._quarantine(path)
-        remaining = [t for t in self.ticks(instance_key) if t != int(tick)]
-        self._write_pointer(instance_key, remaining)
+        self._journal(instance_key, "drop", tick)
+        self._chain.pop(instance_key, None)
         self._ledger_event("checkpoint_invalid", key=instance_key,
                            tick=int(tick))
 
@@ -221,7 +253,7 @@ class CheckpointManager:
         snapshots of a finished instance are pure disk overhead.
         """
         reclaimed = 0
-        for tick in self.ticks(instance_key):
+        for tick in self._journaled(instance_key):
             path = self.store.path_of(checkpoint_blob_key(instance_key, tick))
             try:
                 size = path.stat().st_size
@@ -230,6 +262,7 @@ class CheckpointManager:
             except OSError:
                 continue
         self.pointer_path(instance_key).unlink(missing_ok=True)
+        self._chain.pop(instance_key, None)
         if reclaimed:
             self.metrics.inc("checkpoint.reclaimed_bytes", int(reclaimed))
             self._ledger_event("checkpoint_discarded", key=instance_key,

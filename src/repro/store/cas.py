@@ -1,8 +1,8 @@
 """Content-addressed on-disk blob store for simulation results.
 
-Blobs are compressed npz payloads stored under ``objects/<k[:2]>/<key>.npz``
-(two-level fan-out keeps directories small at hundreds of thousands of
-objects).  The store is safe against the failure modes a 30-week nightly
+Blobs are npz payloads — compressed, except in-flight checkpoints —
+stored under ``objects/<k[:2]>/<key>.npz`` (two-level fan-out keeps
+directories small at hundreds of thousands of objects).  The store is safe against the failure modes a 30-week nightly
 pipeline actually meets:
 
 - **Torn writes** — payloads are written to a temp file in the same
@@ -58,7 +58,9 @@ _STAT_NAMES = ("hits", "misses", "puts", "evictions", "corrupt")
 DIGEST_KEY = "__digest__"
 
 #: Key family of in-flight simulation checkpoints (written by
-#: :mod:`repro.checkpoint`); fresh members are exempt from LRU eviction.
+#: :mod:`repro.checkpoint`); fresh members are exempt from LRU eviction
+#: and are stored uncompressed — written once per few ticks, read at most
+#: once and deleted on completion, they never repay the deflate.
 CHECKPOINT_FAMILY = "checkpoint/v1"
 
 #: How long a checkpoint blob stays gc-exempt after its last touch.
@@ -208,8 +210,9 @@ class ContentStore:
             if self.faults.fires("cas.corrupt", key, attempt):
                 digest = np.bitwise_xor(digest, np.uint8(0xFF))
                 self.metrics.inc("faults.cas.corrupt")
+        save = np.savez if family == CHECKPOINT_FAMILY else np.savez_compressed
         with atomic_write(path, "wb") as fh:
-            np.savez_compressed(fh, **dict(payload), **{DIGEST_KEY: digest})
+            save(fh, **dict(payload), **{DIGEST_KEY: digest})
         self.metrics.inc("store.puts")
         if family is not None:
             self._append_family(key, family)

@@ -1,15 +1,19 @@
 """CheckpointManager: durable chains, fallback, heartbeats, reclamation.
 
-Snapshots ride the CAS as ``checkpoint/v1`` blobs keyed by (instance
-key, tick) with an atomically replaced per-instance pointer file.  The
-manager must fall back past missing/corrupt blobs (quarantining them),
-heartbeat the instance's lease on every write, survive the store's LRU
-gc while in flight, and reclaim the whole chain once the instance's
-terminal result lands.
+Snapshots ride the CAS as uncompressed ``checkpoint/v1`` blobs keyed by
+(instance key, tick) with an append-only per-instance pointer journal;
+only the newest two are kept.  The manager must fall back past
+missing/corrupt blobs (quarantining them), heartbeat the instance's
+lease from its writes on a clock, survive the store's LRU gc while in
+flight, survive a crash between any two steps of a write, and reclaim
+the whole chain once the instance's terminal result lands.
 """
 
 import json
 import os
+import pathlib
+import time
+import zipfile
 
 import numpy as np
 import pytest
@@ -19,14 +23,20 @@ from repro.checkpoint import (
     CheckpointPlan,
     checkpoint_blob_key,
 )
+from repro.core.parallel import InstanceSpec
+from repro.core.runner import execute_specs
 from repro.obs.registry import MetricsRegistry
 from repro.store.cas import (
     CHECKPOINT_EXEMPT_TTL_S,
     CHECKPOINT_FAMILY,
+    DIGEST_KEY,
     ContentStore,
     LeaseTable,
 )
+from repro.store.keys import INSTANCE_NAMESPACE, instance_key
 from repro.store.ledger import replay_ledger
+
+from .test_equivalence import assert_payload_bytes_identical
 
 KEY = "cd" * 32
 
@@ -99,6 +109,55 @@ class TestChain:
         assert tick == 5
         assert manager.metrics.value("checkpoint.invalid") == 1
 
+    def test_corrupt_digest_entry_quarantined_falls_back(self, manager):
+        """Every array decodes and says what was written — only the
+        stored ``__digest__`` entry is wrong.  Still not served."""
+        manager.write(KEY, payload(5), tick=5)
+        manager.write(KEY, payload(10), tick=10)
+        blob = manager.store.path_of(checkpoint_blob_key(KEY, 10))
+        with np.load(blob) as npz:
+            entries = {name: npz[name] for name in npz.files}
+        entries[DIGEST_KEY] = entries[DIGEST_KEY] ^ np.uint8(0xFF)
+        np.savez(blob, **entries)
+        tick, _loaded = manager.load_latest(KEY)
+        assert tick == 5
+        assert manager.metrics.value("checkpoint.invalid") == 1
+        assert manager.store.quarantined_keys() == [
+            checkpoint_blob_key(KEY, 10)]
+
+    def test_checkpoint_blobs_stored_result_blobs_deflated(self, manager):
+        """The one format decision: by family, inside ``put``."""
+        def compression(key):
+            with zipfile.ZipFile(manager.store.path_of(key)) as zf:
+                return {info.compress_type for info in zf.infolist()}
+
+        manager.write(KEY, payload(5), tick=5)
+        manager.store.put("aa" * 32, payload(5), family=INSTANCE_NAMESPACE)
+        assert compression(checkpoint_blob_key(KEY, 5)) == {
+            zipfile.ZIP_STORED}
+        assert compression("aa" * 32) == {zipfile.ZIP_DEFLATED}
+
+    def test_only_the_newest_two_are_kept(self, manager):
+        for tick in range(5, 55, 5):
+            manager.write(KEY, payload(tick), tick=tick)
+        assert manager.ticks(KEY) == [45, 50]
+        assert sorted(manager.store.keys()) == sorted(
+            checkpoint_blob_key(KEY, t) for t in (45, 50))
+        assert manager.metrics.value("checkpoint.written") == 10
+
+    def test_write_behind_listed_ticks_supersedes_them(self, manager, plan):
+        """A group that found no common tick restarts from 0 while one
+        lane still lists newer snapshots: its first write must be kept
+        and served, not pruned as 'older than the newest two'."""
+        for tick in (5, 10, 15):
+            manager.write(KEY, payload(tick), tick=tick)
+        for writer in (manager, plan.manager(metrics=MetricsRegistry())):
+            writer.write(KEY, payload(5), tick=5)
+            assert writer.ticks(KEY) == [5]
+            assert writer.load_latest(KEY)[0] == 5
+            writer.write(KEY, payload(10), tick=10)
+            assert writer.ticks(KEY) == [5, 10]
+
     def test_invalidate_removes_tick(self, manager):
         manager.write(KEY, payload(5), tick=5)
         manager.write(KEY, payload(10), tick=10)
@@ -152,10 +211,12 @@ class TestLedgerEvents:
 
 
 class TestLeaseHeartbeat:
-    def test_write_renews_anothers_lease(self, tmp_path):
+    def test_write_renews_anothers_lease(self, tmp_path, monkeypatch):
         """The executing worker is generally not the lease owner (the
         broker's fan-out acquired it) — the heartbeat must re-stamp the
-        *owner's* record, preserving its identity."""
+        *owner's* record, preserving its identity.  It beats on a clock:
+        the first write for a key always renews, later ones only once a
+        quarter of the TTL has passed since this manager's last renewal."""
         leases = LeaseTable(tmp_path / "leases", owner="broker")
         assert leases.acquire(KEY)
         stale_ts = leases.holder(KEY)["ts"] - 3600.0
@@ -166,12 +227,22 @@ class TestLeaseHeartbeat:
 
         plan = CheckpointPlan(store_root=str(tmp_path / "store"), every=5,
                               lease_root=str(tmp_path / "leases"))
-        plan.manager(metrics=MetricsRegistry()).write(KEY, payload(5),
-                                                      tick=5)
+        manager = plan.manager(metrics=MetricsRegistry())
+        manager.write(KEY, payload(5), tick=5)
         holder = leases.holder(KEY)
         assert holder["owner"] == "broker"
         assert holder["pid"] == os.getpid()
         assert holder["ts"] > stale_ts + 3000.0
+
+        manager.write(KEY, payload(10), tick=10)
+        assert leases.holder(KEY) == holder  # immediate: not re-stamped
+
+        later = time.perf_counter() + leases.ttl_s / 4
+        monkeypatch.setattr(time, "perf_counter", lambda: later)
+        manager.write(KEY, payload(15), tick=15)
+        renewed = leases.holder(KEY)
+        assert renewed["ts"] > holder["ts"]
+        assert (renewed["owner"], renewed["pid"]) == ("broker", os.getpid())
 
     def test_write_without_lease_root_needs_no_table(self, tmp_path):
         plan = CheckpointPlan(store_root=str(tmp_path / "store"), every=5)
@@ -195,6 +266,14 @@ class TestGcExemption:
         assert checkpoint_blob_key(KEY, 5) not in evicted
         assert manager.load_latest(KEY) is not None
 
+    def test_retained_pair_survives_gc_after_ten_writes(self, manager):
+        for tick in range(5, 55, 5):
+            manager.write(KEY, payload(tick), tick=tick)
+        store = ContentStore(manager.store.root)
+        assert store.family_counts() == {CHECKPOINT_FAMILY: 2}
+        assert store.gc(max_bytes=0) == []
+        assert manager.load_latest(KEY)[0] == 50
+
     def test_abandoned_checkpoints_rejoin_the_lru(self, manager):
         """Older than the lease TTL = nobody is coming back for it."""
         manager.write(KEY, payload(5), tick=5)
@@ -209,3 +288,114 @@ class TestGcExemption:
         manager.write(KEY, payload(5), tick=5)
         counts = ContentStore(manager.store.root).family_counts()
         assert counts.get(CHECKPOINT_FAMILY) == 1
+
+
+# ---- a crash between any two steps of a write -------------------------------
+
+DAYS, EVERY = 11, 3  # snapshots at ticks 3, 6 and 9: the third one prunes
+
+
+class Killed(RuntimeError):
+    """Stands in for kill -9 at one step of ``CheckpointManager.write``."""
+
+
+def group_specs():
+    return [InstanceSpec(
+        region_code="VT", params={"TAU": 0.3, "SYMP": 0.65,
+                                  "SH_COMPLIANCE": 0.6},
+        n_days=DAYS, scale=1e-3, seed=100 + 13 * i, label=f"cp-i{i}",
+        asset_seed=0) for i in range(2)]
+
+
+def kill_at(monkeypatch, manager, key, step):
+    """Die inside the tick-9 write of ``key``, leaving what kill -9 would:
+    a torn temp at ``publish``, a torn line at ``append``, the blob that
+    was about to be pruned at ``prune``."""
+    import repro.checkpoint.manager as manager_mod
+    import repro.store.cas as cas_mod
+
+    blob9 = manager.store.path_of(checkpoint_blob_key(key, 9))
+    blob3 = manager.store.path_of(checkpoint_blob_key(key, 3))
+    pointer = manager.pointer_path(key)
+    atomic_write, open_journal = cas_mod.atomic_write, manager_mod.open_journal
+    unlink = pathlib.Path.unlink
+
+    def dying_publish(path, mode="w"):
+        if pathlib.Path(path) == blob9:
+            blob9.parent.mkdir(parents=True, exist_ok=True)
+            (blob9.parent / ".tmp-killed.tmp").write_bytes(b"PK\x03\x04torn")
+            raise Killed(step)
+        return atomic_write(path, mode)
+
+    def dying_append(path):
+        if pathlib.Path(path) == pointer and blob9.exists():
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write('{"tick": ')
+            raise Killed(step)
+        return open_journal(path)
+
+    def dying_unlink(self, missing_ok=False):
+        if self == blob3:
+            raise Killed(step)
+        return unlink(self, missing_ok=missing_ok)
+
+    target, attr, dying = {
+        "publish": (cas_mod, "atomic_write", dying_publish),
+        "append": (manager_mod, "open_journal", dying_append),
+        "prune": (pathlib.Path, "unlink", dying_unlink),
+    }[step]
+    monkeypatch.setattr(target, attr, dying)
+
+
+@pytest.fixture(scope="module")
+def uninterrupted():
+    return [outcome for outcome, _dump in execute_specs(
+        group_specs(), metrics=MetricsRegistry())]
+
+
+@pytest.mark.parametrize("lane", [0, 1])
+@pytest.mark.parametrize("step", ["publish", "append", "prune", "evicted"])
+def test_crash_inside_a_write_resumes_from_greatest_common_tick(
+        tmp_path, uninterrupted, lane, step):
+    """Lanes write one after the other, so a crash inside either lane's
+    tick-9 write leaves the lanes' newest ticks apart: the older retained
+    snapshot is what they still share.  Only a crash after the *last*
+    lane's journal line landed (its prune) leaves tick 9 common.
+    ``evicted``: no crash inside the write, but a listed blob is gone by
+    resume time — counted invalid, falls back."""
+    specs = group_specs()
+    plan = CheckpointPlan(store_root=str(tmp_path / "ck"), every=EVERY)
+    manager = plan.manager(metrics=MetricsRegistry())
+    keys = [instance_key(s, salt=plan.salt) for s in specs]
+    with pytest.MonkeyPatch.context() as mp:
+        if step == "evicted":
+            execute_specs(specs, plan=plan, metrics=MetricsRegistry())
+            manager.store.path_of(checkpoint_blob_key(keys[lane], 9)).unlink()
+        else:
+            kill_at(mp, manager, keys[lane], step)
+            with pytest.raises(Killed):
+                execute_specs(specs, plan=plan, metrics=MetricsRegistry())
+    if step != "evicted":
+        # Blob before line: whatever is listed is on disk, temps are not.
+        for key in keys:
+            assert manager.ticks(key), key
+            for tick in manager.ticks(key):
+                assert manager.store.contains(checkpoint_blob_key(key, tick))
+    assert all(len(k) == 64 for k in manager.store.keys())
+
+    reg = MetricsRegistry()
+    resumed = execute_specs(specs, plan=plan, attempt=1, metrics=reg)
+    common = 9 if (lane, step) == (1, "prune") else 6
+    assert reg.value("checkpoint.resumed") == 2
+    assert reg.value("checkpoint.ticks_saved") == 2 * common
+    assert reg.value("checkpoint.invalid") == (step == "evicted")
+    for clean, (chaotic, _dump) in zip(uninterrupted, resumed):
+        assert_payload_bytes_identical(clean, chaotic)
+    for key in keys:
+        assert manager.ticks(key) == [6, 9]
+    # A prune that never ran and was not retried leaves its one blob
+    # behind; the journal still names it, so discard takes it too.
+    assert len(manager.store) == 4 + ((lane, step) == (1, "prune"))
+    for key in keys:
+        manager.discard(key)
+    assert len(manager.store) == 0

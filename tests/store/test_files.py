@@ -1,8 +1,9 @@
 """The shared on-disk idioms (:mod:`repro.store.files`) and their call sites.
 
 Journals: a torn tail costs exactly the torn record, whatever byte the
-crash cut it at.  Atomic publishes: a failed replace leaves the old target
-byte-identical and no temp behind, at every JSON call site.
+crash cut it at — for the checkpoint pointer, exactly one snapshot.
+Atomic publishes: a failed replace leaves the old target byte-identical
+and no temp behind, at every JSON call site.
 """
 
 import dataclasses
@@ -13,7 +14,7 @@ import types
 import numpy as np
 import pytest
 
-from repro.checkpoint.manager import CheckpointPlan, checkpoint_blob_key
+from repro.checkpoint.manager import CheckpointPlan
 from repro.plane.manifest import AssetKey, Manifest, write_manifest
 from repro.service.shard import SPOOL_EVENT, read_spool
 from repro.store.cas import ContentStore, LeaseTable
@@ -22,6 +23,12 @@ from repro.store.ledger import RunLedger, replay_ledger
 from repro.surrogate import ModelRegistry
 
 pytestmark = pytest.mark.fast
+
+KEY = "cd" * 32
+
+
+def _payload(x=0.0):
+    return {"v": np.arange(4, dtype=np.float64) + x}
 
 
 # ---- journals: heal on open -------------------------------------------------
@@ -64,6 +71,53 @@ def test_torn_tail_costs_only_the_torn_record(tmp_path, append, ids_of):
         assert ids_of(path) == {"r1", "r2", "r4", "r5"} | survived, size
 
 
+def _pointer_manager(root):
+    return CheckpointPlan(str(root), every=5).manager()
+
+
+def test_torn_pointer_line_costs_exactly_that_snapshot(tmp_path):
+    """kill -9 while the tick-15 line is half on disk: resume uses tick
+    10, and the restarted writer's next line is not glued onto the torn
+    one."""
+    manager = _pointer_manager(tmp_path)
+    for tick in (5, 10, 15):
+        manager.write(KEY, _payload(tick), tick=tick)
+    journal = manager.pointer_path(KEY)
+    data = journal.read_bytes()
+    start = data.rstrip(b"\n").rindex(b"\n") + 1  # the tick-15 line
+    for size in range(start + 1, len(data) - 1):
+        journal.write_bytes(data[:size])
+        reopened = _pointer_manager(tmp_path)
+        tick, loaded = reopened.load_latest(KEY)
+        assert tick == 10, size
+        assert np.array_equal(loaded["v"], _payload(10)["v"])
+        reopened.write(KEY, _payload(15), tick=15)
+        assert reopened.ticks(KEY) == [10, 15], size
+
+
+def test_pointer_drop_survives_reopen(tmp_path):
+    manager = _pointer_manager(tmp_path)
+    manager.write(KEY, _payload(5), tick=5)
+    manager.write(KEY, _payload(10), tick=10)
+    manager.invalidate(KEY, 10)
+    reopened = _pointer_manager(tmp_path)
+    assert reopened.ticks(KEY) == [5]
+    assert read_jsonl(reopened.pointer_path(KEY))[-1] == {"drop": 10}
+    reopened.write(KEY, _payload(10), tick=10)  # re-executed: listed again
+    assert _pointer_manager(tmp_path).ticks(KEY) == [5, 10]
+
+
+def test_discard_removes_the_journal_and_both_retained_blobs(tmp_path):
+    manager = _pointer_manager(tmp_path)
+    for tick in (5, 10, 15):
+        manager.write(KEY, _payload(tick), tick=tick)
+    assert manager.pointer_path(KEY).suffix == ".jsonl"
+    assert len(manager.store) == 2
+    assert manager.discard(KEY) > 0
+    assert len(manager.store) == 0
+    assert not manager.pointer_path(KEY).exists()
+
+
 def test_read_jsonl_skips_what_is_not_a_record(tmp_path):
     path = tmp_path / "j.jsonl"
     assert read_jsonl(path) == []
@@ -86,20 +140,6 @@ def test_read_json_missing_truncated_non_dict(tmp_path):
 
 
 # ---- atomic publish ---------------------------------------------------------
-
-
-def _payload(x=0.0):
-    return {"v": np.arange(4, dtype=np.float64) + x}
-
-
-def _pointer_site(root):
-    manager = CheckpointPlan(str(root), every=5).manager()
-    manager.write("inst", _payload(), tick=5)
-    # The second snapshot's blob is already stored, so the failing replace
-    # is the pointer's, not the blob's.
-    manager.store.put(checkpoint_blob_key("inst", 10), _payload(1.0))
-    return (manager.pointer_path("inst"),
-            lambda: manager.write("inst", _payload(1.0), tick=10))
 
 
 def _lease_site(root):
@@ -133,7 +173,7 @@ def _manifest_site(root):
 
 
 @pytest.mark.parametrize("site", [
-    _pointer_site, _lease_site, _surrogate_site, _manifest_site])
+    _lease_site, _surrogate_site, _manifest_site])
 def test_failed_replace_keeps_old_target_and_leaves_no_temp(
         tmp_path, monkeypatch, site):
     target, rewrite = site(tmp_path)
