@@ -422,6 +422,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         served = hits / (hits + misses) if hits + misses else 1.0
         print(f"  store: {hits} hits, {misses} misses "
               f"({served:.0%} served)")
+    print(f"  pool: {int(reg.value('parallel.pool_starts'))} starts, "
+          f"{int(reg.value('parallel.pool_reuses'))} reuses")
     for k, name in enumerate(cal.space.names):
         print(f"  {name:<16} posterior {post[:, k].mean():.3f} "
               f"± {post[:, k].std():.3f}  (tightening {tight[k]:.2f}x)")
@@ -577,7 +579,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                               checkpoint=checkpoint)
     print(f"chaos: {res.summary()}")
     for name in sorted(reg.names()):
-        if (name.startswith(("faults.", "retry.", "checkpoint."))
+        if (name.startswith(("faults.", "retry.", "checkpoint.",
+                             "parallel.pool_"))
                 and reg.value(name)):
             print(f"  {name} = {int(reg.value(name))}")
 

@@ -21,23 +21,29 @@ quarantined instead of killing the night (see
 the same spec with the same seed, a recovered batch is bit-identical to
 an undisturbed one.
 
-Fan-out is also *warm*: before a pool exists the supervisor loads the
-fan-out's asset bundles into its own cache (:func:`_preload_assets`), so
-fork workers inherit them copy-on-write, plane workers attach segments
-the supervisor owns (which therefore outlive each per-call pool), and the
-next fan-out from this process finds them resident.  Specs are submitted
-sorted by asset key, so a worker that does build lazily (spawn start
-method, bundles past the byte budget) mostly hits instead of thrashing
-across regions.  Results are restored to input order before returning.
+Fan-out is also *warm*, and only simulation blocks it.  The supervisor
+loads the fan-out's asset bundles into its own cache
+(:func:`_preload_assets`), then borrows the process's one worker pool
+(:class:`_PoolOwner`): forked once, lent to every later fan-out while the
+fork is still valid — same size, same ``REPRO_*`` environment, every
+bundle needed already resident when the workers forked (inherited
+copy-on-write, or mapped from the plane segment this process owns) — and
+re-forked, the old per-call cost, only when one of those changed.  Groups
+go out longest-predicted-first, the paper's mapper order
+(:func:`_mapper_order`), and each result reaches the caller the moment
+its group is harvested, while the others still run.  Results are returned
+in input order.
 """
 
 from __future__ import annotations
 
+import atexit
 import functools
 import os
+import threading
 import time
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any
 
@@ -224,23 +230,185 @@ def _scaled_timeout_of(checkpoint, retry: RetryPolicy):
     return timeout_of
 
 
-def _preload_assets(keys, sink) -> None:
-    """Make a fan-out's bundles resident here before its pool exists.
+def _preload_assets(keys, sink) -> dict:
+    """Make a fan-out's bundles resident here before it borrows the pool.
 
     Stops at the first insert that evicts: past the byte budget, loading
     more only displaces what was just loaded.  A key that fails to load is
-    left to its spec's own supervised attempt.
+    left to its spec's own supervised attempt.  Returns the bundles that
+    did load, by key.
     """
     from .runner import load_assets
 
+    loaded = {}
     evictions = sink.value("assets.cache.evictions")
     for key in keys:
         try:
-            load_assets(key, metrics=sink)
+            loaded[key] = load_assets(key, metrics=sink)
         except Exception:  # noqa: BLE001 — reported per spec, under retry
             continue
         if sink.value("assets.cache.evictions") > evictions:
             break
+    return loaded
+
+
+def _mapper_order(items: list[list[InstanceSpec]], cost: list[float],
+                  workers: int) -> list[int]:
+    """Submission order of ``items``: longest predicted first.
+
+    The paper's mapper (Section V) places tasks in non-increasing
+    estimated time.  With every group one indivisible unit-width task,
+    NFDT-DC and FFDT-DC fill the same levels and their Slurm order *is*
+    that sort; next-fit finds it in linear time.  A WMP task needs a
+    positive time, hence the shift: a group whose bundle did not load
+    predicts 0 and goes last.
+    """
+    from ..scheduling.levels import pack_nfdt_dc
+    from ..scheduling.wmp import MappingTask, WMPInstance
+
+    tasks = [MappingTask(it[0].region_code, i, 1, c + 1.0)
+             for i, (it, c) in enumerate(zip(items, cost))]
+    packed = pack_nfdt_dc(WMPInstance(tasks, machine_width=workers))
+    return [task.cell for task, _level in packed.ordered_tasks()]
+
+
+def _repro_env() -> tuple:
+    """The ``REPRO_*`` environment workers read as of their fork."""
+    return tuple(sorted(kv for kv in os.environ.items()
+                        if kv[0].startswith("REPRO_")))
+
+
+def _spent(fut: Future) -> bool:
+    """Whether ``fut`` leaves its pool unfit to lend again: lost to a
+    dead worker, or still running (an attempt abandoned by a timeout or
+    an abort cannot be interrupted)."""
+    return not fut.done() or (
+        not fut.cancelled()
+        and isinstance(fut.exception(), BrokenProcessPool))
+
+
+class _BorrowedPool:
+    """The pool as ``supervise_map`` sees it: ``submit`` forwards to the
+    owner's executor and ``shutdown`` hands it back, so the supervisor's
+    rebuild-and-salvage loop drives the long-lived pool unchanged."""
+
+    def __init__(self, owner: "_PoolOwner", pool: ProcessPoolExecutor,
+                 sink) -> None:
+        self._owner: _PoolOwner | None = owner
+        self._pool = pool
+        self._sink = sink
+        self._futures: list[Future] = []
+
+    def submit(self, fn, *args) -> Future:
+        try:
+            fut = self._pool.submit(fn, *args)
+        except BrokenProcessPool as exc:
+            # A worker died while the pool sat idle: report it the way a
+            # mid-run death is reported, so the supervisor rebuilds.
+            fut = Future()
+            fut.set_exception(exc)
+        self._futures.append(fut)
+        return fut
+
+    def shutdown(self, wait: bool = False,
+                 cancel_futures: bool = False) -> None:
+        owner, self._owner = self._owner, None
+        if owner is not None:  # the supervisor may shut one handle twice
+            owner.release(any(map(_spent, self._futures)), self._sink)
+
+
+class _PoolOwner:
+    """The process's one worker pool, lent to one fan-out at a time.
+
+    Forked by the first pooled fan-out and lent again while
+    :meth:`_fork_valid`; otherwise retired and forked anew.  Retiring
+    never waits — the executor is shut down on a reaper thread, and a
+    worker still running an abandoned attempt exits when that attempt
+    does — and :meth:`close` joins everything.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()  # held from borrow() to release()
+        self._pool: ProcessPoolExecutor | None = None
+        self._forked_with: tuple = ()  # (workers, REPRO_* env, asset keys)
+        self._reapers: list[threading.Thread] = []
+
+    def _fork_valid(self, workers: int, needed: frozenset) -> bool:
+        """Whether the live workers are what a fresh fork would give:
+        same count, same ``REPRO_*`` environment, and every bundle the
+        fan-out needs was resident here when they forked."""
+        if self._pool is None:
+            return False
+        size, env, resident = self._forked_with
+        return (size == workers and env == _repro_env()
+                and needed <= resident)
+
+    def borrow(self, workers: int, needed: frozenset, sink) -> _BorrowedPool:
+        from .runner import _ASSET_CACHE
+
+        self._lock.acquire()
+        try:
+            if self._fork_valid(workers, needed):
+                sink.inc("parallel.pool_reuses")
+            else:
+                self._retire()
+                self._pool = ProcessPoolExecutor(max_workers=workers)
+                self._forked_with = (workers, _repro_env(),
+                                     _ASSET_CACHE.keys())
+                # Exit handlers run last-registered-first: registering
+                # anew at every fork joins the workers before the
+                # teardown of any plane runtime this fan-out's preload
+                # created ("last attacher out unlinks").
+                atexit.unregister(close_pool)
+                atexit.register(close_pool)
+                sink.inc("parallel.pool_starts")
+            return _BorrowedPool(self, self._pool, sink)
+        except BaseException:
+            self._lock.release()
+            raise
+
+    def release(self, spent: bool, sink) -> None:
+        try:
+            if spent:
+                self._retire()
+                sink.inc("parallel.pool_retired")
+        finally:
+            self._lock.release()
+
+    def _retire(self) -> None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            reaper = threading.Thread(
+                target=pool.shutdown, kwargs={"cancel_futures": True},
+                daemon=True)
+            reaper.start()
+            self._reapers = [t for t in self._reapers if t.is_alive()]
+            self._reapers.append(reaper)
+
+    def close(self) -> None:
+        with self._lock:
+            pool, self._pool = self._pool, None
+            reapers, self._reapers = self._reapers, []
+        if pool is not None:  # inline: no new thread at interpreter exit
+            pool.shutdown(cancel_futures=True)
+        for reaper in reapers:
+            reaper.join()
+
+
+_POOL = _PoolOwner()
+# A forked child (a pool worker, a service shard) must not drive workers
+# that belong to its parent: it starts with no pool and a fresh lock.
+os.register_at_fork(after_in_child=_POOL.__init__)
+
+
+def close_pool() -> None:
+    """Stop and join this process's pool workers (idempotent).
+
+    Runs at interpreter exit, and after every test so that no worker
+    outlives the module state, environment or plane attachments it forked
+    with; the next pooled fan-out forks a new pool.
+    """
+    _POOL.close()
 
 
 def supervise_instances(
@@ -254,6 +422,7 @@ def supervise_instances(
     ledger=None,
     on_failure: str = QUARANTINE,
     checkpoint=None,
+    _on_outcome=None,
 ) -> FanoutResult:
     """Execute instances under supervision; never die mid-batch.
 
@@ -265,10 +434,13 @@ def supervise_instances(
 
     Args:
         specs: the instances (order of results matches the input).
-        max_workers: pool size; defaults to ``os.cpu_count()`` capped at
-            the number of instances.
-        parallel: set False for in-process execution (debugging, or when
-            the workload is too small to amortise pool start-up).
+        max_workers: pool size; defaults to ``os.cpu_count()``.  The
+            process's pool is re-forked when the size changes, so callers
+            that alternate sizes pay a pool start each time.
+        parallel: set False for in-process execution: the serial
+            reference path (debugging, equivalence tests) and callers
+            that must not fork.  A fan-out of one instance runs
+            in-process either way.
         registry: :class:`~repro.obs.registry.MetricsRegistry` receiving
             every worker's telemetry dump plus the supervisor's
             ``retry.*`` / ``faults.*`` accounting; defaults to the
@@ -288,6 +460,9 @@ def supervise_instances(
             valid snapshot instead of tick 0, per-attempt timeouts scale
             to the work remaining, and the result reports
             ``ticks_saved``.  Disabled plans leave execution unchanged.
+        _on_outcome: internal — ``(position, outcome)`` called as each
+            group is harvested (the memoized fan-out publishes through
+            it, so results are durable before their siblings finish).
 
     Returns:
         A :class:`~repro.resilience.supervisor.FanoutResult` whose
@@ -310,42 +485,60 @@ def supervise_instances(
     quarantined: list[tuple[int, QuarantineRecord]] = []
     evicted: list[tuple[int, BaseException]] = []
 
-    def merge_group(_i: int, res: tuple[list, dict]) -> None:
-        entries, dump = res
-        sink.merge(dump)
-        for entry in entries:
-            if entry[0] == "ok":
-                sink.merge(entry[1][1])
-
     def fan(groups: list[list[int]], **resume) -> FanoutResult:
         """One supervised pass over index groups (a single is a group of
         one), harvested into ``results`` / ``quarantined`` / ``evicted``."""
         items = [[specs[i] for i in g] for g in groups]
         keys = [_spec_key(it[0]) if len(it) == 1
                 else f"batch/{_spec_key(it[0])}+{len(it) - 1}" for it in items]
+        simulate_s: dict[int, float] = {}
+
+        def harvest(i: int, res: tuple[list, dict]) -> None:
+            """Land group ``i`` the moment it returns, while the others
+            still run: telemetry, outcomes, the caller's hook."""
+            entries, dump = res
+            sink.merge(dump)
+            simulate_s[i] = dump.get("runner.simulate_s", {}).get("value", 0)
+            for pos, (tag, payload) in zip(groups[i], entries):
+                if tag == "ok":
+                    results[pos], lane_dump = payload
+                    sink.merge(lane_dump)
+                    if _on_outcome is not None:
+                        _on_outcome(pos, results[pos])
+                else:
+                    evicted.append((pos, payload))
+
         common = dict(keys=keys, retry=retry, faults=faults,
                       on_failure=on_failure, registry=sink, ledger=ledger,
-                      on_result=merge_group, **resume)
-        workers = min(max_workers or os.cpu_count() or 1,
-                      sum(len(g) for g in groups))
-        if not parallel or workers <= 1:
+                      on_result=harvest, **resume)
+        cap = max_workers or os.cpu_count() or 1
+        if not parallel or min(cap, sum(len(g) for g in groups)) <= 1:
             res = supervise_map(fn, items, **common)
         else:
             # Pool whenever the caller asked for parallelism and there is
             # more than one instance — even a single group: process
             # isolation is what turns a hard worker death into a
             # rebuild-and-salvage instead of taking down the supervisor.
-            workers = min(workers, len(items))
-            order = sorted(range(len(items)),
-                           key=lambda i: AssetKey.of_spec(items[i][0]))
-            freq = Counter(AssetKey.of_spec(s) for it in items for s in it)
-            _preload_assets([k for k, _n in freq.most_common()], sink)
+            akeys = [AssetKey.of_spec(it[0]) for it in items]
+            loaded = _preload_assets(dict.fromkeys(akeys), sink)
+            # Predicted cost: lanes x days x edges (Fig. 7: runtime grows
+            # with network size); 0 when the bundle did not load.
+            cost = [len(it) * it[0].n_days
+                    * (loaded[k].net.n_edges if k in loaded else 0)
+                    for it, k in zip(items, akeys)]
             res = supervise_map(
-                fn, items,
-                make_pool=lambda: ProcessPoolExecutor(max_workers=workers),
-                pool_fn=pool_fn, submit_order=order, timeout_of=timeout_of,
-                **common)
-            sink.gauge("parallel.workers", workers)
+                fn, items, pool_fn=pool_fn, timeout_of=timeout_of,
+                make_pool=functools.partial(
+                    _POOL.borrow, cap, frozenset(loaded), sink),
+                submit_order=_mapper_order(items, cost, cap), **common)
+            sink.gauge("parallel.workers", min(cap, len(items)))
+            # Shares are over the groups that returned a measurement.
+            predicted = sum(cost[i] for i in simulate_s)
+            measured = sum(simulate_s.values())
+            if not resume and predicted and measured:
+                sink.gauge("parallel.predict_err", max(
+                    abs(cost[i] / predicted - t / measured)
+                    for i, t in simulate_s.items()))
         qiter = iter(res.quarantined)
         for g, group_res in zip(groups, res.results):
             if group_res is None:
@@ -359,17 +552,11 @@ def supervise_instances(
                         key=_spec_key(specs[pos]), item=specs[pos],
                         error=rec.error, kind=rec.kind,
                         attempts=rec.attempts)) for pos in g)
-                continue
-            for pos, (tag, payload) in zip(g, group_res[0]):
-                if tag == "ok":
-                    results[pos] = payload[0]
-                else:
-                    evicted.append((pos, payload))
         return res
 
-    # Groups are formed BEFORE the asset-key sort reorders submission, and
-    # each crosses to a worker as one indivisible item, so a replicate
-    # batch is never split across workers.
+    # Each group crosses to a worker as one indivisible item — the
+    # failure domain — so a replicate batch is never split across workers,
+    # whatever order the mapper submits them in.
     groups = (batch_groups(specs) if batching_enabled()
               else [[i] for i in range(len(specs))])
     n_multi = sum(len(g) > 1 for g in groups)
@@ -447,10 +634,7 @@ def run_instances(
 
     Args:
         specs: the instances (order of results matches the input).
-        max_workers: pool size; defaults to ``os.cpu_count()`` capped at
-            the number of instances.
-        parallel: set False for in-process execution (debugging, or when
-            the workload is too small to amortise pool start-up).
+        max_workers / parallel: as for :func:`supervise_instances`.
         registry: :class:`~repro.obs.registry.MetricsRegistry` that
             receives every worker's telemetry dump (``runner.*`` and
             aggregated ``engine.*``), merged in the parent; defaults to

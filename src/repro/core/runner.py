@@ -107,6 +107,9 @@ class _AssetCache:
     def clear(self) -> None:
         self._entries.clear()
 
+    def keys(self) -> frozenset[AssetKey]:
+        return frozenset(self._entries)
+
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -48,9 +48,9 @@ class AssetKey:
 
     The single key type for every consumer that identifies "one build of
     one region's inputs": the per-process asset cache, the fan-out's
-    preload, replicate batch grouping, and the plane manifest.  Ordered,
-    hashable and picklable, so it can sort submission schedules and cross
-    process boundaries unchanged.
+    preload and pool-reuse rule, replicate batch grouping, and the plane
+    manifest.  Ordered, hashable and picklable, so it crosses process
+    boundaries unchanged.
     """
 
     region_code: str

@@ -209,15 +209,18 @@ def supervise_map(
         items: the work items (results come back in this order).
         keys: per-item operation keys for fault matching, backoff jitter
             and ledger records (default: the item's string form).
-        make_pool: zero-arg factory building a fresh process pool; None
-            runs everything in-process.  The factory is re-invoked after
-            a ``BrokenProcessPool``.
+        make_pool: zero-arg factory returning a pool to run on (anything
+            with ``submit`` and ``shutdown``: a fresh executor, or a
+            handle on a long-lived one whose ``shutdown`` hands it
+            back); None runs everything in-process.  The factory is
+            re-invoked after a ``BrokenProcessPool``.
         pool_fn: picklable top-level work function used for pool
             submission (defaults to ``fn``); split from ``fn`` so the
             pooled variant may take worker-only liberties (``os._exit``
             crash injection) the in-process variant must not.
-        submit_order: index order for initial submission (cache-warmth
-            sorting); results are still returned in input order.
+        submit_order: index order for initial submission (the caller's
+            schedule, e.g. longest-predicted-first); results are still
+            returned in input order.
         retry: the :class:`~repro.resilience.retry.RetryPolicy`; None
             means one attempt per item with no backoff (pool rebuilds
             still bounded and active).

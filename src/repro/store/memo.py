@@ -274,6 +274,15 @@ def supervise_instances_memoized(
         ck_manager=(checkpoint.manager(metrics=reg)
                     if checkpoint is not None and checkpoint.enabled
                     else None))
+
+    def land(j: int, outcome: "InstanceOutcome") -> None:
+        """Publish one executed result the moment its group is harvested:
+        durable (and visible to lease waiters) while its siblings still
+        run, and kept even if a later group aborts the batch."""
+        key = keys[exec_idx[j]]
+        base_of[key] = outcome
+        publish(key, outcome)
+
     # Quarantine records arrive sorted by position, so pairing them with
     # the None slots of the execution results is a simple in-order walk.
     failed_of: dict[str, object] = {}
@@ -282,14 +291,11 @@ def supervise_instances_memoized(
             [specs[i] for i in exec_idx], parallel=parallel,
             max_workers=max_workers, registry=reg, retry=retry,
             faults=faults, ledger=ledger, on_failure=on_failure,
-            checkpoint=checkpoint)
+            checkpoint=checkpoint, _on_outcome=land)
         qiter = iter(res.quarantined)
         for i, outcome in zip(exec_idx, res.results):
             if outcome is None:
                 failed_of[keys[i]] = next(qiter)
-                continue
-            base_of[keys[i]] = outcome
-            publish(keys[i], outcome)
     finally:
         # Release *before* waiting on anyone else's keys: every process
         # finishes its own work first, so lease waits can never form a

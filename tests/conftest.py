@@ -37,6 +37,17 @@ def _isolated_result_store(tmp_path_factory):
             os.environ[key] = val
 
 
+@pytest.fixture(autouse=True)
+def _no_pool_across_tests():
+    """Join the fan-out's long-lived pool after every test: its workers
+    forked with this test's monkeypatched module state, ``REPRO_*``
+    environment and plane attachments, none of which may reach the next."""
+    yield
+    from repro.core.parallel import close_pool
+
+    close_pool()
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(TEST_SEED)

@@ -128,3 +128,41 @@ def test_salt_partitions_the_store(store):
     run_instances_memoized(specs, store=store, salt="v1", parallel=False)
     assert store.metrics.value("store.puts") == 2
     assert store.metrics.value("store.hits") == 1
+
+
+def test_raise_keeps_what_completed_before_the_failure(store, tmp_path):
+    """Regression: results used to be published only after the whole
+    fan-out returned, so under ``on_failure="raise"`` one failing group
+    threw away every group that had already completed."""
+    from repro.obs import MetricsRegistry
+    from repro.resilience import FaultPlan, InjectedFault
+
+    kept = make_specs(2)  # VT: the first group
+    lost = [InstanceSpec(region_code="WY", params={"TAU": 0.25}, n_days=20,
+                         scale=1e-3, seed=600 + i, label=f"poison{i}")
+            for i in range(2)]  # WY: the second group, every lane faulted
+    specs = kept + lost
+    ledger = RunLedger(tmp_path / "run.jsonl")
+    faults = FaultPlan.parse(["worker.exception:times=99,match=poison"],
+                             seed=0)
+    with pytest.raises(InjectedFault):
+        run_instances_memoized(specs, store=store, ledger=ledger,
+                               parallel=False, faults=faults)
+    for s in kept:
+        assert store.contains(instance_key(s))
+    for s in lost:
+        assert not store.contains(instance_key(s))
+    assert (replay_ledger(tmp_path / "run.jsonl").completed()
+            == {instance_key(s) for s in kept})
+
+    reg = MetricsRegistry()
+    again = run_instances_memoized(specs, store=store, ledger=ledger,
+                                   parallel=False, registry=reg)
+    assert reg.value("memo.hits") == len(kept)
+    assert reg.value("memo.misses") == len(lost)
+    assert reg.value("runner.instances") == len(lost)
+    for got, want in zip(again, run_instances(specs, parallel=False)):
+        assert got.spec == want.spec
+        assert got.confirmed.tobytes() == want.confirmed.tobytes()
+        assert got.attack_rate == want.attack_rate
+        assert got.transitions == want.transitions

@@ -8,6 +8,11 @@ test walks the source tree and pins every remaining use of the underlying
 primitives to that module, plus the two deliberate exceptions:
 ``ContentStore._quarantine`` (a move, not a publish) and
 ``LeaseTable.acquire`` (exclusive-create by hard link, not replace).
+
+The same guard pins worker-pool construction: every fan-out borrows the
+process's one long-lived pool, so ``ProcessPoolExecutor(...)`` is built in
+exactly one function (a second site would be a second pool, forked
+outside the reuse rule and joined by nobody at exit).
 """
 
 import ast
@@ -28,12 +33,16 @@ ALLOWED = {
     ("mkstemp", "store/cas.py", "acquire"),
     ("kill", "store/files.py", "pid_alive"),
     ("loads(line", "store/files.py", "read_jsonl"),
+    ("ProcessPoolExecutor(", "core/parallel.py", "borrow"),
 }
 
 
 def _idiom(call: ast.Call) -> str | None:
     """Which guarded primitive ``call`` is, if any."""
     func = call.func
+    if "ProcessPoolExecutor" in (getattr(func, "id", None),
+                                 getattr(func, "attr", None)):
+        return "ProcessPoolExecutor("
     if not isinstance(func, ast.Attribute):
         return None
     module = func.value.id if isinstance(func.value, ast.Name) else None
@@ -89,8 +98,14 @@ def test_guard_actually_detects(tmp_path):
         "def replay(fh):\n"
         "    return [json.loads(line) for line in fh]\n"
         "def parse(text):\n"
-        "    return json.loads(text)\n")
+        "    return json.loads(text)\n"
+        "def fan(n):\n"
+        "    return ProcessPoolExecutor(max_workers=n)\n"
+        "def fan_too(n):\n"
+        "    return concurrent.futures.ProcessPoolExecutor(n)\n")
     assert _sites(tmp_path) == {
+        ("ProcessPoolExecutor(", "mod.py", "fan"),
+        ("ProcessPoolExecutor(", "mod.py", "fan_too"),
         ("mkstemp", "mod.py", "publish"), ("replace", "mod.py", "publish"),
         ("replace", "mod.py", "swap"),
         ("kill", "mod.py", "probe"), ("loads(line", "mod.py", "replay")}
