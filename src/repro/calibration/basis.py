@@ -43,11 +43,6 @@ class OutputBasis:
         """Number of basis functions."""
         return int(self.phi.shape[1])
 
-    @property
-    def t_len(self) -> int:
-        """Output-space dimension (time points)."""
-        return int(self.phi.shape[0])
-
     def project(self, y: np.ndarray) -> np.ndarray:
         """Coefficients w of output rows ``y`` (least squares onto phi)."""
         y = np.atleast_2d(np.asarray(y, dtype=np.float64))

@@ -56,7 +56,7 @@ from pathlib import Path
 
 #: Cache-key namespace for the ``simulate`` command's summary payload
 #: (confirmed + deaths series, attack rate, peak day).
-SIMULATE_NAMESPACE = "simulate-summary/v1"
+SIMULATE_NAMESPACE = "simulate-summary/v2"
 
 #: Exit code for "work was quarantined / lost to faults": distinct from
 #: 1 (domain failure, e.g. blown window or mismatch) and 2 (bad usage),
@@ -102,16 +102,26 @@ def _resolve_ledger(args: argparse.Namespace):
     return RunLedger(Path(args.ledger))
 
 
-def _resolve_checkpoint(args: argparse.Namespace, store, *,
-                        salt: str | None = None):
+def _resolve_faults(args: argparse.Namespace):
+    """The fault plan ``--inject`` implies (None when nothing is injected)."""
+    if not args.inject:
+        return None
+    from .resilience import FaultPlan
+
+    try:
+        return FaultPlan.parse(args.inject, seed=args.fault_seed)
+    except ValueError as exc:
+        raise SystemExit(f"bad --inject spec: {exc}")
+
+
+def _resolve_checkpoint(args: argparse.Namespace, store):
     """The checkpoint plan ``--checkpoint-every`` implies (None = off).
 
     Snapshots ride the result store's CAS (``checkpoint/v1`` family), so
     the plan needs a store; heartbeats land in the store-adjacent lease
     table the shard fleet shares.
     """
-    every = int(getattr(args, "checkpoint_every", 0) or 0)
-    if every <= 0:
+    if args.checkpoint_every <= 0:
         return None
     if store is None:
         raise SystemExit(
@@ -120,9 +130,8 @@ def _resolve_checkpoint(args: argparse.Namespace, store, *,
     from .service.shard import lease_dir
 
     return CheckpointPlan(
-        store_root=str(store.root), every=every, salt=salt,
-        lease_root=str(lease_dir(store.root)),
-        ledger_path=getattr(args, "ledger", None) or None)
+        store_root=str(store.root), every=args.checkpoint_every,
+        lease_root=str(lease_dir(store.root)), ledger_path=args.ledger)
 
 
 def _add_trace_flags(p: argparse.ArgumentParser) -> None:
@@ -169,16 +178,15 @@ def _enable_plane(args: argparse.Namespace) -> bool:
 
     from .plane import plane_enabled
 
-    if getattr(args, "plane_dir", None):
+    if args.plane_dir:
         os.environ["REPRO_PLANE_DIR"] = args.plane_dir
-    plane = getattr(args, "plane", None)
-    if plane is None:
+    if args.plane is None:
         return plane_enabled()
-    if plane:
+    if args.plane:
         os.environ["REPRO_PLANE"] = "1"
     else:
         os.environ.pop("REPRO_PLANE", None)
-    return bool(plane)
+    return args.plane
 
 
 def _fmt_bytes(n: int) -> str:
@@ -306,26 +314,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         cached = payload is not None
         root.attrs["cached"] = cached
         if payload is None:
-            from .analytics import CONFIRMED, DEATHS, summarize, target_series
+            from .analytics import DEATHS, summarize, target_series
             from .core.parallel import inject_worker_faults
-            from .core.runner import execute_specs, load_region_assets
-            from .resilience import FaultPlan, RetryPolicy
+            from .core.runner import (
+                confirmed_series,
+                execute_specs,
+                load_region_assets,
+            )
+            from .resilience import RetryPolicy
             from .resilience.supervisor import supervise_map
 
-            faults = None
-            if args.inject:
-                try:
-                    faults = FaultPlan.parse(args.inject,
-                                             seed=args.fault_seed)
-                except ValueError as exc:
-                    raise SystemExit(f"bad --inject spec: {exc}")
+            faults = _resolve_faults(args)
             ck_plan = _resolve_checkpoint(args, store)
 
-            def _payload(_spec, result, model):
-                summary = summarize(result, model)
+            def _payload(spec, result, model):
                 return {
-                    "confirmed": target_series(summary, model, CONFIRMED),
-                    "deaths": target_series(summary, model, DEATHS),
+                    # Ascertained symptomatic cases: the one meaning every
+                    # other path (replicates, calibration, the service) has.
+                    "confirmed": confirmed_series(result, model, spec.n_days),
+                    "deaths": target_series(summarize(result, model), model,
+                                            DEATHS),
                     "attack_rate": np.asarray(result.attack_rate(model)),
                     "peak_day": np.asarray(result.peak_day(model)),
                 }
@@ -432,36 +440,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _night_prebuild_plane(design, seed: int) -> None:
-    """Stage the design's region bundles on this node's plane.
-
-    ``orchestrate_night`` models remote execution, so the prebuild is the
-    night's node-local side effect: every region in the design gets its
-    asset bundle built exactly once into shared memory before the cycle
-    starts.  ``REPRO_PLANE_KEEP`` is set so the segments outlive this
-    process and serve the workers that later run the design for real;
-    ``repro plane gc`` reclaims them.
-    """
-    import os
-
-    os.environ.setdefault("REPRO_PLANE_KEEP", "1")
-    from .core.runner import load_region_assets
-    from .obs import MetricsRegistry
-    from .params import DEFAULT_SCALE
-
-    reg = MetricsRegistry()
-    for region in design.regions:
-        load_region_assets(region, DEFAULT_SCALE, seed, metrics=reg)
-    built = int(reg.value("plane.built"))
-    if int(reg.value("plane.fallbacks")):
-        print("plane: shared memory unavailable — bundles built privately, "
-              "nothing staged", file=sys.stderr)
-        return
-    print(f"plane: staged {built} of {design.n_regions} region bundles "
-          f"({int(reg.value('plane.bytes')):,} new shared bytes; "
-          f"{design.n_regions - built} were already on the plane)")
-
-
 def _cmd_night(args: argparse.Namespace) -> int:
     from .core.designs import (
         calibration_design,
@@ -476,8 +454,6 @@ def _cmd_night(args: argparse.Namespace) -> int:
         "calibration": lambda: calibration_design(seed=args.seed),
     }
     design = designs[args.workflow]()
-    if _enable_plane(args):
-        _night_prebuild_plane(design, seed=args.seed)
     if args.resume and args.no_cache:
         raise SystemExit("--resume and --no-cache are contradictory")
     resume = args.resume
@@ -485,15 +461,8 @@ def _cmd_night(args: argparse.Namespace) -> int:
         print("night --resume needs --ledger PATH to replay",
               file=sys.stderr)
         return 2
-    faults = None
-    if args.inject:
-        from .resilience import DEFAULT_RETRY_POLICY, FaultPlan
-
-        try:
-            faults = FaultPlan.parse(args.inject, seed=args.fault_seed)
-        except ValueError as exc:
-            raise SystemExit(f"bad --inject spec: {exc}")
-    from .resilience import TransientError
+    faults = _resolve_faults(args)
+    from .resilience import DEFAULT_RETRY_POLICY, TransientError
 
     tracer = _resolve_tracer(args, run_id=f"night:{args.workflow}")
     with tracer:
@@ -531,10 +500,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from .resilience import FaultPlan, RetryPolicy
     from .store.keys import instance_key
 
-    try:
-        plan = FaultPlan.parse(args.inject or [], seed=args.fault_seed)
-    except ValueError as exc:
-        raise SystemExit(f"bad --inject spec: {exc}")
+    plan = _resolve_faults(args) or FaultPlan()
     retry = RetryPolicy(max_attempts=args.max_attempts,
                         base_delay_s=args.base_delay,
                         timeout_s=args.timeout,
@@ -828,128 +794,27 @@ def _cmd_surrogate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_fleet(args: argparse.Namespace) -> int:
-    """``serve --shards N``: N worker processes behind one router."""
-    from .service import Router, ShardFleet, make_router_server
-
-    if args.surrogate or args.inject:
-        raise SystemExit(
-            "--shards does not combine with --surrogate/--inject yet")
-    store = _resolve_store(args)
-    if store is None:
-        raise SystemExit(
-            "--shards needs the shared result store (drop --no-cache)")
-    fleet = ShardFleet(
-        store.root, args.shards, host=args.host,
-        capacity=args.capacity, aging_every=args.aging_every,
-        batch_size=args.batch_size, elastic_max=args.elastic_max,
-        max_workers=args.workers, parallel=not args.serial,
-        checkpoint_every=args.checkpoint_every,
-        plane=_enable_plane(args), plane_dir=args.plane_dir or None)
-    fleet.start()
-    router = Router.for_fleet(fleet)
-    server = make_router_server(router, host=args.host, port=args.port)
-    port = server.server_address[1]
-    if args.port_file:
-        Path(args.port_file).write_text(f"{port}\n", encoding="utf-8")
-    shards = ", ".join(f"s{h.index}@{h.address[1]}" for h in fleet.shards
-                       if h.address is not None)
-    print(f"repro router listening on http://{args.host}:{port} "
-          f"({args.shards} shards: {shards})", flush=True)
-    import signal
-
-    def _graceful(_sig: int, _frame: object) -> None:
-        raise KeyboardInterrupt
-
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
-            signal.signal(sig, _graceful)
-        except ValueError:  # pragma: no cover - non-main-thread embedding
-            pass
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("interrupt: draining shards...", flush=True)
-    finally:
-        server.server_close()
-        fleet.stop()
-    print("fleet stopped", flush=True)
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .service import ScenarioService, make_server
+    import dataclasses
 
-    if args.shards > 1:
-        return _serve_fleet(args)
-    _enable_plane(args)  # before the pool spawns: workers inherit the env
-    store = _resolve_store(args)
-    ledger = _resolve_ledger(args)
-    tracer = _resolve_tracer(args, run_id="serve")
-    faults = None
-    if args.inject:
-        from .resilience import FaultPlan
+    from .service import ServiceConfig, serve, serve_fleet
 
-        try:
-            faults = FaultPlan.parse(args.inject, seed=args.fault_seed)
-        except ValueError as exc:
-            raise SystemExit(f"bad --inject spec: {exc}")
-    retry = None
-    if args.max_attempts > 1:
-        from .resilience import RetryPolicy
-
-        retry = RetryPolicy(max_attempts=args.max_attempts,
-                            base_delay_s=0.05, seed=args.fault_seed)
-    surrogate = None
-    if args.surrogate:
-        if store is None:
-            raise SystemExit(
-                "--surrogate needs the result store (drop --no-cache)")
-        from .surrogate import ModelRegistry, SurrogateGate
-
-        surrogate = SurrogateGate(ModelRegistry(store),
-                                  rtol=args.surrogate_rtol)
-    service = ScenarioService(
-        store=store, ledger=ledger, tracer=tracer,
-        capacity=args.capacity, aging_every=args.aging_every,
-        batch_size=args.batch_size, max_workers=args.workers,
-        parallel=not args.serial, retry=retry, faults=faults,
-        surrogate=surrogate, elastic_max=args.elastic_max,
-        checkpoint=_resolve_checkpoint(args, store))
-    server = make_server(service, host=args.host, port=args.port)
-    port = server.server_address[1]
-    if args.port_file:
-        # Written after bind: a supervisor (or the CI smoke) polls this
-        # file to learn the ephemeral port.
-        Path(args.port_file).write_text(f"{port}\n", encoding="utf-8")
-    service.start()
-    print(f"repro service listening on http://{args.host}:{port} "
-          f"(capacity={args.capacity}, batch={args.batch_size}, "
-          f"cache={'on' if store is not None else 'off'}, "
-          f"surrogate={'on' if surrogate is not None else 'off'})",
-          flush=True)
-    # Backgrounded children of non-interactive shells inherit SIGINT as
-    # ignored, so rely on explicit handlers for graceful drain rather
-    # than Python's default KeyboardInterrupt wiring.
-    import signal
-
-    def _graceful(_sig: int, _frame: object) -> None:
-        raise KeyboardInterrupt
-
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
-            signal.signal(sig, _graceful)
-        except ValueError:  # pragma: no cover - non-main-thread embedding
-            pass
-    with tracer:
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            print("interrupt: draining queue...", flush=True)
-        finally:
-            server.server_close()
-            service.stop(drain=True)
-    print("service stopped", flush=True)
+    flags = {f.name for f in dataclasses.fields(ServiceConfig)} & set(
+        vars(args))
+    try:
+        config = ServiceConfig(**{
+            **{name: getattr(args, name) for name in flags},
+            "inject": tuple(args.inject or ()),
+            # Before any child is spawned: workers inherit the env.
+            "plane": _enable_plane(args)})
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+    if config.shards > 1:
+        serve_fleet(config)
+    else:
+        tracer = _resolve_tracer(args, run_id="serve")
+        with tracer:
+            serve(config, tracer=tracer)
     return 0
 
 
@@ -1149,7 +1014,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 0 = off)")
     _add_cache_flags(p)
     _add_trace_flags(p)
-    _add_plane_flags(p)
     p.set_defaults(func=_cmd_night)
 
     p = sub.add_parser(
@@ -1209,9 +1073,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="admissions per +1 priority boost of waiting work")
     p.add_argument("--batch-size", type=int, default=4,
                    help="scenarios per supervised fan-out batch")
-    p.add_argument("--elastic-max", type=int, default=None,
-                   help="let the claimed batch grow with the backlog up "
-                        "to this bound (default: fixed --batch-size)")
     p.add_argument("--shards", type=int, default=1,
                    help="run N sharded worker processes behind a router "
                         "(scenarios are sharded by cache-key hash; needs "

@@ -30,15 +30,9 @@ class EventLoop:
         self._queue: list[_Event] = []
         self._counter = itertools.count()
         self.now: float = 0.0
-        #: ``events.*`` volume accounting (the registry is the source of
-        #: truth; :attr:`events_processed` is the legacy view of it).
+        #: ``events.*`` volume accounting.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.metrics.counter("events.processed")
-
-    @property
-    def events_processed(self) -> int:
-        """Events fired so far (reads ``events.processed``)."""
-        return int(self.metrics.value("events.processed"))
 
     def schedule(self, delay: float, handler: Callable[[], None]) -> _Event:
         """Schedule ``handler`` to run ``delay`` time units from now.

@@ -116,11 +116,6 @@ class GlobusLink:
         self.metrics.observe("globus.transfer_s", rec.duration)
         return rec
 
-    def reset_accounting(self) -> None:
-        """Clear the ledger and its registry mirror (re-planned runs)."""
-        self.records.clear()
-        self.metrics.clear("globus.")
-
     # -- ledger ----------------------------------------------------------------
 
     def bytes_moved(self, src: str | None = None,

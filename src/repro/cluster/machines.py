@@ -38,15 +38,6 @@ class ClusterSpec:
         """Cores across the allocation."""
         return self.n_nodes * self.cores_per_node
 
-    @property
-    def total_ram_bytes(self) -> int:
-        """Memory across the allocation."""
-        return self.n_nodes * self.ram_per_node_bytes
-
-    def node_hours(self, hours: float) -> float:
-        """Node-hours available in a window of ``hours``."""
-        return self.n_nodes * hours
-
     def core_hours(self, hours: float) -> float:
         """Core-hours available in a window of ``hours``."""
         return self.total_cores * hours

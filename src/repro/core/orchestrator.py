@@ -154,10 +154,10 @@ def orchestrate_night(
         resume: replay ``ledger`` first and re-execute only the instances
             of this night (same design, algorithm and seed) that it does
             not already record as completed.
-        tracer: optional span tracer; the (second, accurately-timed)
-            workflow pass runs under a ``night:<id>`` root span with one
-            ``task:<name>`` span per workflow task and one modelled
-            ``instance:<job_id>`` span per scheduled simulation job.
+        tracer: optional span tracer; the workflow runs under a
+            ``night:<id>`` root span with one ``task:<name>`` span per
+            workflow task and one modelled ``instance:<job_id>`` span per
+            scheduled simulation job.
         registry: telemetry sink for the night's ``globus.*`` /
             ``slurm.*`` / ``night.*`` metrics; a fresh registry is created
             (and returned on the report) when omitted.
@@ -245,7 +245,11 @@ def orchestrate_night(
         n_shed = len(dres.shed)
         shed_task_ids = dres.shed_task_ids
 
-    state: dict = {}
+    # The schedule is a pure function of the packed instance: compute it
+    # once, up front, so the workflow graph runs once with the simulate
+    # task's true duration (and every fault site fires once per transfer).
+    schedule = execute_packing(packer(instance), cluster=cluster,
+                               metrics=reg)
 
     def gen_configs(ctx: dict):
         size = CONFIG_BYTES_PER_CELL * design.n_cells * design.n_regions
@@ -267,13 +271,10 @@ def orchestrate_night(
         return None
 
     def simulate(ctx: dict):
-        packed = packer(instance)
-        state["schedule"] = execute_packing(packed, cluster=cluster,
-                                            metrics=reg)
-        if tracer is not None and state.get("trace_instances"):
+        if tracer is not None:
             # Modelled per-job spans (simulated Slurm clock), nested under
-            # the live task:run-simulations span of the traced pass.
-            for rec in state["schedule"].records:
+            # the live task:run-simulations span.
+            for rec in schedule.records:
                 tracer.modelled_span(
                     f"instance:{rec.job.job_id}",
                     start=rec.start,
@@ -314,7 +315,7 @@ def orchestrate_night(
                      est_duration=db_startup),
         WorkflowTask("run-simulations", REMOTE, simulate,
                      deps=("start-population-databases",),
-                     est_duration=0.0),  # patched below from the schedule
+                     est_duration=schedule.makespan),
         WorkflowTask("aggregate-output", REMOTE, aggregate,
                      deps=("run-simulations",),
                      est_duration=AGGREGATION_SECONDS),
@@ -333,19 +334,6 @@ def orchestrate_night(
             if t.name == "start-population-databases":
                 t.deps = t.deps + ("stage-static-data",)
 
-    # Two-pass execution: first to obtain the schedule, then rebuild the
-    # simulate task with its true duration for an accurate timeline.  Only
-    # the second pass is traced and only its telemetry is kept — the
-    # closures run twice, so the first pass's accounting is discarded.
-    engine = WorkflowEngine(tasks)
-    run = engine.execute()
-    schedule = state["schedule"]
-    for t in tasks:
-        if t.name == "run-simulations":
-            t.est_duration = schedule.makespan
-    link.reset_accounting()
-    reg.clear("slurm.")
-    state["trace_instances"] = True
     if tracer is not None:
         with tracer.span(f"night:{night_id}", design=design.name,
                          algorithm=algorithm,
@@ -353,7 +341,6 @@ def orchestrate_night(
             run = WorkflowEngine(tasks).execute(tracer=tracer)
     else:
         run = WorkflowEngine(tasks).execute()
-    schedule = state["schedule"]
 
     # Night-level headline numbers for the trace report.
     reg.inc("night.instances", len(schedule.records))
@@ -367,8 +354,6 @@ def orchestrate_night(
     if tracer is not None:
         tracer.metrics(reg, scope="night")
 
-    # Journal the night only after both passes: the closures run twice,
-    # and the ledger must record each completed instance exactly once.
     if ledger is not None:
         ledger.run_started(night=night_id, design=design.name,
                            n_instances=len(instance.tasks) + n_resumed,

@@ -399,11 +399,6 @@ class BatchedSimulation:
         #: one batch without double counting).
         self._timer_flushed = {name: 0.0 for name in ENGINE_TIMERS}
 
-    @property
-    def n_lanes(self) -> int:
-        """Number of replicate lanes in the batch."""
-        return len(self.lanes)
-
     def _resolve_backends(self) -> list[TransmissionBackend]:
         """Per-lane kernel choice for this tick (``auto`` resolved).
 

@@ -182,10 +182,6 @@ class Simulation:
         """Census over states right now."""
         return np.bincount(self.health, minlength=self.model.n_states)
 
-    def ever_infected(self) -> np.ndarray:
-        """Boolean mask of persons no longer in their initial state."""
-        return self.health != self.initial_code
-
     # -- state changes -----------------------------------------------------------
 
     def enter_state(

@@ -74,11 +74,6 @@ class MetapopResult:
     new_infections: np.ndarray
     confirmed: np.ndarray
 
-    @property
-    def n_days(self) -> int:
-        """Simulated horizon."""
-        return int(self.new_infections.shape[0])
-
     def state_confirmed_cumulative(self) -> np.ndarray:
         """State-level cumulative confirmed cases, length ``n_days``."""
         return np.cumsum(self.confirmed.sum(axis=1))

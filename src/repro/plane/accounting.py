@@ -56,11 +56,6 @@ class MemorySplit:
     n_workers: int = 1
 
     @property
-    def per_worker_bytes(self) -> int:
-        """What each additional worker costs with the plane attached."""
-        return self.private_bytes
-
-    @property
     def copy_total(self) -> int:
         """Node-resident bytes when every worker holds a private copy."""
         return self.n_workers * (self.shared_bytes + self.private_bytes)

@@ -355,22 +355,6 @@ class PlaneRuntime:
                 except OSError:  # pragma: no cover - exit must not raise
                     pass
 
-    def detach(self, digest: str) -> None:
-        """Unmap one bundle (tests); refs removed, no reap."""
-        att = self._attached.pop(digest, None)
-        if att is None:
-            return
-        if att.pid == os.getpid() and att.ref_path is not None:
-            att.ref_path.unlink(missing_ok=True)
-        try:
-            att.shm.close()
-        except BufferError:
-            pass
-
-    def attached_keys(self) -> list[str]:
-        """Digests of every segment this process currently maps."""
-        return sorted(self._attached)
-
 
 #: Runtimes by plane root — tests repoint ``REPRO_PLANE_DIR`` freely, and
 #: each root keeps its own attachment table.

@@ -99,7 +99,7 @@ def plane_root() -> Path:
     Holds manifests, leases and refcount files — small metadata only; the
     asset bytes themselves live in ``/dev/shm`` segments.  Every process
     that should share one plane must see the same root (the sharded
-    service threads it through :class:`~repro.service.shard.ShardConfig`).
+    service threads it through :class:`~repro.service.shard.ServiceConfig`).
     """
     raw = os.environ.get("REPRO_PLANE_DIR")
     if raw:

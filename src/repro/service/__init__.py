@@ -16,11 +16,12 @@ reproduction's execution stack into a long-running service:
   every request to a terminal state even when workers die;
 - :mod:`~repro.service.server` / :mod:`~repro.service.client` — a
   stdlib-only JSON HTTP API (``repro serve`` / ``repro submit``);
-- :mod:`~repro.service.shard` / :mod:`~repro.service.router` — the
-  scale-out plane: N independent broker/worker processes sharded by
-  cache-key hash over one shared store, coalescing kept correct across
-  processes by a lease table, fronted by a stateless router
-  (``repro serve --shards N``).
+- :mod:`~repro.service.shard` / :mod:`~repro.service.router` — one
+  composition of a service process (:class:`ServiceConfig` →
+  :func:`build_service` → :func:`serve`) and the scale-out plane made of
+  it: N such processes sharded by cache-key hash over one shared store,
+  coalescing kept correct across processes by a lease table, fronted by
+  a stateless router (``repro serve --shards N``).
 """
 
 from .api import (
@@ -54,7 +55,7 @@ from .queue import (
     RequestRecord,
     ScenarioQueue,
 )
-from .router import Router, RouterServer, make_router_server
+from .router import Router, RouterServer, make_router_server, serve_fleet
 from .server import (
     DEFAULT_PORT,
     ScenarioServer,
@@ -62,7 +63,7 @@ from .server import (
     make_server,
     record_view,
 )
-from .shard import ShardConfig, ShardFleet, shard_of
+from .shard import ServiceConfig, ShardFleet, build_service, serve, shard_of
 
 __all__ = [
     "API_PREFIX",
@@ -90,15 +91,18 @@ __all__ = [
     "ScenarioServer",
     "ScenarioService",
     "ServiceClient",
+    "ServiceConfig",
     "ServiceError",
-    "ShardConfig",
     "ShardFleet",
     "TERMINAL_STATES",
+    "build_service",
     "error_envelope",
     "make_router_server",
     "make_server",
     "record_view",
     "resolve",
+    "serve",
+    "serve_fleet",
     "shard_of",
     "spec_from_request",
 ]

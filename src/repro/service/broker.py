@@ -44,8 +44,7 @@ class Broker:
             thread records one ``request:<id>`` span per served request
             (modelled on the admission-sequence clock) and a
             ``service:batch`` span per fan-out.
-        batch_size: max entries claimed per fan-out (the floor when
-            elastic sizing is on).
+        batch_size: max entries claimed per fan-out.
         max_workers / parallel: forwarded to the fan-out.
         retry: per-instance :class:`~repro.resilience.retry.RetryPolicy`.
         faults: optional :class:`~repro.resilience.faults.FaultPlan`
@@ -54,12 +53,6 @@ class Broker:
             fan-out cross-process execution exclusivity (shard workers
             against a shared store); see
             :func:`~repro.store.memo.supervise_instances_memoized`.
-        elastic_max: when set, claim size tracks the backlog — the
-            ``service.queue_depth`` gauge, clamped to
-            ``[batch_size, elastic_max]`` — so a deepening queue is
-            drained in larger fan-outs (fewer per-batch overheads per
-            request) while an idle service keeps small-batch latency.
-            None keeps the fixed ``batch_size``.
         idle_wait_s: how long the loop blocks waiting for work.
         checkpoint: optional :class:`~repro.checkpoint.CheckpointPlan`;
             when enabled, in-flight instances snapshot state through the
@@ -83,14 +76,11 @@ class Broker:
         retry=None,
         faults=None,
         leases=None,
-        elastic_max: int | None = None,
         idle_wait_s: float = 0.1,
         checkpoint=None,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if elastic_max is not None and elastic_max < batch_size:
-            raise ValueError("elastic_max must be >= batch_size")
         self.queue = queue
         self.store = store
         self.ledger = ledger
@@ -104,7 +94,6 @@ class Broker:
         self.retry = retry
         self.faults = faults
         self.leases = leases
-        self.elastic_max = elastic_max
         self.idle_wait_s = idle_wait_s
         self.checkpoint = checkpoint
         self._thread: threading.Thread | None = None
@@ -160,28 +149,13 @@ class Broker:
 
     # -- execution -------------------------------------------------------------
 
-    def claim_size(self) -> int:
-        """The next batch's claim bound (elastic: backlog-proportional).
-
-        Elastic sizing reads the ``service.queue_depth`` gauge the queue
-        publishes on every transition — the same number ``/metrics`` and
-        the trace reports show — so pool behavior is explainable from
-        telemetry alone.
-        """
-        if self.elastic_max is None:
-            return self.batch_size
-        depth = int(self.registry.value("service.queue_depth", 0))
-        size = max(self.batch_size, min(self.elastic_max, depth))
-        self.registry.gauge("service.batch_effective", size)
-        return size
-
     def run_once(self) -> int:
         """Claim and execute one batch; returns requests resolved.
 
         Public so tests (and serial embeddings) can drive the broker
         deterministically without the background thread.
         """
-        batch = self.queue.claim(self.claim_size())
+        batch = self.queue.claim(self.batch_size)
         if not batch:
             return 0
         return self._run_batch(batch)

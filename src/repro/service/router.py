@@ -52,7 +52,15 @@ from .api import (
 )
 from .queue import DONE
 from .server import LISTABLE_STATES
-from .shard import read_spool, rid_shard, shard_of, spool_path
+from .shard import (
+    ServiceConfig,
+    ShardFleet,
+    read_spool,
+    rid_shard,
+    serve_until_signalled,
+    shard_of,
+    spool_path,
+)
 
 
 class ShardUnavailable(Exception):
@@ -88,7 +96,7 @@ class Router:
     def for_fleet(cls, fleet, **kwargs) -> "Router":
         """A router over a :class:`~repro.service.shard.ShardFleet`."""
         return cls(fleet.addresses(), fleet.store_root,
-                   salt=fleet._kwargs.get("salt"), **kwargs)
+                   salt=fleet.config.salt, **kwargs)
 
     @property
     def num_shards(self) -> int:
@@ -193,39 +201,23 @@ class Router:
             return self.forward(shard, "GET",
                                 f"/v1/scenarios/{request_id}")
         except ShardUnavailable:
-            view = self.spool_view(shard, request_id)
+            view = read_spool(
+                spool_path(self.store_root, shard)).get(request_id)
             if view is None:
                 raise ApiError(
                     NOT_FOUND,
                     f"request {request_id!r} unknown (shard {shard} down, "
                     "not in its spool)")
             self.registry.inc("router.spool_hits")
-            return 200, view
-
-    def spool_view(self, shard: int,
-                   request_id: str) -> dict[str, Any] | None:
-        """Rebuild a terminal status view from spool + shared CAS."""
-        record = read_spool(
-            spool_path(self.store_root, shard)).get(request_id)
-        if record is None:
-            return None
-        view: dict[str, Any] = {
-            "id": record["id"],
-            "state": record["state"],
-            "key": record["key"],
-            "priority": record.get("priority", 0),
-            "coalesced": record.get("coalesced", False),
-        }
-        for extra in ("wait_s", "total_s", "error", "kind"):
-            if extra in record:
-                view[extra] = record[extra]
-        if record["state"] == DONE:
-            payload = self.store.get(record["key"])
+            # The spool holds the shard's own ``record_view``; all that is
+            # missing is the payload, which is the CAS blob under ``key``.
+            # Same serialization as the live path: float64 .tolist()
+            # round-trips exactly, so the answer stays bit-identical.
+            payload = (self.store.get(view["key"])
+                       if view["state"] == DONE else None)
             if payload is not None:
-                # Same serialization as the live path: float64 .tolist()
-                # round-trips exactly, so the answer stays bit-identical.
                 view["result"] = {k: v.tolist() for k, v in payload.items()}
-        return view
+            return 200, view
 
     def list_scenarios(self, *, state: str | None, limit: int,
                        cursor: str | None) -> dict[str, Any]:
@@ -344,3 +336,22 @@ def make_router_server(router: Router, host: str = "127.0.0.1",
                        port: int = 0) -> RouterServer:
     """Bind a :class:`RouterServer` (``port=0`` picks an ephemeral one)."""
     return RouterServer((host, port), router)
+
+
+def serve_fleet(config: ServiceConfig) -> None:
+    """``repro serve --shards N``: N shard processes (each the process
+    ``--shards 1`` would run, every option forwarded) behind one router,
+    on the same serve loop — draining the front door drains the fleet."""
+    with ShardFleet(config.open_store().root, config.shards,
+                    **vars(config)) as fleet:
+        server = make_router_server(Router.for_fleet(fleet),
+                                    host=config.host, port=config.port)
+        shards = ", ".join(f"s{h.index}@{h.address[1]}"
+                           for h in fleet.shards)
+        print(f"repro router listening on "
+              f"http://{config.host}:{server.server_address[1]} "
+              f"({config.shards} shards: {shards})", flush=True)
+        # Shards drain while the router still answers their polls.
+        serve_until_signalled(server, port_file=config.port_file,
+                              drain=fleet.stop)
+    print("fleet stopped", flush=True)

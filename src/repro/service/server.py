@@ -33,12 +33,9 @@ from ..core.parallel import InstanceSpec
 from ..obs.registry import MetricsRegistry
 from .api import (
     DRAINING,
-    MAX_DAYS,
-    MAX_SCALE,
     NOT_FOUND,
     QUEUE_FULL,
     ApiError,
-    BadRequest,
     JsonApiHandler,
     parse_list_query,
     spec_from_request,
@@ -55,15 +52,11 @@ from .queue import (
 
 __all__ = [
     "DEFAULT_PORT",
-    "MAX_DAYS",
-    "MAX_SCALE",
-    "BadRequest",
     "ScenarioHandler",
     "ScenarioServer",
     "ScenarioService",
     "make_server",
     "record_view",
-    "spec_from_request",
 ]
 
 #: Default TCP port of the service (``repro serve`` / ``repro submit``).
@@ -79,7 +72,8 @@ def record_view(rec: RequestRecord, *,
     """JSON-safe status view of one tracked request.
 
     ``include_result=False`` gives the summary shape the listing endpoint
-    returns (payload arrays omitted; everything else identical).
+    returns and a shard's terminal spool stores (payload arrays omitted;
+    everything else identical).
     """
     out: dict[str, Any] = {
         "id": rec.request_id,
@@ -114,10 +108,9 @@ class ScenarioService:
     every exact run becomes training data for the next retrain (the
     active-learning loop).
 
-    A shard worker configures three extras: ``rid_prefix`` (globally
-    unique ids a router can address), ``on_terminal`` (the durable spool
-    that survives the process), and ``leases`` (the cross-process
-    in-flight table that keeps coalescing correct fleet-wide).
+    Composed in one place, :func:`repro.service.shard.build_service`,
+    which also attaches a shard's three extras: ``rid_prefix``,
+    ``on_terminal`` (the spool) and ``leases``.
     """
 
     def __init__(
@@ -137,7 +130,6 @@ class ScenarioService:
         faults=None,
         surrogate=None,
         leases=None,
-        elastic_max: int | None = None,
         rid_prefix: str = "",
         on_terminal=None,
         checkpoint=None,
@@ -169,8 +161,7 @@ class ScenarioService:
             self.queue, store=store, ledger=ledger, salt=salt,
             registry=self.registry, tracer=tracer, batch_size=batch_size,
             max_workers=max_workers, parallel=parallel, retry=retry,
-            faults=faults, leases=leases, elastic_max=elastic_max,
-            checkpoint=checkpoint)
+            faults=faults, leases=leases, checkpoint=checkpoint)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -214,12 +205,6 @@ class ScenarioService:
     def status(self, request_id: str) -> dict[str, Any] | None:
         """JSON-safe view of one request, or None when unknown."""
         rec = self.queue.status(request_id)
-        return None if rec is None else record_view(rec)
-
-    def wait(self, request_id: str,
-             timeout_s: float | None = None) -> dict[str, Any] | None:
-        """Block until terminal (broker must be running), then view."""
-        rec = self.queue.wait(request_id, timeout_s)
         return None if rec is None else record_view(rec)
 
     def list(self, *, state: str | None = None, limit: int = 50,

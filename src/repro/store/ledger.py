@@ -86,10 +86,6 @@ class RunLedger:
         """A run finished; carries batch-level counters."""
         return self.append("run_completed", **fields)
 
-    def instance_started(self, key: str, **fields: Any) -> dict[str, Any]:
-        """One instance was handed to an executor."""
-        return self.append("instance_started", key=key, **fields)
-
     def instance_completed(self, key: str, **fields: Any) -> dict[str, Any]:
         """One instance finished and its result is durable."""
         return self.append("instance_completed", key=key, **fields)

@@ -40,6 +40,9 @@ from .ledger import RunLedger
 if TYPE_CHECKING:  # pragma: no cover - type-only import, see module doc
     from ..core.parallel import InstanceOutcome, InstanceSpec
 
+#: How long a miss waits on another process's lease before giving up.
+LEASE_WAIT_S = 300.0
+
 
 def outcome_payload(outcome: "InstanceOutcome") -> dict[str, np.ndarray]:
     """The storable arrays of one outcome (spec fields live in the key)."""
@@ -94,7 +97,6 @@ def _resolve_remote(
     registry: MetricsRegistry,
     retry,
     faults,
-    timeout_s: float,
     checkpoint=None,
     publish,
 ) -> tuple["InstanceOutcome | None", QuarantineRecord | None]:
@@ -110,7 +112,7 @@ def _resolve_remote(
 
     for _ in range(3):
         state = leases.wait(key, lambda: store.contains(key),
-                            timeout_s=timeout_s)
+                            timeout_s=LEASE_WAIT_S)
         if state != LEASE_TIMEOUT:
             payload = store.get(key)
             if payload is not None:
@@ -155,7 +157,6 @@ def supervise_instances_memoized(
     faults=None,
     on_failure: str = QUARANTINE,
     leases: LeaseTable | None = None,
-    lease_timeout_s: float = 300.0,
     checkpoint=None,
 ) -> FanoutResult:
     """Execute instances through the result store, under supervision.
@@ -196,8 +197,9 @@ def supervise_instances_memoized(
             lease another live process holds is not executed here — we
             wait for that process's blob instead (cross-process
             coalescing), falling back to local execution if the holder
-            vanishes without publishing.
-        lease_timeout_s: per-key bound on waiting for a remote executor.
+            vanishes without publishing, and giving up (one
+            ``kind="lease"`` quarantine record) after
+            :data:`LEASE_WAIT_S`.
         checkpoint: optional :class:`~repro.checkpoint.CheckpointPlan`
             forwarded to the fan-out; once a miss's terminal result blob
             is durable, its checkpoint chain is discarded (snapshots of
@@ -307,8 +309,7 @@ def supervise_instances_memoized(
         outcome, rec = _resolve_remote(
             specs[i], key, store=store, leases=leases, ledger=ledger,
             registry=reg, retry=retry, faults=faults,
-            timeout_s=lease_timeout_s, checkpoint=checkpoint,
-            publish=publish)
+            checkpoint=checkpoint, publish=publish)
         if outcome is not None:
             base_of[key] = outcome
         else:

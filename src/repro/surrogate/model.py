@@ -30,7 +30,7 @@ import numpy as np
 
 from ..calibration.basis import DEFAULT_P_ETA, OutputBasis, fit_basis
 from ..calibration.gp import GPEmulator, fit_gp
-from .corpus import Corpus, featurize_spec
+from .corpus import Corpus
 
 #: Key namespace for serialized models in the CAS.  Bump when the
 #: payload layout changes.
@@ -174,7 +174,8 @@ class SurrogateModel:
     # -- prediction ------------------------------------------------------------
 
     def predict_features(self, features: np.ndarray) -> SurrogatePrediction:
-        """Emulate one raw feature vector (see :func:`featurize_spec`)."""
+        """Emulate one raw feature vector (see
+        :func:`~repro.surrogate.corpus.featurize_spec`)."""
         f = np.asarray(features, dtype=np.float64).ravel()
         x = self.space.to_unit(f[None, :])
         w_mean = np.empty(len(self.gps))
@@ -197,10 +198,6 @@ class SurrogateModel:
             attack_sd=float(np.sqrt(ar_var[0])),
             in_hull=self.space.contains(f),
         )
-
-    def predict_spec(self, spec) -> SurrogatePrediction:
-        """Emulate one :class:`~repro.core.parallel.InstanceSpec`."""
-        return self.predict_features(featurize_spec(spec))
 
     # -- serialization ---------------------------------------------------------
 

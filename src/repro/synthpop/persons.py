@@ -95,10 +95,6 @@ class Population:
         """Person ids belonging to household ``hid``."""
         return self.pid[self.hid == hid]
 
-    def county_of(self, pids: np.ndarray) -> np.ndarray:
-        """County FIPS for each person id in ``pids``."""
-        return self.county[np.asarray(pids, dtype=np.int64)]
-
     def county_sizes(self) -> dict[int, int]:
         """Mapping county FIPS -> resident count."""
         codes, counts = np.unique(self.county, return_counts=True)

@@ -62,10 +62,6 @@ class WeeklyActivities:
         """The typical-day slice the simulations use."""
         return self.days[WEDNESDAY]
 
-    def total_rows(self) -> int:
-        """Activity rows across the week."""
-        return sum(d.size for d in self.days)
-
 
 def _weekend_table(
     pop: Population, rng: np.random.Generator, *, sunday: bool

@@ -135,6 +135,19 @@ def test_night_transfer_faults_are_retried_transparently(tmp_path):
     assert report.metrics.value("faults.transfer.fail") >= 1
 
 
+def test_night_runs_its_workflow_once_so_faults_fire_once_per_transfer():
+    # A night has two transfers (configurations out, summaries back);
+    # ``times=1`` fails the first attempt of each.  The schedule is
+    # computed before the graph runs, not by running the graph twice, so
+    # every injected failure is one the link actually retried.
+    plan = FaultPlan.parse(["transfer.fail:times=1"], seed=0)
+    report = orchestrate_night(mini_design(), faults=plan,
+                               retry=RetryPolicy(max_attempts=3))
+    assert len(report.link.records) == 2
+    assert report.metrics.value("faults.transfer.fail") == 2
+    assert report.metrics.value("globus.retries") == 2
+
+
 def test_night_torn_ledger_still_replays(tmp_path):
     plan = FaultPlan.parse(["ledger.torn:times=2,match=instance_completed"],
                            seed=0)

@@ -118,7 +118,7 @@ class TestLeaseCoalescingInProcess:
 @pytest.fixture()
 def fleet(tmp_path):
     fleet = ShardFleet(tmp_path / "store", 2, batch_size=2,
-                       parallel=False, salt=SALT)
+                       serial=True, salt=SALT)
     fleet.start()
     yield fleet
     fleet.stop()
@@ -224,3 +224,109 @@ class TestRollingDrain:
         path.write_text(good + "\n" + good[: len(good) // 2])
         records = read_spool(path)
         assert set(records) == {"s0-r000001"}
+
+
+def routed(fleet):
+    """A router server over ``fleet`` plus a client on it (caller closes)."""
+    server = make_router_server(Router.for_fleet(fleet))
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    client = ServiceClient(
+        f"http://127.0.0.1:{server.server_address[1]}", timeout_s=60.0)
+    return server, client
+
+
+class TestRouterAggregates:
+    def test_listing_merges_shards_and_metrics_sum(self, fleet):
+        server, client = routed(fleet)
+        try:
+            adms = [client.submit(scenario(tau))
+                    for tau in (0.21, 0.24, 0.27, 0.3, 0.33, 0.36)]
+            for adm in adms:
+                assert client.wait(adm["id"],
+                                   timeout_s=120.0)["state"] == "done"
+            ids = sorted(adm["id"] for adm in adms)
+            assert {rid_shard(rid) for rid in ids} == {0, 1}
+
+            # One page over both shards, in id order, summary views only.
+            page = client.list(limit=50)
+            assert [v["id"] for v in page["scenarios"]] == ids
+            assert page["next_cursor"] is None and page["count"] == len(ids)
+            assert all("result" not in v for v in page["scenarios"])
+
+            # Keyset pagination across the shard boundary: the merged
+            # cursor is the last id returned; following it visits every
+            # request exactly once.
+            seen, cursor = [], None
+            while True:
+                page = client.list(limit=4, cursor=cursor, state="done")
+                seen += [v["id"] for v in page["scenarios"]]
+                cursor = page["next_cursor"]
+                if cursor is None:
+                    break
+                assert cursor == seen[-1]
+            assert seen == ids
+
+            # Fleet metrics are the numeric sum of the shards' snapshots
+            # plus the router's own counters.
+            shards = [shard_client(fleet, k).metrics() for k in (0, 1)]
+            total = client.metrics()
+            for name in ("service.completed", "memo.misses"):
+                assert total[name] == sum(m.get(name, 0) for m in shards)
+            assert total["service.completed"] == len(ids)
+            assert all(m.get("service.completed", 0) > 0 for m in shards)
+        finally:
+            server.shutdown()
+            server.server_close()
+
+
+class TestOptionsReachTheShards:
+    def test_retry_policy_and_fault_plan_reach_every_shard(self, tmp_path):
+        """``max_attempts`` / ``inject`` / ``ledger`` are honoured by a
+        shard exactly as by a single process: the first attempt of each
+        instance raises, the retry completes it, the ledger records it."""
+        ledger = tmp_path / "ledger.jsonl"
+        with ShardFleet(tmp_path / "store", 2, serial=True, salt=SALT,
+                        max_attempts=3, ledger=str(ledger),
+                        inject=("worker.exception:times=1",)) as fleet:
+            server, client = routed(fleet)
+            try:
+                adm = client.submit(scenario(0.29))
+                view = client.wait(adm["id"], timeout_s=120.0)
+                assert view["state"] == "done", view
+                metrics = client.metrics()
+                assert metrics["faults.worker.exception"] == 1
+                assert metrics["retry.retries"] == 1
+            finally:
+                server.shutdown()
+                server.server_close()
+        events = [json.loads(line)["event"]
+                  for line in ledger.read_text().splitlines()]
+        assert events.count("instance_completed") == 1
+
+    def test_the_spool_line_is_the_listing_view(self, tmp_path):
+        """One rendering of a request: what a shard spools is what it
+        lists (``record_view`` without the payload)."""
+        from repro.service import ServiceConfig, build_service
+
+        service = build_service(ServiceConfig(
+            shard=0, store_dir=str(tmp_path / "store"), serial=True,
+            salt=SALT))
+        adm = service.submit(spec_of(0.23))
+        assert adm.request_id.startswith("s0-")
+        service.broker.run_once()
+        [listed] = service.list()["scenarios"]
+        assert listed["state"] == "done"
+        spooled = read_spool(spool_path(tmp_path / "store", 0))
+        assert spooled == {adm.request_id: listed}
+
+    def test_unservable_combinations_are_refused_by_the_config(self, tmp_path):
+        from repro.service import ServiceConfig
+
+        with pytest.raises(ValueError, match="--surrogate"):
+            ServiceConfig(shards=2, surrogate=True)
+        with pytest.raises(ValueError, match="--surrogate"):
+            ShardFleet(tmp_path / "store", 2, surrogate=True)
+        with pytest.raises(ValueError, match="drop --no-cache"):
+            ServiceConfig(shards=2, no_cache=True)
+        with pytest.raises(ValueError, match="bad --inject spec"):
+            ServiceConfig(inject=("no.such.site",))

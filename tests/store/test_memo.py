@@ -166,3 +166,57 @@ def test_raise_keeps_what_completed_before_the_failure(store, tmp_path):
         assert got.confirmed.tobytes() == want.confirmed.tobytes()
         assert got.attack_rate == want.attack_rate
         assert got.transitions == want.transitions
+
+
+# -- a miss whose lease another process holds (memo._resolve_remote) ----------
+
+
+def test_vacated_lease_is_taken_over_and_executed_locally(store):
+    """The holder releases without publishing (it crashed or quarantined
+    the spec): the waiter contends, wins, executes here and publishes."""
+    import threading
+
+    from repro.obs.registry import MetricsRegistry
+    from repro.store.cas import LeaseTable
+    from repro.store.memo import supervise_instances_memoized
+
+    [spec] = make_specs(1, n_days=5)
+    key = instance_key(spec)
+    holder = LeaseTable(store.root / "leases", owner="holder")
+    waiter = LeaseTable(store.root / "leases", owner="waiter")
+    assert holder.acquire(key)
+    vacate = threading.Timer(0.2, holder.release, args=(key,))
+    vacate.start()
+    reg = MetricsRegistry()
+    try:
+        res = supervise_instances_memoized(
+            [spec], store=store, leases=waiter, registry=reg, parallel=False)
+    finally:
+        vacate.join()
+    [plain] = run_instances([spec], parallel=False)
+    np.testing.assert_array_equal(res.results[0].confirmed, plain.confirmed)
+    assert not res.quarantined
+    assert waiter.metrics.value("lease.waits") == 1
+    assert reg.value("memo.remote_hits") == 0  # executed, not served
+    assert store.contains(key)  # ... and published for the next caller
+    assert not waiter.held(key)
+
+
+def test_lease_held_past_the_wait_bound_quarantines_once(store, monkeypatch):
+    from repro.store import memo
+    from repro.store.cas import LeaseTable
+
+    monkeypatch.setattr(memo, "LEASE_WAIT_S", 0.1)
+    specs = make_specs(2, n_days=5)
+    stuck = instance_key(specs[0])
+    holder = LeaseTable(store.root / "leases", owner="holder")
+    assert holder.acquire(stuck)
+    res = memo.supervise_instances_memoized(
+        specs, store=store, parallel=False,
+        leases=LeaseTable(store.root / "leases", owner="waiter"))
+    # The stuck key gives up with one triage record; its sibling ran.
+    assert res.results[0] is None and res.results[1] is not None
+    [rec] = res.quarantined
+    assert rec.kind == "lease" and rec.item is specs[0]
+    assert holder.held(stuck)  # never broken: the holder is alive
+    assert not store.contains(stuck)

@@ -98,3 +98,33 @@ def test_admit_resolved_counts_and_finishes_immediately():
     assert rec.result == {"answer": 42}
     assert not q.in_flight(adm.key)
     assert q.metrics.value("service.completed") == 1
+
+
+def test_healthz_reports_the_attached_gate_and_its_model(trained):
+    """``GET /v1/healthz`` on a service composed with ``--surrogate``."""
+    import threading
+
+    from repro.service import (
+        ServiceClient,
+        ServiceConfig,
+        build_service,
+        make_server,
+    )
+
+    store, _corpus, _model, registry = trained
+    service = build_service(ServiceConfig(
+        store_dir=str(store.root), surrogate=True, surrogate_rtol=0.5,
+        serial=True))
+    server = make_server(service)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        health = ServiceClient(
+            f"http://127.0.0.1:{server.server_address[1]}").health()
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert health["status"] == "ok"
+    assert health["surrogate"]["enabled"] is True
+    assert health["surrogate"]["rtol"] == 0.5
+    assert health["surrogate"]["model"] == registry.latest_info()
+    assert health["surrogate"]["model"] is not None

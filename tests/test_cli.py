@@ -75,6 +75,33 @@ def test_simulate_store_hit(tmp_path, capsys):
     assert warm.replace(" [store hit]", "") == cold
 
 
+def test_simulate_is_replicate_zero_of_simulate_replicates(tmp_path, capsys):
+    """One meaning of "confirmed" (ascertained symptomatic cases) on both
+    paths of one command: the single run's series is bit-for-bit the
+    seed-0 lane of the batched ensemble."""
+    import numpy as np
+
+    from repro.cli import SIMULATE_NAMESPACE
+    from repro.core.parallel import InstanceSpec
+    from repro.store import ContentStore, instance_key
+
+    root = tmp_path / "store"
+    flags = ["simulate", "VT", "--days", "30", "--tau", "0.3",
+             "--store-dir", str(root), "--no-trace"]
+    assert main(flags) == 0
+    single = capsys.readouterr().out
+    assert main(flags + ["--replicates", "2"]) == 0
+    spec = InstanceSpec(
+        region_code="VT", n_days=30, scale=1e-3, seed=0, asset_seed=0,
+        params={"TAU": 0.3, "SYMP": 0.65, "backend": "auto"})
+    store = ContentStore(root)
+    summary = store.get(instance_key(spec, namespace=SIMULATE_NAMESPACE))
+    lane0 = store.get(instance_key(spec))
+    assert lane0["confirmed"][-1] > 0
+    np.testing.assert_array_equal(summary["confirmed"], lane0["confirmed"])
+    assert f"confirmed {int(lane0['confirmed'][-1]):,}," in single
+
+
 def test_simulate_no_cache_never_hits(tmp_path, capsys):
     flags = ["simulate", "VT", "--days", "20", "--no-cache",
              "--store-dir", str(tmp_path / "store")]
@@ -189,3 +216,24 @@ def test_chaos_recovered_run_exits_clean(capsys):
                  "--serial", "--max-attempts", "3",
                  "--inject", "worker.exception:times=1"]) == 0
     assert "equivalence: OK" in capsys.readouterr().out
+
+
+def test_serve_flags_default_to_the_service_config():
+    """Every ``serve`` option is a ``ServiceConfig`` field, and the
+    parser's defaults are the config's — one list, one set of defaults."""
+    import dataclasses
+
+    from repro.service import ServiceConfig
+
+    args = vars(build_parser().parse_args(["serve"]))
+    args["inject"] = tuple(args["inject"] or ())
+    args["plane"] = bool(args["plane"])
+    config = ServiceConfig()
+    fields = {f.name for f in dataclasses.fields(config)}
+    # salt / shard are the two non-flag fields; trace and --resume are the
+    # CLI's own (the tracer is passed beside the config, not inside it).
+    assert fields - set(args) == {"salt", "shard"}
+    assert set(args) - fields == {"command", "func", "trace", "no_trace",
+                                  "resume"}
+    assert {name: args[name] for name in fields & set(args)} == {
+        name: getattr(config, name) for name in fields & set(args)}

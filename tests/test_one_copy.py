@@ -12,7 +12,11 @@ primitives to that module, plus the two deliberate exceptions:
 The same guard pins worker-pool construction: every fan-out borrows the
 process's one long-lived pool, so ``ProcessPoolExecutor(...)`` is built in
 exactly one function (a second site would be a second pool, forked
-outside the reuse rule and joined by nobody at exit).
+outside the reuse rule and joined by nobody at exit) — and the composition
+of a scenario-service process: ``ScenarioService(...)`` is constructed only
+by ``build_service``, so ``repro serve`` and every shard of
+``serve --shards N`` honour the same options (a second site is a second
+subset of them).
 """
 
 import ast
@@ -34,15 +38,19 @@ ALLOWED = {
     ("kill", "store/files.py", "pid_alive"),
     ("loads(line", "store/files.py", "read_jsonl"),
     ("ProcessPoolExecutor(", "core/parallel.py", "borrow"),
+    ("ScenarioService(", "service/shard.py", "build_service"),
 }
+
+#: Classes whose construction is pinned to one function.
+ONE_CONSTRUCTION_SITE = ("ProcessPoolExecutor", "ScenarioService")
 
 
 def _idiom(call: ast.Call) -> str | None:
     """Which guarded primitive ``call`` is, if any."""
     func = call.func
-    if "ProcessPoolExecutor" in (getattr(func, "id", None),
-                                 getattr(func, "attr", None)):
-        return "ProcessPoolExecutor("
+    for name in ONE_CONSTRUCTION_SITE:
+        if name in (getattr(func, "id", None), getattr(func, "attr", None)):
+            return f"{name}("
     if not isinstance(func, ast.Attribute):
         return None
     module = func.value.id if isinstance(func.value, ast.Name) else None
@@ -102,10 +110,13 @@ def test_guard_actually_detects(tmp_path):
         "def fan(n):\n"
         "    return ProcessPoolExecutor(max_workers=n)\n"
         "def fan_too(n):\n"
-        "    return concurrent.futures.ProcessPoolExecutor(n)\n")
+        "    return concurrent.futures.ProcessPoolExecutor(n)\n"
+        "def compose(store):\n"
+        "    return ScenarioService(store=store)\n")
     assert _sites(tmp_path) == {
         ("ProcessPoolExecutor(", "mod.py", "fan"),
         ("ProcessPoolExecutor(", "mod.py", "fan_too"),
+        ("ScenarioService(", "mod.py", "compose"),
         ("mkstemp", "mod.py", "publish"), ("replace", "mod.py", "publish"),
         ("replace", "mod.py", "swap"),
         ("kill", "mod.py", "probe"), ("loads(line", "mod.py", "replay")}
