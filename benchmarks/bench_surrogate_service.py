@@ -16,11 +16,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.parallel import InstanceSpec
+from repro.core.parallel import InstanceSpec, run_instances
 from repro.service import ScenarioService
 from repro.store.cas import ContentStore
 from repro.store.ledger import RunLedger
-from repro.store.memo import run_instances_memoized
 from repro.surrogate import (
     ModelRegistry,
     SurrogateGate,
@@ -78,7 +77,7 @@ def build_trained_store(tmp_path):
                      label=f"train-{t:.3f}", asset_seed=0)
         for t in taus
     ]
-    run_instances_memoized(specs, store=store, ledger=ledger, parallel=False)
+    run_instances(specs, store=store, ledger=ledger, parallel=False)
     corpus = build_corpus(store)
     registry = ModelRegistry(store)
     registry.publish(train_model(corpus, seed=0))

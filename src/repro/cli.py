@@ -255,9 +255,8 @@ def _cmd_simulate_replicates(args: argparse.Namespace) -> int:
     """
     import numpy as np
 
-    from .core.parallel import InstanceSpec
+    from .core.parallel import InstanceSpec, run_instances
     from .obs import MetricsRegistry
-    from .store.memo import run_instances_memoized
 
     store = _resolve_store(args)
     ledger = _resolve_ledger(args)
@@ -270,7 +269,7 @@ def _cmd_simulate_replicates(args: argparse.Namespace) -> int:
         for r in range(args.replicates)
     ]
     reg = MetricsRegistry()
-    outcomes = run_instances_memoized(
+    outcomes = run_instances(
         specs, store=store, ledger=ledger, parallel=False, registry=reg,
         checkpoint=_resolve_checkpoint(args, store))
     rates = np.array([o.attack_rate for o in outcomes])
@@ -636,8 +635,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
             for family, count in families.items():
                 print(f"  {family:<24} {count} blobs")
     elif args.action == "gc":
-        evicted = store.gc(args.max_bytes)
-        print(f"evicted {len(evicted)} blobs, "
+        removed = store.gc(args.max_bytes)
+        print(f"evicted {len(removed)} blobs, "
               f"{len(store)} remain ({store.total_bytes():,} bytes)")
     elif args.action == "clear":
         removed = store.clear()

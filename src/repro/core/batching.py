@@ -10,11 +10,12 @@ outputs.
 
 This module owns the partitioning policy and nothing else: given a spec
 list, return index groups whose members may share one batched kernel.
-The execution planes (:func:`~repro.core.parallel.supervise_instances`
-and everything stacked on it — memoized runs, calibration workflows, the
-scenario service broker) route whole groups to the batched executor and
-keep per-instance retry/quarantine semantics by *evicting* faulting specs
-from their group rather than failing the group.
+The one fan-out (:func:`~repro.core.parallel.supervise_instances`, with
+or without a store — calibration workflows and the scenario service
+broker run through it) sends each group to the batched executor as one
+unit of work, failure and retry: a fault in any lane fails the group's
+attempt, and a group out of attempts is quarantined with one record per
+spec.
 
 Batching is on by default.  Set ``REPRO_BATCH_REPLICATES`` to ``0`` /
 ``false`` / ``off`` / ``no`` to disable grouping entirely (every spec runs

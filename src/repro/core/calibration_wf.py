@@ -26,10 +26,9 @@ from ..calibration.lhs import ParameterSpace, sample_design
 from ..params import DEFAULT_SCALE, DEFAULT_SEED
 from ..store.cas import ContentStore
 from ..store.ledger import RunLedger
-from ..store.memo import run_instances_memoized
 from ..surveillance.truth import GroundTruth
 from .designs import case_study_space
-from .parallel import InstanceSpec
+from .parallel import InstanceSpec, run_instances
 from .runner import RegionAssets, load_region_assets, observed_series
 
 __all__ = [
@@ -170,7 +169,7 @@ def run_calibration_workflow(
     specs = _design_specs(
         region_code, space, prior, n_days=n_days, scale=scale, seed=seed,
         seed_offset=1000, label_prefix=f"{region_code}-cal")
-    outcomes = run_instances_memoized(
+    outcomes = run_instances(
         specs, store=store, ledger=ledger,
         parallel=parallel, max_workers=max_workers)
     series = np.vstack([o.confirmed for o in outcomes])
@@ -241,7 +240,7 @@ def run_iterative_calibration(
             seed=seed, seed_offset=3000 + run_counter,
             label_prefix=f"{region_code}-iter-r{round_idx}")
         run_counter += len(specs)
-        outcomes = run_instances_memoized(
+        outcomes = run_instances(
             specs, store=store, ledger=ledger,
             parallel=parallel, max_workers=max_workers)
         series_rows.extend(o.confirmed for o in outcomes)

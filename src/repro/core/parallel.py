@@ -8,17 +8,26 @@ own region inputs, and only the small aggregated series cross process
 boundaries — the classic scatter/gather layout of the mpi4py guide, with
 ``ProcessPoolExecutor`` standing in for MPI ranks.
 
-Fan-out is *supervised*, not mapped: specs are partitioned into batchable
-replicate groups (a spec with no partner is a group of one) and each
-group is submitted as its own future under
-:func:`repro.resilience.supervisor.supervise_map`, so one worker
-exception no longer aborts the batch, a dead worker rebuilds the pool and
-salvages everything already completed, and specs that keep failing are
-quarantined instead of killing the night (see
-:func:`supervise_instances`).  There is one worker entry
+There is one fan-out, :func:`supervise_instances`, and
+:func:`run_instances` is its all-or-nothing face.  Given a result store
+it is *memoized*: specs the store holds are served from their blobs,
+only the misses run, and each executed result is published the moment
+its group returns.
+
+Fan-out is *supervised*, not mapped: the specs to run are partitioned
+into batchable replicate groups (a spec with no partner is a group of
+one) and each group is submitted as its own future under
+:func:`repro.resilience.supervisor.supervise_map`.  The group is the one
+unit of work, failure and retry: any fault in any of its specs — an
+injected one before the lanes are built, a crash mid-run, a dead worker —
+fails the group's attempt, the group retries as a whole, and a group out
+of attempts is quarantined with one record per spec.  One worker
+exception never aborts the batch, a dead worker rebuilds the pool and
+salvages every group already completed, and specs that keep failing are
+quarantined instead of killing the night.  There is one worker entry
 (:func:`_execute_group`) over one executor
 (:func:`repro.core.runner.execute_specs`).  Because every retry re-runs
-the same spec with the same seed, a recovered batch is bit-identical to
+the same specs with the same seeds, a recovered batch is bit-identical to
 an undisturbed one.
 
 Fan-out is also *warm*, and only simulation blocks it.  The supervisor
@@ -44,27 +53,24 @@ import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
 
+from ..obs.registry import Stopwatch, global_registry
 from ..params import DEFAULT_SCALE, DEFAULT_SEED
 from ..plane.manifest import AssetKey
 from ..resilience.faults import CRASH_EXIT_CODE, FaultPlan, InjectedFault
-from ..resilience.retry import (
-    NO_RETRY_POLICY,
-    PERMANENT,
-    QuarantineRecord,
-    RetryPolicy,
-    classify,
-)
+from ..resilience.retry import QuarantineRecord, RetryPolicy
 from ..resilience.supervisor import (
     QUARANTINE,
     RAISE,
     FanoutResult,
     supervise_map,
 )
+from ..store.keys import instance_key
+from ..store.memo import _publish, _resolve_remote, outcome_from_payload
 from .batching import batch_groups, batching_enabled
 
 @dataclass(frozen=True, slots=True)
@@ -149,55 +155,39 @@ def _execute_group(specs: list[InstanceSpec], attempt: int = 0,
     registry and ships its kind-preserving dump home for the parent to
     merge.
 
-    Faults are injected per spec *before* anything touches an RNG
-    stream, so a retried attempt reproduces the clean run bit for bit.
-    A single is a group of one: its fault raises straight to the
-    supervisor, which retries or quarantines it under its own spec key.
-    In a group of K >= 2 a spec whose injection raises is **evicted** —
-    it becomes an ``("err", exc)`` entry while the surviving lanes run
-    batched, so one poisoned replicate never costs the group its
-    results; the parent re-triages evictions per spec.
+    Faults are injected for every spec *before* any lane is built or any
+    RNG stream touched, so a retried attempt reproduces the clean run bit
+    for bit.  The first injected fault that raises fails the group's
+    attempt, exactly as a worker death or a mid-run crash does: the group
+    is the failure domain, whichever fault site fired and whether it ran
+    in a pool or in-process.
 
     A :class:`~repro.epihiper.batch.BatchIncompatible` group (lane models
     that cannot share a tick loop) falls back to one group per spec
     inside this worker — same results, no batch speedup.
 
     Returns:
-        ``(entries, group_dump)`` — per-spec entries in input order, each
-        ``("ok", (outcome, lane_dump))`` or ``("err", exception)``, plus
-        the group-level telemetry dump (``runner.*_s``, batch phase
-        timers, ``checkpoint.*``).
+        ``(entries, group_dump)`` — ``(spec, (outcome, lane_dump))`` per
+        spec in input order, plus the group-level telemetry dump
+        (``runner.*_s``, batch phase timers, ``checkpoint.*``).
     """
     from ..epihiper.batch import BatchIncompatible
     from ..obs.registry import MetricsRegistry
     from .runner import execute_specs
 
     reg = MetricsRegistry()
-    entries: list = [None] * len(specs)
-    live: list[int] = []
-    for j, spec in enumerate(specs):
-        try:
-            inject_worker_faults(spec, attempt, faults,
-                                 allow_exit=allow_exit, metrics=reg)
-        except Exception as exc:  # noqa: BLE001 — parent re-triages
-            if len(specs) == 1:
-                raise
-            entries[j] = ("err", exc)
-            continue
-        live.append(j)
-    if live:
-        live_specs = [specs[j] for j in live]
-        run = functools.partial(
-            execute_specs, plan=checkpoint, attempt=attempt, faults=faults,
-            allow_exit=allow_exit, metrics=reg)
-        try:
-            pairs = run(live_specs)
-        except BatchIncompatible:
-            reg.inc("batch.incompatible")
-            pairs = [pair for spec in live_specs for pair in run([spec])]
-        for j, pair in zip(live, pairs):
-            entries[j] = ("ok", pair)
-    return entries, reg.dump()
+    for spec in specs:
+        inject_worker_faults(spec, attempt, faults, allow_exit=allow_exit,
+                             metrics=reg)
+    run = functools.partial(
+        execute_specs, plan=checkpoint, attempt=attempt, faults=faults,
+        allow_exit=allow_exit, metrics=reg)
+    try:
+        pairs = run(specs)
+    except BatchIncompatible:
+        reg.inc("batch.incompatible")
+        pairs = [pair for spec in specs for pair in run([spec])]
+    return list(zip(specs, pairs)), reg.dump()
 
 
 def _scaled_timeout_of(checkpoint, retry: RetryPolicy):
@@ -214,11 +204,10 @@ def _scaled_timeout_of(checkpoint, retry: RetryPolicy):
     base = retry.timeout_s
     if base is None or not checkpoint.enabled:
         return None
-    from ..store.keys import instance_key
-
     manager = checkpoint.manager()
 
     def timeout_of(item, attempt: int) -> float:
+        # The fan-out passes groups; a bare spec is a group of one.
         specs = item if isinstance(item, list) else [item]
         n_days = max(s.n_days for s in specs)
         start = min(
@@ -411,29 +400,161 @@ def close_pool() -> None:
     _POOL.close()
 
 
+def _fan_out(
+    specs: list[InstanceSpec],
+    *,
+    parallel: bool,
+    max_workers: int | None,
+    sink,
+    retry: RetryPolicy | None,
+    faults: FaultPlan | None,
+    ledger,
+    on_failure: str,
+    checkpoint,
+    land=None,
+) -> FanoutResult:
+    """One supervised pass over ``specs``, one batch group per item.
+
+    Each group crosses to a worker as one indivisible item — the unit of
+    work, failure and retry — so a replicate batch is never split across
+    workers, whatever order the mapper submits them in.  A group's
+    outcomes reach ``results`` (and ``land(position, outcome)``) the
+    moment it is harvested, while the others still run; a group given up
+    on yields one quarantine record per spec, in input order.
+    """
+    if not specs:
+        return FanoutResult(results=[])
+    groups = (batch_groups(specs) if batching_enabled()
+              else [[i] for i in range(len(specs))])
+    n_multi = sum(len(g) > 1 for g in groups)
+    if n_multi:
+        sink.inc("batch.groups", n_multi)
+    items = [[specs[i] for i in g] for g in groups]
+    keys = [_spec_key(it[0]) if len(it) == 1
+            else f"batch/{_spec_key(it[0])}+{len(it) - 1}" for it in items]
+    results: list = [None] * len(specs)
+    simulate_s: dict[int, float] = {}
+
+    def harvest(i: int, res: tuple[list, dict]) -> None:
+        entries, dump = res
+        sink.merge(dump)
+        simulate_s[i] = dump.get("runner.simulate_s", {}).get("value", 0)
+        for pos, (_spec, (outcome, lane_dump)) in zip(groups[i], entries):
+            results[pos] = outcome
+            sink.merge(lane_dump)
+            if land is not None:
+                land(pos, outcome)
+
+    fn = functools.partial(_execute_group, checkpoint=checkpoint)
+    common = dict(keys=keys, retry=retry, faults=faults,
+                  on_failure=on_failure, registry=sink, ledger=ledger,
+                  on_result=harvest)
+    cap = max_workers or os.cpu_count() or 1
+    if not parallel or min(cap, len(specs)) <= 1:
+        res = supervise_map(fn, items, **common)
+    else:
+        # Pool whenever the caller asked for parallelism and there is
+        # more than one instance — even a single group: process
+        # isolation is what turns a hard worker death into a
+        # rebuild-and-salvage instead of taking down the supervisor.
+        akeys = [AssetKey.of_spec(it[0]) for it in items]
+        loaded = _preload_assets(dict.fromkeys(akeys), sink)
+        # Predicted cost: lanes x days x edges (Fig. 7: runtime grows
+        # with network size); 0 when the bundle did not load.
+        cost = [len(it) * it[0].n_days
+                * (loaded[k].net.n_edges if k in loaded else 0)
+                for it, k in zip(items, akeys)]
+        res = supervise_map(
+            fn, items,
+            pool_fn=functools.partial(fn, allow_exit=True),
+            timeout_of=(_scaled_timeout_of(checkpoint, retry)
+                        if checkpoint is not None and checkpoint.enabled
+                        and retry is not None else None),
+            make_pool=functools.partial(
+                _POOL.borrow, cap, frozenset(loaded), sink),
+            submit_order=_mapper_order(items, cost, cap), **common)
+        sink.gauge("parallel.workers", min(cap, len(items)))
+        # Shares are over the groups that returned a measurement.
+        predicted = sum(cost[i] for i in simulate_s)
+        measured = sum(simulate_s.values())
+        if predicted and measured:
+            sink.gauge("parallel.predict_err", max(
+                abs(cost[i] / predicted - t / measured)
+                for i, t in simulate_s.items()))
+    # A group given up on (out of attempts, repeated pool loss — under
+    # RAISE the exception already propagated) is one record per spec, so
+    # the report stays per instance.
+    quarantined: list[tuple[int, QuarantineRecord]] = []
+    qiter = iter(res.quarantined)
+    for g, group_res in zip(groups, res.results):
+        if group_res is None:
+            rec = next(qiter)
+            quarantined.extend(
+                (pos, replace(rec, key=_spec_key(specs[pos]),
+                              item=specs[pos])) for pos in g)
+    quarantined.sort(key=lambda pair: pair[0])
+    return FanoutResult(
+        results=results, quarantined=[rec for _pos, rec in quarantined],
+        attempts=res.attempts, retries=res.retries,
+        pool_rebuilds=res.pool_rebuilds)
+
+
 def supervise_instances(
     specs: list[InstanceSpec],
     *,
+    store=None,
+    leases=None,
+    salt: str | None = None,
+    ledger=None,
     max_workers: int | None = None,
     parallel: bool = True,
     registry=None,
     retry: RetryPolicy | None = None,
     faults: FaultPlan | None = None,
-    ledger=None,
     on_failure: str = QUARANTINE,
     checkpoint=None,
-    _on_outcome=None,
 ) -> FanoutResult:
-    """Execute instances under supervision; never die mid-batch.
+    """Execute instances under supervision, through the store when given.
 
-    The resilient core of the fan-out: per-instance futures, retries with
-    deterministic backoff, broken-pool rebuild with salvage of completed
-    results, and quarantine of specs that exhaust their attempts — the
-    batch always returns, with ``result.results[i] is None`` marking
-    quarantined positions and ``result.quarantined`` carrying the report.
+    The one fan-out.  In order:
+
+    1. **Partition.**  One store lookup per unique
+       :func:`~repro.store.keys.instance_key` serves the hits; duplicate
+       specs run once and fan back out to every position.  With no store
+       every spec is a miss.
+    2. **Leases.**  A miss whose lease another live process holds is
+       *remote* — that process is computing it right now; a lease taken
+       here re-checks the store before anything runs.
+    3. **Fan out the misses** group by group (:func:`_fan_out`): retries
+       with deterministic backoff, broken-pool rebuild with salvage, and
+       quarantine of groups out of attempts.
+    4. **Publish on harvest.**  Each executed result is written to the
+       store and journaled the moment its group returns, so it is
+       visible to lease waiters while its siblings still run and kept
+       even if a later group aborts the batch.
+    5. **Resolve remote keys**: serve the holder's blob, or take over a
+       lease vacated without one (:func:`~repro.store.memo._resolve_remote`).
+    6. Under ``on_failure="raise"``, a remote failure raises too.
+
+    The batch otherwise always returns, with ``results[i] is None``
+    marking a quarantined position and ``quarantined`` carrying one
+    record per such position.  Served and executed results are
+    bit-identical.
 
     Args:
         specs: the instances (order of results matches the input).
+        store: optional :class:`~repro.store.cas.ContentStore`; the
+            batch's ``memo.*`` accounting is published only with one.
+        leases: optional :class:`~repro.store.cas.LeaseTable` making the
+            execution of misses exclusive across processes (ignored
+            without a store): a remote miss waits up to
+            :data:`~repro.store.memo.LEASE_WAIT_S` for its holder, then
+            gives up with one ``kind="lease"`` quarantine record.
+        salt: cache-key salt override (defaults to the code-version salt).
+        ledger: optional run journal: ``run_started`` / ``run_completed``
+            with the batch counters, a ``cache_hit`` per served instance,
+            an ``instance_completed`` per executed one and an
+            ``instance_failed`` per give-up.
         max_workers: pool size; defaults to ``os.cpu_count()``.  The
             process's pool is re-forked when the size changes, so callers
             that alternate sizes pay a pool start each time.
@@ -450,8 +571,6 @@ def supervise_instances(
         retry: the retry policy (None = single attempt, no backoff; pool
             rebuilds stay active).
         faults: optional fault-injection plan, threaded to every worker.
-        ledger: optional run journal; quarantines are recorded as
-            ``instance_failed`` events with ``quarantined=True``.
         on_failure: ``"quarantine"`` (default) or ``"raise"``.
         checkpoint: optional
             :class:`~repro.checkpoint.CheckpointPlan`.  When enabled,
@@ -459,197 +578,158 @@ def supervise_instances(
             through the CAS, retried attempts resume from the newest
             valid snapshot instead of tick 0, per-attempt timeouts scale
             to the work remaining, and the result reports
-            ``ticks_saved``.  Disabled plans leave execution unchanged.
-        _on_outcome: internal — ``(position, outcome)`` called as each
-            group is harvested (the memoized fan-out publishes through
-            it, so results are durable before their siblings finish).
+            ``ticks_saved``; once a miss's result is in the store, its
+            checkpoint chain is discarded.  Disabled plans leave
+            execution unchanged.
 
     Returns:
         A :class:`~repro.resilience.supervisor.FanoutResult` whose
         ``results`` are :class:`InstanceOutcome` (or None), input order.
     """
-    from ..obs.registry import global_registry
-
     sink = registry if registry is not None else global_registry()
     if not specs:
         return FanoutResult(results=[])
+    watch = Stopwatch()
     ck_enabled = checkpoint is not None and checkpoint.enabled
     ck_saved0 = sink.value("checkpoint.ticks_saved") if ck_enabled else 0
-    timeout_of = (_scaled_timeout_of(checkpoint, retry)
-                  if ck_enabled and retry is not None else None)
-    fn = functools.partial(_execute_group, checkpoint=checkpoint)
-    pool_fn = functools.partial(_execute_group, checkpoint=checkpoint,
-                                allow_exit=True)
+    if ledger is not None:
+        ledger.run_started(n_instances=len(specs), cached=store is not None)
+    if store is None:
+        leases = None  # nothing to coalesce on without published blobs
+    keys = [instance_key(s, salt=salt) for s in specs]
+    payload_of = {k: store.get(k) if store is not None else None
+                  for k in dict.fromkeys(keys)}
 
-    results: list = [None] * len(specs)
-    quarantined: list[tuple[int, QuarantineRecord]] = []
-    evicted: list[tuple[int, BaseException]] = []
-
-    def fan(groups: list[list[int]], **resume) -> FanoutResult:
-        """One supervised pass over index groups (a single is a group of
-        one), harvested into ``results`` / ``quarantined`` / ``evicted``."""
-        items = [[specs[i] for i in g] for g in groups]
-        keys = [_spec_key(it[0]) if len(it) == 1
-                else f"batch/{_spec_key(it[0])}+{len(it) - 1}" for it in items]
-        simulate_s: dict[int, float] = {}
-
-        def harvest(i: int, res: tuple[list, dict]) -> None:
-            """Land group ``i`` the moment it returns, while the others
-            still run: telemetry, outcomes, the caller's hook."""
-            entries, dump = res
-            sink.merge(dump)
-            simulate_s[i] = dump.get("runner.simulate_s", {}).get("value", 0)
-            for pos, (tag, payload) in zip(groups[i], entries):
-                if tag == "ok":
-                    results[pos], lane_dump = payload
-                    sink.merge(lane_dump)
-                    if _on_outcome is not None:
-                        _on_outcome(pos, results[pos])
-                else:
-                    evicted.append((pos, payload))
-
-        common = dict(keys=keys, retry=retry, faults=faults,
-                      on_failure=on_failure, registry=sink, ledger=ledger,
-                      on_result=harvest, **resume)
-        cap = max_workers or os.cpu_count() or 1
-        if not parallel or min(cap, sum(len(g) for g in groups)) <= 1:
-            res = supervise_map(fn, items, **common)
-        else:
-            # Pool whenever the caller asked for parallelism and there is
-            # more than one instance — even a single group: process
-            # isolation is what turns a hard worker death into a
-            # rebuild-and-salvage instead of taking down the supervisor.
-            akeys = [AssetKey.of_spec(it[0]) for it in items]
-            loaded = _preload_assets(dict.fromkeys(akeys), sink)
-            # Predicted cost: lanes x days x edges (Fig. 7: runtime grows
-            # with network size); 0 when the bundle did not load.
-            cost = [len(it) * it[0].n_days
-                    * (loaded[k].net.n_edges if k in loaded else 0)
-                    for it, k in zip(items, akeys)]
-            res = supervise_map(
-                fn, items, pool_fn=pool_fn, timeout_of=timeout_of,
-                make_pool=functools.partial(
-                    _POOL.borrow, cap, frozenset(loaded), sink),
-                submit_order=_mapper_order(items, cost, cap), **common)
-            sink.gauge("parallel.workers", min(cap, len(items)))
-            # Shares are over the groups that returned a measurement.
-            predicted = sum(cost[i] for i in simulate_s)
-            measured = sum(simulate_s.values())
-            if not resume and predicted and measured:
-                sink.gauge("parallel.predict_err", max(
-                    abs(cost[i] / predicted - t / measured)
-                    for i, t in simulate_s.items()))
-        qiter = iter(res.quarantined)
-        for g, group_res in zip(groups, res.results):
-            if group_res is None:
-                # The whole group was given up on (a single out of
-                # attempts, repeated pool loss, a batch-level error —
-                # under RAISE the exception already propagated): one
-                # record per spec, so the report stays per instance.
-                rec = next(qiter)
-                quarantined.extend(
-                    (pos, QuarantineRecord(
-                        key=_spec_key(specs[pos]), item=specs[pos],
-                        error=rec.error, kind=rec.kind,
-                        attempts=rec.attempts)) for pos in g)
-        return res
-
-    # Each group crosses to a worker as one indivisible item — the
-    # failure domain — so a replicate batch is never split across workers,
-    # whatever order the mapper submits them in.
-    groups = (batch_groups(specs) if batching_enabled()
-              else [[i] for i in range(len(specs))])
-    n_multi = sum(len(g) > 1 for g in groups)
-    if n_multi:
-        sink.inc("batch.groups", n_multi)
-    gres = fan(groups)
-
-    # ---- eviction triage: per-spec retry/quarantine ------------------
-    # Mirrors ``_Supervisor.on_error`` for the first (batched) attempt:
-    # a transient eviction re-runs as a group of one at attempt 1 with
-    # one failure charged against its budget; a permanent one (or a
-    # one-attempt policy) is quarantined here.
-    policy = retry if retry is not None else NO_RETRY_POLICY
-    retry_pos: list[int] = []
-    for pos, exc in sorted(evicted, key=lambda pair: pair[0]):
-        spec = specs[pos]
-        key = _spec_key(spec)
-        if isinstance(exc, InjectedFault):
-            sink.inc(f"faults.{exc.site}")
-        sink.inc("retry.failures")
-        kind = classify(exc)
-        if kind == PERMANENT or policy.max_attempts <= 1:
-            sink.inc("retry.quarantined")
+    out: list[InstanceOutcome | None] = [None] * len(specs)
+    exec_of: dict[str, int] = {}
+    n_hits = 0
+    for i, (spec, key) in enumerate(zip(specs, keys)):
+        payload = payload_of[key]
+        if payload is not None:
+            out[i] = outcome_from_payload(spec, payload)
+            n_hits += 1
             if ledger is not None:
-                ledger.instance_failed(
-                    key, error=f"{type(exc).__name__}: {exc}",
-                    quarantined=True, kind=kind, attempts=1)
-            if on_failure == RAISE:
-                raise exc
-            quarantined.append((pos, QuarantineRecord(
-                key=key, item=spec, error=f"{type(exc).__name__}: {exc}",
-                kind=kind, attempts=1)))
+                ledger.cache_hit(key, label=spec.label)
+        else:
+            exec_of.setdefault(key, i)
+
+    base_of: dict[str, InstanceOutcome] = {}
+    remote_of: dict[str, int] = {}
+    owned: list[str] = []
+    if leases is not None:
+        for key in list(exec_of):
+            if not leases.acquire(key):
+                remote_of[key] = exec_of.pop(key)
+                continue
+            # Double-check under the lease: another process may have
+            # executed, published *and released* between the lookup above
+            # and this acquire — re-running would be wasted work, and
+            # "executes once fleet-wide" is the contract.
+            payload = store.get(key)
+            if payload is None:
+                owned.append(key)
+                continue
+            leases.release(key)
+            i = exec_of.pop(key)
+            base_of[key] = outcome_from_payload(specs[i], payload)
+            sink.inc("memo.remote_hits")
+            if ledger is not None:
+                ledger.cache_hit(key, label=specs[i].label, remote=True)
+
+    exec_idx = sorted(exec_of.values())
+    publish = functools.partial(
+        _publish, store=store, ledger=ledger,
+        ck_manager=(checkpoint.manager(metrics=sink)
+                    if ck_enabled and store is not None else None))
+    fan = functools.partial(
+        _fan_out, max_workers=max_workers, sink=sink, retry=retry,
+        faults=faults, ledger=ledger, checkpoint=checkpoint)
+
+    def land(j: int, outcome: InstanceOutcome) -> None:
+        key = keys[exec_idx[j]]
+        base_of[key] = outcome
+        publish(key, outcome)
+
+    failed_of: dict[str, QuarantineRecord] = {}
+    try:
+        res = fan([specs[i] for i in exec_idx], parallel=parallel,
+                  on_failure=on_failure, land=land)
+        # Records come sorted by position: pair them with the None slots.
+        qiter = iter(res.quarantined)
+        for i, outcome in zip(exec_idx, res.results):
+            if outcome is None:
+                failed_of[keys[i]] = next(qiter)
+    finally:
+        # Release *before* waiting on anyone else's keys, so lease waits
+        # can never form a cycle (A holds k1 and waits on k2, held by B
+        # waiting on k1).
+        for key in owned:
+            leases.release(key)
+
+    for key, i in sorted(remote_of.items(), key=lambda kv: kv[1]):
+        outcome, rec = _resolve_remote(
+            specs[i], key, store=store, leases=leases, ledger=ledger,
+            registry=sink, publish=publish,
+            execute=functools.partial(fan, parallel=False,
+                                      on_failure=QUARANTINE))
+        if outcome is not None:
+            base_of[key] = outcome
+        else:
+            failed_of[key] = rec
+
+    quarantined = []
+    for i, (spec, key) in enumerate(zip(specs, keys)):
+        if out[i] is not None:
             continue
-        sink.inc("retry.retries")
-        delay = policy.backoff_s(key, 0)
-        sink.observe("retry.backoff_s", delay)
-        if delay > 0:
-            time.sleep(delay)
-        retry_pos.append(pos)
-    sres = fan([[pos] for pos in retry_pos],
-               start_attempts=[1] * len(retry_pos),
-               prior_failures=[1] * len(retry_pos))
-
-    quarantined.sort(key=lambda pair: pair[0])
+        base = base_of.get(key)
+        if base is not None:
+            out[i] = base if base.spec is spec else replace(base, spec=spec)
+        else:
+            rec = failed_of[key]
+            quarantined.append(rec if rec.item is spec
+                               else replace(rec, item=spec))
+    if quarantined and on_failure == RAISE:
+        # Local failures already raised inside the fan-out; only a remote
+        # executor's failure can reach here.
+        raise RuntimeError(
+            f"remote execution failed: {quarantined[0].describe()}")
+    if store is not None:
+        # Per-batch deltas; the store's cumulative session counters stay
+        # on store.metrics (merging them here would double-count).
+        sink.inc("memo.hits", n_hits)
+        sink.inc("memo.misses", len(exec_idx))
+        sink.observe("memo.batch_s", watch.elapsed())
+    if ledger is not None:
+        extra = ({"store_" + k: v for k, v in store.metrics.snapshot(
+                      prefix="store.", strip=True).items()}
+                 if store is not None else {})
+        if quarantined:
+            extra["quarantined"] = len(quarantined)
+        if remote_of:
+            extra["remote"] = len(remote_of)
+        ledger.run_completed(hits=n_hits, misses=len(exec_idx),
+                             wall_s=watch.elapsed(), **extra)
     return FanoutResult(
-        results=results,
-        quarantined=[rec for _i, rec in quarantined],
-        attempts=gres.attempts + sres.attempts,
-        retries=gres.retries + len(retry_pos) + sres.retries,
-        pool_rebuilds=gres.pool_rebuilds + sres.pool_rebuilds,
+        results=out, quarantined=quarantined, attempts=res.attempts,
+        retries=res.retries, pool_rebuilds=res.pool_rebuilds,
         ticks_saved=(int(sink.value("checkpoint.ticks_saved") - ck_saved0)
-                     if ck_enabled else 0),
-    )
+                     if ck_enabled else 0))
 
 
-def run_instances(
-    specs: list[InstanceSpec],
-    *,
-    max_workers: int | None = None,
-    parallel: bool = True,
-    registry=None,
-    retry: RetryPolicy | None = None,
-    faults: FaultPlan | None = None,
-    checkpoint=None,
-) -> list[InstanceOutcome]:
-    """Execute instances, optionally across a process pool.
+def run_instances(specs: list[InstanceSpec],
+                  **options) -> list[InstanceOutcome]:
+    """Every spec's outcome in input order, or the first unrecoverable
+    exception.
 
-    The historical all-or-nothing contract: every spec's outcome, in
-    input order, or the first unrecoverable exception.  Internally this
-    is :func:`supervise_instances` with ``on_failure="raise"`` — worker
-    loss still rebuilds the pool, and a :class:`RetryPolicy` (when given)
-    still retries transient failures; only exhaustion propagates.  Night
-    orchestration and chaos runs use :func:`supervise_instances` directly
-    to get partial results plus a quarantine report instead.
-
-    Args:
-        specs: the instances (order of results matches the input).
-        max_workers / parallel: as for :func:`supervise_instances`.
-        registry: :class:`~repro.obs.registry.MetricsRegistry` that
-            receives every worker's telemetry dump (``runner.*`` and
-            aggregated ``engine.*``), merged in the parent; defaults to
-            the process :func:`~repro.obs.registry.global_registry`, so
-            pool-worker telemetry is never silently lost.
-        retry: optional retry policy for transient worker failures.
-        faults: optional fault-injection plan (chaos testing).
-
-    Returns:
-        One :class:`InstanceOutcome` per spec, in input order.
+    :func:`supervise_instances` with ``on_failure="raise"`` (it takes
+    every other keyword of that function): worker loss still rebuilds
+    the pool, a :class:`RetryPolicy` still retries transient failures,
+    and results published before the failure stay in the store; only
+    exhaustion propagates.  Night orchestration, chaos runs and the
+    service broker call :func:`supervise_instances` directly for partial
+    results plus a quarantine report instead.
     """
-    res = supervise_instances(
-        specs, max_workers=max_workers, parallel=parallel,
-        registry=registry, retry=retry, faults=faults, on_failure=RAISE,
-        checkpoint=checkpoint)
+    res = supervise_instances(specs, on_failure=RAISE, **options)
     return res.results  # type: ignore[return-value] — RAISE means no Nones
 
 

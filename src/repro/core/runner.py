@@ -74,7 +74,7 @@ class _AssetCache:
     Every entry is charged :func:`~repro.plane.bundle.bundle_nbytes` —
     plane-attached views and private builds alike — and inserting evicts
     least-recently-used entries until the total fits ``max_bytes``.  The
-    entry just inserted is never evicted, so a single bundle larger than
+    entry just inserted is never dropped, so a single bundle larger than
     the whole budget still runs.  Publishes ``assets.cache.hits`` /
     ``misses`` / ``evictions`` and the ``assets.cache.bytes`` gauge.
     """
@@ -99,8 +99,8 @@ class _AssetCache:
         # already a miss that cost a build or an attach.
         total = sum(bundle_nbytes(a) for a in self._entries.values())
         while total > self.max_bytes and len(self._entries) > 1:
-            _key, evicted = self._entries.popitem(last=False)
-            total -= bundle_nbytes(evicted)
+            _key, dropped = self._entries.popitem(last=False)
+            total -= bundle_nbytes(dropped)
             reg.inc("assets.cache.evictions")
         reg.gauge("assets.cache.bytes", total)
 

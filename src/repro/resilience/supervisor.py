@@ -102,9 +102,7 @@ class _Supervisor:
     def __init__(self, items: Sequence[Any], keys: Sequence[str], *,
                  retry: RetryPolicy, on_failure: str,
                  registry: MetricsRegistry, ledger=None,
-                 on_result: Callable[[int, Any], None] | None = None,
-                 start_attempts: Sequence[int] | None = None,
-                 prior_failures: Sequence[int] | None = None) -> None:
+                 on_result: Callable[[int, Any], None] | None = None) -> None:
         if on_failure not in (RAISE, QUARANTINE):
             raise ValueError(f"on_failure must be {RAISE!r} or {QUARANTINE!r}")
         self.items = items
@@ -116,11 +114,7 @@ class _Supervisor:
         self.on_result = on_result
         self.results: list[Any] = [None] * len(items)
         self.done: list[bool] = [False] * len(items)
-        self.failures = (list(prior_failures) if prior_failures is not None
-                         else [0] * len(items))
-        self.start_attempts = (list(start_attempts)
-                               if start_attempts is not None
-                               else [0] * len(items))
+        self.failures = [0] * len(items)
         self.quarantined: list[tuple[int, QuarantineRecord]] = []
         self.attempts = 0
         self.retries = 0
@@ -197,8 +191,6 @@ def supervise_map(
     registry: MetricsRegistry | None = None,
     ledger=None,
     on_result: Callable[[int, Any], None] | None = None,
-    start_attempts: Sequence[int] | None = None,
-    prior_failures: Sequence[int] | None = None,
     timeout_of: Callable[[Any, int], float | None] | None = None,
 ) -> FanoutResult:
     """Execute ``fn(item, attempt, faults)`` for every item, supervised.
@@ -237,15 +229,6 @@ def supervise_map(
             moment each item's result is harvested — the hook that lets
             callers merge worker telemetry incrementally instead of
             losing it all to a mid-batch exception.
-        start_attempts: per-item first attempt number (default 0).  Used
-            by callers resuming items whose earlier attempts ran
-            elsewhere — a spec evicted from a replicate batch re-enters
-            the solo fan-out at attempt 1, so fault rules and backoff
-            keys see one consistent attempt sequence.
-        prior_failures: per-item failure counts already charged against
-            the retry budget (default 0); combined with
-            ``start_attempts`` this makes quarantine ``attempts``
-            accounting match an uninterrupted run.
         timeout_of: optional ``(item, attempt) -> seconds | None``
             overriding the policy's flat per-attempt timeout.  Lets a
             checkpoint-aware caller scale the deadline to the work
@@ -263,8 +246,7 @@ def supervise_map(
         items, list(keys) if keys is not None else [str(x) for x in items],
         retry=retry or NO_RETRY_POLICY, on_failure=on_failure,
         registry=registry if registry is not None else global_registry(),
-        ledger=ledger, on_result=on_result,
-        start_attempts=start_attempts, prior_failures=prior_failures)
+        ledger=ledger, on_result=on_result)
     if not items:
         return sup.result()
     if make_pool is None:
@@ -284,7 +266,7 @@ def _run_serial(sup: _Supervisor, fn: Callable[..., Any],
     them).
     """
     for i, item in enumerate(sup.items):
-        attempt = sup.start_attempts[i]
+        attempt = 0
         while True:
             sup.record_attempt()
             try:
@@ -330,7 +312,7 @@ def _run_pooled(sup: _Supervisor, fn: Callable[..., Any],
     try:
         for i in (submit_order if submit_order is not None
                   else range(len(sup.items))):
-            submit(i, sup.start_attempts[i])
+            submit(i, 0)
         while pending or delayed:
             now = clock.elapsed()
             while delayed and delayed[0][0] <= now:

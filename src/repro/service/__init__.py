@@ -12,8 +12,11 @@ reproduction's execution stack into a long-running service:
   deterministic aging (no starvation), and request coalescing keyed on
   canonical :func:`~repro.store.keys.instance_key` cache keys;
 - :mod:`~repro.service.broker` — a background loop draining batches
-  through :func:`~repro.store.memo.supervise_instances_memoized`, mapping
-  every request to a terminal state even when workers die;
+  through :func:`~repro.core.parallel.supervise_instances` with the
+  store, mapping every request to a terminal state even when workers die
+  (one malformed request never joins a batch:
+  :func:`~repro.service.api.spec_from_request` rejects params the runner
+  would fail on);
 - :mod:`~repro.service.server` / :mod:`~repro.service.client` — a
   stdlib-only JSON HTTP API (``repro serve`` / ``repro submit``);
 - :mod:`~repro.service.shard` / :mod:`~repro.service.router` — one

@@ -22,11 +22,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from http.server import BaseHTTPRequestHandler
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from ..core.parallel import InstanceSpec
+from ..core.runner import build_interventions, model_for_params
+from ..epihiper.transmission import TransmissionBackend
 from ..params import DEFAULT_SCALE
 from ..synthpop.regions import REGIONS
 
@@ -176,11 +179,42 @@ DEFAULT_LIST_LIMIT = 50
 MAX_LIST_LIMIT = 500
 
 
+def _runner_accepts(params: dict[str, Any]) -> None:
+    """Build what the runner builds from ``params``; raise where it would."""
+    model_for_params(params)
+    build_interventions(params)
+    TransmissionBackend.coerce(
+        params.get("backend", params.get("BACKEND", "auto")))
+
+
+@lru_cache(maxsize=4096)
+def _check_params(cell: tuple[tuple[str, Any], ...]) -> None:
+    """Reject a cell the runner would fail on (accepted cells are cached).
+
+    The error names the first param that fails on its own, else all of
+    them (values that only fail together).
+    """
+    try:
+        _runner_accepts(dict(cell))
+    except (TypeError, ValueError) as exc:
+        culprit = dict(cell)
+        for name, value in cell:
+            try:
+                _runner_accepts({name: value})
+            except (TypeError, ValueError):
+                culprit = {name: value}
+                break
+        raise BadRequest(f"invalid param {culprit}: {exc}") from None
+
+
 def spec_from_request(body: dict[str, Any]) -> tuple[InstanceSpec, int]:
     """Validate a ``POST /v1/scenarios`` body into (spec, priority).
 
     Expected fields: ``region`` (required), ``params`` (mapping),
-    ``days``, ``scale``, ``seed``, ``asset_seed``, ``priority``.
+    ``days``, ``scale``, ``seed``, ``asset_seed``, ``priority``.  Params
+    are checked by the runner's own rules before the spec can join any
+    batch: a batch group fails as a unit, so a value the runner rejects
+    would otherwise fail every request sharing its group.
     """
     if not isinstance(body, dict):
         raise BadRequest("body must be a JSON object")
@@ -196,6 +230,7 @@ def spec_from_request(body: dict[str, Any]) -> tuple[InstanceSpec, int]:
             raise BadRequest("param names must be strings")
         if not isinstance(value, (bool, int, float, str)):
             raise BadRequest(f"unsupported param type for {name!r}")
+    _check_params(tuple(sorted(params.items())))
     try:
         days = int(body.get("days", 120))
         scale = float(body.get("scale", DEFAULT_SCALE))

@@ -3,11 +3,12 @@
 The broker is the service plane's execution engine.  One daemon thread
 repeatedly claims the highest-effective-priority batch from the
 :class:`~repro.service.queue.ScenarioQueue` and pushes it through
-:func:`repro.store.memo.supervise_instances_memoized` — so every batch
-gets the whole stack for free: store hits skip execution, misses run
-under the resilient fan-out (retry, broken-pool rebuild, quarantine), and
-completed results are published back as content-addressed blobs for the
-next identical request to coalesce onto or hit in the store.
+:func:`repro.core.parallel.supervise_instances` with the service's store —
+so every batch gets the whole stack for free: store hits skip execution,
+misses run under the resilient fan-out (retry, broken-pool rebuild,
+quarantine), and completed results are published back as
+content-addressed blobs for the next identical request to coalesce onto
+or hit in the store.
 
 Terminal-state mapping is the broker's one real job: each claimed entry
 either completes with the exact payload arrays the store holds, or fails
@@ -24,9 +25,10 @@ from __future__ import annotations
 
 import threading
 
+from ..core.parallel import supervise_instances
 from ..obs.registry import MetricsRegistry, Stopwatch
 from ..resilience.supervisor import QUARANTINE
-from ..store.memo import outcome_payload, supervise_instances_memoized
+from ..store.memo import outcome_payload
 from .queue import Claim, ScenarioQueue
 
 
@@ -52,7 +54,7 @@ class Broker:
         leases: optional :class:`~repro.store.cas.LeaseTable` giving the
             fan-out cross-process execution exclusivity (shard workers
             against a shared store); see
-            :func:`~repro.store.memo.supervise_instances_memoized`.
+            :func:`~repro.core.parallel.supervise_instances`.
         idle_wait_s: how long the loop blocks waiting for work.
         checkpoint: optional :class:`~repro.checkpoint.CheckpointPlan`;
             when enabled, in-flight instances snapshot state through the
@@ -163,7 +165,7 @@ class Broker:
     def _run_batch(self, batch: list[Claim]) -> int:
         watch = Stopwatch()
         specs = [c.spec for c in batch]
-        res = supervise_instances_memoized(
+        res = supervise_instances(
             specs, store=self.store, ledger=self.ledger, salt=self.salt,
             registry=self.registry, max_workers=self.max_workers,
             parallel=self.parallel, retry=self.retry, faults=self.faults,

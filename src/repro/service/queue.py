@@ -147,7 +147,7 @@ class ScenarioQueue:
             retry_after_hint_s: base of the deterministic retry-after
                 hint returned with rejections.
             max_finished: finished request records kept for status polls
-                (oldest are evicted beyond this).
+                (oldest are dropped beyond this).
             metrics: the ``service.*`` sink (a private registry when
                 omitted).
             rid_prefix: prepended to every request id.  Shard workers use

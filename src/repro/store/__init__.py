@@ -10,7 +10,8 @@ subsystem is the reproduction's durability layer:
 - :mod:`~repro.store.ledger` — the append-only JSONL run journal;
 - :mod:`~repro.store.files` — the shared on-disk idioms (journal
   open/read, atomic publish, JSON-or-absent, pid liveness);
-- :mod:`~repro.store.memo` — cache-aware instance execution.
+- :mod:`~repro.store.memo` — the payload codec, publish and remote-lease
+  steps of memoized execution (``supervise_instances(store=…)``).
 """
 
 from .cas import (
@@ -30,12 +31,7 @@ from .keys import (
     instance_key,
 )
 from .ledger import LedgerReplay, RunLedger, replay_ledger
-from .memo import (
-    outcome_from_payload,
-    outcome_payload,
-    run_instances_memoized,
-    supervise_instances_memoized,
-)
+from .memo import outcome_from_payload, outcome_payload
 
 __all__ = [
     "ContentStore",
@@ -55,6 +51,4 @@ __all__ = [
     "outcome_from_payload",
     "outcome_payload",
     "replay_ledger",
-    "run_instances_memoized",
-    "supervise_instances_memoized",
 ]

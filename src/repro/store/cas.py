@@ -241,7 +241,7 @@ class ContentStore:
     def family_counts(self) -> dict[str, int]:
         """Live blob counts per key family (sorted by family name).
 
-        Only blobs still on disk are counted — evicted or cleared keys
+        Only blobs still on disk are counted — collected or cleared keys
         drop out even though the index line remains.  Blobs written
         without a family label are grouped under ``"(unlabelled)"``.
         """
@@ -271,7 +271,7 @@ class ContentStore:
     def gc(self, max_bytes: int | None = None) -> list[str]:
         """Evict least-recently-used blobs until under ``max_bytes``.
 
-        Returns the evicted keys (oldest first).
+        Returns the removed keys (oldest first).
         """
         bound = self.max_bytes if max_bytes is None else max_bytes
         if bound is None:
@@ -293,15 +293,15 @@ class ContentStore:
                 continue
             blobs.append((st.st_mtime, st.st_size, blob))
         total = exempt_bytes + sum(size for _, size, _ in blobs)
-        evicted: list[str] = []
+        removed: list[str] = []
         for _mtime, size, blob in sorted(blobs):
             if total <= bound:
                 break
             blob.unlink(missing_ok=True)
             total -= size
-            evicted.append(blob.stem)
+            removed.append(blob.stem)
             self.metrics.inc("store.evictions")
-        return evicted
+        return removed
 
     def clear(self) -> int:
         """Delete every blob.  Returns how many were removed."""

@@ -246,7 +246,7 @@ def build_corpus(
             continue
         payload = store.get(key)
         if payload is None or "confirmed" not in payload:
-            continue  # evicted or foreign payload: nothing to learn from
+            continue  # collected or foreign payload: nothing to learn from
         feats.append(featurize_spec(spec))
         outs.append(np.asarray(payload["confirmed"], dtype=np.float64))
         rates.append(float(payload["attack_rate"]))

@@ -2,9 +2,8 @@
 
 Covers the grouping layer (:mod:`repro.core.batching`), the batched route
 through :func:`~repro.core.parallel.supervise_instances` (bit-identical to
-the solo path, evict-on-fault semantics, per-instance quarantine), the
-store integration (per-replicate cache keys), and the supervisor's
-continued-attempt plumbing that keeps eviction retries accountable.
+the solo path, the group as the failure domain, per-instance quarantine
+records) and the store integration (per-replicate cache keys).
 """
 
 import dataclasses
@@ -24,7 +23,6 @@ from repro.core.parallel import (
 )
 from repro.obs import MetricsRegistry
 from repro.resilience import FaultPlan, RetryPolicy
-from repro.resilience.supervisor import supervise_map
 from repro.store.cas import ContentStore
 from repro.store.keys import instance_key
 from repro.store.memo import run_instances_memoized
@@ -167,45 +165,47 @@ def test_batched_pooled_matches_serial():
         assert s.attack_rate == p.attack_rate
 
 
-def test_eviction_quarantines_spec_not_group():
-    """A poisoned replicate is evicted from its batch; partners survive."""
-    plan = FaultPlan.parse(["worker.exception:match=i1"], seed=0)  # always
-    reg = MetricsRegistry()
-    specs = make_specs(3)
-    res = supervise_instances(specs, parallel=False, retry=FAST_RETRY,
-                              faults=plan, registry=reg)
+@pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pool"])
+@pytest.mark.parametrize("rule", [
+    "worker.crash:times=1,match=i1",
+    "worker.exception:times=1,match=i1",
+    "worker.exception:match=i1",  # fires on every attempt
+])
+def test_a_group_fails_and_retries_as_a_unit(rule, pooled):
+    """A fault in one lane fails its whole group's attempt, whichever
+    site fired and wherever the group ran: the group recovers whole, as
+    one group again, or is quarantined whole, one record per spec."""
+    from repro.core import runner
 
-    assert not res.ok
-    assert [r is None for r in res.results] == [False, True, False]
-    (q,) = res.quarantined
-    # Attempt accounting matches the unbatched path exactly: the batch
-    # eviction is attempt 1, the solo retry attempt 2.
-    assert q.key == "VT-i1" and q.kind == "transient" and q.attempts == 2
-    snap = reg.snapshot()
-    assert snap["faults.worker.exception"] == 2
-    assert snap["retry.retries"] == 1
-    assert snap["batch.groups"] == 1
-
-    # Surviving lanes are bit-identical to a clean run.
-    clean = run_instances(specs, parallel=False)
-    for i in (0, 2):
-        np.testing.assert_array_equal(res.results[i].confirmed,
-                                      clean[i].confirmed)
-
-
-def test_evicted_transient_recovers_bit_identical():
-    """A fail-once spec is evicted, retried solo, and fully recovers."""
-    plan = FaultPlan.parse(["worker.exception:match=i2,times=1"], seed=0)
-    reg = MetricsRegistry()
     specs = make_specs(4)
-    res = supervise_instances(specs, parallel=False, retry=FAST_RETRY,
-                              faults=plan, registry=reg)
+    reg = MetricsRegistry()
+    res = supervise_instances(specs, parallel=pooled, max_workers=2,
+                              retry=FAST_RETRY, registry=reg,
+                              faults=FaultPlan.parse([rule], seed=0))
 
-    assert res.ok and not res.quarantined
-    assert res.retries >= 1
-    clean = run_instances(specs, parallel=False)
-    for got, want in zip(res.results, clean):
-        np.testing.assert_array_equal(got.confirmed, want.confirmed)
+    assert res.attempts == FAST_RETRY.max_attempts
+    assert reg.value("batch.groups") == 1
+    if "times=1" not in rule:
+        assert [r is None for r in res.results] == [True] * 4
+        assert [(q.key, q.item, q.attempts) for q in res.quarantined] == [
+            (s.label, s, FAST_RETRY.max_attempts) for s in specs]
+        return
+    assert res.ok
+    # The retry ran all four lanes as one batch, not three plus a single.
+    assert reg.value("batch.size") == 4
+    assert reg.value("runner.instances") == 4
+    crashed_pool = pooled and rule.startswith("worker.crash")
+    assert (res.retries, res.pool_rebuilds) == ((0, 1) if crashed_pool
+                                                else (1, 0))
+    for spec, got in zip(specs, res.results):
+        assets = runner.load_region_assets(
+            spec.region_code, scale=spec.scale, seed=spec.asset_seed)
+        result, model = runner.run_instance(
+            assets, spec.params, n_days=spec.n_days, seed=spec.seed)
+        assert got.confirmed.tobytes() == runner.confirmed_series(
+            result, model, spec.n_days).tobytes()
+        assert got.attack_rate == result.attack_rate(model)
+        assert got.transitions == result.log.size
 
 
 def test_memoized_batches_land_under_individual_keys(tmp_path):
@@ -239,36 +239,3 @@ def test_batching_disabled_env_skips_grouping(monkeypatch):
     assert res.ok
     snap = reg.snapshot()
     assert "batch.groups" not in snap and "batch.size" not in snap
-
-
-# ---- supervisor plumbing the eviction retries ride on ----------------------
-
-
-def test_supervise_map_start_attempts_and_prior_failures():
-    """Continued items start at the given attempt with failures charged."""
-    seen: list[int] = []
-
-    def fn(item, attempt, _faults):
-        seen.append(attempt)
-        if item == "flaky" and attempt < 2:
-            raise TimeoutError("transient")
-        return item
-
-    policy = RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0)
-    res = supervise_map(fn, ["flaky"], keys=["flaky"], retry=policy,
-                        start_attempts=[1], prior_failures=[1],
-                        registry=MetricsRegistry())
-    assert res.ok and res.results == ["flaky"]
-    assert seen == [1, 2]  # resumed mid-sequence, not from attempt 0
-
-    # With the budget already spent, the continued item quarantines at
-    # its recorded cumulative attempt count.
-    seen.clear()
-    res = supervise_map(fn, ["flaky"], keys=["flaky"],
-                        retry=RetryPolicy(max_attempts=2, base_delay_s=0.0,
-                                          jitter=0.0),
-                        start_attempts=[1], prior_failures=[1],
-                        registry=MetricsRegistry())
-    assert not res.ok
-    (q,) = res.quarantined
-    assert q.attempts == 2 and seen == [1]

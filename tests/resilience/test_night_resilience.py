@@ -6,6 +6,8 @@ whose projection blows its window sheds deterministically, journals the
 shed set, and reports ``degraded``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,11 @@ def test_quarantined_spec_yields_partial_results(tmp_path):
     plan = FaultPlan.parse(["worker.exception:match=i1"], seed=0)  # always
     ledger = RunLedger(tmp_path / "run.jsonl")
     reg = MetricsRegistry()
-    res = supervise_instances(specs(), parallel=False, retry=FAST_RETRY,
+    # i1 alone has another horizon, so it is a group of its own: a batch
+    # group is the failure domain and fails whole.
+    night = [replace(s, n_days=9) if s.label == "VT-i1" else s
+             for s in specs()]
+    res = supervise_instances(night, parallel=False, retry=FAST_RETRY,
                               faults=plan, registry=reg, ledger=ledger)
 
     assert not res.ok
@@ -64,9 +70,10 @@ def test_quarantined_spec_yields_partial_results(tmp_path):
         assert np.array_equal(clean[i].confirmed, res.results[i].confirmed)
         assert clean[i].attack_rate == res.results[i].attack_rate
 
-    # The give-up is journaled and metered.
-    (event,) = replay_ledger(ledger.path).events
-    assert event["event"] == "instance_failed"
+    # The give-up is journaled (beside the run's other events) and metered.
+    replay = replay_ledger(ledger.path)
+    assert replay.count("instance_completed") == 2
+    (event,) = [e for e in replay.events if e["event"] == "instance_failed"]
     assert event["key"] == "VT-i1" and event["quarantined"] is True
     assert reg.value("retry.quarantined") == 1
     assert reg.value("faults.worker.exception") == 2

@@ -175,6 +175,19 @@ class TestHttpSurface:
         assert payload["error"]["code"] == "bad_request"
         assert "NOWHERE" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("params,name", [
+        ({"TAU": 0.3, "backend": "bogus"}, "backend"),
+        ({"TAU": "abc"}, "TAU"),
+    ])
+    def test_params_the_runner_rejects_are_an_enveloped_400(
+            self, server, params, name):
+        status, _, payload = raw_request(
+            server, "POST", "/v1/scenarios",
+            {**submission(0.3), "params": params})
+        assert status == 400
+        assert payload["error"]["code"] == "bad_request"
+        assert name in payload["error"]["message"]
+
     def test_queue_full_envelope_and_retry_after_header(self, server):
         for i in range(3):
             status, _, _ = raw_request(server, "POST", "/v1/scenarios",

@@ -1,5 +1,7 @@
 """Broker loop: memoized batches, terminal-state mapping, fault handling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,12 @@ from repro.core.parallel import InstanceSpec
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import Tracer
 from repro.resilience import FaultPlan, RetryPolicy
+from repro.service import (
+    BadRequest,
+    ServiceConfig,
+    build_service,
+    spec_from_request,
+)
 from repro.service.broker import Broker
 from repro.service.queue import DONE, FAILED, ScenarioQueue
 from repro.store.cas import ContentStore
@@ -65,24 +73,50 @@ def test_resubmit_serves_from_store_without_executing(store):
 
 
 def test_faulted_batch_reaches_terminal_states(store):
-    # One spec is targeted by a persistent fault; the other must still
-    # complete and the failed one must report a terminal error state.
+    # One spec is targeted by a persistent fault.  Its batch group fails
+    # as a unit, so a bystander in the same group fails with it, while a
+    # request in another group (another horizon) still completes; every
+    # request reports a terminal state.
     q, broker = make_broker(
         store,
         retry=RetryPolicy(max_attempts=2, base_delay_s=0.0, seed=1),
         faults=FaultPlan.parse(["worker.exception:times=99,match=b0"],
                                seed=1))
     bad = q.submit(make_spec(0))
-    good = q.submit(make_spec(1))
+    bystander = q.submit(make_spec(2))
+    good = q.submit(dataclasses.replace(make_spec(1), n_days=11))
     resolved = broker.run_once()
-    assert resolved == 2
+    assert resolved == 3
     rec = q.status(bad.request_id)
     assert rec.state == FAILED
     assert rec.kind == "transient"
     assert "worker.exception" in rec.error
+    assert q.status(bystander.request_id).state == FAILED
     assert q.status(good.request_id).state == DONE
-    assert broker.registry.value("service.failed") == 1
+    assert broker.registry.value("service.failed") == 2
     assert broker.registry.value("service.completed") == 1
+
+
+def test_malformed_params_never_fail_a_well_formed_request(tmp_path):
+    # A param the runner rejects is refused at admission: it can no
+    # longer join, and fail, another client's batch group.
+    service = build_service(ServiceConfig(
+        serial=True, batch_size=4, store_dir=str(tmp_path / "store")))
+    good = {"region": "VT", "params": {"TAU": 0.3}, "days": 10,
+            "scale": 0.001, "seed": 1, "asset_seed": 0}
+    admitted = []
+    for body in (good,
+                 {**good, "params": {"TAU": 0.3, "backend": "bogus"},
+                  "seed": 2},
+                 {**good, "params": {"TAU": "abc"}, "seed": 2}):
+        try:
+            spec, priority = spec_from_request(body)
+        except BadRequest:
+            continue
+        admitted.append(service.submit(spec, priority=priority))
+    service.broker.run_once()
+    assert [service.queue.status(a.request_id).state
+            for a in admitted] == [DONE]
 
 
 def test_worker_crash_recovers_transient(store):

@@ -16,7 +16,7 @@ import threading
 
 import pytest
 
-from repro.core.parallel import InstanceSpec
+from repro.core.parallel import InstanceSpec, supervise_instances
 from repro.obs.registry import MetricsRegistry
 from repro.service import (
     Router,
@@ -31,7 +31,6 @@ from repro.service.shard import (
     spool_path,
 )
 from repro.store import ContentStore, LeaseTable, instance_key
-from repro.store.memo import supervise_instances_memoized
 
 SALT = "shard-tests"
 
@@ -77,7 +76,7 @@ class TestLeaseCoalescingInProcess:
 
         def run(name, store, leases, reg):
             barrier.wait()
-            res = supervise_instances_memoized(
+            res = supervise_instances(
                 [spec], store=store, leases=leases, registry=reg,
                 parallel=False, salt=SALT)
             results[name] = res.results[0]
@@ -110,8 +109,8 @@ class TestLeaseCoalescingInProcess:
         leases = LeaseTable(tmp_path / "store" / "leases", owner="a")
         spec = spec_of(0.33)
         key = instance_key(spec, salt=SALT)
-        supervise_instances_memoized([spec], store=store, leases=leases,
-                                     parallel=False, salt=SALT)
+        supervise_instances([spec], store=store, leases=leases,
+                            parallel=False, salt=SALT)
         assert not leases.held(key)
 
 

@@ -176,9 +176,9 @@ def test_vacated_lease_is_taken_over_and_executed_locally(store):
     the spec): the waiter contends, wins, executes here and publishes."""
     import threading
 
+    from repro.core.parallel import supervise_instances
     from repro.obs.registry import MetricsRegistry
     from repro.store.cas import LeaseTable
-    from repro.store.memo import supervise_instances_memoized
 
     [spec] = make_specs(1, n_days=5)
     key = instance_key(spec)
@@ -189,7 +189,7 @@ def test_vacated_lease_is_taken_over_and_executed_locally(store):
     vacate.start()
     reg = MetricsRegistry()
     try:
-        res = supervise_instances_memoized(
+        res = supervise_instances(
             [spec], store=store, leases=waiter, registry=reg, parallel=False)
     finally:
         vacate.join()
@@ -203,6 +203,7 @@ def test_vacated_lease_is_taken_over_and_executed_locally(store):
 
 
 def test_lease_held_past_the_wait_bound_quarantines_once(store, monkeypatch):
+    from repro.core.parallel import supervise_instances
     from repro.store import memo
     from repro.store.cas import LeaseTable
 
@@ -211,7 +212,7 @@ def test_lease_held_past_the_wait_bound_quarantines_once(store, monkeypatch):
     stuck = instance_key(specs[0])
     holder = LeaseTable(store.root / "leases", owner="holder")
     assert holder.acquire(stuck)
-    res = memo.supervise_instances_memoized(
+    res = supervise_instances(
         specs, store=store, parallel=False,
         leases=LeaseTable(store.root / "leases", owner="waiter"))
     # The stuck key gives up with one triage record; its sibling ran.

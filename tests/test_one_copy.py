@@ -16,7 +16,10 @@ outside the reuse rule and joined by nobody at exit) — and the composition
 of a scenario-service process: ``ScenarioService(...)`` is constructed only
 by ``build_service``, so ``repro serve`` and every shard of
 ``serve --shards N`` honour the same options (a second site is a second
-subset of them).
+subset of them).  And the fan-out: ``supervise_map(...)`` is called by the
+one instance fan-out (``core/parallel.py:_fan_out``) and by the single-run
+``simulate`` command, nowhere else — a third fan-out would be a third set
+of failure semantics.
 """
 
 import ast
@@ -39,16 +42,18 @@ ALLOWED = {
     ("loads(line", "store/files.py", "read_jsonl"),
     ("ProcessPoolExecutor(", "core/parallel.py", "borrow"),
     ("ScenarioService(", "service/shard.py", "build_service"),
+    ("supervise_map(", "core/parallel.py", "_fan_out"),
+    ("supervise_map(", "cli.py", "_cmd_simulate"),
 }
 
-#: Classes whose construction is pinned to one function.
-ONE_CONSTRUCTION_SITE = ("ProcessPoolExecutor", "ScenarioService")
+#: Callables whose call sites are pinned to the functions listed above.
+PINNED_CALLS = ("ProcessPoolExecutor", "ScenarioService", "supervise_map")
 
 
 def _idiom(call: ast.Call) -> str | None:
     """Which guarded primitive ``call`` is, if any."""
     func = call.func
-    for name in ONE_CONSTRUCTION_SITE:
+    for name in PINNED_CALLS:
         if name in (getattr(func, "id", None), getattr(func, "attr", None)):
             return f"{name}("
     if not isinstance(func, ast.Attribute):
@@ -112,8 +117,11 @@ def test_guard_actually_detects(tmp_path):
         "def fan_too(n):\n"
         "    return concurrent.futures.ProcessPoolExecutor(n)\n"
         "def compose(store):\n"
-        "    return ScenarioService(store=store)\n")
+        "    return ScenarioService(store=store)\n"
+        "def fan_again(items):\n"
+        "    return supervisor.supervise_map(run, items)\n")
     assert _sites(tmp_path) == {
+        ("supervise_map(", "mod.py", "fan_again"),
         ("ProcessPoolExecutor(", "mod.py", "fan"),
         ("ProcessPoolExecutor(", "mod.py", "fan_too"),
         ("ScenarioService(", "mod.py", "compose"),
