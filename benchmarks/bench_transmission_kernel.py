@@ -2,11 +2,14 @@
 
 Times one tick of Eq. (1) candidate enumeration + sampling under the
 ``dense``, ``frontier``, and ``auto`` backends on scaled state networks, at
-low / medium / high infectious prevalence.  The frontier kernel's payoff is
-the early-epidemic regime calibration sweeps live in: at 0.1% prevalence it
-must beat the dense scan by >= 3x on the largest network, while ``auto``
-must stay within 10% of the better fixed backend at every prevalence.
-All three backends are verified bit-identical on every timed configuration.
+low / medium / high infectious prevalence — the engine's per-tick
+transmission phase (``lane_transmissions`` over one lane, with the
+network's candidate scan built once, as an engine keeps it).  The frontier
+kernel's payoff is the early-epidemic regime calibration sweeps live in: at
+0.1% prevalence it must beat the dense scan by >= 3x on the largest
+network, while ``auto`` must stay within 15% of the better fixed backend at
+every prevalence.  All three backends are verified bit-identical on every
+timed configuration.
 """
 
 import time
@@ -16,12 +19,16 @@ import pytest
 
 from repro.epihiper import build_covid_model
 from repro.epihiper.interventions import IncidentEdges
-from repro.epihiper.transmission import transmission_step
+from repro.epihiper.transmission import (
+    CandidateScan,
+    TransmissionBackend,
+    lane_transmissions,
+)
 from repro.synthpop import build_region_network
 
 #: (region, scale): ~8.5k / ~34k / ~85k persons.
 NETWORKS = (("VA", 1e-3), ("VA", 4e-3), ("VA", 1e-2))
-PREVALENCES = (0.001, 0.05, 0.40)
+PREVALENCES = (0.001, 0.05, 0.15, 0.40)
 BACKENDS = ("dense", "frontier", "auto")
 REPEATS = 21
 RNG_SEED = 9
@@ -62,24 +69,24 @@ def test_transmission_kernel_backends(benchmark, save_artifact):
             inc = IncidentEdges(net.source, net.target, pop.size)
             dur = net.duration.astype(np.float64)
             w = net.weight.astype(np.float64)
-            active = np.ones(net.n_edges, bool)
-            ones = np.ones(pop.size)
+            active = np.ones((1, net.n_edges), bool)
+            ones = np.ones((1, pop.size))
+            scan = CandidateScan(net.source, net.target, dur)
             for prev in PREVALENCES:
                 health = _health_at_prevalence(model, pop.size, prev)
 
                 def one_tick(backend):
-                    return transmission_step(
-                        model, health, ones, ones, net.source, net.target,
-                        active, w, dur, np.random.default_rng(RNG_SEED),
-                        backend=backend, incident=inc)
+                    return lane_transmissions(
+                        [TransmissionBackend(backend)], model,
+                        [model.transmissibility],
+                        [np.random.default_rng(RNG_SEED)], health[None],
+                        ones, ones, active, w[None], scan, inc)
 
                 events = {b: one_tick(b) for b in BACKENDS}
                 base = events["dense"]
                 for b in ("frontier", "auto"):  # equivalence, not just speed
-                    np.testing.assert_array_equal(base.pids, events[b].pids)
-                    np.testing.assert_array_equal(
-                        base.infectors, events[b].infectors)
-                    assert base.n_candidates == events[b].n_candidates
+                    for want, got in zip(base, events[b]):
+                        np.testing.assert_array_equal(want, got)
 
                 times = {b: _best_time(lambda b=b: one_tick(b))
                          for b in BACKENDS}

@@ -4,9 +4,18 @@ One :class:`Simulation` couples a disease model (PTTS), a synthetic
 population, and a contact network, and advances them tick by tick (one tick
 = one day, Section III).  Each tick: interventions are evaluated, active
 contacts are tested for transmission (Eq. 1), and scheduled progressions
-fire.  The engine keeps the per-person state in flat numpy arrays so every
-step is vectorised, and tracks the work and memory counters that feed the
-cluster cost model (Figures 7 and 10).
+fire.  The engine keeps the per-person state in flat numpy arrays and
+tracks the work and memory counters that feed the cluster cost model
+(Figures 7 and 10).
+
+:class:`Simulation` is the readable reference shell of the tick: each
+phase is a call into the one kernel the
+:class:`~repro.epihiper.batch.BatchedSimulation` also runs —
+:func:`~repro.epihiper.transmission.lane_transmissions` and
+:func:`~repro.epihiper.progression.progression_sweep` over the engine's
+own arrays viewed as one lane, the intervention loop
+(:meth:`Simulation._run_interventions`) and the census row with its
+Figure 10 memory estimate (:meth:`Simulation._record_census`).
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from .disease import DiseaseModel
 from .interventions import EdgeSuppressor, IncidentEdges, Intervention
 from .output import TransitionLog, TransitionRecorder
 from .progression import ProgressionState, progression_step, schedule_entries
-from .transmission import TransmissionBackend, transmission_step
+from .transmission import CandidateScan, TransmissionBackend, lane_transmissions
 
 #: Bytes per in-memory edge record (ids, timing, contexts, weight, flags);
 #: drives the Figure 10 memory model.
@@ -33,7 +42,7 @@ EDGE_BYTES: int = 40
 NODE_BYTES: int = 24
 SCHEDULED_CHANGE_BYTES: int = 24
 #: Bytes per recorded transition line and per suppressor operation in the
-#: dynamic-memory estimate (shared with the batched driver).
+#: dynamic-memory estimate.
 TRANSITION_BYTES: int = 16
 EDGE_OP_BYTES: int = 8
 
@@ -141,6 +150,7 @@ class Simulation:
         self._home_mask = ((net.source_activity == HOME)
                            & (net.target_activity == HOME))
         self._active_scratch = np.empty(net.n_edges, dtype=bool)
+        self._scan = CandidateScan(net.source, net.target, self._duration_f64)
         self._mem_base = net.n_edges * EDGE_BYTES + pop.size * NODE_BYTES
 
         self.tick = 0
@@ -216,13 +226,9 @@ class Simulation:
     def step(self) -> None:
         """Advance one tick (interventions, transmission, progression)."""
         with self.metrics.timer("engine.interventions_s"):
-            ops_before = self.suppressor.total_operations
-            for iv in self.interventions:
-                if iv.maybe_apply(self):
-                    self.metrics.inc("engine.interventions_fired")
-            self.metrics.inc(
-                "engine.intervention_edge_ops",
-                self.suppressor.total_operations - ops_before)
+            fired, edge_ops = self._run_interventions()
+            self.metrics.inc("engine.interventions_fired", fired)
+            self.metrics.inc("engine.intervention_edge_ops", edge_ops)
 
         with self.metrics.timer("engine.transmission_s"):
             # The mask is consumed within this tick only, so it can live in
@@ -230,24 +236,17 @@ class Simulation:
             # need the incident CSR (built once, shared with tracing).
             active = self.suppressor.active_mask_into(
                 self.base_active, self._active_scratch)
-            incident = (self.incident
-                        if self.backend is not TransmissionBackend.DENSE
-                        else None)
-            events = transmission_step(
-                self.model, self.health,
-                self.node_susceptibility, self.node_infectivity,
-                self.net.source, self.net.target, active,
-                self.edge_weight, self._duration_f64,
-                self.rng,
-                backend=self.backend, incident=incident,
-            )
-            self.metrics.inc("engine.contacts_evaluated",
-                             events.n_candidates)
-            if events.pids.size:
-                self.metrics.inc("engine.transmissions",
-                                 int(events.pids.size))
-                self.enter_state(events.pids, events.exposed_codes,
-                                 events.infectors)
+            counts, _sizes, pids, codes, infectors = lane_transmissions(
+                [self.backend], self.model, [self.model.transmissibility],
+                [self.rng], self.health[None],
+                self.node_susceptibility[None], self.node_infectivity[None],
+                active[None], self.edge_weight[None], self._scan,
+                self.incident
+                if self.backend is not TransmissionBackend.DENSE else None)
+            self.metrics.inc("engine.contacts_evaluated", int(counts[0]))
+            if pids.size:
+                self.metrics.inc("engine.transmissions", int(pids.size))
+                self.enter_state(pids, codes, infectors)
 
         with self.metrics.timer("engine.progression_s"):
             pids, codes = progression_step(self.sched)
@@ -255,26 +254,43 @@ class Simulation:
                 self.enter_state(pids, codes)
 
         self.tick += 1
-        self._counts_history.append(self.current_state_counts())
-        self._memory_history.append(self._memory_estimate())
+        self._record_census(self.current_state_counts())
 
-    def _memory_estimate(self) -> int:
-        """Resident-byte estimate for the Figure 10 memory model.
+    def _run_interventions(self) -> tuple[int, int]:
+        """The intervention phase: evaluate every trigger in stack order.
+
+        Returns ``(fired, edge_ops)`` — interventions applied and suppressor
+        edge operations this tick (both drivers' work counters).
+        """
+        ops_before = self.suppressor.total_operations
+        fired = 0
+        for iv in self.interventions:
+            if iv.maybe_apply(self):
+                fired += 1
+        return fired, self.suppressor.total_operations - ops_before
+
+    def _record_census(self, counts: np.ndarray,
+                       unflushed_transitions: int = 0) -> None:
+        """Append one census row and its Figure 10 memory estimate.
 
         Base cost tracks the partitioned network held in memory; dynamic
         cost grows with scheduled system-state changes (suppressed edges,
         pending progressions, accumulated output) — the paper observes that
         higher intervention compliance means more scheduled changes and
         hence more memory.  Every term is maintained incrementally, so the
-        per-tick estimate is O(1) instead of re-summing O(|E| + |V|) arrays.
+        estimate is O(1) instead of re-summing O(|E| + |V|) arrays.
+        ``unflushed_transitions`` is what a batched driver has counted for
+        this lane but not yet added to ``engine.transitions``.
         """
-        dynamic = (
-            self.suppressor.n_suppressed * SCHEDULED_CHANGE_BYTES
+        transitions = (self.metrics.value("engine.transitions")
+                       + unflushed_transitions)
+        self._counts_history.append(counts)
+        self._memory_history.append(
+            self._mem_base
+            + self.suppressor.n_suppressed * SCHEDULED_CHANGE_BYTES
             + self.sched.n_pending * SCHEDULED_CHANGE_BYTES
-            + self.metrics.value("engine.transitions") * TRANSITION_BYTES
-            + self.suppressor.total_operations * EDGE_OP_BYTES
-        )
-        return self._mem_base + dynamic
+            + transitions * TRANSITION_BYTES
+            + self.suppressor.total_operations * EDGE_OP_BYTES)
 
     def run(self, n_days: int) -> SimulationResult:
         """Run ``n_days`` ticks and assemble the result.
@@ -341,8 +357,7 @@ class Simulation:
     def _ensure_initial_census(self) -> None:
         """Record the post-initialization census once (tick-0 row)."""
         if not self._counts_history:
-            self._counts_history.append(self.current_state_counts())
-            self._memory_history.append(self._memory_estimate())
+            self._record_census(self.current_state_counts())
 
     def _assemble_result(self) -> SimulationResult:
         """Freeze the run into a :class:`SimulationResult`.

@@ -108,7 +108,8 @@ def sample_subset(
 
 def _sorted_dedup(values: np.ndarray) -> np.ndarray:
     """Ascending dedup of 1-D integers; like np.unique but without its
-    dispatch overhead (these gathers sit on intervention hot paths)."""
+    dispatch overhead (the frontier kernel's row dedup and the tracing
+    gathers run it every tick)."""
     if values.size == 0:
         return values
     values = np.sort(values)
@@ -199,11 +200,10 @@ class IncidentEdges:
     def degrees(self) -> np.ndarray:
         """Per-person incident-slot count as float64 (lazily built).
 
-        Kept in float form so a frontier-workload estimate over a boolean
-        infectious mask is one BLAS dot product (``mask @ degrees``) —
-        exact for any realistic degree sum, and O(|V|) with no
-        intermediate index array (see
-        :func:`~repro.epihiper.transmission.resolve_backend`).
+        The frontier-workload estimate over boolean infectious masks is
+        one contraction against this column — exact for any realistic
+        degree sum, and O(|V|) with no intermediate index array (see
+        :func:`~repro.epihiper.transmission.frontier_workload`).
         """
         if self._degrees is None:
             self._degrees = np.diff(self._offsets).astype(np.float64)

@@ -4,15 +4,33 @@ When a person enters a non-terminal state, the next transition is drawn from
 the state's outgoing edges — with probabilities stratified by the person's
 age group (Table III) — and a dwell time is sampled from the chosen edge's
 distribution.  The scheduled transition fires that many ticks later.
+
+Both drivers (the solo :class:`~repro.epihiper.engine.Simulation` and the
+:class:`~repro.epihiper.batch.BatchedSimulation`) run these kernels over
+``(K, N)`` lane stacks; a solo run is one lane.  The dwell sweep is
+:func:`progression_sweep` (:func:`progression_step` is its one-lane face).
+Scheduling has two bit-identical implementations: the cross-lane
+:func:`schedule_lanes`, a fixed ~20 numpy dispatches whatever the entry
+count, and the scalar twin :func:`_schedule_small`, plain Python whose cost
+grows per entry.  :func:`schedule_entries` picks by size: measured at K=1
+on VA@1e-3 the scalar twin wins up to about ``_SMALL_BATCH`` entries.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .disease import DiseaseModel
+from .states import (
+    DiscreteDwell,
+    FixedDwell,
+    NormalDwell,
+    inverse_normal_cdf,
+    inverse_normal_cdf_scalar,
+)
 
 
 @dataclass(slots=True)
@@ -33,11 +51,11 @@ class ProgressionState:
         )
 
 
-#: Entry batches at or below this size take the scalar scheduling path.
-#: Progression fires a handful of persons per tick at calibration scales,
-#: and the vectorised path pays ~20 numpy dispatches per call regardless
-#: of size; plain-Python arithmetic wins below roughly a dozen entries.
-_SMALL_BATCH: int = 12
+#: Entry batches at or below this size take the scalar scheduling path:
+#: its cost grows ~1.7 us per entry while :func:`schedule_lanes` pays
+#: ~135 us of numpy dispatches regardless of size, and the two cross at
+#: 64-72 entries (mixed or single entered code, K=1 on VA@1e-3).
+_SMALL_BATCH: int = 64
 
 #: Plain-python copies of population age-group columns, keyed by array
 #: identity.  The scalar scheduler indexes ages with python ints; list
@@ -54,6 +72,104 @@ def _age_list(age_group: np.ndarray) -> list[int]:
     return hit[1]
 
 
+def _dwell_key(d):
+    """Hashable value identity of a dwell distribution: equal keys draw
+    equal values from equal uniforms."""
+    if isinstance(d, FixedDwell):
+        return ("f", d.days)
+    if isinstance(d, NormalDwell):
+        return ("n", d.mu, d.sd)
+    if isinstance(d, DiscreteDwell):
+        return ("d", d.days, d.probs)
+    return id(d)
+
+
+class SchedTables:
+    """Padded per-code tables of :func:`schedule_lanes` for K lane models.
+
+    Every per-state choice/dwell lookup is flattened into arrays indexed
+    by ``(code, lane, edge, age)`` so one gather serves entries of every
+    state at once:
+
+    - ``cum_pad``: ``(n_states, K, n_out_max, n_age)`` cumulative choice
+      columns, padded with ``+inf`` (never selected).  Single-edge states
+      are all-``inf`` — their choice is forced to edge 0.
+    - ``top``: ``(n_states, K, n_age)`` — each state's last cumulative
+      value (the inverse-cdf normaliser).
+    - ``dst_pad`` / ``dist_id``: ``(n_states, n_out_max)`` destination
+      codes and indices into ``dists``, the value-deduplicated dwell
+      distributions (lane models must agree on structure and dwell values;
+      dedup means e.g. both EXPOSED out-edges' Normal(5, 1) evaluate as
+      one batch).
+    """
+
+    __slots__ = ("has_out", "cum_pad", "top", "dst_pad", "dist_id",
+                 "dists", "n_out_max", "fam", "fixed_days", "mu", "sd",
+                 "other_dists")
+
+    def __init__(self, models: list[DiseaseModel]) -> None:
+        first = models[0]
+        n_states = first.n_states
+        k = len(models)
+        outs = first.out_edges
+        n_out_max = max((len(o[2]) for o in outs.values()), default=1)
+        n_age = next((first.out_cum[c].shape[1] for c in outs), 1)
+        self.has_out = np.zeros(n_states, dtype=bool)
+        self.cum_pad = np.full(
+            (n_states, k, n_out_max, n_age), np.inf, dtype=np.float64)
+        self.top = np.zeros((n_states, k, n_age), dtype=np.float64)
+        self.dst_pad = np.full((n_states, n_out_max), -1, dtype=np.int8)
+        self.dist_id = np.zeros((n_states, n_out_max), dtype=np.int64)
+        self.dists: list = []
+        self.n_out_max = n_out_max
+        keymap: dict = {}
+        for code, (dsts, _probs, dwells) in outs.items():
+            n_out = len(dwells)
+            self.has_out[code] = True
+            for i, model in enumerate(models):
+                cum = model.out_cum[code]
+                self.top[code, i] = cum[-1]
+                if n_out > 1:
+                    self.cum_pad[code, i, :n_out] = cum
+            self.dst_pad[code, :n_out] = dsts
+            self.dst_pad[code, n_out:] = dsts[-1]
+            for e, dw in enumerate(dwells):
+                key = _dwell_key(dw)
+                if key not in keymap:
+                    keymap[key] = len(self.dists)
+                    self.dists.append(dw)
+                self.dist_id[code, e] = keymap[key]
+            self.dist_id[code, n_out:] = self.dist_id[code, n_out - 1]
+        # Family split so a whole batch's dwell draws evaluate in a
+        # constant number of vectorised passes: fixed is a table lookup,
+        # all normals share one CDF inversion (parametrised by gathered
+        # mu/sd), anything else (discrete, custom) loops per distinct
+        # distribution — family code 2.
+        fams, days, mus, sds = [], [], [], []
+        self.other_dists: list = []
+        for d_id, dw in enumerate(self.dists):
+            if isinstance(dw, FixedDwell):
+                fams.append(0), days.append(dw.days)
+                mus.append(0.0), sds.append(0.0)
+            elif isinstance(dw, NormalDwell):
+                fams.append(1), days.append(0)
+                mus.append(dw.mu), sds.append(dw.sd)
+            else:
+                fams.append(2), days.append(0)
+                mus.append(0.0), sds.append(0.0)
+                self.other_dists.append((d_id, dw))
+        self.fam = np.asarray(fams, dtype=np.int8)
+        self.fixed_days = np.asarray(days, dtype=np.int32)
+        self.mu = np.asarray(mus, dtype=np.float64)
+        self.sd = np.asarray(sds, dtype=np.float64)
+
+
+#: One-lane tables per model (~40 us to build, reused by every solo call),
+#: held weakly so a dropped model takes its tables with it.
+_ONE_LANE_TABLES: "weakref.WeakKeyDictionary[DiseaseModel, SchedTables]" = (
+    weakref.WeakKeyDictionary())
+
+
 def _schedule_small(
     model: DiseaseModel,
     sched: ProgressionState,
@@ -62,14 +178,13 @@ def _schedule_small(
     age_group: np.ndarray,
     rng: np.random.Generator,
 ) -> None:
-    """Scalar twin of the vectorised scheduler for tiny entry batches.
+    """Scalar twin of :func:`schedule_lanes` for one lane's tiny batches.
 
-    Reproduces the vectorised path's RNG consumption exactly: groups in
-    ascending entered-code order (original person order within a group),
-    one uniform per person per group, then dwell draws grouped by chosen
-    edge in ascending edge order.  Scalar generator calls consume the
-    stream like their size-1/size-n array forms, so outputs are
-    bit-identical to the vectorised path.
+    Reproduces its RNG consumption exactly: groups in ascending
+    entered-code order (original person order within a group), one
+    uniform per person per group, then dwell draws grouped by chosen edge
+    in ascending edge order.  Scalar generator calls consume the stream
+    like their size-1/size-n array forms, so outputs are bit-identical.
     """
     n_total = pids.shape[0]
     pids_l = pids.tolist()
@@ -153,6 +268,163 @@ def _schedule_small(
     sched.n_pending += pending
 
 
+def schedule_lanes(
+    tables: SchedTables,
+    scheds: list[ProgressionState],
+    dwell: np.ndarray,
+    next_state: np.ndarray,
+    lanes: np.ndarray,
+    pids: np.ndarray,
+    codes: np.ndarray,
+    age_group: np.ndarray,
+    rngs: list[np.random.Generator],
+) -> None:
+    """Schedule the next hop of entries of K lanes in one vectorised pass.
+
+    ``dwell`` / ``next_state`` are the ``(K, N)`` scheduling stacks whose
+    rows are ``scheds[i].dwell`` / ``.next_state``; entry ``j`` is person
+    ``pids[j]`` of lane ``lanes[j]`` entering ``codes[j]``.
+
+    Exploits the dwell families' one-uniform-per-draw contract: a
+    (lane, code) group of ``n`` entries consumes exactly ``2n`` uniforms
+    (``n`` edge choices, then ``n`` dwell draws ordered by chosen edge),
+    so each group's block is pre-drawn in a single generator call — per
+    lane in ascending-code order, the one-lane stream layout — and every
+    choice comparison and dwell-value transform then runs vectorised over
+    all lanes at once.  Outputs are bit-identical to K one-lane calls.
+    """
+    k = len(scheds)
+    t = tables
+    n_states = t.has_out.shape[0]
+    n_pop = dwell.shape[1]
+    dwell_flat = dwell.reshape(-1)
+    next_flat = next_state.reshape(-1)
+    m_all = pids.shape[0]
+    # (lane, code)-major stable sort: each lane's groups come out in
+    # ascending-code order (its stream-consumption order) with original
+    # person order preserved inside each group.
+    key = lanes * n_states + codes
+    if bool((key[1:] >= key[:-1]).all()):
+        # Already (lane, code)-grouped — the transmission path always is
+        # (one entry code per lane, lanes ascending).
+        s_key, s_lane, s_pid, s_code = key, lanes, pids, codes
+    else:
+        order = np.argsort(key, kind="stable")
+        s_key = key[order]
+        s_lane = lanes[order]
+        s_pid = pids[order]
+        s_code = codes[order]
+    cuts = np.flatnonzero(s_key[1:] != s_key[:-1]) + 1
+    bounds = np.concatenate(([0], cuts, [m_all]))
+    g_start = bounds[:-1]
+    g_size = np.diff(bounds)
+    g_lane = s_lane[g_start]
+    g_out = t.has_out[s_code[g_start]]
+
+    # Draw phase: each non-terminal group owns a contiguous 2n slice of
+    # the buffer (n choice uniforms, then n dwell uniforms).  Groups are
+    # lane-major, so one generator call per lane fills all its slices — a
+    # single ``random(out=...)`` over consecutive blocks consumes the
+    # stream exactly like a sequence of smaller per-group draws.
+    draw_sizes = np.where(g_out, 2 * g_size, 0)
+    g_ustart = np.concatenate(([0], np.cumsum(draw_sizes)))
+    total_draw = int(g_ustart[-1])
+    g_ustart = g_ustart[:-1]
+    ubuf = np.empty(total_draw, dtype=np.float64)
+    lane_first = np.flatnonzero(
+        np.concatenate(([True], g_lane[1:] != g_lane[:-1])))
+    ext = np.append(g_ustart[lane_first], total_draw).tolist()
+    for j, lane in enumerate(g_lane[lane_first].tolist()):
+        lo, hi = ext[j], ext[j + 1]
+        if hi > lo:
+            rngs[lane].random(out=ubuf[lo:hi])
+
+    # Transform phase: one vectorised pass over every lane and code at
+    # once, via the padded (code, lane, edge, age) tables.
+    flat_idx = s_lane * n_pop + s_pid
+    was = dwell_flat[flat_idx] > 0
+    pend_minus = (np.bincount(s_lane[was], minlength=k)
+                  if was.any() else None)
+    p_gid = np.repeat(np.arange(g_start.shape[0]), g_size)
+    p_out = g_out[p_gid]
+    all_out = bool(p_out.all())
+    if not all_out:
+        # Terminal entries: clear any schedule.
+        term = ~p_out
+        dwell_flat[flat_idx[term]] = 0
+        next_flat[flat_idx[term]] = -1
+        sel = np.flatnonzero(p_out)
+        if sel.size:
+            s_lane, s_pid, s_code = s_lane[sel], s_pid[sel], s_code[sel]
+            flat_idx, p_gid = flat_idx[sel], p_gid[sel]
+    pend_plus = None
+    if all_out or sel.size:
+        # Local position of each person inside its group: its global
+        # sorted index minus the group's start (``sel`` IS the global
+        # sorted index once terminal entries were filtered out).
+        if all_out:
+            within = np.arange(m_all, dtype=np.int64) - g_start[p_gid]
+        else:
+            within = sel - g_start[p_gid]
+        ustarts = g_ustart[p_gid]
+        u = ubuf[ustarts + within]
+        ages = age_group[s_pid]
+        u2 = u * t.top[s_code, s_lane, ages]
+        # Padded columns are +inf (single-edge states entirely so), so the
+        # count-of-crossed-thresholds is the inverse-cdf choice for every
+        # state at once.
+        cum_cols = t.cum_pad[s_code, s_lane, :, ages]
+        choice = (u2[:, None] >= cum_cols).sum(axis=1)
+        # Dwells are drawn per chosen edge in ascending-edge order inside
+        # each group; a stable sort by (group, choice) ranks persons in
+        # exactly that consumption order.  Groups occupy the same
+        # contiguous ranges sorted as unsorted (group is the major key),
+        # so the stream indices below serve sorted positions too.
+        ord2 = np.argsort(p_gid * t.n_out_max + choice, kind="stable")
+        dwell_u = np.empty(choice.shape[0], dtype=np.float64)
+        dwell_u[ord2] = ubuf[ustarts + g_size[p_gid] + within]
+        did = t.dist_id[s_code, choice]
+        fam = t.fam[did]
+        vals = np.empty(choice.shape[0], dtype=np.int32)
+        mk = fam == 0
+        if mk.any():
+            vals[mk] = t.fixed_days[did[mk]]
+        mk = fam == 1
+        n_norm = int(mk.sum())
+        if n_norm:
+            # One CDF inversion for every normal draw, parametrised by
+            # gathered mu/sd — elementwise identical to each dist's own
+            # values_from_uniforms (small subsets take the bit-identical
+            # scalar twin, mirroring its small-batch path's cost profile).
+            sub = did[mk]
+            u_n = dwell_u[mk]
+            if n_norm <= 24:
+                mus = t.mu[sub].tolist()
+                sds = t.sd[sub].tolist()
+                vals[mk] = np.asarray(
+                    [max(1, round(m_ + s_ * inverse_normal_cdf_scalar(v)))
+                     for m_, s_, v in zip(mus, sds, u_n.tolist())],
+                    dtype=np.int32)
+            else:
+                draws = t.mu[sub] + t.sd[sub] * inverse_normal_cdf(u_n)
+                vals[mk] = np.maximum(1, np.rint(draws)).astype(np.int32)
+        for d_id, dist in t.other_dists:
+            mask = did == d_id
+            if mask.any():
+                vals[mask] = dist.values_from_uniforms(dwell_u[mask])
+        next_flat[flat_idx] = t.dst_pad[s_code, choice]
+        dwell_flat[flat_idx] = vals
+        pos = vals > 0
+        pend_plus = (np.bincount(s_lane[pos], minlength=k)
+                     if pos.any() else None)
+    if pend_minus is not None or pend_plus is not None:
+        for i, sched in enumerate(scheds):
+            delta = ((int(pend_plus[i]) if pend_plus is not None else 0)
+                     - (int(pend_minus[i]) if pend_minus is not None else 0))
+            if delta:
+                sched.n_pending += delta
+
+
 def schedule_entries(
     model: DiseaseModel,
     sched: ProgressionState,
@@ -162,6 +434,9 @@ def schedule_entries(
     rng: np.random.Generator,
 ) -> None:
     """Sample and schedule the next transition for persons entering states.
+
+    The one-lane entry point: the scalar twin for small batches,
+    :func:`schedule_lanes` at K=1 otherwise (bit-identical either way).
 
     Args:
         model: the disease model (outgoing edges per state).
@@ -175,108 +450,57 @@ def schedule_entries(
     if pids.size <= _SMALL_BATCH:
         _schedule_small(model, sched, pids, codes, age_group, rng)
         return
-    # Group entries by entered code.  Transmission batches enter a single
-    # code (the exposed state), so the common case is one group; otherwise
-    # a stable argsort reproduces np.unique's ascending-code iteration with
-    # the original person order preserved inside each group — the RNG draw
-    # sequence (one uniform batch per code with out-edges, then one dwell
-    # batch per chosen edge) is identical either way.
-    if (codes == codes[0]).all():
-        grouped = ((int(codes[0]), pids),)
-    else:
-        order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        sorted_pids = pids[order]
-        cuts = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
-        bounds = np.concatenate(([0], cuts, [sorted_codes.shape[0]]))
-        grouped = tuple(
-            (int(sorted_codes[bounds[j]]), sorted_pids[bounds[j]:bounds[j + 1]])
-            for j in range(bounds.shape[0] - 1))
-    for code, persons in grouped:
-        out = model.out_edges.get(code)
-        was_pending = int((sched.dwell[persons] > 0).sum())
-        if out is None:
-            # Terminal entries: clear any schedule.
-            sched.dwell[persons] = 0
-            sched.next_state[persons] = -1
-            sched.n_pending -= was_pending
-            continue
-        dsts, probs, dwells = out
-        n = persons.shape[0]
-        u = rng.random(n)
-        if dsts.shape[0] == 1:
-            # Single outgoing edge: the choice is forced (the uniform batch
-            # is still drawn, keeping the stream layout uniform).
-            sched.next_state[persons] = dsts[0]
-            new_dwell = dwells[0].sample(n, rng)
-        else:
-            # out_cum is the precomputed column-wise cumulative of the
-            # (n_out, n_age) probs; gathering person columns out of it is
-            # bit-identical to cumsumming after the gather.
-            cum = model.out_cum[code][:, age_group[persons]]
-            u *= cum[-1]
-            choice = (u[None, :] >= cum).sum(axis=0)  # index of chosen edge
-            sched.next_state[persons] = dsts[choice]
-            new_dwell = np.empty(n, dtype=np.int32)
-            for k in range(dsts.shape[0]):
-                grp = choice == k
-                n_grp = int(grp.sum())
-                if n_grp:
-                    new_dwell[grp] = dwells[k].sample(n_grp, rng)
-        sched.dwell[persons] = new_dwell
-        sched.n_pending += int((new_dwell > 0).sum()) - was_pending
+    tables = _ONE_LANE_TABLES.get(model)
+    if tables is None:
+        tables = _ONE_LANE_TABLES[model] = SchedTables([model])
+    schedule_lanes(tables, [sched], sched.dwell[None], sched.next_state[None],
+                   np.zeros(pids.shape[0], dtype=np.int64),
+                   np.asarray(pids, dtype=np.int64), codes, age_group, [rng])
 
 
-def batched_progression_step(
+def progression_sweep(
     dwell: np.ndarray,
     next_state: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One progression tick over ``K`` stacked replicate lanes.
+    """One progression tick over ``(K, N)`` lane stacks.
 
-    The batched twin of :func:`progression_step`: ``dwell`` and
-    ``next_state`` are ``(K, N)`` stacks whose rows are the per-lane
-    scheduling arrays.  All decrements, zero-crossing scans, and the
-    fired-transition extraction run as whole-stack operations;
-    ``np.nonzero`` on the stacked fire mask is row-major, so the flat
-    outputs are the per-lane solo results concatenated in lane order with
-    each lane's pids ascending — bit-identical to K solo calls.
+    Decrements every pending dwell counter in place, clears the schedule
+    of the persons whose counter reached zero, and returns the
+    transitions firing now.  One ``flatnonzero`` over the stack is
+    row-major, so the outputs are the per-lane results concatenated in
+    lane order with each lane's pids ascending.
 
     Returns:
-        ``(sizes, pids, codes, n_hit_zero)``: per-lane fired counts, the
-        lane-major flat fired pids and their scheduled destination codes,
-        and the per-lane count of dwell counters that reached zero (the
-        caller's ``n_pending`` decrement).
+        ``(sizes, pids, codes, n_hit)``: per-lane fired counts, the
+        lane-major fired pids and their scheduled destination codes, and
+        the per-lane count of counters that reached zero (the caller's
+        ``n_pending`` decrement).
     """
+    k, n = dwell.shape
     pending = dwell > 0
     np.subtract(dwell, 1, out=dwell, where=pending)
-    hit_zero = pending & (dwell == 0)
-    n_hit = hit_zero.sum(axis=1)
-    fire = hit_zero & (next_state >= 0)
-    sizes = fire.sum(axis=1)
-    lanes_all, pids_all = np.nonzero(fire)
-    flat = lanes_all * dwell.shape[1] + pids_all
+    hit = np.flatnonzero(pending & (dwell == 0))
     next_flat = next_state.reshape(-1)
-    codes = next_flat[flat]
+    codes = next_flat[hit]
+    fire = codes >= 0
+    flat = hit[fire]
+    codes = codes[fire]
     next_flat[flat] = -1
-    return sizes, pids_all, codes, n_hit
+    lanes, pids = np.divmod(flat, n)
+    return (np.bincount(lanes, minlength=k), pids, codes,
+            np.bincount(hit // n, minlength=k))
 
 
 def progression_step(
     sched: ProgressionState,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance one tick; return (pids, codes) of transitions firing now.
+    """Advance one lane one tick; return (pids, codes) firing now.
 
-    Decrements every pending dwell counter in place and returns the persons
-    whose counters reached zero together with their scheduled destinations.
-    The caller must re-enter those persons (recording the transition and
-    scheduling their next hop).
+    The one-lane face of :func:`progression_sweep`.  The caller must
+    re-enter those persons (recording the transition and scheduling their
+    next hop).
     """
-    pending = sched.dwell > 0
-    sched.dwell[pending] -= 1
-    hit_zero = pending & (sched.dwell == 0)
-    sched.n_pending -= int(hit_zero.sum())
-    fire = hit_zero & (sched.next_state >= 0)
-    pids = np.flatnonzero(fire)
-    codes = sched.next_state[pids].copy()
-    sched.next_state[pids] = -1
+    _sizes, pids, codes, n_hit = progression_sweep(
+        sched.dwell[None], sched.next_state[None])
+    sched.n_pending -= int(n_hit[0])
     return pids, codes

@@ -1,4 +1,4 @@
-"""Vectorised transmission kernel implementing Eq. (1) of Appendix D.
+"""Transmission: Eq. (1) of Appendix D, written once over lane stacks.
 
 For a contact edge e between susceptible person P_s (state X_i) and
 infectious person P_i (state X_k), the propensity of the transition into the
@@ -15,30 +15,38 @@ contact with p = 1 - exp(-rho); we use the per-contact form because it also
 yields the causing contact directly (EpiHiper records which contact caused
 each transmission).
 
-Two interchangeable kernels produce the candidate contacts:
+Both drivers call :func:`lane_transmissions` once per tick with ``(K, N)`` /
+``(K, E)`` lane stacks — the
+:class:`~repro.epihiper.batch.BatchedSimulation` with its K lanes, the solo
+:class:`~repro.epihiper.engine.Simulation` with its own arrays viewed as
+one lane — and :func:`transmission_step` is the same call over one lane's
+loose arrays.  A tick has three stages, each written once:
 
-``dense``
-    Scan every edge: O(|E|) boolean masks, best once a sizeable fraction of
-    the population is infectious.
+Candidate enumeration (:class:`CandidateScan`)
+    ``dense`` lanes share one scan over the doubled-edge layout (both
+    contact directions of every edge, for all dense lanes at once);
+    ``frontier`` lanes each gather only the edges incident to their
+    infectious set through the
+    :class:`~repro.epihiper.interventions.IncidentEdges` CSR — O(frontier
+    degree) instead of O(|E|), the early-epidemic common case.  A candidate
+    contact requires an infectious endpoint, so both kernels enumerate
+    *exactly* the same contacts, in the same order (forward then backward
+    direction, ascending edge).
 
-``frontier``
-    Gather only the edges incident to the currently-infectious set through
-    the :class:`~repro.epihiper.interventions.IncidentEdges` CSR, then sort
-    the gathered edge rows into ascending (dense enumeration) order.  Early
-    in an epidemic — the common case in calibration sweeps — this does
-    O(frontier degree) work instead of O(|E|).
+The ``auto`` rule (:func:`resolve_auto`)
+    Frontier while the gathered incident-slot count (the infectious sets'
+    degree sum, summed over the lanes resolved together) stays below
+    ``FRONTIER_DENSE_CROSSOVER`` of the edge count, dense afterwards; all
+    ``auto`` lanes of a batch share one decision, so the dense lanes stay
+    one stacked scan.
 
-Because a candidate contact requires an infectious endpoint, both kernels
-enumerate *exactly* the same contacts, and the ascending sort makes the
-frontier kernel emit them in the same order the dense scan does.  The RNG
-consumption (one uniform per candidate, then one permutation over firing
-contacts) is therefore identical, and the two kernels produce bit-identical
-:class:`TransmissionEvents` for the same RNG stream — equivalence is exact,
-not statistical.
+Sampling (:func:`sample_transmissions`)
+    Eq. (1) over the lane-concatenated candidates, then per lane one
+    uniform per candidate and one permutation over the firing contacts
+    (each exposed person's attributed contact is uniform among them).
 
-``auto`` picks per tick: frontier while the gathered incident-slot count
-(the sum of the infectious set's degrees) stays below
-``FRONTIER_DENSE_CROSSOVER`` of the edge count, dense afterwards.
+The kernel choice never changes the RNG consumption, so every backend —
+and every batch width — yields bit-identical events for the same stream.
 """
 
 from __future__ import annotations
@@ -57,15 +65,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Contact durations in the network are minutes; propensities use days.
 MINUTES_PER_DAY: float = 24.0 * 60.0
 
-#: ``auto`` crossover: use the frontier kernel while the infectious set's
-#: degree sum (gathered CSR slots) is below this fraction of |E|.  The
-#: frontier pays a sort over the gathered rows but skips the O(|E|) boolean
-#: masks and O(|E|)-sized mask-indexing of the dense scan; measured on
-#: scaled state networks the break-even sits around 0.6 gathered slots per
-#: edge (~30% prevalence on a degree-homogeneous network), and the two
-#: kernels are within ~10% of each other well around it, so a misprediction
-#: near the boundary is cheap.
-FRONTIER_DENSE_CROSSOVER: float = 0.6
+#: ``auto`` crossover: use the frontier kernel while the summed degree of
+#: the infectious sets being resolved (gathered CSR slots) is below this
+#: fraction of |E|.  The frontier pays a sort over the gathered rows and a
+#: gather per lane; the stacked dense scan pays one pass over the doubled
+#: edges for all its lanes.  Measured with one lane on VA at 1e-3, 4e-3 and
+#: 1e-2 (30k-300k edges), the two break even at 0.15 gathered slots per edge
+#: (~7.5% prevalence) and stay within ~10% of each other from 0.1 to 0.2, so
+#: a misprediction near the boundary is cheap.  A 16-lane batch crosses at
+#: the same summed workload, i.e. in its first few seeded ticks.
+FRONTIER_DENSE_CROSSOVER: float = 0.15
 
 
 class TransmissionBackend(Enum):
@@ -99,229 +108,271 @@ class TransmissionEvents:
     n_candidates: int  #: directed susceptible-infectious contacts evaluated
 
 
-def _unique_sorted(values: np.ndarray) -> np.ndarray:
-    """Ascending deduplication via sort + adjacent-difference flags.
+def frontier_workload(inf_state: np.ndarray,
+                      incident: "IncidentEdges") -> float:
+    """Exact frontier gather workload (degree sum) of one infectious mask,
+    or summed over a ``(K, N)`` stack of lane masks.
 
-    Equivalent to ``np.unique`` on 1-D integer input but noticeably faster
-    (np.unique pays for its generality), which matters here: the dedup of
-    gathered frontier rows is the frontier kernel's dominant cost.
+    One contraction against the cached degree column, a few microseconds
+    regardless of prevalence.  ``einsum`` rather than a BLAS dot: a
+    multithreaded BLAS call stalls for milliseconds on a busy host, which
+    used to put ``auto`` 2x behind ``dense`` at high prevalence.  Degree
+    sums are integers far below 2**53, so the float result is exact.
     """
-    if values.size == 0:
-        return values
-    values = np.sort(values)
-    keep = np.empty(values.shape[0], dtype=bool)
-    keep[0] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
+    degrees = incident.degrees
+    return float(np.einsum("kn,n->", inf_state.reshape(-1, degrees.shape[0]),
+                           degrees))
 
 
-def _empty_events(n_candidates: int) -> TransmissionEvents:
-    return TransmissionEvents(
-        pids=np.empty(0, np.int64),
-        exposed_codes=np.empty(0, np.int8),
-        infectors=np.empty(0, np.int64),
-        n_candidates=int(n_candidates),
-    )
+def resolve_auto(inf_auto: np.ndarray, incident: "IncidentEdges",
+                 n_edges: int) -> TransmissionBackend:
+    """The ``auto`` rule: one kernel for the lanes of ``inf_auto`` this tick.
 
-
-def resolve_backend(
-    backend: TransmissionBackend | str,
-    incident: "IncidentEdges | None",
-    infectious_pids: np.ndarray,
-    n_edges: int,
-) -> TransmissionBackend:
-    """Resolve ``auto`` into a concrete kernel for this tick.
-
-    The decision compares the exact work the frontier gather would do (the
-    infectious set's degree sum, an O(frontier) lookup in the CSR offsets)
-    against the dense scan's O(|E|); ``dense`` and ``frontier`` pass
-    through unchanged.
+    ``inf_auto`` holds the infectious masks of the ``auto`` lanes resolved
+    together (``(1, N)`` for a solo run).  Frontier while their summed
+    gather workload stays within ``FRONTIER_DENSE_CROSSOVER * |E|``, dense
+    afterwards.  The infectious count times the largest degree bounds the
+    workload from above, so one popcount settles the early-epidemic ticks
+    without touching the degree column.
     """
-    backend = TransmissionBackend.coerce(backend)
-    if backend is not TransmissionBackend.AUTO:
-        return backend
-    if incident is None:
-        return TransmissionBackend.DENSE
-    gathered = incident.degree_sum(infectious_pids)
-    if gathered <= FRONTIER_DENSE_CROSSOVER * n_edges:
+    threshold = FRONTIER_DENSE_CROSSOVER * n_edges
+    if np.count_nonzero(inf_auto) * incident.max_degree <= threshold:
+        return TransmissionBackend.FRONTIER
+    if frontier_workload(inf_auto, incident) <= threshold:
         return TransmissionBackend.FRONTIER
     return TransmissionBackend.DENSE
 
 
-def frontier_workload(inf_state: np.ndarray,
-                      incident: "IncidentEdges") -> float:
-    """Exact frontier gather workload (degree sum) from a boolean mask.
+class CandidateScan:
+    """Candidate contacts of a lane stack over one network.
 
-    One dot product over the cached float64 degree column — a few
-    microseconds regardless of prevalence, versus the flatnonzero + CSR
-    offset gather of :meth:`IncidentEdges.degree_sum`, whose cost grows
-    with the infectious count and used to make ``auto`` lose to ``dense``
-    at high prevalence.  Degree sums are integers far below 2**53, so the
-    float result equals ``degree_sum(flatnonzero(inf_state))`` exactly and
-    the ``auto`` decision is unchanged.
+    Holds the network's edge columns and, from the first dense tick on,
+    the doubled-edge lookups of the stacked dense scan (48 B per edge —
+    built per engine and dropped with it, never cached per network) plus
+    its boolean scratch.
     """
-    return float(np.dot(inf_state, incident.degrees))
+
+    def __init__(self, source: np.ndarray, target: np.ndarray,
+                 duration: np.ndarray) -> None:
+        self.source = source
+        self.target = target
+        self.duration = duration
+        self._tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._scratch: np.ndarray | None = None
+
+    def candidates(self, backends, sus, inf, active, weight, incident):
+        """Every lane's candidate contacts as one lane-concatenated batch.
+
+        ``sus`` / ``inf`` are the ``(K, N)`` state masks, ``active`` /
+        ``weight`` the ``(K, E)`` per-lane effective edge activity and
+        weights, ``backends`` the resolved kernel per lane.
+
+        Returns:
+            ``(sus_ids, inf_ids, dur, w, counts)``: lane-local person ids
+            and per-contact columns concatenated lane by lane, and the
+            ``(K,)`` per-lane candidate counts.
+        """
+        k = sus.shape[0]
+        frontier = [i for i, b in enumerate(backends)
+                    if b is TransmissionBackend.FRONTIER]
+        if not frontier:
+            return self._dense(sus, inf, active, weight)
+        if incident is None:
+            raise ValueError(
+                "frontier backend requires an IncidentEdges index")
+        parts: list = [None] * k
+        dense = [i for i, b in enumerate(backends)
+                 if b is not TransmissionBackend.FRONTIER]
+        if dense:
+            sel = np.asarray(dense)
+            *cols, d_counts = self._dense(sus[sel], inf[sel], active[sel],
+                                          weight[sel])
+            offs = np.concatenate(([0], np.cumsum(d_counts))).tolist()
+            for j, i in enumerate(dense):
+                parts[i] = [c[offs[j]:offs[j + 1]] for c in cols]
+        for i in frontier:
+            parts[i] = self._frontier(sus[i], inf[i], active[i], weight[i],
+                                      incident)
+        counts = np.array([p[0].shape[0] for p in parts], dtype=np.int64)
+        if k == 1:
+            return (*parts[0], counts)
+        return (*(np.concatenate([p[c] for p in parts]) for c in range(4)),
+                counts)
+
+    def _dense(self, sus, inf, active, weight):
+        """Dense candidates of K stacked lanes, in :meth:`candidates` form.
+
+        Both contact directions are evaluated in one ``(K, 2E)`` scan over
+        the doubled-edge layout: column ``c`` is the forward direction of
+        edge ``c`` for ``c < E`` and the backward direction of edge
+        ``c - E`` otherwise.  ``np.flatnonzero`` over it is row-major, so
+        each lane's candidates come out forward-then-backward in ascending
+        edge order.
+        """
+        n_lanes = sus.shape[0]
+        n_edges = self.source.shape[0]
+        if self._tables is None:
+            self._tables = (
+                np.concatenate([self.source, self.target]),  # infectious
+                np.concatenate([self.target, self.source]),  # susceptible
+                np.concatenate([self.duration, self.duration]))
+        inf_of, sus_of, dur_of = self._tables
+        if self._scratch is None or self._scratch.shape[1] < n_lanes:
+            self._scratch = np.empty((2, n_lanes, 2 * n_edges), dtype=bool)
+        cand = self._scratch[0, :n_lanes]
+        other = self._scratch[1, :n_lanes]
+        np.take(inf, inf_of, axis=1, out=cand)
+        np.take(sus, sus_of, axis=1, out=other)
+        cand &= other
+        cand[:, :n_edges] &= active
+        cand[:, n_edges:] &= active
+
+        flat = np.flatnonzero(cand)
+        # Per-lane counts from the sorted flat indices (row k occupies
+        # [k*2E, (k+1)*2E)) — a log-time search instead of a (K, 2E) sum.
+        bounds = np.searchsorted(
+            flat, np.arange(1, n_lanes + 1) * (2 * n_edges))
+        counts = np.diff(bounds, prepend=0)
+        lane = np.repeat(np.arange(n_lanes, dtype=np.int64), counts)
+        col = flat - lane * (2 * n_edges)
+        edge = np.where(col < n_edges, col, col - n_edges)
+        w = weight.reshape(-1)[lane * n_edges + edge]
+        return sus_of[col], inf_of[col], dur_of[col], w, counts
+
+    def _frontier(self, sus, inf, active, weight, incident):
+        """One lane's candidates gathered from its infectious frontier.
+
+        ``edges_of``'s sort-dedup both drops rows whose two endpoints are
+        infectious and puts the gathered rows in ascending — dense
+        enumeration — order.  State flags are looked up on the gathered
+        endpoints only, so nothing here scales with |E|.
+        """
+        rows = incident.edges_of(np.flatnonzero(inf))
+        if not rows.size:  # nobody infectious (an extinct lane)
+            return (self.target[:0], self.source[:0], self.duration[:0],
+                    weight[:0])
+        src = self.source[rows]
+        tgt = self.target[rows]
+        act = active[rows]
+        fwd = act & inf[src] & sus[tgt]  # src infects tgt
+        bwd = act & inf[tgt] & sus[src]  # tgt infects src
+        erows = np.concatenate([rows[fwd], rows[bwd]])
+        return (np.concatenate([tgt[fwd], src[bwd]]),
+                np.concatenate([src[fwd], tgt[bwd]]),
+                self.duration[erows], weight[erows])
 
 
-def _dense_candidates(sus_state, inf_state, edge_source, edge_target,
-                      edge_active, edge_weight, edge_duration_min):
-    """Candidate contacts by scanning every edge (both directions)."""
-    src, tgt = edge_source, edge_target
-    fwd = edge_active & inf_state[src] & sus_state[tgt]  # src infects tgt
-    bwd = edge_active & inf_state[tgt] & sus_state[src]  # tgt infects src
-
-    sus_ids = np.concatenate([tgt[fwd], src[bwd]])
-    if sus_ids.size == 0:
-        return None
-    inf_ids = np.concatenate([src[fwd], tgt[bwd]])
-    dur = np.concatenate([edge_duration_min[fwd], edge_duration_min[bwd]])
-    w = np.concatenate([edge_weight[fwd], edge_weight[bwd]])
-    return sus_ids, inf_ids, dur, w
+def _no_exposures(k: int):
+    return (np.zeros(k, dtype=np.int64), np.empty(0, np.int64),
+            np.empty(0, np.int8), np.empty(0, np.int64))
 
 
-def dense_candidate_tables(edge_source, edge_target, edge_duration_min):
-    """Static doubled-edge lookups for :func:`batched_dense_candidates`.
+def sample_transmissions(model: DiseaseModel, taus, rngs, health,
+                         node_sus, node_inf, cand):
+    """Eq. (1) and the per-lane draws over a lane-concatenated batch.
 
-    Column ``c`` of the doubled layout is the forward direction of edge
-    ``c`` for ``c < E`` and the backward direction of edge ``c - E``
-    otherwise; the returned ``(inf_of, sus_of, dur_of)`` map a doubled
-    column straight to its infectious endpoint, susceptible endpoint, and
-    contact duration.  Build once per network and reuse every tick.
-    """
-    inf_of = np.concatenate([edge_source, edge_target])
-    sus_of = np.concatenate([edge_target, edge_source])
-    dur_of = np.concatenate([edge_duration_min, edge_duration_min])
-    return inf_of, sus_of, dur_of
-
-
-def batched_dense_candidates(sus_stack, inf_stack, edge_source, edge_target,
-                             active_stack, weight_stack, edge_duration_min,
-                             tables=None, scratch=None):
-    """Dense candidates of ``K`` stacked replicate lanes, in flat form.
-
-    ``sus_stack`` / ``inf_stack`` are ``(K, N)`` boolean state masks,
-    ``active_stack`` is the ``(K, E)`` per-lane effective edge activity,
-    and ``weight_stack`` the ``(K, E)`` per-lane (possibly NPI-modified)
-    weight columns.  Both contact directions are evaluated in one
-    ``(K, 2E)`` scan over the doubled-edge layout (forward columns then
-    backward columns); ``np.flatnonzero`` over it is row-major, so each
-    lane's candidates come out forward-then-backward in ascending edge
-    order — exactly the enumeration :func:`_dense_candidates` produces —
-    and the per-lane segments are bit-identical to K solo calls.
-
-    Args:
-        tables: optional precomputed :func:`dense_candidate_tables`.
-        scratch: optional ``(2, K, 2E)`` boolean scratch reused across
-            ticks.
+    ``cand`` is :meth:`CandidateScan.candidates` output; ``health`` /
+    ``node_sus`` / ``node_inf`` are ``(K, N)`` lane stacks; ``taus`` and
+    ``rngs`` are each lane's transmissibility and generator (the sigma /
+    iota / omega tables and exposure map are ``model``'s, shared by all
+    lanes).  The arithmetic runs once over the whole batch and is
+    elementwise, so each lane's slice equals a one-lane evaluation.  Then,
+    in lane order, each lane's generator draws one uniform per candidate
+    (``random(out=...)`` on its slice consumes the stream like
+    ``random(n)``) and one permutation over its firing contacts; a person
+    reached by several firing contacts is exposed once, attributed to the
+    first in permuted order.
 
     Returns:
-        ``(sus_ids, inf_ids, dur, w, counts)``: lane-local person ids and
-        per-contact columns concatenated lane by lane, plus the ``(K,)``
-        per-lane candidate counts.
+        ``(sizes, pids, codes, infectors)``: per-lane exposure counts, and
+        the lane-major exposed pids (ascending per lane), entered codes
+        and infectors.
     """
-    n_lanes = sus_stack.shape[0]
-    n_edges = edge_source.shape[0]
-    if tables is None:
-        tables = dense_candidate_tables(
-            edge_source, edge_target, edge_duration_min)
-    inf_of, sus_of, dur_of = tables
-    if scratch is None:
-        scratch = np.empty((2, n_lanes, 2 * n_edges), dtype=bool)
-    cand, other = scratch[0], scratch[1]
-    np.take(inf_stack, inf_of, axis=1, out=cand)
-    np.take(sus_stack, sus_of, axis=1, out=other)
-    cand &= other
-    cand[:, :n_edges] &= active_stack
-    cand[:, n_edges:] &= active_stack
-
-    flat = np.flatnonzero(cand)
-    # Per-lane counts from the sorted flat indices (row k occupies
-    # [k*2E, (k+1)*2E)) — a log-time search instead of a (K, 2E) sum.
-    bounds = np.searchsorted(flat, np.arange(1, n_lanes + 1) * (2 * n_edges))
-    counts = np.diff(bounds, prepend=0)
-    lane = np.repeat(np.arange(n_lanes, dtype=np.int64), counts)
-    col = flat - lane * (2 * n_edges)
-    sus_ids = sus_of[col]
-    inf_ids = inf_of[col]
-    dur = dur_of[col]
-    edge = np.where(col < n_edges, col, col - n_edges)
-    w = weight_stack.reshape(-1)[lane * n_edges + edge]
-    return sus_ids, inf_ids, dur, w, counts
-
-
-def _frontier_candidates_from_rows(model, health, inf_state, rows,
-                                   edge_source, edge_target, edge_active,
-                                   edge_weight, edge_duration_min):
-    """Frontier candidate evaluation over pre-gathered unique-sorted rows."""
-    src = edge_source[rows]
-    tgt = edge_target[rows]
-    act = edge_active[rows]
-    sus_of = model.is_susceptible
-    fwd = act & inf_state[src] & sus_of[health[tgt]]
-    bwd = act & inf_state[tgt] & sus_of[health[src]]
-
-    sus_ids = np.concatenate([tgt[fwd], src[bwd]])
-    if sus_ids.size == 0:
-        return None
-    inf_ids = np.concatenate([src[fwd], tgt[bwd]])
-    frows, brows = rows[fwd], rows[bwd]
-    dur = np.concatenate([edge_duration_min[frows], edge_duration_min[brows]])
-    w = np.concatenate([edge_weight[frows], edge_weight[brows]])
-    return sus_ids, inf_ids, dur, w
-
-
-def _frontier_candidates(model, health, inf_state, infectious_pids, incident,
-                         edge_source, edge_target, edge_active, edge_weight,
-                         edge_duration_min):
-    """Candidate contacts gathered from the infectious frontier.
-
-    The sort-dedup both drops rows whose two endpoints are infectious and
-    puts the gathered rows in ascending — dense enumeration — order, which
-    is what guarantees RNG-stream equivalence with the dense kernel.
-    State flags are looked up on the gathered endpoints only, so nothing
-    here scales with |E| or |V| except the one flatnonzero the caller did.
-    """
-    rows = incident.edge_rows_of(infectious_pids)
-    if rows.size == 0:
-        return None
-    rows = _unique_sorted(rows)
-    return _frontier_candidates_from_rows(
-        model, health, inf_state, rows, edge_source, edge_target,
-        edge_active, edge_weight, edge_duration_min)
-
-
-def _sample_transmissions(model, health, node_susceptibility,
-                          node_infectivity, sus_ids, inf_ids, dur, w,
-                          rng) -> TransmissionEvents:
-    """Eq. (1) propensities + per-contact Bernoulli over the candidates."""
-    sigma = model.susceptibility[health[sus_ids]] * node_susceptibility[sus_ids]
-    iota = model.infectivity[health[inf_ids]] * node_infectivity[inf_ids]
-    omega = model.omega[health[sus_ids], health[inf_ids]]
-
+    sus_ids, inf_ids, dur, w, counts = cand
+    k, n = health.shape
+    total = sus_ids.shape[0]
+    if not total:
+        return _no_exposures(k)
+    if k > 1:
+        offsets = np.repeat(np.arange(k, dtype=np.int64) * n, counts)
+        gsus, ginf = sus_ids + offsets, inf_ids + offsets
+    else:
+        gsus, ginf = sus_ids, inf_ids
+    health = health.reshape(-1)
+    hs = health[gsus]
+    hi = health[ginf]
+    sigma = model.susceptibility[hs] * node_sus.reshape(-1)[gsus]
+    iota = model.infectivity[hi] * node_inf.reshape(-1)[ginf]
+    omega = model.omega[hs, hi]
     rho = (dur / MINUTES_PER_DAY) * w * sigma * iota * omega
-    rho *= model.transmissibility
+    rho *= np.repeat(np.asarray(taus, dtype=np.float64), counts)
     p = -np.expm1(-rho)  # 1 - exp(-rho), numerically stable for small rho
 
-    fired = rng.random(p.shape[0]) < p
-    if not fired.any():
-        return _empty_events(sus_ids.size)
-
+    u = np.empty(total, dtype=np.float64)
+    starts, lanes = [], []
+    off = 0
+    for i, c in enumerate(counts.tolist()):
+        if c:
+            rngs[i].random(out=u[off:off + c])
+            starts.append(off)
+            lanes.append(i)
+            off += c
+    fired = u < p
+    perms, perm_lanes = [], []
+    for i, nf in zip(lanes, np.add.reduceat(fired, starts).tolist()):
+        if nf:
+            perms.append(rngs[i].permutation(nf))
+            perm_lanes.append(i)
+    if not perms:
+        return _no_exposures(k)
     f_sus = sus_ids[fired]
     f_inf = inf_ids[fired]
+    if len(perms) == 1:
+        perm = perms[0]
+        key_base = perm_lanes[0] * n
+    else:
+        sizes = [q.shape[0] for q in perms]
+        perm = np.concatenate(perms)
+        perm += np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+        key_base = np.repeat(np.asarray(perm_lanes, dtype=np.int64) * n,
+                             sizes)
+    # Unique on ``lane * N + pid`` is the per-lane uniques concatenated,
+    # first occurrences included.
+    key, first = np.unique(key_base + f_sus[perm], return_index=True)
+    lane_of, pids = np.divmod(key, n)
+    return (np.bincount(lane_of, minlength=k), pids,
+            model.exposed_of[health[key]], f_inf[perm][first])
 
-    # Deduplicate per susceptible person; pick the attributed contact
-    # uniformly among firing contacts by shuffling before the unique pass.
-    perm = rng.permutation(f_sus.shape[0])
-    f_sus, f_inf = f_sus[perm], f_inf[perm]
-    uniq, first = np.unique(f_sus, return_index=True)
-    infectors = f_inf[first]
 
-    return TransmissionEvents(
-        pids=uniq,
-        exposed_codes=model.exposed_of[health[uniq]],
-        infectors=infectors,
-        n_candidates=int(sus_ids.size),
-    )
+def lane_transmissions(backends, model: DiseaseModel, taus, rngs, health,
+                       node_sus, node_inf, active, weight,
+                       scan: CandidateScan, incident):
+    """One tick of transmission for K lanes: resolve, enumerate, sample.
+
+    ``backends`` is each lane's configured kernel (``auto`` lanes resolve
+    together through :func:`resolve_auto`; without an ``incident`` CSR they
+    scan dense); the other stacks are as in :meth:`CandidateScan.candidates`
+    and :func:`sample_transmissions`.
+
+    Returns:
+        ``(counts, sizes, pids, codes, infectors)``: per-lane candidate
+        counts, then :func:`sample_transmissions`' exposures.
+    """
+    sus = np.take(model.is_susceptible, health)
+    inf = np.take(model.is_infectious, health)
+    auto = [i for i, b in enumerate(backends)
+            if b is TransmissionBackend.AUTO]
+    if auto:
+        choice = TransmissionBackend.DENSE
+        if incident is not None:
+            choice = resolve_auto(inf if len(auto) == len(backends)
+                                  else inf[auto], incident,
+                                  scan.source.shape[0])
+        backends = [choice if b is TransmissionBackend.AUTO else b
+                    for b in backends]
+    cand = scan.candidates(backends, sus, inf, active, weight, incident)
+    return (cand[4], *sample_transmissions(model, taus, rngs, health,
+                                           node_sus, node_inf, cand))
 
 
 def transmission_step(
@@ -341,6 +392,9 @@ def transmission_step(
 ) -> TransmissionEvents:
     """Evaluate the active contacts of one tick and sample transmissions.
 
+    :func:`lane_transmissions` for one lane's loose arrays (the dense
+    scan's lookups are built per call; an engine keeps its own).
+
     Args:
         model: the disease model supplying state-level sigma / iota / omega.
         health: per-person state codes.
@@ -358,45 +412,12 @@ def transmission_step(
         several firing contacts is exposed once, attributed to a uniformly
         random firing contact.
     """
-    inf_state = model.is_infectious[health]
-
-    backend = TransmissionBackend.coerce(backend)
-    if backend is TransmissionBackend.AUTO:
-        # Resolve from the boolean mask alone — the flatnonzero is deferred
-        # until (and unless) the frontier kernel is chosen, so a dense tick
-        # at high prevalence no longer pays an O(infectious) index build
-        # just to discover it didn't need one.
-        if incident is None:
-            backend = TransmissionBackend.DENSE
-        else:
-            threshold = FRONTIER_DENSE_CROSSOVER * edge_source.shape[0]
-            n_inf = np.count_nonzero(inf_state)
-            if n_inf * incident.max_degree <= threshold:
-                # The workload upper bound is already below the crossover,
-                # so one popcount settles the tick — the early-epidemic
-                # common case never touches the degree column.
-                backend = TransmissionBackend.FRONTIER
-            else:
-                gathered = frontier_workload(inf_state, incident)
-                backend = (
-                    TransmissionBackend.FRONTIER if gathered <= threshold
-                    else TransmissionBackend.DENSE)
-    if backend is TransmissionBackend.FRONTIER:
-        if incident is None:
-            raise ValueError(
-                "frontier backend requires an IncidentEdges index")
-        cand = _frontier_candidates(
-            model, health, inf_state, np.flatnonzero(inf_state), incident,
-            edge_source, edge_target, edge_active, edge_weight,
-            edge_duration_min)
-    else:
-        cand = _dense_candidates(
-            model.is_susceptible[health], inf_state, edge_source,
-            edge_target, edge_active, edge_weight, edge_duration_min)
-
-    if cand is None:
-        return _empty_events(0)
-    sus_ids, inf_ids, dur, w = cand
-    return _sample_transmissions(
-        model, health, node_susceptibility, node_infectivity,
-        sus_ids, inf_ids, dur, w, rng)
+    counts, _sizes, pids, codes, infectors = lane_transmissions(
+        [TransmissionBackend.coerce(backend)], model,
+        [model.transmissibility], [rng], health[None],
+        node_susceptibility[None], node_infectivity[None],
+        edge_active[None], edge_weight[None],
+        CandidateScan(edge_source, edge_target, edge_duration_min), incident)
+    return TransmissionEvents(pids=pids, exposed_codes=codes,
+                              infectors=infectors,
+                              n_candidates=int(counts[0]))

@@ -23,7 +23,7 @@ from repro.epihiper.states import FixedDwell, HealthState
 from repro.epihiper.transmission import (
     FRONTIER_DENSE_CROSSOVER,
     frontier_workload,
-    resolve_backend,
+    resolve_auto,
     transmission_step,
 )
 
@@ -154,20 +154,17 @@ def test_auto_switches_backend_as_prevalence_grows():
     src, tgt, _dur, _w = random_network(n_nodes, n_edges, setup)
     inc = IncidentEdges(src, tgt, n_nodes)
 
-    few = np.arange(5, dtype=np.int64)
-    many = np.arange(n_nodes, dtype=np.int64)
-    assert resolve_backend("auto", inc, few, n_edges) is \
+    few = np.arange(n_nodes) < 5
+    many = np.ones(n_nodes, dtype=bool)
+    assert resolve_auto(few[None], inc, n_edges) is \
         TransmissionBackend.FRONTIER
-    assert resolve_backend("auto", inc, many, n_edges) is \
+    assert resolve_auto(many[None], inc, n_edges) is \
         TransmissionBackend.DENSE
     # The crossover sits exactly at the documented gathered-slot fraction.
-    assert inc.degree_sum(few) <= FRONTIER_DENSE_CROSSOVER * n_edges
-    assert inc.degree_sum(many) > FRONTIER_DENSE_CROSSOVER * n_edges
-    # Fixed backends pass through; auto without a CSR degrades to dense.
-    assert resolve_backend("frontier", inc, many, n_edges) is \
-        TransmissionBackend.FRONTIER
-    assert resolve_backend("auto", None, few, n_edges) is \
-        TransmissionBackend.DENSE
+    assert inc.degree_sum(np.flatnonzero(few)) <= \
+        FRONTIER_DENSE_CROSSOVER * n_edges
+    assert inc.degree_sum(np.flatnonzero(many)) > \
+        FRONTIER_DENSE_CROSSOVER * n_edges
 
 
 def test_auto_workload_bound_is_conservative():

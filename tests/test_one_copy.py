@@ -20,6 +20,11 @@ subset of them).  And the fan-out: ``supervise_map(...)`` is called by the
 one instance fan-out (``core/parallel.py:_fan_out``) and by the single-run
 ``simulate`` command, nowhere else — a third fan-out would be a third set
 of failure semantics.
+
+Inside the tick core (``epihiper/``), Eq. 1's probability (``expm1``) and
+the attribution shuffle (``.permutation``) are each called in exactly one
+function, the one both simulation drivers share: a second site would be a
+second copy of the sampling kernel, free to drift from the first.
 """
 
 import ast
@@ -49,6 +54,12 @@ ALLOWED = {
 #: Callables whose call sites are pinned to the functions listed above.
 PINNED_CALLS = ("ProcessPoolExecutor", "ScenarioService", "supervise_map")
 
+#: The tick core's sampling calls, each pinned to one function.
+TICK_CORE_ALLOWED = {
+    ("expm1(", "transmission.py", "sample_transmissions"),
+    ("permutation(", "transmission.py", "sample_transmissions"),
+}
+
 
 def _idiom(call: ast.Call) -> str | None:
     """Which guarded primitive ``call`` is, if any."""
@@ -74,7 +85,13 @@ def _idiom(call: ast.Call) -> str | None:
     return None
 
 
-def _sites(root: Path) -> set[tuple[str, str, str]]:
+def _tick_core_idiom(call: ast.Call) -> str | None:
+    """``expm1(`` / ``permutation(`` however the callable is reached."""
+    name = getattr(call.func, "attr", None) or getattr(call.func, "id", None)
+    return f"{name}(" if name in ("expm1", "permutation") else None
+
+
+def _sites(root: Path, idiom=_idiom) -> set[tuple[str, str, str]]:
     """``(idiom, file, enclosing function)`` for every guarded call."""
     found = set()
 
@@ -83,7 +100,7 @@ def _sites(root: Path) -> set[tuple[str, str, str]]:
             inner = where
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = child.name
-            if isinstance(child, ast.Call) and (kind := _idiom(child)):
+            if isinstance(child, ast.Call) and (kind := idiom(child)):
                 found.add((kind, rel, where))
             walk(child, inner, rel)
 
@@ -128,3 +145,25 @@ def test_guard_actually_detects(tmp_path):
         ("mkstemp", "mod.py", "publish"), ("replace", "mod.py", "publish"),
         ("replace", "mod.py", "swap"),
         ("kill", "mod.py", "probe"), ("loads(line", "mod.py", "replay")}
+
+
+def test_tick_core_sampling_lives_in_one_function():
+    assert _sites(SRC_ROOT / "epihiper", _tick_core_idiom) == \
+        TICK_CORE_ALLOWED
+
+
+def test_tick_core_guard_actually_detects(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import numpy as np\n"
+        "from numpy import expm1\n"
+        "def sample(rho, rng, n):\n"
+        "    return -np.expm1(-rho), rng.permutation(n)\n"
+        "def sample_again(rho, rng, n):\n"
+        "    order = np.random.default_rng(0).permutation(n)\n"
+        "    return -expm1(-rho), order\n"
+        "def other(rho):\n"
+        "    return np.exp(-rho)\n")
+    assert _sites(tmp_path, _tick_core_idiom) == {
+        ("expm1(", "mod.py", "sample"), ("permutation(", "mod.py", "sample"),
+        ("expm1(", "mod.py", "sample_again"),
+        ("permutation(", "mod.py", "sample_again")}
