@@ -82,7 +82,7 @@ class CheckpointPlan:
             no heartbeats).
         ledger_path: run-ledger file checkpoint events append to (None =
             no ledger events; pool workers append concurrently, one
-            flushed line per event, the same discipline shard spools use).
+            flushed line per event, the same discipline every ledger uses).
     """
 
     store_root: str

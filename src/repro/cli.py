@@ -118,8 +118,8 @@ def _resolve_checkpoint(args: argparse.Namespace, store):
     """The checkpoint plan ``--checkpoint-every`` implies (None = off).
 
     Snapshots ride the result store's CAS (``checkpoint/v1`` family), so
-    the plan needs a store; heartbeats land in the store-adjacent lease
-    table the shard fleet shares.
+    the plan needs a store; heartbeats renew leases in the store's lease
+    table (:func:`~repro.store.cas.lease_dir`).
     """
     if args.checkpoint_every <= 0:
         return None
@@ -127,7 +127,7 @@ def _resolve_checkpoint(args: argparse.Namespace, store):
         raise SystemExit(
             "--checkpoint-every needs the result store (drop --no-cache)")
     from .checkpoint import CheckpointPlan
-    from .service.shard import lease_dir
+    from .store.cas import lease_dir
 
     return CheckpointPlan(
         store_root=str(store.root), every=args.checkpoint_every,
@@ -170,9 +170,9 @@ def _add_plane_flags(p: argparse.ArgumentParser) -> None:
 def _enable_plane(args: argparse.Namespace) -> bool:
     """Apply the plane flags to the environment; True when active.
 
-    Pool workers and service shards inherit the decision through
-    ``REPRO_PLANE`` / ``REPRO_PLANE_DIR``, so this must run before any
-    child process is spawned.
+    Pool workers inherit the decision through ``REPRO_PLANE`` /
+    ``REPRO_PLANE_DIR``, so this must run before any child process is
+    spawned.
     """
     import os
 
@@ -252,11 +252,14 @@ def _cmd_simulate_replicates(args: argparse.Namespace) -> int:
     group and ride the K-lane vectorized kernel via the standard
     memoized fan-out — each replicate still lands in the store under its
     own instance key, bit-identical to a solo run with the same seed.
+    Faults, retries and tracing behave as on a single run: a quarantined
+    group exits :data:`EXIT_QUARANTINED`.
     """
     import numpy as np
 
-    from .core.parallel import InstanceSpec, run_instances
+    from .core.parallel import InstanceSpec, supervise_instances
     from .obs import MetricsRegistry
+    from .resilience import RetryPolicy
 
     store = _resolve_store(args)
     ledger = _resolve_ledger(args)
@@ -269,9 +272,26 @@ def _cmd_simulate_replicates(args: argparse.Namespace) -> int:
         for r in range(args.replicates)
     ]
     reg = MetricsRegistry()
-    outcomes = run_instances(
-        specs, store=store, ledger=ledger, parallel=False, registry=reg,
-        checkpoint=_resolve_checkpoint(args, store))
+    tracer = _resolve_tracer(args, run_id=f"simulate:{args.region}")
+    with tracer, tracer.span(f"simulate:{args.region}", days=args.days,
+                             seed=args.seed,
+                             replicates=args.replicates) as root:
+        res = supervise_instances(
+            specs, store=store, ledger=ledger, parallel=False, registry=reg,
+            retry=RetryPolicy(max_attempts=args.retries, base_delay_s=0.05,
+                              seed=args.fault_seed),
+            faults=_resolve_faults(args),
+            checkpoint=_resolve_checkpoint(args, store))
+        if res.quarantined:
+            root.attrs["quarantined"] = len(res.quarantined)
+        if store is not None:
+            reg.merge(store.metrics)
+        tracer.metrics(reg, scope="simulate")
+    if res.quarantined:
+        for rec in res.quarantined:
+            print(f"quarantined: {rec.describe()}", file=sys.stderr)
+        return EXIT_QUARANTINED
+    outcomes = res.results
     rates = np.array([o.attack_rate for o in outcomes])
     finals = [int(o.confirmed[-1]) for o in outcomes]
     print(f"{args.region}: {len(outcomes)} replicates, "
@@ -291,6 +311,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from .core.parallel import InstanceSpec
     from .store.keys import instance_key
 
+    if args.replicates > 1 and args.csv:
+        print("--csv writes a single run's series; it does not combine "
+              "with --replicates", file=sys.stderr)
+        return 2
     _enable_plane(args)
     if args.replicates > 1:
         return _cmd_simulate_replicates(args)
@@ -796,7 +820,7 @@ def _cmd_surrogate(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import dataclasses
 
-    from .service import ServiceConfig, serve, serve_fleet
+    from .service import ServiceConfig, serve
 
     flags = {f.name for f in dataclasses.fields(ServiceConfig)} & set(
         vars(args))
@@ -808,12 +832,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "plane": _enable_plane(args)})
     except ValueError as exc:
         raise SystemExit(str(exc))
-    if config.shards > 1:
-        serve_fleet(config)
-    else:
-        tracer = _resolve_tracer(args, run_id="serve")
-        with tracer:
-            serve(config, tracer=tracer)
+    tracer = _resolve_tracer(args, run_id="serve")
+    with tracer:
+        serve(config, tracer=tracer)
     return 0
 
 
@@ -1072,10 +1093,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="admissions per +1 priority boost of waiting work")
     p.add_argument("--batch-size", type=int, default=4,
                    help="scenarios per supervised fan-out batch")
-    p.add_argument("--shards", type=int, default=1,
-                   help="run N sharded worker processes behind a router "
-                        "(scenarios are sharded by cache-key hash; needs "
-                        "the shared result store)")
     p.add_argument("--workers", type=int, default=None,
                    help="process-pool size for each batch")
     p.add_argument("--serial", action="store_true",

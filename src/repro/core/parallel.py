@@ -385,8 +385,8 @@ class _PoolOwner:
 
 
 _POOL = _PoolOwner()
-# A forked child (a pool worker, a service shard) must not drive workers
-# that belong to its parent: it starts with no pool and a fresh lock.
+# A forked child (a pool worker) must not drive workers that belong to
+# its parent: it starts with no pool and a fresh lock.
 os.register_at_fork(after_in_child=_POOL.__init__)
 
 
@@ -624,7 +624,7 @@ def supervise_instances(
             # Double-check under the lease: another process may have
             # executed, published *and released* between the lookup above
             # and this acquire — re-running would be wasted work, and
-            # "executes once fleet-wide" is the contract.
+            # "executes once across processes" is the contract.
             payload = store.get(key)
             if payload is None:
                 owned.append(key)

@@ -2,9 +2,9 @@
 
 Region assets (synthetic population, contact network, surveillance
 truth) are by far the largest objects in the stack, and before this
-subsystem every pool worker and every service shard built its own copy —
-the per-node memory wall the paper hits first when scaling synthetic
-populations (EpiCast 2.0 treats population data as a node-level shared
+subsystem every pool worker and every ``repro serve`` process built its
+own copy — the per-node memory wall the paper hits first when scaling
+synthetic populations (EpiCast 2.0 treats population data as a node-level shared
 asset for exactly this reason).  The plane builds each bundle **once per
 node** into a POSIX shared-memory segment and hands every other process
 read-only zero-copy views:

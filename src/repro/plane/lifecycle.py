@@ -12,9 +12,9 @@ this process maps.  The cross-process protocol reuses the store's
   refs of dead pids are pruned whenever anyone looks, so a crashed
   worker can never pin a segment;
 - **reclaim** — a segment is unlinked only when no live refs remain:
-  explicitly via :func:`plane_gc` (the ``repro plane gc`` command and the
-  shard supervisor's teardown), and opportunistically by the last
-  exiting attacher (so a normal pool run leaves ``/dev/shm`` clean).
+  explicitly via :func:`plane_gc` (the ``repro plane gc`` command), and
+  opportunistically by the last exiting attacher (so a normal pool run
+  leaves ``/dev/shm`` clean).
   A manifest whose segment has vanished — the crashed-owner case — is
   detected on attach, torn down, and the build re-arbitrated.
 
@@ -386,17 +386,17 @@ def ensure_assets(key: AssetKey, builder: Callable[[], object], *,
     return runtime().ensure(key, builder, metrics=metrics)
 
 
-# -- fleet-facing maintenance ----------------------------------------------
+# -- node-level maintenance -----------------------------------------------
 
 
 def plane_gc(root: Path | None = None, *,
              metrics: MetricsRegistry | None = None) -> dict:
     """Reap every reclaimable segment under ``root``; returns stats.
 
-    Run by ``repro plane gc``, the shard supervisor's teardown, and CI's
-    orphan-leak check: prunes dead-pid refs, unlinks segments with no
-    live references (crashed owners included), and removes manifest-less
-    orphan segments left by a crash between create and publish.
+    Run by ``repro plane gc`` and CI's orphan-leak check: prunes dead-pid
+    refs, unlinks segments with no live references (crashed owners
+    included), and removes manifest-less orphan segments left by a crash
+    between create and publish.
     """
     rt = runtime(root)
     reg = metrics if metrics is not None else global_registry()

@@ -98,8 +98,8 @@ def plane_root() -> Path:
 
     Holds manifests, leases and refcount files — small metadata only; the
     asset bytes themselves live in ``/dev/shm`` segments.  Every process
-    that should share one plane must see the same root (the sharded
-    service threads it through :class:`~repro.service.shard.ServiceConfig`).
+    that should share one plane must see the same root (``repro serve
+    --plane-dir`` sets it for the service and its pool workers).
     """
     raw = os.environ.get("REPRO_PLANE_DIR")
     if raw:

@@ -3,7 +3,7 @@
 The plane stores one region's asset arrays — population columns, contact
 network columns, surveillance series — packed back to back in a single
 ``multiprocessing.shared_memory`` segment, so a node pays the bytes once
-no matter how many pool workers or service shards map it.  The layout is
+no matter how many pool workers or service processes map it.  The layout is
 a flat offset table (name, dtype, shape, offset) computed *before* the
 segment exists, serialised into the plane manifest, and used verbatim by
 every attacher to rebuild zero-copy views.

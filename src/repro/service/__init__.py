@@ -17,14 +17,11 @@ reproduction's execution stack into a long-running service:
   (one malformed request never joins a batch:
   :func:`~repro.service.api.spec_from_request` rejects params the runner
   would fail on);
-- :mod:`~repro.service.server` / :mod:`~repro.service.client` — a
-  stdlib-only JSON HTTP API (``repro serve`` / ``repro submit``);
-- :mod:`~repro.service.shard` / :mod:`~repro.service.router` — one
-  composition of a service process (:class:`ServiceConfig` →
-  :func:`build_service` → :func:`serve`) and the scale-out plane made of
-  it: N such processes sharded by cache-key hash over one shared store,
-  coalescing kept correct across processes by a lease table, fronted by
-  a stateless router (``repro serve --shards N``).
+- :mod:`~repro.service.server` / :mod:`~repro.service.client` — one
+  service process (:class:`ServiceConfig` → :func:`build_service` →
+  :func:`serve`) behind a stdlib-only JSON HTTP API (``repro serve`` /
+  ``repro submit``).  Processes that share a store share its lease
+  table, so a scenario runs once however many of them receive it.
 """
 
 from .api import (
@@ -58,15 +55,16 @@ from .queue import (
     RequestRecord,
     ScenarioQueue,
 )
-from .router import Router, RouterServer, make_router_server, serve_fleet
 from .server import (
     DEFAULT_PORT,
     ScenarioServer,
     ScenarioService,
+    ServiceConfig,
+    build_service,
     make_server,
     record_view,
+    serve,
 )
-from .shard import ServiceConfig, ShardFleet, build_service, serve, shard_of
 
 __all__ = [
     "API_PREFIX",
@@ -88,24 +86,18 @@ __all__ = [
     "QueueFullError",
     "RUNNING",
     "RequestRecord",
-    "Router",
-    "RouterServer",
     "ScenarioQueue",
     "ScenarioServer",
     "ScenarioService",
     "ServiceClient",
     "ServiceConfig",
     "ServiceError",
-    "ShardFleet",
     "TERMINAL_STATES",
     "build_service",
     "error_envelope",
-    "make_router_server",
     "make_server",
     "record_view",
     "resolve",
     "serve",
-    "serve_fleet",
-    "shard_of",
     "spec_from_request",
 ]

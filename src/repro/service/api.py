@@ -1,10 +1,9 @@
 """The versioned HTTP API surface: one routing table, one error shape.
 
 Every service endpoint lives under ``/v1`` and is declared once in
-:data:`ROUTES`; both HTTP front ends — the single-process
-:class:`~repro.service.server.ScenarioHandler` and the sharded
-:class:`~repro.service.router.RouterHandler` — dispatch through
-:func:`resolve` instead of growing ``if path ==`` chains.  A path outside
+:data:`ROUTES`; the HTTP front end,
+:class:`~repro.service.server.ScenarioHandler`, dispatches through
+:func:`resolve` instead of growing an ``if path ==`` chain.  A path outside
 the table — the unversioned paths of the first service release included —
 gets the enveloped 404 ``not_found``.
 

@@ -52,8 +52,8 @@ class Broker:
         faults: optional :class:`~repro.resilience.faults.FaultPlan`
             threaded to workers (service chaos drills).
         leases: optional :class:`~repro.store.cas.LeaseTable` giving the
-            fan-out cross-process execution exclusivity (shard workers
-            against a shared store); see
+            fan-out cross-process execution exclusivity (every
+            ``repro serve`` on one store); see
             :func:`~repro.core.parallel.supervise_instances`.
         idle_wait_s: how long the loop blocks waiting for work.
         checkpoint: optional :class:`~repro.checkpoint.CheckpointPlan`;

@@ -136,8 +136,6 @@ class ScenarioQueue:
         retry_after_hint_s: float = 0.5,
         max_finished: int = 4096,
         metrics: MetricsRegistry | None = None,
-        rid_prefix: str = "",
-        on_terminal=None,
     ) -> None:
         """Args:
             capacity: maximum distinct queued entries (running entries and
@@ -150,13 +148,6 @@ class ScenarioQueue:
                 (oldest are dropped beyond this).
             metrics: the ``service.*`` sink (a private registry when
                 omitted).
-            rid_prefix: prepended to every request id.  Shard workers use
-                ``"s<k>-"`` so ids are globally unique across a fleet and
-                the router can address the owning shard from the id alone.
-            on_terminal: optional callback invoked with each
-                :class:`RequestRecord` as it reaches a terminal state
-                (the shard worker's durable spool hook); exceptions are
-                swallowed — spooling is best-effort, resolution is not.
         """
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
@@ -166,8 +157,6 @@ class ScenarioQueue:
         self.aging_every = aging_every
         self.retry_after_hint_s = retry_after_hint_s
         self.max_finished = max_finished
-        self.rid_prefix = rid_prefix
-        self.on_terminal = on_terminal
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._lock = threading.RLock()
         self._work = threading.Condition(self._lock)
@@ -247,7 +236,6 @@ class ScenarioQueue:
             rec.event.set()
             self._records[rid] = rec
             self._finished.append(rid)
-            self._spool_locked(rec)
             self.metrics.inc("service.admitted")
             self.metrics.inc("service.completed")
             self.metrics.observe("service.request_s", rec.total_s)
@@ -305,16 +293,7 @@ class ScenarioQueue:
 
     def _next_rid_locked(self) -> str:
         self._rid += 1
-        return f"{self.rid_prefix}r{self._rid:06d}"
-
-    def _spool_locked(self, rec: RequestRecord) -> None:
-        """Hand one terminal record to the spool hook (best effort)."""
-        if self.on_terminal is None:
-            return
-        try:
-            self.on_terminal(rec)
-        except Exception:  # noqa: BLE001 — durability must not block resolution
-            self.metrics.inc("service.spool_errors")
+        return f"r{self._rid:06d}"
 
     # -- scheduling ------------------------------------------------------------
 
@@ -397,7 +376,6 @@ class ScenarioQueue:
                 rec.total_s = rec.clock.elapsed()
                 self.metrics.observe("service.request_s", rec.total_s)
                 self._finished.append(rid)
-                self._spool_locked(rec)
             counter = "completed" if state == DONE else state
             self.metrics.inc(f"service.{counter}", len(entry.request_ids))
             while len(self._finished) > self.max_finished:

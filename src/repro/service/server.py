@@ -1,8 +1,11 @@
-"""The single-process HTTP front door over the scenario service.
+"""One scenario-service process: its composition, HTTP door and serve loop.
 
-One :class:`ScenarioService` composes the admission queue and the broker;
-one :class:`ScenarioServer` (a ``ThreadingHTTPServer``) exposes it through
-the versioned surface declared in :mod:`repro.service.api`:
+:class:`ServiceConfig` names every ``repro serve`` option once;
+:func:`build_service` turns a config into the process's one
+:class:`ScenarioService` — admission queue, broker, supervised memoized
+fan-out — and :func:`serve` runs it behind one :class:`ScenarioServer` (a
+``ThreadingHTTPServer``) until a signal drains it.  The versioned surface
+is declared in :mod:`repro.service.api`:
 
 - ``POST /v1/scenarios`` — submit a scenario; ``202`` with the request id
   (``status`` is ``"queued"``, ``"coalesced"``, or ``"done"`` for a
@@ -22,15 +25,31 @@ on the broker thread.
 Shutdown is graceful by default: stop admitting, finish everything
 queued, then stop the broker — a request accepted with ``202`` is never
 silently dropped.
+
+Any number of such processes may share one store: each attaches the
+store's lease table, so a scenario submitted to several of them runs
+once and the others read its blob.  A request id belongs to the process
+that issued it and restarts with it; the durable name of a result is its
+``key`` — re-POSTing the same scenario after a restart is a store hit
+that returns the same bytes.  DESIGN.md §10 has the protocol.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
+from dataclasses import dataclass
 from http.server import ThreadingHTTPServer
+from pathlib import Path
 from typing import Any
 
 from ..core.parallel import InstanceSpec
 from ..obs.registry import MetricsRegistry
+from ..resilience import FaultPlan, RetryPolicy
+from ..store.cas import ContentStore, LeaseTable, default_store, lease_dir
+from ..store.files import atomic_write
+from ..store.ledger import RunLedger
 from .api import (
     DRAINING,
     NOT_FOUND,
@@ -55,8 +74,11 @@ __all__ = [
     "ScenarioHandler",
     "ScenarioServer",
     "ScenarioService",
+    "ServiceConfig",
+    "build_service",
     "make_server",
     "record_view",
+    "serve",
 ]
 
 #: Default TCP port of the service (``repro serve`` / ``repro submit``).
@@ -72,8 +94,7 @@ def record_view(rec: RequestRecord, *,
     """JSON-safe status view of one tracked request.
 
     ``include_result=False`` gives the summary shape the listing endpoint
-    returns and a shard's terminal spool stores (payload arrays omitted;
-    everything else identical).
+    returns (payload arrays omitted; everything else identical).
     """
     out: dict[str, Any] = {
         "id": rec.request_id,
@@ -108,9 +129,8 @@ class ScenarioService:
     every exact run becomes training data for the next retrain (the
     active-learning loop).
 
-    Composed in one place, :func:`repro.service.shard.build_service`,
-    which also attaches a shard's three extras: ``rid_prefix``,
-    ``on_terminal`` (the spool) and ``leases``.
+    Composed in one place, :func:`build_service`, which also attaches the
+    store's lease table.
     """
 
     def __init__(
@@ -130,8 +150,6 @@ class ScenarioService:
         faults=None,
         surrogate=None,
         leases=None,
-        rid_prefix: str = "",
-        on_terminal=None,
         checkpoint=None,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -154,9 +172,7 @@ class ScenarioService:
             ledger = RunLedger(path)
         self.queue = ScenarioQueue(capacity=capacity,
                                    aging_every=aging_every,
-                                   metrics=self.registry,
-                                   rid_prefix=rid_prefix,
-                                   on_terminal=on_terminal)
+                                   metrics=self.registry)
         self.broker = Broker(
             self.queue, store=store, ledger=ledger, salt=salt,
             registry=self.registry, tracer=tracer, batch_size=batch_size,
@@ -187,9 +203,8 @@ class ScenarioService:
         emulated answer.
 
         The tracked key is the *broker-salted* cache key — the same key
-        the CAS blob, the lease file, and the router's shard hash use —
-        so one identifier names a scenario across every layer (and the
-        spool fallback can rebuild results from the store by key alone).
+        the CAS blob and the lease file use — so one identifier names a
+        scenario across every layer and every process on the store.
         """
         from ..store.keys import instance_key
 
@@ -238,7 +253,8 @@ class ScenarioService:
 
 
 class ScenarioServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that carries the service for its handlers."""
+    """The one ``ThreadingHTTPServer`` under ``src/``: it carries the
+    service for its handlers."""
 
     daemon_threads = True
     allow_reuse_address = True
@@ -297,3 +313,150 @@ def make_server(service: ScenarioService, host: str = "127.0.0.1",
                 port: int = 0) -> ScenarioServer:
     """Bind a :class:`ScenarioServer` (``port=0`` picks an ephemeral one)."""
     return ScenarioServer((host, port), service)
+
+
+@dataclass(frozen=True)
+class ServiceConfig:
+    """Every ``repro serve`` option, once, with its default.
+
+    Field names are the CLI flags'.  ``salt`` is the cache-key salt
+    override tests use — the one field that is not a flag.
+    """
+
+    host: str = "127.0.0.1"
+    port: int = DEFAULT_PORT
+    port_file: str | None = None
+    capacity: int = 64
+    aging_every: int = 8
+    batch_size: int = 4
+    workers: int | None = None
+    serial: bool = False
+    max_attempts: int = 3
+    inject: tuple[str, ...] = ()
+    fault_seed: int = 0
+    surrogate: bool = False
+    surrogate_rtol: float = 0.05
+    checkpoint_every: int = 0
+    ledger: str | None = None
+    no_cache: bool = False
+    store_dir: str | None = None
+    plane: bool = False
+    plane_dir: str | None = None
+    salt: str | None = None
+
+    def __post_init__(self) -> None:
+        """The combinations no process can serve, refused in one place."""
+        for flag, needs_store in (("--surrogate", self.surrogate),
+                                  ("--checkpoint-every",
+                                   self.checkpoint_every > 0)):
+            if needs_store and self.no_cache:
+                raise ValueError(
+                    f"{flag} needs the result store (drop --no-cache)")
+        try:
+            self.fault_plan()
+        except ValueError as exc:
+            raise ValueError(f"bad --inject spec: {exc}") from None
+
+    def open_store(self) -> ContentStore | None:
+        """``--store-dir``, else the user-level default; None under
+        ``--no-cache``."""
+        if self.no_cache:
+            return None
+        return (ContentStore(Path(self.store_dir)) if self.store_dir
+                else default_store())
+
+    def fault_plan(self) -> FaultPlan | None:
+        """The ``--inject`` rules as a plan (None when there are none)."""
+        return (FaultPlan.parse(self.inject, seed=self.fault_seed)
+                if self.inject else None)
+
+
+def build_service(config: ServiceConfig, *, tracer=None) -> ScenarioService:
+    """Compose the one :class:`ScenarioService` a process serves.
+
+    The only construction site under ``src/``.  With a store, the
+    service always attaches the store's lease table, so any number of
+    processes serving one store execute each key once.
+    """
+    store = config.open_store()
+    extras: dict[str, Any] = {}
+    if store is not None:
+        extras["leases"] = LeaseTable(lease_dir(store.root),
+                                      owner=f"serve:pid{os.getpid()}")
+    if config.checkpoint_every > 0:
+        from ..checkpoint import CheckpointPlan
+
+        extras["checkpoint"] = CheckpointPlan(
+            store_root=str(store.root), every=config.checkpoint_every,
+            salt=config.salt, lease_root=str(lease_dir(store.root)),
+            ledger_path=config.ledger)
+    if config.max_attempts > 1:
+        extras["retry"] = RetryPolicy(max_attempts=config.max_attempts,
+                                      base_delay_s=0.05,
+                                      seed=config.fault_seed)
+    if config.surrogate:
+        from ..surrogate import ModelRegistry, SurrogateGate
+
+        extras["surrogate"] = SurrogateGate(ModelRegistry(store),
+                                            rtol=config.surrogate_rtol)
+    if config.ledger:
+        extras["ledger"] = RunLedger(Path(config.ledger))
+    return ScenarioService(
+        store=store, salt=config.salt, tracer=tracer,
+        faults=config.fault_plan(),
+        capacity=config.capacity, aging_every=config.aging_every,
+        batch_size=config.batch_size, max_workers=config.workers,
+        parallel=not config.serial, **extras)
+
+
+def serve_until_signalled(server, *, port_file: str | None, drain) -> None:
+    """Publish the bound port, serve until SIGINT/SIGTERM, then drain.
+
+    The port file is ``PORT\\n``, published atomically after the bind, so
+    a supervisor polling it never reads a torn or early value.  ``drain``
+    runs while HTTP still answers (polls resolve, submissions get the
+    ``draining`` envelope); only then does the listener close.
+    """
+    stop = threading.Event()
+    # Explicit handlers, not KeyboardInterrupt: backgrounded children of
+    # non-interactive shells inherit SIGINT as ignored.
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        try:
+            signal.signal(sig, lambda _sig, _frame: stop.set())
+        except ValueError:  # pragma: no cover - non-main-thread embedding
+            pass
+    threading.Thread(target=server.serve_forever, name="repro-http",
+                     daemon=True).start()
+    if port_file:
+        with atomic_write(port_file) as fh:
+            fh.write(f"{server.server_address[1]}\n")
+    try:
+        while not stop.wait(0.2):
+            pass
+    finally:
+        drain()
+        server.shutdown()
+        server.server_close()
+        if port_file:
+            Path(port_file).unlink(missing_ok=True)
+
+
+def serve(config: ServiceConfig, *, tracer=None) -> None:
+    """Run one service process to completion (``repro serve``)."""
+    if config.plane:
+        # Environment, not arguments: the broker's pool workers and every
+        # nested load site inherit the plane opt-in automatically.
+        os.environ["REPRO_PLANE"] = "1"
+        if config.plane_dir:
+            os.environ["REPRO_PLANE_DIR"] = config.plane_dir
+    service = build_service(config, tracer=tracer).start()
+    server = make_server(service, host=config.host, port=config.port)
+    print(f"repro service listening on "
+          f"http://{config.host}:{server.server_address[1]} "
+          f"(capacity={config.capacity}, batch={config.batch_size}, "
+          f"cache={'off' if config.no_cache else 'on'}, "
+          f"surrogate={'on' if config.surrogate else 'off'})", flush=True)
+    # Graceful drain: refuse new work, finish everything admitted.
+    serve_until_signalled(server, port_file=config.port_file,
+                          drain=service.stop)
+    print("repro service stopped", flush=True)

@@ -325,6 +325,11 @@ class ContentStore:
                 f"corrupt {int(m.value('store.corrupt'))}")
 
 
+def lease_dir(store_root: str | Path) -> Path:
+    """The store's lease table directory, ``<store>/leases``."""
+    return Path(store_root) / "leases"
+
+
 #: Outcomes of :meth:`LeaseTable.wait`.
 LEASE_DONE = "done"  #: the awaited artefact appeared
 LEASE_VACATED = "vacated"  #: the holder released (or was broken) first
@@ -338,10 +343,12 @@ class LeaseTable:
     One lease file per content key under ``root``; holding the lease means
     "I am computing this key right now".  Acquisition is an atomic
     ``O_CREAT | O_EXCL`` create, so exactly one process wins a race.  The
-    table is the service plane's cross-shard coalescing primitive: shard
-    workers (and any memoized fan-out pointed at the same store) acquire
-    before executing a miss, and contenders that lose the race wait for
-    the winner's blob instead of duplicating work.
+    table at :func:`lease_dir` is the cross-process coalescing primitive:
+    every ``repro serve`` process (and any memoized fan-out pointed at the
+    same store) acquires before executing a miss, and contenders that lose
+    the race wait for the winner's blob instead of duplicating work.
+    Checkpoint writes renew the lease of the instance they snapshot (the
+    heartbeat that keeps a long run from reading as stale).
 
     Liveness never depends on the holder behaving: a lease is *stale* —
     and breakable by anyone — when its owner pid is dead (same-host

@@ -1,10 +1,11 @@
 """The on-disk idioms every durable file in the tree shares, one copy each.
 
-Journals (ledgers, traces, spools, the family index) are append-only JSONL
-whose last line a crash may tear; pointers, manifests, leases, port files
-and blobs are published by write-temp-then-replace.  Temps are
-``.tmp-*.tmp`` in the target's directory (same filesystem: the replace is
-atomic) — a suffix no listing globs, so in-flight writes stay invisible.
+Journals (ledgers, traces, checkpoint pointers, the family index) are
+append-only JSONL whose last line a crash may tear; pointers, manifests,
+leases, port files and blobs are published by write-temp-then-replace.
+Temps are ``.tmp-*.tmp`` in the target's directory (same filesystem: the
+replace is atomic) — a suffix no listing globs, so in-flight writes stay
+invisible.
 """
 
 from __future__ import annotations

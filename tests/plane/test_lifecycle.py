@@ -2,8 +2,8 @@
 
 The cross-process tests use real spawn children racing through
 ``load_region_assets`` with the plane enabled — the same entry point the
-warm pool and service shards use — so the arbitration they exercise is
-the production path, not a harness.
+warm pool and every service process use — so the arbitration they
+exercise is the production path, not a harness.
 """
 
 import glob

@@ -16,7 +16,6 @@ import pytest
 
 from repro.checkpoint.manager import CheckpointPlan
 from repro.plane.manifest import AssetKey, Manifest, write_manifest
-from repro.service.shard import SPOOL_EVENT, read_spool
 from repro.store.cas import ContentStore, LeaseTable
 from repro.store.files import atomic_write, read_json, read_jsonl
 from repro.store.ledger import RunLedger, replay_ledger
@@ -44,16 +43,9 @@ def _append_ledger(path, ids):
             ledger.instance_completed(key, label="x")
 
 
-def _append_spool(path, ids):
-    with RunLedger(path) as spool:
-        for rid in ids:
-            spool.append(SPOOL_EVENT, id=rid, key="ab" * 32, state="done")
-
-
 @pytest.mark.parametrize("append,ids_of", [
     (_append_ledger, _ledger_ids),
-    (_append_spool, lambda path: set(read_spool(path))),
-], ids=["ledger", "spool"])
+], ids=["ledger"])
 def test_torn_tail_costs_only_the_torn_record(tmp_path, append, ids_of):
     """kill -9 mid-append, at every byte of the last record: the restarted
     writer's records all survive (the parent glued its first onto the torn

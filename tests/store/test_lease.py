@@ -208,9 +208,9 @@ class TestThreadRace:
 
 class TestLeaseDirConvention:
     def test_shard_lease_dir_sits_inside_the_store(self, tmp_path):
-        from repro.service.shard import lease_dir
+        from repro.store.cas import lease_dir
 
         store = ContentStore(tmp_path / "store")
-        table = LeaseTable(lease_dir(store.root), owner="shard0")
+        table = LeaseTable(lease_dir(store.root), owner="serve0")
         assert table.acquire(KEY)
         assert (tmp_path / "store" / "leases" / f"{KEY}.lease").exists()

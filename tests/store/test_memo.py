@@ -1,10 +1,17 @@
 """Cache-aware instance execution: hits, misses, order, bit-identity."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.core.parallel import InstanceSpec, run_instances
-from repro.store.cas import ContentStore
+from repro.core.parallel import (
+    InstanceSpec,
+    run_instances,
+    supervise_instances,
+)
+from repro.obs.registry import MetricsRegistry
+from repro.store.cas import ContentStore, LeaseTable
 from repro.store.keys import instance_key
 from repro.store.ledger import RunLedger, replay_ledger
 from repro.store.memo import (
@@ -221,3 +228,64 @@ def test_lease_held_past_the_wait_bound_quarantines_once(store, monkeypatch):
     assert rec.kind == "lease" and rec.item is specs[0]
     assert holder.held(stuck)  # never broken: the holder is alive
     assert not store.contains(stuck)
+
+
+SALT = "lease-tests"
+
+
+def spec_of(tau, *, days=6):
+    return InstanceSpec(region_code="VT", params={"TAU": tau}, n_days=days,
+                        scale=1e-4, seed=3, label="lease-test")
+
+
+class TestLeaseCoalescingInProcess:
+    """The memo-level contract, with two lease handles over one store."""
+
+    def test_concurrent_memoized_fanouts_execute_once(self, tmp_path):
+        store_a = ContentStore(tmp_path / "store")
+        store_b = ContentStore(tmp_path / "store")
+        leases_a = LeaseTable(tmp_path / "store" / "leases", owner="a")
+        leases_b = LeaseTable(tmp_path / "store" / "leases", owner="b")
+        reg_a, reg_b = MetricsRegistry(), MetricsRegistry()
+        spec = spec_of(0.31)
+        barrier = threading.Barrier(2)
+        results = {}
+
+        def run(name, store, leases, reg):
+            barrier.wait()
+            res = supervise_instances(
+                [spec], store=store, leases=leases, registry=reg,
+                parallel=False, salt=SALT)
+            results[name] = res.results[0]
+
+        threads = [
+            threading.Thread(target=run,
+                             args=("a", store_a, leases_a, reg_a)),
+            threading.Thread(target=run,
+                             args=("b", store_b, leases_b, reg_b)),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+
+        # Exactly one execution fleet-wide; the loser either waited on
+        # the winner's lease (remote hit) or read the published blob.
+        misses = (reg_a.value("memo.misses") + reg_b.value("memo.misses"))
+        assert misses == 1
+        served = (reg_a.value("memo.hits") + reg_b.value("memo.hits")
+                  + reg_a.value("memo.remote_hits")
+                  + reg_b.value("memo.remote_hits"))
+        assert served == 1
+        a, b = results["a"], results["b"]
+        assert (a.confirmed == b.confirmed).all()
+        assert a.attack_rate == b.attack_rate
+
+    def test_leases_released_after_the_batch(self, tmp_path):
+        store = ContentStore(tmp_path / "store")
+        leases = LeaseTable(tmp_path / "store" / "leases", owner="a")
+        spec = spec_of(0.33)
+        key = instance_key(spec, salt=SALT)
+        supervise_instances([spec], store=store, leases=leases,
+                            parallel=False, salt=SALT)
+        assert not leases.held(key)

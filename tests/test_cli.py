@@ -197,6 +197,33 @@ def test_simulate_retry_recovers(capsys):
     assert "attack" in capsys.readouterr().out
 
 
+def test_simulate_replicates_quarantine_exit_code(capsys):
+    # The batched path honours --inject like the single run: exit 4.
+    assert main(["simulate", "VT", "--days", "5", "--no-trace",
+                 "--no-cache", "--replicates", "2", "--inject",
+                 "worker.exception:times=99"]) == 4
+    assert "quarantined" in capsys.readouterr().err
+
+
+def test_simulate_replicates_retry_recovers(capsys):
+    # ... and --retries: the group's one-shot fault quarantines a single
+    # attempt and is retried away under a budget.
+    flags = ["simulate", "VT", "--days", "5", "--no-trace", "--no-cache",
+             "--replicates", "2", "--inject", "worker.exception:times=1"]
+    assert main(flags) == 4
+    assert main(flags + ["--retries", "3"]) == 0
+    assert "2 replicates" in capsys.readouterr().out
+
+
+def test_simulate_replicates_refuse_csv(tmp_path, capsys):
+    csv = tmp_path / "series.csv"
+    assert main(["simulate", "VT", "--days", "5", "--no-trace",
+                 "--no-cache", "--replicates", "2",
+                 "--csv", str(csv)]) == 2
+    assert "--csv" in capsys.readouterr().err
+    assert not csv.exists()
+
+
 def test_night_transfer_exhaustion_exit_code(capsys):
     assert main(["night", "prediction", "--no-trace", "--no-cache",
                  "--inject", "transfer.fail:times=99"]) == 4
@@ -230,9 +257,9 @@ def test_serve_flags_default_to_the_service_config():
     args["plane"] = bool(args["plane"])
     config = ServiceConfig()
     fields = {f.name for f in dataclasses.fields(config)}
-    # salt / shard are the two non-flag fields; trace and --resume are the
-    # CLI's own (the tracer is passed beside the config, not inside it).
-    assert fields - set(args) == {"salt", "shard"}
+    # salt is the one non-flag field; trace and --resume are the CLI's
+    # own (the tracer is passed beside the config, not inside it).
+    assert fields - set(args) == {"salt"}
     assert set(args) - fields == {"command", "func", "trace", "no_trace",
                                   "resume"}
     assert {name: args[name] for name in fields & set(args)} == {

@@ -14,9 +14,10 @@ process's one long-lived pool, so ``ProcessPoolExecutor(...)`` is built in
 exactly one function (a second site would be a second pool, forked
 outside the reuse rule and joined by nobody at exit) — and the composition
 of a scenario-service process: ``ScenarioService(...)`` is constructed only
-by ``build_service``, so ``repro serve`` and every shard of
-``serve --shards N`` honour the same options (a second site is a second
-subset of them).  And the fan-out: ``supervise_map(...)`` is called by the
+by ``build_service``, so every ``repro serve`` honours the same options (a
+second site is a second subset of them), and ``ThreadingHTTPServer`` is
+subclassed once, so the service has one HTTP front door (a second is a
+second process to route through, drain and keep in step).  And the fan-out: ``supervise_map(...)`` is called by the
 one instance fan-out (``core/parallel.py:_fan_out``) and by the single-run
 ``simulate`` command, nowhere else — a third fan-out would be a third set
 of failure semantics.
@@ -46,7 +47,7 @@ ALLOWED = {
     ("kill", "store/files.py", "pid_alive"),
     ("loads(line", "store/files.py", "read_jsonl"),
     ("ProcessPoolExecutor(", "core/parallel.py", "borrow"),
-    ("ScenarioService(", "service/shard.py", "build_service"),
+    ("ScenarioService(", "service/server.py", "build_service"),
     ("supervise_map(", "core/parallel.py", "_fan_out"),
     ("supervise_map(", "cli.py", "_cmd_simulate"),
 }
@@ -83,6 +84,19 @@ def _idiom(call: ast.Call) -> str | None:
             and call.args[0].id == "line"):
         return "loads(line"
     return None
+
+
+def _http_servers(root: Path) -> set[tuple[str, str]]:
+    """``(file, class)`` for every class deriving ``ThreadingHTTPServer``."""
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    "ThreadingHTTPServer" in (getattr(base, "id", None),
+                                              getattr(base, "attr", None))
+                    for base in node.bases):
+                found.add((path.relative_to(root).as_posix(), node.name))
+    return found
 
 
 def _tick_core_idiom(call: ast.Call) -> str | None:
@@ -145,6 +159,24 @@ def test_guard_actually_detects(tmp_path):
         ("mkstemp", "mod.py", "publish"), ("replace", "mod.py", "publish"),
         ("replace", "mod.py", "swap"),
         ("kill", "mod.py", "probe"), ("loads(line", "mod.py", "replay")}
+
+
+def test_one_http_front_door():
+    assert _http_servers(SRC_ROOT) == {("service/server.py", "ScenarioServer")}
+
+
+def test_http_front_door_guard_actually_detects(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import http.server\n"
+        "from http.server import ThreadingHTTPServer\n"
+        "class Door(ThreadingHTTPServer):\n"
+        "    pass\n"
+        "class Router(http.server.ThreadingHTTPServer):\n"
+        "    pass\n"
+        "class Plain(http.server.HTTPServer):\n"
+        "    pass\n")
+    assert _http_servers(tmp_path) == {("mod.py", "Door"),
+                                       ("mod.py", "Router")}
 
 
 def test_tick_core_sampling_lives_in_one_function():
