@@ -469,7 +469,7 @@ def _cmd_night(args: argparse.Namespace) -> int:
         economic_design,
         prediction_design,
     )
-    from .core.orchestrator import orchestrate_night
+    from .core.orchestrator import check_night_faults, orchestrate_night
 
     designs = {
         "prediction": prediction_design,
@@ -485,6 +485,11 @@ def _cmd_night(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     faults = _resolve_faults(args)
+    try:
+        check_night_faults(faults)
+    except ValueError as exc:
+        print(f"night: {exc}", file=sys.stderr)
+        return 2
     from .resilience import DEFAULT_RETRY_POLICY, TransientError
 
     tracer = _resolve_tracer(args, run_id=f"night:{args.workflow}")
@@ -498,9 +503,9 @@ def _cmd_night(args: argparse.Namespace) -> int:
                 retry=DEFAULT_RETRY_POLICY if faults is not None else None,
                 checkpoint_every=args.checkpoint_every)
         except TransientError as exc:
-            # Retries exhausted on a pipeline leg (e.g. every transfer
-            # attempt failed): the night lost work — report it as a
-            # quarantine-class failure, not a traceback.
+            # Retries exhausted on a pipeline leg (every attempt of a
+            # transfer or of a job failed): the night lost work — report
+            # it as a quarantine-class failure, not a traceback.
             print(f"night {args.workflow}: gave up after retries — {exc}",
                   file=sys.stderr)
             return EXIT_QUARANTINED
@@ -943,6 +948,16 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     return 0
 
 
+class _NightSites:
+    """``NIGHT_FAULT_SITES`` for ``night --help``, read only when the help
+    is printed: building the parser must not import the orchestrator."""
+
+    def __str__(self) -> str:
+        from .core.orchestrator import NIGHT_FAULT_SITES
+
+        return ", ".join(NIGHT_FAULT_SITES)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -1021,9 +1036,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "makespan blows the window")
     p.add_argument("--min-replicates", type=int, default=1,
                    help="per-cell coverage floor when degrading (default 1)")
-    p.add_argument("--inject", action="append", metavar="SITE[:k=v,...]",
-                   help="inject faults (transfer.fail, ledger.torn); "
-                        "repeatable — see 'repro chaos sites'")
+    inject = p.add_argument(
+        "--inject", action="append", metavar="SITE[:k=v,...]",
+        help="inject faults (%(sites)s; e.g. node.fail:mttf=500); "
+             "repeatable — see 'repro chaos sites'")
+    inject.sites = _NightSites()
     p.add_argument("--fault-seed", type=int, default=0,
                    help="fault-plan seed (deterministic firing)")
     p.add_argument("--checkpoint-every", type=int, default=0,

@@ -1,4 +1,10 @@
-"""Dual-cluster HPC substrate: machines, scheduler, DBs, transfers, costs."""
+"""Dual-cluster HPC substrate: machines, scheduler, DBs, transfers, costs.
+
+Failures are injected, not modelled here: :class:`SlurmSimulator` and
+:class:`GlobusLink` consult a :class:`~repro.resilience.faults.FaultPlan`
+at its ``node.fail`` and ``transfer.fail`` sites and retry under a
+:class:`~repro.resilience.retry.RetryPolicy`, like the live runtime.
+"""
 
 from .costmodel import (
     CostModel,
@@ -7,14 +13,6 @@ from .costmodel import (
     network_size_table,
     paper_scale_edges,
     paper_scale_nodes,
-)
-from .events import EventLoop
-from .failures import (
-    FailureEvent,
-    FaultyRunResult,
-    FaultySlurmSimulator,
-    FlakyGlobusLink,
-    QueueingDatabase,
 )
 from .globus import (
     GlobusLink,
@@ -52,11 +50,6 @@ __all__ = [
     "array_script",
     "database_script",
     "scripts_from_packing",
-    "FailureEvent",
-    "FaultyRunResult",
-    "FaultySlurmSimulator",
-    "FlakyGlobusLink",
-    "QueueingDatabase",
     "AccessWindow",
     "BRIDGES",
     "ClusterSpec",
@@ -64,7 +57,6 @@ __all__ = [
     "CostModel",
     "DBConnection",
     "DatabaseFleet",
-    "EventLoop",
     "GlobusLink",
     "INTERVENTION_RUNTIME_FACTOR",
     "Job",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from ..obs.registry import MetricsRegistry
 from ..params import GB, MB, TB, fmt_bytes
-from ..resilience.faults import FaultPlan, InjectedFault
+from ..resilience.faults import FaultPlan, InjectedFault, hash_uniform
 from ..resilience.retry import RetryPolicy, TransientError
 
 #: Effective wide-area bandwidth between UVA and PSC (bytes/second).
@@ -86,14 +86,18 @@ class GlobusLink:
         link's :class:`RetryPolicy` budget (``max_attempts``, default one
         attempt), counting ``faults.transfer.fail`` per injected failure
         and ``globus.retries`` per re-attempt; exhausting the budget
-        raises :class:`~repro.resilience.retry.TransientError`.  Only the
-        successful attempt is accounted — a retried transfer appears once
-        in the ledger, exactly as a re-submitted Globus task would.
+        raises :class:`~repro.resilience.retry.TransientError`.  Each
+        interrupted attempt wastes 10-90 % of the transfer's duration (a
+        keyed draw) before the restart, and that time is charged to the
+        record; a retried transfer still appears once in the ledger,
+        exactly as a re-submitted Globus task would.
         """
         if {src, dst} - {self.endpoint_a, self.endpoint_b}:
             raise ValueError(f"unknown endpoint in {src!r}->{dst!r}")
         if src == dst:
             raise ValueError("src and dst must differ")
+        duration = self.duration_of(size_bytes)
+        wasted = 0.0
         if self.faults is not None and self.faults.active("transfer.fail"):
             attempts = self.retry.max_attempts if self.retry else 1
             for attempt in range(attempts):
@@ -106,9 +110,11 @@ class GlobusLink:
                         f"{attempts} attempt(s)") from InjectedFault(
                             "transfer.fail", name)
                 self.metrics.inc("globus.retries")
+                wasted += duration * (0.1 + 0.8 * hash_uniform(
+                    self.faults.seed, "transfer.wasted", name, attempt))
         rec = TransferRecord(
             name=name, src=src, dst=dst, size_bytes=size_bytes,
-            started_at=now, duration=self.duration_of(size_bytes))
+            started_at=now, duration=wasted + duration)
         self.records.append(rec)
         self.metrics.inc("globus.transfers")
         self.metrics.inc("globus.bytes_out" if src == self.endpoint_a

@@ -18,7 +18,13 @@ real-time optimisation Slurm is allowed on top of the given order:
   FFDT-DC.
 
 Database constraints are enforced at dispatch: at most B(T[r]) jobs of a
-region run simultaneously (the DB-WMP constraint).
+region run simultaneously (the DB-WMP constraint); a job over its region's
+cap waits in the queue until a slot frees.
+
+Node loss is the ``node.fail`` site of a
+:class:`~repro.resilience.faults.FaultPlan`: a killed attempt frees its
+nodes at the drawn failure time and is requeued (EpiHiper replicates are
+idempotent) within a :class:`~repro.resilience.retry.RetryPolicy`.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ import heapq
 from dataclasses import dataclass
 
 from ..obs.registry import MetricsRegistry
+from ..resilience.faults import FaultPlan, InjectedFault
+from ..resilience.retry import RetryPolicy, TransientError
 from .machines import BRIDGES, ClusterSpec
 
 VALID_POLICIES = ("levels", "fifo", "backfill")
@@ -113,7 +121,12 @@ class ScheduleResult:
 
 
 class SlurmSimulator:
-    """Executes ordered job lists on a simulated allocation."""
+    """Executes ordered job lists on a simulated allocation.
+
+    ``faults`` may kill running attempts at its ``node.fail`` site (keyed
+    by job id and attempt number); ``retry`` bounds the attempts per job,
+    one (no reruns) when omitted.
+    """
 
     def __init__(
         self,
@@ -122,23 +135,44 @@ class SlurmSimulator:
         db_caps: dict[str, int] | None = None,
         reserved_nodes: int = 0,
         metrics: MetricsRegistry | None = None,
+        faults: FaultPlan | None = None,
+        retry: RetryPolicy | None = None,
     ) -> None:
         if reserved_nodes >= cluster.n_nodes:
             raise ValueError("reservations consume the whole machine")
         self.cluster = cluster
         self.db_caps = dict(db_caps or {})
+        if any(cap < 1 for cap in self.db_caps.values()):
+            raise ValueError("a DB cap must admit at least one job")
         self.n_available = cluster.n_nodes - reserved_nodes
         #: ``slurm.*`` accounting for every :meth:`run` on this simulator.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.faults = faults
+        self.retry = retry
 
     def run(self, jobs: list[Job], *, policy: str = "backfill") -> ScheduleResult:
-        """Execute ``jobs`` in the given order under ``policy``."""
+        """Execute ``jobs`` in the given order under ``policy``.
+
+        Under a ``node.fail`` rule a killed attempt leaves no record: its
+        node-time is counted in ``slurm.wasted_node_s`` and the job is
+        requeued at the back (of its level, under ``levels``, whose
+        barrier it holds).  A job killed on its last allowed attempt
+        raises :class:`~repro.resilience.retry.TransientError`.
+        """
         if policy not in VALID_POLICIES:
             raise ValueError(f"policy must be one of {VALID_POLICIES}")
         for j in jobs:
             if j.n_nodes > self.n_available:
                 raise ValueError(
                     f"{j.job_id} needs {j.n_nodes} nodes, have {self.n_available}")
+            if j.runtime < 0:
+                raise ValueError(f"{j.job_id} has a negative runtime")
+        faults = (self.faults if self.faults is not None
+                  and self.faults.active("node.fail") else None)
+        max_attempts = self.retry.max_attempts if self.retry else 1
+        attempts: dict[str, int] = {}
+        killed: dict[int, float] = {}  # seq of a doomed attempt -> its start
+        wasted = 0.0
 
         pending = list(jobs)
         running: list[tuple[float, int, Job]] = []  # (finish, seq, job)
@@ -167,9 +201,39 @@ class SlurmSimulator:
             region_peak[job.region_code] = max(
                 region_peak.get(job.region_code, 0),
                 region_live[job.region_code])
-            heapq.heappush(running, (now + job.runtime, seq, job))
-            records.append(JobRecord(job, now, now + job.runtime))
+            ttf = None
+            if faults is not None:
+                attempt = attempts.get(job.job_id, 0)
+                attempts[job.job_id] = attempt + 1
+                ttf = faults.node_failure_at(job.job_id, attempt,
+                                             job.n_nodes, job.runtime)
+            if ttf is None:
+                heapq.heappush(running, (now + job.runtime, seq, job))
+                records.append(JobRecord(job, now, now + job.runtime))
+            else:
+                heapq.heappush(running, (now + ttf, seq, job))
+                killed[seq] = now
             seq += 1
+
+        def release(seq_: int, job: Job) -> None:
+            nonlocal free, wasted
+            free += job.n_nodes
+            region_live[job.region_code] -= 1
+            if seq_ not in killed:
+                return
+            wasted += job.n_nodes * (now - killed.pop(seq_))
+            self.metrics.inc("faults.node.fail")
+            if attempts[job.job_id] >= max_attempts:
+                raise TransientError(
+                    f"job {job.job_id} lost a node on "
+                    f"{attempts[job.job_id]} attempt(s)") from InjectedFault(
+                        "node.fail", job.job_id)
+            self.metrics.inc("slurm.reruns")
+            at = len(pending)
+            if policy == "levels":
+                at = next((i for i, j in enumerate(pending)
+                           if j.level > job.level), at)
+            pending.insert(at, job)
 
         def dispatch() -> None:
             nonlocal pending
@@ -191,15 +255,13 @@ class SlurmSimulator:
 
         dispatch()
         while running:
-            finish, _s, job = heapq.heappop(running)
+            finish, s1, job = heapq.heappop(running)
             now = finish
-            free += job.n_nodes
-            region_live[job.region_code] -= 1
+            release(s1, job)
             # Drain simultaneous completions before dispatching.
             while running and running[0][0] == now:
-                _f, _s2, j2 = heapq.heappop(running)
-                free += j2.n_nodes
-                region_live[j2.region_code] -= 1
+                _f, s2, j2 = heapq.heappop(running)
+                release(s2, j2)
             if policy == "levels" and pending:
                 level_done = not any(
                     j.level == current_level for _f, _s3, j in running
@@ -232,4 +294,6 @@ class SlurmSimulator:
         self.metrics.gauge("slurm.utilization", result.utilization)
         for rec in records:
             self.metrics.observe("slurm.queue_wait_s", rec.start)
+        if faults is not None:
+            self.metrics.gauge("slurm.wasted_node_s", wasted)
         return result

@@ -22,9 +22,9 @@ from ..cluster.slurm import ScheduleResult
 from ..obs.registry import MetricsRegistry
 from ..obs.spans import Tracer
 from ..params import MB, TB
-from ..resilience.degrade import degrade_to_window
 from ..resilience.faults import FaultPlan
 from ..resilience.retry import RetryPolicy
+from ..scheduling.degrade import degrade_to_window
 from ..scheduling.levels import pack_ffdt_dc, pack_nfdt_dc
 from ..scheduling.metrics import execute_packing
 from ..scheduling.wmp import WMPInstance, make_nightly_instance
@@ -52,6 +52,22 @@ CONFIG_BYTES_PER_CELL: float = 0.5 * MB
 #: wall time per task — the window-fit trade the knob exists to expose.
 NIGHTLY_HORIZON_DAYS: int = 120
 CHECKPOINT_WRITE_SECONDS: float = 5.0
+
+#: The fault sites a night consults (Globus link, run ledger, modelled
+#: Slurm allocation); any other would inject nothing, so it is refused.
+NIGHT_FAULT_SITES: tuple[str, ...] = ("transfer.fail", "ledger.torn",
+                                      "node.fail")
+
+
+def check_night_faults(faults: FaultPlan | None) -> None:
+    """Raise ValueError when ``faults`` targets a site no night consults."""
+    if faults is None:
+        return
+    foreign = sorted({r.site for r in faults.rules} - set(NIGHT_FAULT_SITES))
+    if foreign:
+        raise ValueError(
+            f"a night never consults {', '.join(foreign)} "
+            f"(night fault sites: {', '.join(NIGHT_FAULT_SITES)})")
 
 
 @dataclass(frozen=True)
@@ -168,8 +184,10 @@ def orchestrate_night(
             reported on :attr:`NightlyReport.n_shed`.
         min_replicates: per-cell coverage floor when degrading.
         faults: optional fault plan threaded to the Globus link (the
-            ``transfer.fail`` site) and the ledger (``ledger.torn``).
-        retry: retry budget for faulted transfers.
+            ``transfer.fail`` site), the ledger (``ledger.torn``) and the
+            Slurm simulator (``node.fail``); any other site is refused
+            (:data:`NIGHT_FAULT_SITES`).
+        retry: retry budget for faulted transfers and killed jobs.
         checkpoint_every: snapshot interval in simulated days for the
             remote simulation jobs (0 = off).  The nightly timeline is
             modelled, so the knob prices the trade the execution plane
@@ -181,6 +199,7 @@ def orchestrate_night(
     """
     if resume and ledger is None:
         raise ValueError("resume needs a ledger to replay")
+    check_night_faults(faults)
     night_id = f"{design.name}:{algorithm}:seed{seed}"
     reg = registry if registry is not None else MetricsRegistry()
     link = GlobusLink("rivanna", "bridges", metrics=reg,
@@ -249,7 +268,7 @@ def orchestrate_night(
     # once, up front, so the workflow graph runs once with the simulate
     # task's true duration (and every fault site fires once per transfer).
     schedule = execute_packing(packer(instance), cluster=cluster,
-                               metrics=reg)
+                               metrics=reg, faults=faults, retry=retry)
 
     def gen_configs(ctx: dict):
         size = CONFIG_BYTES_PER_CELL * design.n_cells * design.n_regions

@@ -12,8 +12,8 @@ namespace       published by
 ``store.*``     :mod:`repro.store.cas` — hits, misses, puts, evictions
 ``memo.*``      :mod:`repro.store.memo` — batch fan-out accounting
 ``globus.*``    :mod:`repro.cluster.globus` — bytes/direction, transfer time
-``slurm.*``     :mod:`repro.cluster.slurm` — jobs, makespan, queue waits
-``events.*``    :mod:`repro.cluster.events` — discrete-event loop volume
+``slurm.*``     :mod:`repro.cluster.slurm` — jobs, makespan, queue waits,
+                reruns and wasted node-seconds after node loss
 ==============  ===========================================================
 
 - :mod:`~repro.obs.registry` — counters/gauges/timers, merge semantics;

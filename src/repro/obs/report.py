@@ -151,6 +151,11 @@ class TraceSummary:
                 f"utilization {m.value('slurm.utilization'):.3f}, "
                 f"mean queue wait "
                 f"{m.value('slurm.queue_wait_s') / max(1, m.count('slurm.queue_wait_s')) / 3600:.2f}h")
+        if "slurm.wasted_node_s" in m:
+            lines.append(
+                f"node loss: {int(m.value('faults.node.fail'))} failures, "
+                f"{int(m.value('slurm.reruns'))} reruns, "
+                f"{m.value('slurm.wasted_node_s') / 3600:.1f} node-h wasted")
 
         return "\n".join(lines)
 

@@ -1,27 +1,27 @@
-"""Resilient execution plane: fault injection, retries, degradation.
+"""Resilient execution plane: fault injection, retries, supervision.
 
-The modelled cluster (:mod:`repro.cluster.failures`) studies failure
-*statistics*; this package makes the *live* runtime survive them, the way
-the paper's 30-week nightly operation did:
+One failure model serves the live runtime and the modelled cluster the
+night schedules on, the way the paper's 30-week nightly operation needed
+both to survive:
 
 - :mod:`~repro.resilience.faults` — a deterministic, seedable
-  :class:`FaultPlan` consulted at six fault sites across the runner,
-  store, transfer and journal layers (the ``repro chaos`` CLI drives it);
+  :class:`FaultPlan` consulted at every fault site across the runner,
+  store, transfer, journal and modelled-scheduler layers (the ``repro
+  chaos`` CLI drives it);
 - :mod:`~repro.resilience.retry` — :class:`RetryPolicy` (exponential
   backoff, deterministic jitter, timeouts) and transient-vs-permanent
   error triage;
 - :mod:`~repro.resilience.supervisor` — :func:`supervise_map`, the
   future-based fan-out with broken-pool rebuild, result salvage and
   quarantine that replaced ``pool.map`` in
-  :func:`repro.core.parallel.run_instances`;
-- :mod:`~repro.resilience.degrade` — deadline-aware replicate shedding
-  for :func:`repro.core.orchestrator.orchestrate_night`.
+  :func:`repro.core.parallel.run_instances`.
 
 The invariant tying it together: recovery re-enters the same RNG streams,
 so a faulted run's surviving results are bit-identical to a clean run's.
+The package depends only on :mod:`repro.obs` and the standard library,
+so any layer can consult a plan without an import cycle.
 """
 
-from .degrade import DegradationResult, degrade_to_window, replicate_of
 from .faults import (
     CRASH_EXIT_CODE,
     FAULT_SITES,
@@ -46,7 +46,6 @@ from .supervisor import QUARANTINE, RAISE, FanoutResult, supervise_map
 __all__ = [
     "CRASH_EXIT_CODE",
     "DEFAULT_RETRY_POLICY",
-    "DegradationResult",
     "FAULT_SITES",
     "FanoutResult",
     "FaultPlan",
@@ -62,8 +61,6 @@ __all__ = [
     "TRANSIENT",
     "TransientError",
     "classify",
-    "degrade_to_window",
     "hash_uniform",
-    "replicate_of",
     "supervise_map",
 ]

@@ -4,11 +4,11 @@ The paper's pipeline ran nightly "for over 30 weeks without interruption"
 (Section VII) — a claim about operations, not luck.  Reproducing that
 robustness requires injecting the failures the production system tolerated
 into the real runtime (worker processes, the blob store, the transfer
-link, the run journal), not only into the modelled cluster of
-:mod:`repro.cluster.failures`.  A :class:`FaultPlan` is the injection
-surface: a picklable, stateless recipe that every layer consults at its
-fault site, so one plan can follow a spec across process boundaries and a
-retried operation deterministically re-encounters (or escapes) its fault.
+link, the run journal) and into the modelled cluster the night schedules
+on.  A :class:`FaultPlan` is the injection surface: a picklable,
+stateless recipe that every layer consults at its fault site, so one plan
+can follow a spec across process boundaries and a retried operation
+deterministically re-encounters (or escapes) its fault.
 
 Fault sites
 -----------
@@ -27,6 +27,9 @@ site                where it fires
                     fails (retried under the link's policy)
 ``ledger.torn``     :meth:`repro.store.ledger.RunLedger.append` writes a
                     truncated line (the record is lost, the file survives)
+``node.fail``       :meth:`repro.cluster.slurm.SlurmSimulator.run` loses a
+                    node under a running job, which is requeued (requires
+                    ``mttf=<hours>``, the per-node mean time to failure)
 ==================  =========================================================
 
 Determinism is the load-bearing property: whether a rule fires depends only
@@ -39,6 +42,7 @@ same RNG streams as a clean run and produces bit-identical results.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 #: Every fault site a plan may target, with where it fires (the mapping
@@ -51,6 +55,7 @@ FAULT_SITES: dict[str, str] = {
     "cas.corrupt": "store publishes a blob whose digest does not match",
     "transfer.fail": "a Globus transfer attempt fails (retried)",
     "ledger.torn": "the ledger writes a truncated line (record lost)",
+    "node.fail": "a modelled Slurm job loses a node and is requeued",
 }
 
 #: Exit code an injected ``worker.crash`` dies with (distinctive in logs).
@@ -105,6 +110,8 @@ class FaultRule:
         delay_s: for ``worker.slow``, how long the worker sleeps.
         tick: for ``worker.crash_mid_run``, the simulation tick the worker
             dies at (deterministic kill point inside the tick loop).
+        mttf_h: for ``node.fail``, the per-node mean time to failure in
+            hours (a job on ``n`` nodes fails at rate ``n / mttf_h``).
     """
 
     site: str
@@ -113,6 +120,7 @@ class FaultRule:
     match: str = ""
     delay_s: float = 0.0
     tick: int | None = None
+    mttf_h: float | None = None
 
     def __post_init__(self) -> None:
         if self.site not in FAULT_SITES:
@@ -129,13 +137,17 @@ class FaultRule:
             raise ValueError("tick must be non-negative (or None)")
         if self.site == "worker.crash_mid_run" and self.tick is None:
             raise ValueError("worker.crash_mid_run requires tick=<k>")
+        if self.mttf_h is not None and not self.mttf_h > 0:
+            raise ValueError("mttf must be positive (or None)")
+        if self.site == "node.fail" and self.mttf_h is None:
+            raise ValueError("node.fail requires mttf=<hours>")
 
     @classmethod
     def parse(cls, text: str) -> "FaultRule":
         """Parse a CLI rule spec: ``site[:k=v,...]``.
 
         Examples: ``worker.crash:times=1``, ``cas.corrupt:p=0.5``,
-        ``worker.slow:delay=0.2,match=VT``.
+        ``worker.slow:delay=0.2,match=VT``, ``node.fail:mttf=500``.
         """
         site, _, rest = text.partition(":")
         kwargs: dict[str, object] = {}
@@ -156,6 +168,8 @@ class FaultRule:
                     kwargs["delay_s"] = float(val)
                 elif key == "tick":
                     kwargs["tick"] = int(val)
+                elif key == "mttf":
+                    kwargs["mttf_h"] = float(val)
                 else:
                     raise ValueError(f"unknown fault option {key!r}")
         return cls(site=site.strip(), **kwargs)  # type: ignore[arg-type]
@@ -219,6 +233,30 @@ class FaultPlan:
                 return rule.tick
         return None
 
+    def node_failure_at(self, key: str, attempt: int, n_nodes: int,
+                        runtime: float) -> float | None:
+        """Seconds into attempt ``attempt`` of job ``key`` at which a node
+        under it fails, or None when the job outlives the draw.
+
+        A job on ``n_nodes`` nodes fails at rate ``n_nodes / MTTF`` (one
+        lost node kills the whole MPI job), summed over the eligible
+        ``node.fail`` rules; the exponential time to failure comes from
+        the keyed hash, so a requeued attempt draws afresh and a replayed
+        night draws the same.
+        """
+        rate = 0.0
+        for rule in self.rules:
+            if rule.site != "node.fail" or not rule.applies(key, attempt):
+                continue
+            if rule.probability >= 1.0 or hash_uniform(
+                    self.seed, rule.site, key, attempt) < rule.probability:
+                rate += n_nodes / (rule.mttf_h * 3600.0)
+        if rate == 0.0:
+            return None
+        u = hash_uniform(self.seed, "node.fail.ttf", key, attempt)
+        ttf = -math.log1p(-u) / rate
+        return ttf if ttf < runtime else None
+
     def delay(self, site: str, key: str = "", attempt: int = 0) -> float:
         """Injected delay for ``site`` (0.0 when no slow rule fires)."""
         total = 0.0
@@ -247,6 +285,8 @@ class FaultPlan:
                 bits.append(f"delay={r.delay_s:g}s")
             if r.tick is not None:
                 bits.append(f"tick={r.tick}")
+            if r.mttf_h is not None:
+                bits.append(f"mttf={r.mttf_h:g}")
             parts.append(":".join([bits[0], ",".join(bits[1:])])
                          if len(bits) > 1 else bits[0])
         return " ".join(parts) + f" (seed {self.seed})"

@@ -49,13 +49,17 @@ def execute_packing(
     cluster: ClusterSpec = BRIDGES,
     reserved_nodes: int | None = None,
     metrics=None,
+    faults=None,
+    retry=None,
 ) -> ScheduleResult:
     """Run a packed workload on the Slurm simulator.
 
     One node per region is reserved for its population database (matching
     the instance's width reduction) unless overridden.  ``metrics``
     (a :class:`~repro.obs.registry.MetricsRegistry`) receives the
-    simulator's ``slurm.*`` accounting when given.
+    simulator's ``slurm.*`` accounting when given; ``faults`` and
+    ``retry`` (a :class:`~repro.resilience.faults.FaultPlan` and its
+    :class:`~repro.resilience.retry.RetryPolicy`) inject ``node.fail``.
     """
     instance = result.instance
     if reserved_nodes is None:
@@ -65,6 +69,8 @@ def execute_packing(
         db_caps=instance.db_caps,
         reserved_nodes=reserved_nodes,
         metrics=metrics,
+        faults=faults,
+        retry=retry,
     )
     policy = EXECUTION_POLICY[result.algorithm]
     return sim.run(jobs_from_packing(result), policy=policy)

@@ -8,6 +8,7 @@ from repro.cluster.globus import (
     TABLE_II_SIZES,
 )
 from repro.params import GB, MB, TB
+from repro.resilience import FaultPlan, RetryPolicy
 
 
 @pytest.fixture()
@@ -68,3 +69,27 @@ def test_one_time_staging_fits_a_day(link):
     """The 2TB one-time staging takes hours, not days, at 10 Gbit/s."""
     hours = link.duration_of(2 * TB) / 3600
     assert 0.3 < hours < 24
+
+
+def test_interrupted_transfer_charges_wasted_time_once_in_the_ledger():
+    """Each interrupted attempt wastes 10-90 % of the transfer before the
+    restart; the retried transfer is one ledger record carrying it."""
+    link = GlobusLink("rivanna", "bridges", bandwidth=1.0 * GB,
+                      faults=FaultPlan.parse(["transfer.fail:times=2"]),
+                      retry=RetryPolicy(max_attempts=3))
+    rec = link.transfer("configs", "rivanna", "bridges", 10 * GB)
+    base = link.duration_of(10 * GB)
+    assert len(link.records) == 1
+    assert 1.2 * base <= rec.duration <= 2.8 * base
+    assert link.metrics.value("globus.transfers") == 1
+    assert link.metrics.value("globus.retries") == 2
+    assert link.bytes_moved() == 10 * GB
+
+
+def test_faulted_link_still_validates_endpoints():
+    link = GlobusLink("rivanna", "bridges",
+                      faults=FaultPlan.parse(["transfer.fail"]),
+                      retry=RetryPolicy(max_attempts=5))
+    with pytest.raises(ValueError, match="unknown endpoint"):
+        link.transfer("x", "a", "b", GB)
+    assert link.metrics.value("faults.transfer.fail") == 0

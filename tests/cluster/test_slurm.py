@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.cluster.machines import ClusterSpec
 from repro.cluster.slurm import Job, SlurmSimulator
+from repro.obs import MetricsRegistry
+from repro.resilience import FaultPlan, RetryPolicy
 
 
 def tiny_cluster(n_nodes=10):
@@ -123,7 +125,9 @@ def test_empty_job_list():
 @given(st.data())
 def test_property_schedule_always_valid(data):
     """Random workloads never violate capacity or DB caps, run every job
-    exactly once, and keep utilization in (0, 1]."""
+    exactly once, and keep utilization in (0, 1] — also under injected
+    node loss; a plan without a ``node.fail`` rule schedules exactly as
+    no plan does."""
     n_nodes = data.draw(st.integers(4, 20))
     caps = {"A": data.draw(st.integers(1, 4)),
             "B": data.draw(st.integers(1, 4))}
@@ -135,9 +139,23 @@ def test_property_schedule_always_valid(data):
         runtime = data.draw(st.floats(0.5, 20.0))
         jobs.append(Job(f"j{i}", region, width, runtime, 0))
     policy = data.draw(st.sampled_from(["fifo", "backfill"]))
-    out = SlurmSimulator(tiny_cluster(n_nodes), db_caps=caps).run(
+    # Per-node MTTF in hours: a 20-node, 20 s job dies on ~9 in 10
+    # attempts at 0.05 h, so the generous budget below always completes.
+    mttf = data.draw(st.sampled_from([None, 0.05, 0.5, 5.0]))
+    rules = [f"node.fail:mttf={mttf}"] if mttf else ["transfer.fail"]
+    faults = FaultPlan.parse(rules, seed=data.draw(st.integers(0, 99)))
+    reg = MetricsRegistry()
+    out = SlurmSimulator(tiny_cluster(n_nodes), db_caps=caps, metrics=reg,
+                         faults=faults,
+                         retry=RetryPolicy(max_attempts=1000)).run(
         jobs, policy=policy)
     assert len(out.records) == n_jobs
     assert len({r.job.job_id for r in out.records}) == n_jobs
     out.validate_no_overlap_violation(n_nodes, caps)
     assert 0.0 < out.utilization <= 1.0 + 1e-9
+    assert reg.value("slurm.reruns") == reg.value("faults.node.fail")
+    if mttf is None:
+        clean = SlurmSimulator(tiny_cluster(n_nodes), db_caps=caps).run(
+            jobs, policy=policy)
+        assert out.records == clean.records
+        assert "slurm.wasted_node_s" not in reg

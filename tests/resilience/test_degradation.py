@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.resilience.degrade import (
+from repro.scheduling.degrade import (
     cell_of,
     degrade_to_window,
     replicate_of,

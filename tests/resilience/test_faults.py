@@ -13,7 +13,7 @@ def test_sites_cover_all_layers():
     assert set(FAULT_SITES) == {
         "worker.crash", "worker.exception", "worker.slow",
         "worker.crash_mid_run",
-        "cas.corrupt", "transfer.fail", "ledger.torn",
+        "cas.corrupt", "transfer.fail", "ledger.torn", "node.fail",
     }
 
 
@@ -26,6 +26,37 @@ def test_rule_parse_roundtrip():
 def test_rule_parse_delay():
     r = FaultRule.parse("worker.slow:delay=0.2")
     assert r.delay_s == 0.2
+
+
+def test_rule_parse_mttf():
+    r = FaultRule.parse("node.fail:mttf=500,match=VA")
+    assert r.site == "node.fail" and r.mttf_h == 500.0 and r.match == "VA"
+    assert "node.fail:match=VA,mttf=500" in FaultPlan(rules=(r,)).describe()
+
+
+def test_node_fail_requires_positive_mttf():
+    with pytest.raises(ValueError, match="requires mttf"):
+        FaultRule.parse("node.fail:p=0.5")
+    for bad in ("0", "-3", "nan"):
+        with pytest.raises(ValueError, match="mttf must be positive"):
+            FaultRule.parse(f"node.fail:mttf={bad}")
+
+
+def test_node_failure_draws_are_exponential_at_rate_nodes_over_mttf():
+    plan = FaultPlan.parse(["node.fail:mttf=10"], seed=3)
+    inf = float("inf")
+    draws = [plan.node_failure_at(f"job{i}", 0, 4, inf) for i in range(4000)]
+    mean_s = sum(draws) / len(draws)
+    assert mean_s == pytest.approx(10 * 3600 / 4, rel=0.05)
+    # Keyed: the same (key, attempt) always draws the same time; another
+    # attempt or another plan seed draws afresh.
+    assert plan.node_failure_at("job0", 0, 4, inf) == draws[0]
+    assert plan.node_failure_at("job0", 1, 4, inf) != draws[0]
+    other = FaultPlan.parse(["node.fail:mttf=10"], seed=4)
+    assert other.node_failure_at("job0", 0, 4, inf) != draws[0]
+    # A job that outlives its draw is not killed; no rule never kills.
+    assert plan.node_failure_at("job0", 0, 4, draws[0]) is None
+    assert FaultPlan().node_failure_at("job0", 0, 4, inf) is None
 
 
 def test_unknown_site_rejected():

@@ -1,23 +1,32 @@
 """Public-API surface tests: everything documented imports cleanly."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 SUBPACKAGES = [
     "repro",
     "repro.analytics",
     "repro.calibration",
+    "repro.checkpoint",
     "repro.cluster",
     "repro.core",
     "repro.economics",
     "repro.epihiper",
     "repro.metapop",
     "repro.obs",
+    "repro.plane",
     "repro.resilience",
     "repro.scheduling",
     "repro.service",
     "repro.store",
+    "repro.surrogate",
     "repro.surveillance",
     "repro.synthpop",
 ]
@@ -27,6 +36,18 @@ SUBPACKAGES = [
 def test_subpackage_imports(name):
     mod = importlib.import_module(name)
     assert mod is not None
+
+
+@pytest.mark.parametrize("name", SUBPACKAGES)
+def test_subpackage_imports_first(name):
+    """Each subpackage imports as a process's first import: an import
+    cycle that a warm ``sys.modules`` hides (as in-process tests have)
+    would make a script that starts with it fail at its first line."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", f"import {name}"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("name", [n for n in SUBPACKAGES if n != "repro"])

@@ -230,6 +230,21 @@ def test_night_transfer_exhaustion_exit_code(capsys):
     assert "gave up after retries" in capsys.readouterr().err
 
 
+def test_night_refuses_fault_sites_it_never_consults(capsys):
+    assert main(["night", "prediction", "--no-trace", "--no-cache",
+                 "--inject", "worker.crash",
+                 "--inject", "cas.corrupt:p=1"]) == 2
+    err = capsys.readouterr().err
+    assert "cas.corrupt, worker.crash" in err
+    assert "transfer.fail, ledger.torn, node.fail" in err
+
+
+def test_night_node_loss_exhaustion_exit_code(capsys):
+    assert main(["night", "prediction", "--no-trace", "--no-cache",
+                 "--inject", "node.fail:mttf=0.001"]) == 4
+    assert "lost a node on 3 attempt(s)" in capsys.readouterr().err
+
+
 def test_chaos_quarantine_exit_code(capsys):
     # Every attempt faults: the drill reports quarantines via exit 4.
     assert main(["chaos", "run", "VT", "--instances", "2", "--days", "5",
