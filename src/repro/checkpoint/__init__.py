@@ -27,6 +27,7 @@ from .manager import (
     CheckpointManager,
     CheckpointPlan,
     checkpoint_blob_key,
+    checkpoint_plan,
 )
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "CheckpointManager",
     "CheckpointPlan",
     "checkpoint_blob_key",
+    "checkpoint_plan",
     "restore_simulation",
     "snapshot_simulation",
 ]

@@ -10,8 +10,9 @@ append-only: ``{"tick": t}`` per write, ``{"drop": t}`` per invalidation,
 a torn tail costs that one snapshot) lists the ticks written.  Only the
 newest :data:`RETAINED` are kept — a write is publish blob → append line
 → unlink older blobs, so a crash between any two steps leaves at worst an
-orphan blob for the LRU gc; resume walks them newest first, falling back
-past invalid blobs to the older snapshot and finally to tick 0.
+orphan blob for the LRU gc; resume (:meth:`CheckpointManager.resume_points`)
+walks them newest first, falling back past invalid blobs to the older
+snapshot and finally to tick 0.
 
 Checkpoint writes double as the **lease heartbeat**: long instances
 outlive the :class:`~repro.store.cas.LeaseTable` stale-break TTL, so the
@@ -31,12 +32,17 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from ..obs.registry import MetricsRegistry, Stopwatch
-from ..store.cas import CHECKPOINT_FAMILY, ContentStore, LeaseTable
+from ..store.cas import (
+    CHECKPOINT_FAMILY,
+    ContentStore,
+    LeaseTable,
+    lease_dir,
+)
 from ..store.files import open_journal, read_jsonl
 from ..store.ledger import RunLedger
 
@@ -100,6 +106,22 @@ class CheckpointPlan:
                 metrics: MetricsRegistry | None = None) -> "CheckpointManager":
         """Open a manager over this plan's store (one per executor)."""
         return CheckpointManager(self, metrics=metrics)
+
+
+def checkpoint_plan(store: ContentStore | None, every: int, *,
+                    salt: str | None = None,
+                    ledger: str | None = None) -> CheckpointPlan | None:
+    """The plan ``--checkpoint-every N`` implies (None when N is 0):
+    snapshots in ``store``'s CAS, heartbeats in its lease table, events
+    in the run's ``ledger``.  The one ``CheckpointPlan`` construction."""
+    if every <= 0:
+        return None
+    if store is None:
+        raise ValueError(
+            "--checkpoint-every needs the result store (drop --no-cache)")
+    return CheckpointPlan(
+        store_root=str(store.root), every=every, salt=salt,
+        lease_root=str(lease_dir(store.root)), ledger_path=ledger)
 
 
 class CheckpointManager:
@@ -203,23 +225,24 @@ class CheckpointManager:
                            tick=int(tick), bytes=int(size))
         return blob_key
 
-    def load_latest(
-        self, instance_key: str,
-    ) -> tuple[int, dict[str, np.ndarray]] | None:
-        """Newest *valid* snapshot as ``(tick, payload)``, or None.
-
-        Walks the retained ticks newest-first; a missing or corrupt blob
-        (the CAS quarantines it) counts as ``checkpoint.invalid`` and
-        falls back to the older snapshot, then to None — the tick-0
-        restart the supervisor always had.
+    def resume_points(
+        self, instance_keys: list[str],
+    ) -> Iterator[tuple[int, list[dict[str, np.ndarray]]]]:
+        """The resume walk: ``(tick, payloads)``, newest first, over the
+        ticks common to every key's chain whose blobs all load (a missing
+        or corrupt one is invalidated for its key).  The caller stops at
+        the first that applies; exhausting the walk means tick 0.
         """
-        for tick in reversed(self.ticks(instance_key)):
-            payload = self.store.get(checkpoint_blob_key(instance_key, tick))
-            if payload is None:
-                self.invalidate(instance_key, tick)
-                continue
-            return tick, payload
-        return None
+        common = set.intersection(
+            *(set(self.ticks(k)) for k in instance_keys))
+        for tick in sorted(common, reverse=True):
+            payloads = [self.store.get(checkpoint_blob_key(k, tick))
+                        for k in instance_keys]
+            stale = [k for k, p in zip(instance_keys, payloads) if p is None]
+            for k in stale:
+                self.invalidate(k, tick)
+            if not stale:
+                yield tick, payloads
 
     def invalidate(self, instance_key: str, tick: int) -> None:
         """Drop one snapshot from the chain (unreadable or inapplicable).

@@ -1,0 +1,302 @@
+"""``info``, ``synth``, ``simulate`` and ``calibrate``: run the model,
+cached through the result store and traced by default."""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+from . import EXIT_QUARANTINED, SIMULATE_NAMESPACE, options
+
+
+def _cmd_info(args: argparse.Namespace) -> int:
+    from ..cluster.machines import BRIDGES, RIVANNA
+    from ..scheduling.categories import category_table
+    from ..synthpop.regions import REGIONS, total_counties, total_population
+
+    print(f"regions: {len(REGIONS)} (50 states + DC), "
+          f"{total_counties()} counties, "
+          f"{total_population() / 1e6:.0f}M residents")
+    cats = category_table()
+    for name, codes in cats.items():
+        print(f"{name:<7} ({len(codes):>2}): {' '.join(codes)}")
+    for spec in (BRIDGES, RIVANNA):
+        print(f"{spec.name}: {spec.n_nodes} nodes x "
+              f"{spec.cores_per_node} cores = {spec.total_cores} cores")
+    return 0
+
+
+def _cmd_synth(args: argparse.Namespace) -> int:
+    from ..synthpop import build_region_network
+    from ..synthpop.io import write_network_csv, write_persons_csv
+
+    pop, net = build_region_network(args.region, scale=args.scale,
+                                    seed=args.seed)
+    print(f"{args.region}: {pop.size:,} persons, {net.n_edges:,} edges, "
+          f"mean degree {net.mean_degree():.1f}")
+    if args.output:
+        out = Path(args.output)
+        out.mkdir(parents=True, exist_ok=True)
+        p = out / f"{args.region.lower()}_persons.csv"
+        e = out / f"{args.region.lower()}_network.csv"
+        write_persons_csv(pop, p)
+        write_network_csv(net, e)
+        print(f"wrote {p} and {e}")
+    return 0
+
+
+def _simulate_replicates(args: argparse.Namespace, store, ledger, params,
+                         reg, tracer) -> int:
+    """``simulate --replicates N``: one batch group of N seeds on the
+    memoized fan-out, each lane stored as its own solo run."""
+    import numpy as np
+
+    from ..core.parallel import InstanceSpec, supervise_instances
+    from ..resilience import RetryPolicy
+
+    specs = [
+        InstanceSpec(
+            region_code=args.region, params=params, n_days=args.days,
+            scale=args.scale, seed=args.seed + r,
+            label=f"simulate-{args.region}-r{r}", asset_seed=args.seed)
+        for r in range(args.replicates)
+    ]
+    with tracer, tracer.span(f"simulate:{args.region}", days=args.days,
+                             seed=args.seed,
+                             replicates=args.replicates) as root:
+        res = supervise_instances(
+            specs, store=store, ledger=ledger, parallel=False, registry=reg,
+            retry=RetryPolicy.from_flags(args.retries, args.fault_seed),
+            faults=options.resolve_faults(args),
+            checkpoint=options.resolve_checkpoint(args, store))
+        if res.quarantined:
+            root.attrs["quarantined"] = len(res.quarantined)
+        if store is not None:
+            reg.merge(store.metrics)
+        tracer.metrics(reg, scope="simulate")
+    if res.quarantined:
+        for rec in res.quarantined:
+            print(f"quarantined: {rec.describe()}", file=sys.stderr)
+        return EXIT_QUARANTINED
+    outcomes = res.results
+    rates = np.array([o.attack_rate for o in outcomes])
+    finals = [int(o.confirmed[-1]) for o in outcomes]
+    print(f"{args.region}: {len(outcomes)} replicates, "
+          f"attack {rates.mean():.1%} (min {rates.min():.1%}, "
+          f"max {rates.max():.1%}), "
+          f"confirmed {min(finals):,}..{max(finals):,}")
+    print(f"batch: size={int(reg.value('batch.size'))} "
+          f"groups={int(reg.value('batch.groups'))} "
+          f"hits={int(reg.value('memo.hits'))} "
+          f"misses={int(reg.value('memo.misses'))}")
+    return 0
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from ..core.parallel import InstanceSpec
+    from ..obs import MetricsRegistry
+    from ..plane import opt_in
+    from ..store.keys import instance_key
+
+    if args.replicates > 1 and args.csv:
+        print("--csv writes a single run's series; it does not combine "
+              "with --replicates", file=sys.stderr)
+        return 2
+    opt_in(args.plane, args.plane_dir)
+    store = options.resolve_store(args)
+    ledger = options.resolve_ledger(args)
+    params = options.scenario_params(args, backend=args.backend)
+    reg = MetricsRegistry()
+    tracer = options.resolve_tracer(args, run_id=f"simulate:{args.region}")
+    if args.replicates > 1:
+        return _simulate_replicates(args, store, ledger, params, reg, tracer)
+    spec = InstanceSpec(
+        region_code=args.region, params=params, n_days=args.days,
+        scale=args.scale, seed=args.seed,
+        label=f"simulate-{args.region}", asset_seed=args.seed)
+    key = instance_key(spec, namespace=SIMULATE_NAMESPACE)
+    with tracer, tracer.span(f"simulate:{args.region}", days=args.days,
+                             seed=args.seed) as root:
+        payload = store.get(key) if store is not None else None
+        cached = payload is not None
+        root.attrs["cached"] = cached
+        if payload is None:
+            from ..analytics import DEATHS, summarize, target_series
+            from ..core.parallel import inject_worker_faults
+            from ..core.runner import (
+                confirmed_series,
+                execute_specs,
+                load_region_assets,
+            )
+            from ..resilience import RetryPolicy
+            from ..resilience.supervisor import supervise_map
+
+            faults = options.resolve_faults(args)
+            ck_plan = options.resolve_checkpoint(args, store)
+
+            def _payload(spec, result, model):
+                return {
+                    # Ascertained symptomatic cases: the one meaning every
+                    # other path (replicates, calibration, the service) has.
+                    "confirmed": confirmed_series(result, model, spec.n_days),
+                    "deaths": target_series(summarize(result, model), model,
+                                            DEATHS),
+                    "attack_rate": np.asarray(result.attack_rate(model)),
+                    "peak_day": np.asarray(result.peak_day(model)),
+                }
+
+            def _run(item, attempt, plan):
+                inject_worker_faults(item, attempt, plan, allow_exit=False,
+                                     metrics=reg)
+                with tracer.span("load-assets", attempt=attempt):
+                    load_region_assets(args.region, args.scale, args.seed)
+                with tracer.span("run-engine", attempt=attempt):
+                    [(payload, lane_dump)] = execute_specs(
+                        [item], plan=ck_plan, attempt=attempt, faults=plan,
+                        metrics=reg, reduce=_payload)
+                reg.merge(lane_dump)
+                return payload
+
+            retry = RetryPolicy.from_flags(args.retries, args.fault_seed)
+            res = supervise_map(_run, [spec], keys=[spec.label],
+                                retry=retry, faults=faults, registry=reg,
+                                ledger=ledger)
+            if res.quarantined:
+                for rec in res.quarantined:
+                    print(f"quarantined: {rec.describe()}", file=sys.stderr)
+                root.attrs["quarantined"] = len(res.quarantined)
+                return EXIT_QUARANTINED
+            payload = res.results[0]
+            if store is not None:
+                store.put(key, payload)
+            if ck_plan is not None:
+                # Terminal result landed: the checkpoint chain is dead
+                # weight now — reclaim it.
+                ck_plan.manager(metrics=reg).discard(
+                    instance_key(spec, salt=ck_plan.salt))
+            if ledger is not None:
+                ledger.instance_completed(key, label=spec.label)
+        elif ledger is not None:
+            ledger.cache_hit(key, label=spec.label)
+        if store is not None:
+            reg.merge(store.metrics)
+        tracer.metrics(reg, scope="simulate")
+
+    confirmed = payload["confirmed"]
+    deaths = payload["deaths"]
+    print(f"{args.region}: attack {float(payload['attack_rate']):.1%}, "
+          f"peak day {int(payload['peak_day'])}, "
+          f"confirmed {int(confirmed[-1]):,}, deaths {int(deaths[-1]):,}"
+          + (" [store hit]" if cached else ""))
+    if reg.value("checkpoint.resumed"):
+        print(f"checkpoint: resumed {int(reg.value('checkpoint.resumed'))} "
+              f"attempt(s), saved "
+              f"{int(reg.value('checkpoint.ticks_saved'))} ticks of "
+              f"re-execution")
+    if args.csv:
+        import csv as _csv
+
+        with open(args.csv, "w", newline="") as fh:
+            w = _csv.writer(fh)
+            w.writerow(["day", "confirmed_cumulative", "deaths_cumulative"])
+            for d in range(args.days + 1):
+                w.writerow([d, int(confirmed[d]), int(deaths[d])])
+        print(f"wrote {args.csv}")
+    return 0
+
+
+def _cmd_calibrate(args: argparse.Namespace) -> int:
+    from ..core.calibration_wf import run_calibration_workflow
+    from ..obs import MetricsRegistry, global_registry
+
+    store = options.resolve_store(args)
+    ledger = options.resolve_ledger(args)
+    tracer = options.resolve_tracer(args, run_id=f"calibrate:{args.region}")
+    with tracer, tracer.span(f"calibrate:{args.region}", cells=args.cells,
+                             days=args.days, seed=args.seed):
+        cal = run_calibration_workflow(
+            args.region, n_cells=args.cells, n_days=args.days,
+            scale=args.scale, seed=args.seed,
+            mcmc_samples=args.samples, mcmc_burn_in=args.burn_in,
+            store=store, ledger=ledger)
+        # Memoized batches publish to the process-global registry (pool
+        # workers ship theirs home); fold in the store's own counters.
+        reg = MetricsRegistry().merge(global_registry())
+        if store is not None:
+            reg.merge(store.metrics)
+        tracer.metrics(reg, scope="calibrate")
+    tight = cal.posterior.tightening()
+    post = cal.posterior.theta_samples
+    print(f"{args.region}: calibrated {args.cells} cells over "
+          f"{args.days} days (onset at surveillance day {cal.onset_day})")
+    if store is not None:
+        hits = int(store.metrics.value("store.hits"))
+        misses = int(store.metrics.value("store.misses"))
+        served = hits / (hits + misses) if hits + misses else 1.0
+        print(f"  store: {hits} hits, {misses} misses "
+              f"({served:.0%} served)")
+    print(f"  pool: {int(reg.value('parallel.pool_starts'))} starts, "
+          f"{int(reg.value('parallel.pool_reuses'))} reuses")
+    for k, name in enumerate(cal.space.names):
+        print(f"  {name:<16} posterior {post[:, k].mean():.3f} "
+              f"± {post[:, k].std():.3f}  (tightening {tight[k]:.2f}x)")
+    corr = cal.posterior.posterior_correlation()
+    print(f"  corr(TAU, SYMP) = {corr[0, 1]:+.3f}")
+    return 0
+
+
+def add_parsers(sub) -> None:
+    """Add ``info``, ``synth``, ``simulate`` and ``calibrate``."""
+    p = sub.add_parser("info", help="regions, categories, machine specs")
+    p.set_defaults(func=_cmd_info)
+
+    p = sub.add_parser("synth", help="build a region's synthetic inputs")
+    p.add_argument("region")
+    p.add_argument("--scale", type=float, default=1e-3)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("-o", "--output", help="directory for CSV outputs")
+    p.set_defaults(func=_cmd_synth)
+
+    p = sub.add_parser("simulate", help="run EpiHiper for one region")
+    options.add_scenario_flags(p)
+    p.add_argument("--backend", choices=("dense", "frontier", "auto"),
+                   default="auto",
+                   help="transmission kernel (result-identical; A/B timing)")
+    p.add_argument("--replicates", type=int, default=1,
+                   help="run N replicates (seeds seed..seed+N-1) as one "
+                        "batched ensemble; each replicate is cached "
+                        "under its own key (default 1)")
+    p.add_argument("--csv", help="write the daily series to this file "
+                                 "(single-replicate runs only)")
+    p.add_argument("--inject", action="append", metavar="SITE[:k=v,...]",
+                   help="inject worker faults (see 'repro chaos sites'); "
+                        "exit code 4 when the run is quarantined")
+    p.add_argument("--fault-seed", type=int, default=0,
+                   help="fault-plan + backoff-jitter seed")
+    p.add_argument("--retries", type=int, default=1,
+                   help="attempts before quarantining the run (default 1)")
+    p.add_argument("--checkpoint-every", type=int, default=0,
+                   metavar="N",
+                   help="snapshot in-flight state every N ticks through "
+                        "the result store so retries resume instead of "
+                        "restarting from tick 0 (default 0 = off; needs "
+                        "the store)")
+    options.add_cache_flags(p)
+    options.add_trace_flags(p)
+    options.add_plane_flags(p)
+    p.set_defaults(func=_cmd_simulate)
+
+    p = sub.add_parser("calibrate", help="run the calibration workflow")
+    p.add_argument("region")
+    p.add_argument("--cells", type=int, default=30)
+    p.add_argument("--days", type=int, default=80)
+    p.add_argument("--scale", type=float, default=1e-3)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=800)
+    p.add_argument("--burn-in", type=int, default=600)
+    options.add_cache_flags(p)
+    options.add_trace_flags(p)
+    p.set_defaults(func=_cmd_calibrate)

@@ -15,17 +15,12 @@ or without a store — calibration workflows and the scenario service
 broker run through it) sends each group to the batched executor as one
 unit of work, failure and retry: a fault in any lane fails the group's
 attempt, and a group out of attempts is quarantined with one record per
-spec.
-
-Batching is on by default.  Set ``REPRO_BATCH_REPLICATES`` to ``0`` /
-``false`` / ``off`` / ``no`` to disable grouping entirely (every spec runs
-solo, the historical path).  Results are bit-identical either way; the
-knob exists for debugging and A/B timing.
+spec.  There is no switch: a group of one is the solo route, and results
+are bit-identical either way.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Any, Sequence
 
 from ..plane.manifest import AssetKey
@@ -37,22 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 #: amortise per-tick dispatch further but grow the stacked ``(K, N)`` /
 #: ``(K, E)`` working set, and past the cache-friendly width gain nothing.
 MAX_BATCH_LANES: int = 64
-
-#: Values of ``REPRO_BATCH_REPLICATES`` that disable batching.
-_DISABLE_TOKENS: frozenset[str] = frozenset({"0", "false", "off", "no"})
-
-
-def batching_enabled() -> bool:
-    """Whether replicate batching is active for this process.
-
-    On unless ``REPRO_BATCH_REPLICATES`` is set to a disable token
-    (``0`` / ``false`` / ``off`` / ``no``, case-insensitive).
-    """
-    raw = os.environ.get("REPRO_BATCH_REPLICATES")
-    if raw is None or not raw.strip():
-        return True
-    return raw.strip().lower() not in _DISABLE_TOKENS
-
 
 def group_key(spec: "InstanceSpec") -> tuple[AssetKey, int]:
     """The sharing key two specs must agree on to ride one batch.

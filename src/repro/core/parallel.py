@@ -71,7 +71,7 @@ from ..resilience.supervisor import (
 )
 from ..store.keys import instance_key
 from ..store.memo import _publish, _resolve_remote, outcome_from_payload
-from .batching import batch_groups, batching_enabled
+from .batching import batch_groups
 
 @dataclass(frozen=True, slots=True)
 class InstanceSpec:
@@ -424,8 +424,7 @@ def _fan_out(
     """
     if not specs:
         return FanoutResult(results=[])
-    groups = (batch_groups(specs) if batching_enabled()
-              else [[i] for i in range(len(specs))])
+    groups = batch_groups(specs)
     n_multi = sum(len(g) > 1 for g in groups)
     if n_multi:
         sink.inc("batch.groups", n_multi)

@@ -168,10 +168,6 @@ def load_region_assets(
                        metrics=metrics)
 
 
-#: Back-compat with the ``lru_cache`` surface callers relied on.
-load_region_assets.cache_clear = _ASSET_CACHE.clear  # type: ignore[attr-defined]
-
-
 def build_interventions(params: dict[str, Any]) -> list:
     """Intervention stack implied by a cell's parameters."""
     ivs = [make_sc(start=SC_START)]
@@ -325,7 +321,6 @@ def execute_specs(
     import os as _os
 
     from ..checkpoint.format import CheckpointError
-    from ..checkpoint.manager import checkpoint_blob_key
     from ..epihiper.batch import BatchedSimulation, BatchIncompatible
     from ..obs.registry import MetricsRegistry, global_registry
     from ..resilience.faults import CRASH_EXIT_CODE, InjectedFault
@@ -365,26 +360,20 @@ def execute_specs(
     with reg.timer(setup_timer):
         lanes, engine = build()
         start = 0
-        common = (set.intersection(*(set(manager.ticks(k)) for k in ck_keys))
-                  if manager is not None else ())
-        for ck_tick in sorted(common, reverse=True):
-            payloads = [manager.store.get(checkpoint_blob_key(k, ck_tick))
-                        for k in ck_keys]
-            stale = [k for k, p in zip(ck_keys, payloads) if p is None]
-            if not stale:
-                try:
-                    start = engine.restore_state(
-                        payloads if batched else payloads[0])
-                except (CheckpointError, BatchIncompatible):
-                    # A failed apply may have partially mutated the lanes.
-                    stale = ck_keys
-                    lanes, engine = build()
-                else:
-                    for k in ck_keys:
-                        manager.resumed(k, start, attempt=attempt)
-                    break
-            for k in stale:
-                manager.invalidate(k, ck_tick)
+        walk = manager.resume_points(ck_keys) if manager is not None else ()
+        for ck_tick, payloads in walk:
+            try:
+                start = engine.restore_state(
+                    payloads if batched else payloads[0])
+            except (CheckpointError, BatchIncompatible):
+                # A failed apply may have partially mutated the lanes.
+                lanes, engine = build()
+                for k in ck_keys:
+                    manager.invalidate(k, ck_tick)
+            else:
+                for k in ck_keys:
+                    manager.resumed(k, start, attempt=attempt)
+                break
     with reg.timer("runner.simulate_s"):
         tick = flushed = start
         while tick < n_days:

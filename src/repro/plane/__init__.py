@@ -32,7 +32,7 @@ from .lifecycle import (
     plane_stats,
     runtime,
 )
-from .manifest import AssetKey, Manifest, plane_enabled, plane_root
+from .manifest import AssetKey, Manifest, opt_in, plane_enabled, plane_root
 
 __all__ = [
     "AssetKey",
@@ -41,6 +41,7 @@ __all__ = [
     "PlaneRuntime",
     "memory_split",
     "ensure_assets",
+    "opt_in",
     "plane_enabled",
     "plane_gc",
     "plane_root",

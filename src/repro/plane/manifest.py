@@ -93,6 +93,21 @@ def plane_enabled() -> bool:
     return os.environ.get("REPRO_PLANE", "").strip().lower() in _TRUTHY
 
 
+def opt_in(plane: bool | None, plane_dir: str | None = None) -> bool:
+    """Write ``--plane`` / ``--plane-dir`` to ``REPRO_PLANE`` /
+    ``REPRO_PLANE_DIR`` (``plane`` None: leave it); True when on.  Runs
+    before any child is spawned: workers inherit the environment."""
+    if plane_dir:
+        os.environ["REPRO_PLANE_DIR"] = plane_dir
+    if plane is None:
+        return plane_enabled()
+    if plane:
+        os.environ["REPRO_PLANE"] = "1"
+    else:
+        os.environ.pop("REPRO_PLANE", None)
+    return plane
+
+
 def plane_root() -> Path:
     """Coordination directory: ``REPRO_PLANE_DIR`` or a per-uid default.
 

@@ -203,6 +203,18 @@ class FaultPlan:
         """Build a plan from CLI rule specs (see :meth:`FaultRule.parse`)."""
         return cls(rules=tuple(FaultRule.parse(s) for s in specs), seed=seed)
 
+    @classmethod
+    def from_flags(cls, inject: list[str] | tuple[str, ...] | None,
+                   seed: int = 0) -> "FaultPlan | None":
+        """The plan ``--inject`` / ``--fault-seed`` name (None: no rules);
+        a bad spec raises ``ValueError("bad --inject spec: …")``."""
+        if not inject:
+            return None
+        try:
+            return cls.parse(inject, seed=seed)
+        except ValueError as exc:
+            raise ValueError(f"bad --inject spec: {exc}") from None
+
     def active(self, site: str) -> bool:
         """Whether any rule targets ``site`` at all (cheap pre-check)."""
         return any(r.site == site for r in self.rules)

@@ -98,6 +98,13 @@ class RetryPolicy:
         if self.max_pool_rebuilds < 0:
             raise ValueError("max_pool_rebuilds must be >= 0")
 
+    @classmethod
+    def from_flags(cls, max_attempts: int, fault_seed: int = 0,
+                   **knobs) -> "RetryPolicy":
+        """The policy ``--retries`` / ``--max-attempts`` name; the jitter
+        seed is ``--fault-seed``, so a drill replays its delays."""
+        return cls(max_attempts=max_attempts, seed=fault_seed, **knobs)
+
     def backoff_s(self, key: str, retry_index: int) -> float:
         """Deterministic backoff before retry ``retry_index`` (0-based)."""
         delay = min(self.base_delay_s * self.factor ** retry_index,

@@ -36,6 +36,9 @@ from ..synthpop.regions import REGIONS
 API_VERSION = "v1"
 API_PREFIX = f"/{API_VERSION}"
 
+#: Default TCP port of the service (``repro serve`` / ``repro submit``).
+DEFAULT_PORT = 8377
+
 # -- error vocabulary ----------------------------------------------------------
 
 #: The documented error-code enum.  Clients switch on these; messages are

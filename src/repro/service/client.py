@@ -15,13 +15,21 @@ failures, where ``status`` is 0 and ``code`` empty).
 from __future__ import annotations
 
 import json
+import os
 import time
 import urllib.error
 import urllib.request
 from typing import Any
 
 from ..obs.registry import Stopwatch
-from .api import API_PREFIX, DRAINING, NOT_FOUND, QUARANTINED, QUEUE_FULL
+from .api import (
+    API_PREFIX,
+    DEFAULT_PORT,
+    DRAINING,
+    NOT_FOUND,
+    QUARANTINED,
+    QUEUE_FULL,
+)
 
 
 class ServiceError(RuntimeError):
@@ -112,9 +120,13 @@ def error_from_payload(status: int,
 
 
 class ServiceClient:
-    """Thin JSON client bound to one service base URL (speaks ``/v1``)."""
+    """Thin JSON client bound to one service base URL (speaks ``/v1``):
+    by default ``REPRO_SERVICE_URL``, else the local default port."""
 
-    def __init__(self, base_url: str, *, timeout_s: float = 30.0) -> None:
+    def __init__(self, base_url: str | None = None, *,
+                 timeout_s: float = 30.0) -> None:
+        base_url = (base_url or os.environ.get("REPRO_SERVICE_URL")
+                    or f"http://127.0.0.1:{DEFAULT_PORT}")
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
 

@@ -275,22 +275,6 @@ class ScenarioQueue:
         return Admission(admitted=True, status="coalesced", request_id=rid,
                          key=entry.key, depth=self._depth_locked())
 
-    def reprioritize(self, request_id: str, priority: int) -> bool:
-        """Raise a queued request's priority; False if not re-orderable."""
-        with self._lock:
-            rec = self._records.get(request_id)
-            if rec is None:
-                return False
-            entry = self._entries.get(rec.key)
-            if entry is None or entry.state != QUEUED:
-                return False
-            if priority > entry.priority:
-                entry.priority = priority
-                for waiting in entry.request_ids:
-                    self._records[waiting].priority = priority
-                self.metrics.inc("service.reprioritized")
-            return True
-
     def _next_rid_locked(self) -> str:
         self._rid += 1
         return f"r{self._rid:06d}"

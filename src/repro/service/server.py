@@ -31,7 +31,7 @@ store's lease table, so a scenario submitted to several of them runs
 once and the others read its blob.  A request id belongs to the process
 that issued it and restarts with it; the durable name of a result is its
 ``key`` — re-POSTing the same scenario after a restart is a store hit
-that returns the same bytes.  DESIGN.md §10 has the protocol.
+that returns the same bytes.  DESIGN.md §9 has the protocol.
 """
 
 from __future__ import annotations
@@ -47,10 +47,11 @@ from typing import Any
 from ..core.parallel import InstanceSpec
 from ..obs.registry import MetricsRegistry
 from ..resilience import FaultPlan, RetryPolicy
-from ..store.cas import ContentStore, LeaseTable, default_store, lease_dir
+from ..store.cas import LeaseTable, lease_dir, open_store
 from ..store.files import atomic_write
 from ..store.ledger import RunLedger
 from .api import (
+    DEFAULT_PORT,
     DRAINING,
     NOT_FOUND,
     QUEUE_FULL,
@@ -80,9 +81,6 @@ __all__ = [
     "record_view",
     "serve",
 ]
-
-#: Default TCP port of the service (``repro serve`` / ``repro submit``).
-DEFAULT_PORT = 8377
 
 #: States a listing may filter on.
 LISTABLE_STATES = frozenset(
@@ -320,7 +318,8 @@ class ServiceConfig:
     """Every ``repro serve`` option, once, with its default.
 
     Field names are the CLI flags'.  ``salt`` is the cache-key salt
-    override tests use — the one field that is not a flag.
+    override tests use — the one field that is not a flag.  ``plane``
+    None (neither flag given) follows ``REPRO_PLANE``.
     """
 
     host: str = "127.0.0.1"
@@ -340,7 +339,7 @@ class ServiceConfig:
     ledger: str | None = None
     no_cache: bool = False
     store_dir: str | None = None
-    plane: bool = False
+    plane: bool | None = False
     plane_dir: str | None = None
     salt: str | None = None
 
@@ -352,23 +351,11 @@ class ServiceConfig:
             if needs_store and self.no_cache:
                 raise ValueError(
                     f"{flag} needs the result store (drop --no-cache)")
-        try:
-            self.fault_plan()
-        except ValueError as exc:
-            raise ValueError(f"bad --inject spec: {exc}") from None
-
-    def open_store(self) -> ContentStore | None:
-        """``--store-dir``, else the user-level default; None under
-        ``--no-cache``."""
-        if self.no_cache:
-            return None
-        return (ContentStore(Path(self.store_dir)) if self.store_dir
-                else default_store())
+        self.fault_plan()
 
     def fault_plan(self) -> FaultPlan | None:
         """The ``--inject`` rules as a plan (None when there are none)."""
-        return (FaultPlan.parse(self.inject, seed=self.fault_seed)
-                if self.inject else None)
+        return FaultPlan.from_flags(self.inject, seed=self.fault_seed)
 
 
 def build_service(config: ServiceConfig, *, tracer=None) -> ScenarioService:
@@ -378,22 +365,13 @@ def build_service(config: ServiceConfig, *, tracer=None) -> ScenarioService:
     service always attaches the store's lease table, so any number of
     processes serving one store execute each key once.
     """
-    store = config.open_store()
+    from ..checkpoint import checkpoint_plan
+
+    store = open_store(config.store_dir, no_cache=config.no_cache)
     extras: dict[str, Any] = {}
     if store is not None:
         extras["leases"] = LeaseTable(lease_dir(store.root),
                                       owner=f"serve:pid{os.getpid()}")
-    if config.checkpoint_every > 0:
-        from ..checkpoint import CheckpointPlan
-
-        extras["checkpoint"] = CheckpointPlan(
-            store_root=str(store.root), every=config.checkpoint_every,
-            salt=config.salt, lease_root=str(lease_dir(store.root)),
-            ledger_path=config.ledger)
-    if config.max_attempts > 1:
-        extras["retry"] = RetryPolicy(max_attempts=config.max_attempts,
-                                      base_delay_s=0.05,
-                                      seed=config.fault_seed)
     if config.surrogate:
         from ..surrogate import ModelRegistry, SurrogateGate
 
@@ -404,6 +382,9 @@ def build_service(config: ServiceConfig, *, tracer=None) -> ScenarioService:
     return ScenarioService(
         store=store, salt=config.salt, tracer=tracer,
         faults=config.fault_plan(),
+        retry=RetryPolicy.from_flags(config.max_attempts, config.fault_seed),
+        checkpoint=checkpoint_plan(store, config.checkpoint_every,
+                                   salt=config.salt, ledger=config.ledger),
         capacity=config.capacity, aging_every=config.aging_every,
         batch_size=config.batch_size, max_workers=config.workers,
         parallel=not config.serial, **extras)
@@ -443,12 +424,11 @@ def serve_until_signalled(server, *, port_file: str | None, drain) -> None:
 
 def serve(config: ServiceConfig, *, tracer=None) -> None:
     """Run one service process to completion (``repro serve``)."""
-    if config.plane:
-        # Environment, not arguments: the broker's pool workers and every
-        # nested load site inherit the plane opt-in automatically.
-        os.environ["REPRO_PLANE"] = "1"
-        if config.plane_dir:
-            os.environ["REPRO_PLANE_DIR"] = config.plane_dir
+    from ..plane import opt_in
+
+    # Environment, not arguments: the broker's pool workers and every
+    # nested load site inherit the plane opt-in.
+    opt_in(config.plane, config.plane_dir)
     service = build_service(config, tracer=tracer).start()
     server = make_server(service, host=config.host, port=config.port)
     print(f"repro service listening on "

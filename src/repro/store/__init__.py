@@ -21,6 +21,7 @@ from .cas import (
     ContentStore,
     LeaseTable,
     default_store,
+    open_store,
 )
 from .keys import (
     INSTANCE_NAMESPACE,
@@ -48,6 +49,7 @@ __all__ = [
     "code_version_salt",
     "default_store",
     "instance_key",
+    "open_store",
     "outcome_from_payload",
     "outcome_payload",
     "replay_ledger",

@@ -528,3 +528,17 @@ def default_store() -> ContentStore:
     path = Path(root) if root else Path.home() / ".cache" / "repro" / "store"
     max_bytes = int(os.environ.get("REPRO_STORE_MAX_BYTES", DEFAULT_MAX_BYTES))
     return ContentStore(path, max_bytes=max_bytes)
+
+
+def open_store(directory: str | os.PathLike | None = None, *,
+               no_cache: bool = False,
+               faults: FaultPlan | None = None) -> ContentStore | None:
+    """The store ``--store-dir`` / ``--dir`` names (unbounded), else
+    :func:`default_store`; None under ``--no-cache``.  The CLI and
+    :func:`~repro.service.server.build_service` both open stores here."""
+    if no_cache:
+        return None
+    store = (ContentStore(Path(directory)) if directory
+             else default_store())
+    store.faults = faults
+    return store

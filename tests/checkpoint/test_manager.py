@@ -79,19 +79,19 @@ class TestChain:
     def test_load_latest_returns_newest(self, manager):
         manager.write(KEY, payload(5), tick=5)
         manager.write(KEY, payload(10), tick=10)
-        tick, loaded = manager.load_latest(KEY)
+        tick, [loaded] = next(manager.resume_points([KEY]))
         assert tick == 10
         assert np.array_equal(loaded["state"], payload(10)["state"])
 
     def test_empty_chain_loads_none(self, manager):
-        assert manager.load_latest(KEY) is None
+        assert next(manager.resume_points([KEY]), None) is None
         assert manager.ticks(KEY) == []
 
     def test_missing_blob_falls_back_to_older(self, manager):
         manager.write(KEY, payload(5), tick=5)
         manager.write(KEY, payload(10), tick=10)
         manager.store.path_of(checkpoint_blob_key(KEY, 10)).unlink()
-        tick, _loaded = manager.load_latest(KEY)
+        tick, _loaded = next(manager.resume_points([KEY]))
         assert tick == 5
         assert manager.metrics.value("checkpoint.invalid") == 1
         assert manager.ticks(KEY) == [5]
@@ -105,7 +105,7 @@ class TestChain:
         raw = bytearray(blob.read_bytes())
         raw[len(raw) // 2] ^= 0xFF
         blob.write_bytes(bytes(raw))
-        tick, _loaded = manager.load_latest(KEY)
+        tick, _loaded = next(manager.resume_points([KEY]))
         assert tick == 5
         assert manager.metrics.value("checkpoint.invalid") == 1
 
@@ -119,7 +119,7 @@ class TestChain:
             entries = {name: npz[name] for name in npz.files}
         entries[DIGEST_KEY] = entries[DIGEST_KEY] ^ np.uint8(0xFF)
         np.savez(blob, **entries)
-        tick, _loaded = manager.load_latest(KEY)
+        tick, _loaded = next(manager.resume_points([KEY]))
         assert tick == 5
         assert manager.metrics.value("checkpoint.invalid") == 1
         assert manager.store.quarantined_keys() == [
@@ -154,7 +154,7 @@ class TestChain:
         for writer in (manager, plan.manager(metrics=MetricsRegistry())):
             writer.write(KEY, payload(5), tick=5)
             assert writer.ticks(KEY) == [5]
-            assert writer.load_latest(KEY)[0] == 5
+            assert next(writer.resume_points([KEY]))[0] == 5
             writer.write(KEY, payload(10), tick=10)
             assert writer.ticks(KEY) == [5, 10]
 
@@ -177,8 +177,25 @@ class TestChain:
         assert reclaimed > 0
         assert manager.metrics.value("checkpoint.reclaimed_bytes") == reclaimed
         assert manager.ticks(KEY) == []
-        assert manager.load_latest(KEY) is None
+        assert next(manager.resume_points([KEY]), None) is None
         assert not manager.pointer_path(KEY).exists()
+
+    def test_resume_points_walk_common_ticks(self, manager):
+        """A group resumes only at a tick every lane holds: a lane left
+        one snapshot ahead by a crash mid-write does not count, and a
+        lane's missing blob costs that tick for that lane alone."""
+        other = "ef" * 32
+        for tick in (5, 10):
+            manager.write(KEY, payload(tick), tick=tick)
+        for tick in (10, 15):
+            manager.write(other, payload(tick), tick=tick)
+        tick, loaded = next(manager.resume_points([KEY, other]))
+        assert tick == 10
+        assert [p["state"][0] for p in loaded] == [10, 10]
+        manager.store.path_of(checkpoint_blob_key(other, 10)).unlink()
+        assert next(manager.resume_points([KEY, other]), None) is None
+        assert manager.ticks(KEY) == [5, 10]
+        assert manager.ticks(other) == [15]
 
     def test_discard_empty_chain_is_noop(self, manager):
         assert manager.discard(KEY) == 0
@@ -264,7 +281,7 @@ class TestGcExemption:
         evicted = store.gc(max_bytes=0)
         assert "aa" * 32 in evicted
         assert checkpoint_blob_key(KEY, 5) not in evicted
-        assert manager.load_latest(KEY) is not None
+        assert next(manager.resume_points([KEY]), None) is not None
 
     def test_retained_pair_survives_gc_after_ten_writes(self, manager):
         for tick in range(5, 55, 5):
@@ -272,7 +289,7 @@ class TestGcExemption:
         store = ContentStore(manager.store.root)
         assert store.family_counts() == {CHECKPOINT_FAMILY: 2}
         assert store.gc(max_bytes=0) == []
-        assert manager.load_latest(KEY)[0] == 50
+        assert next(manager.resume_points([KEY]))[0] == 50
 
     def test_abandoned_checkpoints_rejoin_the_lru(self, manager):
         """Older than the lease TTL = nobody is coming back for it."""

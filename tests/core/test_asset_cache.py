@@ -35,9 +35,9 @@ needs_fork = pytest.mark.skipif(
 
 @pytest.fixture(autouse=True)
 def _clean_cache():
-    load_region_assets.cache_clear()
+    runner._ASSET_CACHE.clear()
     yield
-    load_region_assets.cache_clear()
+    runner._ASSET_CACHE.clear()
 
 
 def _specs(regions, round_index=0):
@@ -148,11 +148,3 @@ def test_load_region_assets_publishes_metrics():
     c = load_region_assets("VT", 1e-3, 424242, 50, metrics=reg)
     assert c is not a
     assert reg.value("assets.cache.misses") == 2
-
-
-def test_cache_clear_back_compat():
-    reg = MetricsRegistry()
-    load_region_assets("VT", 1e-3, 424242, 40, metrics=reg)
-    assert len(runner._ASSET_CACHE) == 1
-    load_region_assets.cache_clear()
-    assert len(runner._ASSET_CACHE) == 0

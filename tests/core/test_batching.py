@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.batching import (
     batch_groups,
-    batching_enabled,
     group_key,
 )
 from repro.core.parallel import (
@@ -86,28 +85,19 @@ def test_batch_groups_cap_split():
     assert groups == [[0, 1, 2], [3, 4, 5], [6]]
 
 
-def test_batching_env_knobs(monkeypatch):
-    monkeypatch.delenv("REPRO_BATCH_REPLICATES", raising=False)
-    assert batching_enabled()
-    for token in ("0", "false", "OFF", " no "):
-        monkeypatch.setenv("REPRO_BATCH_REPLICATES", token)
-        assert not batching_enabled()
-    monkeypatch.setenv("REPRO_BATCH_REPLICATES", "1")
-    assert batching_enabled()
-
-
 # ---- batched fan-out: equivalence and telemetry ----------------------------
 
 
-def test_batched_run_instances_matches_unbatched(monkeypatch):
-    """The batched route returns byte-identical outcomes to the solo path."""
+def test_batched_run_instances_matches_unbatched():
+    """The batched route returns byte-identical outcomes to the solo
+    path: each spec fanned out alone is a group of one."""
     specs = make_specs(5) + make_specs(2, region="RI", seed0=900)
     reg_on = MetricsRegistry()
     batched = run_instances(specs, parallel=False, registry=reg_on)
 
-    monkeypatch.setenv("REPRO_BATCH_REPLICATES", "0")
     reg_off = MetricsRegistry()
-    solo = run_instances(specs, parallel=False, registry=reg_off)
+    solo = [run_instances([s], parallel=False, registry=reg_off)[0]
+            for s in specs]
 
     for b, s in zip(batched, solo):
         assert b.spec == s.spec
@@ -230,12 +220,3 @@ def test_memoized_batches_land_under_individual_keys(tmp_path):
     for c, w in zip(cold, warm):
         np.testing.assert_array_equal(c.confirmed, w.confirmed)
         assert c.attack_rate == w.attack_rate
-
-
-def test_batching_disabled_env_skips_grouping(monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH_REPLICATES", "off")
-    reg = MetricsRegistry()
-    res = supervise_instances(make_specs(3), parallel=False, registry=reg)
-    assert res.ok
-    snap = reg.snapshot()
-    assert "batch.groups" not in snap and "batch.size" not in snap

@@ -14,9 +14,9 @@ def plane_root(tmp_path, monkeypatch):
     root = tmp_path / "plane"
     monkeypatch.setenv("REPRO_PLANE", "1")
     monkeypatch.setenv("REPRO_PLANE_DIR", str(root))
-    from repro.core.runner import load_region_assets
+    from repro.core.runner import _ASSET_CACHE
 
-    load_region_assets.cache_clear()
+    _ASSET_CACHE.clear()
     yield root
     from repro.plane import plane_gc
     from repro.plane.lifecycle import _RUNTIMES
@@ -25,7 +25,7 @@ def plane_root(tmp_path, monkeypatch):
     if rt is not None:
         rt.shutdown()
     plane_gc(root)
-    load_region_assets.cache_clear()
+    _ASSET_CACHE.clear()
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ import pytest
 
 from repro.checkpoint import CheckpointPlan
 from repro.core.parallel import InstanceSpec, run_instances, supervise_instances
-from repro.core.runner import load_region_assets
+from repro.core.runner import _ASSET_CACHE
 from repro.obs import MetricsRegistry
 from repro.plane import plane_stats
 from repro.resilience import FaultPlan, RetryPolicy
@@ -34,7 +34,7 @@ def specs(backend, k):
 
 def _copy_run(monkeypatch, backend, k):
     monkeypatch.delenv("REPRO_PLANE", raising=False)
-    load_region_assets.cache_clear()
+    _ASSET_CACHE.clear()
     return run_instances(specs(backend, k), parallel=False,
                          registry=MetricsRegistry())
 
@@ -45,7 +45,7 @@ def test_plane_run_bit_identical(plane_root, monkeypatch, backend, k):
     clean = _copy_run(monkeypatch, backend, k)
 
     monkeypatch.setenv("REPRO_PLANE", "1")
-    load_region_assets.cache_clear()
+    _ASSET_CACHE.clear()
     reg = MetricsRegistry()
     planed = run_instances(specs(backend, k), parallel=False, registry=reg)
 
@@ -63,7 +63,7 @@ def test_checkpoint_crash_resume_on_plane(plane_root, monkeypatch,
     clean = _copy_run(monkeypatch, "auto", 4)
 
     monkeypatch.setenv("REPRO_PLANE", "1")
-    load_region_assets.cache_clear()
+    _ASSET_CACHE.clear()
     plan = CheckpointPlan(store_root=str(tmp_path / "ck"), every=3)
     faults = FaultPlan.parse(["worker.crash_mid_run:tick=4,times=1"],
                              seed=0)

@@ -67,10 +67,10 @@ def test_plane_off_touches_nothing(tmp_path, monkeypatch):
     """Without the opt-in, the plane dir is never even created."""
     monkeypatch.delenv("REPRO_PLANE", raising=False)
     monkeypatch.setenv("REPRO_PLANE_DIR", str(tmp_path / "plane"))
-    from repro.core.runner import load_region_assets
+    from repro.core.runner import _ASSET_CACHE, load_region_assets
 
-    load_region_assets.cache_clear()
+    _ASSET_CACHE.clear()
     assets = load_region_assets("VT", 1e-3, 424242, 40)
     assert assets.pop.size > 0
     assert not (tmp_path / "plane").exists()
-    load_region_assets.cache_clear()
+    _ASSET_CACHE.clear()

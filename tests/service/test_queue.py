@@ -123,7 +123,6 @@ def test_running_entry_is_not_preempted():
     j = q.submit(make_spec(0), priority=9)
     assert j.status == "coalesced"
     assert q.metrics.value("service.reprioritized") == 0
-    assert not q.reprioritize(a.request_id, 99)
     # ... and still receives the one result.
     q.complete(claim.key, {"x": 1})
     assert q.status(j.request_id).state == DONE

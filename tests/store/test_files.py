@@ -80,7 +80,7 @@ def test_torn_pointer_line_costs_exactly_that_snapshot(tmp_path):
     for size in range(start + 1, len(data) - 1):
         journal.write_bytes(data[:size])
         reopened = _pointer_manager(tmp_path)
-        tick, loaded = reopened.load_latest(KEY)
+        tick, [loaded] = next(reopened.resume_points([KEY]))
         assert tick == 10, size
         assert np.array_equal(loaded["v"], _payload(10)["v"])
         reopened.write(KEY, _payload(15), tick=15)

@@ -20,7 +20,10 @@ subclassed once, so the service has one HTTP front door (a second is a
 second process to route through, drain and keep in step).  And the fan-out: ``supervise_map(...)`` is called by the
 one instance fan-out (``core/parallel.py:_fan_out``) and by the single-run
 ``simulate`` command, nowhere else — a third fan-out would be a third set
-of failure semantics.
+of failure semantics.  And what ``--checkpoint-every`` opens:
+``CheckpointPlan(...)`` is built only by ``checkpoint_plan``, which the
+CLI and ``build_service`` both call (three sites once disagreed on salt,
+lease root and ledger path).
 
 Inside the tick core (``epihiper/``), Eq. 1's probability (``expm1``) and
 the attribution shuffle (``.permutation``) are each called in exactly one
@@ -49,11 +52,13 @@ ALLOWED = {
     ("ProcessPoolExecutor(", "core/parallel.py", "borrow"),
     ("ScenarioService(", "service/server.py", "build_service"),
     ("supervise_map(", "core/parallel.py", "_fan_out"),
-    ("supervise_map(", "cli.py", "_cmd_simulate"),
+    ("supervise_map(", "cli/run.py", "_cmd_simulate"),
+    ("CheckpointPlan(", "checkpoint/manager.py", "checkpoint_plan"),
 }
 
 #: Callables whose call sites are pinned to the functions listed above.
-PINNED_CALLS = ("ProcessPoolExecutor", "ScenarioService", "supervise_map")
+PINNED_CALLS = ("ProcessPoolExecutor", "ScenarioService", "supervise_map",
+                "CheckpointPlan")
 
 #: The tick core's sampling calls, each pinned to one function.
 TICK_CORE_ALLOWED = {
@@ -150,9 +155,12 @@ def test_guard_actually_detects(tmp_path):
         "def compose(store):\n"
         "    return ScenarioService(store=store)\n"
         "def fan_again(items):\n"
-        "    return supervisor.supervise_map(run, items)\n")
+        "    return supervisor.supervise_map(run, items)\n"
+        "def plan(root):\n"
+        "    return manager.CheckpointPlan(store_root=root, every=5)\n")
     assert _sites(tmp_path) == {
         ("supervise_map(", "mod.py", "fan_again"),
+        ("CheckpointPlan(", "mod.py", "plan"),
         ("ProcessPoolExecutor(", "mod.py", "fan"),
         ("ProcessPoolExecutor(", "mod.py", "fan_too"),
         ("ScenarioService(", "mod.py", "compose"),
