@@ -26,10 +26,6 @@ from __future__ import annotations
 
 import argparse
 
-#: Cache-key namespace for the ``simulate`` command's summary payload
-#: (confirmed + deaths series, attack rate, peak day).
-SIMULATE_NAMESPACE = "simulate-summary/v2"
-
 #: Exit code for "work was quarantined / lost to faults": distinct from
 #: 1 (domain failure, e.g. blown window or mismatch) and 2 (bad usage),
 #: so scripted callers can tell "ran but gave up on some work" apart.
@@ -37,7 +33,7 @@ EXIT_QUARANTINED = 4
 
 from . import maintenance, night, run, service  # noqa: E402
 
-__all__ = ["EXIT_QUARANTINED", "SIMULATE_NAMESPACE", "build_parser", "main"]
+__all__ = ["EXIT_QUARANTINED", "build_parser", "main"]
 
 
 def build_parser() -> argparse.ArgumentParser:

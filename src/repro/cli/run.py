@@ -7,7 +7,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import EXIT_QUARANTINED, SIMULATE_NAMESPACE, options
+from . import EXIT_QUARANTINED, options
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -46,60 +46,19 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _simulate_replicates(args: argparse.Namespace, store, ledger, params,
-                         reg, tracer) -> int:
-    """``simulate --replicates N``: one batch group of N seeds on the
-    memoized fan-out, each lane stored as its own solo run."""
-    import numpy as np
-
-    from ..core.parallel import InstanceSpec, supervise_instances
-    from ..resilience import RetryPolicy
-
-    specs = [
-        InstanceSpec(
-            region_code=args.region, params=params, n_days=args.days,
-            scale=args.scale, seed=args.seed + r,
-            label=f"simulate-{args.region}-r{r}", asset_seed=args.seed)
-        for r in range(args.replicates)
-    ]
-    with tracer, tracer.span(f"simulate:{args.region}", days=args.days,
-                             seed=args.seed,
-                             replicates=args.replicates) as root:
-        res = supervise_instances(
-            specs, store=store, ledger=ledger, parallel=False, registry=reg,
-            retry=RetryPolicy.from_flags(args.retries, args.fault_seed),
-            faults=options.resolve_faults(args),
-            checkpoint=options.resolve_checkpoint(args, store))
-        if res.quarantined:
-            root.attrs["quarantined"] = len(res.quarantined)
-        if store is not None:
-            reg.merge(store.metrics)
-        tracer.metrics(reg, scope="simulate")
-    if res.quarantined:
-        for rec in res.quarantined:
-            print(f"quarantined: {rec.describe()}", file=sys.stderr)
-        return EXIT_QUARANTINED
-    outcomes = res.results
-    rates = np.array([o.attack_rate for o in outcomes])
-    finals = [int(o.confirmed[-1]) for o in outcomes]
-    print(f"{args.region}: {len(outcomes)} replicates, "
-          f"attack {rates.mean():.1%} (min {rates.min():.1%}, "
-          f"max {rates.max():.1%}), "
-          f"confirmed {min(finals):,}..{max(finals):,}")
-    print(f"batch: size={int(reg.value('batch.size'))} "
-          f"groups={int(reg.value('batch.groups'))} "
-          f"hits={int(reg.value('memo.hits'))} "
-          f"misses={int(reg.value('memo.misses'))}")
-    return 0
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    """``simulate``: N >= 1 replicates (seeds seed..seed+N-1) as one
+    batch group on the memoized fan-out.  A single run is replicate 0,
+    under the same key, so either is a store hit for the other."""
     import numpy as np
 
-    from ..core.parallel import InstanceSpec
+    from ..analytics import DEATHS, target_series
+    from ..analytics.targets import INFECTIOUS_CENSUS, peak_demand
+    from ..core.parallel import InstanceSpec, supervise_instances
+    from ..core.runner import model_for_params
     from ..obs import MetricsRegistry
     from ..plane import opt_in
-    from ..store.keys import instance_key
+    from ..resilience import RetryPolicy
 
     if args.replicates > 1 and args.csv:
         print("--csv writes a single run's series; it does not combine "
@@ -111,84 +70,54 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     params = options.scenario_params(args, backend=args.backend)
     reg = MetricsRegistry()
     tracer = options.resolve_tracer(args, run_id=f"simulate:{args.region}")
-    if args.replicates > 1:
-        return _simulate_replicates(args, store, ledger, params, reg, tracer)
-    spec = InstanceSpec(
-        region_code=args.region, params=params, n_days=args.days,
-        scale=args.scale, seed=args.seed,
-        label=f"simulate-{args.region}", asset_seed=args.seed)
-    key = instance_key(spec, namespace=SIMULATE_NAMESPACE)
+    n = max(args.replicates, 1)
+    specs = [
+        InstanceSpec(
+            region_code=args.region, params=params, n_days=args.days,
+            scale=args.scale, seed=args.seed + r,
+            label=f"simulate-{args.region}" + (f"-r{r}" if n > 1 else ""),
+            asset_seed=args.seed)
+        for r in range(n)
+    ]
     with tracer, tracer.span(f"simulate:{args.region}", days=args.days,
-                             seed=args.seed) as root:
-        payload = store.get(key) if store is not None else None
-        cached = payload is not None
-        root.attrs["cached"] = cached
-        if payload is None:
-            from ..analytics import DEATHS, summarize, target_series
-            from ..core.parallel import inject_worker_faults
-            from ..core.runner import (
-                confirmed_series,
-                execute_specs,
-                load_region_assets,
-            )
-            from ..resilience import RetryPolicy
-            from ..resilience.supervisor import supervise_map
-
-            faults = options.resolve_faults(args)
-            ck_plan = options.resolve_checkpoint(args, store)
-
-            def _payload(spec, result, model):
-                return {
-                    # Ascertained symptomatic cases: the one meaning every
-                    # other path (replicates, calibration, the service) has.
-                    "confirmed": confirmed_series(result, model, spec.n_days),
-                    "deaths": target_series(summarize(result, model), model,
-                                            DEATHS),
-                    "attack_rate": np.asarray(result.attack_rate(model)),
-                    "peak_day": np.asarray(result.peak_day(model)),
-                }
-
-            def _run(item, attempt, plan):
-                inject_worker_faults(item, attempt, plan, allow_exit=False,
-                                     metrics=reg)
-                with tracer.span("load-assets", attempt=attempt):
-                    load_region_assets(args.region, args.scale, args.seed)
-                with tracer.span("run-engine", attempt=attempt):
-                    [(payload, lane_dump)] = execute_specs(
-                        [item], plan=ck_plan, attempt=attempt, faults=plan,
-                        metrics=reg, reduce=_payload)
-                reg.merge(lane_dump)
-                return payload
-
-            retry = RetryPolicy.from_flags(args.retries, args.fault_seed)
-            res = supervise_map(_run, [spec], keys=[spec.label],
-                                retry=retry, faults=faults, registry=reg,
-                                ledger=ledger)
-            if res.quarantined:
-                for rec in res.quarantined:
-                    print(f"quarantined: {rec.describe()}", file=sys.stderr)
-                root.attrs["quarantined"] = len(res.quarantined)
-                return EXIT_QUARANTINED
-            payload = res.results[0]
-            if store is not None:
-                store.put(key, payload)
-            if ck_plan is not None:
-                # Terminal result landed: the checkpoint chain is dead
-                # weight now — reclaim it.
-                ck_plan.manager(metrics=reg).discard(
-                    instance_key(spec, salt=ck_plan.salt))
-            if ledger is not None:
-                ledger.instance_completed(key, label=spec.label)
-        elif ledger is not None:
-            ledger.cache_hit(key, label=spec.label)
+                             seed=args.seed, replicates=n) as root:
+        res = supervise_instances(
+            specs, store=store, ledger=ledger, parallel=False, registry=reg,
+            retry=RetryPolicy.from_flags(args.retries, args.fault_seed),
+            faults=options.resolve_faults(args),
+            checkpoint=options.resolve_checkpoint(args, store),
+            summary=True)
+        cached = root.attrs["cached"] = reg.value("memo.hits") == n
+        if res.quarantined:
+            root.attrs["quarantined"] = len(res.quarantined)
         if store is not None:
             reg.merge(store.metrics)
         tracer.metrics(reg, scope="simulate")
+    if res.quarantined:
+        for rec in res.quarantined:
+            print(f"quarantined: {rec.describe()}", file=sys.stderr)
+        return EXIT_QUARANTINED
+    outcomes = res.results
+    if n > 1:
+        rates = np.array([o.attack_rate for o in outcomes])
+        finals = [int(o.confirmed[-1]) for o in outcomes]
+        print(f"{args.region}: {len(outcomes)} replicates, "
+              f"attack {rates.mean():.1%} (min {rates.min():.1%}, "
+              f"max {rates.max():.1%}), "
+              f"confirmed {min(finals):,}..{max(finals):,}")
+        print(f"batch: size={int(reg.value('batch.size'))} "
+              f"groups={int(reg.value('batch.groups'))} "
+              f"hits={int(reg.value('memo.hits'))} "
+              f"misses={int(reg.value('memo.misses'))}")
+        return 0
 
-    confirmed = payload["confirmed"]
-    deaths = payload["deaths"]
-    print(f"{args.region}: attack {float(payload['attack_rate']):.1%}, "
-          f"peak day {int(payload['peak_day'])}, "
+    [outcome] = outcomes
+    model = model_for_params(params)
+    confirmed = outcome.confirmed
+    deaths = target_series(outcome.summary, model, DEATHS)
+    peak_day, _peak = peak_demand(outcome.summary, model, INFECTIOUS_CENSUS)
+    print(f"{args.region}: attack {outcome.attack_rate:.1%}, "
+          f"peak day {peak_day}, "
           f"confirmed {int(confirmed[-1]):,}, deaths {int(deaths[-1]):,}"
           + (" [store hit]" if cached else ""))
     if reg.value("checkpoint.resumed"):

@@ -21,7 +21,6 @@ from .counterfactual_wf import (
 from .cellconfig import (
     CellConfig,
     configs_from_design,
-    execute_config,
     read_config_bundle,
     write_config_bundle,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "run_iterative_calibration",
     "CellConfig",
     "configs_from_design",
-    "execute_config",
     "read_config_bundle",
     "write_config_bundle",
     "NationalRun",

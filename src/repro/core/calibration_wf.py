@@ -24,12 +24,13 @@ import numpy as np
 from ..calibration.gpmsa import CalibrationResult, GPMSACalibrator
 from ..calibration.lhs import ParameterSpace, sample_design
 from ..params import DEFAULT_SCALE, DEFAULT_SEED
+from ..plane.manifest import AssetKey
 from ..store.cas import ContentStore
 from ..store.ledger import RunLedger
 from ..surveillance.truth import GroundTruth
 from .designs import case_study_space
 from .parallel import InstanceSpec, run_instances
-from .runner import RegionAssets, load_region_assets, observed_series
+from .runner import RegionAssets, load_assets, observed_series
 
 __all__ = [
     "CalibrationWorkflowResult",
@@ -52,6 +53,8 @@ class CalibrationWorkflowResult:
         posterior: the Bayesian calibration output.
         calibrator: the fitted emulator (for Figure 16 bands).
         assets: the region inputs used.
+        asset_key: the key those inputs were loaded under (predictions
+            from this calibration run on the same bundle).
     """
 
     region_code: str
@@ -62,6 +65,7 @@ class CalibrationWorkflowResult:
     posterior: CalibrationResult
     calibrator: GPMSACalibrator
     assets: RegionAssets
+    asset_key: AssetKey
     onset_day: int = 0  #: surveillance day aligned with simulation tick 0
 
     def posterior_configurations(
@@ -163,7 +167,8 @@ def run_calibration_workflow(
     """
     space = space or case_study_space()
     rng = np.random.default_rng((seed, 11))
-    assets = load_region_assets(region_code, scale, seed)
+    asset_key = AssetKey(region_code, scale, seed)
+    assets = load_assets(asset_key)
 
     prior = sample_design(space, n_cells, rng)
     specs = _design_specs(
@@ -190,6 +195,7 @@ def run_calibration_workflow(
         posterior=posterior,
         calibrator=calibrator,
         assets=assets,
+        asset_key=asset_key,
         onset_day=onset,
     )
 
@@ -226,7 +232,8 @@ def run_iterative_calibration(
         raise ValueError("need at least one round")
     results: list[CalibrationWorkflowResult] = []
     space = case_study_space()
-    assets = load_region_assets(region_code, scale, seed)
+    asset_key = AssetKey(region_code, scale, seed)
+    assets = load_assets(asset_key)
     rng = np.random.default_rng((seed, 29))
 
     design = sample_design(space, n_cells, rng)
@@ -264,6 +271,7 @@ def run_iterative_calibration(
             posterior=posterior,
             calibrator=calibrator,
             assets=assets,
+            asset_key=asset_key,
             onset_day=onset,
         ))
         # Next round's design: draws from this posterior.

@@ -8,8 +8,8 @@ simulate" (Section III).
 
 A :class:`CellConfig` is that artifact: a JSON-serialisable description a
 workflow writes on the home cluster, ships to the remote cluster, and the
-runner executes.  It is exactly the unit the Figure 1 "daily simulation
-configurations (100MB-8.7GB)" transfers carry.
+fan-out executes (:meth:`CellConfig.spec`).  It is exactly the unit the
+Figure 1 "daily simulation configurations (100MB-8.7GB)" transfers carry.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from typing import Any
 
 from ..params import DEFAULT_SCALE, DEFAULT_SEED
 from ..synthpop.regions import get_region
+from .parallel import InstanceSpec
 
 SCHEMA_VERSION = 1
 
@@ -73,6 +74,20 @@ class CellConfig:
         params.update(self.interventions)
         return params
 
+    def spec(self) -> InstanceSpec:
+        """The instance this configuration runs as on the fan-out: seed
+        ``seed + 7919 * replicate + cell_index``, inputs built from
+        ``seed``."""
+        return InstanceSpec(
+            region_code=self.region_code,
+            params=self.runner_params(),
+            n_days=self.n_days,
+            scale=self.scale,
+            seed=self.seed + 7919 * self.replicate + self.cell_index,
+            label=self.instance_id,
+            asset_seed=self.seed,
+        )
+
     # -- serialisation ---------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
@@ -122,24 +137,6 @@ def read_config_bundle(path: str | Path) -> list[CellConfig]:
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError("unsupported bundle schema")
     return [CellConfig.from_dict(d) for d in data["configs"]]
-
-
-def execute_config(config: CellConfig):
-    """Run one cell configuration end-to-end.
-
-    Returns ``(SimulationResult, DiseaseModel)``; seeding follows the
-    config's surveillance-proportional spec.
-    """
-    from .runner import load_region_assets, run_instance
-
-    assets = load_region_assets(config.region_code, config.scale,
-                                config.seed)
-    return run_instance(
-        assets,
-        config.runner_params(),
-        n_days=config.n_days,
-        seed=config.seed + 7919 * config.replicate + config.cell_index,
-    )
 
 
 def configs_from_design(

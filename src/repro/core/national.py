@@ -4,8 +4,8 @@
 the entire US network ... partitioned across all 50 states and Washington
 DC" (Section I).  This helper runs one configuration across a set of
 regions — each with its own synthetic population, network and surveillance
-seeding — and assembles national-level curves, exercising the same
-per-region fan-out the nightly workflows perform.
+seeding — and assembles national-level curves through the same fan-out
+(:func:`~repro.core.parallel.run_instances`) the nightly workflows use.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from typing import Any
 
 import numpy as np
 
-from ..analytics.aggregate import summarize
 from ..analytics.targets import Target, target_series
 from ..params import DEFAULT_SCALE, DEFAULT_SEED
 from ..synthpop.regions import ALL_CODES
-from .runner import load_region_assets, run_instance
+from .parallel import InstanceSpec, run_instances
+from .runner import model_for_params
 
 
 @dataclass(frozen=True)
@@ -55,27 +55,34 @@ def run_national(
     n_days: int = 120,
     scale: float = DEFAULT_SCALE,
     seed: int = DEFAULT_SEED,
+    store=None,
+    ledger=None,
 ) -> NationalRun:
     """Run one configuration across ``regions`` and collect target series.
 
-    Each region gets an independent seeded stream; seeding follows each
-    region's own surveillance history, as in the production workflows.
+    Each region gets an independent seeded stream (region ``i`` simulates
+    with ``seed + 100 + i``); seeding follows each region's own
+    surveillance history, as in the production workflows.  With a
+    ``store``, regions already simulated are served instead of re-run.
+    Raises ValueError for no regions or a region listed twice.
     """
     if not regions:
         raise ValueError("need at least one region")
-    mats = {t.name: np.zeros((len(regions), n_days + 1)) for t in targets}
-    attacks: dict[str, float] = {}
-    for i, code in enumerate(regions):
-        assets = load_region_assets(code, scale, seed)
-        result, model = run_instance(
-            assets, params, n_days=n_days, seed=seed + 100 + i)
-        summary = summarize(result, model)
-        for t in targets:
-            mats[t.name][i] = target_series(summary, model, t)
-        attacks[code] = result.attack_rate(model)
+    if len(set(regions)) != len(regions):
+        raise ValueError(f"regions repeat a code: {', '.join(regions)}")
+    specs = [
+        InstanceSpec(region_code=code, params=params, n_days=n_days,
+                     scale=scale, seed=seed + 100 + i,
+                     label=f"{code}-national", asset_seed=seed)
+        for i, code in enumerate(regions)
+    ]
+    outcomes = run_instances(specs, store=store, ledger=ledger, summary=True)
+    model = model_for_params(params)
     return NationalRun(
         regions=tuple(regions),
         n_days=n_days,
-        series=mats,
-        attack_rates=attacks,
+        series={t.name: np.array([target_series(o.summary, model, t)
+                                  for o in outcomes], dtype=np.float64)
+                for t in targets},
+        attack_rates={o.spec.region_code: o.attack_rate for o in outcomes},
     )

@@ -58,6 +58,7 @@ from typing import Any
 
 import numpy as np
 
+from ..analytics.aggregate import RegionSummary
 from ..obs.registry import Stopwatch, global_registry
 from ..params import DEFAULT_SCALE, DEFAULT_SEED
 from ..plane.manifest import AssetKey
@@ -69,8 +70,13 @@ from ..resilience.supervisor import (
     FanoutResult,
     supervise_map,
 )
-from ..store.keys import instance_key
-from ..store.memo import _publish, _resolve_remote, outcome_from_payload
+from ..store.keys import SUMMARY_NAMESPACE, instance_key
+from ..store.memo import (
+    _lookup,
+    _publish,
+    _resolve_remote,
+    outcome_from_payload,
+)
 from .batching import batch_groups
 
 @dataclass(frozen=True, slots=True)
@@ -100,12 +106,15 @@ class InstanceOutcome:
         confirmed: cumulative confirmed series, length ``n_days + 1``.
         attack_rate: fraction ever infected.
         transitions: raw transition-log length (for accounting).
+        summary: the per-state region summary (forecast targets, costs,
+            peak day), present only when the fan-out was asked for it.
     """
 
     spec: InstanceSpec
     confirmed: np.ndarray
     attack_rate: float
     transitions: int
+    summary: RegionSummary | None = None
 
 
 def _spec_key(spec: InstanceSpec) -> str:
@@ -113,38 +122,10 @@ def _spec_key(spec: InstanceSpec) -> str:
     return spec.label or f"{spec.region_code}:{spec.seed}"
 
 
-def inject_worker_faults(spec: InstanceSpec, attempt: int,
-                         faults: FaultPlan | None, *,
-                         allow_exit: bool, metrics=None) -> None:
-    """Apply the pre-run worker fault sites for (spec, attempt).
-
-    ``worker.crash`` kills the process hard when ``allow_exit`` (pool
-    workers — the parent sees ``BrokenProcessPool`` and rebuilds); the
-    in-process path raises it as a transient :class:`InjectedFault`
-    instead, since exiting would kill the supervisor itself.  A
-    ``worker.slow`` delay that fires is counted on ``metrics``.
-    """
-    if faults is None:
-        return
-    key = _spec_key(spec)
-    if faults.fires("worker.crash", key, attempt):
-        if allow_exit:
-            os._exit(CRASH_EXIT_CODE)
-        raise InjectedFault("worker.crash",
-                            f"{key} attempt {attempt} (in-process)")
-    if faults.fires("worker.exception", key, attempt):
-        raise InjectedFault("worker.exception", f"{key} attempt {attempt}")
-    delay = faults.delay("worker.slow", key, attempt)
-    if delay > 0:
-        time.sleep(delay)
-        if metrics is not None:
-            metrics.inc("faults.worker.slow")
-
-
 def _execute_group(specs: list[InstanceSpec], attempt: int = 0,
                    faults: FaultPlan | None = None, *,
-                   allow_exit: bool = False,
-                   checkpoint=None) -> tuple[list, dict]:
+                   allow_exit: bool = False, checkpoint=None,
+                   summary: bool = False) -> tuple[list, dict]:
     """Worker: run one spec group; the fan-out's only work function.
 
     Imports happen inside the worker so forked/spawned processes
@@ -160,11 +141,15 @@ def _execute_group(specs: list[InstanceSpec], attempt: int = 0,
     for bit.  The first injected fault that raises fails the group's
     attempt, exactly as a worker death or a mid-run crash does: the group
     is the failure domain, whichever fault site fired and whether it ran
-    in a pool or in-process.
+    in a pool or in-process.  ``worker.crash`` kills a pool worker hard
+    (``allow_exit``: the parent sees ``BrokenProcessPool`` and rebuilds)
+    and is a transient :class:`InjectedFault` in-process, where exiting
+    would kill the supervisor itself.
 
     A :class:`~repro.epihiper.batch.BatchIncompatible` group (lane models
     that cannot share a tick loop) falls back to one group per spec
-    inside this worker — same results, no batch speedup.
+    inside this worker — same results, no batch speedup.  With
+    ``summary`` every outcome also carries its region summary.
 
     Returns:
         ``(entries, group_dump)`` — ``(spec, (outcome, lane_dump))`` per
@@ -173,15 +158,26 @@ def _execute_group(specs: list[InstanceSpec], attempt: int = 0,
     """
     from ..epihiper.batch import BatchIncompatible
     from ..obs.registry import MetricsRegistry
-    from .runner import execute_specs
+    from .runner import _outcome_of, execute_specs
 
     reg = MetricsRegistry()
-    for spec in specs:
-        inject_worker_faults(spec, attempt, faults, allow_exit=allow_exit,
-                             metrics=reg)
+    for key in [] if faults is None else map(_spec_key, specs):
+        if faults.fires("worker.crash", key, attempt):
+            if allow_exit:
+                os._exit(CRASH_EXIT_CODE)
+            raise InjectedFault("worker.crash",
+                                f"{key} attempt {attempt} (in-process)")
+        if faults.fires("worker.exception", key, attempt):
+            raise InjectedFault("worker.exception",
+                                f"{key} attempt {attempt}")
+        delay = faults.delay("worker.slow", key, attempt)
+        if delay > 0:
+            time.sleep(delay)
+            reg.inc("faults.worker.slow")
     run = functools.partial(
         execute_specs, plan=checkpoint, attempt=attempt, faults=faults,
-        allow_exit=allow_exit, metrics=reg)
+        allow_exit=allow_exit, metrics=reg,
+        reduce=functools.partial(_outcome_of, summary=summary))
     try:
         pairs = run(specs)
     except BatchIncompatible:
@@ -411,6 +407,7 @@ def _fan_out(
     ledger,
     on_failure: str,
     checkpoint,
+    summary: bool = False,
     land=None,
 ) -> FanoutResult:
     """One supervised pass over ``specs``, one batch group per item.
@@ -444,7 +441,8 @@ def _fan_out(
             if land is not None:
                 land(pos, outcome)
 
-    fn = functools.partial(_execute_group, checkpoint=checkpoint)
+    fn = functools.partial(_execute_group, checkpoint=checkpoint,
+                           summary=summary)
     common = dict(keys=keys, retry=retry, faults=faults,
                   on_failure=on_failure, registry=sink, ledger=ledger,
                   on_result=harvest)
@@ -512,6 +510,7 @@ def supervise_instances(
     faults: FaultPlan | None = None,
     on_failure: str = QUARANTINE,
     checkpoint=None,
+    summary: bool = False,
 ) -> FanoutResult:
     """Execute instances under supervision, through the store when given.
 
@@ -520,7 +519,7 @@ def supervise_instances(
     1. **Partition.**  One store lookup per unique
        :func:`~repro.store.keys.instance_key` serves the hits; duplicate
        specs run once and fan back out to every position.  With no store
-       every spec is a miss.
+       every spec is a miss (:func:`~repro.store.memo._lookup` decides).
     2. **Leases.**  A miss whose lease another live process holds is
        *remote* — that process is computing it right now; a lease taken
        here re-checks the store before anything runs.
@@ -580,6 +579,10 @@ def supervise_instances(
             ``ticks_saved``; once a miss's result is in the store, its
             checkpoint chain is discarded.  Disabled plans leave
             execution unchanged.
+        summary: also give every outcome its region summary, stored
+            as a second blob family under the same spec; a stored outcome
+            without one is then a miss.  Off by default: it costs a
+            ``summarize`` and a second blob per miss.
 
     Returns:
         A :class:`~repro.resilience.supervisor.FanoutResult` whose
@@ -596,7 +599,11 @@ def supervise_instances(
     if store is None:
         leases = None  # nothing to coalesce on without published blobs
     keys = [instance_key(s, salt=salt) for s in specs]
-    payload_of = {k: store.get(k) if store is not None else None
+    skey_of = ({k: instance_key(s, salt=salt, namespace=SUMMARY_NAMESPACE)
+                for k, s in zip(keys, specs)}
+               if summary and store is not None else {})
+    payload_of = {k: _lookup(store, k, skey_of.get(k))
+                  if store is not None else None
                   for k in dict.fromkeys(keys)}
 
     out: list[InstanceOutcome | None] = [None] * len(specs)
@@ -624,7 +631,7 @@ def supervise_instances(
             # executed, published *and released* between the lookup above
             # and this acquire — re-running would be wasted work, and
             # "executes once across processes" is the contract.
-            payload = store.get(key)
+            payload = _lookup(store, key, skey_of.get(key))
             if payload is None:
                 owned.append(key)
                 continue
@@ -636,13 +643,17 @@ def supervise_instances(
                 ledger.cache_hit(key, label=specs[i].label, remote=True)
 
     exec_idx = sorted(exec_of.values())
-    publish = functools.partial(
-        _publish, store=store, ledger=ledger,
-        ck_manager=(checkpoint.manager(metrics=sink)
-                    if ck_enabled and store is not None else None))
+    ck_manager = (checkpoint.manager(metrics=sink)
+                  if ck_enabled and store is not None else None)
+
+    def publish(key: str, outcome: InstanceOutcome) -> None:
+        _publish(key, outcome, store=store, ledger=ledger,
+                 ck_manager=ck_manager, summary_key=skey_of.get(key))
+
     fan = functools.partial(
         _fan_out, max_workers=max_workers, sink=sink, retry=retry,
-        faults=faults, ledger=ledger, checkpoint=checkpoint)
+        faults=faults, ledger=ledger, checkpoint=checkpoint,
+        summary=summary)
 
     def land(j: int, outcome: InstanceOutcome) -> None:
         key = keys[exec_idx[j]]
@@ -668,7 +679,7 @@ def supervise_instances(
     for key, i in sorted(remote_of.items(), key=lambda kv: kv[1]):
         outcome, rec = _resolve_remote(
             specs[i], key, store=store, leases=leases, ledger=ledger,
-            registry=sink, publish=publish,
+            registry=sink, publish=publish, summary_key=skey_of.get(key),
             execute=functools.partial(fan, parallel=False,
                                       on_failure=QUARANTINE))
         if outcome is not None:

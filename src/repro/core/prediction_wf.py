@@ -8,7 +8,8 @@ uncertainty quantification on the predictions."
 
 The workflow optionally expands the posterior configurations with what-if
 scenarios (partial reopening levels x contact-tracing compliances, the
-Figure 5 factorial) before simulating.
+Figure 5 factorial) before simulating.  The ensemble is one fan-out on the
+calibration's asset bundle, so its members advance as batch lanes.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analytics.aggregate import summarize
 from ..analytics.ensembles import EnsembleBand, ensemble_band
 from ..analytics.targets import ALL_TARGETS, Target, target_series
 from ..params import DEFAULT_SEED
 from .calibration_wf import CalibrationWorkflowResult
-from .runner import confirmed_series, run_instance
+from .parallel import InstanceSpec, gather_ensemble, run_instances
+from .runner import model_for_params
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,8 @@ class PredictionWorkflowResult:
     Attributes:
         region_code: region predicted.
         horizon: forecast ticks simulated.
-        confirmed_ensemble: ``(R, horizon + 1)`` cumulative confirmed curves.
+        confirmed_ensemble: ``(R, T_obs + horizon + 1)`` cumulative
+            confirmed curves; members carry the history prefix.
         confirmed_band: the Figure 17 median + 95% band.
         target_bands: per forecast target, the ensemble band.
         history: observed series preceding the forecast (sim scale).
@@ -94,6 +96,8 @@ def run_prediction_workflow(
     tracing_compliances: tuple[float, ...] = (),
     targets: tuple[Target, ...] = ALL_TARGETS,
     seed: int = DEFAULT_SEED,
+    store=None,
+    ledger=None,
 ) -> PredictionWorkflowResult:
     """Simulate posterior configurations forward and build forecast bands.
 
@@ -104,46 +108,47 @@ def run_prediction_workflow(
         horizon: forecast ticks (Figure 17 shows 8 weeks = 56 days).
         reopen_levels / tracing_compliances: optional what-if factors.
         targets: forecast targets to band.
-        seed: RNG seed.
+        seed: RNG seed; member ``m`` simulates with ``seed + 5000 + m``.
+        store: optional result store; members already present are served
+            instead of simulated (bit-identical either way).
+        ledger: optional run journal for the instance events.
     """
     rng = np.random.default_rng((seed, 23))
-    assets = calibration.assets
+    key = calibration.asset_key
     configs = calibration.posterior_configurations(n_configurations, rng)
-
-    curves: list[np.ndarray] = []
-    labels: list[str] = []
-    per_target: dict[str, list[np.ndarray]] = {t.name: [] for t in targets}
     total_days = calibration.observed.shape[0] - 1 + horizon
-
-    member = 0
-    for params in configs:
+    members = [
+        (label, expanded)
+        for params in configs
         for label, expanded in what_if_expansion(
             params,
             reopen_levels=reopen_levels,
             tracing_compliances=tracing_compliances,
-        ):
-            for rep in range(replicates):
-                result, model = run_instance(
-                    assets, expanded, n_days=total_days,
-                    seed=seed + 5000 + member)
-                member += 1
-                curves.append(confirmed_series(result, model, total_days))
-                labels.append(label)
-                summary = summarize(result, model)
-                for t in targets:
-                    per_target[t.name].append(
-                        target_series(summary, model, t))
+        )
+        for _rep in range(replicates)
+    ]
+    specs = [
+        InstanceSpec(
+            region_code=key.region_code, params=expanded,
+            n_days=total_days, scale=key.scale, seed=seed + 5000 + m,
+            label=f"{key.region_code}-pred-m{m}", asset_seed=key.seed)
+        for m, (_label, expanded) in enumerate(members)
+    ]
+    outcomes = run_instances(specs, store=store, ledger=ledger,
+                             summary=True)
 
-    ensemble = np.vstack(curves)
+    ensemble = gather_ensemble(outcomes)
     return PredictionWorkflowResult(
         region_code=calibration.region_code,
         horizon=horizon,
         confirmed_ensemble=ensemble,
         confirmed_band=ensemble_band(ensemble),
         target_bands={
-            name: ensemble_band(np.vstack(series))
-            for name, series in per_target.items()
+            t.name: ensemble_band(np.vstack([
+                target_series(o.summary, model_for_params(o.spec.params), t)
+                for o in outcomes]))
+            for t in targets
         },
         history=calibration.observed,
-        what_if=tuple(labels),
+        what_if=tuple(label for label, _params in members),
     )

@@ -30,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from ..analytics.aggregate import state_cumulative_curve
+from ..analytics.aggregate import state_cumulative_curve, summarize
 from ..epihiper.covid import SYMPT, build_covid_model_with_symp_fraction
 from ..epihiper.engine import Simulation, SimulationResult
 from ..epihiper.initialization import initialize_from_surveillance
@@ -246,9 +246,11 @@ def run_instance(
     return result, model
 
 
-def _outcome_of(spec, result: SimulationResult,
-                model: Any) -> "InstanceOutcome":
-    """Reduce one run to the small gathered summary the store keeps."""
+def _outcome_of(spec, result: SimulationResult, model: Any,
+                summary: bool = False) -> "InstanceOutcome":
+    """Reduce one run to the small gathered summary the store keeps,
+    plus its per-state :class:`~repro.analytics.aggregate.RegionSummary`
+    when ``summary``."""
     from .parallel import InstanceOutcome
 
     return InstanceOutcome(
@@ -256,6 +258,7 @@ def _outcome_of(spec, result: SimulationResult,
         confirmed=confirmed_series(result, model, spec.n_days),
         attack_rate=result.attack_rate(model),
         transitions=result.log.size,
+        summary=summarize(result, model) if summary else None,
     )
 
 

@@ -26,6 +26,11 @@ from typing import Any, Mapping
 #: payloads.  Bump the version when the payload layout changes.
 INSTANCE_NAMESPACE: str = "instance-outcome/v1"
 
+#: Key namespace for an instance's per-state
+#: :class:`~repro.analytics.aggregate.RegionSummary` (``new`` and
+#: ``current``), the second payload family stored under the same spec.
+SUMMARY_NAMESPACE: str = "instance-summary/v1"
+
 #: Parameters that change how fast a result is computed but not the result
 #: itself (all transmission backends are RNG-stream identical).
 SPEED_ONLY_PARAMS: frozenset[str] = frozenset({"backend", "BACKEND"})

@@ -8,9 +8,9 @@ iterative calibration rounds and repeated nightly designs their
 near-free overlap.  This module holds the pieces it uses that belong to
 the store: the payload codec (cached and executed results are
 bit-identical because the payload is the exact float64 series the worker
-produced), :func:`_publish` (blob, checkpoint reclaim, journal),
-:func:`_resolve_remote` (a miss whose lease another process holds) and
-:data:`LEASE_WAIT_S`.
+produced), :func:`_lookup` (what counts as a hit), :func:`_publish`
+(blobs, checkpoint reclaim, journal), :func:`_resolve_remote` (a miss
+whose lease another process holds) and :data:`LEASE_WAIT_S`.
 
 Imports of :mod:`repro.core.parallel` are deferred into the functions:
 ``core.parallel`` imports this module at its top level.
@@ -22,10 +22,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..analytics.aggregate import RegionSummary
 from ..obs.registry import MetricsRegistry
 from ..resilience.retry import QuarantineRecord
 from .cas import LEASE_TIMEOUT, ContentStore, LeaseTable
-from .keys import INSTANCE_NAMESPACE
+from .keys import INSTANCE_NAMESPACE, SUMMARY_NAMESPACE
 from .ledger import RunLedger
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, see module doc
@@ -47,22 +48,51 @@ def outcome_payload(outcome: "InstanceOutcome") -> dict[str, np.ndarray]:
 def outcome_from_payload(
     spec: "InstanceSpec", payload: dict[str, np.ndarray]
 ) -> "InstanceOutcome":
-    """Rebuild an outcome for ``spec`` from a stored payload."""
+    """Rebuild an outcome for ``spec`` from a stored payload (with the
+    region summary when :func:`_lookup` joined its blob in)."""
     from ..core.parallel import InstanceOutcome
 
+    summary = None
+    if "new" in payload:
+        new = np.asarray(payload["new"], dtype=np.int64)
+        summary = RegionSummary(
+            region_code=spec.region_code, n_days=spec.n_days, new=new,
+            current=np.asarray(payload["current"], dtype=np.int64),
+            cumulative=np.cumsum(new, axis=0))
     return InstanceOutcome(
         spec=spec,
         confirmed=np.asarray(payload["confirmed"], dtype=np.float64),
         attack_rate=float(payload["attack_rate"]),
         transitions=int(payload["transitions"]),
+        summary=summary,
     )
+
+
+def _lookup(store: ContentStore, key: str,
+            summary_key: str | None = None) -> dict[str, np.ndarray] | None:
+    """The stored payload of one spec, or None for a miss.
+
+    With a ``summary_key`` (the region-summary family) a hit needs both
+    blobs, joined into one payload; an outcome without its summary is a
+    miss, and re-publishing leaves the outcome blob untouched.
+    """
+    payload = store.get(key)
+    if payload is None or summary_key is None:
+        return payload
+    summary = store.get(summary_key)
+    return None if summary is None else {**payload, **summary}
 
 
 def _publish(key: str, outcome: "InstanceOutcome", *,
              store: ContentStore | None, ledger: RunLedger | None,
-             ck_manager) -> None:
-    """Land one executed result: blob, checkpoint reclaim, journal."""
+             ck_manager, summary_key: str | None = None) -> None:
+    """Land one executed result: blobs, checkpoint reclaim, journal."""
     if store is not None:
+        if summary_key is not None:
+            # Summary first: whoever sees the outcome blob sees both.
+            s = outcome.summary
+            store.put(summary_key, {"new": s.new, "current": s.current},
+                      family=SUMMARY_NAMESPACE)
         store.put(key, outcome_payload(outcome), family=INSTANCE_NAMESPACE)
         if ck_manager is not None:
             # Terminal blob is durable: the checkpoint chain is now dead
@@ -88,6 +118,7 @@ def _resolve_remote(
     registry: MetricsRegistry,
     execute,
     publish,
+    summary_key: str | None = None,
 ) -> tuple["InstanceOutcome | None", QuarantineRecord | None]:
     """Resolve a miss whose lease another process holds.
 
@@ -97,13 +128,15 @@ def _resolve_remote(
     spec), contend for the lease and run it here through ``execute`` —
     the caller's group fan-out, which opens no run of its own in the
     journal — then ``publish`` it.  Bounded attempts: the loop cannot
-    live-lock even under adversarial lease churn.
+    live-lock even under adversarial lease churn.  With a
+    ``summary_key`` the holder's result is both blobs (:func:`_lookup`).
     """
+    needed = [k for k in (key, summary_key) if k is not None]
     for _ in range(3):
-        state = leases.wait(key, lambda: store.contains(key),
+        state = leases.wait(key, lambda: all(map(store.contains, needed)),
                             timeout_s=LEASE_WAIT_S)
         if state != LEASE_TIMEOUT:
-            payload = store.get(key)
+            payload = _lookup(store, key, summary_key)
             if payload is not None:
                 registry.inc("memo.remote_hits")
                 if ledger is not None:

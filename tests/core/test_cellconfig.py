@@ -5,11 +5,12 @@ import pytest
 from repro.core.cellconfig import (
     CellConfig,
     configs_from_design,
-    execute_config,
     read_config_bundle,
     write_config_bundle,
 )
 from repro.core.designs import ExperimentDesign, factorial_cells
+from repro.core.parallel import InstanceSpec, run_instances
+from repro.core.runner import model_for_params
 
 
 def test_config_validation():
@@ -70,21 +71,27 @@ def test_configs_from_design():
     assert len(ids) == 8
 
 
-def test_execute_config():
+def test_config_spec():
     config = CellConfig(
-        region_code="VT", n_days=20, scale=1e-3, seed=3,
-        disease={"TAU": 0.3},
+        region_code="VT", cell_index=2, replicate=1, n_days=20, scale=1e-3,
+        seed=3, disease={"TAU": 0.3},
         interventions={"VHI_COMPLIANCE": 0.5},
     )
-    result, model = execute_config(config)
-    assert result.n_days == 20
-    assert model.transmissibility == 0.3
+    spec = config.spec()
+    assert spec == InstanceSpec(
+        region_code="VT", params={"TAU": 0.3, "VHI_COMPLIANCE": 0.5},
+        n_days=20, scale=1e-3, seed=3 + 7919 * 1 + 2, label="VT-c2-r1",
+        asset_seed=3)
+    [outcome] = run_instances([spec], parallel=False)
+    assert outcome.confirmed.shape == (21,)
+    assert model_for_params(spec.params).transmissibility == 0.3
 
 
-def test_execute_config_replicates_differ():
+def test_config_spec_replicates_differ():
     base = dict(region_code="VT", n_days=30, scale=1e-3, seed=3,
                 disease={"TAU": 0.3})
-    r0, m = execute_config(CellConfig(**base, replicate=0))
-    r1, _m = execute_config(CellConfig(**base, replicate=1))
-    assert r0.log.size != r1.log.size or (
-        r0.state_counts != r1.state_counts).any()
+    r0, r1 = run_instances(
+        [CellConfig(**base, replicate=r).spec() for r in (0, 1)],
+        parallel=False)
+    assert r0.transitions != r1.transitions or (
+        r0.confirmed != r1.confirmed).any()

@@ -289,3 +289,39 @@ class TestLeaseCoalescingInProcess:
         supervise_instances([spec], store=store, leases=leases,
                             parallel=False, salt=SALT)
         assert not leases.held(key)
+
+
+def test_summary_half_hit_executes_once_and_keeps_outcome_blob(store):
+    """An outcome stored without its summary is a miss for a summary
+    caller: the spec runs once, the outcome blob keeps its bytes, and the
+    next summary call is a full hit."""
+    from repro.analytics.aggregate import summarize
+    from repro.core.runner import load_region_assets, run_instance
+
+    [spec] = make_specs(n=1)
+    [plain] = run_instances([spec], store=store, parallel=False,
+                            registry=MetricsRegistry())
+    assert plain.summary is None
+    blob = store.path_of(instance_key(spec)).read_bytes()
+
+    reg = MetricsRegistry()
+    [full] = run_instances([spec], store=store, parallel=False,
+                           registry=reg, summary=True)
+    assert (reg.value("memo.hits"), reg.value("memo.misses")) == (0, 1)
+    assert store.path_of(instance_key(spec)).read_bytes() == blob
+    np.testing.assert_array_equal(full.confirmed, plain.confirmed)
+
+    reg = MetricsRegistry()
+    [again] = run_instances([spec], store=store, parallel=False,
+                            registry=reg, summary=True)
+    assert (reg.value("memo.hits"), reg.value("memo.misses")) == (1, 0)
+    result, model = run_instance(
+        load_region_assets(spec.region_code, spec.scale, spec.asset_seed),
+        spec.params, n_days=spec.n_days, seed=spec.seed)
+    want = summarize(result, model)
+    for got in (full.summary, again.summary):
+        assert (got.region_code, got.n_days) == (want.region_code,
+                                                 want.n_days)
+        for kind in ("new", "current", "cumulative"):
+            np.testing.assert_array_equal(getattr(got, kind),
+                                          getattr(want, kind))

@@ -18,9 +18,8 @@ by ``build_service``, so every ``repro serve`` honours the same options (a
 second site is a second subset of them), and ``ThreadingHTTPServer`` is
 subclassed once, so the service has one HTTP front door (a second is a
 second process to route through, drain and keep in step).  And the fan-out: ``supervise_map(...)`` is called by the
-one instance fan-out (``core/parallel.py:_fan_out``) and by the single-run
-``simulate`` command, nowhere else — a third fan-out would be a third set
-of failure semantics.  And what ``--checkpoint-every`` opens:
+one instance fan-out (``core/parallel.py:_fan_out``), nowhere else — a
+second fan-out would be a second set of failure semantics.  And what ``--checkpoint-every`` opens:
 ``CheckpointPlan(...)`` is built only by ``checkpoint_plan``, which the
 CLI and ``build_service`` both call (three sites once disagreed on salt,
 lease root and ledger path).
@@ -52,7 +51,6 @@ ALLOWED = {
     ("ProcessPoolExecutor(", "core/parallel.py", "borrow"),
     ("ScenarioService(", "service/server.py", "build_service"),
     ("supervise_map(", "core/parallel.py", "_fan_out"),
-    ("supervise_map(", "cli/run.py", "_cmd_simulate"),
     ("CheckpointPlan(", "checkpoint/manager.py", "checkpoint_plan"),
 }
 
