@@ -18,9 +18,11 @@ from repro.analytics import (
     HOSPITAL_CENSUS,
     VENTILATOR_CENSUS,
     capacity_report,
+    peak_demand,
     summarize,
     target_series,
 )
+from repro.analytics.targets import INFECTIOUS_CENSUS
 from repro.analytics.transmission import transmission_stats
 from repro.epihiper import (
     Simulation,
@@ -57,9 +59,10 @@ def main() -> None:
     confirmed = target_series(summary, model, CONFIRMED)
     hosp = target_series(summary, model, HOSPITAL_CENSUS)
     deaths = target_series(summary, model, DEATHS)
+    peak_day, _peak = peak_demand(summary, model, INFECTIOUS_CENSUS)
 
     print(f"attack rate: {result.attack_rate(model):.1%}   "
-          f"peak infectious day: {result.peak_day(model)}")
+          f"peak infectious day: {peak_day}")
     print(f"cumulative symptomatic: {confirmed[-1]:,}   "
           f"peak hospital census: {hosp.max():,}   deaths: {deaths[-1]:,}")
 

@@ -91,11 +91,6 @@ class SimulationResult:
         sus = self.state_counts[-1][model.is_susceptible].sum()
         return float(1.0 - sus / n)
 
-    def peak_day(self, model: DiseaseModel) -> int:
-        """Tick with the largest infectious census."""
-        infectious = self.state_counts[:, model.is_infectious].sum(axis=1)
-        return int(np.argmax(infectious))
-
 
 class Simulation:
     """A single EpiHiper run over one region's population and network."""
