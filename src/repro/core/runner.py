@@ -137,6 +137,9 @@ def load_assets(key: AssetKey, *, metrics=None) -> RegionAssets:
     3. a private build (counted as ``assets.cache.builds``) — also the
        silent fallback when the plane is unavailable (no ``/dev/shm``,
        segment too large, lease timeout) — either of which is then cached.
+
+    Every synthesis, private or the plane's build-once callback, is timed
+    as ``assets.build_s`` (its count is the number of builds).
     """
     from ..obs.registry import global_registry
 
@@ -144,12 +147,17 @@ def load_assets(key: AssetKey, *, metrics=None) -> RegionAssets:
     assets = _ASSET_CACHE.get(key, reg)
     if assets is not None:
         return assets
+
+    def build() -> RegionAssets:
+        with reg.timer("assets.build_s"):
+            return _build_assets(key)
+
     if plane_enabled():
         from ..plane.lifecycle import ensure_assets
 
-        assets = ensure_assets(key, lambda: _build_assets(key), metrics=reg)
+        assets = ensure_assets(key, build, metrics=reg)
     if assets is None:
-        assets = _build_assets(key)
+        assets = build()
         reg.inc("assets.cache.builds")
     _ASSET_CACHE.put(key, assets, reg)
     return assets

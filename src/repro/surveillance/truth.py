@@ -140,6 +140,8 @@ def generate_region_truth(
     weights /= weights.sum()
     county_pop = weights * region.population
 
+    # Weekend reporting dip (days 5 and 6 of each week).
+    weekday = 1.0 - 0.25 * np.isin(np.arange(n_days) % 7, (5, 6))
     daily = np.zeros((n_counties, n_days))
     for c in range(n_counties):
         # Bigger counties are seeded earlier (importation via travel volume).
@@ -155,7 +157,6 @@ def generate_region_truth(
         delay = int(round(rng.normal(report_delay, 1.5)))
         observed = np.roll(observed, max(delay, 0))
         observed[: max(delay, 0)] = 0.0
-        weekday = 1.0 - 0.25 * np.isin(np.arange(n_days) % 7, (5, 6))
         observed *= weekday
         lam = np.maximum(observed, 0.0)
         # Gamma-Poisson mixture (negative-binomial-like overdispersion).

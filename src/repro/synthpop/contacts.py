@@ -61,6 +61,8 @@ class ContactNetwork:
                 raise ValueError(f"edge column {name} length mismatch")
         if self.active.size == 0:
             self.active = np.ones(m, dtype=bool)
+        elif self.active.shape[0] != m:
+            raise ValueError("edge column active length mismatch")
         if m and not (self.source < self.target).all():
             raise ValueError("edges must be canonical: source < target")
 
@@ -104,25 +106,63 @@ class ContactNetwork:
         )
 
 
-def _pairs_for_group(
-    g: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Local index pairs (i, j) to evaluate for a co-location group of ``g``.
+def _triu_table(threshold: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every dense group size's local pairs ``np.triu_indices(g, k=1)``,
+    concatenated for ``g = 0..threshold``, and the offset of each size's
+    block (indexed by ``g``)."""
+    blocks = [np.triu_indices(g, k=1) for g in range(threshold + 1)]
+    counts = [i.size for i, _j in blocks]
+    offset = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    return (np.concatenate([i for i, _j in blocks]),
+            np.concatenate([j for _i, j in blocks]), offset)
 
-    Dense groups return every pair; sparse groups return a random sample of
-    about ``g * CONTACTS_PER_VISITOR / 2`` candidate pairs (the sub-location
-    contact model).
+
+_TRIU_I, _TRIU_J, _TRIU_OFFSET = _triu_table(DENSE_THRESHOLD)
+
+
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """``0..c-1`` for each ``c`` in ``counts``, concatenated."""
+    return (np.arange(counts.sum())
+            - np.repeat(np.cumsum(counts) - counts, counts))
+
+
+def _candidate_pairs(
+    sizes: np.ndarray, group_starts: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Visit-row index pairs ``(i, j)`` to evaluate, group after group.
+
+    Dense groups (``2 <= g <= DENSE_THRESHOLD``) contribute every local
+    pair; sparse groups a random sample of ``g * CONTACTS_PER_VISITOR // 2``
+    candidate pairs minus self-pairs, as ``(min, max)`` (the sub-location
+    contact model).  All sparse draws come from one ``rng.integers`` call
+    whose bounds repeat each group's ``g`` for its i-draws then its
+    j-draws, in group order: the same stream, and the same final generator
+    state, as drawing group by group.
     """
-    if g <= DENSE_THRESHOLD:
-        return np.triu_indices(g, k=1)
-    n_pairs = (g * CONTACTS_PER_VISITOR) // 2
-    i = rng.integers(0, g, size=n_pairs)
-    j = rng.integers(0, g, size=n_pairs)
+    dense = np.flatnonzero((sizes >= 2) & (sizes <= DENSE_THRESHOLD))
+    g = sizes[dense]
+    n = g * (g - 1) // 2
+    pos = _TRIU_OFFSET[np.repeat(g, n)] + _ranks(n)
+    grp_d, li_d, lj_d = np.repeat(dense, n), _TRIU_I[pos], _TRIU_J[pos]
+
+    sparse = np.flatnonzero(sizes > DENSE_THRESHOLD)
+    g = sizes[sparse]
+    n = (g * CONTACTS_PER_VISITOR) // 2
+    draws = rng.integers(0, np.repeat(g, 2 * n))
+    first = np.repeat(np.cumsum(2 * n) - 2 * n, n) + _ranks(n)
+    i, j = draws[first], draws[first + np.repeat(n, n)]
     keep = i != j
     i, j = i[keep], j[keep]
-    lo = np.minimum(i, j)
-    hi = np.maximum(i, j)
-    return lo, hi
+    grp_s = np.repeat(sparse, n)[keep]
+
+    # Both halves are already in group order; a stable merge restores the
+    # group-after-group order of the candidates across them.
+    grp = np.concatenate([grp_d, grp_s])
+    merge = np.argsort(grp, kind="stable")
+    base = group_starts[grp[merge]]
+    li = np.concatenate([li_d, np.minimum(i, j)])[merge]
+    lj = np.concatenate([lj_d, np.maximum(i, j)])[merge]
+    return base + li, base + lj
 
 
 def derive_contacts(
@@ -149,65 +189,27 @@ def derive_contacts(
     start = visits.start[order]
     end = start + visits.duration[order]
 
-    srcs: list[np.ndarray] = []
-    tgts: list[np.ndarray] = []
-    e_start: list[np.ndarray] = []
-    e_dur: list[np.ndarray] = []
-    e_ka: list[np.ndarray] = []
-    e_kb: list[np.ndarray] = []
+    group_starts = np.concatenate([[0], np.flatnonzero(np.diff(loc)) + 1])
+    sizes = np.diff(np.append(group_starts, loc.size))
+    ai, aj = _candidate_pairs(sizes, group_starts, rng)
 
-    boundaries = np.flatnonzero(np.diff(loc)) + 1
-    group_starts = np.concatenate([[0], boundaries])
-    group_ends = np.concatenate([boundaries, [loc.size]])
-
-    for a, b in zip(group_starts, group_ends):
-        g = b - a
-        if g < 2:
-            continue
-        li, lj = _pairs_for_group(int(g), rng)
-        if li.size == 0:
-            continue
-        pi, pj = person[a + li], person[a + lj]
-        ov_start = np.maximum(start[a + li], start[a + lj])
-        ov_end = np.minimum(end[a + li], end[a + lj])
-        overlap = ov_end - ov_start
-        ok = (overlap >= MIN_OVERLAP_MIN) & (pi != pj)
-        if not ok.any():
-            continue
-        li, lj, pi, pj = li[ok], lj[ok], pi[ok], pj[ok]
-        # Canonicalise by person id; carry each endpoint's own context.
-        swap = pi > pj
-        s = np.where(swap, pj, pi)
-        t = np.where(swap, pi, pj)
-        ka = np.where(swap, kind[a + lj], kind[a + li])
-        kb = np.where(swap, kind[a + li], kind[a + lj])
-        srcs.append(s)
-        tgts.append(t)
-        e_start.append(ov_start[ok].astype(np.int32))
-        e_dur.append(overlap[ok].astype(np.int32))
-        e_ka.append(ka.astype(np.int8))
-        e_kb.append(kb.astype(np.int8))
-
-    if not srcs:
-        empty_i64 = np.empty(0, np.int64)
-        empty_i32 = np.empty(0, np.int32)
-        empty_i8 = np.empty(0, np.int8)
-        return ContactNetwork(
-            region_code, n_nodes, empty_i64, empty_i64.copy(),
-            empty_i32, empty_i32.copy(), empty_i8, empty_i8.copy(),
-            np.empty(0, np.float32),
-        )
-
-    source = np.concatenate(srcs)
-    target = np.concatenate(tgts)
-    e_start_a = np.concatenate(e_start)
-    e_dur_a = np.concatenate(e_dur)
-    ka_a = np.concatenate(e_ka)
-    kb_a = np.concatenate(e_kb)
+    pi, pj = person[ai], person[aj]
+    ov_start = np.maximum(start[ai], start[aj])
+    overlap = np.minimum(end[ai], end[aj]) - ov_start
+    ok = (overlap >= MIN_OVERLAP_MIN) & (pi != pj)
+    ai, aj, pi, pj = ai[ok], aj[ok], pi[ok], pj[ok]
+    # Canonicalise by person id; carry each endpoint's own context.
+    swap = pi > pj
+    source = np.where(swap, pj, pi)
+    target = np.where(swap, pi, pj)
+    ka = np.where(swap, kind[aj], kind[ai]).astype(np.int8)
+    kb = np.where(swap, kind[ai], kind[aj]).astype(np.int8)
+    e_start = ov_start[ok].astype(np.int32)
+    e_dur = overlap[ok].astype(np.int32)
 
     # Deduplicate (person pair, source context): keep the longest overlap.
-    key = (source * n_nodes + target) * 8 + ka_a
-    order = np.lexsort((-e_dur_a, key))
+    key = (source * n_nodes + target) * 8 + ka
+    order = np.lexsort((-e_dur, key))
     key_sorted = key[order]
     first = np.ones(key_sorted.size, dtype=bool)
     first[1:] = key_sorted[1:] != key_sorted[:-1]
@@ -218,10 +220,10 @@ def derive_contacts(
         n_nodes=n_nodes,
         source=source[sel],
         target=target[sel],
-        start=e_start_a[sel],
-        duration=e_dur_a[sel],
-        source_activity=ka_a[sel],
-        target_activity=kb_a[sel],
+        start=e_start[sel],
+        duration=e_dur[sel],
+        source_activity=ka[sel],
+        target_activity=kb[sel],
         weight=np.ones(sel.size, dtype=np.float32),
     )
 

@@ -148,3 +148,28 @@ def test_load_region_assets_publishes_metrics():
     c = load_region_assets("VT", 1e-3, 424242, 50, metrics=reg)
     assert c is not a
     assert reg.value("assets.cache.misses") == 2
+
+
+def test_builds_are_timed_apart_from_cache_hits():
+    """``assets.build_s`` times each synthesis once; hits add nothing."""
+    reg = MetricsRegistry()
+    load_region_assets("VT", 1e-3, 424242, 40, metrics=reg)
+    assert reg.count("assets.build_s") == 1
+    first = reg.value("assets.build_s")
+    assert first > 0
+    load_region_assets("VT", 1e-3, 424242, 40, metrics=reg)
+    assert reg.count("assets.build_s") == 1
+    assert reg.value("assets.build_s") == first
+    assert reg.count("assets.build_s") == reg.value("assets.cache.builds")
+
+
+def test_plane_build_once_is_timed(plane_root):  # noqa: F811
+    from repro.plane.lifecycle import _RUNTIMES
+
+    reg = MetricsRegistry()
+    load_region_assets("VT", 1e-3, 424242, 40, metrics=reg)
+    assert reg.value("plane.built") == 1
+    assert reg.value("assets.cache.builds") == 0
+    assert reg.count("assets.build_s") == 1
+    assert reg.value("assets.build_s") > 0
+    _RUNTIMES.pop(plane_root).shutdown()

@@ -143,3 +143,24 @@ def test_graceful_drain_finishes_accepted_work(tmp_path):
     thread.join(timeout=5.0)
     rec = service.queue.status(adm["id"])
     assert rec.state == "done"
+
+
+def test_metrics_time_asset_builds_apart_from_cache_hits(live):
+    """On a cold asset cache ``/v1/metrics`` carries the synthesis time;
+    a second scenario on the same region reuses the bundle and adds none."""
+    from repro.core import runner
+
+    service, server, client = live
+    runner._ASSET_CACHE.clear()
+    adm = client.submit(SCENARIO)
+    client.wait(adm["id"], timeout_s=60.0, poll_s=0.05)
+    metrics = client.metrics()
+    assert metrics["assets.cache.builds"] == 1
+    built = metrics["assets.build_s"]
+    assert built > 0
+    adm = client.submit({**SCENARIO, "params": {"TAU": 0.31}})
+    client.wait(adm["id"], timeout_s=60.0, poll_s=0.05)
+    metrics = client.metrics()
+    assert metrics["runner.instances"] == 2
+    assert metrics["assets.cache.builds"] == 1
+    assert metrics["assets.build_s"] == built

@@ -110,3 +110,19 @@ def test_deterministic(net_pop):
     _pop2, net2 = build_region_network("VA", scale=1e-3, seed=4)
     np.testing.assert_array_equal(net.source, net2.source)
     np.testing.assert_array_equal(net.duration, net2.duration)
+
+
+@pytest.mark.parametrize("n_active", [9, 11])
+def test_network_validates_active_length(net_pop, n_active):
+    _pop, net = net_pop
+    cols = {name: getattr(net, name)[:10] for name in (
+        "source", "target", "start", "duration", "source_activity",
+        "target_activity", "weight")}
+    with pytest.raises(ValueError, match="active length mismatch"):
+        ContactNetwork("VA", net.n_nodes, **cols,
+                       active=np.ones(n_active, dtype=bool))
+    # Empty still means "all on"; the right length is kept as given.
+    assert ContactNetwork("VA", net.n_nodes, **cols).active.all()
+    off = np.zeros(10, dtype=bool)
+    assert ContactNetwork("VA", net.n_nodes, **cols,
+                          active=off).active is off
