@@ -174,8 +174,8 @@ def compute() -> dict[str, dict[str, str]]:
     return cases
 
 
-def load() -> dict:
-    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+def load(path: Path = GOLDEN_PATH) -> dict:
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def mismatches(golden: dict[str, dict[str, str]],
@@ -188,26 +188,29 @@ def mismatches(golden: dict[str, dict[str, str]],
             lines.append(f"{case}: only in "
                          f"{'the golden file' if got is None else 'this run'}")
             continue
-        bad = [name for name in ("payload", "result")
-               if want.get(name) != got.get(name)]
+        bad = sorted(name for name in set(want) | set(got)
+                     if want.get(name) != got.get(name))
         if bad:
             lines.append(f"{case}: {' and '.join(bad)} digest changed")
     return lines
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+def cli(argv: list[str] | None, path: Path, compute_cases,
+        description: str) -> int:
+    """Compare ``compute_cases()`` with the golden file at ``path``, or
+    rewrite it with ``--regenerate``; the exit status of either script."""
+    ap = argparse.ArgumentParser(description=description)
     ap.add_argument("--regenerate", action="store_true",
-                    help="rewrite outcomes.json (justify it in CHANGES.md)")
+                    help=f"rewrite {path.name} (justify it in CHANGES.md)")
     args = ap.parse_args(argv)
-    current = compute()
+    current = compute_cases()
     if args.regenerate:
-        GOLDEN_PATH.write_text(
+        path.write_text(
             json.dumps({**versions(), "cases": current}, indent=1,
                        sort_keys=True) + "\n", encoding="utf-8")
-        print(f"wrote {len(current)} cases to {GOLDEN_PATH}")
+        print(f"wrote {len(current)} cases to {path}")
         return 0
-    golden = load()
+    golden = load(path)
     if {k: golden[k] for k in versions()} != versions():
         print(f"unverifiable: generated under {golden['python']} / numpy "
               f"{golden['numpy']}, running {versions()}")
@@ -217,6 +220,10 @@ def main(argv: list[str] | None = None) -> int:
         print(line)
     print(f"{len(current) - len(bad)}/{len(current)} cases match")
     return 1 if bad else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return cli(argv, GOLDEN_PATH, compute, __doc__.split("\n")[0])
 
 
 if __name__ == "__main__":
