@@ -11,6 +11,7 @@ Run:  python examples/forecast_submission.py
 
 from __future__ import annotations
 
+import tempfile
 from pathlib import Path
 
 from repro.analytics.hubformat import (
@@ -48,7 +49,7 @@ def main() -> None:
               + ", ".join(f"+{r.horizon_days}d={r.value:.0f}"
                           for r in point))
 
-    out = Path("forecast_submission.csv")
+    out = Path(tempfile.mkdtemp()) / "forecast_submission.csv"
     write_hub_csv(all_rows, out)
     print(f"\nwrote {len(all_rows)} rows "
           f"({len(all_rows) // 24} horizon blocks) to {out}")

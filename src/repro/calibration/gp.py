@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, optimize
-from scipy.special import expit
 
 
 def gpmsa_correlation(
@@ -59,6 +57,8 @@ class GPEmulator:
     nugget: float
 
     def __post_init__(self) -> None:
+        from scipy import linalg
+
         r = gpmsa_correlation(self.x, self.x, self.rho)
         cov = (r + self.nugget * np.eye(len(self.y))) / self.lam
         self._chol = linalg.cho_factor(cov, lower=True)
@@ -70,6 +70,8 @@ class GPEmulator:
         Returns:
             ``(mean, var)`` arrays of length ``len(x_new)``.
         """
+        from scipy import linalg
+
         x_new = np.atleast_2d(x_new)
         k = gpmsa_correlation(x_new, self.x, self.rho) / self.lam
         mean = k @ self._alpha
@@ -80,6 +82,8 @@ class GPEmulator:
 
     def loo_residuals(self) -> np.ndarray:
         """Leave-one-out standardised residuals (emulator diagnostics)."""
+        from scipy import linalg
+
         cov_inv = linalg.cho_solve(self._chol, np.eye(len(self.y)))
         diag = np.diag(cov_inv)
         return (cov_inv @ self.y) / diag / np.sqrt(1.0 / diag)
@@ -88,6 +92,9 @@ class GPEmulator:
 def _neg_log_marginal(
     params: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> float:
+    from scipy import linalg
+    from scipy.special import expit
+
     d = x.shape[1]
     rho = expit(params[:d])  # logistic -> (0, 1)
     log_lam = params[d]
@@ -135,6 +142,9 @@ def fit_gp(
             restarts from ``np.random.default_rng(seed)``.
         n_restarts: optimizer restarts (keeps the best optimum).
     """
+    from scipy import optimize
+    from scipy.special import expit
+
     if rng is not None and seed is not None:
         raise ValueError("pass either rng or seed, not both")
     if rng is None:

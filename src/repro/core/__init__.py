@@ -1,133 +1,58 @@
-"""The epidemiological workflows (the paper's primary contribution)."""
+"""The epidemiological workflows (the paper's primary contribution).
 
-from .accounting import (
-    WorkflowAccounting,
-    account_workflow,
-    raw_bytes_per_simulation,
-    summary_bytes_per_simulation,
-    table_i,
-)
-from .calibration_wf import (
-    CalibrationWorkflowResult,
-    align_onset,
-    run_calibration_workflow,
-    run_iterative_calibration,
-)
-from .counterfactual_wf import (
-    EconomicWorkflowResult,
-    ScenarioOutcome,
-    run_economic_workflow,
-)
-from .cellconfig import (
-    CellConfig,
-    configs_from_design,
-    read_config_bundle,
-    write_config_bundle,
-)
-from .designs import (
-    Cell,
-    ExperimentDesign,
-    calibration_design,
-    case_study_space,
-    economic_design,
-    factorial_cells,
-    lhs_cells,
-    prediction_design,
-)
-from .engine import WorkflowEngine, WorkflowError, WorkflowRun
-from .national import NationalRun, run_national
-from .parallel import (
-    InstanceOutcome,
-    InstanceSpec,
-    gather_ensemble,
-    run_instances,
-    specs_for_design,
-)
-from .orchestrator import (
-    NightlyReport,
-    orchestrate_night,
-    weekly_timeline,
-)
-from .prediction_wf import (
-    PredictionWorkflowResult,
-    run_prediction_workflow,
-    what_if_expansion,
-)
-from .report import WeeklyReport, generate_weekly_report
-from .review import (
-    ReviewFinding,
-    ReviewOutcome,
-    calibrate_predict_review_loop,
-    review_prediction,
-)
-from .runner import (
-    RegionAssets,
-    build_interventions,
-    confirmed_series,
-    execute_spec,
-    load_region_assets,
-    observed_series,
-    run_instance,
-)
-from .tasks import HOME, REMOTE, DataArtifact, TaskRun, WorkflowTask
+Every name below resolves on first access (PEP 562), so importing this
+package, or one of its modules, loads only what that module imports.
+"""
 
-__all__ = [
-    "WeeklyReport",
-    "generate_weekly_report",
-    "ReviewFinding",
-    "ReviewOutcome",
-    "calibrate_predict_review_loop",
-    "review_prediction",
-    "InstanceOutcome",
-    "InstanceSpec",
-    "gather_ensemble",
-    "run_instances",
-    "specs_for_design",
-    "run_iterative_calibration",
-    "CellConfig",
-    "configs_from_design",
-    "read_config_bundle",
-    "write_config_bundle",
-    "NationalRun",
-    "run_national",
-    "Cell",
-    "CalibrationWorkflowResult",
-    "DataArtifact",
-    "EconomicWorkflowResult",
-    "ExperimentDesign",
-    "HOME",
-    "NightlyReport",
-    "PredictionWorkflowResult",
-    "REMOTE",
-    "RegionAssets",
-    "ScenarioOutcome",
-    "TaskRun",
-    "WorkflowAccounting",
-    "WorkflowEngine",
-    "WorkflowError",
-    "WorkflowRun",
-    "WorkflowTask",
-    "account_workflow",
-    "align_onset",
-    "build_interventions",
-    "calibration_design",
-    "case_study_space",
-    "confirmed_series",
-    "economic_design",
-    "execute_spec",
-    "factorial_cells",
-    "lhs_cells",
-    "load_region_assets",
-    "observed_series",
-    "orchestrate_night",
-    "prediction_design",
-    "raw_bytes_per_simulation",
-    "run_calibration_workflow",
-    "run_economic_workflow",
-    "run_instance",
-    "run_prediction_workflow",
-    "summary_bytes_per_simulation",
-    "table_i",
-    "weekly_timeline",
-    "what_if_expansion",
-]
+import importlib
+
+_EXPORTS = {
+    "accounting": (
+        "WorkflowAccounting", "account_workflow",
+        "raw_bytes_per_simulation", "summary_bytes_per_simulation",
+        "table_i"),
+    "calibration_wf": (
+        "CalibrationWorkflowResult", "align_onset",
+        "run_calibration_workflow", "run_iterative_calibration"),
+    "counterfactual_wf": (
+        "EconomicWorkflowResult", "ScenarioOutcome", "run_economic_workflow"),
+    "cellconfig": (
+        "CellConfig", "configs_from_design", "read_config_bundle",
+        "write_config_bundle"),
+    "designs": (
+        "Cell", "ExperimentDesign", "calibration_design", "case_study_space",
+        "economic_design", "factorial_cells", "lhs_cells",
+        "prediction_design"),
+    "engine": ("WorkflowEngine", "WorkflowError", "WorkflowRun"),
+    "national": ("NationalRun", "run_national"),
+    "parallel": (
+        "InstanceOutcome", "InstanceSpec", "gather_ensemble",
+        "run_instances"),
+    "orchestrator": ("NightlyReport", "orchestrate_night", "weekly_timeline"),
+    "prediction_wf": (
+        "PredictionWorkflowResult", "run_prediction_workflow",
+        "what_if_expansion"),
+    "report": ("WeeklyReport", "generate_weekly_report"),
+    "review": (
+        "ReviewFinding", "ReviewOutcome", "calibrate_predict_review_loop",
+        "review_prediction"),
+    "runner": (
+        "RegionAssets", "build_interventions", "confirmed_series",
+        "execute_spec", "load_region_assets", "observed_series",
+        "run_instance"),
+    "tasks": ("HOME", "REMOTE", "DataArtifact", "TaskRun", "WorkflowTask"),
+}
+
+_SUBMODULE = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value

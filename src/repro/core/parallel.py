@@ -60,7 +60,7 @@ import numpy as np
 
 from ..analytics.aggregate import RegionSummary
 from ..obs.registry import Stopwatch, global_registry
-from ..params import DEFAULT_SCALE, DEFAULT_SEED
+from ..params import DEFAULT_SEED
 from ..plane.manifest import AssetKey
 from ..resilience.faults import CRASH_EXIT_CODE, FaultPlan, InjectedFault
 from ..resilience.retry import QuarantineRecord, RetryPolicy
@@ -741,28 +741,6 @@ def run_instances(specs: list[InstanceSpec],
     """
     res = supervise_instances(specs, on_failure=RAISE, **options)
     return res.results  # type: ignore[return-value] — RAISE means no Nones
-
-
-def specs_for_design(
-    design,
-    *,
-    n_days: int = 120,
-    scale: float = DEFAULT_SCALE,
-    seed: int = DEFAULT_SEED,
-) -> list[InstanceSpec]:
-    """Expand an experiment design into executable instance specs."""
-    out: list[InstanceSpec] = []
-    for i, (cell, region, rep) in enumerate(design.instances()):
-        out.append(InstanceSpec(
-            region_code=region,
-            params=dict(cell.params),
-            n_days=n_days,
-            scale=scale,
-            seed=seed + 17 * i,
-            label=f"{region}-c{cell.index}-r{rep}",
-            asset_seed=seed,
-        ))
-    return out
 
 
 def gather_ensemble(outcomes: list[InstanceOutcome]) -> np.ndarray:

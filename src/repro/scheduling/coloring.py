@@ -16,7 +16,10 @@ is optimal (ceil(clique size / r) colours).
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def validate_relaxed_coloring(
@@ -98,6 +101,8 @@ def region_conflict_graph(
     "There is no edge between the subset, and the graph within each subset
     is a complete graph."  Node labels are ``(region, cell)``.
     """
+    import networkx as nx
+
     g = nx.Graph()
     for region, n in region_sizes.items():
         members = [(region, i) for i in range(n)]

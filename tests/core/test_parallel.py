@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.designs import ExperimentDesign, factorial_cells
-from repro.core.parallel import (
-    InstanceSpec,
-    gather_ensemble,
-    run_instances,
-    specs_for_design,
-)
+from repro.core.parallel import InstanceSpec, gather_ensemble, run_instances
 from repro.plane.manifest import AssetKey
 
 
@@ -54,15 +48,6 @@ def test_empty_specs():
 def test_single_spec_runs_inline():
     outcomes = run_instances(make_specs(1))
     assert len(outcomes) == 1
-
-
-def test_specs_for_design():
-    cells = factorial_cells({"TAU": [0.1, 0.3]})
-    design = ExperimentDesign("x", cells, ("VT",), 2)
-    specs = specs_for_design(design, n_days=10, scale=1e-3, seed=0)
-    assert len(specs) == 4
-    seeds = {s.seed for s in specs}
-    assert len(seeds) == 4  # distinct RNG streams per instance
 
 
 def test_mixed_regions_keep_input_order():
