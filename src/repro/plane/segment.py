@@ -124,12 +124,14 @@ def layout(arrays: Mapping[str, np.ndarray]) -> tuple[list[dict], int]:
 
     Entries keep the mapping's iteration order; each records everything
     an attacher needs (``name``/``dtype``/``shape``/``offset``/``nbytes``)
-    and nothing else, so the table serialises directly into the manifest.
+    and nothing else, so the table serialises directly into the manifest
+    (and into every store blob's header, see :mod:`repro.store.cas`).
+    A 0-d array keeps its empty shape.
     """
     entries: list[dict] = []
     offset = 0
     for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
+        arr = np.asarray(arr)
         offset = _aligned(offset)
         entries.append({
             "name": str(name),
@@ -146,10 +148,9 @@ def pack(shm: shared_memory.SharedMemory, entries: list[dict],
          arrays: Mapping[str, np.ndarray]) -> None:
     """Copy ``arrays`` into ``shm`` at their table offsets."""
     for entry in entries:
-        arr = np.ascontiguousarray(arrays[entry["name"]])
         dst = np.ndarray(tuple(entry["shape"]), dtype=np.dtype(entry["dtype"]),
                          buffer=shm.buf, offset=entry["offset"])
-        dst[...] = arr
+        dst[...] = arrays[entry["name"]]
 
 
 def views(shm: shared_memory.SharedMemory,

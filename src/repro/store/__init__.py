@@ -6,7 +6,7 @@ The paper's nightly pipeline re-executes heavily overlapping
 subsystem is the reproduction's durability layer:
 
 - :mod:`~repro.store.keys` — canonical, code-version-salted cache keys;
-- :mod:`~repro.store.cas` — the content-addressed npz blob store;
+- :mod:`~repro.store.cas` — the content-addressed blob store;
 - :mod:`~repro.store.ledger` — the append-only JSONL run journal;
 - :mod:`~repro.store.files` — the shared on-disk idioms (journal
   open/read, atomic publish, JSON-or-absent, pid liveness);

@@ -1,9 +1,22 @@
 """Content-addressed on-disk blob store for simulation results.
 
-Blobs are npz payloads — compressed, except in-flight checkpoints —
-stored under ``objects/<k[:2]>/<key>.npz`` (two-level fan-out keeps
-directories small at hundreds of thousands of objects).  The store is safe against the failure modes a 30-week nightly
-pipeline actually meets:
+Every family — outcomes, summaries, surrogate models, in-flight
+checkpoints — is one uncompressed blob per key under
+``objects/<k[:2]>/<key>.blob`` (two-level fan-out keeps directories
+small at hundreds of thousands of objects), in one format:
+
+- an 8-byte magic tag (:data:`BLOB_MAGIC`);
+- the SHA-256 of everything after this 32-byte digest field;
+- the offset table of :func:`repro.plane.segment.layout` as JSON, behind
+  its 8-byte little-endian length;
+- zero padding, then each array's bytes at its 64-byte-aligned offset.
+
+:func:`write_blob` hashes and writes each array through a ``memoryview``;
+:func:`read_blob` reads the file once, checks the one digest and returns
+dtype-exact views over that buffer.  Deflate bought nothing here: a
+1 KB outcome compresses by 3 %, and a checkpoint is written once and
+read at most once.  The store is safe against the failure modes a
+30-week nightly pipeline actually meets:
 
 - **Torn writes** — payloads are written to a temp file in the same
   directory and published with an atomic ``os.replace``
@@ -12,11 +25,13 @@ pipeline actually meets:
   listing, so another handle's ``gc`` cannot delete it mid-write — and
   concurrent writers of the same key are last-writer-wins with identical
   content.
-- **Corrupt blobs** — every payload is published with an integrity digest
-  (checksum on write) that is verified on read; an unreadable or
-  digest-mismatched blob is quarantined under ``quarantine/`` and treated
-  as a miss, so one bad object costs one recomputation (and leaves the
-  evidence behind), not an operator intervention.
+- **Corrupt blobs** — every blob carries a digest of its own body,
+  verified on read; a mismatched, torn, truncated or unrecognised blob is
+  quarantined under ``quarantine/`` and treated as a miss, so one bad
+  object costs one recomputation (and leaves the evidence behind), not
+  an operator intervention.  Files of an older format (``.npz``) are
+  never read: they are listed for ``gc``/``clear`` like any other blob
+  and age out of the LRU order.
 - **Disk growth** — an optional size bound is enforced by LRU eviction on
   access time (reads touch the blob's mtime), with eviction counted in the
   ``store.*`` metrics alongside hits and misses.
@@ -36,11 +51,10 @@ import json
 import os
 import tempfile
 import time
-import zipfile
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import IO, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -54,13 +68,17 @@ DEFAULT_MAX_BYTES: int = 4 * 1024**3
 #: The registry names one store handle publishes.
 _STAT_NAMES = ("hits", "misses", "puts", "evictions", "corrupt")
 
-#: Reserved payload entry carrying the integrity digest.
-DIGEST_KEY = "__digest__"
+#: First bytes of every blob; anything else at a blob path is damage.
+BLOB_MAGIC = b"REPROBL1"
+
+#: Where a blob keeps the SHA-256 of everything after it.
+_DIGEST = slice(len(BLOB_MAGIC), len(BLOB_MAGIC) + 32)
+
+#: Bytes before the offset table: magic, body digest, table length.
+_HEAD = _DIGEST.stop + 8
 
 #: Key family of in-flight simulation checkpoints (written by
-#: :mod:`repro.checkpoint`); fresh members are exempt from LRU eviction
-#: and are stored uncompressed — written once per few ticks, read at most
-#: once and deleted on completion, they never repay the deflate.
+#: :mod:`repro.checkpoint`); fresh members are exempt from LRU eviction.
 CHECKPOINT_FAMILY = "checkpoint/v1"
 
 #: How long a checkpoint blob stays gc-exempt after its last touch.
@@ -71,24 +89,95 @@ CHECKPOINT_FAMILY = "checkpoint/v1"
 CHECKPOINT_EXEMPT_TTL_S = 120.0
 
 
+class BlobError(ValueError):
+    """A file at a blob path that does not decode to what was written."""
+
+
 def payload_digest(payload: Mapping[str, np.ndarray]) -> np.ndarray:
     """SHA-256 over a payload's names, dtypes, shapes and bytes.
 
-    Computed over the decoded arrays (not the compressed file), so it
-    catches exactly what the zip layer's CRC cannot: payloads that still
-    decompress but no longer say what was written — a truncated array, a
-    partially applied write, a tampered entry.
+    A content identity independent of any file format: the golden
+    outcome file (``tests/golden/generate.py``) pins simulation results
+    by it.  Blobs carry their own digest, over the encoded body.
     """
     h = hashlib.sha256()
     for name in sorted(payload):
-        if name == DIGEST_KEY:
-            continue
         arr = np.ascontiguousarray(payload[name])
         h.update(name.encode())
         h.update(str(arr.dtype).encode())
         h.update(str(arr.shape).encode())
-        h.update(arr.tobytes())
+        h.update(memoryview(arr))
     return np.frombuffer(h.digest(), dtype=np.uint8).copy()
+
+
+def _data_start(table_len: int) -> int:
+    """File offset of the first array: the header, aligned up."""
+    # repro.plane imports this module (LeaseTable): resolve it at call time.
+    from ..plane.segment import ALIGN
+
+    return -(-(_HEAD + table_len) // ALIGN) * ALIGN
+
+
+def write_blob(fh: IO[bytes], payload: Mapping[str, np.ndarray], *,
+               corrupt: bool = False) -> None:
+    """Encode ``payload`` into ``fh`` in the one blob format.
+
+    The body is hashed first and then written, piece by piece, through
+    ``memoryview``s of the (C-ordered) arrays — no serialised copy of the
+    payload is built.  ``corrupt`` inverts the stored digest (the
+    ``cas.corrupt`` fault).  Object and structured arrays are refused:
+    the bytes of one are pointers, the fields of the other do not survive
+    a ``dtype.str`` round-trip.
+    """
+    from ..plane.segment import layout
+
+    arrays = {str(name): np.asarray(arr, order="C")
+              for name, arr in payload.items()}
+    for name, arr in arrays.items():
+        if arr.dtype.hasobject or np.dtype(arr.dtype.str) != arr.dtype:
+            raise TypeError(f"cannot store {name!r} of dtype {arr.dtype}")
+    entries, _size = layout(arrays)
+    table = json.dumps(entries).encode()
+    end = _HEAD + len(table)
+    start = _data_start(len(table))
+    body: list = [len(table).to_bytes(8, "little"), table]
+    for entry, arr in zip(entries, arrays.values()):
+        body.append(bytes(start + entry["offset"] - end))
+        body.append(memoryview(arr))
+        end = start + entry["offset"] + entry["nbytes"]
+    h = hashlib.sha256()
+    for piece in body:
+        h.update(piece)
+    digest = h.digest()
+    if corrupt:
+        digest = bytes(b ^ 0xFF for b in digest)
+    fh.write(BLOB_MAGIC)
+    fh.write(digest)
+    for piece in body:
+        fh.write(piece)
+
+
+def read_blob(path: Path) -> dict[str, np.ndarray]:
+    """Decode and verify one blob: its arrays, as views over one buffer.
+
+    Raises ``FileNotFoundError`` when absent and :class:`BlobError` when
+    the file is not a blob, is torn or truncated, or fails its digest.
+    """
+    buf = np.fromfile(path, dtype=np.uint8)
+    if buf.size < _HEAD or buf[:_DIGEST.start].tobytes() != BLOB_MAGIC:
+        raise BlobError(f"{path.name}: not a blob")
+    if (hashlib.sha256(buf[_DIGEST.stop:]).digest()
+            != buf[_DIGEST].tobytes()):
+        raise BlobError(f"{path.name}: digest mismatch")
+    n = int.from_bytes(buf[_DIGEST.stop:_HEAD].tobytes(), "little")
+    start = _data_start(n)
+    try:
+        return {entry["name"]: np.ndarray(
+                    tuple(entry["shape"]), dtype=np.dtype(entry["dtype"]),
+                    buffer=buf, offset=start + entry["offset"])
+                for entry in json.loads(buf[_HEAD:_HEAD + n].tobytes())}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BlobError(f"{path.name}: bad offset table") from exc
 
 
 @dataclass
@@ -134,13 +223,13 @@ class ContentStore:
 
     def quarantined_keys(self) -> list[str]:
         """Content keys currently held in quarantine (sorted)."""
-        return sorted(b.stem for b in self.quarantine_dir.glob("*.npz"))
+        return sorted(b.stem for b in self.quarantine_dir.glob("*.blob"))
 
     def path_of(self, key: str) -> Path:
         """On-disk location of ``key`` (whether or not it exists)."""
         if len(key) < 3 or not all(c in "0123456789abcdef" for c in key):
             raise ValueError(f"not a hex content key: {key!r}")
-        return self._objects / key[:2] / f"{key}.npz"
+        return self._objects / key[:2] / f"{key}.blob"
 
     def contains(self, key: str) -> bool:
         """Whether a blob for ``key`` is present (does not count as a hit)."""
@@ -149,28 +238,20 @@ class ContentStore:
     def get(self, key: str) -> dict[str, np.ndarray] | None:
         """Load and verify a payload, or None on miss.
 
-        Integrity is checked against the digest embedded at :meth:`put`
-        time; an unreadable blob, a digest mismatch or a missing digest
-        (every put writes one, so its absence is damage) is quarantined
-        and reads as a miss, so corruption costs one recomputation instead
-        of propagating bad arrays downstream.  Hits refresh LRU recency.
+        Integrity is checked against the digest :meth:`put` wrote over the
+        blob's body; a mismatched, torn, truncated or unrecognised blob is
+        quarantined and reads as a miss, so corruption costs one
+        recomputation instead of propagating bad arrays downstream.  Hits
+        refresh LRU recency and return dtype-exact views over one buffer
+        read from disk.
         """
         path = self.path_of(key)
         try:
-            with np.load(path) as npz:
-                payload = {name: npz[name] for name in npz.files}
+            payload = read_blob(path)
         except FileNotFoundError:
             self.metrics.inc("store.misses")
             return None
-        except (OSError, ValueError, zipfile.BadZipFile, KeyError):
-            # A torn or unreadable blob: quarantine it and recompute.
-            self._quarantine(path)
-            self.metrics.inc("store.misses")
-            return None
-        digest = payload.pop(DIGEST_KEY, None)
-        if digest is None or not np.array_equal(
-                np.asarray(digest), payload_digest(payload)):
-            # Decompressed fine but does not say what was written.
+        except (OSError, BlobError):
             self._quarantine(path)
             self.metrics.inc("store.misses")
             return None
@@ -183,10 +264,10 @@ class ContentStore:
         """Atomically publish a payload under ``key``, digest included.
 
         An existing blob is left untouched (content-addressed: same key,
-        same bytes), so concurrent writers race harmlessly.  The payload
-        is stored alongside its :func:`payload_digest` so :meth:`get` can
-        verify integrity; a firing ``cas.corrupt`` fault inverts the
-        stored digest, planting a corruption the read path must catch.
+        same bytes), so concurrent writers race harmlessly.  The blob
+        carries the digest of its body so :meth:`get` can verify
+        integrity; a firing ``cas.corrupt`` fault inverts the stored
+        digest, planting a corruption the read path must catch.
 
         Args:
             key: hex content key.
@@ -201,18 +282,17 @@ class ContentStore:
             if family is not None and key not in self._family_index():
                 self._append_family(key, family)
             return path
-        digest = payload_digest(payload)
+        corrupt = False
         if self.faults is not None:
             # Re-puts of a quarantined key advance the rule's attempt
             # count, so a times-bounded corruption heals on rewrite.
             attempt = self._put_seq[key]
             self._put_seq[key] += 1
-            if self.faults.fires("cas.corrupt", key, attempt):
-                digest = np.bitwise_xor(digest, np.uint8(0xFF))
+            corrupt = self.faults.fires("cas.corrupt", key, attempt)
+            if corrupt:
                 self.metrics.inc("faults.cas.corrupt")
-        save = np.savez if family == CHECKPOINT_FAMILY else np.savez_compressed
         with atomic_write(path, "wb") as fh:
-            save(fh, **dict(payload), **{DIGEST_KEY: digest})
+            write_blob(fh, payload, corrupt=corrupt)
         self.metrics.inc("store.puts")
         if family is not None:
             self._append_family(key, family)
@@ -252,14 +332,16 @@ class ContentStore:
         return dict(sorted(counts.items()))
 
     def _blobs(self) -> Iterator[Path]:
-        """Every published blob file.  In-flight writes are ``.tmp``
-        files in the same directories, which this glob cannot match."""
-        return self._objects.glob("??/*.npz")
+        """Every published file under ``objects/??/``, legacy ``.npz``
+        included (so gc and clear age them out).  In-flight writes are
+        ``.tmp`` files in the same directories and are skipped."""
+        return (p for p in self._objects.glob("??/*") if p.suffix != ".tmp")
 
     def keys(self) -> Iterator[str]:
-        """All stored content keys."""
+        """All stored content keys (readable ``.blob`` files only)."""
         for blob in self._blobs():
-            yield blob.stem
+            if blob.suffix == ".blob":
+                yield blob.stem
 
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())

@@ -1,14 +1,15 @@
 """CheckpointManager: durable chains, fallback, heartbeats, reclamation.
 
-Snapshots ride the CAS as uncompressed ``checkpoint/v1`` blobs keyed by
-(instance key, tick) with an append-only per-instance pointer journal;
-only the newest two are kept.  The manager must fall back past
-missing/corrupt blobs (quarantining them), heartbeat the instance's
-lease from its writes on a clock, survive the store's LRU gc while in
-flight, survive a crash between any two steps of a write, and reclaim
-the whole chain once the instance's terminal result lands.
+Snapshots ride the CAS as ``checkpoint/v1`` blobs (the store's one
+codec) keyed by (instance key, tick) with an append-only per-instance
+pointer journal; only the newest two are kept.  The manager must fall
+back past missing/corrupt blobs (quarantining them), heartbeat the
+instance's lease from its writes on a clock, survive the store's LRU gc
+while in flight, survive a crash between any two steps of a write, and
+reclaim the whole chain once the instance's terminal result lands.
 """
 
+import io
 import json
 import os
 import pathlib
@@ -27,13 +28,18 @@ from repro.core.parallel import InstanceSpec
 from repro.core.runner import execute_specs
 from repro.obs.registry import MetricsRegistry
 from repro.store.cas import (
+    BLOB_MAGIC,
     CHECKPOINT_EXEMPT_TTL_S,
     CHECKPOINT_FAMILY,
-    DIGEST_KEY,
     ContentStore,
     LeaseTable,
+    write_blob,
 )
-from repro.store.keys import INSTANCE_NAMESPACE, instance_key
+from repro.store.keys import (
+    INSTANCE_NAMESPACE,
+    SUMMARY_NAMESPACE,
+    instance_key,
+)
 from repro.store.ledger import replay_ledger
 
 from .test_equivalence import assert_payload_bytes_identical
@@ -111,31 +117,36 @@ class TestChain:
 
     def test_corrupt_digest_entry_quarantined_falls_back(self, manager):
         """Every array decodes and says what was written — only the
-        stored ``__digest__`` entry is wrong.  Still not served."""
+        stored digest field is wrong.  Still not served."""
         manager.write(KEY, payload(5), tick=5)
         manager.write(KEY, payload(10), tick=10)
         blob = manager.store.path_of(checkpoint_blob_key(KEY, 10))
-        with np.load(blob) as npz:
-            entries = {name: npz[name] for name in npz.files}
-        entries[DIGEST_KEY] = entries[DIGEST_KEY] ^ np.uint8(0xFF)
-        np.savez(blob, **entries)
+        raw = bytearray(blob.read_bytes())
+        digest = slice(len(BLOB_MAGIC), len(BLOB_MAGIC) + 32)
+        raw[digest] = bytes(b ^ 0xFF for b in raw[digest])
+        blob.write_bytes(bytes(raw))
         tick, _loaded = next(manager.resume_points([KEY]))
         assert tick == 5
         assert manager.metrics.value("checkpoint.invalid") == 1
         assert manager.store.quarantined_keys() == [
             checkpoint_blob_key(KEY, 10)]
 
-    def test_checkpoint_blobs_stored_result_blobs_deflated(self, manager):
-        """The one format decision: by family, inside ``put``."""
-        def compression(key):
-            with zipfile.ZipFile(manager.store.path_of(key)) as zf:
-                return {info.compress_type for info in zf.infolist()}
-
+    def test_every_family_uses_the_one_codec(self, manager):
+        """No format decision by family: a checkpoint, an outcome, a
+        summary and an unlabelled blob of the same payload are the same
+        bytes — the one encoding, not a zip."""
         manager.write(KEY, payload(5), tick=5)
-        manager.store.put("aa" * 32, payload(5), family=INSTANCE_NAMESPACE)
-        assert compression(checkpoint_blob_key(KEY, 5)) == {
-            zipfile.ZIP_STORED}
-        assert compression("aa" * 32) == {zipfile.ZIP_DEFLATED}
+        keys = [checkpoint_blob_key(KEY, 5), "aa" * 32, "bb" * 32, "ee" * 32]
+        manager.store.put(keys[1], payload(5), family=INSTANCE_NAMESPACE)
+        manager.store.put(keys[2], payload(5), family=SUMMARY_NAMESPACE)
+        manager.store.put(keys[3], payload(5))
+        want = io.BytesIO()
+        write_blob(want, payload(5))
+        for key in keys:
+            path = manager.store.path_of(key)
+            assert path.suffix == ".blob"
+            assert not zipfile.is_zipfile(path), key
+            assert path.read_bytes() == want.getvalue(), key
 
     def test_only_the_newest_two_are_kept(self, manager):
         for tick in range(5, 55, 5):

@@ -56,6 +56,27 @@ def test_pack_views_roundtrip():
         seg.destroy(shm)
 
 
+def test_scalar_and_strided_entries_roundtrip():
+    """A 0-d entry stays 0-d (not shape ``(1,)``), and a strided source
+    packs as its contiguous copy."""
+    arrays = {"rate": np.asarray(0.25),
+              "count": np.asarray(1234, dtype=np.int64),
+              "every_other": np.arange(10, dtype=np.int32)[::2]}
+    entries, total = seg.layout(arrays)
+    assert [e["shape"] for e in entries] == [[], [], [5]]
+    assert [e["nbytes"] for e in entries] == [8, 8, 20]
+    shm = seg.create_segment(_name("scalar"), total)
+    try:
+        seg.pack(shm, entries, arrays)
+        views = seg.views(shm, entries)
+        for name, arr in arrays.items():
+            assert views[name].shape == arr.shape, name
+            assert views[name].dtype == arr.dtype, name
+            assert np.array_equal(views[name], arr), name
+    finally:
+        seg.destroy(shm)
+
+
 def test_views_are_zero_copy_and_write_protected():
     arrays = {"x": np.arange(8, dtype=np.int64)}
     entries, total = seg.layout(arrays)

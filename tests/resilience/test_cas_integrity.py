@@ -1,14 +1,25 @@
 """Store integrity: digest on write, verify on read, quarantine on corrupt."""
 
+import io
+
 import numpy as np
 import pytest
 
 from repro.resilience import FaultPlan
-from repro.store.cas import DIGEST_KEY, ContentStore, payload_digest
+from repro.store.cas import (
+    BLOB_MAGIC,
+    ContentStore,
+    payload_digest,
+    write_blob,
+)
 
 pytestmark = pytest.mark.fast
 
 KEY = "ab" + "0" * 62
+
+#: Where a blob keeps its digest, and where its offset table starts.
+DIGEST = slice(len(BLOB_MAGIC), len(BLOB_MAGIC) + 32)
+TABLE = DIGEST.stop + 8
 
 
 def payload():
@@ -26,16 +37,22 @@ def test_digest_is_stable_and_content_sensitive():
     assert not np.array_equal(
         d1, payload_digest({"renamed": payload()["confirmed"],
                             "attack_rate": payload()["attack_rate"]}))
-    # The embedded digest entry itself is excluded from the hash.
-    with_digest = dict(payload(), **{DIGEST_KEY: d1})
-    assert np.array_equal(d1, payload_digest(with_digest))
+
+
+def test_payload_digest_survives_the_blob_roundtrip(tmp_path):
+    """The content identity the golden file pins does not depend on the
+    blob encoding: a stored-and-loaded payload digests the same."""
+    store = ContentStore(tmp_path)
+    store.put(KEY, payload())
+    assert np.array_equal(payload_digest(store.get(KEY)),
+                          payload_digest(payload()))
 
 
 def test_roundtrip_verifies_clean(tmp_path):
     store = ContentStore(tmp_path)
     store.put(KEY, payload())
     got = store.get(KEY)
-    assert got is not None and DIGEST_KEY not in got
+    assert got is not None and set(got) == set(payload())
     assert np.array_equal(got["confirmed"], payload()["confirmed"])
     assert store.metrics.value("store.corrupt") == 0
 
@@ -63,47 +80,98 @@ def test_requarantined_key_recovers_on_rewrite(tmp_path):
     assert np.array_equal(got["confirmed"], payload()["confirmed"])
 
 
+def _encoded(arrays):
+    buf = io.BytesIO()
+    write_blob(buf, arrays)
+    return buf.getvalue()
+
+
 def test_tampered_blob_detected(tmp_path):
-    """Corruption planted outside the fault plane is caught the same way."""
+    """Corruption planted outside the fault plane is caught the same way:
+    a well-formed blob whose arrays disagree with the digest it carries."""
     store = ContentStore(tmp_path)
     path = store.put(KEY, payload())
     tampered = payload()
     tampered["confirmed"][0] = 999.0
-    import os
-    import tempfile
-
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".npz")
-    with os.fdopen(fd, "wb") as fh:
-        np.savez_compressed(fh, **tampered,
-                            **{DIGEST_KEY: payload_digest(payload())})
-    os.replace(tmp_name, path)  # valid zip, arrays disagree with digest
+    forged = bytearray(_encoded(tampered))
+    forged[DIGEST] = path.read_bytes()[DIGEST]
+    path.write_bytes(bytes(forged))
     assert store.get(KEY) is None
     assert store.quarantined_keys() == [KEY]
 
 
-def test_unreadable_blob_quarantined(tmp_path):
-    store = ContentStore(tmp_path)
-    path = store.put(KEY, payload())
-    path.write_bytes(b"not a zip at all")
-    assert store.get(KEY) is None
-    assert store.metrics.value("store.corrupt") == 1
-    assert store.quarantined_keys() == [KEY]
+def _flip_body_byte(raw):
+    raw[-3] ^= 0x01  # inside the last array's bytes
+    return raw
 
 
-def test_digestless_blob_is_quarantined(tmp_path):
-    """Every put embeds a digest, so a blob without one has lost it: it is
-    corrupt, not legacy, and must not be served unverified."""
-    store = ContentStore(tmp_path)
-    path = store.path_of(KEY)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        np.savez_compressed(fh, **payload())  # no __digest__ entry
+def _flip_digest(raw):
+    raw[DIGEST.start + 5] ^= 0xFF
+    return raw
+
+
+DAMAGE = {
+    "flipped body byte": _flip_body_byte,
+    "flipped digest": _flip_digest,
+    "truncated in header": lambda raw: raw[:DIGEST.start + 20],
+    "truncated in table": lambda raw: raw[:TABLE + 10],
+    "truncated in body": lambda raw: raw[:-4],
+    "empty file": lambda raw: bytearray(),
+}
+
+
+def _assert_quarantined_miss(store):
     assert store.get(KEY) is None
     assert store.metrics.value("store.hits") == 0
     assert store.metrics.value("store.misses") == 1
     assert store.metrics.value("store.corrupt") == 1
     assert store.quarantined_keys() == [KEY]
     assert not store.contains(KEY)
+
+
+@pytest.mark.parametrize("damage", list(DAMAGE))
+def test_damaged_blob_is_a_quarantined_miss(tmp_path, damage):
+    store = ContentStore(tmp_path)
+    path = store.put(KEY, payload())
+    raw = bytearray(path.read_bytes())
+    path.write_bytes(bytes(DAMAGE[damage](raw)))
+    _assert_quarantined_miss(store)
+
+
+def test_unreadable_blob_quarantined(tmp_path):
+    store = ContentStore(tmp_path)
+    path = store.put(KEY, payload())
+    path.write_bytes(b"not a zip at all")
+    _assert_quarantined_miss(store)
+
+
+def test_digestless_blob_is_quarantined(tmp_path):
+    """Every put writes a digest, so a file at a blob path without one —
+    a legacy zip, whose arrays still decode — is damage, not an old
+    format to fall back to, and must not be served unverified."""
+    store = ContentStore(tmp_path)
+    path = store.path_of(KEY)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:
+        np.savez(fh, **payload())
+    _assert_quarantined_miss(store)
+
+
+def test_legacy_npz_is_never_read_but_ages_out(tmp_path):
+    """A blob of the old format at its old path is invisible to ``get``
+    and ``keys`` (a plain miss, nothing quarantined), yet still counts
+    toward the byte bound, so ``gc`` and ``clear`` remove it."""
+    store = ContentStore(tmp_path)
+    legacy = store.path_of(KEY).with_suffix(".npz")
+    legacy.parent.mkdir(parents=True, exist_ok=True)
+    np.savez_compressed(legacy, **payload())
+    assert store.get(KEY) is None
+    assert store.metrics.value("store.corrupt") == 0
+    assert legacy.exists() and list(store.keys()) == []
+    assert store.total_bytes() == legacy.stat().st_size
+    assert store.gc(0) == [KEY] and not legacy.exists()
+    np.savez_compressed(legacy, **payload())
+    assert store.clear() == 1 and not legacy.exists()
 
 
 def test_summary_counts_corruption(tmp_path):

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.store import cas
 from repro.store.cas import ContentStore, default_store
 
 pytestmark = pytest.mark.fast
@@ -200,13 +201,13 @@ def test_inflight_put_invisible_to_listings_and_gc(store, monkeypatch):
     other = ContentStore(store.root)
     other.put(KEY2, payload())
     seen = {}
-    real_savez = np.savez_compressed
+    real_write = cas.write_blob
 
-    def savez_then_look(fh, **arrays):
-        real_savez(fh, **arrays)
+    def write_then_look(fh, arrays, **kwargs):
+        real_write(fh, arrays, **kwargs)
         fh.flush()
         temps = [p for p in store.path_of(KEY).parent.iterdir()
-                 if p.name != f"{KEY}.npz"]
+                 if p.name != f"{KEY}.blob"]
         seen["temps"] = len(temps)
         seen["keys"] = sorted(other.keys())
         seen["len"] = len(other)
@@ -215,7 +216,7 @@ def test_inflight_put_invisible_to_listings_and_gc(store, monkeypatch):
         seen["cleared"] = other.clear()
         seen["temps_after"] = [p for p in temps if p.exists()]
 
-    monkeypatch.setattr(np, "savez_compressed", savez_then_look)
+    monkeypatch.setattr(cas, "write_blob", write_then_look)
     size2 = other.path_of(KEY2).stat().st_size
     store.put(KEY, payload())
     monkeypatch.undo()

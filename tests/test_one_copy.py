@@ -22,7 +22,11 @@ one instance fan-out (``core/parallel.py:_fan_out``), nowhere else — a
 second fan-out would be a second set of failure semantics.  And what ``--checkpoint-every`` opens:
 ``CheckpointPlan(...)`` is built only by ``checkpoint_plan``, which the
 CLI and ``build_service`` both call (three sites once disagreed on salt,
-lease root and ledger path).
+lease root and ledger path).  And the blob format: ``write_blob(...)`` is
+called only by ``ContentStore.put`` and ``read_blob(...)`` only by
+``ContentStore.get``, and no other serialiser (``np.savez*``,
+``np.load``, ``zipfile``) appears under ``src/repro`` — every family,
+checkpoints included, is one codec.
 
 Inside the tick core (``epihiper/``), Eq. 1's probability (``expm1``) and
 the attribution shuffle (``.permutation``) are each called in exactly one
@@ -52,11 +56,16 @@ ALLOWED = {
     ("ScenarioService(", "service/server.py", "build_service"),
     ("supervise_map(", "core/parallel.py", "_fan_out"),
     ("CheckpointPlan(", "checkpoint/manager.py", "checkpoint_plan"),
+    ("write_blob(", "store/cas.py", "put"),
+    ("read_blob(", "store/cas.py", "get"),
 }
 
 #: Callables whose call sites are pinned to the functions listed above.
 PINNED_CALLS = ("ProcessPoolExecutor", "ScenarioService", "supervise_map",
-                "CheckpointPlan")
+                "CheckpointPlan", "write_blob", "read_blob")
+
+#: Serialisers the blob codec replaced; none may appear under src/repro.
+RETIRED_CODECS = ("savez", "np.load(", "zipfile")
 
 #: The tick core's sampling calls, each pinned to one function.
 TICK_CORE_ALLOWED = {
@@ -155,8 +164,13 @@ def test_guard_actually_detects(tmp_path):
         "def fan_again(items):\n"
         "    return supervisor.supervise_map(run, items)\n"
         "def plan(root):\n"
-        "    return manager.CheckpointPlan(store_root=root, every=5)\n")
+        "    return manager.CheckpointPlan(store_root=root, every=5)\n"
+        "def save(fh, arrays):\n"
+        "    cas.write_blob(fh, arrays)\n"
+        "def load(path):\n"
+        "    return read_blob(path)\n")
     assert _sites(tmp_path) == {
+        ("write_blob(", "mod.py", "save"), ("read_blob(", "mod.py", "load"),
         ("supervise_map(", "mod.py", "fan_again"),
         ("CheckpointPlan(", "mod.py", "plan"),
         ("ProcessPoolExecutor(", "mod.py", "fan"),
@@ -165,6 +179,26 @@ def test_guard_actually_detects(tmp_path):
         ("mkstemp", "mod.py", "publish"), ("replace", "mod.py", "publish"),
         ("replace", "mod.py", "swap"),
         ("kill", "mod.py", "probe"), ("loads(line", "mod.py", "replay")}
+
+
+def _retired_codec_uses(root: Path) -> set[tuple[str, str]]:
+    """``(file, word)`` for every retired serialiser named in ``root``."""
+    return {(path.relative_to(root).as_posix(), word)
+            for path in sorted(root.rglob("*.py"))
+            for word in RETIRED_CODECS
+            if word in path.read_text(encoding="utf-8")}
+
+
+def test_one_blob_codec():
+    assert _retired_codec_uses(SRC_ROOT) == set()
+
+
+def test_blob_codec_guard_actually_detects(tmp_path):
+    (tmp_path / "a.py").write_text("np.savez_compressed(fh, **arrays)\n")
+    (tmp_path / "b.py").write_text("with np.load(path) as npz: pass\n")
+    (tmp_path / "c.py").write_text("import zipfile\nnp.loadtxt(path)\n")
+    assert _retired_codec_uses(tmp_path) == {
+        ("a.py", "savez"), ("b.py", "np.load("), ("c.py", "zipfile")}
 
 
 def test_one_http_front_door():
