@@ -18,16 +18,20 @@ Three metric kinds cover the stack:
   manager that owns the clock, so components never touch
   ``time.perf_counter`` themselves.
 
-Registries are cheap, picklable, and mergeable: pool workers fill a fresh
-registry each, ship :meth:`dump` back with the result, and the parent
-:meth:`merge`s them — counters and timers add, gauges take the incoming
-value.  The module-level :func:`global_registry` aggregates whatever the
-current process ran, so a CLI command can report on work done anywhere in
-the stack without threading a registry through every call.
+Registries are cheap, thread-safe, picklable, and mergeable: every update
+is one read-modify-write under the registry's lock (a service's handler
+threads count admission hits beside its broker thread); pool workers
+fill a fresh registry each, ship :meth:`dump` back with the result, and
+the parent :meth:`merge`s them — counters and timers add, gauges take
+the incoming value.  The module-level :func:`global_registry` aggregates
+whatever the current process ran, so a CLI command can report on work
+done anywhere in the stack without threading a registry through every
+call.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -54,10 +58,19 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, Metric] = {}
+        self._lock = threading.Lock()
+
+    def __getstate__(self) -> dict:
+        return {"_metrics": self._metrics}
+
+    def __setstate__(self, state: dict) -> None:
+        self._metrics = state["_metrics"]
+        self._lock = threading.Lock()
 
     # -- publication -----------------------------------------------------------
 
     def _declare(self, name: str, kind: str) -> Metric:
+        """Fetch or create a metric (caller holds the lock)."""
         m = self._metrics.get(name)
         if m is None:
             if kind not in _KINDS:
@@ -71,30 +84,35 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Metric:
         """Declare (or fetch) a counter without incrementing it."""
-        return self._declare(name, COUNTER)
+        with self._lock:
+            return self._declare(name, COUNTER)
 
     def declare(self, name: str, kind: str) -> Metric:
         """Declare (or fetch) a metric of any kind at its zero value."""
-        return self._declare(name, kind)
+        with self._lock:
+            return self._declare(name, kind)
 
     def inc(self, name: str, n: int = 1) -> int:
         """Add ``n`` to a counter; returns the new value."""
-        m = self._declare(name, COUNTER)
-        m.value = int(m.value) + int(n)
-        return m.value
+        with self._lock:
+            m = self._declare(name, COUNTER)
+            m.value = int(m.value) + int(n)
+            return m.value
 
     def gauge(self, name: str, value: float) -> float:
         """Set a gauge (last write wins)."""
-        m = self._declare(name, GAUGE)
-        m.value = float(value)
-        return m.value
+        with self._lock:
+            m = self._declare(name, GAUGE)
+            m.value = float(value)
+            return m.value
 
     def observe(self, name: str, seconds: float) -> float:
         """Accumulate one timed observation; returns the running total."""
-        m = self._declare(name, TIMER)
-        m.value = float(m.value) + float(seconds)
-        m.count += 1
-        return m.value
+        with self._lock:
+            m = self._declare(name, TIMER)
+            m.value = float(m.value) + float(seconds)
+            m.count += 1
+            return m.value
 
     def observe_n(self, name: str, seconds: float, n: int) -> float:
         """Accumulate ``n`` observations totalling ``seconds`` in one call.
@@ -104,10 +122,11 @@ class MetricsRegistry:
         credits each lane ``total / K`` across its ticks at flush) —
         keeps per-observation counts honest without per-tick overhead.
         """
-        m = self._declare(name, TIMER)
-        m.value = float(m.value) + float(seconds)
-        m.count += int(n)
-        return m.value
+        with self._lock:
+            m = self._declare(name, TIMER)
+            m.value = float(m.value) + float(seconds)
+            m.count += int(n)
+            return m.value
 
     @contextmanager
     def timer(self, name: str) -> Iterator[None]:
@@ -138,7 +157,8 @@ class MetricsRegistry:
 
     def names(self, prefix: str = "") -> list[str]:
         """Sorted metric names, optionally restricted to a prefix."""
-        return sorted(n for n in self._metrics if n.startswith(prefix))
+        with self._lock:
+            return sorted(n for n in self._metrics if n.startswith(prefix))
 
     def snapshot(self, prefix: str = "",
                  strip: bool = False) -> dict[str, int | float]:
@@ -148,19 +168,19 @@ class MetricsRegistry:
         consumers that did arithmetic on a plain counters dict see the
         same types they always did.
         """
-        out: dict[str, int | float] = {}
-        for name in self.names(prefix):
-            key = name[len(prefix):] if strip else name
-            out[key] = self._metrics[name].value
-        return out
+        with self._lock:
+            return {(name[len(prefix):] if strip else name): m.value
+                    for name, m in sorted(self._metrics.items())
+                    if name.startswith(prefix)}
 
     def dump(self, prefix: str = "") -> dict[str, dict[str, int | float | str]]:
         """Kind-preserving serialisation (what crosses process boundaries)."""
-        return {
-            name: {"kind": m.kind, "value": m.value, "count": m.count}
-            for name, m in sorted(self._metrics.items())
-            if name.startswith(prefix)
-        }
+        with self._lock:
+            return {
+                name: {"kind": m.kind, "value": m.value, "count": m.count}
+                for name, m in sorted(self._metrics.items())
+                if name.startswith(prefix)
+            }
 
     # -- combination -----------------------------------------------------------
 
@@ -174,25 +194,24 @@ class MetricsRegistry:
         if isinstance(other, MetricsRegistry):
             items = other.dump().items()
         else:
-            items = other.items()
-        for name, rec in items:
-            kind = rec["kind"]
-            m = self._declare(name, kind)
-            if kind == COUNTER:
-                m.value = int(m.value) + int(rec["value"])
-            elif kind == TIMER:
-                m.value = float(m.value) + float(rec["value"])
-                m.count += int(rec.get("count", 0))
-            else:  # gauge
-                m.value = float(rec["value"])
+            items = list(other.items())
+        with self._lock:
+            for name, rec in items:
+                kind = rec["kind"]
+                m = self._declare(name, kind)
+                if kind == COUNTER:
+                    m.value = int(m.value) + int(rec["value"])
+                elif kind == TIMER:
+                    m.value = float(m.value) + float(rec["value"])
+                    m.count += int(rec.get("count", 0))
+                else:  # gauge
+                    m.value = float(rec["value"])
         return self
 
     def clear(self, prefix: str = "") -> None:
         """Drop metrics (all of them, or one namespace)."""
-        if not prefix:
-            self._metrics.clear()
-        else:
-            for name in self.names(prefix):
+        with self._lock:
+            for name in [n for n in self._metrics if n.startswith(prefix)]:
                 del self._metrics[name]
 
     def __len__(self) -> int:

@@ -20,8 +20,11 @@ reproduction's execution stack into a long-running service:
 - :mod:`~repro.service.server` / :mod:`~repro.service.client` — one
   service process (:class:`ServiceConfig` → :func:`build_service` →
   :func:`serve`) behind a stdlib-only JSON HTTP API (``repro serve`` /
-  ``repro submit``).  Processes that share a store share its lease
-  table, so a scenario runs once however many of them receive it.
+  ``repro submit``) whose admission ladder answers stored and
+  confidently emulated scenarios in the handler thread; clients keep one
+  keep-alive connection per thread.  Processes that share a store share
+  its lease table, so a scenario runs once however many of them receive
+  it.
 """
 
 from .api import (

@@ -39,6 +39,10 @@ API_PREFIX = f"/{API_VERSION}"
 #: Default TCP port of the service (``repro serve`` / ``repro submit``).
 DEFAULT_PORT = 8377
 
+#: Seconds a keep-alive connection may sit idle before the server closes
+#: it (each open connection holds one handler thread).
+IDLE_TIMEOUT_S = 30.0
+
 # -- error vocabulary ----------------------------------------------------------
 
 #: The documented error-code enum.  Clients switch on these; messages are
@@ -280,10 +284,20 @@ class JsonApiHandler(BaseHTTPRequestHandler):
     named groups as keyword arguments plus the parsed ``query`` mapping;
     they return ``(status, payload)`` or raise :class:`ApiError`.
     Envelope rendering and the 404 / 500 fallbacks live here, once.
+    Connections stay open between requests (HTTP/1.1 keep-alive) until
+    the client closes them or they idle for :data:`IDLE_TIMEOUT_S`.
     """
 
     server_version = "repro-service/2.0"
     protocol_version = "HTTP/1.1"
+    timeout = IDLE_TIMEOUT_S
+    # With Nagle's algorithm on, a response written in pieces waits for
+    # the client's delayed ACK of the first piece.
+    disable_nagle_algorithm = True
+    # Buffered, so each response leaves in one send at the end of the
+    # request: every blocking call hands the interpreter lock to the
+    # broker thread, and getting it back can take a switch interval.
+    wbufsize = -1
 
     def log_message(self, fmt: str, *args: Any) -> None:
         """Silenced: the obs registry is the service's telemetry."""

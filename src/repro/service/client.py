@@ -1,8 +1,13 @@
 """A small stdlib client for the scenario service ``/v1`` HTTP API.
 
 ``repro submit`` is built on this; it is also the cross-process half of
-the service tests.  Only :mod:`urllib.request` — the service plane stays
-dependency-free end to end.
+the service tests.  Only :mod:`http.client` — the service plane stays
+dependency-free end to end.  Each calling thread keeps one HTTP/1.1
+keep-alive connection (``TCP_NODELAY`` set, as :mod:`http.client` does
+on connect) instead of opening one per call; a reused connection the
+server has since closed is retried once on a fresh one.  Retrying any
+call is safe: ``POST /v1/scenarios`` is content-keyed, so a duplicate
+coalesces or hits the store and returns the same bytes.
 
 Errors are typed off the uniform envelope's ``code`` field (see
 :mod:`repro.service.api`): :class:`QueueFullError` for ``queue_full``,
@@ -14,12 +19,14 @@ failures, where ``status`` is 0 and ``code`` empty).
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
+import threading
 import time
-import urllib.error
-import urllib.request
+import weakref
 from typing import Any
+from urllib.parse import urlsplit
 
 from ..obs.registry import Stopwatch
 from .api import (
@@ -119,9 +126,27 @@ def error_from_payload(status: int,
     return ServiceError(message, status=status, code=code, payload=payload)
 
 
+class _ThreadConnection:
+    """One calling thread's connection, closed when that thread's locals
+    are dropped (the thread ended) so the server's handler thread ends
+    with it."""
+
+    __slots__ = ("conn", "__weakref__")
+
+    def __init__(self, conn: http.client.HTTPConnection) -> None:
+        self.conn = conn
+
+    def __del__(self) -> None:
+        self.conn.close()
+
+
 class ServiceClient:
     """Thin JSON client bound to one service base URL (speaks ``/v1``):
-    by default ``REPRO_SERVICE_URL``, else the local default port."""
+    by default ``REPRO_SERVICE_URL``, else the local default port.
+
+    Safe to share between threads: each thread talks over its own
+    keep-alive connection.  :meth:`close` closes all of them.
+    """
 
     def __init__(self, base_url: str | None = None, *,
                  timeout_s: float = 30.0) -> None:
@@ -129,26 +154,59 @@ class ServiceClient:
                     or f"http://127.0.0.1:{DEFAULT_PORT}")
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
+        url = urlsplit(self.base_url)
+        self._conn_class = (http.client.HTTPSConnection
+                            if url.scheme == "https"
+                            else http.client.HTTPConnection)
+        self._netloc = url.netloc
+        self._prefix = url.path + API_PREFIX
+        self._local = threading.local()
+        self._open: weakref.WeakSet[_ThreadConnection] = weakref.WeakSet()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection (opened on its first request)."""
+        held = getattr(self._local, "held", None)
+        if held is None:
+            held = _ThreadConnection(
+                self._conn_class(self._netloc, timeout=self.timeout_s))
+            self._local.held = held
+            self._open.add(held)
+        return held.conn
+
+    def close(self) -> None:
+        """Close every thread's connection (later calls reopen one)."""
+        for held in list(self._open):
+            held.conn.close()
 
     def _request(self, method: str, path: str,
                  body: dict[str, Any] | None = None) -> dict[str, Any]:
         data = None if body is None else json.dumps(body).encode()
-        req = urllib.request.Request(
-            self.base_url + API_PREFIX + path, data=data, method=method,
-            headers={"Content-Type": "application/json"})
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                return json.loads(resp.read() or b"{}")
-        except urllib.error.HTTPError as exc:
+        conn = self._connection()
+        for _ in range(2):
+            # A live socket means a reused connection, which the server
+            # may have closed while it idled: that failure earns one retry
+            # (the retry runs on a fresh socket, so it earns none).
+            reused = conn.sock is not None
             try:
-                payload = json.loads(exc.read() or b"{}")
-            except json.JSONDecodeError:
-                payload = {}
-            raise error_from_payload(exc.code, payload) from None
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"service unreachable at {self.base_url}: {exc.reason}"
-            ) from None
+                conn.request(method, self._prefix + path, body=data,
+                             headers={"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                raw = resp.read()
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                if reused and isinstance(exc, ConnectionError):
+                    continue
+                raise ServiceError(
+                    f"service unreachable at {self.base_url}: {exc}"
+                ) from None
+            break
+        if 200 <= resp.status < 300:
+            return json.loads(raw or b"{}")
+        try:
+            payload = json.loads(raw or b"{}")
+        except json.JSONDecodeError:
+            payload = {}
+        raise error_from_payload(resp.status, payload)
 
     # -- API -------------------------------------------------------------------
 

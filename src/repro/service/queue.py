@@ -124,8 +124,9 @@ class ScenarioQueue:
     All mutation happens under one lock, so the counter updates the
     coalescing tests assert exactly are race-free.  The broker claims
     batches with :meth:`claim` and resolves them with :meth:`complete` /
-    :meth:`fail`; HTTP handler threads only :meth:`submit`, :meth:`status`
-    and :meth:`wait`.
+    :meth:`fail`; HTTP handler threads only :meth:`submit`,
+    :meth:`admit_resolved`, :meth:`in_flight`, :meth:`status` and
+    :meth:`wait`.
     """
 
     def __init__(
@@ -216,7 +217,8 @@ class ScenarioQueue:
 
     def admit_resolved(self, spec, *, result: dict[str, Any],
                        key: str | None = None) -> Admission:
-        """Admit a request already answered (the surrogate fast path).
+        """Admit a request already answered at admission (a verified
+        store blob or a confident surrogate answer).
 
         Creates a tracked record directly in the DONE terminal state
         carrying ``result``, so status polls, waits and the service
@@ -247,9 +249,9 @@ class ScenarioQueue:
     def in_flight(self, key: str) -> bool:
         """Whether ``key`` is currently queued or running.
 
-        The surrogate gate checks this before answering: an identical
-        scenario already being computed exactly is better joined (free
-        and bit-exact) than emulated.
+        The admission ladder checks this before the store and the
+        surrogate: an identical scenario already being computed exactly
+        is better joined (free and bit-exact) than answered again.
         """
         with self._lock:
             return key in self._entries

@@ -8,8 +8,9 @@ fan-out — and :func:`serve` runs it behind one :class:`ScenarioServer` (a
 is declared in :mod:`repro.service.api`:
 
 - ``POST /v1/scenarios`` — submit a scenario; ``202`` with the request id
-  (``status`` is ``"queued"``, ``"coalesced"``, or ``"done"`` for a
-  surrogate-resolved answer), ``429``/``queue_full`` under backpressure,
+  (``status`` is ``"queued"``, ``"coalesced"``, or ``"done"`` for an
+  answer resolved at admission: the scenario's verified blob in the store,
+  or a confident surrogate), ``429``/``queue_full`` under backpressure,
   ``503``/``draining`` while shutting down.
 - ``GET /v1/scenarios/<id>`` — poll a request; terminal responses carry
   the result payload (``done``) or the triage error (``failed`` /
@@ -20,8 +21,16 @@ is declared in :mod:`repro.service.api`:
 - ``GET /v1/metrics`` — flat JSON snapshot of the obs registry
   (``service.*``, ``memo.*``, ``retry.*``, ``store.*``, worker telemetry).
 
-Handler threads only touch the lock-guarded queue; all execution stays
-on the broker thread.
+Handler threads admit: they run the admission ladder
+(:meth:`ScenarioService.submit`), so besides the lock-guarded queue they
+read the store, consult the surrogate and append ``cache_hit`` events to
+the journal, beside the broker thread.  All execution stays on the
+broker thread.  Connections are HTTP/1.1 keep-alive with Nagle's
+algorithm off and each response sent in one write; one idle for
+:data:`~repro.service.api.IDLE_TIMEOUT_S` is closed, and
+:meth:`ScenarioServer.server_close` closes every one still open, as a
+process exit would.
+
 Shutdown is graceful by default: stop admitting, finish everything
 queued, then stop the broker — a request accepted with ``202`` is never
 silently dropped.
@@ -38,6 +47,7 @@ from __future__ import annotations
 
 import os
 import signal
+import socket
 import threading
 from dataclasses import dataclass
 from http.server import ThreadingHTTPServer
@@ -50,6 +60,7 @@ from ..resilience import FaultPlan, RetryPolicy
 from ..store.cas import LeaseTable, lease_dir, open_store
 from ..store.files import atomic_write
 from ..store.ledger import RunLedger
+from ..store.memo import outcome_from_payload, outcome_payload
 from .api import (
     DEFAULT_PORT,
     DRAINING,
@@ -118,14 +129,17 @@ def record_view(rec: RequestRecord, *,
 class ScenarioService:
     """Queue + broker + telemetry behind one object the API serves.
 
-    When a :class:`~repro.surrogate.serving.SurrogateGate` is attached,
-    submissions are consulted against it first: a confident emulated
-    answer resolves the request immediately (``source: "surrogate"``
-    plus uncertainty bands, no queue slot, no worker); everything else
-    is enqueued for exact execution as before — and, because the broker
-    journals spec-carrying completions to the store's corpus ledger,
-    every exact run becomes training data for the next retrain (the
-    active-learning loop).
+    Every submission climbs one admission ladder, :meth:`submit`, in the
+    HTTP handler thread: a draining service refuses; a scenario already
+    queued or running coalesces onto it; one whose verified exact blob is
+    in the store, or (with a :class:`~repro.surrogate.serving.SurrogateGate`
+    attached) one the surrogate answers confidently, resolves at once —
+    no queue slot, no broker batch, no worker; anything else is enqueued
+    for exact execution.  Exact answers outrank emulated ones: the
+    surrogate stands in only for runs that do not exist yet.  Because the
+    broker journals spec-carrying completions to the store's corpus
+    ledger, every exact run becomes training data for the next retrain
+    (the active-learning loop).
 
     Composed in one place, :func:`build_service`, which also attaches the
     store's lease table.
@@ -193,12 +207,21 @@ class ScenarioService:
     # -- operations ------------------------------------------------------------
 
     def submit(self, spec: InstanceSpec, *, priority: int = 0) -> Admission:
-        """Admit one scenario: surrogate fast path first, queue otherwise.
+        """Admit one scenario: the admission ladder, first rung that holds.
 
-        If an identical request is already queued or running we skip the
-        gate and coalesce onto the exact computation — joining an
-        in-flight run is free and bit-exact, strictly better than an
-        emulated answer.
+        1. draining → rejected (``503``), before anything is read;
+        2. in flight (queued or running) → coalesce onto it: joining the
+           exact computation is free and bit-exact;
+        3. verified exact blob in the store → ``done``, counted under
+           ``memo.hits`` and journaled as a ``cache_hit`` like a broker
+           hit (a corrupt blob is quarantined and reads as a miss);
+        4. confident surrogate answer → ``done``;
+        5. otherwise enqueue (``429`` when the queue is full).
+
+        Rungs 1, 2 and 5 are :meth:`ScenarioQueue.submit`'s own; a key
+        that turns in flight while the store is read still gets the
+        stored bytes, and an entry stored between admission and claim is
+        a hit in the broker's own lookup.
 
         The tracked key is the *broker-salted* cache key — the same key
         the CAS blob and the lease file use — so one identifier names a
@@ -207,12 +230,20 @@ class ScenarioService:
         from ..store.keys import instance_key
 
         key = instance_key(spec, salt=self.broker.salt)
-        if self.surrogate is not None and not self.queue.closed:
-            if not self.queue.in_flight(key):
+        if not self.queue.closed and not self.queue.in_flight(key):
+            payload = None
+            stored = None if self.store is None else self.store.get(key)
+            if stored is not None:
+                self.registry.inc("memo.hits")
+                if self.broker.ledger is not None:
+                    self.broker.ledger.cache_hit(key, label=spec.label)
+                # The broker's hit path, so both serve identical arrays.
+                payload = outcome_payload(outcome_from_payload(spec, stored))
+            elif self.surrogate is not None:
                 payload = self.surrogate.try_answer(spec)
-                if payload is not None:
-                    return self.queue.admit_resolved(spec, key=key,
-                                                     result=payload)
+            if payload is not None:
+                return self.queue.admit_resolved(spec, key=key,
+                                                 result=payload)
         return self.queue.submit(spec, priority=priority, key=key)
 
     def status(self, request_id: str) -> dict[str, Any] | None:
@@ -252,7 +283,8 @@ class ScenarioService:
 
 class ScenarioServer(ThreadingHTTPServer):
     """The one ``ThreadingHTTPServer`` under ``src/``: it carries the
-    service for its handlers."""
+    service for its handlers and tracks its open keep-alive connections,
+    so closing the server closes them too."""
 
     daemon_threads = True
     allow_reuse_address = True
@@ -260,6 +292,31 @@ class ScenarioServer(ThreadingHTTPServer):
     def __init__(self, address, service: ScenarioService) -> None:
         super().__init__(address, ScenarioHandler)
         self.service = service
+        self._open: set = set()
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        """Track the connection, then serve it on its own thread."""
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        """Forget the connection, then close it."""
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listener and every connection still open."""
+        super().server_close()
+        with self._open_lock:
+            still_open = list(self._open)
+        for conn in still_open:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already gone
 
 
 class ScenarioHandler(JsonApiHandler):

@@ -255,7 +255,10 @@ class ContentStore:
             self._quarantine(path)
             self.metrics.inc("store.misses")
             return None
-        os.utime(path, None)
+        try:
+            os.utime(path, None)
+        except FileNotFoundError:
+            pass  # gc'd or evicted since the read: the payload is verified
         self.metrics.inc("store.hits")
         return payload
 

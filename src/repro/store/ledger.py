@@ -13,6 +13,7 @@ night and the memoizer can cross-check against the blob store.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -27,7 +28,9 @@ class RunLedger:
 
     The file handle is opened lazily and every append is flushed, so a
     ledger object can be long-lived and still lose at most the event being
-    written when the process dies.
+    written when the process dies.  Appends are serialised by one lock:
+    a service's HTTP handler threads journal admission hits beside its
+    broker thread, and interleaved writes would tear lines.
 
     Args:
         path: the JSONL journal file.
@@ -47,6 +50,7 @@ class RunLedger:
         self.torn_events = 0
         self._event_seq: Counter = Counter()
         self._fh: IO[str] | None = None
+        self._lock = threading.Lock()
 
     def append(self, event: str, **fields: Any) -> dict[str, Any]:
         """Record one event.  Returns the record written."""
@@ -54,22 +58,21 @@ class RunLedger:
         if self.run_id is not None:
             record["run_id"] = self.run_id
         record.update(fields)
-        if self._fh is None:
-            self._fh = open_journal(self.path)
         line = json.dumps(record, sort_keys=True)
-        if self.faults is not None:
-            attempt = self._event_seq[event]
-            self._event_seq[event] += 1
-            if self.faults.fires("ledger.torn", event, attempt):
-                # A torn write: half the line reaches disk, the record is
-                # gone.  The newline keeps subsequent appends parseable,
-                # mimicking a crash-then-restart journal.
-                self.torn_events += 1
-                self._fh.write(line[: max(1, len(line) // 2)] + "\n")
-                self._fh.flush()
-                return record
-        self._fh.write(line + "\n")
-        self._fh.flush()
+        with self._lock:
+            if self._fh is None:
+                self._fh = open_journal(self.path)
+            if self.faults is not None:
+                attempt = self._event_seq[event]
+                self._event_seq[event] += 1
+                if self.faults.fires("ledger.torn", event, attempt):
+                    # A torn write: half the line reaches disk, the record
+                    # is gone.  The newline keeps subsequent appends
+                    # parseable, mimicking a crash-then-restart journal.
+                    self.torn_events += 1
+                    line = line[: max(1, len(line) // 2)]
+            self._fh.write(line + "\n")
+            self._fh.flush()
         return record
 
     def work_shed(self, key: str, **fields: Any) -> dict[str, Any]:
@@ -101,9 +104,10 @@ class RunLedger:
 
     def close(self) -> None:
         """Close the underlying file (appends reopen it)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
     def __enter__(self) -> "RunLedger":
         return self

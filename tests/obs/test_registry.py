@@ -157,3 +157,51 @@ def test_stopwatch_monotonic():
     first = w.elapsed()
     second = w.elapsed()
     assert 0.0 <= first <= second
+
+
+def _hammer(registry, n_threads, n_calls):
+    """``n_threads`` threads each make ``n_calls`` of every update kind,
+    with the interpreter switching threads as often as it can."""
+    import sys
+    import threading
+
+    def work():
+        for _ in range(n_calls):
+            registry.inc("c")
+            registry.observe("t", 1.0)
+            registry.observe_n("n", 2.0, 2)
+            registry.gauge("g", 1.0)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+
+
+def test_concurrent_updates_sum_exactly():
+    """Handler threads and the broker thread share one service registry:
+    no read-modify-write may lose an update."""
+    r = MetricsRegistry()
+    n_threads, n_calls = 8, 5000
+    _hammer(r, n_threads, n_calls)
+    total = n_threads * n_calls
+    assert r.value("c") == total
+    assert r.value("t") == float(total) and r.count("t") == total
+    assert r.value("n") == 2.0 * total and r.count("n") == 2 * total
+
+
+def test_registry_pickles_without_its_lock():
+    r = MetricsRegistry()
+    r.inc("a", 3)
+    r.observe("t", 0.5)
+    back = pickle.loads(pickle.dumps(r))
+    assert back.dump() == r.dump()
+    back.inc("a")  # the restored copy has a working lock of its own
+    assert (back.value("a"), r.value("a")) == (4, 3)

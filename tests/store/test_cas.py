@@ -47,6 +47,25 @@ def test_miss_then_hit_counted(store):
     assert store.metrics.value("store.hits") / lookups == 0.5
 
 
+def test_blob_vanishing_after_the_read_is_still_a_hit(store, monkeypatch):
+    """gc, the byte bound or another process may remove a blob between
+    ``get``'s verified read and its recency touch: the payload it already
+    verified is served, not a ``FileNotFoundError``."""
+    store.put(KEY, payload())
+    read = cas.read_blob
+
+    def read_then_vanish(path):
+        got = read(path)
+        os.unlink(path)
+        return got
+
+    monkeypatch.setattr(cas, "read_blob", read_then_vanish)
+    got = store.get(KEY)
+    np.testing.assert_array_equal(got["confirmed"], payload()["confirmed"])
+    assert store.metrics.value("store.hits") == 1
+    assert not store.contains(KEY)
+
+
 def test_contains_does_not_count(store):
     assert not store.contains(KEY)
     store.put(KEY, payload())

@@ -95,3 +95,35 @@ def test_summary_and_counts(path):
     replay = replay_ledger(path)
     assert replay.counts() == {"cache_hit": 2, "instance_completed": 1}
     assert "cache_hit=2" in replay.summary()
+
+
+def test_concurrent_appends_all_parse(path):
+    """A service's handler threads journal admission hits beside its
+    broker thread: every line must come out whole."""
+    import sys
+    import threading
+
+    ledger = RunLedger(path)
+    n_threads, n_events = 8, 300
+
+    def work(t):
+        for i in range(n_events):
+            ledger.cache_hit(f"k{t}-{i}", label="x" * (i % 97))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,))
+                   for t in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+        ledger.close()
+    assert not any(t.is_alive() for t in threads)
+    lines = path.read_text().splitlines()
+    assert len(lines) == n_threads * n_events
+    keys = {json.loads(line)["key"] for line in lines}
+    assert len(keys) == n_threads * n_events

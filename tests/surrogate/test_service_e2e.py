@@ -14,7 +14,7 @@ from repro.surrogate import (
     corpus_ledger_path,
 )
 
-from .conftest import make_spec
+from .conftest import TAUS, make_spec
 
 pytestmark = pytest.mark.fast
 
@@ -62,6 +62,44 @@ def test_in_flight_scenario_coalesces_instead_of_emulating(trained):
     # Joining the exact in-flight computation beats an emulated answer.
     assert joined.status == "coalesced"
     assert service.metrics_snapshot().get("surrogate.hit", 0) == 0
+    service.queue.cancel_pending()
+
+
+def test_stored_exact_result_outranks_the_surrogate(trained):
+    """The ladder reads the store before the gate: a scenario the corpus
+    already ran exactly is served its stored bytes, not an emulation."""
+    import numpy as np
+
+    store, _corpus, _model, registry = trained
+    service = make_service(store, registry)
+    spec = make_spec(TAUS[3])  # one of the runs the model was trained on
+    key = instance_key(spec, salt=service.broker.salt)
+    stored = store.get(key)
+    assert stored is not None
+    adm = service.submit(spec)
+    assert adm.admitted and adm.status == "done" and adm.key == key
+    view = service.status(adm.request_id)
+    assert "source" not in view["result"]
+    assert view["result"] == {name: np.asarray(value).tolist()
+                              for name, value in stored.items()}
+    snap = service.metrics_snapshot()
+    assert snap.get("surrogate.hit", 0) == 0
+    assert snap["memo.hits"] == 1
+
+
+def test_in_flight_scenario_coalesces_before_the_store_and_the_gate(
+        trained):
+    store, _corpus, _model, registry = trained
+    service = make_service(store, registry)
+    spec = make_spec(TAUS[5])
+    key = instance_key(spec, salt=service.broker.salt)
+    assert store.contains(key)
+    first = service.queue.submit(spec, key=key)  # in flight, not run
+    joined = service.submit(make_spec(TAUS[5]))
+    assert (first.status, joined.status) == ("queued", "coalesced")
+    snap = service.metrics_snapshot()
+    assert snap.get("surrogate.hit", 0) == 0
+    assert snap.get("memo.hits", 0) == 0
     service.queue.cancel_pending()
 
 
