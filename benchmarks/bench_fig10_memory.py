@@ -6,10 +6,10 @@ Right panel: one line per US state — final memory strongly correlated with
 the initial (network-size) memory.
 
 Both the paper-scale cost model and the real simulator's in-memory
-accounting are exercised, plus the shared-plane extension: the same
+accounting are exercised, plus the shared-bundle extension: the same
 totals split into per-node (shared asset bundle) vs per-worker (private
-engine state) bytes, which is what changes when workers attach the
-shared-memory population plane instead of holding private copies.
+engine state) bytes, which is what changes when workers map one stored
+region bundle instead of holding private copies.
 """
 
 import numpy as np
@@ -77,7 +77,7 @@ def plane_split_panel(n_workers=8):
 
 
 def test_fig10_plane_memory_split(benchmark, save_artifact):
-    """Per-node vs per-worker bytes: what the shared plane changes."""
+    """Per-node vs per-worker bytes: what a shared bundle changes."""
     n_workers = 8
     panel = benchmark(plane_split_panel)
     lines = [f"{'state':<7}{'shared GB':>12}{'private GB':>12}"
@@ -90,7 +90,7 @@ def test_fig10_plane_memory_split(benchmark, save_artifact):
             f"{s.plane_total / 1e9:>12.1f}{s.savings_bytes / 1e9:>12.1f}")
 
     # The small-scale split is measured, not modelled: the shared bytes
-    # of a real bundle are the packed segment size.
+    # of a real bundle are its column bytes.
     from repro.core.runner import load_region_assets
     exact = split_from_assets(load_region_assets("VT", 1e-3, 0), n_workers)
     lines.append(f"\nVT @ 1e-3 measured: shared {exact.shared_bytes:,} B, "
@@ -103,7 +103,7 @@ def test_fig10_plane_memory_split(benchmark, save_artifact):
         # workers is exactly N times the historical per-worker bytes.
         assert s.copy_total == n_workers * (s.shared_bytes + s.private_bytes)
         assert s.plane_total < s.copy_total
-        # Incremental worker cost drops under the plane (private engine
+        # Incremental worker cost drops with a shared bundle (private engine
         # state is a minority of the modelled resident bytes).
         assert s.incremental_ratio > 1.5
     assert exact.plane_total < exact.copy_total

@@ -19,7 +19,7 @@ Subpackages:
 - :mod:`repro.service` — the HTTP scenario service and its client.
 - :mod:`repro.surrogate` — emulated answers for repeat scenario families.
 - :mod:`repro.checkpoint` — mid-run snapshots and bit-identical resume.
-- :mod:`repro.plane` — the shared-memory plane for region assets.
+- :mod:`repro.plane` — region asset bundles and their memory accounting.
 - :mod:`repro.cli` — the ``repro`` command line.
 """
 

@@ -8,7 +8,6 @@ Subcommands mirror the operational steps of the paper's pipeline::
     repro calibrate VA --cells 30 --days 80   # case-study-3 calibration
     repro night prediction                    # orchestrate a nightly cycle
     repro store stats                         # result-store maintenance
-    repro plane stats                         # shared-memory asset plane
     repro trace summarize                     # where did the night go?
     repro chaos run VA --inject worker.crash:times=1   # fault drill
     repro serve --port 8377                   # always-on scenario service

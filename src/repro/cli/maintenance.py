@@ -1,5 +1,5 @@
-"""``trace``, ``surrogate``, ``store`` and ``plane``: inspect and maintain
-the trace, the emulator, the result store and the shared-memory plane."""
+"""``trace``, ``surrogate`` and ``store``: inspect and maintain the
+trace, the emulator and the result store."""
 
 from __future__ import annotations
 
@@ -48,66 +48,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
     elif args.action == "clear":
         removed = store.clear()
         print(f"removed {removed} blobs from {store.root}")
-    return 0
-
-
-def _cmd_plane(args: argparse.Namespace) -> int:
-    import os
-
-    from ..plane import opt_in
-
-    # build stages bundles that outlive this process (the exit reap is
-    # skipped via REPRO_PLANE_KEEP; 'repro plane gc' reclaims them).
-    opt_in(True if args.action == "build" else None, args.dir)
-
-    if args.action == "stats":
-        from ..plane import plane_stats
-
-        stats = plane_stats()
-        state = ("available" if stats["available"]
-                 else f"UNAVAILABLE ({stats['disabled_reason']})")
-        print(f"plane root: {stats['root']} (shm {state})")
-        for seg in stats["segments"]:
-            owner = (f"owner {seg['owner_pid']}"
-                     + ("" if seg["owner_alive"] else " [dead]"))
-            print(f"  {seg['segment']}  {seg['region_code']} "
-                  f"scale={seg['scale']:g} seed={seg['seed']} "
-                  f"days={seg['truth_days']}  "
-                  f"{options.fmt_bytes(seg['nbytes'])}  "
-                  f"refs={seg['live_refs']}  {owner}")
-        print(f"{len(stats['segments'])} segment(s), "
-              f"{options.fmt_bytes(stats['total_bytes'])} shared")
-        return 0
-
-    if args.action == "gc":
-        from ..plane import plane_gc
-
-        st = plane_gc()
-        print(f"reclaimed {st['reclaimed']} of {st['segments']} segment(s) "
-              f"({options.fmt_bytes(st['reclaimed_bytes'])}), "
-              f"kept {st['kept']} with live refs, "
-              f"removed {st['orphans']} orphan segment(s)")
-        return 0
-
-    os.environ.setdefault("REPRO_PLANE_KEEP", "1")
-    from ..core.runner import load_region_assets
-    from ..obs import MetricsRegistry
-
-    reg = MetricsRegistry()
-    for region in args.regions:
-        assets = load_region_assets(region, args.scale, args.seed,
-                                    metrics=reg)
-        print(f"{region}: {assets.pop.size:,} persons, "
-              f"{assets.net.n_edges:,} edges")
-    if int(reg.value("plane.fallbacks")):
-        print("plane unavailable: bundles were built privately, nothing "
-              "staged (check /dev/shm)", file=sys.stderr)
-        return 1
-    built = int(reg.value("plane.built"))
-    print(f"staged {built} new segment(s) "
-          f"({int(reg.value('plane.bytes')):,} bytes); "
-          f"{len(args.regions) - built} already on the plane. "
-          f"Segments persist until 'repro plane gc'.")
     return 0
 
 
@@ -196,7 +136,7 @@ def _cmd_surrogate(args: argparse.Namespace) -> int:
 
 
 def add_parsers(sub) -> None:
-    """Add ``trace``, ``surrogate``, ``store`` and ``plane``."""
+    """Add ``trace``, ``surrogate`` and ``store``."""
     p = sub.add_parser("trace", help="summarize or export a run trace")
     tsub = p.add_subparsers(dest="action", required=True)
     sp = tsub.add_parser("summarize", help="per-night text report")
@@ -257,24 +197,3 @@ def add_parsers(sub) -> None:
             sp.add_argument("--max-bytes", type=int, required=True,
                             help="size bound to evict down to")
         sp.set_defaults(func=_cmd_store)
-
-    p = sub.add_parser(
-        "plane", help="inspect or manage the shared-memory population plane")
-    psub = p.add_subparsers(dest="action", required=True)
-    for action, desc in (
-            ("stats", "staged segments, shared bytes, live refs"),
-            ("gc", "reclaim unreferenced and orphaned segments"),
-            ("build", "pre-stage region bundles that outlive this process")):
-        sp = psub.add_parser(action, help=desc)
-        sp.add_argument("--dir", metavar="DIR",
-                        help="plane coordination directory (default "
-                             "REPRO_PLANE_DIR or a per-user temp dir)")
-        if action == "build":
-            sp.add_argument("regions", nargs="+", metavar="REGION")
-            sp.add_argument("--scale", type=float, default=1e-3,
-                            help="population scale (default 1e-3, matching "
-                                 "'repro simulate')")
-            sp.add_argument("--seed", type=int, default=0,
-                            help="asset seed (default 0, matching "
-                                 "'repro simulate')")
-        sp.set_defaults(func=_cmd_plane)

@@ -37,18 +37,6 @@ def add_trace_flags(p: argparse.ArgumentParser) -> None:
                    help="keep the trace in memory only, write no file")
 
 
-def add_plane_flags(p: argparse.ArgumentParser) -> None:
-    """The shared-memory population-plane options."""
-    p.add_argument("--plane", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="share region asset bundles across workers through "
-                        "the shared-memory population plane (default: on "
-                        "when REPRO_PLANE is set; --no-plane forces off)")
-    p.add_argument("--plane-dir", metavar="DIR",
-                   help="plane coordination directory (default "
-                        "REPRO_PLANE_DIR or a per-user temp dir)")
-
-
 def add_scenario_flags(p: argparse.ArgumentParser) -> None:
     """The scenario a command runs or submits: region, horizon, cell."""
     p.add_argument("region")
@@ -121,13 +109,3 @@ def resolve_tracer(args: argparse.Namespace, run_id: str):
     path = Path(args.trace) if args.trace else default_trace_path()
     return Tracer(path, run_id=run_id)
 
-
-def fmt_bytes(n: int) -> str:
-    """``141152`` -> ``'137.8 KiB'`` (stats output)."""
-    value = float(n)
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if value < 1024 or unit == "GiB":
-            return (f"{value:,.0f} {unit}" if unit == "B"
-                    else f"{value:,.1f} {unit}")
-        value /= 1024
-    return f"{n} B"  # pragma: no cover - unreachable

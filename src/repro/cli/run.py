@@ -57,14 +57,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from ..core.parallel import InstanceSpec, supervise_instances
     from ..core.runner import model_for_params
     from ..obs import MetricsRegistry
-    from ..plane import opt_in
     from ..resilience import RetryPolicy
 
     if args.replicates > 1 and args.csv:
         print("--csv writes a single run's series; it does not combine "
               "with --replicates", file=sys.stderr)
         return 2
-    opt_in(args.plane, args.plane_dir)
     store = options.resolve_store(args)
     ledger = options.resolve_ledger(args)
     params = options.scenario_params(args, backend=args.backend)
@@ -215,7 +213,6 @@ def add_parsers(sub) -> None:
                         "the store)")
     options.add_cache_flags(p)
     options.add_trace_flags(p)
-    options.add_plane_flags(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("calibrate", help="run the calibration workflow")

@@ -163,7 +163,6 @@ def add_parsers(sub) -> None:
                         "restarting (default 0 = off; needs the store)")
     options.add_cache_flags(p)
     options.add_trace_flags(p)
-    options.add_plane_flags(p)
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Sequence
 
-from ..plane.manifest import AssetKey
+from ..plane.bundle import AssetKey
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from .parallel import InstanceSpec
@@ -36,9 +36,9 @@ MAX_BATCH_LANES: int = 64
 def group_key(spec: "InstanceSpec") -> tuple[AssetKey, int]:
     """The sharing key two specs must agree on to ride one batch.
 
-    The canonical :class:`~repro.plane.manifest.AssetKey` (which pins the
+    The canonical :class:`~repro.plane.bundle.AssetKey` (which pins the
     shared population/network/surveillance bundle — the same key the
-    runner cache, fan-out preload, and plane manifest use) plus the tick
+    runner cache, fan-out preload, and stored bundle use) plus the tick
     horizon.  Cell parameters and seeds deliberately do not participate:
     the batched engine takes heterogeneous cells and RNG streams as
     lanes.  In the rare case a parameter produces a structurally

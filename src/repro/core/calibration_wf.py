@@ -24,7 +24,7 @@ import numpy as np
 from ..calibration.gpmsa import CalibrationResult, GPMSACalibrator
 from ..calibration.lhs import ParameterSpace, sample_design
 from ..params import DEFAULT_SCALE, DEFAULT_SEED
-from ..plane.manifest import AssetKey
+from ..plane.bundle import AssetKey
 from ..store.cas import ContentStore
 from ..store.ledger import RunLedger
 from ..surveillance.truth import GroundTruth
@@ -168,7 +168,7 @@ def run_calibration_workflow(
     space = space or case_study_space()
     rng = np.random.default_rng((seed, 11))
     asset_key = AssetKey(region_code, scale, seed)
-    assets = load_assets(asset_key)
+    assets = load_assets(asset_key, store=store)
 
     prior = sample_design(space, n_cells, rng)
     specs = _design_specs(
@@ -233,7 +233,7 @@ def run_iterative_calibration(
     results: list[CalibrationWorkflowResult] = []
     space = case_study_space()
     asset_key = AssetKey(region_code, scale, seed)
-    assets = load_assets(asset_key)
+    assets = load_assets(asset_key, store=store)
     rng = np.random.default_rng((seed, 29))
 
     design = sample_design(space, n_cells, rng)

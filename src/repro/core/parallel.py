@@ -36,9 +36,9 @@ loads the fan-out's asset bundles into its own cache
 (:class:`_PoolOwner`): forked once, lent to every later fan-out while the
 fork is still valid — same size, same ``REPRO_*`` environment, every
 bundle needed already resident when the workers forked (inherited
-copy-on-write, or mapped from the plane segment this process owns) — and
-re-forked, the old per-call cost, only when one of those changed.  Groups
-go out longest-predicted-first, the paper's mapper order
+copy-on-write, or as the parent's read-only mapping of the store's
+blob) — and re-forked, the old per-call cost, only when one of those
+changed.  Groups go out longest-predicted-first, the paper's mapper order
 (:func:`_mapper_order`), and each result reaches the caller the moment
 its group is harvested, while the others still run.  Results are returned
 in input order.
@@ -61,7 +61,7 @@ import numpy as np
 from ..analytics.aggregate import RegionSummary
 from ..obs.registry import Stopwatch, global_registry
 from ..params import DEFAULT_SEED
-from ..plane.manifest import AssetKey
+from ..plane.bundle import AssetKey
 from ..resilience.faults import CRASH_EXIT_CODE, FaultPlan, InjectedFault
 from ..resilience.retry import QuarantineRecord, RetryPolicy
 from ..resilience.supervisor import (
@@ -215,13 +215,14 @@ def _scaled_timeout_of(checkpoint, retry: RetryPolicy):
     return timeout_of
 
 
-def _preload_assets(keys, sink) -> dict:
-    """Make a fan-out's bundles resident here before it borrows the pool.
+def _preload_assets(keys, sink, store) -> dict:
+    """Make a fan-out's bundles resident here before it runs them.
 
-    Stops at the first insert that evicts: past the byte budget, loading
-    more only displaces what was just loaded.  A key that fails to load is
-    left to its spec's own supervised attempt.  Returns the bundles that
-    did load, by key.
+    With a ``store`` each bundle is mapped from it (built and published
+    there first if no process has yet).  Stops at the first insert that
+    evicts: past the byte budget, loading more only displaces what was
+    just loaded.  A key that fails to load is left to its spec's own
+    supervised attempt.  Returns the bundles that did load, by key.
     """
     from .runner import load_assets
 
@@ -229,7 +230,7 @@ def _preload_assets(keys, sink) -> dict:
     evictions = sink.value("assets.cache.evictions")
     for key in keys:
         try:
-            loaded[key] = load_assets(key, metrics=sink)
+            loaded[key] = load_assets(key, store=store, metrics=sink)
         except Exception:  # noqa: BLE001 — reported per spec, under retry
             continue
         if sink.value("assets.cache.evictions") > evictions:
@@ -340,12 +341,6 @@ class _PoolOwner:
                 self._pool = ProcessPoolExecutor(max_workers=workers)
                 self._forked_with = (workers, _repro_env(),
                                      _ASSET_CACHE.keys())
-                # Exit handlers run last-registered-first: registering
-                # anew at every fork joins the workers before the
-                # teardown of any plane runtime this fan-out's preload
-                # created ("last attacher out unlinks").
-                atexit.unregister(close_pool)
-                atexit.register(close_pool)
                 sink.inc("parallel.pool_starts")
             return _BorrowedPool(self, self._pool, sink)
         except BaseException:
@@ -390,10 +385,13 @@ def close_pool() -> None:
     """Stop and join this process's pool workers (idempotent).
 
     Runs at interpreter exit, and after every test so that no worker
-    outlives the module state, environment or plane attachments it forked
-    with; the next pooled fan-out forks a new pool.
+    outlives the module state or environment it forked with; the next
+    pooled fan-out forks a new pool.
     """
     _POOL.close()
+
+
+atexit.register(close_pool)
 
 
 def _fan_out(
@@ -407,6 +405,7 @@ def _fan_out(
     ledger,
     on_failure: str,
     checkpoint,
+    store,
     summary: bool = False,
     land=None,
 ) -> FanoutResult:
@@ -447,15 +446,19 @@ def _fan_out(
                   on_failure=on_failure, registry=sink, ledger=ledger,
                   on_result=harvest)
     cap = max_workers or os.cpu_count() or 1
-    if not parallel or min(cap, len(specs)) <= 1:
+    # Pool whenever the caller asked for parallelism and there is more
+    # than one instance — even a single group: process isolation is what
+    # turns a hard worker death into a rebuild-and-salvage instead of
+    # taking down the supervisor.
+    pooled = parallel and min(cap, len(specs)) > 1
+    akeys = [AssetKey.of_spec(it[0]) for it in items]
+    # The pool needs its bundles resident before it forks; a serial pass
+    # preloads only to map them from (or publish them to) the store.
+    loaded = (_preload_assets(dict.fromkeys(akeys), sink, store)
+              if pooled or store is not None else {})
+    if not pooled:
         res = supervise_map(fn, items, **common)
     else:
-        # Pool whenever the caller asked for parallelism and there is
-        # more than one instance — even a single group: process
-        # isolation is what turns a hard worker death into a
-        # rebuild-and-salvage instead of taking down the supervisor.
-        akeys = [AssetKey.of_spec(it[0]) for it in items]
-        loaded = _preload_assets(dict.fromkeys(akeys), sink)
         # Predicted cost: lanes x days x edges (Fig. 7: runtime grows
         # with network size); 0 when the bundle did not load.
         cost = [len(it) * it[0].n_days
@@ -543,6 +546,8 @@ def supervise_instances(
         specs: the instances (order of results matches the input).
         store: optional :class:`~repro.store.cas.ContentStore`; the
             batch's ``memo.*`` accounting is published only with one.
+            The region bundles the misses need are mapped from it too,
+            and built and published there once when absent.
         leases: optional :class:`~repro.store.cas.LeaseTable` making the
             execution of misses exclusive across processes (ignored
             without a store): a remote miss waits up to
@@ -652,7 +657,7 @@ def supervise_instances(
 
     fan = functools.partial(
         _fan_out, max_workers=max_workers, sink=sink, retry=retry,
-        faults=faults, ledger=ledger, checkpoint=checkpoint,
+        faults=faults, ledger=ledger, checkpoint=checkpoint, store=store,
         summary=summary)
 
     def land(j: int, outcome: InstanceOutcome) -> None:

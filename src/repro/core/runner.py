@@ -36,8 +36,7 @@ from ..epihiper.engine import Simulation, SimulationResult
 from ..epihiper.initialization import initialize_from_surveillance
 from ..epihiper.npi import make_d1ct, make_ro, make_sc, make_sh, make_vhi
 from ..params import DEFAULT_SCALE, DEFAULT_SEED
-from ..plane.bundle import bundle_nbytes
-from ..plane.manifest import AssetKey, plane_enabled
+from ..plane.bundle import AssetKey, bundle_nbytes
 from ..surveillance.truth import GroundTruth, generate_region_truth
 from ..synthpop.contacts import ContactNetwork, build_region_network
 from ..synthpop.persons import Population
@@ -72,10 +71,10 @@ class _AssetCache:
     """Per-process LRU of asset bundles, bounded by resident bytes.
 
     Every entry is charged :func:`~repro.plane.bundle.bundle_nbytes` —
-    plane-attached views and private builds alike — and inserting evicts
-    least-recently-used entries until the total fits ``max_bytes``.  The
-    entry just inserted is never dropped, so a single bundle larger than
-    the whole budget still runs.  Publishes ``assets.cache.hits`` /
+    bundles mapped from the store and private builds alike — and
+    inserting evicts least-recently-used entries until the total fits
+    ``max_bytes``.  The entry just inserted is never dropped, so a single
+    bundle larger than the whole budget still runs.  Publishes ``assets.cache.hits`` /
     ``misses`` / ``evictions`` and the ``assets.cache.bytes`` gauge.
     """
 
@@ -118,7 +117,7 @@ _ASSET_CACHE = _AssetCache()
 
 
 def _build_assets(key: AssetKey) -> RegionAssets:
-    """Build one region's inputs from scratch (the pre-plane path)."""
+    """Build one region's inputs from scratch."""
     pop, net = build_region_network(key.region_code, scale=key.scale,
                                     seed=key.seed)
     truth = generate_region_truth(key.region_code, n_days=key.truth_days,
@@ -126,20 +125,72 @@ def _build_assets(key: AssetKey) -> RegionAssets:
     return RegionAssets(pop=pop, net=net, truth=truth, scale=key.scale)
 
 
-def load_assets(key: AssetKey, *, metrics=None) -> RegionAssets:
-    """The region assets for ``key``: cache, plane, or a fresh build.
+def _timed_build(key: AssetKey, reg) -> RegionAssets:
+    with reg.timer("assets.build_s"):
+        assets = _build_assets(key)
+    reg.inc("assets.cache.builds")
+    return assets
+
+
+def _stored_assets(key: AssetKey, store, reg) -> RegionAssets:
+    """``key``'s bundle mapped from ``store``, built there at most once.
+
+    A miss contends for the bundle's lease in the store's
+    :class:`~repro.store.cas.LeaseTable`: the winner builds and
+    publishes the ``assets/v1`` blob and keeps its private build; every
+    loser waits for that blob and maps it.  A corrupt blob is
+    quarantined by the read and reads as a miss, so it is rebuilt and
+    republished; a holder that died or failed vacates its lease and the
+    next contender builds in its place.
+    """
+    from ..plane.bundle import (
+        ASSETS_NAMESPACE,
+        assets_from_payload,
+        bundle_payload,
+    )
+    from ..store.cas import ContentStore, LeaseTable, lease_dir
+    from ..store.keys import code_version_salt
+
+    # A handle of its own on the same directory, byte bound and leases:
+    # bundle traffic stays out of the caller's result counters and fault
+    # plan.
+    store = ContentStore(store.root, max_bytes=store.max_bytes)
+    digest = key.digest(code_version_salt())
+    leases = LeaseTable(lease_dir(store.root))
+    while True:
+        payload = store.get(digest, mapped=True)
+        if payload is not None:
+            reg.inc("assets.mapped")
+            return assets_from_payload(payload)
+        if leases.acquire(digest):
+            try:
+                # Published (and released) between our miss and acquire?
+                if not store.contains(digest):
+                    assets = _timed_build(key, reg)
+                    store.put(digest, bundle_payload(assets),
+                              family=ASSETS_NAMESPACE)
+                    return assets
+            finally:
+                leases.release(digest)
+        else:
+            # Map on the next pass once it is published; contend again
+            # when the holder failed or died instead.
+            leases.wait(digest, lambda: store.contains(digest))
+
+
+def load_assets(key: AssetKey, *, store=None, metrics=None) -> RegionAssets:
+    """The region assets for ``key``: cache, store, or a fresh build.
 
     The one place residency is decided.  Resolution order:
 
     1. the per-process :class:`_AssetCache` (LRU bounded by bytes);
-    2. with ``REPRO_PLANE=1``, the node-shared plane — attach (or build
-       exactly once per node) read-only zero-copy views;
-    3. a private build (counted as ``assets.cache.builds``) — also the
-       silent fallback when the plane is unavailable (no ``/dev/shm``,
-       segment too large, lease timeout) — either of which is then cached.
+    2. with a ``store``, the bundle's ``assets/v1`` blob, mapped
+       read-only (counted as ``assets.mapped``) — built and published
+       first, exactly once per store, when it is not there;
+    3. without one, a private build.
 
-    Every synthesis, private or the plane's build-once callback, is timed
-    as ``assets.build_s`` (its count is the number of builds).
+    Every build is counted as ``assets.cache.builds`` and timed as
+    ``assets.build_s``; whatever is returned is then cached.
     """
     from ..obs.registry import global_registry
 
@@ -147,18 +198,8 @@ def load_assets(key: AssetKey, *, metrics=None) -> RegionAssets:
     assets = _ASSET_CACHE.get(key, reg)
     if assets is not None:
         return assets
-
-    def build() -> RegionAssets:
-        with reg.timer("assets.build_s"):
-            return _build_assets(key)
-
-    if plane_enabled():
-        from ..plane.lifecycle import ensure_assets
-
-        assets = ensure_assets(key, build, metrics=reg)
-    if assets is None:
-        assets = build()
-        reg.inc("assets.cache.builds")
+    assets = (_timed_build(key, reg) if store is None
+              else _stored_assets(key, store, reg))
     _ASSET_CACHE.put(key, assets, reg)
     return assets
 

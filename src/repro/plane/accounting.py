@@ -3,7 +3,7 @@
 The classic Fig. 10 model charges every simulation its full resident
 footprint — ``EDGE_BYTES`` per edge plus ``NODE_BYTES`` per node — which
 is the right arithmetic when each worker process holds a private copy of
-the region's inputs.  The shared plane changes the node-level picture:
+the region's inputs.  Mapped bundles change the node-level picture:
 the immutable asset bundle (population columns, network columns,
 surveillance series) is resident **once per node**, and each co-located
 worker adds only the mutable engine state it cannot share.
@@ -11,12 +11,12 @@ worker adds only the mutable engine state it cannot share.
 This module decomposes the model accordingly:
 
 - *shared* bytes: the read-only bundle, paid once per node.  Exact when
-  real assets are in hand (:func:`split_from_assets` measures the packed
-  segment); at paper scale it is the model residual ``EDGE_BYTES +
+  real assets are in hand (:func:`split_from_assets` measures the
+  bundle's columns); at paper scale it is the model residual ``EDGE_BYTES +
   NODE_BYTES - private``, so ``copy_total`` reproduces the historical
   Fig. 10 numbers exactly.
 - *private* bytes: what :class:`~repro.epihiper.engine.Simulation`
-  allocates per worker even when attached to the plane — the arrays its
+  allocates per worker even on a mapped bundle — the arrays its
   ``__init__`` copies or derives because ticks mutate them.
 
 The per-edge/per-node private constants are summed from the engine's
@@ -62,17 +62,17 @@ class MemorySplit:
 
     @property
     def plane_total(self) -> int:
-        """Node-resident bytes when workers attach the shared plane."""
+        """Node-resident bytes when workers map one shared bundle."""
         return self.shared_bytes + self.n_workers * self.private_bytes
 
     @property
     def savings_bytes(self) -> int:
-        """Bytes the plane saves on this node."""
+        """Bytes sharing the bundle saves on this node."""
         return self.copy_total - self.plane_total
 
     @property
     def incremental_ratio(self) -> float:
-        """Per-worker incremental cost, copy over plane (>= 1)."""
+        """Per-worker incremental cost, copy over shared (>= 1)."""
         return (self.shared_bytes + self.private_bytes) / max(
             1, self.private_bytes)
 

@@ -375,8 +375,7 @@ class ServiceConfig:
     """Every ``repro serve`` option, once, with its default.
 
     Field names are the CLI flags'.  ``salt`` is the cache-key salt
-    override tests use — the one field that is not a flag.  ``plane``
-    None (neither flag given) follows ``REPRO_PLANE``.
+    override tests use — the one field that is not a flag.
     """
 
     host: str = "127.0.0.1"
@@ -396,8 +395,6 @@ class ServiceConfig:
     ledger: str | None = None
     no_cache: bool = False
     store_dir: str | None = None
-    plane: bool | None = False
-    plane_dir: str | None = None
     salt: str | None = None
 
     def __post_init__(self) -> None:
@@ -481,11 +478,6 @@ def serve_until_signalled(server, *, port_file: str | None, drain) -> None:
 
 def serve(config: ServiceConfig, *, tracer=None) -> None:
     """Run one service process to completion (``repro serve``)."""
-    from ..plane import opt_in
-
-    # Environment, not arguments: the broker's pool workers and every
-    # nested load site inherit the plane opt-in.
-    opt_in(config.plane, config.plane_dir)
     service = build_service(config, tracer=tracer).start()
     server = make_server(service, host=config.host, port=config.port)
     print(f"repro service listening on "

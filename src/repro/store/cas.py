@@ -1,22 +1,23 @@
 """Content-addressed on-disk blob store for simulation results.
 
 Every family — outcomes, summaries, surrogate models, in-flight
-checkpoints — is one uncompressed blob per key under
-``objects/<k[:2]>/<key>.blob`` (two-level fan-out keeps directories
-small at hundreds of thousands of objects), in one format:
+checkpoints, region asset bundles — is one uncompressed blob per key
+under ``objects/<k[:2]>/<key>.blob`` (two-level fan-out keeps
+directories small at hundreds of thousands of objects), in one format:
 
 - an 8-byte magic tag (:data:`BLOB_MAGIC`);
 - the SHA-256 of everything after this 32-byte digest field;
-- the offset table of :func:`repro.plane.segment.layout` as JSON, behind
-  its 8-byte little-endian length;
+- the offset table of :func:`layout` as JSON, behind its 8-byte
+  little-endian length;
 - zero padding, then each array's bytes at its 64-byte-aligned offset.
 
 :func:`write_blob` hashes and writes each array through a ``memoryview``;
-:func:`read_blob` reads the file once, checks the one digest and returns
-dtype-exact views over that buffer.  Deflate bought nothing here: a
-1 KB outcome compresses by 3 %, and a checkpoint is written once and
-read at most once.  The store is safe against the failure modes a
-30-week nightly pipeline actually meets:
+:func:`read_blob` reads the file once (:func:`map_blob` maps it
+read-only), checks the one digest and returns dtype-exact views over
+that buffer.  Deflate bought nothing here: a 1 KB outcome compresses by
+3 %, and a checkpoint is written once and read at most once.  The store
+is safe against the failure modes a 30-week nightly pipeline actually
+meets:
 
 - **Torn writes** — payloads are written to a temp file in the same
   directory and published with an atomic ``os.replace``
@@ -36,12 +37,14 @@ read at most once.  The store is safe against the failure modes a
   access time (reads touch the blob's mtime), with eviction counted in the
   ``store.*`` metrics alongside hits and misses.
 - **Concurrent executors** — a :class:`LeaseTable` on the store directory
-  is the cross-process in-flight table: before executing a miss, a worker
-  process acquires a per-key lease (atomic ``O_EXCL`` create), so two
-  processes racing toward the same key run it once — the loser waits for
-  the winner's blob instead of recomputing.  Leases are crash-tolerant:
-  a lease whose owner pid is dead, whose TTL has lapsed, or whose record
-  is torn mid-write is breakable by any contender.
+  is the cross-process in-flight table: before executing a miss (or
+  building a region bundle), a process acquires a per-key lease (a
+  private temp record hard-linked into place, which fails if the lease
+  exists), so two processes racing toward the same key run it once —
+  the loser waits for the winner's blob instead of recomputing.  Leases
+  are crash-tolerant: a lease whose owner pid is dead, whose TTL has
+  lapsed, or whose record is torn mid-write is breakable by any
+  contender.
 """
 
 from __future__ import annotations
@@ -77,6 +80,10 @@ _DIGEST = slice(len(BLOB_MAGIC), len(BLOB_MAGIC) + 32)
 #: Bytes before the offset table: magic, body digest, table length.
 _HEAD = _DIGEST.stop + 8
 
+#: Alignment of every array in a blob (bytes): views are dtype-aligned
+#: and cache-line friendly whatever the mix of column widths.
+ALIGN: int = 64
+
 #: Key family of in-flight simulation checkpoints (written by
 #: :mod:`repro.checkpoint`); fresh members are exempt from LRU eviction.
 CHECKPOINT_FAMILY = "checkpoint/v1"
@@ -110,12 +117,38 @@ def payload_digest(payload: Mapping[str, np.ndarray]) -> np.ndarray:
     return np.frombuffer(h.digest(), dtype=np.uint8).copy()
 
 
+def _aligned(offset: int) -> int:
+    return -(-offset // ALIGN) * ALIGN
+
+
+def layout(arrays: Mapping[str, np.ndarray]) -> list[dict]:
+    """The offset table for ``arrays``.
+
+    Entries keep the mapping's iteration order; each records everything
+    a reader needs (``name``/``dtype``/``shape``/``offset``/``nbytes``)
+    and nothing else, so the table serialises directly into the blob
+    header.  Offsets are :data:`ALIGN`-aligned and relative to the first
+    array; a 0-d array keeps its empty shape.
+    """
+    entries: list[dict] = []
+    offset = 0
+    for name, arr in arrays.items():
+        arr = np.asarray(arr)
+        offset = _aligned(offset)
+        entries.append({
+            "name": str(name),
+            "dtype": arr.dtype.str,
+            "shape": [int(d) for d in arr.shape],
+            "offset": offset,
+            "nbytes": int(arr.nbytes),
+        })
+        offset += arr.nbytes
+    return entries
+
+
 def _data_start(table_len: int) -> int:
     """File offset of the first array: the header, aligned up."""
-    # repro.plane imports this module (LeaseTable): resolve it at call time.
-    from ..plane.segment import ALIGN
-
-    return -(-(_HEAD + table_len) // ALIGN) * ALIGN
+    return _aligned(_HEAD + table_len)
 
 
 def write_blob(fh: IO[bytes], payload: Mapping[str, np.ndarray], *,
@@ -129,14 +162,12 @@ def write_blob(fh: IO[bytes], payload: Mapping[str, np.ndarray], *,
     the bytes of one are pointers, the fields of the other do not survive
     a ``dtype.str`` round-trip.
     """
-    from ..plane.segment import layout
-
     arrays = {str(name): np.asarray(arr, order="C")
               for name, arr in payload.items()}
     for name, arr in arrays.items():
         if arr.dtype.hasobject or np.dtype(arr.dtype.str) != arr.dtype:
             raise TypeError(f"cannot store {name!r} of dtype {arr.dtype}")
-    entries, _size = layout(arrays)
+    entries = layout(arrays)
     table = json.dumps(entries).encode()
     end = _HEAD + len(table)
     start = _data_start(len(table))
@@ -157,18 +188,13 @@ def write_blob(fh: IO[bytes], payload: Mapping[str, np.ndarray], *,
         fh.write(piece)
 
 
-def read_blob(path: Path) -> dict[str, np.ndarray]:
-    """Decode and verify one blob: its arrays, as views over one buffer.
-
-    Raises ``FileNotFoundError`` when absent and :class:`BlobError` when
-    the file is not a blob, is torn or truncated, or fails its digest.
-    """
-    buf = np.fromfile(path, dtype=np.uint8)
+def _decode(buf: np.ndarray, name: str) -> dict[str, np.ndarray]:
+    """Verify one blob's bytes and return its arrays as views over them."""
     if buf.size < _HEAD or buf[:_DIGEST.start].tobytes() != BLOB_MAGIC:
-        raise BlobError(f"{path.name}: not a blob")
+        raise BlobError(f"{name}: not a blob")
     if (hashlib.sha256(buf[_DIGEST.stop:]).digest()
             != buf[_DIGEST].tobytes()):
-        raise BlobError(f"{path.name}: digest mismatch")
+        raise BlobError(f"{name}: digest mismatch")
     n = int.from_bytes(buf[_DIGEST.stop:_HEAD].tobytes(), "little")
     start = _data_start(n)
     try:
@@ -177,7 +203,31 @@ def read_blob(path: Path) -> dict[str, np.ndarray]:
                     buffer=buf, offset=start + entry["offset"])
                 for entry in json.loads(buf[_HEAD:_HEAD + n].tobytes())}
     except (KeyError, TypeError, ValueError) as exc:
-        raise BlobError(f"{path.name}: bad offset table") from exc
+        raise BlobError(f"{name}: bad offset table") from exc
+
+
+def read_blob(path: Path) -> dict[str, np.ndarray]:
+    """Decode and verify one blob: its arrays, as views over one buffer.
+
+    Raises ``FileNotFoundError`` when absent and :class:`BlobError` when
+    the file is not a blob, is torn or truncated, or fails its digest.
+    """
+    return _decode(np.fromfile(path, dtype=np.uint8), path.name)
+
+
+def map_blob(path: Path) -> dict[str, np.ndarray]:
+    """:func:`read_blob` over a read-only mapping of the file.
+
+    The views are read-only and share the page cache with every other
+    process mapping the same blob; they stay valid after the file is
+    evicted or replaced.  The digest is checked here, once per mapping:
+    a process maps a bundle once and then holds it in its asset cache.
+    """
+    try:
+        buf = np.memmap(path, dtype=np.uint8, mode="r")
+    except ValueError as exc:  # mmap refuses an empty file
+        raise BlobError(f"{path.name}: not a blob") from exc
+    return _decode(buf, path.name)
 
 
 @dataclass
@@ -235,7 +285,8 @@ class ContentStore:
         """Whether a blob for ``key`` is present (does not count as a hit)."""
         return self.path_of(key).exists()
 
-    def get(self, key: str) -> dict[str, np.ndarray] | None:
+    def get(self, key: str, *,
+            mapped: bool = False) -> dict[str, np.ndarray] | None:
         """Load and verify a payload, or None on miss.
 
         Integrity is checked against the digest :meth:`put` wrote over the
@@ -243,11 +294,12 @@ class ContentStore:
         quarantined and reads as a miss, so corruption costs one
         recomputation instead of propagating bad arrays downstream.  Hits
         refresh LRU recency and return dtype-exact views over one buffer
-        read from disk.
+        read from disk — or, with ``mapped``, read-only views over a
+        mapping of the file (:func:`map_blob`).
         """
         path = self.path_of(key)
         try:
-            payload = read_blob(path)
+            payload = map_blob(path) if mapped else read_blob(path)
         except FileNotFoundError:
             self.metrics.inc("store.misses")
             return None
@@ -426,12 +478,14 @@ class LeaseTable:
     """Cross-process in-flight execution table on a shared directory.
 
     One lease file per content key under ``root``; holding the lease means
-    "I am computing this key right now".  Acquisition is an atomic
-    ``O_CREAT | O_EXCL`` create, so exactly one process wins a race.  The
+    "I am computing this key right now".  Acquisition writes the record
+    to a private temp file and hard-links it to the lease path; the link
+    fails when the lease exists, so exactly one process wins a race.  The
     table at :func:`lease_dir` is the cross-process coalescing primitive:
     every ``repro serve`` process (and any memoized fan-out pointed at the
-    same store) acquires before executing a miss, and contenders that lose
-    the race wait for the winner's blob instead of duplicating work.
+    same store) acquires before executing a miss or building a region
+    bundle, and contenders that lose the race wait for the winner's blob
+    instead of duplicating work.
     Checkpoint writes renew the lease of the instance they snapshot (the
     heartbeat that keeps a long run from reading as stale).
 

@@ -4,12 +4,12 @@ The per-process cache charges every bundle its ``bundle_nbytes`` and
 evicts least-recently-used entries past one byte budget; the fan-out
 supervisor loads a pool's bundles into that same cache before the pool
 exists.  These tests pin the counts the program itself publishes
-(``assets.cache.*``, ``plane.built``): a region is built once per process
-however many rounds revisit it, and once per fan-out *parent* however
-many workers and pools run it.
+(``assets.cache.*``, ``assets.mapped``): a region is built once per
+process however many rounds revisit it, once per fan-out *parent* however
+many workers and pools run it, and once per store however many processes
+share that store.
 """
 
-import glob
 import multiprocessing as mp
 
 import pytest
@@ -22,9 +22,8 @@ from repro.core.parallel import (
 )
 from repro.core.runner import _AssetCache, _build_assets, load_region_assets
 from repro.obs import MetricsRegistry
-from repro.plane.bundle import bundle_nbytes
-from repro.plane.manifest import AssetKey
-from tests.plane.conftest import plane_root  # noqa: F401 — fixture
+from repro.plane.bundle import AssetKey, bundle_nbytes
+from repro.store.cas import ContentStore
 
 SIX_REGIONS = ("VT", "WY", "AK", "ND", "SD", "DE")
 
@@ -122,19 +121,23 @@ def test_unloadable_key_costs_its_own_spec_only():
     assert res.pool_rebuilds == 0
 
 
-def test_pooled_fanouts_on_the_plane_build_each_segment_once(plane_root):  # noqa: F811
-    """The parent owns the segments, so they outlive each per-call pool."""
-    from repro.plane.lifecycle import _RUNTIMES
-
+def test_pooled_fanouts_on_a_store_build_each_bundle_once(tmp_path):
+    """The parent publishes each bundle once; a fresh process cache (a
+    later process on the same store) maps them instead of building."""
+    store = ContentStore(tmp_path / "store")
     reg = MetricsRegistry()
     for round_index in range(2):
-        run_instances(_specs(("VT", "WY"), round_index), parallel=True,
-                      max_workers=2, registry=reg)
-    assert reg.value("plane.built") == 2
-    assert reg.value("plane.fallbacks") == 0
-    assert reg.value("assets.cache.builds") == 0
-    _RUNTIMES.pop(plane_root).shutdown()
-    assert glob.glob("/dev/shm/repro-plane-*") == []
+        supervise_instances(_specs(("VT", "WY"), round_index), store=store,
+                            parallel=True, max_workers=2, registry=reg)
+    assert reg.value("assets.cache.builds") == 2
+    assert reg.value("assets.mapped") == 0
+    assert store.family_counts()["assets/v1"] == 2
+    runner._ASSET_CACHE.clear()
+    again = MetricsRegistry()
+    supervise_instances(_specs(("VT", "WY"), 2), store=store,
+                        parallel=True, max_workers=2, registry=again)
+    assert again.value("assets.cache.builds") == 0
+    assert again.value("assets.mapped") == 2
 
 
 def test_load_region_assets_publishes_metrics():
@@ -163,13 +166,19 @@ def test_builds_are_timed_apart_from_cache_hits():
     assert reg.count("assets.build_s") == reg.value("assets.cache.builds")
 
 
-def test_plane_build_once_is_timed(plane_root):  # noqa: F811
-    from repro.plane.lifecycle import _RUNTIMES
-
+def test_store_build_once_is_timed(tmp_path):
+    """The build that publishes a bundle is timed like a private one;
+    mapping it later adds no build time."""
+    store = ContentStore(tmp_path / "store")
+    key = AssetKey("VT", 1e-3, 424242, 40)
     reg = MetricsRegistry()
-    load_region_assets("VT", 1e-3, 424242, 40, metrics=reg)
-    assert reg.value("plane.built") == 1
-    assert reg.value("assets.cache.builds") == 0
+    runner.load_assets(key, store=store, metrics=reg)
+    assert reg.value("assets.cache.builds") == 1
     assert reg.count("assets.build_s") == 1
-    assert reg.value("assets.build_s") > 0
-    _RUNTIMES.pop(plane_root).shutdown()
+    first = reg.value("assets.build_s")
+    assert first > 0
+    runner._ASSET_CACHE.clear()
+    runner.load_assets(key, store=store, metrics=reg)
+    assert reg.value("assets.mapped") == 1
+    assert reg.count("assets.build_s") == 1
+    assert reg.value("assets.build_s") == first

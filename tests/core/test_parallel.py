@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.parallel import InstanceSpec, gather_ensemble, run_instances
-from repro.plane.manifest import AssetKey
+from repro.plane.bundle import AssetKey
 
 
 def make_specs(n=4, region="VT"):

@@ -221,9 +221,9 @@ def test_groups_are_submitted_longest_predicted_first(monkeypatch):
     assert submitted == [["VT", "VA"]]
 
 
-def test_exit_joins_workers_before_the_plane_teardown(tmp_path):
-    """A process that exits with the pool alive and plane segments mapped
-    leaves neither workers nor ``/dev/shm`` segments behind."""
+def test_exit_leaves_no_worker_behind():
+    """A process that exits with the pool alive leaves no worker behind:
+    ``close_pool`` runs at exit and joins them."""
     script = (
         "import multiprocessing as mp\n"
         "from repro.core.parallel import InstanceSpec, run_instances\n"
@@ -233,15 +233,10 @@ def test_exit_joins_workers_before_the_plane_teardown(tmp_path):
         "         for i, r in enumerate(('VT', 'WY'))]\n"
         "run_instances(specs, parallel=True, max_workers=2)\n"
         "print(*[p.pid for p in mp.active_children()])\n")
-    env = {**os.environ, "REPRO_PLANE": "1",
-           "REPRO_PLANE_DIR": str(tmp_path / "plane"),
+    env = {**os.environ,
            "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
-    env.pop("REPRO_PLANE_KEEP", None)
-    before = set(os.listdir("/dev/shm"))
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     pids = [int(p) for p in out.stdout.split()]
     assert len(pids) == 2 and not any(pid_alive(p) for p in pids)
-    assert {n for n in set(os.listdir("/dev/shm")) - before
-            if n.startswith("repro-plane-")} == set()

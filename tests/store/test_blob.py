@@ -1,4 +1,5 @@
-"""The store's one blob codec: layout, alignment and exact round-trips."""
+"""The store's one blob codec: layout, alignment and exact round-trips,
+read into memory or mapped read-only from the file."""
 
 import io
 import json
@@ -10,8 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.plane.segment import ALIGN
-from repro.store.cas import BLOB_MAGIC, ContentStore, read_blob, write_blob
+from repro.store.cas import (
+    ALIGN,
+    BLOB_MAGIC,
+    ContentStore,
+    layout,
+    read_blob,
+    write_blob,
+)
 
 pytestmark = pytest.mark.fast
 
@@ -27,6 +34,34 @@ def _header(raw: bytes) -> tuple[list[dict], int]:
     """The offset table and the data section's start."""
     n = int.from_bytes(raw[HEAD - 8:HEAD], "little")
     return json.loads(raw[HEAD:HEAD + n]), -(-(HEAD + n) // ALIGN) * ALIGN
+
+
+def _arrays():
+    rng = np.random.default_rng(7)
+    return {
+        "a.i64": np.arange(17, dtype=np.int64),
+        "b.f32": rng.random(33).astype(np.float32),
+        "c.bool": rng.random(9) < 0.5,
+        "d.i8": np.arange(-5, 6, dtype=np.int8),
+        "e.2d": rng.integers(0, 99, (4, 3)).astype(np.int32),
+        "f.empty": np.empty(0, dtype=np.float64),
+    }
+
+
+def test_layout_alignment_and_order():
+    arrays = _arrays()
+    entries = layout(arrays)
+    assert [e["name"] for e in entries] == list(arrays)
+    end = 0
+    for e in entries:
+        assert e["offset"] % ALIGN == 0
+        assert e["offset"] >= end  # no two arrays overlap
+        assert e["nbytes"] == arrays[e["name"]].nbytes
+        end = e["offset"] + e["nbytes"]
+
+
+def test_layout_of_nothing_is_empty():
+    assert layout({}) == []
 
 
 def test_layout_is_magic_digest_table_then_aligned_arrays(tmp_path):
@@ -106,3 +141,50 @@ def test_roundtrip_is_dtype_shape_and_byte_exact(payload):
         assert got[name].dtype == arr.dtype, name
         assert got[name].shape == arr.shape, name
         assert got[name].tobytes() == arr.tobytes(), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(payload=st.dictionaries(NAMES, ARRAYS, max_size=6))
+def test_mapped_read_equals_the_copying_read(payload):
+    """Scalars stay 0-d, strided sources come back as their contiguous
+    values, and a mapped read decodes exactly what a copying one does."""
+    arrays = {name: _strided(arr, flip) if strided else arr
+              for name, (arr, strided, flip) in payload.items()}
+    with tempfile.TemporaryDirectory() as root:
+        store = ContentStore(root)
+        store.put(KEY, arrays)
+        copied = store.get(KEY)
+        mapped = store.get(KEY, mapped=True)
+    assert list(mapped) == list(copied) == list(arrays)
+    for name in arrays:
+        assert mapped[name].dtype == copied[name].dtype, name
+        assert mapped[name].shape == copied[name].shape, name
+        assert mapped[name].tobytes() == copied[name].tobytes(), name
+
+
+def test_mapped_views_are_read_only_and_share_the_file(tmp_path):
+    store = ContentStore(tmp_path)
+    path = store.put(KEY, _arrays())
+    got = store.get(KEY, mapped=True)
+    for name, arr in got.items():
+        assert not arr.flags.writeable, name
+        assert isinstance(arr.base, np.memmap), name
+    with pytest.raises(ValueError):
+        got["a.i64"][0] = 99
+    # Zero-copy: the view reads the file's pages, so a write to the file
+    # shows through it.
+    entries, start = _header(path.read_bytes())
+    at = start + entries[0]["offset"] + 3 * 8
+    with open(path, "r+b") as fh:
+        fh.seek(at)
+        fh.write(np.int64(42).tobytes())
+    assert got["a.i64"][3] == 42
+
+
+def test_mapped_read_of_an_empty_file_is_quarantined(tmp_path):
+    store = ContentStore(tmp_path)
+    path = store.path_of(KEY)
+    path.parent.mkdir(parents=True)
+    path.write_bytes(b"")
+    assert store.get(KEY, mapped=True) is None
+    assert store.quarantined_keys() == [KEY]

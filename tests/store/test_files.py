@@ -6,16 +6,13 @@ Atomic publishes: a failed replace leaves the old target byte-identical
 and no temp behind, at every JSON call site.
 """
 
-import dataclasses
 import os
-import time
 import types
 
 import numpy as np
 import pytest
 
 from repro.checkpoint.manager import CheckpointPlan
-from repro.plane.manifest import AssetKey, Manifest, write_manifest
 from repro.store.cas import ContentStore, LeaseTable
 from repro.store.files import atomic_write, read_json, read_jsonl
 from repro.store.ledger import RunLedger, replay_ledger
@@ -154,18 +151,7 @@ def _surrogate_site(root):
             lambda: registry.publish(model("cd" * 32, 16)))
 
 
-def _manifest_site(root):
-    m = Manifest(
-        key="a" * 64, asset=AssetKey("VT", 1e-3, 7), salt="s",
-        segment="repro-plane-test", nbytes=128, arrays=[], meta={},
-        owner_pid=1234, owner="pid:1234", created_ts=time.time())
-    path = write_manifest(root, m)
-    return path, lambda: write_manifest(
-        root, dataclasses.replace(m, owner_pid=4321))
-
-
-@pytest.mark.parametrize("site", [
-    _lease_site, _surrogate_site, _manifest_site])
+@pytest.mark.parametrize("site", [_lease_site, _surrogate_site])
 def test_failed_replace_keeps_old_target_and_leaves_no_temp(
         tmp_path, monkeypatch, site):
     target, rewrite = site(tmp_path)

@@ -199,15 +199,19 @@ def test_night_resume_requires_ledger(capsys):
 
 
 def test_store_stats_gc_clear(tmp_path, capsys):
+    from repro.core import runner
+
+    runner._ASSET_CACHE.clear()  # as in a fresh `repro` process
     store = str(tmp_path / "store")
     assert main(["simulate", "VT", "--days", "15",
                  "--store-dir", store]) == 0
     capsys.readouterr()
     assert main(["store", "stats", "--dir", store]) == 0
-    # One outcome blob plus its region-summary blob.
-    assert "2 blobs" in capsys.readouterr().out
+    # One outcome blob, its region-summary blob and the region bundle.
+    out = capsys.readouterr().out
+    assert "3 blobs" in out and "assets/v1" in out
     assert main(["store", "gc", "--dir", store, "--max-bytes", "0"]) == 0
-    assert "evicted 2 blobs" in capsys.readouterr().out
+    assert "evicted 3 blobs" in capsys.readouterr().out
     assert main(["store", "clear", "--dir", store]) == 0
     assert "removed 0 blobs" in capsys.readouterr().out
 
@@ -300,7 +304,6 @@ def test_serve_flags_default_to_the_service_config():
 
     args = vars(build_parser().parse_args(["serve"]))
     args["inject"] = tuple(args["inject"] or ())
-    args["plane"] = bool(args["plane"])
     config = ServiceConfig()
     fields = {f.name for f in dataclasses.fields(config)}
     # salt is the one non-flag field; trace and --resume are the CLI's

@@ -23,8 +23,8 @@ second fan-out would be a second set of failure semantics.  And what ``--checkpo
 ``CheckpointPlan(...)`` is built only by ``checkpoint_plan``, which the
 CLI and ``build_service`` both call (three sites once disagreed on salt,
 lease root and ledger path).  And the blob format: ``write_blob(...)`` is
-called only by ``ContentStore.put`` and ``read_blob(...)`` only by
-``ContentStore.get``, and no other serialiser (``np.savez*``,
+called only by ``ContentStore.put`` and ``read_blob(...)`` and
+``map_blob(...)`` only by ``ContentStore.get``, and no other serialiser (``np.savez*``,
 ``np.load``, ``zipfile``) appears under ``src/repro`` — every family,
 checkpoints included, is one codec.
 
@@ -58,11 +58,12 @@ ALLOWED = {
     ("CheckpointPlan(", "checkpoint/manager.py", "checkpoint_plan"),
     ("write_blob(", "store/cas.py", "put"),
     ("read_blob(", "store/cas.py", "get"),
+    ("map_blob(", "store/cas.py", "get"),
 }
 
 #: Callables whose call sites are pinned to the functions listed above.
 PINNED_CALLS = ("ProcessPoolExecutor", "ScenarioService", "supervise_map",
-                "CheckpointPlan", "write_blob", "read_blob")
+                "CheckpointPlan", "write_blob", "read_blob", "map_blob")
 
 #: Serialisers the blob codec replaced; none may appear under src/repro.
 RETIRED_CODECS = ("savez", "np.load(", "zipfile")
