@@ -16,6 +16,7 @@ from repro.store.cas import (
     BLOB_MAGIC,
     ContentStore,
     layout,
+    map_blob,
     read_blob,
     write_blob,
 )
@@ -160,6 +161,39 @@ def test_mapped_read_equals_the_copying_read(payload):
         assert mapped[name].dtype == copied[name].dtype, name
         assert mapped[name].shape == copied[name].shape, name
         assert mapped[name].tobytes() == copied[name].tobytes(), name
+
+
+def test_write_then_map_roundtrip(tmp_path):
+    arrays = _arrays()
+    path = tmp_path / "x.blob"
+    with open(path, "wb") as fh:
+        write_blob(fh, arrays)
+    views = map_blob(path)
+    assert list(views) == list(arrays)
+    for name, arr in arrays.items():
+        got = views[name]
+        assert got.dtype == arr.dtype and got.shape == arr.shape, name
+        assert np.array_equal(got, arr), name
+        assert not got.flags.writeable, name
+
+
+def test_scalar_and_strided_entries_roundtrip(tmp_path):
+    """A 0-d entry stays 0-d (not shape ``(1,)``), and a strided source
+    is stored as its contiguous copy."""
+    arrays = {"rate": np.asarray(0.25),
+              "count": np.asarray(1234, dtype=np.int64),
+              "every_other": np.arange(10, dtype=np.int32)[::2]}
+    entries = layout(arrays)
+    assert [e["shape"] for e in entries] == [[], [], [5]]
+    assert [e["nbytes"] for e in entries] == [8, 8, 20]
+    path = tmp_path / "x.blob"
+    with open(path, "wb") as fh:
+        write_blob(fh, arrays)
+    for got in (read_blob(path), map_blob(path)):
+        for name, arr in arrays.items():
+            assert got[name].shape == arr.shape, name
+            assert got[name].dtype == arr.dtype, name
+            assert np.array_equal(got[name], arr), name
 
 
 def test_mapped_views_are_read_only_and_share_the_file(tmp_path):
