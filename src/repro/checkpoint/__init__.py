@@ -8,7 +8,7 @@ package turns retry cost from O(run) into O(checkpoint interval):
 
 - :mod:`repro.checkpoint.format` — deterministic snapshot/restore of an
   in-flight :class:`~repro.epihiper.engine.Simulation` (state arrays,
-  dwell timers, intervention closure state, exact RNG stream position)
+  remaining dwell, intervention closure state, exact RNG stream position)
   with a bit-identical resume guarantee;
 - :mod:`repro.checkpoint.manager` — the durability layer: snapshots are
   published through the CAS as content-addressed ``checkpoint/v1`` blobs

@@ -4,9 +4,9 @@ A snapshot is a flat ``{name: ndarray}`` payload — the same shape the CAS
 stores for results — capturing everything a
 :class:`~repro.epihiper.engine.Simulation` needs to resume bit-identically:
 
-- the per-person state arrays (health, dwell timers, scheduled next
-  states, node scaling traits) and per-edge state (weights, suppression
-  counts);
+- the per-person state arrays (health, remaining dwell — the engine's
+  due tick minus the current tick — scheduled next states, node scaling
+  traits) and per-edge state (weights, suppression counts);
 - the exact RNG stream position (``bit_generator.state``, with the 128-bit
   PCG64 integers serialised losslessly);
 - the transition log accumulated so far, the census/memory histories, and
@@ -144,8 +144,11 @@ def _decode_value(node: dict[str, Any],
                          for tick, handle in node["due"]]
         return releases
     if kind == "entrants":
+        # ``_seen`` restarts at row 0 (a superset of the rows since the
+        # last poll); ``_prev`` is updated in place, so it gets a copy.
         entrants = _NewEntrants(int(node["code"]))
-        entrants._prev = _decode_value(node["prev"], payload)
+        prev = _decode_value(node["prev"], payload)
+        entrants._prev = None if prev is None else np.array(prev)
         return entrants
     if kind == "dict":
         return {k: _decode_value(v, payload) for k, v in node["items"]}
@@ -191,7 +194,7 @@ def snapshot_simulation(sim: Simulation) -> dict[str, np.ndarray]:
     # (and after) it is serialised.
     payload: dict[str, np.ndarray] = {
         "health": sim.health.copy(),
-        "dwell": sim.sched.dwell.copy(),
+        "dwell": sim.sched.remaining(sim.tick),
         "next_state": sim.sched.next_state.copy(),
         "node_sus": sim.node_susceptibility.copy(),
         "node_inf": sim.node_infectivity.copy(),
@@ -247,10 +250,11 @@ def restore_simulation(sim: Simulation,
             raise CheckpointError(
                 f"closure layout of {iv.name!r} changed")
 
+    tick = int(meta["tick"])
     try:
         # In-place writes keep the arrays live as batched-lane row views.
         sim.health[...] = payload["health"]
-        sim.sched.dwell[...] = payload["dwell"]
+        sim.sched.schedule_remaining(payload["dwell"], tick)
         sim.sched.next_state[...] = payload["next_state"]
         sim.node_susceptibility[...] = payload["node_sus"]
         sim.node_infectivity[...] = payload["node_inf"]
@@ -258,6 +262,7 @@ def restore_simulation(sim: Simulation,
         sim.suppressor.count[...] = payload["supp_count"]
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"state arrays do not apply: {exc}") from exc
+    sim._sync_derived()
     sim.sched.n_pending = int(meta["n_pending"])
     sim.suppressor.total_operations = int(meta["total_operations"])
     sim.suppressor.n_suppressed = int(meta["n_suppressed"])
@@ -285,5 +290,5 @@ def restore_simulation(sim: Simulation,
             if value is not _OPAQUE:
                 cell.cell_contents = value
 
-    sim.tick = int(meta["tick"])
-    return sim.tick
+    sim.tick = tick
+    return tick

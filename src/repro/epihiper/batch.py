@@ -15,8 +15,11 @@ solo :class:`~repro.epihiper.engine.Simulation` calls —
 :func:`~repro.epihiper.progression.progression_sweep` and the two
 schedulers, each lane's intervention loop and census row — with K lanes
 where the solo engine passes one.  This module owns what only a batch
-has: the stacks, the compatibility gate, the flat ``enter_state`` and the
-deferred work counters.
+has: the stacks, the compatibility gate and the flat ``enter_state``
+(:meth:`BatchedSimulation._apply_flat`), the one site where a batch
+changes ``health`` and so keeps every lane's census, infectious mask and
+frontier degree sum current (:func:`~repro.epihiper.engine.count_entries`);
+work counters accrue on the lanes, as in a solo run.
 
 The batching is *lane-view* based: each replicate remains a full
 :class:`~repro.epihiper.engine.Simulation` ("lane") whose state arrays are
@@ -54,8 +57,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..obs.registry import GAUGE, TIMER, MetricsRegistry
-from .engine import ENGINE_TIMERS, Simulation, SimulationResult
+from ..obs.registry import GAUGE, TIMER, MetricsRegistry, PhaseClock
+from .engine import (
+    ENGINE_TIMERS,
+    Simulation,
+    SimulationResult,
+    count_entries,
+)
 from .progression import (
     _SMALL_BATCH,
     SchedTables,
@@ -150,10 +158,11 @@ class BatchedSimulation:
     in); seeds, cell parameters (model transmissibility, symptomatic
     fraction), interventions, and backends may differ per lane.
 
-    After construction each lane's ``health``, ``sched.dwell``,
+    After construction each lane's ``health``, ``sched.due``,
     ``sched.next_state``, ``suppressor.count``, ``edge_weight``,
-    ``node_susceptibility``, and ``node_infectivity`` arrays are row views
-    into stacks owned by this driver; the lanes remain fully functional
+    ``node_susceptibility`` and ``node_infectivity`` arrays, and its
+    census, infectious mask and frontier degree sum, are row views into
+    stacks the batch owns; the lanes remain fully functional
     Simulations and assemble their own per-replicate results.
     """
 
@@ -178,27 +187,36 @@ class BatchedSimulation:
         # existing state (mid-run batching included) is preserved.  NPIs
         # mutate these arrays only in place, so the views stay live.
         self._health = np.empty((k, n), dtype=np.int8)
-        self._dwell = np.empty((k, n), dtype=np.int32)
+        self._due = np.empty((k, n), dtype=np.int32)
         self._next_state = np.empty((k, n), dtype=np.int8)
         self._supp_count = np.empty((k, e), dtype=np.int16)
         self._edge_weight = np.empty((k, e), dtype=np.float64)
         self._node_sus = np.empty((k, n), dtype=np.float64)
         self._node_inf = np.empty((k, n), dtype=np.float64)
+        self._census = np.empty((k, self._n_states), dtype=np.int64)
+        self._infectious = np.empty((k, n), dtype=bool)
+        self._frontier_degree = np.empty(k, dtype=np.float64)
         for i, sim in enumerate(self.lanes):
             self._health[i] = sim.health
-            self._dwell[i] = sim.sched.dwell
+            self._due[i] = sim.sched.due
             self._next_state[i] = sim.sched.next_state
             self._supp_count[i] = sim.suppressor.count
             self._edge_weight[i] = sim.edge_weight
             self._node_sus[i] = sim.node_susceptibility
             self._node_inf[i] = sim.node_infectivity
+            self._census[i] = sim._census
+            self._infectious[i] = sim._infectious
+            self._frontier_degree[i] = sim._frontier_degree[0]
             sim.health = self._health[i]
-            sim.sched.dwell = self._dwell[i]
+            sim.sched.due = self._due[i]
             sim.sched.next_state = self._next_state[i]
             sim.suppressor.count = self._supp_count[i]
             sim.edge_weight = self._edge_weight[i]
             sim.node_susceptibility = self._node_sus[i]
             sim.node_infectivity = self._node_inf[i]
+            sim._census = self._census[i]
+            sim._infectious = self._infectious[i]
+            sim._frontier_degree = self._frontier_degree[i:i + 1]
 
         self._health_flat = self._health.reshape(-1)
         self._lane_arange = np.arange(k, dtype=np.int64)
@@ -210,51 +228,42 @@ class BatchedSimulation:
 
         # One incident CSR serves every lane (it is read-only and the
         # lanes share the network); build it eagerly so frontier/auto
-        # resolution never pays the lazy construction mid-run.
+        # resolution never pays the lazy construction mid-run.  Its
+        # degree column serves every lane's frontier degree sum.
         incident = first.incident
+        self._degrees = incident.degrees
         for sim in self.lanes:
             sim._incident = incident
+            sim._track_degrees(self._degrees)
         self._incident = incident
         self._scan = CandidateScan(first.net.source, first.net.target,
                                    first._duration_f64)
-        self._active = np.empty((k, e), dtype=bool)
-        self._census_scratch = np.empty((k, n), dtype=np.int32)
-        self._census_offsets = (
-            np.arange(k, dtype=np.int32) * self._n_states)[:, None]
 
-        # One row serves the whole stacked active-mask evaluation: the
-        # lanes' base edge-activity copies are equal (checked above) and
-        # nothing mutates them — NPIs act through the suppressor.
+        # One row serves every lane's edge activity: the lanes' base
+        # edge-activity copies are equal (checked above) and nothing
+        # mutates them — NPIs act through the suppressor.
         self._base_active = first.base_active
-
-        # Per-lane work counters kept as plain python ints during the run
-        # and flushed into each lane's ``engine.*`` registry by
-        # :meth:`flush` — registry increments are dict lookups and cost
-        # more than the counting itself at K-lane per-tick frequency.
-        self._ct_contacts = [0] * k
-        self._ct_transitions = [0] * k
-        self._ct_transmissions = [0] * k
-        self._ct_iv_fired = [0] * k
-        self._ct_iv_ops = [0] * k
 
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.metrics.declare("batch.size", GAUGE)
         self.metrics.gauge("batch.size", k)
         for name in BATCH_TIMERS:
             self.metrics.declare(f"batch.{name}", TIMER)
-        #: batch phase seconds already credited back to the lanes'
-        #: ``engine.*_s`` timers (supports repeated :meth:`run` calls on
-        #: one batch without double counting).
-        self._timer_flushed = {name: 0.0 for name in ENGINE_TIMERS}
+        #: batch phase seconds not yet flushed into ``batch.*_s`` and the
+        #: lanes' ``engine.*_s``.
+        self._clock = PhaseClock(BATCH_TIMERS)
 
-    def _apply_flat(self, sizes, pids_cat, codes_cat, inf_cat) -> None:
+    def _apply_flat(self, sizes, pids_cat, codes_cat, inf_cat,
+                    base: int) -> None:
         """Batched ``enter_state`` from lane-major flat entry arrays.
 
         ``sizes[i]`` is lane i's entry count; ``pids_cat``/``codes_cat``
         are the per-lane entries concatenated in lane order (each lane's
         solo order).  ``inf_cat`` is the flat infector column or ``None``
-        for progression entries.  One flat write updates every lane's
-        health row; recording runs per lane (each lane owns its
+        for progression entries, and ``base`` the schedule base the solo
+        ``_enter`` would pass.  One flat write updates every lane's health
+        row and one :func:`~repro.epihiper.engine.count_entries` call its
+        derived state; recording runs per lane (each lane owns its
         recorder), and next-hop scheduling takes one of the two
         schedulers, by entry count.
         """
@@ -263,7 +272,12 @@ class BatchedSimulation:
             return
         sl = sizes.tolist()
         lane_rep = np.repeat(self._lane_arange, sizes)
-        self._health_flat[pids_cat + lane_rep * self._n_pop] = codes_cat
+        flat = pids_cat + lane_rep * self._n_pop
+        old = self._health_flat[flat]
+        self._health_flat[flat] = codes_cat
+        count_entries(self.lanes[0].model, self._degrees, self._census,
+                      self._infectious, self._frontier_degree, lane_rep,
+                      pids_cat, old, codes_cat)
         ticks = np.full(total, self.lanes[0].tick, dtype=np.int32)
         if inf_cat is None:
             inf_cat = np.full(total, -1, dtype=np.int64)
@@ -274,7 +288,7 @@ class BatchedSimulation:
             self.lanes[i].recorder.record_chunks(
                 ticks[off:off + n_k], pids_cat[off:off + n_k],
                 codes_cat[off:off + n_k], inf_cat[off:off + n_k])
-            self._ct_transitions[i] += n_k
+            self.lanes[i]._work["transitions"] += n_k
             off += n_k
         if total <= _SMALL_BATCH:
             # No more entries than the one-lane cutoff: the lanes' scalar
@@ -287,13 +301,15 @@ class BatchedSimulation:
                 sim = self.lanes[i]
                 _schedule_small(
                     sim.model, sim.sched, pids_cat[off:off + n_k],
-                    codes_cat[off:off + n_k], sim.pop.age_group, sim.rng)
+                    codes_cat[off:off + n_k], sim.pop.age_group, sim.rng,
+                    base)
                 off += n_k
         else:
             schedule_lanes(
                 self._sched_tables, [sim.sched for sim in self.lanes],
-                self._dwell, self._next_state, lane_rep, pids_cat, codes_cat,
-                self.lanes[0].pop.age_group, [sim.rng for sim in self.lanes])
+                self._due, self._next_state, lane_rep, pids_cat, codes_cat,
+                self.lanes[0].pop.age_group, [sim.rng for sim in self.lanes],
+                base)
 
     def step(self) -> None:
         """Advance every lane one tick.
@@ -305,48 +321,42 @@ class BatchedSimulation:
         order against the lane's own generator.
         """
         lanes = self.lanes
+        clock = self._clock
+        clock.start()
+        for sim in lanes:
+            fired, edge_ops = sim._run_interventions()
+            sim._work["interventions_fired"] += fired
+            sim._work["intervention_edge_ops"] += edge_ops
+        clock.lap(0)
 
-        with self.metrics.timer("batch.interventions_s"):
-            for i, sim in enumerate(lanes):
-                fired, edge_ops = sim._run_interventions()
-                self._ct_iv_fired[i] += fired
-                self._ct_iv_ops[i] += edge_ops
+        tick = lanes[0].tick
+        counts, sizes, pids, codes, infectors = lane_transmissions(
+            [sim.backend for sim in lanes], lanes[0].model,
+            [sim.model.transmissibility for sim in lanes],
+            [sim.rng for sim in lanes], self._health, self._infectious,
+            self._frontier_degree, self._node_sus, self._node_inf,
+            self._supp_count, self._base_active, self._edge_weight,
+            self._scan, self._incident)
+        for sim, c in zip(lanes, counts.tolist()):
+            sim._work["contacts_evaluated"] += c
+        if pids.size:
+            for sim, c in zip(lanes, sizes.tolist()):
+                sim._work["transmissions"] += c
+            self._apply_flat(sizes, pids, codes, infectors, tick)
+        clock.lap(1)
 
-        with self.metrics.timer("batch.transmission_s"):
-            # Stacked twin of EdgeSuppressor.active_mask_into.
-            np.equal(self._supp_count, 0, out=self._active)
-            np.logical_and(self._active, self._base_active, out=self._active)
-            counts, sizes, pids, codes, infectors = lane_transmissions(
-                [sim.backend for sim in lanes], lanes[0].model,
-                [sim.model.transmissibility for sim in lanes],
-                [sim.rng for sim in lanes], self._health, self._node_sus,
-                self._node_inf, self._active, self._edge_weight, self._scan,
-                self._incident)
-            for i, c in enumerate(counts.tolist()):
-                self._ct_contacts[i] += c
-            if pids.size:
-                for i, c in enumerate(sizes.tolist()):
-                    self._ct_transmissions[i] += c
-                self._apply_flat(sizes, pids, codes, infectors)
+        sizes, pids, codes, n_hit = progression_sweep(
+            self._due, self._next_state, tick + 1)
+        for sim, nh in zip(lanes, n_hit.tolist()):
+            sim.sched.n_pending -= nh
+        if pids.size:
+            self._apply_flat(sizes, pids, codes, None, tick + 1)
+        clock.lap(2)
 
-        with self.metrics.timer("batch.progression_s"):
-            sizes, pids, codes, n_hit = progression_sweep(
-                self._dwell, self._next_state)
-            for sim, nh in zip(lanes, n_hit.tolist()):
-                sim.sched.n_pending -= nh
-            if pids.size:
-                self._apply_flat(sizes, pids, codes, None)
-
-        with self.metrics.timer("batch.census_s"):
-            np.add(self._health, self._census_offsets,
-                   out=self._census_scratch)
-            counts = np.bincount(
-                self._census_scratch.ravel(),
-                minlength=len(lanes) * self._n_states,
-            ).reshape(len(lanes), self._n_states)
-            for i, sim in enumerate(lanes):
-                sim.tick += 1
-                sim._record_census(counts[i], self._ct_transitions[i])
+        for sim in lanes:
+            sim.tick += 1
+            sim._record_census()
+        clock.lap(3)
 
     def run(self, n_days: int) -> list[SimulationResult]:
         """Run ``n_days`` ticks and assemble one result per lane.
@@ -375,15 +385,30 @@ class BatchedSimulation:
             sim._ensure_initial_census()
 
     def flush(self, n_ticks: int) -> None:
-        """Drain the deferred work counters and timer shares into the lanes.
+        """Drain the lanes' work counters and the phase seconds.
 
         Both accumulate cumulatively, so flushing mid-run (before a
         checkpoint) then continuing is byte-identical to one flush at the
         end.  ``n_ticks`` is the tick count since the previous flush (timer
-        observation counts only).
+        observation counts only).  A lane advanced solo observes each
+        ``engine.*_s`` phase once per tick; the batch times each phase once
+        per tick for all its lanes under ``batch.*_s`` and credits every
+        lane ``total / K`` with ``n_ticks`` observations, so downstream
+        reports (``repro trace summarize``'s Fig. 7 table, per-phase
+        shares, tick counts) stay meaningful whether the instance ran
+        solo or batched.
         """
-        self._flush_counters()
-        self._flush_timers(n_ticks)
+        for sim in self.lanes:
+            sim._flush()
+        if n_ticks <= 0:
+            return
+        k = len(self.lanes)
+        for name, seconds in zip(self._clock.names, self._clock.seconds):
+            if name in ENGINE_TIMERS:
+                for sim in self.lanes:
+                    sim.metrics.observe_n(f"engine.{name}", seconds / k,
+                                          n_ticks)
+        self._clock.flush(self.metrics, "batch.", n_ticks)
 
     def finish(self) -> list[SimulationResult]:
         """Assemble one result per lane (state must be flushed first)."""
@@ -417,48 +442,4 @@ class BatchedSimulation:
         if len(set(ticks)) != 1:
             raise BatchIncompatible(
                 f"restored lanes disagree on tick: {sorted(set(ticks))}")
-        # The deferred counts the restored registries already carry must
-        # not be re-applied on the next flush.
-        k = len(self.lanes)
-        for cts in (self._ct_contacts, self._ct_transitions,
-                    self._ct_transmissions, self._ct_iv_fired,
-                    self._ct_iv_ops):
-            cts[:] = [0] * k
         return ticks[0]
-
-    def _flush_counters(self) -> None:
-        """Move the deferred per-lane work counters into ``engine.*``."""
-        names_counts = (
-            ("engine.contacts_evaluated", self._ct_contacts),
-            ("engine.transitions", self._ct_transitions),
-            ("engine.transmissions", self._ct_transmissions),
-            ("engine.interventions_fired", self._ct_iv_fired),
-            ("engine.intervention_edge_ops", self._ct_iv_ops),
-        )
-        for name, cts in names_counts:
-            for i, sim in enumerate(self.lanes):
-                if cts[i]:
-                    sim.metrics.inc(name, cts[i])
-                cts[i] = 0
-
-    def _flush_timers(self, n_ticks: int) -> None:
-        """Credit each lane its share of the batch phase clocks.
-
-        A lane advanced solo observes each ``engine.*_s`` phase once per
-        tick; the batched twin observes each phase once per tick for the
-        whole batch under ``batch.*_s``.  Apportioning ``total / K`` per
-        lane with ``n_ticks`` observation counts keeps downstream
-        reports (``repro trace summarize``'s Fig. 7 table, per-phase
-        shares, tick counts) meaningful regardless of which driver ran
-        the instance.  Wall-clock only — work counters are exact and
-        flushed separately.
-        """
-        if n_ticks <= 0:
-            return
-        k = len(self.lanes)
-        for name in ENGINE_TIMERS:
-            total = self.metrics.value(f"batch.{name}")
-            delta = total - self._timer_flushed[name]
-            self._timer_flushed[name] = total
-            for sim in self.lanes:
-                sim.metrics.observe_n(f"engine.{name}", delta / k, n_ticks)

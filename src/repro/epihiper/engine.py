@@ -16,6 +16,13 @@ phase is a call into the one kernel the
 own arrays viewed as one lane, the intervention loop
 (:meth:`Simulation._run_interventions`) and the census row with its
 Figure 10 memory estimate (:meth:`Simulation._record_census`).
+
+A tick's work follows what happens that day.  ``health`` changes in one
+place per engine (:meth:`Simulation.enter_state` here), and that site
+keeps the census, the infectious mask and the frontier degree sum
+current (:func:`count_entries`), so no phase re-derives them from every
+person; progressions are stored as due ticks, so waiting costs nothing
+and the sweep is one comparison.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs.registry import TIMER, MetricsRegistry
+from ..obs.registry import TIMER, MetricsRegistry, PhaseClock
 from ..obs.spans import Tracer
 from ..params import DEFAULT_SEED
 from ..synthpop.activities import HOME
@@ -61,6 +68,48 @@ ENGINE_TIMERS: tuple[str, ...] = (
     "transmission_s",
     "progression_s",
 )
+
+
+def count_entries(model: DiseaseModel, degrees: np.ndarray | None,
+                  census: np.ndarray, infectious: np.ndarray,
+                  frontier_degree: np.ndarray, lanes: np.ndarray | None,
+                  pids: np.ndarray, old: np.ndarray,
+                  codes: np.ndarray) -> None:
+    """Keep a lane stack's derived state current for a batch of entries.
+
+    Entry ``j`` moved person ``pids[j]`` of lane ``lanes[j]`` (lane 0 when
+    ``lanes`` is None) from state ``old[j]`` to ``codes[j]``; persons are
+    distinct within a lane.  Updates in place the ``(K, S)`` census (by
+    ``bincount(new) - bincount(old)``), the ``(K, N)`` infectious mask and,
+    given the per-person contact ``degrees``, the ``(K,)`` frontier degree
+    sums — O(entries), whatever N and E are.
+    """
+    k, n_states = census.shape
+    if lanes is None:
+        census[0] += np.bincount(codes, minlength=n_states)
+        census[0] -= np.bincount(old, minlength=n_states)
+    else:
+        off = lanes * n_states
+        census += (np.bincount(off + codes, minlength=k * n_states)
+                   - np.bincount(off + old, minlength=k * n_states)
+                   ).reshape(k, n_states)
+    is_inf = model.is_infectious
+    now = is_inf[codes]
+    flip = now != is_inf[old]
+    if not flip.any():
+        return
+    now = now[flip]
+    moved = pids[flip]
+    lane = 0 if lanes is None else lanes[flip]
+    infectious.reshape(-1)[lane * infectious.shape[1] + moved] = now
+    if degrees is None:
+        return
+    deg = degrees[moved]
+    signed = np.where(now, deg, -deg)
+    if lanes is None:
+        frontier_degree[0] += signed.sum()
+    else:
+        frontier_degree += np.bincount(lane, weights=signed, minlength=k)
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,6 +173,16 @@ class Simulation:
         self.initial_code = int(sus_codes[0])
         self.health = np.full(n, self.initial_code, dtype=np.int8)
         self.sched = ProgressionState.empty(n)
+        # Kept current by every ``health`` write (count_entries), never
+        # re-derived per tick: the census, the infectious mask, and — once
+        # the incident CSR exists to give the degrees — the infectious
+        # persons' summed contact degree (the frontier gather workload the
+        # ``auto`` rule reads; only a lane with the CSR resolves ``auto``).
+        self._census = np.zeros(model.n_states, dtype=np.int64)
+        self._infectious = np.zeros(n, dtype=bool)
+        self._degrees: np.ndarray | None = None
+        self._frontier_degree = np.zeros(1, dtype=np.float64)
+        self._sync_derived()
 
         # rw node scaling traits of Table V.
         self.node_susceptibility = np.ones(n, dtype=np.float64)
@@ -144,7 +203,6 @@ class Simulation:
         self._duration_f64 = net.duration.astype(np.float64)
         self._home_mask = ((net.source_activity == HOME)
                            & (net.target_activity == HOME))
-        self._active_scratch = np.empty(net.n_edges, dtype=bool)
         self._scan = CandidateScan(net.source, net.target, self._duration_f64)
         self._mem_base = net.n_edges * EDGE_BYTES + pop.size * NODE_BYTES
 
@@ -154,23 +212,36 @@ class Simulation:
         self._memory_history: list[int] = []
         # Telemetry: all work counters and phase timers live in the shared
         # registry under ``engine.*``; declared up front so snapshots carry
-        # the full key set even before the first step.
+        # the full key set even before the first step.  The tick loop
+        # counts in plain ints and floats (``_work``, ``_clock``) and
+        # :meth:`_flush` moves them into the registry at finish and
+        # snapshot time — a batched lane's counts take the same route.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
         for name in ENGINE_COUNTERS:
             self.metrics.counter(f"engine.{name}")
         for name in ENGINE_TIMERS:
             self.metrics.declare(f"engine.{name}", TIMER)
+        self._work = dict.fromkeys(ENGINE_COUNTERS, 0)
+        self._clock = PhaseClock(ENGINE_TIMERS)
+        self._ticks_unflushed = 0
 
     # -- derived structures ----------------------------------------------------
 
     @property
     def incident(self) -> IncidentEdges:
-        """Lazily built person -> incident-edge CSR (contact tracing)."""
+        """Lazily built person -> incident-edge CSR (contact tracing, the
+        frontier kernel); from then on the frontier degree sum is kept."""
         if self._incident is None:
             self._incident = IncidentEdges(
                 self.net.source, self.net.target, self.pop.size)
+            self._track_degrees(self._incident.degrees)
         return self._incident
+
+    def _track_degrees(self, degrees: np.ndarray) -> None:
+        """Start keeping the frontier degree sum over ``degrees``."""
+        self._degrees = degrees
+        self._frontier_degree[...] = degrees[self._infectious].sum()
 
     def active_edges(self) -> np.ndarray:
         """Effective per-edge activity mask this tick (fresh array)."""
@@ -184,8 +255,18 @@ class Simulation:
         return self._home_mask
 
     def current_state_counts(self) -> np.ndarray:
-        """Census over states right now."""
-        return np.bincount(self.health, minlength=self.model.n_states)
+        """Census over states right now (a copy of the maintained row)."""
+        return self._census.copy()
+
+    def _sync_derived(self) -> None:
+        """Recompute the census, infectious mask and frontier degree sum
+        from ``health`` — at construction and after a checkpoint restore.
+        Writes in place: batched lanes hold them as stack row views."""
+        self._census[...] = np.bincount(self.health,
+                                        minlength=self.model.n_states)
+        np.take(self.model.is_infectious, self.health, out=self._infectious)
+        if self._degrees is not None:
+            self._track_degrees(self._degrees)
 
     # -- state changes -----------------------------------------------------------
 
@@ -195,16 +276,27 @@ class Simulation:
         codes: np.ndarray,
         infectors: np.ndarray | None = None,
     ) -> None:
-        """Move ``pids`` into ``codes`` now: record, then schedule next hop."""
+        """Move distinct ``pids`` into ``codes`` now: record, then schedule
+        the next hop."""
+        self._enter(pids, codes, infectors, self.tick)
+
+    def _enter(self, pids, codes, infectors, base: int) -> None:
+        """:meth:`enter_state` with its schedule base: ``self.tick`` before
+        this tick's progression sweep, ``self.tick + 1`` for the entries
+        the sweep itself fired (see :func:`schedule_entries`)."""
         pids = np.asarray(pids, dtype=np.int64)
         if pids.size == 0:
             return
         codes = np.asarray(codes, dtype=np.int8)
+        old = self.health[pids]
         self.health[pids] = codes
+        count_entries(self.model, self._degrees, self._census[None],
+                      self._infectious[None], self._frontier_degree, None,
+                      pids, old, codes)
         self.recorder.record(self.tick, pids, codes, infectors)
-        self.metrics.inc("engine.transitions", int(pids.size))
-        schedule_entries(
-            self.model, self.sched, pids, codes, self.pop.age_group, self.rng)
+        self._work["transitions"] += pids.size
+        schedule_entries(self.model, self.sched, pids, codes,
+                         self.pop.age_group, self.rng, base)
 
     def seed_infections(self, pids: np.ndarray, state: str = "Exposed") -> None:
         """Initialization: move ``pids`` into ``state`` with no infector.
@@ -220,36 +312,37 @@ class Simulation:
 
     def step(self) -> None:
         """Advance one tick (interventions, transmission, progression)."""
-        with self.metrics.timer("engine.interventions_s"):
-            fired, edge_ops = self._run_interventions()
-            self.metrics.inc("engine.interventions_fired", fired)
-            self.metrics.inc("engine.intervention_edge_ops", edge_ops)
+        clock, work = self._clock, self._work
+        clock.start()
+        fired, edge_ops = self._run_interventions()
+        work["interventions_fired"] += fired
+        work["intervention_edge_ops"] += edge_ops
+        clock.lap(0)
 
-        with self.metrics.timer("engine.transmission_s"):
-            # The mask is consumed within this tick only, so it can live in
-            # a preallocated scratch buffer; the frontier/auto kernels also
-            # need the incident CSR (built once, shared with tracing).
-            active = self.suppressor.active_mask_into(
-                self.base_active, self._active_scratch)
-            counts, _sizes, pids, codes, infectors = lane_transmissions(
-                [self.backend], self.model, [self.model.transmissibility],
-                [self.rng], self.health[None],
-                self.node_susceptibility[None], self.node_infectivity[None],
-                active[None], self.edge_weight[None], self._scan,
-                self.incident
-                if self.backend is not TransmissionBackend.DENSE else None)
-            self.metrics.inc("engine.contacts_evaluated", int(counts[0]))
-            if pids.size:
-                self.metrics.inc("engine.transmissions", int(pids.size))
-                self.enter_state(pids, codes, infectors)
+        # The frontier/auto kernels also need the incident CSR (built once,
+        # shared with tracing).
+        counts, _sizes, pids, codes, infectors = lane_transmissions(
+            [self.backend], self.model, [self.model.transmissibility],
+            [self.rng], self.health[None], self._infectious[None],
+            self._frontier_degree, self.node_susceptibility[None],
+            self.node_infectivity[None], self.suppressor.count[None],
+            self.base_active, self.edge_weight[None], self._scan,
+            self.incident
+            if self.backend is not TransmissionBackend.DENSE else None)
+        work["contacts_evaluated"] += int(counts[0])
+        if pids.size:
+            work["transmissions"] += pids.size
+            self.enter_state(pids, codes, infectors)
+        clock.lap(1)
 
-        with self.metrics.timer("engine.progression_s"):
-            pids, codes = progression_step(self.sched)
-            if pids.size:
-                self.enter_state(pids, codes)
+        pids, codes = progression_step(self.sched, self.tick)
+        if pids.size:
+            self._enter(pids, codes, None, self.tick + 1)
+        clock.lap(2)
 
         self.tick += 1
-        self._record_census(self.current_state_counts())
+        self._ticks_unflushed += 1
+        self._record_census()
 
     def _run_interventions(self) -> tuple[int, int]:
         """The intervention phase: evaluate every trigger in stack order.
@@ -264,8 +357,7 @@ class Simulation:
                 fired += 1
         return fired, self.suppressor.total_operations - ops_before
 
-    def _record_census(self, counts: np.ndarray,
-                       unflushed_transitions: int = 0) -> None:
+    def _record_census(self) -> None:
         """Append one census row and its Figure 10 memory estimate.
 
         Base cost tracks the partitioned network held in memory; dynamic
@@ -273,13 +365,13 @@ class Simulation:
         pending progressions, accumulated output) — the paper observes that
         higher intervention compliance means more scheduled changes and
         hence more memory.  Every term is maintained incrementally, so the
-        estimate is O(1) instead of re-summing O(|E| + |V|) arrays.
-        ``unflushed_transitions`` is what a batched driver has counted for
-        this lane but not yet added to ``engine.transitions``.
+        row and the estimate are O(states) instead of re-summing
+        O(|E| + |V|) arrays; transitions counted but not yet flushed into
+        ``engine.transitions`` are included.
         """
         transitions = (self.metrics.value("engine.transitions")
-                       + unflushed_transitions)
-        self._counts_history.append(counts)
+                       + self._work["transitions"])
+        self._counts_history.append(self._census.copy())
         self._memory_history.append(
             self._mem_base
             + self.suppressor.n_suppressed * SCHEDULED_CHANGE_BYTES
@@ -322,18 +414,34 @@ class Simulation:
 
     def finish(self) -> SimulationResult:
         """Assemble the result for the ticks advanced so far."""
+        self._flush()
         return self._assemble_result()
+
+    def _flush(self) -> None:
+        """Move the unflushed work counters and phase seconds into
+        ``engine.*`` (timers observed once per tick advanced since the
+        last flush).  Cumulative, so flushing before a snapshot and again
+        at the end equals one flush at the end."""
+        work = self._work
+        for name, n in work.items():
+            if n:
+                self.metrics.inc(f"engine.{name}", n)
+                work[name] = 0
+        self._clock.flush(self.metrics, "engine.", self._ticks_unflushed)
+        self._ticks_unflushed = 0
 
     def save_state(self) -> dict[str, np.ndarray]:
         """Snapshot the full mutable state as a flat CAS-ready payload.
 
         Captures everything :meth:`restore_state` needs for a bit-identical
-        resume: state arrays, dwell timers, RNG stream position, transition
-        log, census/memory histories, ``engine.*`` counters, and the
-        mutable values inside intervention closures.
+        resume: state arrays, remaining dwell, RNG stream position,
+        transition log, census/memory histories, ``engine.*`` counters
+        (flushed first), and the mutable values inside intervention
+        closures.
         """
         from ..checkpoint.format import snapshot_simulation
 
+        self._flush()
         return snapshot_simulation(self)
 
     def restore_state(self, payload) -> int:
@@ -347,12 +455,17 @@ class Simulation:
         """
         from ..checkpoint.format import restore_simulation
 
-        return restore_simulation(self, payload)
+        tick = restore_simulation(self, payload)
+        # The restored registry already holds every count up to ``tick``.
+        for name in self._work:
+            self._work[name] = 0
+        self._ticks_unflushed = 0
+        return tick
 
     def _ensure_initial_census(self) -> None:
         """Record the post-initialization census once (tick-0 row)."""
         if not self._counts_history:
-            self._record_census(self.current_state_counts())
+            self._record_census()
 
     def _assemble_result(self) -> SimulationResult:
         """Freeze the run into a :class:`SimulationResult`.

@@ -134,7 +134,6 @@ class EdgeSuppressor:
         self.count = np.zeros(n_edges, dtype=np.int16)
         self.total_operations = 0  #: edges touched, for the cost model
         self.n_suppressed = 0  #: edges with count > 0, kept incrementally
-        self._zero_scratch = np.empty(n_edges, dtype=bool)
 
     def _apply(self, edge_rows: np.ndarray, sign: int) -> None:
         """Adjust counts on the touched rows only, tracking 0 <-> >0 flips."""
@@ -163,23 +162,24 @@ class EdgeSuppressor:
         handle.released = True
 
     def active_mask(self, base_active: np.ndarray) -> np.ndarray:
-        """Effective edge activity: base flag and no live suppression."""
-        return base_active & (self.count == 0)
+        """Effective edge activity: base flag and no live suppression.
 
-    def active_mask_into(
-        self, base_active: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        """Allocation-free :meth:`active_mask` into a caller-owned buffer."""
-        np.equal(self.count, 0, out=self._zero_scratch)
-        np.logical_and(base_active, self._zero_scratch, out=out)
-        return out
+        The tick never builds this whole mask on a frontier tick: the
+        transmission kernels read ``count`` and the base flags on the
+        gathered rows only."""
+        return base_active & (self.count == 0)
 
 
 class IncidentEdges:
-    """CSR-style person -> incident-edge-row index, built once per network.
+    """CSR-style person -> incident-edge-row index.
 
-    Contact tracing (D1CT / D2CT) and per-person isolation need the edges
-    touching a person; a precomputed CSR makes those operations O(degree).
+    Built lazily once per :class:`~repro.epihiper.engine.Simulation`, or
+    once per batch group (a :class:`~repro.epihiper.batch.
+    BatchedSimulation` shares one across its lanes) — not once per
+    network: each solo run rebuilds it (32 B per edge, dropped with the
+    engine).  Contact tracing (D1CT / D2CT), per-person isolation and
+    the frontier transmission kernel need the edges touching a person;
+    the CSR makes those operations O(degree).
     """
 
     def __init__(self, source: np.ndarray, target: np.ndarray, n_nodes: int) -> None:

@@ -23,7 +23,12 @@ import numpy as np
 
 from ..synthpop.activities import COLLEGE, OTHER, SCHOOL, SHOPPING, WORK
 from .engine import Simulation
-from .interventions import Intervention, SuppressionHandle, sample_subset
+from .interventions import (
+    Intervention,
+    SuppressionHandle,
+    _sorted_dedup,
+    sample_subset,
+)
 
 #: Default isolation length for case isolation and traced contacts.
 DEFAULT_ISOLATION_DAYS: int = 14
@@ -65,19 +70,37 @@ def _isolate(
 
 
 class _NewEntrants:
-    """Detects persons who entered a given state since the last check."""
+    """Detects persons who entered a given state since the last check.
+
+    ``_prev`` marks who held the state at the previous poll.  Only a
+    person with a transition since then can differ, and the simulation's
+    transition recorder — written where ``health`` changes — lists them:
+    a poll reads those rows (from ``_seen`` on), not all of ``health``.
+    Any superset of them gives the same answer, so a restored tracker
+    starts from row 0 and its snapshot holds ``_prev`` alone.
+    """
 
     def __init__(self, state_code: int) -> None:
         self.code = state_code
         self._prev: np.ndarray | None = None
+        self._seen = 0  #: recorder rows already folded into ``_prev``
 
     def poll(self, sim: Simulation) -> np.ndarray:
-        now = sim.health == self.code
+        """Ascending ids of the persons in the state now who were not in
+        it at the previous poll (everyone in it, at the first)."""
         if self._prev is None:
-            new = np.flatnonzero(now)
+            self._prev = sim.health == self.code
+            new = np.flatnonzero(self._prev)
         else:
-            new = np.flatnonzero(now & ~self._prev)
-        self._prev = now
+            # ``moved`` may repeat a person (two transitions since the
+            # last poll); both copies read the same flags.
+            moved = sim.recorder.pids_since(self._seen)
+            now = sim.health[moved] == self.code
+            new = moved[now & ~self._prev[moved]]
+            self._prev[moved] = now
+            if new.size > 1:
+                new = _sorted_dedup(new)
+        self._seen = sim.recorder.n_rows
         return new
 
 

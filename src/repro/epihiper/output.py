@@ -27,6 +27,7 @@ class TransitionRecorder:
         self._pids: list[np.ndarray] = []
         self._states: list[np.ndarray] = []
         self._infectors: list[np.ndarray] = []
+        self.n_rows = 0  #: transitions recorded so far
 
     def record(
         self,
@@ -42,6 +43,7 @@ class TransitionRecorder:
         n = pids.shape[0]
         if n == 0:
             return
+        self.n_rows += n
         self._ticks.append(np.full(n, tick, dtype=np.int32))
         self._pids.append(np.asarray(pids, dtype=np.int64))
         self._states.append(np.asarray(states, dtype=np.int8))
@@ -65,10 +67,29 @@ class TransitionRecorder:
         """
         if pids.shape[0] == 0:
             return
+        self.n_rows += pids.shape[0]
         self._ticks.append(ticks)
         self._pids.append(pids)
         self._states.append(states)
         self._infectors.append(infectors)
+
+    def pids_since(self, start: int) -> np.ndarray:
+        """Person ids of the transitions recorded after the first
+        ``start`` rows, in record order — O(those rows), read from the
+        newest chunks backwards."""
+        need = self.n_rows - start
+        parts = []
+        i = len(self._pids)
+        while need > 0:
+            i -= 1
+            chunk = self._pids[i]
+            if chunk.shape[0] > need:
+                chunk = chunk[-need:]
+            parts.append(chunk)
+            need -= chunk.shape[0]
+        if not parts:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate(parts[::-1])
 
     def finalize(self) -> "TransitionLog":
         """Concatenate all chunks into an immutable :class:`TransitionLog`."""

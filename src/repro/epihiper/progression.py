@@ -3,12 +3,16 @@
 When a person enters a non-terminal state, the next transition is drawn from
 the state's outgoing edges — with probabilities stratified by the person's
 age group (Table III) — and a dwell time is sampled from the chosen edge's
-distribution.  The scheduled transition fires that many ticks later.
+distribution.  The scheduled transition fires that many ticks later: the
+schedulers store the absolute *due tick* (schedule base plus dwell), so
+no counter is touched while a person waits, and the remaining dwell is
+``due - tick`` whenever it is asked for (a checkpoint's ``dwell`` column).
 
 Both drivers (the solo :class:`~repro.epihiper.engine.Simulation` and the
 :class:`~repro.epihiper.batch.BatchedSimulation`) run these kernels over
-``(K, N)`` lane stacks; a solo run is one lane.  The dwell sweep is
-:func:`progression_sweep` (:func:`progression_step` is its one-lane face).
+``(K, N)`` lane stacks; a solo run is one lane.  The per-tick sweep is
+:func:`progression_sweep` — one comparison against the tick and one
+``flatnonzero`` (:func:`progression_step` is its one-lane face).
 Scheduling has two bit-identical implementations: the cross-lane
 :func:`schedule_lanes`, a fixed ~20 numpy dispatches whatever the entry
 count, and the scalar twin :func:`_schedule_small`, plain Python whose cost
@@ -37,18 +41,37 @@ from .states import (
 class ProgressionState:
     """Per-person scheduling arrays for pending progressions."""
 
-    dwell: np.ndarray  #: int32 ticks remaining; 0 = nothing scheduled
+    #: int32 due tick of the scheduled transition — the sweep run during
+    #: tick ``due - 1`` fires it — or 0 when nothing is scheduled.
+    due: np.ndarray
     next_state: np.ndarray  #: int8 scheduled destination; -1 = none
-    #: persons with dwell > 0, maintained incrementally at the two mutation
+    #: persons with due > 0, maintained incrementally at the two mutation
     #: sites so the per-tick memory estimate never re-scans the arrays.
     n_pending: int = 0
 
     @classmethod
     def empty(cls, n: int) -> "ProgressionState":
         return cls(
-            dwell=np.zeros(n, dtype=np.int32),
+            due=np.zeros(n, dtype=np.int32),
             next_state=np.full(n, -1, dtype=np.int8),
         )
+
+    @property
+    def dwell(self) -> np.ndarray:
+        """The :attr:`due` column itself under its former name, for
+        readers that only ask which persons are pending (nonzero) or
+        which array is bound; ticks remaining are :meth:`remaining`."""
+        return self.due
+
+    def remaining(self, tick: int) -> np.ndarray:
+        """Ticks each person still waits at ``tick`` (0 = none pending) —
+        what a per-tick countdown would hold; a fresh int32 array."""
+        return np.where(self.due > 0, self.due - tick, 0).astype(np.int32)
+
+    def schedule_remaining(self, dwell: np.ndarray, tick: int) -> None:
+        """Inverse of :meth:`remaining`: set every due tick in place from
+        per-person ticks remaining at ``tick`` (a checkpoint restore)."""
+        self.due[...] = np.where(dwell > 0, dwell + tick, 0)
 
 
 #: Entry batches at or below this size take the scalar scheduling path:
@@ -177,6 +200,7 @@ def _schedule_small(
     codes: np.ndarray,
     age_group: np.ndarray,
     rng: np.random.Generator,
+    tick: int,
 ) -> None:
     """Scalar twin of :func:`schedule_lanes` for one lane's tiny batches.
 
@@ -200,16 +224,16 @@ def _schedule_small(
                 grouped[-1][1].append(pids_l[i])
             else:
                 grouped.append((codes_l[i], [pids_l[i]]))
-    dwell_arr = sched.dwell
+    due_arr = sched.due
     next_arr = sched.next_state
     pending = 0
     for code, persons in grouped:
         out = model.out_edges.get(code)
         if out is None:
             for p in persons:
-                if dwell_arr[p] > 0:
+                if due_arr[p] > 0:
                     pending -= 1
-                dwell_arr[p] = 0
+                due_arr[p] = 0
                 next_arr[p] = -1
             continue
         dwells = out[2]
@@ -222,7 +246,7 @@ def _schedule_small(
         if n_out == 1:
             dst = dsts[0]
             for p in persons:
-                if dwell_arr[p] > 0:
+                if due_arr[p] > 0:
                     pending -= 1
                 next_arr[p] = dst
             d0 = dwells[0]
@@ -231,16 +255,18 @@ def _schedule_small(
             else:
                 drawn = d0.sample(n_g, rng).tolist()
             for p, d in zip(persons, drawn):
-                dwell_arr[p] = d
                 if d > 0:
+                    due_arr[p] = tick + d
                     pending += 1
+                else:
+                    due_arr[p] = 0
         else:
             cum_age = model.out_cum_age[code]
             ages = _age_list(age_group)
             choices = []
             last = n_out - 1
             for p, u in zip(persons, us):
-                if dwell_arr[p] > 0:
+                if due_arr[p] > 0:
                     pending -= 1
                 crow = cum_age[ages[p]]
                 u *= crow[last]
@@ -254,36 +280,35 @@ def _schedule_small(
                 if not members:
                     continue
                 if len(members) == 1:
-                    d = dwells[k].sample_one(rng)
-                    p = persons[members[0]]
-                    dwell_arr[p] = d
-                    if d > 0:
-                        pending += 1
+                    drawn = (dwells[k].sample_one(rng),)
                 else:
                     drawn = dwells[k].sample(len(members), rng).tolist()
-                    for i, d in zip(members, drawn):
-                        dwell_arr[persons[i]] = d
-                        if d > 0:
-                            pending += 1
+                for i, d in zip(members, drawn):
+                    if d > 0:
+                        due_arr[persons[i]] = tick + d
+                        pending += 1
+                    else:
+                        due_arr[persons[i]] = 0
     sched.n_pending += pending
 
 
 def schedule_lanes(
     tables: SchedTables,
     scheds: list[ProgressionState],
-    dwell: np.ndarray,
+    due: np.ndarray,
     next_state: np.ndarray,
     lanes: np.ndarray,
     pids: np.ndarray,
     codes: np.ndarray,
     age_group: np.ndarray,
     rngs: list[np.random.Generator],
+    tick: int,
 ) -> None:
     """Schedule the next hop of entries of K lanes in one vectorised pass.
 
-    ``dwell`` / ``next_state`` are the ``(K, N)`` scheduling stacks whose
-    rows are ``scheds[i].dwell`` / ``.next_state``; entry ``j`` is person
-    ``pids[j]`` of lane ``lanes[j]`` entering ``codes[j]``.
+    ``due`` / ``next_state`` are the ``(K, N)`` scheduling stacks whose
+    rows are ``scheds[i].due`` / ``.next_state``; entry ``j`` is person
+    ``pids[j]`` of lane ``lanes[j]`` entering ``codes[j]`` at ``tick``.
 
     Exploits the dwell families' one-uniform-per-draw contract: a
     (lane, code) group of ``n`` entries consumes exactly ``2n`` uniforms
@@ -296,8 +321,8 @@ def schedule_lanes(
     k = len(scheds)
     t = tables
     n_states = t.has_out.shape[0]
-    n_pop = dwell.shape[1]
-    dwell_flat = dwell.reshape(-1)
+    n_pop = due.shape[1]
+    due_flat = due.reshape(-1)
     next_flat = next_state.reshape(-1)
     m_all = pids.shape[0]
     # (lane, code)-major stable sort: each lane's groups come out in
@@ -342,7 +367,7 @@ def schedule_lanes(
     # Transform phase: one vectorised pass over every lane and code at
     # once, via the padded (code, lane, edge, age) tables.
     flat_idx = s_lane * n_pop + s_pid
-    was = dwell_flat[flat_idx] > 0
+    was = due_flat[flat_idx] > 0
     pend_minus = (np.bincount(s_lane[was], minlength=k)
                   if was.any() else None)
     p_gid = np.repeat(np.arange(g_start.shape[0]), g_size)
@@ -351,7 +376,7 @@ def schedule_lanes(
     if not all_out:
         # Terminal entries: clear any schedule.
         term = ~p_out
-        dwell_flat[flat_idx[term]] = 0
+        due_flat[flat_idx[term]] = 0
         next_flat[flat_idx[term]] = -1
         sel = np.flatnonzero(p_out)
         if sel.size:
@@ -413,8 +438,8 @@ def schedule_lanes(
             if mask.any():
                 vals[mask] = dist.values_from_uniforms(dwell_u[mask])
         next_flat[flat_idx] = t.dst_pad[s_code, choice]
-        dwell_flat[flat_idx] = vals
         pos = vals > 0
+        due_flat[flat_idx] = np.where(pos, vals + tick, 0)
         pend_plus = (np.bincount(s_lane[pos], minlength=k)
                      if pos.any() else None)
     if pend_minus is not None or pend_plus is not None:
@@ -432,6 +457,7 @@ def schedule_entries(
     codes: np.ndarray,
     age_group: np.ndarray,
     rng: np.random.Generator,
+    tick: int,
 ) -> None:
     """Sample and schedule the next transition for persons entering states.
 
@@ -444,42 +470,51 @@ def schedule_entries(
         pids: persons entering a new state this tick.
         codes: the state codes entered (parallel to ``pids``).
         age_group: the full population age-group column.
+        rng: the lane's random stream.
+        tick: the schedule base — the sweeps already run when the
+            persons enter (the current tick, or tick + 1 for entries the
+            tick's own sweep fired); a dwell of ``d`` falls due at
+            ``tick + d``.
     """
     if pids.size == 0:
         return
     if pids.size <= _SMALL_BATCH:
-        _schedule_small(model, sched, pids, codes, age_group, rng)
+        _schedule_small(model, sched, pids, codes, age_group, rng, tick)
         return
     tables = _ONE_LANE_TABLES.get(model)
     if tables is None:
         tables = _ONE_LANE_TABLES[model] = SchedTables([model])
-    schedule_lanes(tables, [sched], sched.dwell[None], sched.next_state[None],
+    schedule_lanes(tables, [sched], sched.due[None], sched.next_state[None],
                    np.zeros(pids.shape[0], dtype=np.int64),
-                   np.asarray(pids, dtype=np.int64), codes, age_group, [rng])
+                   np.asarray(pids, dtype=np.int64), codes, age_group, [rng],
+                   tick)
 
 
 def progression_sweep(
-    dwell: np.ndarray,
+    due: np.ndarray,
     next_state: np.ndarray,
+    tick: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One progression tick over ``(K, N)`` lane stacks.
 
-    Decrements every pending dwell counter in place, clears the schedule
-    of the persons whose counter reached zero, and returns the
-    transitions firing now.  One ``flatnonzero`` over the stack is
-    row-major, so the outputs are the per-lane results concatenated in
-    lane order with each lane's pids ascending.
+    Fires every schedule due at ``tick`` — the tick the caller is about
+    to enter, so the sweep run during tick ``t`` passes ``t + 1`` — and
+    clears those schedules.  One comparison and one ``flatnonzero`` over
+    the stack, which is row-major, so the outputs are the per-lane
+    results concatenated in lane order with each lane's pids ascending.
 
     Returns:
         ``(sizes, pids, codes, n_hit)``: per-lane fired counts, the
         lane-major fired pids and their scheduled destination codes, and
-        the per-lane count of counters that reached zero (the caller's
+        the per-lane count of schedules that came due (the caller's
         ``n_pending`` decrement).
     """
-    k, n = dwell.shape
-    pending = dwell > 0
-    np.subtract(dwell, 1, out=dwell, where=pending)
-    hit = np.flatnonzero(pending & (dwell == 0))
+    k, n = due.shape
+    hit = np.flatnonzero(due == tick)
+    if not hit.size:
+        none = np.zeros(k, dtype=np.int64)
+        return none, hit, next_state[:0, 0], none
+    due.reshape(-1)[hit] = 0
     next_flat = next_state.reshape(-1)
     codes = next_flat[hit]
     fire = codes >= 0
@@ -493,14 +528,16 @@ def progression_sweep(
 
 def progression_step(
     sched: ProgressionState,
+    tick: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance one lane one tick; return (pids, codes) firing now.
+    """Advance one lane through the sweep of ``tick``; return (pids, codes)
+    firing now.
 
-    The one-lane face of :func:`progression_sweep`.  The caller must
-    re-enter those persons (recording the transition and scheduling their
-    next hop).
+    The one-lane face of :func:`progression_sweep` (``tick`` is the lane's
+    current tick).  The caller must re-enter those persons (recording the
+    transition and scheduling their next hop).
     """
     _sizes, pids, codes, n_hit = progression_sweep(
-        sched.dwell[None], sched.next_state[None])
+        sched.due[None], sched.next_state[None], tick + 1)
     sched.n_pending -= int(n_hit[0])
     return pids, codes

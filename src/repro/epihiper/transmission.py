@@ -20,25 +20,33 @@ Both drivers call :func:`lane_transmissions` once per tick with ``(K, N)`` /
 :class:`~repro.epihiper.batch.BatchedSimulation` with its K lanes, the solo
 :class:`~repro.epihiper.engine.Simulation` with its own arrays viewed as
 one lane — and :func:`transmission_step` is the same call over one lane's
-loose arrays.  A tick has three stages, each written once:
+loose arrays.  Both engines hand in state they maintain where ``health``
+changes (each lane's infectious mask and its frontier degree sum) and the
+raw edge state (suppression counts and the base activity flags), so a
+frontier tick reads flags only on the persons and edges it gathers.  A
+tick has three stages, each written once:
 
 Candidate enumeration (:class:`CandidateScan`)
     ``dense`` lanes share one scan over the doubled-edge layout (both
-    contact directions of every edge, for all dense lanes at once);
-    ``frontier`` lanes each gather only the edges incident to their
-    infectious set through the
-    :class:`~repro.epihiper.interventions.IncidentEdges` CSR — O(frontier
-    degree) instead of O(|E|), the early-epidemic common case.  A candidate
-    contact requires an infectious endpoint, so both kernels enumerate
-    *exactly* the same contacts, in the same order (forward then backward
+    contact directions of every edge, for all dense lanes at once); only
+    a tick with a dense lane builds the ``(K, N)`` susceptible masks and
+    the ``(K, E)`` activity mask.  ``frontier`` lanes each gather only the
+    edges incident to their infectious set through the
+    :class:`~repro.epihiper.interventions.IncidentEdges` CSR and read
+    state and activity on those rows alone — O(frontier degree) instead
+    of O(|E|), the early-epidemic common case.  A candidate contact
+    requires an infectious endpoint, so both kernels enumerate *exactly*
+    the same contacts, in the same order (forward then backward
     direction, ascending edge).
 
-The ``auto`` rule (:func:`resolve_auto`)
+The ``auto`` rule (:func:`auto_backend`)
     Frontier while the gathered incident-slot count (the infectious sets'
     degree sum, summed over the lanes resolved together) stays below
     ``FRONTIER_DENSE_CROSSOVER`` of the edge count, dense afterwards; all
     ``auto`` lanes of a batch share one decision, so the dense lanes stay
-    one stacked scan.
+    one stacked scan.  The engines keep the degree sums current, so the
+    decision is O(1); :func:`resolve_auto` is the same rule over
+    infectious masks.
 
 Sampling (:func:`sample_transmissions`)
     Eq. (1) over the lane-concatenated candidates, then per lane one
@@ -124,23 +132,30 @@ def frontier_workload(inf_state: np.ndarray,
                            degrees))
 
 
+def auto_backend(workload: float, n_edges: int) -> TransmissionBackend:
+    """The ``auto`` rule over a gather workload: frontier while the summed
+    frontier degree of the lanes resolved together stays within
+    ``FRONTIER_DENSE_CROSSOVER * |E|``, dense afterwards."""
+    if workload <= FRONTIER_DENSE_CROSSOVER * n_edges:
+        return TransmissionBackend.FRONTIER
+    return TransmissionBackend.DENSE
+
+
 def resolve_auto(inf_auto: np.ndarray, incident: "IncidentEdges",
                  n_edges: int) -> TransmissionBackend:
-    """The ``auto`` rule: one kernel for the lanes of ``inf_auto`` this tick.
+    """The ``auto`` rule for lanes known only by their infectious masks.
 
     ``inf_auto`` holds the infectious masks of the ``auto`` lanes resolved
-    together (``(1, N)`` for a solo run).  Frontier while their summed
-    gather workload stays within ``FRONTIER_DENSE_CROSSOVER * |E|``, dense
-    afterwards.  The infectious count times the largest degree bounds the
-    workload from above, so one popcount settles the early-epidemic ticks
-    without touching the degree column.
+    together (``(1, N)`` for one lane).  The engines maintain the degree
+    sums and call :func:`auto_backend` directly; this is the loose-array
+    face (:func:`transmission_step`).  The infectious count times the
+    largest degree bounds the workload from above, so one popcount
+    settles the early-epidemic case without touching the degree column.
     """
     threshold = FRONTIER_DENSE_CROSSOVER * n_edges
     if np.count_nonzero(inf_auto) * incident.max_degree <= threshold:
         return TransmissionBackend.FRONTIER
-    if frontier_workload(inf_auto, incident) <= threshold:
-        return TransmissionBackend.FRONTIER
-    return TransmissionBackend.DENSE
+    return auto_backend(frontier_workload(inf_auto, incident), n_edges)
 
 
 class CandidateScan:
@@ -159,39 +174,47 @@ class CandidateScan:
         self.duration = duration
         self._tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._scratch: np.ndarray | None = None
+        self._active: np.ndarray | None = None
 
-    def candidates(self, backends, sus, inf, active, weight, incident):
+    def candidates(self, backends, model, health, infectious, supp_count,
+                   base_active, weight, incident):
         """Every lane's candidate contacts as one lane-concatenated batch.
 
-        ``sus`` / ``inf`` are the ``(K, N)`` state masks, ``active`` /
-        ``weight`` the ``(K, E)`` per-lane effective edge activity and
-        weights, ``backends`` the resolved kernel per lane.
+        ``health`` / ``infectious`` are the ``(K, N)`` state codes and
+        maintained infectious masks, ``supp_count`` / ``weight`` the
+        ``(K, E)`` per-lane suppression counts and edge weights,
+        ``base_active`` the shared ``(E,)`` base activity (an edge is
+        active when its base flag is set and nothing suppresses it), and
+        ``backends`` the resolved kernel per lane.
 
         Returns:
             ``(sus_ids, inf_ids, dur, w, counts)``: lane-local person ids
             and per-contact columns concatenated lane by lane, and the
             ``(K,)`` per-lane candidate counts.
         """
-        k = sus.shape[0]
+        k = health.shape[0]
         frontier = [i for i, b in enumerate(backends)
                     if b is TransmissionBackend.FRONTIER]
-        if not frontier:
-            return self._dense(sus, inf, active, weight)
-        if incident is None:
+        if frontier and incident is None:
             raise ValueError(
                 "frontier backend requires an IncidentEdges index")
+        if not frontier:
+            return self._dense(model, health, infectious, supp_count,
+                               base_active, weight)
         parts: list = [None] * k
         dense = [i for i, b in enumerate(backends)
                  if b is not TransmissionBackend.FRONTIER]
         if dense:
             sel = np.asarray(dense)
-            *cols, d_counts = self._dense(sus[sel], inf[sel], active[sel],
-                                          weight[sel])
+            *cols, d_counts = self._dense(
+                model, health[sel], infectious[sel], supp_count[sel],
+                base_active, weight[sel])
             offs = np.concatenate(([0], np.cumsum(d_counts))).tolist()
             for j, i in enumerate(dense):
                 parts[i] = [c[offs[j]:offs[j + 1]] for c in cols]
         for i in frontier:
-            parts[i] = self._frontier(sus[i], inf[i], active[i], weight[i],
+            parts[i] = self._frontier(model, health[i], infectious[i],
+                                      supp_count[i], base_active, weight[i],
                                       incident)
         counts = np.array([p[0].shape[0] for p in parts], dtype=np.int64)
         if k == 1:
@@ -199,17 +222,18 @@ class CandidateScan:
         return (*(np.concatenate([p[c] for p in parts]) for c in range(4)),
                 counts)
 
-    def _dense(self, sus, inf, active, weight):
+    def _dense(self, model, health, inf, supp_count, base_active, weight):
         """Dense candidates of K stacked lanes, in :meth:`candidates` form.
 
-        Both contact directions are evaluated in one ``(K, 2E)`` scan over
-        the doubled-edge layout: column ``c`` is the forward direction of
-        edge ``c`` for ``c < E`` and the backward direction of edge
-        ``c - E`` otherwise.  ``np.flatnonzero`` over it is row-major, so
-        each lane's candidates come out forward-then-backward in ascending
-        edge order.
+        The one place the full ``(K, N)`` susceptible masks and ``(K, E)``
+        activity mask are built.  Both contact directions are evaluated in
+        one ``(K, 2E)`` scan over the doubled-edge layout: column ``c`` is
+        the forward direction of edge ``c`` for ``c < E`` and the backward
+        direction of edge ``c - E`` otherwise.  ``np.flatnonzero`` over it
+        is row-major, so each lane's candidates come out
+        forward-then-backward in ascending edge order.
         """
-        n_lanes = sus.shape[0]
+        n_lanes = health.shape[0]
         n_edges = self.source.shape[0]
         if self._tables is None:
             self._tables = (
@@ -219,8 +243,13 @@ class CandidateScan:
         inf_of, sus_of, dur_of = self._tables
         if self._scratch is None or self._scratch.shape[1] < n_lanes:
             self._scratch = np.empty((2, n_lanes, 2 * n_edges), dtype=bool)
+            self._active = np.empty((n_lanes, n_edges), dtype=bool)
         cand = self._scratch[0, :n_lanes]
         other = self._scratch[1, :n_lanes]
+        active = self._active[:n_lanes]
+        np.equal(supp_count, 0, out=active)
+        active &= base_active
+        sus = np.take(model.is_susceptible, health)
         np.take(inf, inf_of, axis=1, out=cand)
         np.take(sus, sus_of, axis=1, out=other)
         cand &= other
@@ -239,13 +268,15 @@ class CandidateScan:
         w = weight.reshape(-1)[lane * n_edges + edge]
         return sus_of[col], inf_of[col], dur_of[col], w, counts
 
-    def _frontier(self, sus, inf, active, weight, incident):
+    def _frontier(self, model, health, inf, supp_count, base_active, weight,
+                  incident):
         """One lane's candidates gathered from its infectious frontier.
 
         ``edges_of``'s sort-dedup both drops rows whose two endpoints are
         infectious and puts the gathered rows in ascending — dense
-        enumeration — order.  State flags are looked up on the gathered
-        endpoints only, so nothing here scales with |E|.
+        enumeration — order.  State flags and edge activity are looked up
+        on the gathered rows and their endpoints only, so nothing here
+        scales with |E|.
         """
         rows = incident.edges_of(np.flatnonzero(inf))
         if not rows.size:  # nobody infectious (an extinct lane)
@@ -253,9 +284,10 @@ class CandidateScan:
                     weight[:0])
         src = self.source[rows]
         tgt = self.target[rows]
-        act = active[rows]
-        fwd = act & inf[src] & sus[tgt]  # src infects tgt
-        bwd = act & inf[tgt] & sus[src]  # tgt infects src
+        act = (supp_count[rows] == 0) & base_active[rows]
+        sus = model.is_susceptible
+        fwd = act & inf[src] & sus[health[tgt]]  # src infects tgt
+        bwd = act & inf[tgt] & sus[health[src]]  # tgt infects src
         erows = np.concatenate([rows[fwd], rows[bwd]])
         return (np.concatenate([tgt[fwd], src[bwd]]),
                 np.concatenate([src[fwd], tgt[bwd]]),
@@ -345,32 +377,33 @@ def sample_transmissions(model: DiseaseModel, taus, rngs, health,
 
 
 def lane_transmissions(backends, model: DiseaseModel, taus, rngs, health,
-                       node_sus, node_inf, active, weight,
-                       scan: CandidateScan, incident):
+                       infectious, workloads, node_sus, node_inf, supp_count,
+                       base_active, weight, scan: CandidateScan, incident):
     """One tick of transmission for K lanes: resolve, enumerate, sample.
 
-    ``backends`` is each lane's configured kernel (``auto`` lanes resolve
-    together through :func:`resolve_auto`; without an ``incident`` CSR they
-    scan dense); the other stacks are as in :meth:`CandidateScan.candidates`
-    and :func:`sample_transmissions`.
+    ``backends`` is each lane's configured kernel; ``auto`` lanes resolve
+    together through :func:`auto_backend` over the sum of their
+    ``workloads`` (each lane's frontier degree sum; without an
+    ``incident`` CSR they scan dense).  The state and edge stacks are as
+    in :meth:`CandidateScan.candidates`, the rest as in
+    :func:`sample_transmissions`.
 
     Returns:
         ``(counts, sizes, pids, codes, infectors)``: per-lane candidate
         counts, then :func:`sample_transmissions`' exposures.
     """
-    sus = np.take(model.is_susceptible, health)
-    inf = np.take(model.is_infectious, health)
     auto = [i for i, b in enumerate(backends)
             if b is TransmissionBackend.AUTO]
     if auto:
         choice = TransmissionBackend.DENSE
         if incident is not None:
-            choice = resolve_auto(inf if len(auto) == len(backends)
-                                  else inf[auto], incident,
-                                  scan.source.shape[0])
+            load = (workloads.sum() if len(auto) == len(backends)
+                    else workloads[auto].sum())
+            choice = auto_backend(load, scan.source.shape[0])
         backends = [choice if b is TransmissionBackend.AUTO else b
                     for b in backends]
-    cand = scan.candidates(backends, sus, inf, active, weight, incident)
+    cand = scan.candidates(backends, model, health, infectious, supp_count,
+                           base_active, weight, incident)
     return (cand[4], *sample_transmissions(model, taus, rngs, health,
                                            node_sus, node_inf, cand))
 
@@ -392,8 +425,10 @@ def transmission_step(
 ) -> TransmissionEvents:
     """Evaluate the active contacts of one tick and sample transmissions.
 
-    :func:`lane_transmissions` for one lane's loose arrays (the dense
-    scan's lookups are built per call; an engine keeps its own).
+    :func:`lane_transmissions` for one lane's loose arrays: the
+    infectious mask is derived from ``health`` and ``auto`` resolves
+    through :func:`resolve_auto` (an engine maintains both instead, and
+    keeps its dense scan's lookups across ticks).
 
     Args:
         model: the disease model supplying state-level sigma / iota / omega.
@@ -412,11 +447,17 @@ def transmission_step(
         several firing contacts is exposed once, attributed to a uniformly
         random firing contact.
     """
+    backend = TransmissionBackend.coerce(backend)
+    infectious = np.take(model.is_infectious, health)
+    if backend is TransmissionBackend.AUTO:
+        backend = (TransmissionBackend.DENSE if incident is None
+                   else resolve_auto(infectious[None], incident,
+                                     edge_source.shape[0]))
     counts, _sizes, pids, codes, infectors = lane_transmissions(
-        [TransmissionBackend.coerce(backend)], model,
-        [model.transmissibility], [rng], health[None],
-        node_susceptibility[None], node_infectivity[None],
-        edge_active[None], edge_weight[None],
+        [backend], model, [model.transmissibility], [rng], health[None],
+        infectious[None], None, node_susceptibility[None],
+        node_infectivity[None], np.zeros((1, edge_active.shape[0]), np.int8),
+        edge_active, edge_weight[None],
         CandidateScan(edge_source, edge_target, edge_duration_min), incident)
     return TransmissionEvents(pids=pids, exposed_codes=codes,
                               infectors=infectors,

@@ -239,6 +239,43 @@ class Stopwatch:
         return time.perf_counter() - self._t0
 
 
+class PhaseClock:
+    """Per-phase seconds a hot loop accumulates in plain floats, flushed
+    into a registry as timers by :meth:`flush` (:meth:`MetricsRegistry.
+    observe_n`): no lock and no context manager per phase.
+
+    :meth:`start` opens a lap; :meth:`lap` charges the time since the
+    previous mark to one phase and opens the next.
+    """
+
+    __slots__ = ("names", "seconds", "_t")
+
+    def __init__(self, names) -> None:
+        self.names = tuple(names)
+        self.seconds = [0.0] * len(self.names)
+        self._t = 0.0
+
+    def start(self) -> None:
+        """Open a lap now."""
+        self._t = time.perf_counter()
+
+    def lap(self, phase: int) -> None:
+        """Charge the time since the last mark to ``names[phase]``."""
+        t = time.perf_counter()
+        self.seconds[phase] += t - self._t
+        self._t = t
+
+    def flush(self, registry: MetricsRegistry, prefix: str, n: int) -> None:
+        """Observe each phase's unflushed seconds as ``n`` observations of
+        ``<prefix><name>``, then reset.  With ``n <= 0`` nothing is
+        observed and the seconds keep accruing."""
+        if n <= 0:
+            return
+        for name, seconds in zip(self.names, self.seconds):
+            registry.observe_n(prefix + name, seconds, n)
+        self.seconds = [0.0] * len(self.names)
+
+
 #: Process-wide aggregation point: components that are not handed a
 #: registry explicitly still publish here, so "what did this process do"
 #: is always answerable.

@@ -22,10 +22,13 @@ This module decomposes the model accordingly:
 The per-edge/per-node private constants are summed from the engine's
 actual allocations (dtype sizes as of this writing): per edge
 ``base_active`` (1) + ``edge_weight`` f64 (8) + ``_duration_f64`` (8) +
-``_home_mask`` (1) + ``_active_scratch`` (1) + suppressor ``count`` i16
-(2) + suppressor scratch (1) = 22; per node ``health`` i8 (1) +
-progression ``dwell`` i32 (4) + ``next_state`` i8 (1) +
-``node_susceptibility`` f64 (8) + ``node_infectivity`` f64 (8) = 22.
+``_home_mask`` (1) + suppressor ``count`` i16 (2) = 20; per node
+``health`` i8 (1) + progression ``due`` i32 (4) + ``next_state`` i8 (1) +
+``node_susceptibility`` f64 (8) + ``node_infectivity`` f64 (8) + the
+maintained ``_infectious`` mask (1) = 23.  Neither counts the incident
+CSR (32 B per edge and 16 B per person, built by frontier and ``auto``
+lanes and the isolating NPIs) or the dense scan's lookups and buffers
+(53 B per edge, from a lane's first dense tick).
 """
 
 from __future__ import annotations
@@ -35,10 +38,10 @@ from dataclasses import dataclass
 from ..epihiper.engine import EDGE_BYTES, NODE_BYTES
 
 #: Private (unshareable) bytes per contact-network edge per worker.
-WORKER_EDGE_BYTES: int = 22
+WORKER_EDGE_BYTES: int = 20
 
 #: Private (unshareable) bytes per person per worker.
-WORKER_NODE_BYTES: int = 22
+WORKER_NODE_BYTES: int = 23
 
 
 @dataclass(frozen=True, slots=True)

@@ -52,7 +52,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -63,7 +62,14 @@ import numpy as np
 
 from ..obs.registry import MetricsRegistry
 from ..resilience.faults import FaultPlan
-from .files import atomic_write, open_journal, pid_alive, read_jsonl
+from .files import (
+    atomic_write,
+    make_temp,
+    open_journal,
+    pid_alive,
+    read_jsonl,
+    reap_orphan_temps,
+)
 
 #: Default size bound (bytes) for the user-level default store.
 DEFAULT_MAX_BYTES: int = 4 * 1024**3
@@ -405,14 +411,21 @@ class ContentStore:
         """Bytes consumed by stored blobs."""
         return sum(b.stat().st_size for b in self._blobs())
 
+    def _reap_temps(self) -> None:
+        """Remove temps left by writers killed mid-``put`` or
+        mid-:meth:`LeaseTable.acquire` (their pid is dead)."""
+        reap_orphan_temps([*self._objects.glob("??"), lease_dir(self.root)])
+
     def gc(self, max_bytes: int | None = None) -> list[str]:
         """Evict least-recently-used blobs until under ``max_bytes``.
 
-        Returns the removed keys (oldest first).
+        Orphaned temps go first (:meth:`_reap_temps`).  Returns the
+        removed keys (oldest first).
         """
         bound = self.max_bytes if max_bytes is None else max_bytes
         if bound is None:
             raise ValueError("gc needs a size bound")
+        self._reap_temps()
         index = self._family_index()
         now = time.time()
         blobs = []
@@ -441,7 +454,9 @@ class ContentStore:
         return removed
 
     def clear(self) -> int:
-        """Delete every blob.  Returns how many were removed."""
+        """Delete every blob and every orphaned temp.  Returns how many
+        blobs were removed."""
+        self._reap_temps()
         removed = 0
         for blob in self._blobs():
             blob.unlink(missing_ok=True)
@@ -533,7 +548,7 @@ class LeaseTable:
         record = json.dumps({"owner": self.owner, "pid": os.getpid(),
                              "ts": time.time()})
         path = self.path_of(key)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        fd, tmp = make_temp(self.root)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(record)

@@ -3,9 +3,11 @@
 Journals (ledgers, traces, checkpoint pointers, the family index) are
 append-only JSONL whose last line a crash may tear; pointers, manifests,
 leases, port files and blobs are published by write-temp-then-replace.
-Temps are ``.tmp-*.tmp`` in the target's directory (same filesystem: the
-replace is atomic) — a suffix no listing globs, so in-flight writes stay
-invisible.
+Temps are ``.tmp-<writer pid>-*.tmp`` in the target's directory (same
+filesystem: the replace is atomic) — a suffix no listing globs, so
+in-flight writes stay invisible, and a pid that outlives a writer killed
+mid-write, so :func:`reap_orphan_temps` can tell its leftovers from a
+live write.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
     exception (the target is then untouched)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".tmp")
+    fd, tmp = make_temp(path.parent)
     try:
         with os.fdopen(fd, mode,
                        encoding=None if "b" in mode else "utf-8") as fh:
@@ -76,6 +78,25 @@ def read_json(path: str | Path) -> dict[str, Any] | None:
     except (OSError, ValueError):
         return None
     return record if isinstance(record, dict) else None
+
+
+def make_temp(directory: str | Path) -> tuple[int, str]:
+    """``mkstemp`` in ``directory`` under the temp naming rule
+    (``.tmp-<pid>-*.tmp``); returns ``(fd, path)``."""
+    return tempfile.mkstemp(dir=directory, prefix=f".tmp-{os.getpid()}-",
+                            suffix=".tmp")
+
+
+def reap_orphan_temps(directories) -> None:
+    """Remove the temps in ``directories`` whose writer is dead — the
+    leftovers of a process killed mid-write.  The rule is a lease's
+    (same-host pid liveness); a live writer's temp and any file not
+    named by :func:`make_temp` are left alone."""
+    for directory in directories:
+        for tmp in Path(directory).glob(".tmp-*.tmp"):
+            pid = tmp.name.split("-", 2)[1]
+            if pid.isdigit() and not pid_alive(int(pid)):
+                tmp.unlink(missing_ok=True)
 
 
 def pid_alive(pid: int) -> bool:

@@ -2,7 +2,7 @@
 
 The solo :class:`Simulation` and the :class:`BatchedSimulation` call the
 same phase functions — the solo engine with its arrays viewed as one lane.
-These tests pin the kernels themselves (the two schedulers, the dwell
+These tests pin the kernels themselves (the two schedulers, the due-tick
 sweep, Eq. 1 sampling, the ``auto`` rule) and the bookkeeping both drivers
 share (the Figure 10 memory estimate).
 """
@@ -78,7 +78,7 @@ def test_batched_memory_counts_transitions_entered_by_interventions(vt):
 # -- scheduling -----------------------------------------------------------------
 
 
-def _sched_case(models, n_entries, mixed, seed, n_pop=300):
+def _sched_case(models, n_entries, mixed, seed, n_pop=300, tick=5):
     """Per-lane (sched, pids, codes) with some persons already pending."""
     setup = np.random.default_rng(seed)
     model = models[0]
@@ -88,7 +88,7 @@ def _sched_case(models, n_entries, mixed, seed, n_pop=300):
     for _ in models:
         sched = ProgressionState.empty(n_pop)
         pending = setup.random(n_pop) < 0.3
-        sched.dwell[pending] = setup.integers(1, 4, int(pending.sum()))
+        sched.due[pending] = tick + setup.integers(1, 4, int(pending.sum()))
         sched.next_state[pending] = model.code(EXPOSED)
         sched.n_pending = int(pending.sum())
         pids = setup.choice(n_pop, size=n_entries, replace=False)
@@ -109,24 +109,24 @@ def test_scalar_and_cross_lane_schedulers_agree(k, mixed):
         scalar_rngs = [np.random.default_rng(seed + i) for i in range(k)]
         for model, (sched, pids, codes), rng in zip(models, scalar,
                                                      scalar_rngs):
-            _schedule_small(model, sched, pids, codes, ages, rng)
+            _schedule_small(model, sched, pids, codes, ages, rng, 5)
 
         lanes = _sched_case(models, n_entries, mixed, seed)
         rngs = [np.random.default_rng(seed + i) for i in range(k)]
-        dwell = np.stack([s.dwell for s, _, _ in lanes])
+        due = np.stack([s.due for s, _, _ in lanes])
         next_state = np.stack([s.next_state for s, _, _ in lanes])
         for i, (sched, _, _) in enumerate(lanes):
-            sched.dwell, sched.next_state = dwell[i], next_state[i]
+            sched.due, sched.next_state = due[i], next_state[i]
         schedule_lanes(
-            SchedTables(models), [s for s, _, _ in lanes], dwell, next_state,
+            SchedTables(models), [s for s, _, _ in lanes], due, next_state,
             np.repeat(np.arange(k), n_entries),
             np.concatenate([p for _, p, _ in lanes]),
-            np.concatenate([c for _, _, c in lanes]), ages, rngs)
+            np.concatenate([c for _, _, c in lanes]), ages, rngs, 5)
 
         for i in range(k):
             label = f"k={k} mixed={mixed} n={n_entries} lane {i}"
             want, got = scalar[i][0], lanes[i][0]
-            np.testing.assert_array_equal(want.dwell, got.dwell, label)
+            np.testing.assert_array_equal(want.due, got.due, label)
             np.testing.assert_array_equal(want.next_state, got.next_state,
                                           label)
             assert want.n_pending == got.n_pending, label
@@ -140,24 +140,25 @@ def test_scalar_and_cross_lane_schedulers_agree(k, mixed):
 def test_progression_sweep_equals_one_lane_calls():
     setup = np.random.default_rng(3)
     k, n = 4, 500
-    dwell = setup.integers(0, 4, (k, n)).astype(np.int32)
+    due = setup.integers(0, 4, (k, n)).astype(np.int32)
     next_state = np.where(setup.random((k, n)) < 0.8,
                           setup.integers(0, 9, (k, n)), -1).astype(np.int8)
-    scheds = [ProgressionState(dwell[i].copy(), next_state[i].copy(),
-                               int((dwell[i] > 0).sum())) for i in range(k)]
-    for _tick in range(4):
-        sizes, pids, codes, n_hit = progression_sweep(dwell, next_state)
+    scheds = [ProgressionState(due[i].copy(), next_state[i].copy(),
+                               int((due[i] > 0).sum())) for i in range(k)]
+    for tick in range(4):
+        sizes, pids, codes, n_hit = progression_sweep(due, next_state,
+                                                      tick + 1)
         off = 0
         for i, sched in enumerate(scheds):
             before = sched.n_pending
-            one_pids, one_codes = progression_step(sched)
+            one_pids, one_codes = progression_step(sched, tick)
             assert before - sched.n_pending == n_hit[i]
             assert sizes[i] == one_pids.size
             np.testing.assert_array_equal(pids[off:off + sizes[i]], one_pids)
             np.testing.assert_array_equal(codes[off:off + sizes[i]],
                                           one_codes)
             off += sizes[i]
-            np.testing.assert_array_equal(dwell[i], sched.dwell)
+            np.testing.assert_array_equal(due[i], sched.due)
             np.testing.assert_array_equal(next_state[i], sched.next_state)
 
 
@@ -179,22 +180,26 @@ def test_transmission_kernel_at_k_lanes_equals_one_lane_calls(vt):
     health = setup.choice(codes, (k, n)).astype(np.int8)
     node_sus = setup.uniform(0.2, 1.5, (k, n))
     node_inf = setup.uniform(0.2, 1.5, (k, n))
-    active = setup.random((k, net.n_edges)) < 0.8
+    supp = (setup.random((k, net.n_edges)) >= 0.8).astype(np.int16)
+    base_active = np.ones(net.n_edges, dtype=bool)
     weight = setup.uniform(0.5, 1.5, (k, net.n_edges))
     duration = net.duration.astype(np.float64)
     incident = IncidentEdges(net.source, net.target, n)
+    infectious = model.is_infectious[health]
+    workloads = (infectious @ incident.degrees).astype(np.int64)
 
     rngs = [np.random.default_rng(40 + i) for i in range(k)]
     counts, sizes, pids, codes_out, infectors = lane_transmissions(
-        backends, model, taus, rngs, health, node_sus, node_inf, active,
-        weight, CandidateScan(net.source, net.target, duration), incident)
+        backends, model, taus, rngs, health, infectious, workloads,
+        node_sus, node_inf, supp, base_active, weight,
+        CandidateScan(net.source, net.target, duration), incident)
     off = 0
     for i in range(k):
         one_rng = np.random.default_rng(40 + i)
         one = lane_transmissions(
             [backends[i]], model, [taus[i]], [one_rng], health[i][None],
-            node_sus[i][None], node_inf[i][None], active[i][None],
-            weight[i][None],
+            infectious[i][None], workloads[i:i + 1], node_sus[i][None],
+            node_inf[i][None], supp[i][None], base_active, weight[i][None],
             CandidateScan(net.source, net.target, duration), incident)
         assert counts[i] == one[0][0] > 0
         assert sizes[i] == one[1][0] > 0

@@ -245,3 +245,50 @@ def test_inflight_put_invisible_to_listings_and_gc(store, monkeypatch):
     assert seen["evicted"] == [KEY2] and seen["cleared"] == 0
     assert store.get(KEY) is not None
     assert sorted(store.keys()) == [KEY]
+
+
+def _killed_mid_put(root):
+    """Child: die inside ``write_blob`` with a torn temp on disk."""
+    def torn(fh, arrays, **kwargs):
+        fh.write(b"REPROBL1 torn")
+        fh.flush()
+        os._exit(7)  # no finally: the temp stays behind
+
+    cas.write_blob = torn
+    ContentStore(root).put(KEY, payload())
+
+
+def _killed_mid_acquire(root):
+    """Child: die inside ``LeaseTable.acquire`` before the hard link."""
+    os.link = lambda *args: os._exit(7)
+    cas.LeaseTable(cas.lease_dir(root)).acquire(KEY)
+
+
+def _die_in_child(target, root) -> None:
+    import multiprocessing
+
+    child = multiprocessing.get_context("spawn").Process(
+        target=target, args=(str(root),))
+    child.start()
+    child.join(60)
+    assert child.exitcode == 7
+
+
+def test_writer_killed_mid_put_leaves_no_temp_after_gc(store):
+    """A writer killed inside ``write_blob`` (or inside a lease
+    acquisition) orphans its temp; ``gc`` and ``clear`` remove temps whose
+    writer pid is dead and leave blobs and live temps alone."""
+    store.put(KEY2, payload())
+    _die_in_child(_killed_mid_put, store.root)
+    _die_in_child(_killed_mid_acquire, store.root)
+    temps = [*store.root.glob("objects/??/.tmp-*.tmp"),
+             *cas.lease_dir(store.root).glob(".tmp-*.tmp")]
+    assert len(temps) == 2
+    live = store.path_of(KEY).parent / f".tmp-{os.getpid()}-live.tmp"
+    live.write_bytes(b"in flight")
+    assert store.gc(0) == [KEY2]
+    assert not any(t.exists() for t in temps) and live.exists()
+    assert not store.contains(KEY)
+    _die_in_child(_killed_mid_put, store.root)
+    assert store.clear() == 0
+    assert [*store.root.glob("objects/??/.tmp-*.tmp")] == [live]

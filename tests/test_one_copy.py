@@ -48,8 +48,7 @@ SRC_ROOT = Path(repro.__file__).resolve().parent
 ALLOWED = {
     ("replace", "store/files.py", "atomic_write"),
     ("replace", "store/cas.py", "_quarantine"),
-    ("mkstemp", "store/files.py", "atomic_write"),
-    ("mkstemp", "store/cas.py", "acquire"),
+    ("mkstemp", "store/files.py", "make_temp"),
     ("kill", "store/files.py", "pid_alive"),
     ("loads(line", "store/files.py", "read_jsonl"),
     ("ProcessPoolExecutor(", "core/parallel.py", "borrow"),
