@@ -3,8 +3,6 @@
 from .aggregate import (
     COUNT_KINDS,
     RegionSummary,
-    conservation_check,
-    county_cumulative_counts,
     county_daily_counts,
     state_cumulative_curve,
     summarize,
@@ -80,8 +78,6 @@ __all__ = [
     "Target",
     "VENTILATIONS",
     "VENTILATOR_CENSUS",
-    "conservation_check",
-    "county_cumulative_counts",
     "county_daily_counts",
     "ensemble_band",
     "peak_demand",

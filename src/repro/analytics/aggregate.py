@@ -103,14 +103,6 @@ def county_daily_counts(
     return fips, counts
 
 
-def county_cumulative_counts(
-    log: TransitionLog, pop: Population, state_code: int, n_days: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative variant of :func:`county_daily_counts`."""
-    fips, daily = county_daily_counts(log, pop, state_code, n_days)
-    return fips, np.cumsum(daily, axis=1)
-
-
 def state_cumulative_curve(
     log: TransitionLog, state_code: int, n_days: int
 ) -> np.ndarray:
@@ -120,8 +112,3 @@ def state_cumulative_curve(
     if rows.size:
         np.add.at(daily, log.tick[rows], 1)
     return np.cumsum(daily)
-
-
-def conservation_check(summary: RegionSummary, population: int) -> bool:
-    """Invariant: the census always sums to the population size."""
-    return bool((summary.current.sum(axis=1) == population).all())

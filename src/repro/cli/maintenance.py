@@ -7,8 +7,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import options
-
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from ..obs import default_trace_path, export_json, summarize

@@ -9,8 +9,7 @@ import importlib
 _EXPORTS = {
     "accounting": (
         "WorkflowAccounting", "account_workflow",
-        "raw_bytes_per_simulation", "summary_bytes_per_simulation",
-        "table_i"),
+        "raw_bytes_per_simulation", "table_i"),
     "calibration_wf": (
         "CalibrationWorkflowResult", "align_onset",
         "run_calibration_workflow", "run_iterative_calibration"),

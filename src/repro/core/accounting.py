@@ -92,12 +92,6 @@ def raw_bytes_per_simulation(
     raise ValueError(f"unknown raw_record {raw_record!r}")
 
 
-def summary_bytes_per_simulation(n_days: int = SUMMARY_DAYS) -> float:
-    """Paper-scale summary bytes of one simulation."""
-    entries = n_days * SUMMARY_HEALTH_STATES * SUMMARY_COUNTS
-    return entries * SUMMARY_BYTES_PER_ENTRY
-
-
 def account_workflow(
     design: ExperimentDesign,
     *,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analytics.ensembles import EnsembleBand, ensemble_band
+from ..analytics.ensembles import EnsembleBand, ensemble_band, pool_cells
 from ..analytics.targets import ALL_TARGETS, Target, target_series
 from ..params import DEFAULT_SEED
 from .calibration_wf import CalibrationWorkflowResult
@@ -144,7 +144,7 @@ def run_prediction_workflow(
         confirmed_ensemble=ensemble,
         confirmed_band=ensemble_band(ensemble),
         target_bands={
-            t.name: ensemble_band(np.vstack([
+            t.name: ensemble_band(pool_cells([
                 target_series(o.summary, model_for_params(o.spec.params), t)
                 for o in outcomes]))
             for t in targets

@@ -29,7 +29,6 @@ from .initialization import (
 from .interventions import (
     Intervention,
     at_tick,
-    between_ticks,
     from_tick,
     sample_subset,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "TransmissionEvents",
     "TransitionLog",
     "at_tick",
-    "between_ticks",
     "build_covid_model",
     "build_covid_model_with_symp_fraction",
     "dendogram_roots",

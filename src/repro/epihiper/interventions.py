@@ -63,27 +63,9 @@ def at_tick(day: int) -> Trigger:
     return lambda sim: sim.tick == day
 
 
-def between_ticks(start: int, end: int) -> Trigger:
-    """Trigger active on every tick in ``[start, end)``."""
-    return lambda sim: start <= sim.tick < end
-
-
 def from_tick(day: int) -> Trigger:
     """Trigger active from ``day`` onward."""
     return lambda sim: sim.tick >= day
-
-
-def when_variable_at_least(name: str, threshold: float) -> Trigger:
-    """Trigger on a user-defined simulation variable (Table V ``variable``)."""
-    return lambda sim: sim.variables.get(name, 0.0) >= threshold
-
-
-def when_symptomatic_count_at_least(threshold: int) -> Trigger:
-    """Trigger once the current symptomatic census reaches ``threshold``."""
-    def trig(sim: "Simulation") -> bool:
-        counts = sim.current_state_counts()
-        return int(counts[sim.model.is_symptomatic].sum()) >= threshold
-    return trig
 
 
 # --- action-ensemble building blocks ----------------------------------------

@@ -27,6 +27,8 @@ from .interventions import (
     Intervention,
     SuppressionHandle,
     _sorted_dedup,
+    at_tick,
+    from_tick,
     sample_subset,
 )
 
@@ -132,7 +134,7 @@ def make_vhi(
         _isolate(sim, compliant, releases, isolation_days)
 
     return Intervention(
-        name="VHI", trigger=lambda sim: sim.tick >= start, action=action)
+        name="VHI", trigger=from_tick(start), action=action)
 
 
 # --- SC ----------------------------------------------------------------------
@@ -247,7 +249,7 @@ def make_ta(
         _isolate(sim, detected, releases, isolation_days)
 
     return Intervention(
-        name="TA", trigger=lambda sim: sim.tick >= start, action=action)
+        name="TA", trigger=from_tick(start), action=action)
 
 
 # --- PS ----------------------------------------------------------------------
@@ -335,7 +337,7 @@ def make_contact_tracing(
 
     return Intervention(
         name=f"D{distance}CT",
-        trigger=lambda sim: sim.tick >= start,
+        trigger=from_tick(start),
         action=action,
     )
 
@@ -425,7 +427,7 @@ def make_vaccination(
         sim.variables["vaccinated"] = (
             sim.variables.get("vaccinated", 0.0) + float(vaccinated.size))
 
-    return Intervention(name="VAX", trigger=lambda sim: sim.tick == day,
+    return Intervention(name="VAX", trigger=at_tick(day),
                         action=action, once=True)
 
 

@@ -153,26 +153,3 @@ def strong_scaling_curve(
     return [
         simulate_rank_execution(result, net, fn(net, p)) for p in rank_counts
     ]
-
-
-def optimal_rank_count(
-    result: SimulationResult,
-    net: ContactNetwork,
-    max_ranks: int = 512,
-) -> int:
-    """Rank count minimising modelled wall-clock (the Figure 7 turnover).
-
-    Scans powers of two up to ``max_ranks``; larger networks turn over at
-    larger rank counts, which is why the paper sizes node allocations by
-    network category rather than "as many as possible".
-    """
-    best_p, best_t = 1, math.inf
-    p = 1
-    while p <= max_ranks:
-        from .partition import partition_threshold
-
-        prof = simulate_rank_execution(result, net, partition_threshold(net, p))
-        if prof.total_time < best_t:
-            best_p, best_t = p, prof.total_time
-        p *= 2
-    return best_p

@@ -8,20 +8,11 @@ from .categories import (
     category_table,
     node_category,
 )
-from .coloring import (
-    clique_colors_needed,
-    colors_to_waves,
-    greedy_relaxed_coloring,
-    region_conflict_graph,
-    schedule_waves_makespan,
-    validate_relaxed_coloring,
-)
 from .levels import (
     Level,
     PackingResult,
     pack_ffdt_dc,
     pack_nfdt_dc,
-    packing_quality,
 )
 from .metrics import (
     UtilizationSample,
@@ -44,20 +35,13 @@ __all__ = [
     "WMPInstance",
     "category_name",
     "category_table",
-    "clique_colors_needed",
-    "colors_to_waves",
     "execute_packing",
-    "greedy_relaxed_coloring",
     "jobs_from_packing",
     "make_nightly_instance",
     "median_utilization",
     "node_category",
     "pack_ffdt_dc",
     "pack_nfdt_dc",
-    "packing_quality",
-    "region_conflict_graph",
-    "schedule_waves_makespan",
     "utilization_cdf",
     "utilization_experiment",
-    "validate_relaxed_coloring",
 ]

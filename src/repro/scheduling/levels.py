@@ -149,9 +149,3 @@ def pack_ffdt_dc(instance: WMPInstance) -> PackingResult:
     result = PackingResult("FFDT-DC", levels, instance)
     result.validate()
     return result
-
-
-def packing_quality(result: PackingResult) -> float:
-    """Makespan estimate over the strip-packing lower bound (>= 1)."""
-    lb = result.instance.lower_bound()
-    return result.makespan_estimate / lb if lb > 0 else 1.0

@@ -14,7 +14,7 @@ from .binfmt import (
     write_network_binary,
     write_partition_chunks,
 )
-from .week import WeeklyActivities, assign_week, weekly_contact_summary
+from .week import WeeklyActivities, assign_week
 from .activities import ACTIVITY_TYPES, ActivityTable, assign_activities
 from .contacts import ContactNetwork, build_region_network, derive_contacts
 from .ipf import IPFError, IPFResult, ipf_fit, sample_joint
@@ -27,7 +27,6 @@ __all__ = [
     "assign_week",
     "read_network_binary",
     "read_partition_chunks",
-    "weekly_contact_summary",
     "write_network_binary",
     "write_partition_chunks",
     "ACTIVITY_TYPES",

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activities import (
-    ACTIVITY_TYPES,
     COLLEGE,
     HOME,
     OTHER,
@@ -172,12 +171,3 @@ def assign_locations(
         duration=acts.duration.copy(),
         n_locations=next_loc,
     )
-
-
-def location_kind_counts(visits: VisitTable) -> dict[str, int]:
-    """Number of distinct locations observed per activity type."""
-    out: dict[str, int] = {}
-    for k, name in enumerate(ACTIVITY_TYPES):
-        mask = visits.kind == k
-        out[name] = int(np.unique(visits.location[mask]).size) if mask.any() else 0
-    return out

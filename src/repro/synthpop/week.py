@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activities import (
-    ACTIVITY_TYPES,
     ActivityTable,
     RELIGION,
     SCHOOL,
@@ -121,13 +120,3 @@ def assign_week(
     days.append(_weekend_table(pop, rng, sunday=False))
     days.append(_weekend_table(pop, rng, sunday=True))
     return WeeklyActivities(tuple(days))
-
-
-def weekly_contact_summary(week: WeeklyActivities) -> dict[str, list[int]]:
-    """Per-day activity-type row counts (the weekly rhythm diagnostic)."""
-    out: dict[str, list[int]] = {name: [] for name in ACTIVITY_TYPES}
-    for table in week.days:
-        counts = table.kind_counts()
-        for name in ACTIVITY_TYPES:
-            out[name].append(counts[name])
-    return out

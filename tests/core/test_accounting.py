@@ -5,7 +5,6 @@ import pytest
 from repro.core.accounting import (
     account_workflow,
     raw_bytes_per_simulation,
-    summary_bytes_per_simulation,
     table_i,
 )
 from repro.core.designs import (
@@ -68,7 +67,8 @@ def test_multi_million_transitions_per_simulation():
 
 
 def test_summary_bytes_per_simulation():
-    per_sim = summary_bytes_per_simulation()
+    acct = account_workflow(economic_design())
+    per_sim = acct.summary_bytes / acct.n_simulations
     # 365 x 90 x 3 entries x ~2.7 bytes ~ 266KB.
     assert 200_000 < per_sim < 350_000
 

@@ -10,7 +10,6 @@ from repro.epihiper.interventions import (
     IncidentEdges,
     Intervention,
     at_tick,
-    between_ticks,
     from_tick,
     sample_subset,
 )
@@ -25,8 +24,6 @@ class FakeSim:
 def test_trigger_helpers():
     assert at_tick(5)(FakeSim(5))
     assert not at_tick(5)(FakeSim(6))
-    assert between_ticks(2, 4)(FakeSim(3))
-    assert not between_ticks(2, 4)(FakeSim(4))
     assert from_tick(10)(FakeSim(12))
     assert not from_tick(10)(FakeSim(9))
 

@@ -8,7 +8,6 @@ from repro.epihiper import (
     simulate_rank_execution,
     strong_scaling_curve,
 )
-from repro.epihiper.ranks import optimal_rank_count
 
 
 def test_serial_profile_has_no_comm(va_run):
@@ -44,19 +43,6 @@ def test_speedup_then_slowdown(va_run):
     assert max(speedups) > 3.0
     # Well past the optimum, adding ranks hurts.
     assert speedups[-1] < max(speedups) * 0.8
-
-
-def test_larger_networks_turn_over_later(va_assets, vt_assets, covid_model):
-    from repro.epihiper import Simulation, uniform_seeds
-
-    opts = {}
-    for name, assets in (("VT", vt_assets), ("VA", va_assets)):
-        pop, net = assets
-        sim = Simulation(covid_model, pop, net, seed=3)
-        sim.seed_infections(uniform_seeds(pop, 10, sim.rng))
-        result = sim.run(60)
-        opts[name] = optimal_rank_count(result, net, max_ranks=512)
-    assert opts["VA"] >= opts["VT"]
 
 
 def test_halo_bytes_scale_with_cut(va_run):

@@ -85,12 +85,10 @@ def test_named_variables_rw(sim):
 
 
 def test_variable_trigger_fires(sim):
-    from repro.epihiper.interventions import when_variable_at_least
-
     fired = []
     sim.interventions.append(Intervention(
         "alarm",
-        trigger=when_variable_at_least("alert_level", 3.0),
+        trigger=lambda s: s.variables.get("alert_level", 0.0) >= 3.0,
         action=lambda s: fired.append(s.tick),
         once=True,
     ))
@@ -102,11 +100,9 @@ def test_variable_trigger_fires(sim):
 
 
 def test_symptomatic_count_trigger(sim, covid_model):
-    from repro.epihiper.interventions import (
-        when_symptomatic_count_at_least,
-    )
+    def trig(s):
+        return s.current_state_counts()[s.model.is_symptomatic].sum() >= 1
 
-    trig = when_symptomatic_count_at_least(1)
     assert not trig(sim)
     code = covid_model.code("Symptomatic")
     sim.enter_state(np.array([0]), np.array([code], dtype=np.int8))

@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scheduling.levels import (
-    pack_ffdt_dc,
-    pack_nfdt_dc,
-    packing_quality,
-)
+from repro.scheduling.levels import pack_ffdt_dc, pack_nfdt_dc
 from repro.scheduling.wmp import MappingTask, WMPInstance
 
 
@@ -101,7 +97,7 @@ def test_property_packing_within_classical_bounds(data):
     for packer in (pack_nfdt_dc, pack_ffdt_dc):
         p = packer(inst)
         p.validate()
-        assert packing_quality(p) <= 3.0 + 1e-9
+        assert p.makespan_estimate <= (3.0 + 1e-9) * inst.lower_bound()
 
 
 @settings(max_examples=20, deadline=None)

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.synthpop.activities import HOME, SCHOOL, WORK, assign_activities
-from repro.synthpop.locations import (
-    OUT_COMMUTE_RATE,
-    assign_locations,
-    location_kind_counts,
+from repro.synthpop.activities import (
+    ACTIVITY_TYPES,
+    HOME,
+    SCHOOL,
+    WORK,
+    assign_activities,
 )
+from repro.synthpop.locations import OUT_COMMUTE_RATE, assign_locations
 from repro.synthpop.persons import generate_population
 
 
@@ -71,7 +73,8 @@ def test_school_is_county_local(setup):
 
 def test_location_kind_counts(setup):
     _pop, _acts, visits = setup
-    counts = location_kind_counts(visits)
+    counts = {name: np.unique(visits.location[visits.kind == k]).size
+              for k, name in enumerate(ACTIVITY_TYPES)}
     assert counts["home"] > 0
     assert counts["work"] > 0
     assert counts["school"] > 0

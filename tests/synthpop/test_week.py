@@ -9,7 +9,6 @@ from repro.synthpop.week import (
     WEDNESDAY,
     WeeklyActivities,
     assign_week,
-    weekly_contact_summary,
 )
 
 
@@ -77,10 +76,10 @@ def test_tables_sorted(week):
 
 def test_summary_shape(week):
     _pop, w = week
-    summary = weekly_contact_summary(w)
-    assert all(len(v) == 7 for v in summary.values())
-    assert summary["school"][5] == 0  # Saturday
-    assert summary["school"][0] > 0  # Monday
+    school = [day.kind_counts()["school"] for day in w.days]
+    assert len(school) == 7
+    assert school[5] == 0  # Saturday
+    assert school[0] > 0  # Monday
 
 
 def test_validation():
