@@ -607,17 +607,23 @@ def supervise_instances(
     skey_of = ({k: instance_key(s, salt=salt, namespace=SUMMARY_NAMESPACE)
                 for k, s in zip(keys, specs)}
                if summary and store is not None else {})
-    payload_of = {k: _lookup(store, k, skey_of.get(k))
-                  if store is not None else None
-                  for k in dict.fromkeys(keys)}
+    # Each payload becomes its outcome as soon as it is read, so a large
+    # all-hit fan-out never holds every blob buffer at once.
+    hit_of: dict[str, InstanceOutcome | None] = {}
+    for spec, key in zip(specs, keys):
+        if key not in hit_of:
+            payload = (None if store is None
+                       else _lookup(store, key, skey_of.get(key)))
+            hit_of[key] = (None if payload is None
+                           else outcome_from_payload(spec, payload))
 
     out: list[InstanceOutcome | None] = [None] * len(specs)
     exec_of: dict[str, int] = {}
     n_hits = 0
     for i, (spec, key) in enumerate(zip(specs, keys)):
-        payload = payload_of[key]
-        if payload is not None:
-            out[i] = outcome_from_payload(spec, payload)
+        hit = hit_of[key]
+        if hit is not None:
+            out[i] = hit if hit.spec is spec else replace(hit, spec=spec)
             n_hits += 1
             if ledger is not None:
                 ledger.cache_hit(key, label=spec.label)

@@ -103,7 +103,11 @@ def _sorted_dedup(values: np.ndarray) -> np.ndarray:
 
 @dataclass(slots=True)
 class SuppressionHandle:
-    """A release token for a set of suppressed edges."""
+    """A release token for a set of suppressed edges.
+
+    ``edge_rows`` are distinct (see :meth:`EdgeSuppressor.suppress`):
+    releasing steps each row's count back down by exactly one.
+    """
 
     edge_rows: np.ndarray
     released: bool = False
@@ -118,18 +122,22 @@ class EdgeSuppressor:
         self.n_suppressed = 0  #: edges with count > 0, kept incrementally
 
     def _apply(self, edge_rows: np.ndarray, sign: int) -> None:
-        """Adjust counts on the touched rows only, tracking 0 <-> >0 flips."""
-        rows, reps = np.unique(edge_rows, return_counts=True)
-        old = self.count[rows]
-        new = old + sign * reps
-        if sign < 0 and new.size and new.min() < 0:
+        """Step the counts of the (distinct) touched rows by ``sign``,
+        counting the rows that flip between 0 and 1."""
+        old = self.count[edge_rows]
+        if sign < 0 and old.size and old.min() <= 0:
             raise RuntimeError("suppression count went negative")
-        self.count[rows] = new
-        self.n_suppressed += int(((old == 0) & (new > 0)).sum())
-        self.n_suppressed -= int(((old > 0) & (new == 0)).sum())
+        self.count[edge_rows] = old + sign
+        flips = np.count_nonzero(old == (0 if sign > 0 else 1))
+        self.n_suppressed += sign * flips
 
     def suppress(self, edge_rows: np.ndarray) -> SuppressionHandle:
-        """Deactivate ``edge_rows`` (idempotent per handle, composable)."""
+        """Deactivate ``edge_rows`` (idempotent per handle, composable).
+
+        ``edge_rows`` must be distinct — a ``flatnonzero`` or
+        :meth:`IncidentEdges.edges_of` result, say: each row's count steps
+        by one, so the update is O(rows) with no dedup.
+        """
         edge_rows = np.asarray(edge_rows)
         self._apply(edge_rows, 1)
         self.total_operations += int(edge_rows.size)
@@ -157,24 +165,43 @@ class IncidentEdges:
 
     Built lazily once per :class:`~repro.epihiper.engine.Simulation`, or
     once per batch group (a :class:`~repro.epihiper.batch.
-    BatchedSimulation` shares one across its lanes) — not once per
-    network: each solo run rebuilds it (32 B per edge, dropped with the
-    engine).  Contact tracing (D1CT / D2CT), per-person isolation and
-    the frontier transmission kernel need the edges touching a person;
-    the CSR makes those operations O(degree).
+    BatchedSimulation` shares one across its lanes) and dropped with the
+    engine.  It is not cached per network: kept for all 17 regions of a
+    national sweep at 1e-3 it would hold ≈ 15.7 MiB (32 B per edge, 16 B
+    per person), ≈ +17 % of that sweep's peak RSS, so the build is made
+    cheap instead.  Contact tracing (D1CT / D2CT), per-person isolation
+    and the frontier transmission kernel need the edges touching a
+    person; the CSR makes those operations O(degree).
+
+    The order of the rows inside one person's bucket is unspecified:
+    every reader sort-dedups its gather (:meth:`edges_of`,
+    :meth:`neighbors_of`) or sums counts (:attr:`degrees`,
+    :meth:`degree_sum`).  Node ids must be below ``n_nodes``.
     """
 
     def __init__(self, source: np.ndarray, target: np.ndarray, n_nodes: int) -> None:
-        endpoints = np.concatenate([source, target])
-        rows = np.concatenate([
-            np.arange(source.shape[0], dtype=np.int64),
-            np.arange(target.shape[0], dtype=np.int64),
-        ])
-        order = np.argsort(endpoints, kind="stable")
-        self._rows = rows[order]
-        counts = np.bincount(endpoints, minlength=n_nodes)
-        self._offsets = np.concatenate([[0], np.cumsum(counts)])
-        self._others = np.concatenate([target, source])[order]
+        n_edges = source.shape[0]
+        out_deg = np.bincount(source, minlength=n_nodes)
+        in_deg = np.bincount(target, minlength=n_nodes)
+        out_through, in_through = np.cumsum(out_deg), np.cumsum(in_deg)
+        self._offsets = np.zeros(n_nodes + 1, dtype=np.int64)
+        np.add(out_through, in_through, out=self._offsets[1:])
+        self._rows = np.empty(2 * n_edges, dtype=np.int64)
+        self._others = np.empty(2 * n_edges,
+                                dtype=np.result_type(source, target))
+        # A person's bucket holds its rows as source, then as target.  The
+        # i-th edge in endpoint order lands in slot i plus its bucket's
+        # shift: the slots of the other endpoint kind placed before it.
+        ramp = np.arange(n_edges, dtype=np.int64)
+        for ends, far, deg, shift, kind in (
+            # ``source`` arrives sorted, so the stable sort is linear.
+            (source, target, out_deg, in_through - in_deg, "stable"),
+            (target, source, in_deg, out_through, None),
+        ):
+            order = np.argsort(ends, kind=kind)
+            slots = ramp + np.repeat(shift, deg)
+            self._rows[slots] = order
+            self._others[slots] = far[order]
         self._degrees: np.ndarray | None = None
         self._max_degree: float | None = None
 

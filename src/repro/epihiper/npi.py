@@ -19,6 +19,9 @@ combinations compose (the paper's base case is VHI + SC + SH).
 
 from __future__ import annotations
 
+import bisect
+from operator import itemgetter
+
 import numpy as np
 
 from ..synthpop.activities import COLLEGE, OTHER, SCHOOL, SHOPPING, WORK
@@ -35,24 +38,33 @@ from .interventions import (
 #: Default isolation length for case isolation and traced contacts.
 DEFAULT_ISOLATION_DAYS: int = 14
 
+_TICK = itemgetter(0)
+
 
 class _TimedReleases:
-    """Shared bookkeeping: handles to release at future ticks."""
+    """Shared bookkeeping: handles to release at future ticks.
+
+    ``_due`` is a list of ``(tick, handle)`` kept sorted by tick (an
+    isolation's release tick only grows, so an add is an append), so a
+    tick with nothing due costs one comparison and a due one pops a prefix.
+    """
 
     def __init__(self) -> None:
         self._due: list[tuple[int, SuppressionHandle]] = []
 
     def add(self, release_tick: int, handle: SuppressionHandle) -> None:
-        self._due.append((release_tick, handle))
+        if self._due and self._due[-1][0] > release_tick:
+            bisect.insort(self._due, (release_tick, handle), key=_TICK)
+        else:
+            self._due.append((release_tick, handle))
 
     def release_due(self, sim: Simulation) -> None:
-        keep: list[tuple[int, SuppressionHandle]] = []
-        for tick, handle in self._due:
-            if sim.tick >= tick:
-                sim.suppressor.release(handle)
-            else:
-                keep.append((tick, handle))
-        self._due = keep
+        if not self._due or self._due[0][0] > sim.tick:
+            return
+        n_due = bisect.bisect_right(self._due, sim.tick, key=_TICK)
+        for _tick, handle in self._due[:n_due]:
+            sim.suppressor.release(handle)
+        del self._due[:n_due]
 
 
 def _isolate(
@@ -175,7 +187,6 @@ def make_sh(
     At ``start``, a compliant fraction of all persons is sampled; their
     non-home contacts are disabled until ``end`` (or forever).
     """
-    releases = _TimedReleases()
     state: dict[str, SuppressionHandle | None] = {"handle": None}
 
     def action(sim: Simulation) -> None:
@@ -188,7 +199,6 @@ def make_sh(
         elif state["handle"] is not None and end is not None and sim.tick >= end:
             sim.suppressor.release(state["handle"])
             state["handle"] = None
-        releases.release_due(sim)
 
     return Intervention(name="SH", trigger=lambda sim: True, action=action)
 

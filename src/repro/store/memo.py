@@ -49,7 +49,11 @@ def outcome_from_payload(
     spec: "InstanceSpec", payload: dict[str, np.ndarray]
 ) -> "InstanceOutcome":
     """Rebuild an outcome for ``spec`` from a stored payload (with the
-    region summary when :func:`_lookup` joined its blob in)."""
+    region summary when :func:`_lookup` joined its blob in).
+
+    The series is copied: a view would pin the blob's whole read buffer
+    for as long as the outcome lives.
+    """
     from ..core.parallel import InstanceOutcome
 
     summary = None
@@ -61,7 +65,7 @@ def outcome_from_payload(
             cumulative=np.cumsum(new, axis=0))
     return InstanceOutcome(
         spec=spec,
-        confirmed=np.asarray(payload["confirmed"], dtype=np.float64),
+        confirmed=np.array(payload["confirmed"], dtype=np.float64),
         attack_rate=float(payload["attack_rate"]),
         transitions=int(payload["transitions"]),
         summary=summary,
