@@ -11,7 +11,6 @@ from .ensembles import (
     EnsembleBand,
     ensemble_band,
     pool_cells,
-    quantile_scores,
 )
 from .capacity import (
     OverflowReport,
@@ -82,7 +81,6 @@ __all__ = [
     "ensemble_band",
     "peak_demand",
     "pool_cells",
-    "quantile_scores",
     "state_cumulative_curve",
     "summarize",
     "target_series",

@@ -85,20 +85,3 @@ def pool_cells(cell_series: list[np.ndarray]) -> np.ndarray:
             raise ValueError("cells disagree on horizon")
         rows.append(arr)
     return np.vstack(rows)
-
-
-def quantile_scores(
-    series: np.ndarray, observed: np.ndarray, quantiles: np.ndarray
-) -> float:
-    """Mean pinball loss of an ensemble against observations.
-
-    The score CDC-style forecast hubs use to rank submissions; lower is
-    better.  Useful for comparing calibrated against uncalibrated ensembles.
-    """
-    series = np.asarray(series, dtype=np.float64)
-    observed = np.asarray(observed, dtype=np.float64)
-    qs = np.asarray(quantiles, dtype=np.float64)
-    preds = np.quantile(series, qs, axis=0)  # (Q, T)
-    diff = observed[None, :] - preds
-    loss = np.where(diff >= 0, qs[:, None] * diff, (qs[:, None] - 1) * diff)
-    return float(loss.mean())

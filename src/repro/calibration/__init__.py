@@ -4,7 +4,6 @@ from .basis import DEFAULT_P_ETA, OutputBasis, fit_basis
 from .discrepancy import (
     DEFAULT_P_DELTA,
     discrepancy_basis,
-    discrepancy_covariance,
 )
 from .gp import GPEmulator, fit_gp, gpmsa_correlation
 from .gpmsa import (
@@ -38,7 +37,6 @@ __all__ = [
     "OutputBasis",
     "ParameterSpace",
     "discrepancy_basis",
-    "discrepancy_covariance",
     "fit_basis",
     "fit_gp",
     "gpmsa_correlation",

@@ -50,12 +50,3 @@ def discrepancy_basis(
     t = np.arange(t_len, dtype=np.float64)
     d = np.exp(-((t[:, None] - centers[None, :]) ** 2) / (2.0 * sd ** 2))
     return d
-
-
-def discrepancy_covariance(
-    basis: np.ndarray, lambda_delta: float
-) -> np.ndarray:
-    """Implied time-domain covariance ``D D^T / lambda_delta``."""
-    if lambda_delta <= 0:
-        raise ValueError("lambda_delta must be positive")
-    return (basis @ basis.T) / lambda_delta

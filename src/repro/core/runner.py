@@ -36,7 +36,7 @@ from ..epihiper.engine import Simulation, SimulationResult
 from ..epihiper.initialization import initialize_from_surveillance
 from ..epihiper.npi import make_d1ct, make_ro, make_sc, make_sh, make_vhi
 from ..params import DEFAULT_SCALE, DEFAULT_SEED
-from ..plane.bundle import AssetKey, bundle_nbytes
+from ..plane.bundle import AssetKey, bundle_nbytes, narrow_ids
 from ..surveillance.truth import GroundTruth, generate_region_truth
 from ..synthpop.contacts import ContactNetwork, build_region_network
 from ..synthpop.persons import Population
@@ -61,8 +61,8 @@ class RegionAssets:
 
 
 #: Byte budget of the per-process asset cache, in ``bundle_nbytes``: all
-#: 51 regions at scale 1e-3 total 57.1 MB and VA at 1e-2 is 12.4 MB, so a
-#: national sweep stays resident 4.5 times over, or ~20 of the largest
+#: 51 regions at scale 1e-3 total 47.8 MB and VA at 1e-2 is 10.1 MB, so a
+#: national sweep stays resident 5.6 times over, or ~24 of the largest
 #: 1:100 bundles.  A constant on purpose — there is no number to guess.
 ASSET_CACHE_BYTES: int = 256 * 2**20
 
@@ -117,12 +117,14 @@ _ASSET_CACHE = _AssetCache()
 
 
 def _build_assets(key: AssetKey) -> RegionAssets:
-    """Build one region's inputs from scratch."""
+    """Build one region's inputs from scratch, with the narrowed network
+    (int32 person ids) a store bundle carries."""
     pop, net = build_region_network(key.region_code, scale=key.scale,
                                     seed=key.seed)
     truth = generate_region_truth(key.region_code, n_days=key.truth_days,
                                   seed=key.seed)
-    return RegionAssets(pop=pop, net=net, truth=truth, scale=key.scale)
+    return RegionAssets(pop=pop, net=narrow_ids(net), truth=truth,
+                        scale=key.scale)
 
 
 def _timed_build(key: AssetKey, reg) -> RegionAssets:

@@ -15,20 +15,23 @@ This module decomposes the model accordingly:
   bundle's columns); at paper scale it is the model residual ``EDGE_BYTES +
   NODE_BYTES - private``, so ``copy_total`` reproduces the historical
   Fig. 10 numbers exactly.
-- *private* bytes: what :class:`~repro.epihiper.engine.Simulation`
-  allocates per worker even on a mapped bundle — the arrays its
-  ``__init__`` copies or derives because ticks mutate them.
+- *private* bytes: what a default (``auto`` backend)
+  :class:`~repro.epihiper.engine.Simulation` lane allocates per worker
+  even on a mapped bundle — the arrays its ``__init__`` copies or
+  derives because ticks mutate them, and the incident CSR every ``auto``
+  lane and every batch builds.
 
 The per-edge/per-node private constants are summed from the engine's
-actual allocations (dtype sizes as of this writing): per edge
-``base_active`` (1) + ``edge_weight`` f64 (8) + ``_duration_f64`` (8) +
-``_home_mask`` (1) + suppressor ``count`` i16 (2) = 20; per node
-``health`` i8 (1) + progression ``due`` i32 (4) + ``next_state`` i8 (1) +
-``node_susceptibility`` f64 (8) + ``node_infectivity`` f64 (8) + the
-maintained ``_infectious`` mask (1) = 23.  Neither counts the incident
-CSR (32 B per edge and 16 B per person, built by frontier and ``auto``
-lanes and the isolating NPIs) or the dense scan's lookups and buffers
-(53 B per edge, from a lane's first dense tick).
+actual allocations over the bundle's int32 ids: per edge ``base_active``
+(1) + ``_home_mask`` (1) + suppressor ``count`` i16 (2) + the CSR's
+int32 edge rows and neighbour ids over the 2E incidences (16) = 20; per
+node ``health`` i8 (1) + progression ``due`` i32 (4) + ``next_state``
+i8 (1) + ``node_susceptibility`` f64 (8) + ``node_infectivity`` f64 (8)
++ the maintained ``_infectious`` mask (1) + the CSR's int64 offsets and
+float64 degree column (16) = 39.  A lane reads the bundle's weight and
+duration columns in place, so neither is counted; a lane that masks
+adds its private float64 weights (8 B per edge), and one that reaches a
+dense tick the dense scan's lookups and buffers (45 B per edge).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from ..epihiper.engine import EDGE_BYTES, NODE_BYTES
 WORKER_EDGE_BYTES: int = 20
 
 #: Private (unshareable) bytes per person per worker.
-WORKER_NODE_BYTES: int = 23
+WORKER_NODE_BYTES: int = 39
 
 
 @dataclass(frozen=True, slots=True)

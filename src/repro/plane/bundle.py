@@ -7,21 +7,27 @@ flattens a bundle into one ``group.column`` named mapping — the payload
 the result store keeps under the ``assets/v1`` family — and rebuilds the
 dataclasses from the (read-only, mapped) arrays a store read returns.
 The scalars (region code, node count, scale) travel as 0-d ``meta.*``
-arrays beside the columns.
+arrays beside the columns.  A bundle's network carries int32 person ids
+in ``source`` / ``target`` (:func:`narrow_ids`, applied where bundles
+are built, so a private build holds the same columns it publishes and
+built and mapped lanes run one representation); every state's
+population fits.
 
 Rebuilding from *read-only* views is safe by construction:
 
 - every ``__post_init__`` on these dataclasses only validates (or fills
   defaults we always serialise explicitly, so the fill branch never runs
   on a mapped read);
-- the engine copies anything it mutates (``active`` → ``base_active``,
-  ``weight`` → ``edge_weight``) before the first tick, so simulations on
-  mapped assets are bit-identical to ones on privately built assets.
+- the engine copies ``active`` → ``base_active`` before the first tick,
+  and reads ``weight`` in place until an NPI first rescales weights,
+  which takes the lane's private float64 copy; nothing writes a bundle
+  column, so simulations on mapped assets are bit-identical to ones on
+  privately built assets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from hashlib import sha256
 from typing import Mapping
 
@@ -95,6 +101,17 @@ class AssetKey:
         h.update(b"\x00")
         h.update(self.token().encode())
         return h.hexdigest()
+
+
+def narrow_ids(net):
+    """``net`` with int32 ``source`` / ``target`` person ids (``net``
+    itself when they already are)."""
+    if net.source.dtype == np.int32 and net.target.dtype == np.int32:
+        return net
+    if net.n_nodes > np.iinfo(np.int32).max:
+        raise ValueError(f"{net.n_nodes} persons overflow int32 ids")
+    return replace(net, source=net.source.astype(np.int32),
+                   target=net.target.astype(np.int32))
 
 
 def _columns(assets) -> dict[str, np.ndarray]:

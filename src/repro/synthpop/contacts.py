@@ -44,8 +44,8 @@ class ContactNetwork:
 
     region_code: str
     n_nodes: int
-    source: np.ndarray  #: int64
-    target: np.ndarray  #: int64
+    source: np.ndarray  #: person ids: int64 as built, int32 in a bundle
+    target: np.ndarray  #: person ids: int64 as built, int32 in a bundle
     start: np.ndarray  #: int32 minutes after midnight
     duration: np.ndarray  #: int32 minutes of overlap
     source_activity: np.ndarray  #: int8 context of source endpoint

@@ -6,7 +6,6 @@ import pytest
 from repro.analytics.ensembles import (
     ensemble_band,
     pool_cells,
-    quantile_scores,
 )
 
 
@@ -63,13 +62,3 @@ def test_pool_cells_accepts_1d():
 def test_pool_cells_horizon_mismatch():
     with pytest.raises(ValueError, match="horizon"):
         pool_cells([np.ones((2, 10)), np.ones((2, 9))])
-
-
-def test_quantile_scores_prefer_matching_ensemble():
-    rng = np.random.default_rng(2)
-    observed = rng.normal(0, 1, size=40)
-    good = rng.normal(0, 1, size=(300, 40))
-    bad = rng.normal(5, 1, size=(300, 40))
-    qs = np.asarray([0.05, 0.25, 0.5, 0.75, 0.95])
-    assert quantile_scores(good, observed, qs) < quantile_scores(
-        bad, observed, qs)

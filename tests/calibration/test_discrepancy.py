@@ -8,7 +8,6 @@ from repro.calibration.discrepancy import (
     KERNEL_SD_DAYS,
     KERNEL_SPACING_DAYS,
     discrepancy_basis,
-    discrepancy_covariance,
 )
 
 
@@ -56,20 +55,6 @@ def test_gaussian_width():
     # Value one sd away from the centre is exp(-0.5).
     # Half-a-day discretisation of the kernel centre shifts this slightly.
     assert col[center + 15] == pytest.approx(np.exp(-0.5), abs=0.03)
-
-
-def test_covariance_psd():
-    d = discrepancy_basis(60)
-    cov = discrepancy_covariance(d, lambda_delta=2.0)
-    eigvals = np.linalg.eigvalsh(cov)
-    assert eigvals.min() > -1e-10
-    assert cov.shape == (60, 60)
-
-
-def test_covariance_validation():
-    d = discrepancy_basis(10)
-    with pytest.raises(ValueError):
-        discrepancy_covariance(d, 0.0)
 
 
 def test_basis_validation():

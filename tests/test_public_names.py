@@ -74,12 +74,8 @@ ALLOWLIST = {
     ("epihiper/transmission.py", "transmission_step"):
         "lane_transmissions over one lane's loose arrays, the reference "
         "the backend-equivalence tests drive",
-    # Deletion candidates, kept for now because each carries tests of its
-    # own (ROADMAP item 3 lists them for the next pass).
-    ("analytics/ensembles.py", "quantile_scores"):
-        "forecast-hub scoring (mean pinball loss), read_hub_csv's partner",
-    ("calibration/discrepancy.py", "discrepancy_covariance"):
-        "the covariance GPMSA's discrepancy basis implies",
+    # Deletion candidate, kept for now because it carries tests of its
+    # own (ROADMAP's satellite pool lists it for a later pass).
     ("cluster/popdb.py", "DatabaseFleet"):
         "root of the database-server model; pack_*_dc enforce its limit",
 }
