@@ -22,8 +22,10 @@ from repro.epihiper.interventions import IncidentEdges
 from repro.epihiper.transmission import (
     CandidateScan,
     TransmissionBackend,
+    frontier_workload,
     lane_transmissions,
 )
+from repro.plane.bundle import narrow_ids
 from repro.synthpop import build_region_network
 
 #: (region, scale): ~8.5k / ~34k / ~85k persons.
@@ -66,21 +68,24 @@ def test_transmission_kernel_backends(benchmark, save_artifact):
         rows = []
         for code, scale in NETWORKS:
             pop, net = build_region_network(code, scale=scale, seed=6)
+            net = narrow_ids(net)  # the int32 ids a bundle carries
             inc = IncidentEdges(net.source, net.target, pop.size)
-            dur = net.duration.astype(np.float64)
-            w = net.weight.astype(np.float64)
-            active = np.ones((1, net.n_edges), bool)
+            supp = np.zeros((1, net.n_edges), dtype=np.int16)
             ones = np.ones((1, pop.size))
-            scan = CandidateScan(net.source, net.target, dur)
+            scan = CandidateScan(net.source, net.target, net.duration)
             for prev in PREVALENCES:
                 health = _health_at_prevalence(model, pop.size, prev)
+                infectious = model.is_infectious[health][None]
+                # An engine keeps its frontier degree sum as states change.
+                load = np.array([frontier_workload(infectious, inc)])
 
                 def one_tick(backend):
                     return lane_transmissions(
                         [TransmissionBackend(backend)], model,
                         [model.transmissibility],
                         [np.random.default_rng(RNG_SEED)], health[None],
-                        ones, ones, active, w[None], scan, inc)
+                        infectious, load, ones, ones, supp, net.active,
+                        [net.weight], scan, inc)
 
                 events = {b: one_tick(b) for b in BACKENDS}
                 base = events["dense"]

@@ -13,6 +13,12 @@ Each county follows a stochastic logistic growth process with a random
 importation date, growth rate and attack fraction, observed through a
 reporting channel with under-ascertainment, delay, weekday effects and
 negative-binomial-style noise.
+
+Each county's draws interleave with its ``poisson`` draw, whose stream use
+depends on the drawn rates, so generation keeps one loop over counties in
+draw order; only what no draw depends on is hoisted out of it.
+``tests/surveillance/test_truth_reference.py`` keeps the original loop as
+the reference.
 """
 
 from __future__ import annotations
@@ -98,11 +104,12 @@ def _logistic_incidence(
     quiet (the staggered take-off of Figure 14), and the pre-window mass is
     dropped rather than dumped into day 0.
     """
-    z = np.clip(rate * (t - onset), -60, 60)
+    z = np.minimum(np.maximum(rate * (t - onset), -60.0), 60.0)
     cum = final / (1.0 + np.exp(-z))
-    daily = np.diff(cum, prepend=cum[:1])
+    daily = np.zeros_like(cum)
+    np.subtract(cum[1:], cum[:-1], out=daily[1:])
     daily[t < onset - QUIET_LEAD_DAYS] = 0.0
-    return np.maximum(daily, 0.0)
+    return np.maximum(daily, 0.0, out=daily)
 
 
 def generate_region_truth(
@@ -142,25 +149,25 @@ def generate_region_truth(
 
     # Weekend reporting dip (days 5 and 6 of each week).
     weekday = 1.0 - 0.25 * np.isin(np.arange(n_days) % 7, (5, 6))
+    # Bigger counties are seeded earlier (importation via travel volume).
+    earlier = 8.0 * np.log10(np.maximum(county_pop, 10.0) / 1e4)
     daily = np.zeros((n_counties, n_days))
+    lam = np.empty(n_days)
     for c in range(n_counties):
-        # Bigger counties are seeded earlier (importation via travel volume).
-        onset = rng.normal(60.0, 8.0) - 8.0 * np.log10(
-            max(county_pop[c], 10.0) / 1e4
-        )
+        onset = rng.normal(60.0, 8.0) - earlier[c]
         rate = rng.uniform(0.08, 0.18)
         attack = rng.uniform(0.005, 0.04)
         infections = _logistic_incidence(t, max(onset, 42.0), rate,
                                          attack * county_pop[c])
         # Observation channel: ascertainment, delay, weekday dip, noise.
-        observed = infections * ascertainment
-        delay = int(round(rng.normal(report_delay, 1.5)))
-        observed = np.roll(observed, max(delay, 0))
-        observed[: max(delay, 0)] = 0.0
-        observed *= weekday
-        lam = np.maximum(observed, 0.0)
+        # A delay past the series' end leaves nothing observed.
+        delay = min(max(int(round(rng.normal(report_delay, 1.5))), 0), n_days)
+        lam[:delay] = 0.0
+        lam[delay:] = infections[:n_days - delay] * ascertainment
+        lam *= weekday
+        np.maximum(lam, 0.0, out=lam)
         # Gamma-Poisson mixture (negative-binomial-like overdispersion).
-        lam = lam * rng.gamma(5.0, 1.0 / 5.0, size=n_days)
+        lam *= rng.gamma(5.0, 1.0 / 5.0, size=n_days)
         daily[c] = rng.poisson(lam)
 
     cumulative = np.cumsum(daily, axis=1)

@@ -10,6 +10,12 @@ Figure 13), and home coordinates per household.
 
 Person traits match the paper's list (Section III, "Input Data"): household
 ID, age and age group, gender, county code, latitude/longitude of home.
+
+Households are cut from whole 256-size batches of drawn sizes with one
+cumulative sum, not a per-household loop; several batches drawn in one
+``choice`` call are the same stream as one call each, so the population
+and the generator's final state are those of the loop, which
+``tests/synthpop/test_synthesis_reference.py`` keeps as the reference.
 """
 
 from __future__ import annotations
@@ -154,40 +160,41 @@ def generate_population(
     hi = np.asarray([b[1] for b in AGE_BOUNDS])[age_group]
     age = rng.integers(lo, hi + 1).astype(np.int16)
 
-    # Households: draw sizes until they cover the population, assign people
-    # to households in order.  The last household absorbs the remainder.
-    sizes: list[int] = []
-    covered = 0
+    # Households: draw sizes in batches of 256 until they cover the
+    # population, assign people to households in order, and cut the last
+    # household short by the overshoot.  A batch covers at most 7 * 256
+    # people, so each ``choice`` call below draws m batches that are all
+    # needed: the same stream as m calls of one batch.
     size_choices = np.arange(1, len(HOUSEHOLD_SIZE_PROBS) + 1)
-    while covered < n:
-        batch = rng.choice(size_choices, size=256, p=HOUSEHOLD_SIZE_PROBS)
-        for s in batch:
-            if covered >= n:
-                break
-            s = int(min(s, n - covered))
-            sizes.append(s)
-            covered += s
-    hh_sizes = np.asarray(sizes, dtype=np.int64)
-    hid = np.repeat(np.arange(hh_sizes.size, dtype=np.int64), hh_sizes)
+    batches = []
+    short = n
+    while short > 0:
+        m = -(-short // (256 * size_choices.size))
+        batches.append(rng.choice(size_choices, size=256 * m,
+                                  p=HOUSEHOLD_SIZE_PROBS))
+        short -= int(batches[-1].sum())
+    sizes = np.concatenate(batches)
+    n_hh = int(np.searchsorted(np.cumsum(sizes), n)) + 1
+    hh_sizes = sizes[:n_hh]
+    hh_sizes[-1] -= hh_sizes.sum() - n
+    hid = np.repeat(np.arange(n_hh, dtype=np.int64), hh_sizes)
 
     # Counties: each *household* lives in one county, drawn from the
-    # heavy-tailed share distribution.
+    # heavy-tailed share distribution (as an index into ``fips_codes``).
     fips_codes = np.asarray(county_fips(region), dtype=np.int32)
     shares = _county_weights(fips_codes.size, rng)
-    hh_county = rng.choice(fips_codes, size=hh_sizes.size, p=shares)
-    county = hh_county[hid]
+    cidx = rng.choice(fips_codes.size, size=n_hh, p=shares)
+    county = fips_codes[cidx][hid]
 
     # Home coordinates: one point per household inside a synthetic county
     # bounding box laid out on a grid covering a nominal state extent.
     grid = int(np.ceil(np.sqrt(fips_codes.size)))
-    county_idx = {int(c): i for i, c in enumerate(fips_codes)}
-    cidx = np.asarray([county_idx[int(c)] for c in hh_county])
     cell_lat = (cidx // grid).astype(np.float64)
     cell_lon = (cidx % grid).astype(np.float64)
     lat0 = 36.0 + (region.fips % 7) * 0.5
     lon0 = -82.0 - (region.fips % 11) * 0.7
-    hh_lat = lat0 + (cell_lat + rng.random(hh_sizes.size)) * (4.0 / grid)
-    hh_lon = lon0 + (cell_lon + rng.random(hh_sizes.size)) * (6.0 / grid)
+    hh_lat = lat0 + (cell_lat + rng.random(n_hh)) * (4.0 / grid)
+    hh_lon = lon0 + (cell_lon + rng.random(n_hh)) * (6.0 / grid)
 
     return Population(
         region_code=region.code,
