@@ -17,8 +17,16 @@ The matrix, all at scale 1e-3 over ``N_DAYS`` ticks: 3 small regions x
 group (the group is the region/backend's 2 cells x 2 seeds); plus one
 intervention-heavy cell (SH + VHI + RO + contact tracing) and one
 checkpoint-resumed cell (killed mid-run, resumed from its newest
-snapshot), each solo and as a K=4 group.  Every lane runs through
-:func:`repro.core.runner.execute_specs`, the executor the fan-out uses.
+snapshot), each solo and as a K=4 group.  Three groups close what only
+the two-path suites pinned: the ``auto`` backend (K=4), one K=16 group
+(frontier and ``auto`` lanes resolving together), and K=4 lanes over a
+region bundle published to a store and mapped back read-only, one of
+them masking (its own float64 weights) next to lanes that read the
+bundle's shared float32 column.  Every lane runs through
+:func:`repro.core.runner.execute_specs`, the executor the fan-out uses,
+except the mapped group's: no cell parameter masks, so those lanes are
+prepared with :func:`~repro.core.runner.prepare_instance` and run with
+``Simulation.run`` (solo) and ``BatchedSimulation.run`` (K=4).
 
 Usage (from the repo root)::
 
@@ -45,10 +53,23 @@ import numpy as np
 
 from repro.checkpoint.manager import CheckpointPlan
 from repro.core.parallel import InstanceSpec
-from repro.core.runner import _outcome_of, execute_specs
+from repro.core.runner import (
+    _outcome_of,
+    execute_specs,
+    load_region_assets,
+    prepare_instance,
+)
+from repro.epihiper.batch import BatchedSimulation
+from repro.epihiper.npi import make_masking
 from repro.obs.registry import MetricsRegistry
+from repro.plane.bundle import (
+    ASSETS_NAMESPACE,
+    AssetKey,
+    assets_from_payload,
+    bundle_payload,
+)
 from repro.resilience.faults import FaultPlan, InjectedFault
-from repro.store.cas import payload_digest
+from repro.store.cas import ContentStore, payload_digest
 from repro.store.memo import outcome_payload
 
 GOLDEN_PATH = Path(__file__).with_name("outcomes.json")
@@ -71,6 +92,15 @@ HEAVY_REGION = "VT"
 RESUME_REGION = "WY"
 RESUME_EVERY = 10
 RESUME_CRASH_TICK = 25
+AUTO_REGION = "ND"
+#: 2 cells x 4 seeds x frontier/auto: one K=16 group.
+WIDE_REGION = "VT"
+WIDE_SEEDS = (11, 12, 13, 14)
+WIDE_BACKENDS = ("frontier", "auto")
+MAPPED_REGION = "WY"
+#: The mapped group's masking lane (index into its specs) and its mandate.
+MASKED_LANE = 1
+MASK = {"compliance": 0.7, "weight_factor": 0.5, "start": 5, "end": 30}
 
 
 def versions() -> dict[str, str]:
@@ -127,9 +157,46 @@ def _run_resumed(specs: list[InstanceSpec],
     return out
 
 
+def _mapped(specs: list[InstanceSpec], store_root: str):
+    """The group's region bundle, published to a store under
+    ``store_root`` and mapped back read-only (as a process that did not
+    build it reads it)."""
+    spec = specs[0]
+    store = ContentStore(store_root)
+    digest = AssetKey.of_spec(spec).digest("golden")
+    store.put(digest, bundle_payload(load_region_assets(
+        spec.region_code, spec.scale, spec.asset_seed)),
+        family=ASSETS_NAMESPACE)
+    assets = assets_from_payload(store.get(digest, mapped=True))
+    if assets.net.weight.flags.writeable:
+        raise AssertionError("the bundle was not mapped read-only")
+    return assets
+
+
+def _run_mapped(specs: list[InstanceSpec], assets,
+                batched: bool) -> list[dict[str, str]]:
+    """Prepare each lane over the mapped ``assets`` (the
+    ``MASKED_LANE`` with a mask mandate) and run them solo or as one
+    batch."""
+    lanes = []
+    for i, s in enumerate(specs):
+        sim, model = prepare_instance(assets, s.params, seed=s.seed)
+        if i == MASKED_LANE:
+            sim.interventions.append(make_masking(**MASK))
+        lanes.append((sim, model))
+    sims = [sim for sim, _model in lanes]
+    results = (BatchedSimulation(sims).run(N_DAYS) if batched
+               else [sim.run(N_DAYS) for sim in sims])
+    shared = [sim.private_weight() is None for sim in sims]
+    if shared != [i != MASKED_LANE for i in range(len(specs))]:
+        raise AssertionError(f"weight sharing is not as planned: {shared}")
+    return [_digests(s, result, model)
+            for s, (_sim, model), result in zip(specs, lanes, results)]
+
+
 def groups() -> list[tuple[str, list[InstanceSpec]]]:
-    """``(kind, K=4 group)`` for every group of the matrix, in file order;
-    ``kind`` is ``"plain"`` or ``"resumed"``."""
+    """``(kind, group)`` for every group of the matrix, in file order;
+    ``kind`` is ``"plain"``, ``"resumed"`` or ``"mapped"``."""
     out = []
     for region in REGIONS:
         for backend in BACKENDS:
@@ -145,13 +212,34 @@ def groups() -> list[tuple[str, list[InstanceSpec]]]:
         _spec(f"{RESUME_REGION}/a-resumed/s{seed}/{backend}", RESUME_REGION,
               CELLS["a"], seed, backend)
         for seed in SEEDS for backend in BACKENDS]))
+    out.append(("plain", [
+        _spec(f"{AUTO_REGION}/{cell}/s{seed}/auto", AUTO_REGION, params,
+              seed, "auto")
+        for cell, params in CELLS.items() for seed in SEEDS]))
+    out.append(("plain", [
+        _spec(f"{WIDE_REGION}/{cell}/s{seed}/{backend}", WIDE_REGION,
+              params, seed, backend)
+        for cell, params in CELLS.items() for seed in WIDE_SEEDS
+        for backend in WIDE_BACKENDS]))
+    mapped = [(seed, backend) for seed in SEEDS
+              for backend in ("dense", "auto")]
+    out.append(("mapped", [
+        _spec(f"{MAPPED_REGION}/a-{'masked' if i == MASKED_LANE else 'mapped'}"
+              f"/s{seed}/{backend}", MAPPED_REGION, CELLS["a"], seed,
+              backend)
+        for i, (seed, backend) in enumerate(mapped)]))
     return out
 
 
 def run_group(kind: str, specs: list[InstanceSpec],
               store_root: str) -> dict[str, dict[str, str]]:
-    """One group's lanes, solo (``<id>/solo``) and batched (``<id>/k4``)."""
-    if kind == "resumed":
+    """One group's lanes, solo (``<id>/solo``) and batched
+    (``<id>/k<K>``)."""
+    if kind == "mapped":
+        assets = _mapped(specs, f"{store_root}/{specs[0].label}")
+        solo = _run_mapped(specs, assets, batched=False)
+        batched = _run_mapped(specs, assets, batched=True)
+    elif kind == "resumed":
         solo = [_run_resumed([s], f"{store_root}/solo-{s.label}")[0]
                 for s in specs]
         batched = _run_resumed(specs, f"{store_root}/{specs[0].label}")
