@@ -324,11 +324,10 @@ def execute_specs(
     assets, prepare one lane per spec, resume from the newest applicable
     checkpoint, step to the horizon — dying at an injected
     ``worker.crash_mid_run`` tick, snapshotting every ``plan.every`` ticks
-    — and reduce each lane.  A group of one drives the solo
-    :class:`~repro.epihiper.engine.Simulation`; a group of K >= 2 (all
-    sharing :func:`~repro.core.batching.group_key`) stacks its lanes into
-    a :class:`~repro.epihiper.batch.BatchedSimulation` and advances them K
-    per vectorized tick.  Either way every lane's output is bit-identical
+    — and reduce each lane.  The group's K lanes (all sharing
+    :func:`~repro.core.batching.group_key`; K = 1 for a spec alone) are
+    stacked into one :class:`~repro.epihiper.batch.BatchedSimulation` and
+    advance K per vectorized tick.  Every lane's output is bit-identical
     to :func:`run_instance`, resumed or not.
 
     The failure domain is the group: a crash rule firing for *any* lane
@@ -386,7 +385,6 @@ def execute_specs(
     n_days = first.n_days
     if n_days < 0:
         raise ValueError("n_days must be non-negative")
-    batched = len(specs) > 1
     fired = [] if faults is None else [
         t for s in specs
         if (t := faults.crash_tick(_spec_key(s), attempt)) is not None]
@@ -401,24 +399,24 @@ def execute_specs(
     def build():
         lanes = [prepare_instance(assets, s.params, seed=s.seed)
                  for s in specs]
-        sims = [sim for sim, _model in lanes]
-        engine = BatchedSimulation(sims, metrics=reg) if batched else sims[0]
+        engine = BatchedSimulation([sim for sim, _model in lanes],
+                                   metrics=reg)
         engine.begin()
         return lanes, engine
 
     # Setup (build, resume) closes before the simulate timer opens, so a
     # rebuild after an inapplicable snapshot is never counted twice.  Only
-    # a batch has a setup timer of its own; a solo run's setup has always
+    # K >= 2 has a setup timer of its own; a lone spec's setup has always
     # been part of its simulate time.
-    setup_timer = "runner.batch_setup_s" if batched else "runner.simulate_s"
+    setup_timer = ("runner.batch_setup_s" if len(specs) > 1
+                   else "runner.simulate_s")
     with reg.timer(setup_timer):
         lanes, engine = build()
         start = 0
         walk = manager.resume_points(ck_keys) if manager is not None else ()
         for ck_tick, payloads in walk:
             try:
-                start = engine.restore_state(
-                    payloads if batched else payloads[0])
+                start = engine.restore_state(payloads)
             except (CheckpointError, BatchIncompatible):
                 # A failed apply may have partially mutated the lanes.
                 lanes, engine = build()
@@ -436,21 +434,19 @@ def execute_specs(
                     _os._exit(CRASH_EXIT_CODE)
                 raise InjectedFault(
                     "worker.crash_mid_run",
-                    f"{'batch/' if batched else ''}{_spec_key(first)} "
+                    f"{_spec_key(first)} (K={len(specs)}) "
                     f"attempt {attempt} tick {tick}")
             engine.step()
             tick += 1
             if every and tick % every == 0 and tick < n_days:
-                # The batch defers its per-tick bookkeeping; its snapshot
+                # The driver defers its per-tick bookkeeping; its snapshot
                 # flushes it so every lane's payload is self-contained.
-                snaps = (engine.save_state(ticks_since_flush=tick - flushed)
-                         if batched else [engine.save_state()])
+                snaps = engine.save_state(ticks_since_flush=tick - flushed)
                 flushed = tick
                 for k, snap in zip(ck_keys, snaps):
                     manager.write(k, snap, tick=tick)
-        if batched:
-            engine.flush(tick - flushed)
-        results = engine.finish() if batched else [engine.finish()]
+        engine.flush(tick - flushed)
+        results = engine.finish()
     reg.inc("runner.ticks_executed", (n_days - start) * len(specs))
     out = []
     for spec, (_sim, model), result in zip(specs, lanes, results):

@@ -8,16 +8,16 @@ schedulers store the absolute *due tick* (schedule base plus dwell), so
 no counter is touched while a person waits, and the remaining dwell is
 ``due - tick`` whenever it is asked for (a checkpoint's ``dwell`` column).
 
-Both drivers (the solo :class:`~repro.epihiper.engine.Simulation` and the
-:class:`~repro.epihiper.batch.BatchedSimulation`) run these kernels over
-``(K, N)`` lane stacks; a solo run is one lane.  The per-tick sweep is
-:func:`progression_sweep` — one comparison against the tick and one
-``flatnonzero`` (:func:`progression_step` is its one-lane face).
-Scheduling has two bit-identical implementations: the cross-lane
-:func:`schedule_lanes`, a fixed ~20 numpy dispatches whatever the entry
-count, and the scalar twin :func:`_schedule_small`, plain Python whose cost
-grows per entry.  :func:`schedule_entries` picks by size: measured at K=1
-on VA@1e-3 the scalar twin wins up to about ``_SMALL_BATCH`` entries.
+The driver (:class:`~repro.epihiper.batch.BatchedSimulation`) runs these
+kernels over ``(K, N)`` lane stacks; a solo run is one lane.  The
+per-tick sweep is :func:`progression_sweep` — one comparison against the
+tick and one ``flatnonzero``.  Scheduling has two bit-identical
+implementations: the cross-lane :func:`schedule_lanes`, a fixed ~20
+numpy dispatches whatever the entry count, and the scalar twin
+:func:`_schedule_small`, plain Python whose cost grows per entry.  Both
+the driver and :func:`schedule_entries` (a lane's entries outside the
+tick) pick by size: measured at K=1 on VA@1e-3 the scalar twin wins up to
+about ``_SMALL_BATCH`` entries.
 """
 
 from __future__ import annotations
@@ -525,19 +525,3 @@ def progression_sweep(
     return (np.bincount(lanes, minlength=k), pids, codes,
             np.bincount(hit // n, minlength=k))
 
-
-def progression_step(
-    sched: ProgressionState,
-    tick: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance one lane through the sweep of ``tick``; return (pids, codes)
-    firing now.
-
-    The one-lane face of :func:`progression_sweep` (``tick`` is the lane's
-    current tick).  The caller must re-enter those persons (recording the
-    transition and scheduling their next hop).
-    """
-    _sizes, pids, codes, n_hit = progression_sweep(
-        sched.due[None], sched.next_state[None], tick + 1)
-    sched.n_pending -= int(n_hit[0])
-    return pids, codes

@@ -15,16 +15,14 @@ contact with p = 1 - exp(-rho); we use the per-contact form because it also
 yields the causing contact directly (EpiHiper records which contact caused
 each transmission).
 
-Both drivers call :func:`lane_transmissions` once per tick with ``(K, N)`` /
-``(K, E)`` lane stacks — the
-:class:`~repro.epihiper.batch.BatchedSimulation` with its K lanes, the solo
-:class:`~repro.epihiper.engine.Simulation` with its own arrays viewed as
-one lane — and :func:`transmission_step` is the same call over one lane's
-loose arrays.  Both engines hand in state they maintain where ``health``
-changes (each lane's infectious mask and its frontier degree sum) and the
-raw edge state (suppression counts and the base activity flags), so a
-frontier tick reads flags only on the persons and edges it gathers.  A
-tick has three stages, each written once:
+The driver, :class:`~repro.epihiper.batch.BatchedSimulation`, calls
+:func:`lane_transmissions` once per tick with its ``(K, N)`` / ``(K, E)``
+lane stacks (K = 1 for a solo run), and :func:`transmission_step` is the
+same call over one lane's loose arrays.  The driver hands in state it
+maintains where ``health`` changes (each lane's infectious mask and its
+frontier degree sum) and the raw edge state (suppression counts and the
+base activity flags), so a frontier tick reads flags only on the persons
+and edges it gathers.  A tick has three stages, each written once:
 
 Candidate enumeration (:class:`CandidateScan`)
     ``dense`` lanes share one scan over the doubled-edge layout (both
@@ -146,8 +144,8 @@ def resolve_auto(inf_auto: np.ndarray, incident: "IncidentEdges",
     """The ``auto`` rule for lanes known only by their infectious masks.
 
     ``inf_auto`` holds the infectious masks of the ``auto`` lanes resolved
-    together (``(1, N)`` for one lane).  The engines maintain the degree
-    sums and call :func:`auto_backend` directly; this is the loose-array
+    together (``(1, N)`` for one lane).  The driver maintains the degree
+    sums and calls :func:`auto_backend` directly; this is the loose-array
     face (:func:`transmission_step`).  The infectious count times the
     largest degree bounds the workload from above, so one popcount
     settles the early-epidemic case without touching the degree column.

@@ -18,6 +18,7 @@ from repro.checkpoint import (
 )
 from repro.checkpoint.format import FORMAT_VERSION, META_KEY
 from repro.core.runner import load_region_assets, prepare_instance
+from repro.epihiper.batch import BatchedSimulation
 
 #: Interventions with mutable closure state (SH suppression handles,
 #: timed releases, VHI compliance arrays, D1CT trackers) — the hard part
@@ -36,18 +37,23 @@ def assets():
 
 def fresh_sim(assets, params=PARAMS, seed=7):
     sim, _model = prepare_instance(assets, params, seed=seed)
-    sim.begin()
+    BatchedSimulation([sim]).begin()
     return sim
 
 
 def run_to(sim, tick):
+    """Step ``sim`` to ``tick`` on a one-lane driver (the lane holds all
+    the state, so a driver per call resumes where the last one stopped)."""
+    engine = BatchedSimulation([sim])
     while sim.tick < tick:
-        sim.step()
+        engine.step()
     return sim
 
 
 def result_fingerprint(sim):
-    result = sim.finish()
+    engine = BatchedSimulation([sim])
+    engine.flush(0)
+    [result] = engine.finish()
     log = result.log
     return {
         "tick": log.tick.tobytes(),

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.checkpoint import CheckpointPlan
+from repro.checkpoint import CheckpointPlan, snapshot_simulation
 from repro.core import parallel
 from repro.core.parallel import InstanceSpec, supervise_instances
 from repro.core.runner import (
@@ -151,7 +151,8 @@ def test_inapplicable_snapshot_is_not_double_timed(tmp_path):
         donor, _model = prepare_instance(
             assets, {**s.params, "VHI_COMPLIANCE": 0.5}, seed=s.seed)
         donor.run(EVERY)
-        manager.write(instance_key(s), donor.save_state(), tick=EVERY)
+        manager.write(instance_key(s), snapshot_simulation(donor),
+                      tick=EVERY)
 
     watch = Stopwatch()
     entries, dump = parallel._execute_group(specs, checkpoint=plan)

@@ -79,14 +79,14 @@ def va():
 
 def lane_bytes_per_edge(assets, k):
     """(held, peak) tracemalloc bytes per edge of ``k`` lanes prepared
-    and run ``N_DAYS`` on ``assets`` (K > 1 as one batch)."""
+    and run ``N_DAYS`` on ``assets`` as one batch."""
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         lanes = [prepare_instance(assets, PARAMS, seed=7 + i)[0]
                  for i in range(k)]
-        engine = lanes[0] if k == 1 else BatchedSimulation(lanes)
+        engine = BatchedSimulation(lanes)
         result = engine.run(N_DAYS)
         del result
         gc.collect()
@@ -233,24 +233,30 @@ def mapped(va, tmp_path_factory):
 
 
 def run_from(sim, snapshot, n_days):
-    sim.restore_state(snapshot)
-    sim.begin()
+    engine = BatchedSimulation([sim])
+    start = engine.restore_state([snapshot])
+    engine.begin()
     while sim.tick < n_days:
-        sim.step()
-    return sim.finish()
+        engine.step()
+    engine.flush(n_days - start)
+    return engine.finish()[0]
 
 
 def test_masking_restore_on_mapped_bundle_is_bit_identical(va, mapped):
     want = make_lane(va, 5, mask=True).run(30)
 
     sim = make_lane(mapped, 5, mask=True)
-    sim.begin()
-    snaps = {}
+    engine = BatchedSimulation([sim])
+    engine.begin()
+    snaps, flushed = {}, 0
     while sim.tick < 30:
-        sim.step()
+        engine.step()
         if sim.tick in (3, 12):
-            snaps[sim.tick] = sim.save_state()
-    assert_same_result(sim.finish(), want)
+            [snaps[sim.tick]] = engine.save_state(
+                ticks_since_flush=sim.tick - flushed)
+            flushed = sim.tick
+    engine.flush(30 - flushed)
+    assert_same_result(engine.finish()[0], want)
     # Before the mandate the lane reads the mapped column and its
     # snapshot carries no weights; after it, its own float64 copy.
     assert "edge_weight" not in snaps[3]

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.epihiper import Simulation, build_covid_model, uniform_seeds
+from repro.epihiper import (
+    BatchedSimulation,
+    Simulation,
+    build_covid_model,
+    uniform_seeds,
+)
 from repro.epihiper.npi import (
     make_d1ct,
     make_d2ct,
@@ -30,7 +35,8 @@ def test_sc_disables_school_edges(va_assets, covid_model):
     pop, net = va_assets
     sim = Simulation(covid_model, pop, net, seed=1,
                      interventions=[make_sc(start=0)])
-    sim.step()
+    engine = BatchedSimulation([sim])
+    engine.step()
     active = sim.active_edges()
     school = (np.isin(net.source_activity, (SCHOOL, COLLEGE))
               | np.isin(net.target_activity, (SCHOOL, COLLEGE)))
@@ -42,8 +48,9 @@ def test_sc_reopens_at_end(va_assets, covid_model):
     pop, net = va_assets
     sim = Simulation(covid_model, pop, net, seed=1,
                      interventions=[make_sc(start=0, end=3)])
+    engine = BatchedSimulation([sim])
     for _ in range(5):
-        sim.step()
+        engine.step()
     assert sim.active_edges().all()
 
 
@@ -65,10 +72,11 @@ def test_sh_ends_and_releases(va_assets, covid_model):
     pop, net = va_assets
     sim = Simulation(covid_model, pop, net, seed=1,
                      interventions=[make_sh(1.0, start=0, end=3)])
-    sim.step()
+    engine = BatchedSimulation([sim])
+    engine.step()
     assert not sim.active_edges().all()
     for _ in range(4):
-        sim.step()
+        engine.step()
     assert sim.active_edges().all()
 
 
@@ -87,7 +95,8 @@ def test_ro_keeps_fraction_closed(va_assets, covid_model):
     pop, net = va_assets
     sim = Simulation(covid_model, pop, net, seed=1,
                      interventions=[make_ro(0.5, start=0)])
-    sim.step()
+    engine = BatchedSimulation([sim])
+    engine.step()
     active = sim.active_edges()
     closed_frac = 1.0 - active.mean()
     assert 0.1 < closed_frac < 0.6
@@ -99,8 +108,9 @@ def test_ps_pulses(va_assets, covid_model):
         covid_model, pop, net, seed=1,
         interventions=[make_ps(1.0, start=0, days_on=2, days_off=2)])
     fractions = []
+    engine = BatchedSimulation([sim])
     for _ in range(8):
-        sim.step()
+        engine.step()
         fractions.append(sim.active_edges().mean())
     arr = np.asarray(fractions)
     assert arr.min() < 0.9  # lockdown phases
@@ -160,7 +170,8 @@ def test_vaccination_failures_enter_rx_state(va_assets, covid_model):
     from repro.epihiper import Simulation
     sim = Simulation(covid_model, pop, net, seed=2,
                      interventions=[make_vaccination(1.0, 0.7, day=0)])
-    sim.step()
+    engine = BatchedSimulation([sim])
+    engine.step()
     counts = sim.current_state_counts()
     rx = counts[covid_model.code("RX_Failure")]
     # ~30% of the population lands in RX_Failure.
@@ -190,7 +201,8 @@ def test_vaccination_age_targeting(va_assets, covid_model):
     sim = Simulation(covid_model, pop, net, seed=3,
                      interventions=[make_vaccination(1.0, 1.0, day=0,
                                                      min_age=65)])
-    sim.step()
+    engine = BatchedSimulation([sim])
+    engine.step()
     protected = sim.node_susceptibility == 0
     assert protected[pop.age >= 65].all()
     assert not protected[pop.age < 65].any()
@@ -212,7 +224,8 @@ def test_masking_scales_weights(va_assets, covid_model):
                      interventions=[make_masking(1.0, weight_factor=0.4,
                                                  start=0)])
     before = sim.edge_weight.copy()
-    sim.step()
+    engine = BatchedSimulation([sim])
+    engine.step()
     home = sim.home_edge_mask()
     assert np.allclose(sim.edge_weight[~home], before[~home] * 0.4)
     assert np.allclose(sim.edge_weight[home], before[home])
@@ -226,8 +239,9 @@ def test_masking_restores_at_end(va_assets, covid_model):
     sim = Simulation(covid_model, pop, net, seed=4,
                      interventions=[make_masking(1.0, start=0, end=3)])
     before = sim.edge_weight.copy()
+    engine = BatchedSimulation([sim])
     for _ in range(5):
-        sim.step()
+        engine.step()
     np.testing.assert_allclose(sim.edge_weight, before)
 
 

@@ -11,10 +11,19 @@ from repro.epihiper.disease import (
 )
 from repro.epihiper.progression import (
     ProgressionState,
-    progression_step,
+    progression_sweep,
     schedule_entries,
 )
 from repro.epihiper.states import FixedDwell, HealthState
+
+
+def progression_step(sched, tick):
+    """One lane through the sweep run during ``tick``: the fired
+    ``(pids, codes)``, with ``n_pending`` kept as the driver keeps it."""
+    _sizes, pids, codes, n_hit = progression_sweep(
+        sched.due[None], sched.next_state[None], tick + 1)
+    sched.n_pending -= int(n_hit[0])
+    return pids, codes
 
 
 @pytest.fixture()

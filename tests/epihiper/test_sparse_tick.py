@@ -5,7 +5,7 @@ and the frontier degree sum are updated where ``health`` changes
 (``Simulation.enter_state`` / ``BatchedSimulation._apply_flat``), and
 progressions wait as due ticks instead of per-tick countdowns.  These
 tests recompute all of it anew after every tick — over each
-backend, one lane and a batch of four, and across a checkpoint restore —
+backend, a driver of one lane and of four, and across a checkpoint restore —
 and replay the old countdown sweep on the derived dwell as the reference
 for who fires when.
 """
@@ -39,22 +39,19 @@ def make_lanes(pop, net, backend, k):
 
 
 class Stepper:
-    """One lane solo or K lanes batched, stepped one tick at a time."""
+    """K lanes on one driver (K = 1 is a solo run), stepped one tick at a
+    time."""
 
     def __init__(self, pop, net, backend, k):
         self.lanes = make_lanes(pop, net, backend, k)
-        self.engine = (BatchedSimulation(self.lanes) if k > 1
-                       else self.lanes[0])
+        self.engine = BatchedSimulation(self.lanes)
         self.engine.begin()
 
     def save(self):
-        if len(self.lanes) > 1:
-            return self.engine.save_state(ticks_since_flush=0)
-        return [self.engine.save_state()]
+        return self.engine.save_state(ticks_since_flush=0)
 
     def restore(self, payloads):
-        self.engine.restore_state(payloads if len(self.lanes) > 1
-                                  else payloads[0])
+        self.engine.restore_state(payloads)
 
 
 def assert_derived_state(sim, degrees):
@@ -147,11 +144,12 @@ def test_snapshot_dwell_is_the_countdown(vt_assets):
     restore turns it back into the same due ticks."""
     pop, net = vt_assets
     sim = make_lanes(pop, net, "auto", 1)[0]
-    sim.run(RESTORE_TICK)
-    payload = sim.save_state()
+    engine = BatchedSimulation([sim])
+    engine.run(RESTORE_TICK)
+    [payload] = engine.save_state()
     np.testing.assert_array_equal(payload["dwell"],
                                   sim.sched.remaining(RESTORE_TICK))
     assert (payload["dwell"] >= 0).all() and payload["dwell"].any()
     fresh = make_lanes(pop, net, "auto", 1)[0]
-    fresh.restore_state(payload)
+    BatchedSimulation([fresh]).restore_state([payload])
     np.testing.assert_array_equal(fresh.sched.due, sim.sched.due)

@@ -10,7 +10,7 @@ that surface on our engine.
 import numpy as np
 import pytest
 
-from repro.epihiper import Intervention, Simulation
+from repro.epihiper import BatchedSimulation, Intervention, Simulation
 
 
 @pytest.fixture()
@@ -21,7 +21,8 @@ def sim(va_assets, covid_model):
 
 def test_system_time_readable(sim):
     assert sim.tick == 0
-    sim.step()
+    engine = BatchedSimulation([sim])
+    engine.step()
     assert sim.tick == 1
 
 
@@ -92,10 +93,11 @@ def test_variable_trigger_fires(sim):
         action=lambda s: fired.append(s.tick),
         once=True,
     ))
-    sim.step()
+    engine = BatchedSimulation([sim])
+    engine.step()
     assert not fired
     sim.variables["alert_level"] = 5.0
-    sim.step()
+    engine.step()
     assert fired == [1]
 
 

@@ -1,10 +1,10 @@
 """One tick core: each phase kernel at K lanes equals K one-lane calls.
 
-The solo :class:`Simulation` and the :class:`BatchedSimulation` call the
-same phase functions — the solo engine with its arrays viewed as one lane.
-These tests pin the kernels themselves (the two schedulers, the due-tick
-sweep, Eq. 1 sampling, the ``auto`` rule) and the bookkeeping both drivers
-share (the Figure 10 memory estimate).
+The one driver, :class:`BatchedSimulation`, calls each phase function
+with its K lanes (K = 1 for a solo run).  These tests pin the kernels
+themselves (the two schedulers, the due-tick sweep, Eq. 1 sampling, the
+``auto`` rule) and the per-lane bookkeeping (the Figure 10 memory
+estimate).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.epihiper.progression import (
     ProgressionState,
     SchedTables,
     _schedule_small,
-    progression_step,
     progression_sweep,
     schedule_lanes,
 )
@@ -151,7 +150,9 @@ def test_progression_sweep_equals_one_lane_calls():
         off = 0
         for i, sched in enumerate(scheds):
             before = sched.n_pending
-            one_pids, one_codes = progression_step(sched, tick)
+            _one, one_pids, one_codes, one_hit = progression_sweep(
+                sched.due[None], sched.next_state[None], tick + 1)
+            sched.n_pending -= int(one_hit[0])
             assert before - sched.n_pending == n_hit[i]
             assert sizes[i] == one_pids.size
             np.testing.assert_array_equal(pids[off:off + sizes[i]], one_pids)
