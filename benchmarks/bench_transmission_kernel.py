@@ -1,15 +1,17 @@
-"""Transmission-kernel backend comparison across infectious prevalence.
+"""Transmission-kernel comparison across infectious prevalence.
 
-Times one tick of Eq. (1) candidate enumeration + sampling under the
-``dense``, ``frontier``, and ``auto`` backends on scaled state networks, at
-low / medium / high infectious prevalence — the engine's per-tick
-transmission phase (``lane_transmissions`` over one lane, with the
-network's candidate scan built once, as an engine keeps it).  The frontier
-kernel's payoff is the early-epidemic regime calibration sweeps live in: at
-0.1% prevalence it must beat the dense scan by >= 3x on the largest
-network, while ``auto`` must stay within 15% of the better fixed backend at
-every prevalence.  All three backends are verified bit-identical on every
-timed configuration.
+Times one tick of Eq. (1) candidate enumeration + sampling with the
+``dense`` and ``frontier`` kernels forced (``CandidateScan.candidates``
+plus ``sample_transmissions``) and with the engine's rule picking
+(``auto``: ``lane_transmissions``), on scaled state networks, at low /
+medium / high infectious prevalence — the engine's per-tick transmission
+phase over one lane, with the network's candidate scan built once, as an
+engine keeps it.  The frontier kernel's payoff is the early-epidemic
+regime calibration sweeps live in: at 0.1% prevalence it must beat the
+dense scan by >= 3x on the largest network, while ``auto`` must stay
+within 15% of the better forced kernel at every prevalence.  All three
+are verified bit-identical on every timed configuration.  This is the
+repo's A/B timing tool for the two kernels.
 """
 
 import time
@@ -22,8 +24,8 @@ from repro.epihiper.interventions import IncidentEdges
 from repro.epihiper.transmission import (
     CandidateScan,
     TransmissionBackend,
-    frontier_workload,
     lane_transmissions,
+    sample_transmissions,
 )
 from repro.plane.bundle import narrow_ids
 from repro.synthpop import build_region_network
@@ -35,11 +37,10 @@ BACKENDS = ("dense", "frontier", "auto")
 REPEATS = 21
 RNG_SEED = 9
 
-#: ``auto`` must track the better fixed kernel this closely on every
-#: network at every prevalence.  The per-tick resolution costs one popcount
-#: in the early-epidemic regime (the ``max_degree`` workload bound) and one
-#: O(|V|) dot product near or past the crossover, both far below a tick, so
-#: the tolerance mostly absorbs timer noise.
+#: ``auto`` must track the better forced kernel this closely on every
+#: network at every prevalence.  The engine keeps the frontier degree sum
+#: current, so the per-tick decision is one comparison and the tolerance
+#: mostly absorbs timer noise.
 AUTO_TOLERANCE = 1.15
 
 
@@ -77,15 +78,21 @@ def test_transmission_kernel_backends(benchmark, save_artifact):
                 health = _health_at_prevalence(model, pop.size, prev)
                 infectious = model.is_infectious[health][None]
                 # An engine keeps its frontier degree sum as states change.
-                load = np.array([frontier_workload(infectious, inc)])
+                load = infectious @ inc.degrees
 
                 def one_tick(backend):
-                    return lane_transmissions(
-                        [TransmissionBackend(backend)], model,
-                        [model.transmissibility],
-                        [np.random.default_rng(RNG_SEED)], health[None],
-                        infectious, load, ones, ones, supp, net.active,
-                        [net.weight], scan, inc)
+                    rngs = [np.random.default_rng(RNG_SEED)]
+                    taus = [model.transmissibility]
+                    if backend == "auto":
+                        return lane_transmissions(
+                            model, taus, rngs, health[None], infectious,
+                            load, ones, ones, supp, net.active, [net.weight],
+                            scan, inc)
+                    cand = scan.candidates(
+                        TransmissionBackend(backend), model, health[None],
+                        infectious, supp, net.active, [net.weight], inc)
+                    return (cand[4], *sample_transmissions(
+                        model, taus, rngs, health[None], ones, ones, cand))
 
                 events = {b: one_tick(b) for b in BACKENDS}
                 base = events["dense"]
@@ -116,8 +123,8 @@ def test_transmission_kernel_backends(benchmark, save_artifact):
     low = [r for r in largest if r[2] <= 0.01]
     for _name, _edges, _prev, t in low:
         assert t["dense"] / t["frontier"] >= 3.0
-    # Regression guard for the per-tick auto resolution: auto must not
-    # lose to the better fixed backend in EITHER regime — low prevalence
+    # Regression guard for the per-tick rule: auto must not
+    # lose to the better forced kernel in EITHER regime — low prevalence
     # (frontier territory) or 40% (dense territory, where the old
     # O(infectious) index build made auto pay >10% over dense).
     for name, _edges, prev, t in rows:

@@ -49,10 +49,9 @@ def add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--vhi-compliance", type=float)
 
 
-def scenario_params(args: argparse.Namespace, **extra) -> dict:
-    """The cell parameters :func:`add_scenario_flags` names, plus
-    ``extra`` (``simulate``'s ``backend``)."""
-    params = {"TAU": args.tau, "SYMP": args.symp, **extra}
+def scenario_params(args: argparse.Namespace) -> dict:
+    """The cell parameters :func:`add_scenario_flags` names."""
+    params = {"TAU": args.tau, "SYMP": args.symp}
     if args.sh_compliance is not None:
         params["SH_COMPLIANCE"] = args.sh_compliance
     if args.vhi_compliance is not None:

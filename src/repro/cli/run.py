@@ -65,7 +65,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return 2
     store = options.resolve_store(args)
     ledger = options.resolve_ledger(args)
-    params = options.scenario_params(args, backend=args.backend)
+    params = options.scenario_params(args)
     reg = MetricsRegistry()
     tracer = options.resolve_tracer(args, run_id=f"simulate:{args.region}")
     n = max(args.replicates, 1)
@@ -189,9 +189,6 @@ def add_parsers(sub) -> None:
 
     p = sub.add_parser("simulate", help="run EpiHiper for one region")
     options.add_scenario_flags(p)
-    p.add_argument("--backend", choices=("dense", "frontier", "auto"),
-                   default="auto",
-                   help="transmission kernel (result-identical; A/B timing)")
     p.add_argument("--replicates", type=int, default=1,
                    help="run N replicates (seeds seed..seed+N-1) as one "
                         "batched ensemble; each replicate is cached "

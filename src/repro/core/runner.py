@@ -17,8 +17,9 @@ Recognised cell parameters (all optional):
 - ``lockdown_days`` — SH duration (end = start + days).
 - ``reopen_level`` — partial reopening level after SH ends.
 - ``tracing_compliance`` — distance-1 contact tracing compliance.
-- ``backend`` / ``BACKEND`` — transmission kernel (``dense`` / ``frontier``
-  / ``auto``); all choices are result-identical, only speed differs.
+
+Any other name is carried (and keyed) but read by nothing.  Which
+transmission kernel a tick runs is the engine's choice, not a parameter.
 """
 
 from __future__ import annotations
@@ -269,13 +270,11 @@ def prepare_instance(
     the constructed-but-unrun lanes to stack them.  Returns the simulation
     and its disease model.
     """
-    backend = params.get("backend", params.get("BACKEND", "auto"))
     model = model_for_params(params)
     sim = Simulation(
         model, assets.pop, assets.net,
         seed=seed,
         interventions=build_interventions(params),
-        backend=backend,
     )
     initialize_from_surveillance(sim, assets.truth.latest_by_county())
     return sim, model

@@ -37,12 +37,11 @@ lane's stream consumption is untouched — a replicate batched alongside
 others emits exactly the bytes it emits alone.  Equivalence is exact,
 not statistical.
 
-Kernel choice inside a batch is a pure speed decision: the dense and
-frontier kernels enumerate identical candidates in identical order with
-identical RNG consumption, so ``auto`` lanes may resolve differently
-batched than solo without changing a single output byte.  The batch
-resolves all its ``auto`` lanes *together* (one decision over the summed
-frontier workload) so they land on the same kernel and the dense scan
+Kernel choice is a pure speed decision: the dense and frontier kernels
+enumerate identical candidates in identical order with identical RNG
+consumption, so a lane may run a different kernel batched than solo
+without changing a single output byte.  Each tick takes one decision for
+all its lanes (over the summed frontier workload), so the dense scan
 stays one stacked operation.
 
 What may share a batch is decided once, at construction
@@ -80,11 +79,7 @@ from .progression import (
     progression_sweep,
     schedule_lanes,
 )
-from .transmission import (
-    CandidateScan,
-    TransmissionBackend,
-    lane_transmissions,
-)
+from .transmission import CandidateScan, lane_transmissions
 
 #: Per-phase timers (``batch.<name>``) a driver of K >= 2 lanes publishes —
 #: the stacked-kernel counterpart of the engine's Figure 7 breakdown.
@@ -119,7 +114,7 @@ def _require_compatible(first: Simulation, sim: Simulation) -> None:
 
     The one place "what may share a batch" is decided.  Lanes may differ
     in seed, transmissibility, transition *probabilities* (calibration
-    moves TAU and the symptomatic fraction), interventions and backend;
+    moves TAU and the symptomatic fraction) and interventions;
     everything the stacked kernels read once for the whole batch must
     agree: the assets, the tick, the state-space size, the PTTS graph
     structure and dwell-distribution values (the padded scheduling tables
@@ -174,7 +169,7 @@ class BatchedSimulation:
     edge activity (:func:`_require_compatible`; any mismatch raises
     :class:`BatchIncompatible` and leaves the lanes as they were handed
     in); seeds, cell parameters (model transmissibility, symptomatic
-    fraction), interventions, and backends may differ per lane.
+    fraction) and interventions may differ per lane.
 
     After construction each lane's ``health``, ``sched.due``,
     ``sched.next_state``, ``suppressor.count``, ``node_susceptibility``
@@ -233,18 +228,14 @@ class BatchedSimulation:
         self._sched_tables = SchedTables([sim.model for sim in self.lanes])
 
         # One incident CSR serves every lane (it is read-only and the
-        # lanes share the network), built here so frontier/auto
-        # resolution never pays for it mid-run; its degree column serves
-        # every lane's frontier degree sum.  Only a lone dense lane, whose
-        # kernel never reads it, goes without — it builds its own if an
-        # NPI asks (:attr:`Simulation.incident`); K dense lanes still
-        # share one rather than each building a copy on demand.
-        self._incident = None
-        if k > 1 or first.backend is not TransmissionBackend.DENSE:
-            self._incident = first.incident
-            for sim in self.lanes:
-                sim._incident = self._incident
-                sim._track_degrees(self._incident.degrees)
+        # lanes share the network), built here so the frontier kernel
+        # never pays for it mid-run; its degree column serves every
+        # lane's frontier degree sum.
+        self._incident = first.incident
+        self._degrees = self._incident.degrees
+        for sim in self.lanes:
+            sim._incident = self._incident
+            sim._track_degrees(self._degrees)
         self._scan = CandidateScan(first.net.source, first.net.target,
                                    first.net.duration)
 
@@ -292,8 +283,7 @@ class BatchedSimulation:
             flat = pids_cat + lane_rep * self._n_pop
         old = self._health_flat[flat]
         self._health_flat[flat] = codes_cat
-        # The shared CSR's degrees, or a lone lane's own once it has one.
-        count_entries(self.lanes[0].model, self.lanes[0]._degrees,
+        count_entries(self.lanes[0].model, self._degrees,
                       self._census, self._infectious, self._frontier_degree,
                       lane_rep, pids_cat, old, codes_cat)
         ticks = np.full(total, self.lanes[0].tick, dtype=np.int32)
@@ -348,7 +338,7 @@ class BatchedSimulation:
 
         tick = lanes[0].tick
         counts, sizes, pids, codes, infectors = lane_transmissions(
-            [sim.backend for sim in lanes], lanes[0].model,
+            lanes[0].model,
             [sim.model.transmissibility for sim in lanes],
             [sim.rng for sim in lanes], self._health, self._infectious,
             self._frontier_degree, self._node_sus, self._node_inf,

@@ -43,7 +43,6 @@ from .disease import DiseaseModel
 from .interventions import EdgeSuppressor, IncidentEdges, Intervention
 from .output import TransitionLog, TransitionRecorder
 from .progression import ProgressionState, schedule_entries
-from .transmission import TransmissionBackend
 
 #: Bytes per in-memory edge record (ids, timing, contexts, weight, flags);
 #: drives the Figure 10 memory model.
@@ -156,7 +155,6 @@ class Simulation:
         *,
         seed: int = DEFAULT_SEED,
         interventions: list[Intervention] | None = None,
-        backend: TransmissionBackend | str = TransmissionBackend.AUTO,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
     ) -> None:
@@ -167,7 +165,6 @@ class Simulation:
         self.net = net
         self.rng = np.random.default_rng(seed)
         self.interventions = list(interventions or [])
-        self.backend = TransmissionBackend.coerce(backend)
 
         n = pop.size
         # Everybody starts in the first susceptible state.
@@ -181,7 +178,8 @@ class Simulation:
         # re-derived per tick: the census, the infectious mask, and — once
         # the incident CSR exists to give the degrees — the infectious
         # persons' summed contact degree (the frontier gather workload the
-        # ``auto`` rule reads; only a lane with the CSR resolves ``auto``).
+        # kernel rule reads; the driver builds the CSR before the first
+        # tick).
         self._census = np.zeros(model.n_states, dtype=np.int64)
         self._infectious = np.zeros(n, dtype=bool)
         self._degrees: np.ndarray | None = None

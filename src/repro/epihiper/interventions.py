@@ -215,34 +215,16 @@ class IncidentEdges:
             self._rows[slots] = order
             self._others[slots] = far[order]
         self._degrees: np.ndarray | None = None
-        self._max_degree: float | None = None
 
     @property
     def degrees(self) -> np.ndarray:
-        """Per-person incident-slot count as float64 (lazily built).
-
-        The frontier-workload estimate over boolean infectious masks is
-        one contraction against this column — exact for any realistic
-        degree sum, and O(|V|) with no intermediate index array (see
-        :func:`~repro.epihiper.transmission.frontier_workload`).
-        """
+        """Per-person incident-slot count as float64 (lazily built): the
+        column each lane's frontier degree sum is kept over
+        (:func:`~repro.epihiper.engine.count_entries`).  Degree sums are
+        integers far below 2**53, so float sums of it are exact."""
         if self._degrees is None:
             self._degrees = np.diff(self._offsets).astype(np.float64)
         return self._degrees
-
-    @property
-    def max_degree(self) -> float:
-        """Largest per-person incident-slot count (lazily cached).
-
-        ``infectious_count * max_degree`` upper-bounds the frontier
-        workload, letting the per-tick ``auto`` resolution skip the exact
-        degree-sum dot product whenever one popcount already proves the
-        frontier kernel is below the crossover.
-        """
-        if self._max_degree is None:
-            deg = self.degrees
-            self._max_degree = float(deg.max()) if deg.size else 0.0
-        return self._max_degree
 
     def _gather_slots(self, pids: np.ndarray) -> np.ndarray:
         """Vectorised CSR slot gather: every slot of every pid, in pid order.

@@ -56,13 +56,6 @@ class ProgressionState:
             next_state=np.full(n, -1, dtype=np.int8),
         )
 
-    @property
-    def dwell(self) -> np.ndarray:
-        """The :attr:`due` column itself under its former name, for
-        readers that only ask which persons are pending (nonzero) or
-        which array is bound; ticks remaining are :meth:`remaining`."""
-        return self.due
-
     def remaining(self, tick: int) -> np.ndarray:
         """Ticks each person still waits at ``tick`` (0 = none pending) —
         what a per-tick countdown would hold; a fresh int32 array."""

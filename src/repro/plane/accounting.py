@@ -15,11 +15,10 @@ This module decomposes the model accordingly:
   bundle's columns); at paper scale it is the model residual ``EDGE_BYTES +
   NODE_BYTES - private``, so ``copy_total`` reproduces the historical
   Fig. 10 numbers exactly.
-- *private* bytes: what a default (``auto`` backend)
-  :class:`~repro.epihiper.engine.Simulation` lane allocates per worker
-  even on a mapped bundle — the arrays its ``__init__`` copies or
-  derives because ticks mutate them, and the incident CSR every ``auto``
-  lane and every batch builds.
+- *private* bytes: what a :class:`~repro.epihiper.engine.Simulation`
+  lane allocates per worker even on a mapped bundle — the arrays its
+  ``__init__`` copies or derives because ticks mutate them, and the
+  incident CSR every driver builds.
 
 The per-edge/per-node private constants are summed from the engine's
 actual allocations over the bundle's int32 ids: per edge ``base_active``

@@ -28,7 +28,6 @@ from urllib.parse import parse_qs, urlsplit
 
 from ..core.parallel import InstanceSpec
 from ..core.runner import build_interventions, model_for_params
-from ..epihiper.transmission import TransmissionBackend
 from ..params import DEFAULT_SCALE
 from ..synthpop.regions import REGIONS
 
@@ -189,8 +188,6 @@ def _runner_accepts(params: dict[str, Any]) -> None:
     """Build what the runner builds from ``params``; raise where it would."""
     model_for_params(params)
     build_interventions(params)
-    TransmissionBackend.coerce(
-        params.get("backend", params.get("BACKEND", "auto")))
 
 
 @lru_cache(maxsize=4096)

@@ -25,7 +25,6 @@ from .cas import (
 )
 from .keys import (
     INSTANCE_NAMESPACE,
-    SPEED_ONLY_PARAMS,
     canonical_params,
     canonical_value,
     code_version_salt,
@@ -43,7 +42,6 @@ __all__ = [
     "LeaseTable",
     "LedgerReplay",
     "RunLedger",
-    "SPEED_ONLY_PARAMS",
     "canonical_params",
     "canonical_value",
     "code_version_salt",

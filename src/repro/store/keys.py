@@ -4,8 +4,8 @@ A key must satisfy two properties the nightly pipeline depends on:
 
 - **Canonical** — two specs that provably produce the same result hash to
   the same key.  Parameter order is irrelevant, numeric types are
-  normalised, and *speed-only* knobs (the transmission ``backend``, which
-  is bit-identical across choices) and display labels are excluded.
+  normalised, and display labels are excluded.  Every parameter name
+  counts, including one the runner does not read.
 - **Salted by code version** — results are only as reusable as the kernel
   that produced them.  The salt hashes the source of every result-affecting
   module (simulator, disease model, synthetic-population builder,
@@ -30,10 +30,6 @@ INSTANCE_NAMESPACE: str = "instance-outcome/v1"
 #: :class:`~repro.analytics.aggregate.RegionSummary` (``new`` and
 #: ``current``), the second payload family stored under the same spec.
 SUMMARY_NAMESPACE: str = "instance-summary/v1"
-
-#: Parameters that change how fast a result is computed but not the result
-#: itself (all transmission backends are RNG-stream identical).
-SPEED_ONLY_PARAMS: frozenset[str] = frozenset({"backend", "BACKEND"})
 
 #: Modules whose source participates in the code-version salt: everything
 #: between an :class:`InstanceSpec` and the confirmed series it produces.
@@ -87,12 +83,9 @@ def canonical_value(value: Any) -> str:
 
 
 def canonical_params(params: Mapping[str, Any]) -> tuple[tuple[str, str], ...]:
-    """Sorted (name, canonical value) pairs, speed-only knobs dropped."""
-    return tuple(
-        (name, canonical_value(params[name]))
-        for name in sorted(params)
-        if name not in SPEED_ONLY_PARAMS
-    )
+    """Sorted (name, canonical value) pairs."""
+    return tuple((name, canonical_value(params[name]))
+                 for name in sorted(params))
 
 
 @lru_cache(maxsize=1)
@@ -121,8 +114,7 @@ def instance_key(
 
     The key covers everything that determines the simulation output —
     region, result-affecting parameters, horizon, scale, both seeds, and
-    the code-version salt — and nothing that does not (``label``,
-    ``backend``).
+    the code-version salt — and nothing that does not (``label``).
 
     Args:
         spec: the instance spec (any object with the ``InstanceSpec``

@@ -48,6 +48,27 @@ def _no_pool_across_tests():
     close_pool()
 
 
+#: The transmission kernels a test can run on: two forced, and the rule.
+KERNELS = ("dense", "frontier", "auto")
+
+
+@pytest.fixture
+def force_kernel():
+    """``with force_kernel(k):`` runs its block with every tick on kernel
+    ``k`` of :data:`KERNELS` (``auto``: the engine's own rule).
+
+    The engine picks its kernel from what it observes, so a test forces
+    one by patching the rule's crossover — ``-1.0`` for dense, ``inf``
+    for frontier — around the block, closing the fan-out's pool on entry
+    and on exit so that pooled workers fork after the patch
+    (:func:`tests.golden.generate.forced_kernel`, which the golden
+    matrix shares).
+    """
+    from .golden.generate import forced_kernel
+
+    return forced_kernel
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(TEST_SEED)

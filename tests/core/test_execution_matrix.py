@@ -1,7 +1,7 @@
 """The single execution path, tested as a matrix.
 
 One executor (:func:`repro.core.runner.execute_specs`), one worker entry
-and one supervised pass serve every combination of group width, backend,
+and one supervised pass serve every combination of group width, kernel,
 checkpointing, mid-run crash and serial/pooled fan-out; each combination
 must reproduce the :func:`repro.core.runner.run_instance` reference bit
 for bit and report the same supervision accounting the per-feature suites
@@ -28,6 +28,8 @@ from repro.obs.registry import Stopwatch
 from repro.resilience import FaultPlan, RetryPolicy
 from repro.store.keys import instance_key
 
+from ..conftest import KERNELS
+
 DAYS = 25
 EVERY = 10
 CRASH_TICK = 17  # between the tick-10 and tick-20 snapshots
@@ -35,12 +37,12 @@ RESUME_TICK = (CRASH_TICK // EVERY) * EVERY
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0)
 
 
-def spec(region, seed, backend="auto", n_days=DAYS):
+def spec(region, seed, kernel="auto", n_days=DAYS):
     return InstanceSpec(
         region_code=region,
-        params={"TAU": 0.3, "SH_COMPLIANCE": 0.6, "backend": backend},
+        params={"TAU": 0.3, "SH_COMPLIANCE": 0.6},
         n_days=n_days, scale=1e-3, seed=seed,
-        label=f"mx-{region}-{backend}-d{n_days}-s{seed}", asset_seed=0)
+        label=f"mx-{region}-{kernel}-d{n_days}-s{seed}", asset_seed=0)
 
 
 def assert_matches_reference(outcomes, specs):
@@ -59,14 +61,15 @@ def assert_matches_reference(outcomes, specs):
 @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pool"])
 @pytest.mark.parametrize("crash", [False, True], ids=["clean", "crash"])
 @pytest.mark.parametrize("every", [0, EVERY], ids=["ck-off", "ck-10"])
-@pytest.mark.parametrize("backend", ["dense", "frontier", "auto"])
+@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("k", [1, 4])
-def test_every_combination_matches_the_reference(tmp_path, k, backend,
-                                                 every, crash, pooled):
+def test_every_combination_matches_the_reference(tmp_path, k, kernel,
+                                                 every, crash, pooled,
+                                                 force_kernel):
     # K=1: two singles (distinct regions, so each is a group of one and
     # the pooled leg has something to pool); K=4: one 4-lane group.
-    specs = ([spec("VT", 100, backend), spec("WY", 113, backend)] if k == 1
-             else [spec("VT", 100 + 13 * i, backend) for i in range(4)])
+    specs = ([spec("VT", 100, kernel), spec("WY", 113, kernel)] if k == 1
+             else [spec("VT", 100 + 13 * i, kernel) for i in range(4)])
     n_groups = 2 if k == 1 else 1
     plan = (CheckpointPlan(store_root=str(tmp_path / "ck"), every=every)
             if every else None)
@@ -76,12 +79,13 @@ def test_every_combination_matches_the_reference(tmp_path, k, backend,
         [f"worker.crash_mid_run:tick={CRASH_TICK},times=1,"
          f"match={specs[0].label}"], seed=0) if crash else None)
     reg = MetricsRegistry()
-    res = supervise_instances(
-        specs, parallel=pooled, max_workers=2, retry=FAST_RETRY,
-        faults=faults, registry=reg, checkpoint=plan)
+    with force_kernel(kernel):
+        res = supervise_instances(
+            specs, parallel=pooled, max_workers=2, retry=FAST_RETRY,
+            faults=faults, registry=reg, checkpoint=plan)
 
-    assert res.ok
-    assert_matches_reference(res.results, specs)
+        assert res.ok
+        assert_matches_reference(res.results, specs)
     assert reg.value("runner.instances") == len(specs)
     assert reg.value("batch.groups") == (1 if k > 1 else 0)
     saved = k * RESUME_TICK if crash and every else 0

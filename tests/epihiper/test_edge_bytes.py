@@ -17,7 +17,7 @@ These tests hold that:
   (int64) network in every value and dtype of its outputs;
 - weight sharing: a lane that never masks reads the bundle's own column,
   one that masks holds a private float64 array, and a batch mixing both
-  equals each lane run solo, on every backend;
+  equals each lane run solo, on each transmission kernel;
 - masking plus checkpoint restore on a mapped, read-only bundle is
   bit-identical to an uninterrupted run on a private build, solo and
   batched, and a snapshot carries edge weights only for a lane that
@@ -53,7 +53,7 @@ from repro.plane.bundle import (
 from repro.store.cas import ContentStore
 from repro.synthpop import build_region_network
 
-from ..conftest import TEST_SCALE, TEST_SEED
+from ..conftest import KERNELS, TEST_SCALE, TEST_SEED
 
 pytestmark = pytest.mark.fast
 
@@ -124,7 +124,7 @@ def assert_same_result(got, want):
         np.testing.assert_array_equal(a, b, err_msg=name)
 
 
-def test_narrow_storage_computes_what_wide_storage_does(va):
+def test_narrow_storage_computes_what_wide_storage_does(va, force_kernel):
     assert va.net.source.dtype == np.int32
     assert va.net.target.dtype == np.int32
     payload = bundle_payload(va)
@@ -142,10 +142,10 @@ def test_narrow_storage_computes_what_wide_storage_does(va):
     assert wide_net.source.dtype == np.int64
     wide = RegionAssets(pop=va.pop, net=wide_net, truth=va.truth,
                         scale=va.scale)
-    for backend in ("dense", "frontier", "auto"):
-        params = {**PARAMS, "backend": backend}
-        got, _ = run_instance(va, params, n_days=40, seed=3)
-        want, _ = run_instance(wide, params, n_days=40, seed=3)
+    for kernel in KERNELS:
+        with force_kernel(kernel):
+            got, _ = run_instance(va, PARAMS, n_days=40, seed=3)
+            want, _ = run_instance(wide, PARAMS, n_days=40, seed=3)
         assert_same_result(got, want)
 
 
@@ -167,14 +167,13 @@ def test_csr_edge_limit_is_per_edge(monkeypatch):
 # -- weight sharing -----------------------------------------------------------
 
 
-def make_lane(assets, seed, *, mask, backend="auto"):
+def make_lane(assets, seed, *, mask):
     """A VHI + SC + SH lane, plus a mask mandate when ``mask``."""
     ivs = [make_vhi(0.8), make_sc(start=3), make_sh(0.6, start=4, end=20)]
     if mask:
         ivs.append(make_masking(0.7, start=5, end=25))
     sim = Simulation(build_covid_model_with_symp_fraction(0.9, 0.65),
-                     assets.pop, assets.net, seed=seed, interventions=ivs,
-                     backend=backend)
+                     assets.pop, assets.net, seed=seed, interventions=ivs)
     initialize_from_surveillance(sim, assets.truth.latest_by_county())
     return sim
 
@@ -204,17 +203,19 @@ def test_only_a_masking_lane_copies_the_weights(va):
     np.testing.assert_array_equal(va.net.weight, before)
 
 
-@pytest.mark.parametrize("backend", ["dense", "frontier", "auto"])
-def test_batch_mixing_shared_and_private_weights_equals_solo(va, backend):
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_batch_mixing_shared_and_private_weights_equals_solo(va, kernel,
+                                                            force_kernel):
     masks = (False, True, False, True)
-    lanes = [make_lane(va, 20 + i, mask=m, backend=backend)
-             for i, m in enumerate(masks)]
-    results = BatchedSimulation(lanes).run(30)
-    for i, (sim, m) in enumerate(zip(lanes, masks)):
-        check = assert_private_weight if m else assert_shares_bundle_weight
-        check(sim, va)
-        want = make_lane(va, 20 + i, mask=m, backend=backend).run(30)
-        assert_same_result(results[i], want)
+    with force_kernel(kernel):
+        lanes = [make_lane(va, 20 + i, mask=m) for i, m in enumerate(masks)]
+        results = BatchedSimulation(lanes).run(30)
+        for i, (sim, m) in enumerate(zip(lanes, masks)):
+            check = (assert_private_weight if m
+                     else assert_shares_bundle_weight)
+            check(sim, va)
+            want = make_lane(va, 20 + i, mask=m).run(30)
+            assert_same_result(results[i], want)
 
 
 # -- masking + restore on a mapped, read-only bundle --------------------------

@@ -4,8 +4,8 @@ A frontier tick never rescans ``health``: the census, the infectious mask
 and the frontier degree sum are updated where ``health`` changes
 (``Simulation.enter_state`` / ``BatchedSimulation._apply_flat``), and
 progressions wait as due ticks instead of per-tick countdowns.  These
-tests recompute all of it anew after every tick — over each
-backend, a driver of one lane and of four, and across a checkpoint restore —
+tests recompute all of it anew after every tick — on each transmission
+kernel, a driver of one lane and of four, and across a checkpoint restore —
 and replay the old countdown sweep on the derived dwell as the reference
 for who fires when.
 """
@@ -20,17 +20,19 @@ from repro.epihiper.batch import BatchedSimulation
 from repro.epihiper.covid import build_covid_model_with_symp_fraction
 from repro.epihiper.npi import make_sc, make_sh, make_vhi
 
+from ..conftest import KERNELS
+
 pytestmark = pytest.mark.fast
 
 N_DAYS = 24
 RESTORE_TICK = 9
 
 
-def make_lanes(pop, net, backend, k):
+def make_lanes(pop, net, k):
     lanes = []
     for seed in range(k):
         model = build_covid_model_with_symp_fraction(0.9, 0.65)
-        sim = Simulation(model, pop, net, seed=100 + seed, backend=backend,
+        sim = Simulation(model, pop, net, seed=100 + seed,
                          interventions=[make_sc(start=3), make_vhi(0.6),
                                         make_sh(0.5, start=6, end=14)])
         sim.seed_infections(uniform_seeds(pop, 12, sim.rng))
@@ -42,8 +44,8 @@ class Stepper:
     """K lanes on one driver (K = 1 is a solo run), stepped one tick at a
     time."""
 
-    def __init__(self, pop, net, backend, k):
-        self.lanes = make_lanes(pop, net, backend, k)
+    def __init__(self, pop, net, k):
+        self.lanes = make_lanes(pop, net, k)
         self.engine = BatchedSimulation(self.lanes)
         self.engine.begin()
 
@@ -109,32 +111,32 @@ def assert_reference_sweep(sim, before, tick):
 @pytest.mark.parametrize("restore", [False, True],
                          ids=["plain", "restored"])
 @pytest.mark.parametrize("k", [1, 4])
-@pytest.mark.parametrize("backend", ["dense", "frontier", "auto"])
-def test_maintained_state_equals_recomputation(vt_assets, backend, k,
-                                               restore):
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_maintained_state_equals_recomputation(vt_assets, kernel, k,
+                                               restore, force_kernel):
     pop, net = vt_assets
     degrees = net.degrees()
-    stepper = Stepper(pop, net, backend, k)
-    for sim in stepper.lanes:
-        assert_derived_state(sim, degrees)
-    for tick in range(N_DAYS):
-        if restore and tick == RESTORE_TICK:
-            payloads = stepper.save()
-            stepper = Stepper(pop, net, backend, k)
-            stepper.restore(payloads)
-            for sim in stepper.lanes:
-                assert_derived_state(sim, degrees)
-        before = [(sim.sched.remaining(tick), sim.sched.next_state.copy(),
-                   sim.recorder.n_rows) for sim in stepper.lanes]
-        stepper.engine.step()
-        for sim, state in zip(stepper.lanes, before):
-            assert sim.tick == tick + 1
-            # Only a solo dense lane runs without the CSR (until an NPI
-            # isolates someone).
-            if backend != "dense" or k > 1:
-                assert sim._degrees is not None
+    with force_kernel(kernel):
+        stepper = Stepper(pop, net, k)
+        for sim in stepper.lanes:
             assert_derived_state(sim, degrees)
-            assert_reference_sweep(sim, state, tick)
+        for tick in range(N_DAYS):
+            if restore and tick == RESTORE_TICK:
+                payloads = stepper.save()
+                stepper = Stepper(pop, net, k)
+                stepper.restore(payloads)
+                for sim in stepper.lanes:
+                    assert_derived_state(sim, degrees)
+            before = [(sim.sched.remaining(tick),
+                       sim.sched.next_state.copy(), sim.recorder.n_rows)
+                      for sim in stepper.lanes]
+            stepper.engine.step()
+            for sim, state in zip(stepper.lanes, before):
+                assert sim.tick == tick + 1
+                # Every driver builds the CSR, whatever the kernel.
+                assert sim._degrees is not None
+                assert_derived_state(sim, degrees)
+                assert_reference_sweep(sim, state, tick)
     assert any(sim._census[sim.model.is_infectious].sum()
                for sim in stepper.lanes)
 
@@ -143,13 +145,13 @@ def test_snapshot_dwell_is_the_countdown(vt_assets):
     """``save_state`` writes remaining dwell (``due - tick``), and a
     restore turns it back into the same due ticks."""
     pop, net = vt_assets
-    sim = make_lanes(pop, net, "auto", 1)[0]
+    sim = make_lanes(pop, net, 1)[0]
     engine = BatchedSimulation([sim])
     engine.run(RESTORE_TICK)
     [payload] = engine.save_state()
     np.testing.assert_array_equal(payload["dwell"],
                                   sim.sched.remaining(RESTORE_TICK))
     assert (payload["dwell"] >= 0).all() and payload["dwell"].any()
-    fresh = make_lanes(pop, net, "auto", 1)[0]
+    fresh = make_lanes(pop, net, 1)[0]
     BatchedSimulation([fresh]).restore_state([payload])
     np.testing.assert_array_equal(fresh.sched.due, sim.sched.due)

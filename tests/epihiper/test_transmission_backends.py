@@ -4,12 +4,15 @@ The frontier kernel gathers only edges incident to the infectious set and
 sorts them into dense enumeration order, so for the same RNG stream it must
 reproduce the dense kernel's :class:`TransmissionEvents` exactly — pids,
 exposed codes, infectors, and candidate counts, over any network, health
-configuration, and intervention-suppressed edge mask.
+configuration, and intervention-suppressed edge mask.  The engine picks
+the kernel itself (:func:`auto_backend`); whole runs force one through
+the ``force_kernel`` fixture, whose own tests close this file.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.parallel import InstanceSpec, run_instances
 from repro.epihiper import Simulation, TransmissionBackend, uniform_seeds
 from repro.epihiper.disease import (
     DiseaseModel,
@@ -20,12 +23,15 @@ from repro.epihiper.disease import (
 from repro.epihiper.interventions import IncidentEdges
 from repro.epihiper.npi import make_sh, make_vhi
 from repro.epihiper.states import FixedDwell, HealthState
+from repro.epihiper import transmission
 from repro.epihiper.transmission import (
     FRONTIER_DENSE_CROSSOVER,
-    frontier_workload,
-    resolve_auto,
+    CandidateScan,
+    auto_backend,
     transmission_step,
 )
+
+from ..conftest import KERNELS
 
 pytestmark = pytest.mark.fast
 
@@ -73,11 +79,11 @@ def assert_events_identical(a, b):
         np.testing.assert_array_equal(x, y, err_msg=field)
 
 
-def run_backend(backend, model, health, src, tgt, dur, w, active, inc,
+def run_backend(kernel, model, health, src, tgt, dur, w, active, inc,
                 node_sus, node_inf, seed):
     return transmission_step(
         model, health, node_sus, node_inf, src, tgt, active, w, dur,
-        np.random.default_rng(seed), backend=backend, incident=inc)
+        np.random.default_rng(seed), kernel=kernel, incident=inc)
 
 
 @pytest.mark.parametrize("n_nodes,n_edges", [(40, 120), (300, 1500),
@@ -101,9 +107,7 @@ def test_frontier_matches_dense_bitwise(n_nodes, n_edges, prevalence,
                 node_sus, node_inf, 7 + case_seed)
         dense = run_backend(TransmissionBackend.DENSE, *args)
         frontier = run_backend(TransmissionBackend.FRONTIER, *args)
-        auto = run_backend(TransmissionBackend.AUTO, *args)
         assert_events_identical(dense, frontier)
-        assert_events_identical(dense, auto)
 
 
 def test_both_infectious_endpoints_edge_counted_once():
@@ -135,17 +139,17 @@ def test_frontier_without_incident_raises():
         transmission_step(
             model, health, np.ones(2), np.ones(2), src, tgt,
             np.ones(1, bool), np.ones(1), np.array([60.0]),
-            np.random.default_rng(0), backend="frontier")
+            np.random.default_rng(0), kernel=TransmissionBackend.FRONTIER)
 
 
 def test_backend_coercion():
-    assert TransmissionBackend.coerce("dense") is TransmissionBackend.DENSE
-    assert TransmissionBackend.coerce("FRONTIER") is \
-        TransmissionBackend.FRONTIER
-    assert TransmissionBackend.coerce(
-        TransmissionBackend.AUTO) is TransmissionBackend.AUTO
-    with pytest.raises(ValueError, match="unknown transmission backend"):
-        TransmissionBackend.coerce("sparse")
+    """A kernel's string form names it; the rule's two answers are the
+    only kernels, so ``auto`` is no member."""
+    assert TransmissionBackend("dense") is TransmissionBackend.DENSE
+    assert TransmissionBackend("frontier") is TransmissionBackend.FRONTIER
+    assert [k.value for k in TransmissionBackend] == ["dense", "frontier"]
+    with pytest.raises(ValueError):
+        TransmissionBackend("auto")
 
 
 def test_auto_switches_backend_as_prevalence_grows():
@@ -156,9 +160,9 @@ def test_auto_switches_backend_as_prevalence_grows():
 
     few = np.arange(n_nodes) < 5
     many = np.ones(n_nodes, dtype=bool)
-    assert resolve_auto(few[None], inc, n_edges) is \
+    assert auto_backend(few @ inc.degrees, n_edges) is \
         TransmissionBackend.FRONTIER
-    assert resolve_auto(many[None], inc, n_edges) is \
+    assert auto_backend(many @ inc.degrees, n_edges) is \
         TransmissionBackend.DENSE
     # The crossover sits exactly at the documented gathered-slot fraction.
     assert inc.degree_sum(np.flatnonzero(few)) <= \
@@ -167,46 +171,22 @@ def test_auto_switches_backend_as_prevalence_grows():
         FRONTIER_DENSE_CROSSOVER * n_edges
 
 
-def test_auto_workload_bound_is_conservative():
-    """The popcount * max_degree shortcut never flips the auto decision.
-
-    ``transmission_step`` resolves ``auto`` through an upper bound first —
-    infectious count times the cached max degree — and only falls back to
-    the exact degree-sum dot product past the crossover.  Whenever the
-    bound clears the threshold the exact workload must too, so the
-    shortcut always picks the backend the exact comparison would.
-    """
-    setup = np.random.default_rng(23)
-    n_nodes, n_edges = 500, 3000
-    src, tgt, _dur, _w = random_network(n_nodes, n_edges, setup)
-    inc = IncidentEdges(src, tgt, n_nodes)
-    assert inc.max_degree == float(inc.degrees.max())
-    threshold = FRONTIER_DENSE_CROSSOVER * n_edges
-    for prevalence in (0.0, 0.005, 0.05, 0.3, 0.8):
-        mask = setup.random(n_nodes) < prevalence
-        k = int(np.count_nonzero(mask))
-        exact = float(inc.degree_sum(np.flatnonzero(mask)))
-        # The dot-product estimator is exact, not approximate.
-        assert exact == frontier_workload(mask, inc)
-        if k * inc.max_degree <= threshold:
-            assert exact <= threshold
-
-
 def test_simulation_trajectories_identical_across_backends(vt_assets,
-                                                           covid_model):
+                                                           covid_model,
+                                                           force_kernel):
     """Whole-run equivalence on a real region, with suppressing NPIs."""
     pop, net = vt_assets
     results = {}
-    for backend in ("dense", "frontier", "auto"):
+    for kernel in KERNELS:
         sim = Simulation(
             covid_model, pop, net, seed=99,
-            interventions=[make_vhi(0.6), make_sh(0.5, start=5, end=25)],
-            backend=backend)
+            interventions=[make_vhi(0.6), make_sh(0.5, start=5, end=25)])
         sim.seed_infections(uniform_seeds(pop, 10, sim.rng))
-        results[backend] = sim.run(40)
+        with force_kernel(kernel):
+            results[kernel] = sim.run(40)
     base = results["dense"]
-    for backend in ("frontier", "auto"):
-        other = results[backend]
+    for kernel in ("frontier", "auto"):
+        other = results[kernel]
         np.testing.assert_array_equal(base.state_counts, other.state_counts)
         np.testing.assert_array_equal(base.memory_series,
                                       other.memory_series)
@@ -226,7 +206,7 @@ def test_incremental_accounting_matches_rescan(vt_assets, covid_model):
     sim.run(30)
     assert sim.suppressor.n_suppressed == int(
         (sim.suppressor.count > 0).sum())
-    assert sim.sched.n_pending == int((sim.sched.dwell > 0).sum())
+    assert sim.sched.n_pending == int((sim.sched.due > 0).sum())
 
 
 def test_phase_timing_counters_populated(vt_assets, covid_model):
@@ -237,3 +217,49 @@ def test_phase_timing_counters_populated(vt_assets, covid_model):
     for key in ("interventions_s", "transmission_s", "progression_s"):
         assert result.metrics.value(f"engine.{key}") >= 0.0
     assert result.metrics.value("engine.transmission_s") > 0.0
+
+
+# -- the force_kernel fixture ---------------------------------------------------
+
+
+def _the_other_kernel_ran(*args, **kwargs):
+    raise AssertionError("a tick ran the kernel that was not forced")
+
+
+def _force_specs():
+    """Two regions (two groups, so a pooled fan-out uses the pool), a
+    K=2 group among them."""
+    return [InstanceSpec(region, {"TAU": 0.45}, 30, 1e-3, seed,
+                         label=f"force-{region}-{seed}", asset_seed=0)
+            for region, seed in (("VT", 1), ("VT", 2), ("WY", 3))]
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
+@pytest.mark.parametrize("kernel,other", [("dense", "_frontier"),
+                                          ("frontier", "_dense")])
+def test_force_kernel_runs_only_that_kernel(monkeypatch, force_kernel,
+                                            kernel, other, pooled):
+    """Forced dense never calls the frontier gather and forced frontier
+    never calls the dense scan, in process and in pool workers, and the
+    outcomes equal the rule's."""
+    specs = _force_specs()
+    want = run_instances(specs, parallel=False)
+    monkeypatch.setattr(CandidateScan, other, _the_other_kernel_ran)
+    with force_kernel(kernel):
+        got = run_instances(specs, parallel=pooled, max_workers=2)
+    for a, b in zip(want, got):
+        np.testing.assert_array_equal(a.confirmed, b.confirmed)
+        assert a.transitions == b.transitions
+    assert transmission.FRONTIER_DENSE_CROSSOVER == FRONTIER_DENSE_CROSSOVER
+
+
+@pytest.mark.parametrize("kernel,broken", [("dense", "_dense"),
+                                           ("frontier", "_frontier")])
+def test_force_kernel_runs_the_forced_kernel(monkeypatch, force_kernel,
+                                             kernel, broken):
+    """The negative control: the forced kernel is the one that runs."""
+    monkeypatch.setattr(CandidateScan, broken, _the_other_kernel_ran)
+    with force_kernel(kernel), pytest.raises(AssertionError,
+                                             match="not forced"):
+        run_instances(_force_specs()[:1], parallel=False)
+    assert transmission.FRONTIER_DENSE_CROSSOVER == FRONTIER_DENSE_CROSSOVER

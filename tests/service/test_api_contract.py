@@ -176,7 +176,7 @@ class TestHttpSurface:
         assert "NOWHERE" in payload["error"]["message"]
 
     @pytest.mark.parametrize("params,name", [
-        ({"TAU": 0.3, "backend": "bogus"}, "backend"),
+        ({"TAU": 0.3, "SYMP": "abc"}, "SYMP"),
         ({"TAU": "abc"}, "TAU"),
     ])
     def test_params_the_runner_rejects_are_an_enveloped_400(

@@ -106,7 +106,7 @@ def test_malformed_params_never_fail_a_well_formed_request(tmp_path):
             "scale": 0.001, "seed": 1, "asset_seed": 0}
     admitted = []
     for body in (good,
-                 {**good, "params": {"TAU": 0.3, "backend": "bogus"},
+                 {**good, "params": {"TAU": 0.3, "SYMP": "abc"},
                   "seed": 2},
                  {**good, "params": {"TAU": "abc"}, "seed": 2}):
         try:

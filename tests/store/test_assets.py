@@ -28,6 +28,7 @@ from repro.resilience import FaultPlan, RetryPolicy
 from repro.store.cas import ContentStore, lease_dir
 from repro.store.keys import code_version_salt
 from tests.checkpoint.test_equivalence import assert_payload_bytes_identical
+from tests.conftest import KERNELS
 
 DAYS = 8
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0)
@@ -42,21 +43,20 @@ def _clean_cache():
     runner._ASSET_CACHE.clear()
 
 
-def specs(backend, k):
+def specs(kernel, k):
     return [
         InstanceSpec(
             region_code="VT",
-            params={"TAU": 0.3, "SYMP": 0.65, "SH_COMPLIANCE": 0.6,
-                    "backend": backend},
+            params={"TAU": 0.3, "SYMP": 0.65, "SH_COMPLIANCE": 0.6},
             n_days=DAYS, scale=1e-3, seed=100 + 13 * i,
-            label=f"mapped-eq-{backend}-k{k}-i{i}", asset_seed=0)
+            label=f"mapped-eq-{kernel}-k{k}-i{i}", asset_seed=0)
         for i in range(k)
     ]
 
 
-def _built_run(backend, k):
+def _built_run(kernel, k):
     runner._ASSET_CACHE.clear()
-    out = run_instances(specs(backend, k), parallel=False,
+    out = run_instances(specs(kernel, k), parallel=False,
                         registry=MetricsRegistry())
     runner._ASSET_CACHE.clear()
     return out
@@ -80,14 +80,15 @@ def _leftovers(root) -> list:
                   if p.suffix in (".lease", ".tmp"))
 
 
-@pytest.mark.parametrize("backend", ["dense", "frontier", "auto"])
+@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("k", [1, 4, 16])
-def test_mapped_run_bit_identical(tmp_path, backend, k):
-    clean = _built_run(backend, k)
-    store = _published(tmp_path / "store")
-    reg = MetricsRegistry()
-    res = supervise_instances(specs(backend, k), store=store,
-                              parallel=False, registry=reg)
+def test_mapped_run_bit_identical(tmp_path, kernel, k, force_kernel):
+    with force_kernel(kernel):
+        clean = _built_run(kernel, k)
+        store = _published(tmp_path / "store")
+        reg = MetricsRegistry()
+        res = supervise_instances(specs(kernel, k), store=store,
+                                  parallel=False, registry=reg)
     assert reg.value("assets.mapped") == 1  # the store actually served
     assert reg.value("assets.cache.builds") == 0
     assert res.ok and len(res.results) == len(clean) == k

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.parallel import InstanceSpec
 from repro.store.keys import (
-    SPEED_ONLY_PARAMS,
     canonical_params,
     canonical_value,
     code_version_salt,
@@ -38,14 +37,14 @@ def test_label_does_not_affect_key():
     assert instance_key(spec(label="x")) == instance_key(spec(label="y"))
 
 
-def test_speed_only_params_excluded():
-    """Transmission backends are bit-identical, so they share a key."""
-    dense = spec(params={"TAU": 0.2, "backend": "dense"})
-    frontier = spec(params={"TAU": 0.2, "BACKEND": "frontier"})
+def test_every_param_name_counts_toward_the_key():
+    """No name is set aside, not even one the runner does not read (a
+    retired ``backend`` included): the key covers the params as given."""
     bare = spec(params={"TAU": 0.2})
-    assert instance_key(dense) == instance_key(bare)
-    assert instance_key(frontier) == instance_key(bare)
-    assert {"backend", "BACKEND"} <= SPEED_ONLY_PARAMS
+    for extra in ({"backend": "dense"}, {"BACKEND": "frontier"},
+                  {"note": "x"}):
+        assert instance_key(spec(params={"TAU": 0.2, **extra})) != \
+            instance_key(bare)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -98,9 +97,9 @@ def test_canonical_value_rejects_unhashable_structures():
         canonical_value([1, 2])
 
 
-def test_canonical_params_drops_speed_only():
+def test_canonical_params_are_sorted_by_name():
     pairs = canonical_params({"backend": "dense", "TAU": 0.5, "A": 1})
-    assert [name for name, _ in pairs] == ["A", "TAU"]
+    assert [name for name, _ in pairs] == ["A", "TAU", "backend"]
 
 
 def test_numpy_scalars_normalise_to_python_types():

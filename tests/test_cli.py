@@ -91,7 +91,7 @@ def test_simulate_is_replicate_zero_of_simulate_replicates(tmp_path, capsys):
     assert "hits=1 misses=1" in capsys.readouterr().out
     spec = InstanceSpec(
         region_code="VT", n_days=30, scale=1e-3, seed=0, asset_seed=0,
-        params={"TAU": 0.3, "SYMP": 0.65, "backend": "auto"})
+        params={"TAU": 0.3, "SYMP": 0.65})
     lane0 = ContentStore(root).get(instance_key(spec))
     assert lane0["confirmed"][-1] > 0
     assert f"confirmed {int(lane0['confirmed'][-1]):,}," in single
@@ -122,7 +122,7 @@ def test_simulate_prints_the_engine_run_s_numbers(capsys):
     out = capsys.readouterr().out
     result, model = run_instance(
         load_region_assets("VT", 1e-3, 2),
-        {"TAU": 0.3, "SYMP": 0.65, "backend": "auto"}, n_days=30, seed=2)
+        {"TAU": 0.3, "SYMP": 0.65}, n_days=30, seed=2)
     census = result.state_counts[:, model.is_infectious].sum(axis=1)
     confirmed = confirmed_series(result, model, 30)
     deaths = target_series(summarize(result, model), model, DEATHS)

@@ -64,7 +64,7 @@ ALLOWLIST = {
     # Paper output no figure reads yet.
     ("analytics/aggregate.py", "county_daily_counts"):
         "county-level daily counts from the transition log",
-    # Callers ROADMAP item 5 (an executed night) promises.
+    # Callers ROADMAP item 9 (an executed night) promises.
     ("core/national.py", "run_national"): "the executed night's fan-out",
     ("core/review.py", "calibrate_predict_review_loop"):
         "the executed night's calibrate -> predict -> review cycle",
@@ -72,8 +72,8 @@ ALLOWLIST = {
     ("store/cas.py", "payload_digest"):
         "the content identity tests/golden/ pins outcomes by",
     ("epihiper/transmission.py", "transmission_step"):
-        "lane_transmissions over one lane's loose arrays, the reference "
-        "the backend-equivalence tests drive",
+        "one lane's tick over loose arrays with the kernel given, the "
+        "reference the kernel-equivalence tests drive",
     # Deletion candidate, kept for now because it carries tests of its
     # own (ROADMAP's satellite pool lists it for a later pass).
     ("cluster/popdb.py", "DatabaseFleet"):
