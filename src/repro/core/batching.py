@@ -3,10 +3,12 @@
 Calibration rounds, ensemble designs, and scenario-service requests are
 dominated by *replicate batches*: many :class:`~repro.core.parallel.
 InstanceSpec`s that share a region, scale, asset seed, and horizon and
-differ only in RNG seed and cell parameters.  Those are exactly the specs
-:class:`~repro.epihiper.batch.BatchedSimulation` can advance through one
-vectorized tick loop, K lanes at a time, with bit-identical per-replicate
-outputs.
+differ only in RNG seed and cell parameters.  A national sweep is the
+opposite shape: one spec per region.  :class:`~repro.epihiper.batch.
+BatchedSimulation` advances either through one vectorized tick loop, K
+lanes at a time, with bit-identical per-lane outputs: replicates share
+their region's network, and lone regions ride as a disjoint union of
+their networks.
 
 This module owns the partitioning policy and nothing else: given a spec
 list, return index groups whose members may share one batched kernel.
@@ -24,30 +26,43 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Sequence
 
 from ..plane.bundle import AssetKey
+from ..synthpop.regions import get_region
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from .parallel import InstanceSpec
 
-#: Cap on replicate lanes sharing one batched kernel: wider batches
-#: amortise per-tick dispatch further but grow the stacked ``(K, N)`` /
-#: ``(K, E)`` working set, and past the cache-friendly width gain nothing.
+#: Cap on lanes sharing one batched kernel: wider batches amortise
+#: per-tick dispatch further but grow the stacked working set, and past
+#: the cache-friendly width gain nothing.
 MAX_BATCH_LANES: int = 64
 
+
 def group_key(spec: "InstanceSpec") -> tuple[AssetKey, int]:
-    """The sharing key two specs must agree on to ride one batch.
+    """The key two specs must agree on to ride one batch as replicates.
 
     The canonical :class:`~repro.plane.bundle.AssetKey` (which pins the
     shared population/network/surveillance bundle — the same key the
     runner cache, fan-out preload, and stored bundle use) plus the tick
     horizon.  Cell parameters and seeds deliberately do not participate:
     the batched engine takes heterogeneous cells and RNG streams as
-    lanes.  In the rare case a parameter produces a structurally
-    incompatible model its constructor raises
-    :class:`~repro.epihiper.batch.BatchIncompatible`, and the worker
-    entry (``core/parallel._execute_group``) re-runs the group as one
-    group per spec.
+    lanes.  A spec alone under its key may still share a batch, as one
+    network of a union (:func:`batch_groups`).  In the rare case a
+    parameter produces a structurally incompatible model the driver's
+    constructor raises :class:`~repro.epihiper.batch.BatchIncompatible`,
+    and the worker entry (``core/parallel._execute_group``) re-runs the
+    group as one group per spec.
     """
     return (AssetKey.of_spec(spec), int(spec.n_days))
+
+
+def _persons(spec) -> int | None:
+    """The synthetic persons of ``spec``'s region at its scale, or None
+    for an unknown region (which then runs, and fails, alone)."""
+    try:
+        region = get_region(spec.region_code)
+    except KeyError:
+        return None
+    return region.scaled_population(spec.scale)
 
 
 def batch_groups(
@@ -56,12 +71,20 @@ def batch_groups(
 ) -> list[list[int]]:
     """Partition spec indices into batchable groups.
 
-    Groups are keyed by :func:`group_key` and ordered by each key's first
-    occurrence in ``specs``; within a group, indices keep input order
+    Specs that share a :func:`group_key` form one group, split into
+    consecutive chunks of at most ``max_lanes``.  A spec alone under its
+    key — a *lone* spec — has no replicate partner; the lone specs of one
+    horizon are packed, in input order, into unions of their different
+    networks: a union takes the next lone spec while its persons stay
+    within the largest lone spec's of that horizon (and its lanes within
+    ``max_lanes``), else a new union starts.  The bound comes from the
+    input, so a union's stacks never outgrow what the largest lone lane
+    already costs alone.
+
+    Groups are ordered by each key's first occurrence in ``specs``, a
+    union at its first member's; within a group, indices keep input order
     (each lane's seed/params pairing is position-stable, which is what
-    lets callers map batched results back to input positions).  Groups
-    larger than the lane cap are split into consecutive chunks so no
-    single kernel exceeds ``max_lanes`` lanes.
+    lets callers map batched results back to input positions).
 
     Args:
         specs: objects with the :func:`group_key` fields.
@@ -69,13 +92,40 @@ def batch_groups(
 
     Returns:
         Index groups covering ``0..len(specs)-1`` exactly once.  A group
-        of size 1 means the spec has no batch partner and should run solo.
+        of size 1 runs solo.
     """
     by_key: dict[tuple, list[int]] = {}
     for i, spec in enumerate(specs):
         by_key.setdefault(group_key(spec), []).append(i)
+    # Lone specs by horizon, with their persons; first member -> union.
+    lone: dict[int, list[tuple[int, int]]] = {}
+    unions: dict[int, list[int]] = {}
+    for members in by_key.values():
+        if len(members) == 1:
+            i = members[0]
+            n = _persons(specs[i])
+            if n is None:
+                unions[i] = [i]
+            else:
+                lone.setdefault(int(specs[i].n_days), []).append((i, n))
+    # Next-fit over each horizon's lone specs, in input order.
+    for sized in lone.values():
+        cap = max(n for _i, n in sized)
+        union: list[int] = []
+        load = 0
+        for i, n in sized:
+            if union and (load + n > cap or len(union) == max_lanes):
+                union, load = [], 0
+            if not union:
+                unions[i] = union
+            union.append(i)
+            load += n
     groups: list[list[int]] = []
     for members in by_key.values():
+        if len(members) == 1:
+            if members[0] in unions:
+                groups.append(unions[members[0]])
+            continue
         for lo in range(0, len(members), max_lanes):
             groups.append(members[lo:lo + max_lanes])
     return groups

@@ -15,8 +15,9 @@ only the misses run, and each executed result is published the moment
 its group returns.
 
 Fan-out is *supervised*, not mapped: the specs to run are partitioned
-into batchable replicate groups (a spec with no partner is a group of
-one) and each group is submitted as its own future under
+into batch groups (:func:`~repro.core.batching.batch_groups`: replicates
+of one region, or lone regions packed as a union of their networks) and
+each group is submitted as its own future under
 :func:`repro.resilience.supervisor.supervise_map`.  The group is the one
 unit of work, failure and retry: any fault in any of its specs — an
 injected one before the lanes are built, a crash mid-run, a dead worker —
@@ -451,19 +452,21 @@ def _fan_out(
     # turns a hard worker death into a rebuild-and-salvage instead of
     # taking down the supervisor.
     pooled = parallel and min(cap, len(specs)) > 1
-    akeys = [AssetKey.of_spec(it[0]) for it in items]
+    # Every lane's bundle: a union's lanes each bring their own region.
+    akeys = [[AssetKey.of_spec(s) for s in it] for it in items]
     # The pool needs its bundles resident before it forks; a serial pass
     # preloads only to map them from (or publish them to) the store.
-    loaded = (_preload_assets(dict.fromkeys(akeys), sink, store)
+    loaded = (_preload_assets(dict.fromkeys(k for ks in akeys for k in ks),
+                              sink, store)
               if pooled or store is not None else {})
     if not pooled:
         res = supervise_map(fn, items, **common)
     else:
-        # Predicted cost: lanes x days x edges (Fig. 7: runtime grows
-        # with network size); 0 when the bundle did not load.
-        cost = [len(it) * it[0].n_days
-                * (loaded[k].net.n_edges if k in loaded else 0)
-                for it, k in zip(items, akeys)]
+        # Predicted cost: days x the lanes' edges (Fig. 7: runtime grows
+        # with network size); a lane whose bundle did not load adds 0.
+        cost = [it[0].n_days * sum(loaded[k].net.n_edges
+                                   for k in ks if k in loaded)
+                for it, ks in zip(items, akeys)]
         res = supervise_map(
             fn, items,
             pool_fn=functools.partial(fn, allow_exit=True),

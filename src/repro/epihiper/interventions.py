@@ -169,11 +169,13 @@ class IncidentEdges:
     """CSR-style person -> incident-edge-row index.
 
     Built lazily once per :class:`~repro.epihiper.engine.Simulation`, or
-    once per batch group (a :class:`~repro.epihiper.batch.
-    BatchedSimulation` shares one across its lanes) and dropped with the
-    engine.  It holds 16 B per edge (int32 edge rows and neighbour ids
-    over the 2E incidences, given the bundle's int32 ids) and 16 B per
-    person (the int64 offsets and the float64 degree column).  It is not
+    once per network of a batch (a :class:`~repro.epihiper.batch.
+    BatchedSimulation` shares one across the lanes on that network, and
+    each lane of a union of networks holds its own network's) and dropped
+    with the engine.  It holds 16 B per edge (int32 edge rows and
+    neighbour ids over the 2E incidences, given the bundle's int32 ids)
+    and 16 B per person (the int64 offsets and the float64 degree
+    column).  It is not
     cached per network: kept for all 17 regions of a national sweep at
     1e-3 it would hold ≈ 8.8 MiB, ≈ +12 % of that sweep's peak RSS, so
     the build is made cheap instead.  Contact tracing (D1CT / D2CT),
@@ -182,8 +184,7 @@ class IncidentEdges:
 
     The order of the rows inside one person's bucket is unspecified:
     every reader sort-dedups its gather (:meth:`edges_of`,
-    :meth:`neighbors_of`) or sums counts (:attr:`degrees`,
-    :meth:`degree_sum`).  Node ids must be below ``n_nodes``.  Rows and
+    :meth:`neighbors_of`) or sums counts (:attr:`degrees`).  Node ids must be below ``n_nodes``.  Rows and
     neighbour ids are stored narrow and widened to ``intp`` where they
     are gathered, once: numpy re-casts a non-``intp`` index array on
     every use.
@@ -243,13 +244,6 @@ class IncidentEdges:
             return np.empty(0, dtype=np.int64)
         shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
         return shift + np.arange(total, dtype=np.int64)
-
-    def degree_sum(self, pids: np.ndarray) -> int:
-        """Total incident-edge slots of ``pids`` (frontier-gather workload)."""
-        pids = np.asarray(pids, dtype=np.int64).ravel()
-        if pids.size == 0:
-            return 0
-        return int((self._offsets[pids + 1] - self._offsets[pids]).sum())
 
     def edge_rows_of(self, pids: np.ndarray) -> np.ndarray:
         """Incident edge rows of ``pids``, with one entry per incidence.

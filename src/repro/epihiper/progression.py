@@ -9,7 +9,8 @@ no counter is touched while a person waits, and the remaining dwell is
 ``due - tick`` whenever it is asked for (a checkpoint's ``dwell`` column).
 
 The driver (:class:`~repro.epihiper.batch.BatchedSimulation`) runs these
-kernels over ``(K, N)`` lane stacks; a solo run is one lane.  The
+kernels over flat lane stacks, lane after lane, whose lanes may be
+populations of different sizes; a solo run is one lane.  The
 per-tick sweep is :func:`progression_sweep` — one comparison against the
 tick and one ``flatnonzero``.  Scheduling has two bit-identical
 implementations: the cross-lane :func:`schedule_lanes`, a fixed ~20
@@ -291,17 +292,18 @@ def schedule_lanes(
     due: np.ndarray,
     next_state: np.ndarray,
     lanes: np.ndarray,
-    pids: np.ndarray,
+    positions: np.ndarray,
     codes: np.ndarray,
-    age_group: np.ndarray,
+    ages: np.ndarray,
     rngs: list[np.random.Generator],
     tick: int,
 ) -> None:
     """Schedule the next hop of entries of K lanes in one vectorised pass.
 
-    ``due`` / ``next_state`` are the ``(K, N)`` scheduling stacks whose
-    rows are ``scheds[i].due`` / ``.next_state``; entry ``j`` is person
-    ``pids[j]`` of lane ``lanes[j]`` entering ``codes[j]`` at ``tick``.
+    ``due`` / ``next_state`` are flat person stacks in which lane ``i``'s
+    persons are ``scheds[i].due`` / ``.next_state``; entry ``j`` is the
+    person at stack position ``positions[j]``, of lane ``lanes[j]`` and
+    age group ``ages[j]``, entering ``codes[j]`` at ``tick``.
 
     Exploits the dwell families' one-uniform-per-draw contract: a
     (lane, code) group of ``n`` entries consumes exactly ``2n`` uniforms
@@ -314,10 +316,7 @@ def schedule_lanes(
     k = len(scheds)
     t = tables
     n_states = t.has_out.shape[0]
-    n_pop = due.shape[1]
-    due_flat = due.reshape(-1)
-    next_flat = next_state.reshape(-1)
-    m_all = pids.shape[0]
+    m_all = positions.shape[0]
     # (lane, code)-major stable sort: each lane's groups come out in
     # ascending-code order (its stream-consumption order) with original
     # person order preserved inside each group.
@@ -325,13 +324,14 @@ def schedule_lanes(
     if bool((key[1:] >= key[:-1]).all()):
         # Already (lane, code)-grouped — the transmission path always is
         # (one entry code per lane, lanes ascending).
-        s_key, s_lane, s_pid, s_code = key, lanes, pids, codes
+        s_key, s_lane, flat_idx, s_code = key, lanes, positions, codes
     else:
         order = np.argsort(key, kind="stable")
         s_key = key[order]
         s_lane = lanes[order]
-        s_pid = pids[order]
+        flat_idx = positions[order]
         s_code = codes[order]
+        ages = ages[order]
     cuts = np.flatnonzero(s_key[1:] != s_key[:-1]) + 1
     bounds = np.concatenate(([0], cuts, [m_all]))
     g_start = bounds[:-1]
@@ -359,8 +359,7 @@ def schedule_lanes(
 
     # Transform phase: one vectorised pass over every lane and code at
     # once, via the padded (code, lane, edge, age) tables.
-    flat_idx = s_lane * n_pop + s_pid
-    was = due_flat[flat_idx] > 0
+    was = due[flat_idx] > 0
     pend_minus = (np.bincount(s_lane[was], minlength=k)
                   if was.any() else None)
     p_gid = np.repeat(np.arange(g_start.shape[0]), g_size)
@@ -369,11 +368,11 @@ def schedule_lanes(
     if not all_out:
         # Terminal entries: clear any schedule.
         term = ~p_out
-        due_flat[flat_idx[term]] = 0
-        next_flat[flat_idx[term]] = -1
+        due[flat_idx[term]] = 0
+        next_state[flat_idx[term]] = -1
         sel = np.flatnonzero(p_out)
         if sel.size:
-            s_lane, s_pid, s_code = s_lane[sel], s_pid[sel], s_code[sel]
+            s_lane, s_code, ages = s_lane[sel], s_code[sel], ages[sel]
             flat_idx, p_gid = flat_idx[sel], p_gid[sel]
     pend_plus = None
     if all_out or sel.size:
@@ -386,7 +385,6 @@ def schedule_lanes(
             within = sel - g_start[p_gid]
         ustarts = g_ustart[p_gid]
         u = ubuf[ustarts + within]
-        ages = age_group[s_pid]
         u2 = u * t.top[s_code, s_lane, ages]
         # Padded columns are +inf (single-edge states entirely so), so the
         # count-of-crossed-thresholds is the inverse-cdf choice for every
@@ -430,9 +428,9 @@ def schedule_lanes(
             mask = did == d_id
             if mask.any():
                 vals[mask] = dist.values_from_uniforms(dwell_u[mask])
-        next_flat[flat_idx] = t.dst_pad[s_code, choice]
+        next_state[flat_idx] = t.dst_pad[s_code, choice]
         pos = vals > 0
-        due_flat[flat_idx] = np.where(pos, vals + tick, 0)
+        due[flat_idx] = np.where(pos, vals + tick, 0)
         pend_plus = (np.bincount(s_lane[pos], minlength=k)
                      if pos.any() else None)
     if pend_minus is not None or pend_plus is not None:
@@ -477,44 +475,47 @@ def schedule_entries(
     tables = _ONE_LANE_TABLES.get(model)
     if tables is None:
         tables = _ONE_LANE_TABLES[model] = SchedTables([model])
-    schedule_lanes(tables, [sched], sched.due[None], sched.next_state[None],
-                   np.zeros(pids.shape[0], dtype=np.int64),
-                   np.asarray(pids, dtype=np.int64), codes, age_group, [rng],
-                   tick)
+    pids = np.asarray(pids, dtype=np.int64)
+    schedule_lanes(tables, [sched], sched.due, sched.next_state,
+                   np.zeros(pids.shape[0], dtype=np.int64), pids, codes,
+                   age_group[pids], [rng], tick)
 
 
 def progression_sweep(
     due: np.ndarray,
     next_state: np.ndarray,
+    offsets: np.ndarray,
     tick: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One progression tick over ``(K, N)`` lane stacks.
+    """One progression tick over flat lane stacks.
 
-    Fires every schedule due at ``tick`` — the tick the caller is about
-    to enter, so the sweep run during tick ``t`` passes ``t + 1`` — and
-    clears those schedules.  One comparison and one ``flatnonzero`` over
-    the stack, which is row-major, so the outputs are the per-lane
-    results concatenated in lane order with each lane's pids ascending.
+    Lane ``i`` owns positions ``offsets[i]:offsets[i + 1]`` of ``due`` /
+    ``next_state`` (``offsets`` has K + 1 entries, the last the stack
+    length).  Fires every schedule due at ``tick`` — the tick the caller
+    is about to enter, so the sweep run during tick ``t`` passes
+    ``t + 1`` — and clears those schedules.  One comparison and one
+    ``flatnonzero`` over the stack, whose lanes are laid out in order, so
+    the outputs are the per-lane results concatenated in lane order with
+    each lane's pids ascending.
 
     Returns:
         ``(sizes, pids, codes, n_hit)``: per-lane fired counts, the
-        lane-major fired pids and their scheduled destination codes, and
-        the per-lane count of schedules that came due (the caller's
-        ``n_pending`` decrement).
+        lane-major fired lane-local pids and their scheduled destination
+        codes, and the per-lane count of schedules that came due (the
+        caller's ``n_pending`` decrement).
     """
-    k, n = due.shape
     hit = np.flatnonzero(due == tick)
     if not hit.size:
-        none = np.zeros(k, dtype=np.int64)
-        return none, hit, next_state[:0, 0], none
-    due.reshape(-1)[hit] = 0
-    next_flat = next_state.reshape(-1)
-    codes = next_flat[hit]
+        none = np.zeros(offsets.shape[0] - 1, dtype=np.int64)
+        return none, hit, next_state[:0], none
+    due[hit] = 0
+    codes = next_state[hit]
     fire = codes >= 0
     flat = hit[fire]
     codes = codes[fire]
-    next_flat[flat] = -1
-    lanes, pids = np.divmod(flat, n)
-    return (np.bincount(lanes, minlength=k), pids, codes,
-            np.bincount(hit // n, minlength=k))
-
+    next_state[flat] = -1
+    bounds = flat.searchsorted(offsets)
+    sizes = bounds[1:] - bounds[:-1]
+    hit_bounds = hit.searchsorted(offsets)
+    return (sizes, flat - offsets[:-1].repeat(sizes), codes,
+            hit_bounds[1:] - hit_bounds[:-1])

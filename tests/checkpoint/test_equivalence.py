@@ -110,6 +110,39 @@ def test_resumed_runs_agree_across_forced_kernels(tmp_path, k, force_kernel):
         assert_payload_bytes_identical(dense, frontier)
 
 
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_union_crash_resume_bit_identical(tmp_path, kernel, force_kernel):
+    """Lone regions packed into a union driver: killed mid-run, resumed
+    from each lane's own snapshot, every lane's payload is byte-identical
+    to an uninterrupted run's.  VA runs alone; the four small regions
+    fit within its persons, so they form one union."""
+    regions = ("VA", "WY", "VT", "DC", "ND")
+    union = [InstanceSpec(
+        region_code=region,
+        params={"TAU": 0.3, "SYMP": 0.65, "SH_COMPLIANCE": 0.6,
+                **({"tracing_compliance": 0.8} if i == 1 else {})},
+        n_days=DAYS, scale=1e-3, seed=300 + i,
+        label=f"union-{kernel}-{region}", asset_seed=0)
+        for i, region in enumerate(regions)]
+    plan = CheckpointPlan(store_root=str(tmp_path / "ck"), every=EVERY)
+    faults = FaultPlan.parse(["worker.crash_mid_run:tick=4,times=1"],
+                             seed=0)
+    reg = MetricsRegistry()
+    with force_kernel(kernel):
+        res = supervise_instances(union, parallel=False, retry=FAST_RETRY,
+                                  faults=faults, registry=reg,
+                                  checkpoint=plan)
+        clean = run_instances(union, parallel=False,
+                              registry=MetricsRegistry())
+    assert res.ok and res.retries == 2  # VA alone, then the union
+    assert reg.value("batch.groups") == 1
+    assert reg.value("batch.size") == 4
+    assert reg.value("checkpoint.resumed") == len(regions)
+    assert res.ticks_saved == len(regions) * EVERY
+    for want, got in zip(clean, res.results):
+        assert_payload_bytes_identical(want, got)
+
+
 def test_checkpointing_off_matches_plain_execution(tmp_path):
     """every=0 leaves the tick loop byte-identical to no plan at all."""
     plan = CheckpointPlan(store_root=str(tmp_path / "ck"), every=0)

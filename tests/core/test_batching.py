@@ -85,6 +85,87 @@ def test_batch_groups_cap_split():
     assert groups == [[0, 1, 2], [3, 4, 5], [6]]
 
 
+def lone(regions, n_days=12, scale=1e-3):
+    """One spec per region: every spec is alone under its group key."""
+    return [make_specs(1, region=r, n_days=n_days, seed0=i)[0]
+            if scale == 1e-3 else InstanceSpec(
+                region_code=r, params={"TAU": 0.3}, n_days=n_days,
+                scale=scale, seed=i, asset_seed=0)
+            for i, r in enumerate(regions)]
+
+
+def test_national_sweep_packs_lone_regions_under_the_largest():
+    """The 17-region sweep: next-fit in input order, each union's persons
+    within CA's, the largest lone spec."""
+    from repro.synthpop.regions import BY_POPULATION, get_region
+
+    regions = list(reversed(BY_POPULATION))[::3]
+    groups = batch_groups(lone(regions))
+    assert [[regions[i] for i in g] for g in groups] == [
+        ["CA"], ["NY", "OH"], ["MI", "WA", "TN", "MD", "MN"],
+        ["LA", "OK", "IA", "MS", "NE", "HI", "MT", "SD", "DC"]]
+    cap = get_region("CA").scaled_population(1e-3)
+    for g in groups:
+        assert sum(get_region(regions[i]).scaled_population(1e-3)
+                   for i in g) <= cap
+
+
+def test_union_cap_and_input_order():
+    """A union takes the next lone spec while it fits, else a new one
+    starts; members keep input order, and the lane cap still holds."""
+    # VA 8,536 persons; WY 579, VT 624, DC 706, ND 762; RI 1,059.
+    specs = lone(["WY", "VA", "VT", "DC", "ND", "RI"])
+    assert batch_groups(specs) == [[0], [1], [2, 3, 4, 5]]
+    assert batch_groups(lone(["VA", "WY", "VT", "DC", "ND", "RI"])) == [
+        [0], [1, 2, 3, 4, 5]]
+    assert batch_groups(lone(["VA", "WY", "VT", "DC", "ND", "RI"]),
+                        max_lanes=2) == [[0], [1, 2], [3, 4], [5]]
+    # Similar sizes: nothing fits under the largest, so all run alone.
+    assert batch_groups(lone(["WY", "VT", "DC", "ND"])) == [
+        [0], [1], [2], [3]]
+
+
+def test_unions_pack_one_horizon_and_one_scale_key_apart():
+    """Lone specs of different horizons never share a union, and the cap
+    is per horizon."""
+    specs = lone(["VA", "WY", "VT"]) + lone(["DC", "ND"], n_days=13)
+    assert batch_groups(specs) == [[0], [1, 2], [3], [4]]
+    # Another scale is another asset key: VA at 2e-3 is lone too.
+    specs = lone(["VA", "WY"]) + lone(["VA"], scale=2e-3)
+    assert batch_groups(specs) == [[0, 1], [2]]
+
+
+def test_same_network_groups_are_never_merged():
+    """Replicates keep their own groups, however small; only the lone
+    specs are packed, around them."""
+    vt = make_specs(2, region="VT")
+    wy = make_specs(2, region="WY", seed0=300)
+    specs = [vt[0], *lone(["VA", "DC", "ND"]), wy[0], vt[1], wy[1]]
+    assert batch_groups(specs) == [[0, 5], [1], [2, 3], [4, 6]]
+
+
+def test_unknown_region_runs_alone():
+    bad = dataclasses.replace(make_specs(1)[0], region_code="ZZ", seed=9)
+    specs = lone(["VA", "WY"]) + [bad] + lone(["VT"])
+    assert batch_groups(specs) == [[0], [1, 3], [2]]
+
+
+@pytest.mark.parametrize("shape,want", [
+    # night_replicates: 4 regions x 2 cells x 8 replicates, 100 days.
+    ((("VA", "CO", "KS", "VT"), 16, 100),
+     [list(range(i * 16, (i + 1) * 16)) for i in range(4)]),
+    # preempted_resume: 2 regions x 2 replicates, 100 days.
+    ((("VA", "KS"), 2, 100), [[0, 1], [2, 3]]),
+    # A broker batch with a single miss.
+    ((("VT",), 1, 100), [[0]]),
+])
+def test_benchmark_shapes_keep_their_groups(shape, want):
+    regions, per_region, n_days = shape
+    specs = [s for r in regions
+             for s in make_specs(per_region, region=r, n_days=n_days)]
+    assert batch_groups(specs) == want
+
+
 # ---- batched fan-out: equivalence and telemetry ----------------------------
 
 

@@ -5,8 +5,8 @@ others emits *exactly* the bytes it emits alone — same transition log, same
 census trajectory, same work counters — because each lane keeps its own
 Philox stream and every phase consumes it in solo order.  These tests pin
 that contract on each transmission kernel (forced, or the engine's rule),
-across batch widths, heterogeneous seeds and cell parameters, and mid-run
-intervention triggers.
+across batch widths, heterogeneous seeds and cell parameters, mid-run
+intervention triggers, and unions of lanes on different regions' networks.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.runner import load_region_assets
 from repro.epihiper import Simulation, uniform_seeds
 from repro.epihiper.batch import BatchIncompatible, BatchedSimulation
 from repro.epihiper.covid import (
@@ -29,9 +30,18 @@ from repro.epihiper.covid import (
     covid_transmissions,
 )
 from repro.epihiper.disease import DiseaseModel
-from repro.epihiper.npi import make_sc, make_sh, make_vhi
+from repro.epihiper.initialization import initialize_from_surveillance
+from repro.epihiper.npi import (
+    make_d1ct,
+    make_masking,
+    make_sc,
+    make_sh,
+    make_vhi,
+)
 from repro.epihiper.states import FixedDwell
 from repro.obs.registry import MetricsRegistry
+from repro.params import DEFAULT_SEED
+from repro.synthpop.regions import BY_POPULATION
 
 from ..conftest import KERNELS
 
@@ -217,13 +227,69 @@ def test_batched_join_mid_run(vt_assets):
         assert_result_identical(solo, batched, label=f"joined lane {i}")
 
 
-def test_batched_rejects_incompatible_lanes(vt_assets, va_assets):
+#: Every third region by descending population, CA first: the national
+#: sweep's 17 lone regions at 1e-3.
+UNION_REGIONS = tuple(list(reversed(BY_POPULATION))[::3])
+
+
+def union_lane(j, region):
+    """Lane ``j`` of a union: its own region at 1e-3, seeded from
+    surveillance; lane 1 masks and lane 2 traces contacts (its CSR is
+    the lane's own network's), the rest run SC + VHI + SH."""
+    assets = load_region_assets(region, 1e-3, DEFAULT_SEED)
+    interventions = [make_sc(start=5), make_vhi(0.6),
+                     make_sh(0.5, start=8, end=20)]
+    if j == 1:
+        interventions.append(make_masking(0.7, start=4, end=25))
+    if j == 2:
+        interventions.append(make_d1ct(compliance=0.8))
+    model = build_covid_model_with_symp_fraction(0.3 + 0.02 * (j % 4),
+                                                 0.65)
+    sim = Simulation(model, assets.pop, assets.net, seed=500 + j,
+                     interventions=interventions)
+    initialize_from_surveillance(sim, assets.truth.latest_by_county())
+    return sim
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("k", [2, 5, 17])
+def test_union_of_regions_matches_solo_bitwise(kernel, k, force_kernel):
+    """One driver over k different regions' networks: every lane emits
+    the bytes it emits alone, with a masking and a tracing lane among
+    them, on each kernel."""
+    regions = UNION_REGIONS[-k:]
+    with force_kernel(kernel):
+        solo = [union_lane(j, r).run(N_DAYS) for j, r in enumerate(regions)]
+        union = BatchedSimulation(
+            [union_lane(j, r) for j, r in enumerate(regions)]).run(N_DAYS)
+    assert [r.region_code for r in union] == list(regions)
+    for j, (one, lane) in enumerate(zip(solo, union)):
+        assert_result_identical(one, lane,
+                                label=f"{kernel} k={k} {regions[j]}")
+    assert sum(r.metrics.value("engine.transmissions") for r in union) > 0
+
+
+def test_lanes_on_different_regions_share_a_driver(vt_assets, va_assets):
+    """Lanes need not share a population, a network or base edge
+    activity: each runs on its own, bit-identically to solo."""
     pop, net = vt_assets
     va_pop, va_net = va_assets
-    a, _ = make_lane(pop, net, seed=1)
-    b, _ = make_lane(va_pop, va_net, seed=2)
-    with pytest.raises(BatchIncompatible, match="share population"):
-        BatchedSimulation([a, b])
+    flipped, _ = make_lane(pop, net, seed=7)
+    flipped.base_active[:50] = False
+    solo_flipped, _ = make_lane(pop, net, seed=7)
+    solo_flipped.base_active[:50] = False
+    solo = [make_lane(pop, net, seed=1)[0].run(N_DAYS),
+            make_lane(va_pop, va_net, seed=2)[0].run(N_DAYS),
+            solo_flipped.run(N_DAYS)]
+    lanes = [make_lane(pop, net, seed=1)[0],
+             make_lane(va_pop, va_net, seed=2)[0], flipped]
+    for i, (one, lane) in enumerate(zip(solo,
+                                        BatchedSimulation(lanes).run(N_DAYS))):
+        assert_result_identical(one, lane, label=f"lane {i}")
+
+
+def test_batched_rejects_incompatible_lanes(vt_assets):
+    pop, net = vt_assets
     c, _ = make_lane(pop, net, seed=3)
     c.run(1)
     d, _ = make_lane(pop, net, seed=4)
@@ -232,15 +298,12 @@ def test_batched_rejects_incompatible_lanes(vt_assets, va_assets):
     with pytest.raises(BatchIncompatible, match="at least one lane"):
         BatchedSimulation([])
     # Structural mismatches the stacked kernels cannot absorb: rejected at
-    # construction, before any lane array is rebound to a stack row.
-    flipped, _ = make_lane(pop, net, seed=7)
-    flipped.base_active[0] = not flipped.base_active[0]
+    # construction, before any lane array is rebound to a stack slice.
     for odd, reason in [
         (make_lane(pop, net, seed=5, model=dwell_variant_model())[0],
          "dwell values"),
         (make_lane(pop, net, seed=6, model=omega_variant_model())[0],
          "omega tables"),
-        (flipped, "base edge activity"),
     ]:
         lanes = [make_lane(pop, net, seed=8)[0], odd]
         arrays = [(sim.health, sim.sched.due, sim.edge_weight)

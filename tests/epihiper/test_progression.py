@@ -21,7 +21,7 @@ def progression_step(sched, tick):
     """One lane through the sweep run during ``tick``: the fired
     ``(pids, codes)``, with ``n_pending`` kept as the driver keeps it."""
     _sizes, pids, codes, n_hit = progression_sweep(
-        sched.due[None], sched.next_state[None], tick + 1)
+        sched.due, sched.next_state, np.array([0, sched.due.size]), tick + 1)
     sched.n_pending -= int(n_hit[0])
     return pids, codes
 

@@ -113,15 +113,19 @@ def test_scalar_and_cross_lane_schedulers_agree(k, mixed):
 
         lanes = _sched_case(models, n_entries, mixed, seed)
         rngs = [np.random.default_rng(seed + i) for i in range(k)]
-        due = np.stack([s.due for s, _, _ in lanes])
-        next_state = np.stack([s.next_state for s, _, _ in lanes])
+        # Flat stacks, lane after lane; each lane's arrays are slices.
+        due = np.concatenate([s.due for s, _, _ in lanes])
+        next_state = np.concatenate([s.next_state for s, _, _ in lanes])
+        n_pop = lanes[0][0].due.size
         for i, (sched, _, _) in enumerate(lanes):
-            sched.due, sched.next_state = due[i], next_state[i]
+            sched.due = due[i * n_pop:(i + 1) * n_pop]
+            sched.next_state = next_state[i * n_pop:(i + 1) * n_pop]
+        pids = np.concatenate([p for _, p, _ in lanes])
+        lane_of = np.repeat(np.arange(k), n_entries)
         schedule_lanes(
             SchedTables(models), [s for s, _, _ in lanes], due, next_state,
-            np.repeat(np.arange(k), n_entries),
-            np.concatenate([p for _, p, _ in lanes]),
-            np.concatenate([c for _, _, c in lanes]), ages, rngs, 5)
+            lane_of, pids + lane_of * n_pop,
+            np.concatenate([c for _, _, c in lanes]), ages[pids], rngs, 5)
 
         for i in range(k):
             label = f"k={k} mixed={mixed} n={n_entries} lane {i}"
@@ -146,13 +150,15 @@ def test_progression_sweep_equals_one_lane_calls():
     scheds = [ProgressionState(due[i].copy(), next_state[i].copy(),
                                int((due[i] > 0).sum())) for i in range(k)]
     for tick in range(4):
-        sizes, pids, codes, n_hit = progression_sweep(due, next_state,
-                                                      tick + 1)
+        # The (k, n) arrays' flat views are the lane-major stacks.
+        sizes, pids, codes, n_hit = progression_sweep(
+            due.reshape(-1), next_state.reshape(-1),
+            np.arange(k + 1) * n, tick + 1)
         off = 0
         for i, sched in enumerate(scheds):
             before = sched.n_pending
             _one, one_pids, one_codes, one_hit = progression_sweep(
-                sched.due[None], sched.next_state[None], tick + 1)
+                sched.due, sched.next_state, np.array([0, n]), tick + 1)
             sched.n_pending -= int(one_hit[0])
             assert before - sched.n_pending == n_hit[i]
             assert sizes[i] == one_pids.size
@@ -167,55 +173,87 @@ def test_progression_sweep_equals_one_lane_calls():
 # -- Eq. 1 and the kernel rule --------------------------------------------------
 
 
+def random_lanes(networks, model, seed):
+    """Per lane, on its network: heterogeneous health, traits, suppressed
+    edges and weights, with the network's edge columns and CSR."""
+    codes = np.flatnonzero(model.is_infectious | model.is_susceptible)
+    setup = np.random.default_rng(seed)
+    incidents = {}
+    lanes = []
+    for net in networks:
+        n, e = net.n_nodes, net.n_edges
+        if id(net) not in incidents:
+            incidents[id(net)] = IncidentEdges(net.source, net.target, n)
+        health = setup.choice(codes, n).astype(np.int8)
+        lanes.append(dict(
+            edges=(net.source, net.target, net.duration), n=n,
+            incident=incidents[id(net)], health=health,
+            infectious=model.is_infectious[health],
+            node_sus=setup.uniform(0.2, 1.5, n),
+            node_inf=setup.uniform(0.2, 1.5, n),
+            supp=(setup.random(e) >= 0.8).astype(np.int16),
+            base_active=setup.random(e) >= 0.1,
+            weight=setup.uniform(0.5, 1.5, e)))
+    return lanes
+
+
 def test_transmission_kernel_at_k_lanes_equals_one_lane_calls(vt,
                                                               force_kernel):
     """Heterogeneous transmissibility, health, traits and suppressed edges
     in one call, on each kernel: every lane's exposures and stream
     position equal its one-lane call's."""
-    net, n = vt.net, vt.pop.size
     model = build_covid_model_with_symp_fraction(0.3, 0.65)
-    codes = np.flatnonzero(model.is_infectious | model.is_susceptible)
-    setup = np.random.default_rng(8)
-    k = 4
-    taus = [0.3, 0.9, 2.5, 0.05]
-    health = setup.choice(codes, (k, n)).astype(np.int8)
-    node_sus = setup.uniform(0.2, 1.5, (k, n))
-    node_inf = setup.uniform(0.2, 1.5, (k, n))
-    supp = (setup.random((k, net.n_edges)) >= 0.8).astype(np.int16)
-    base_active = np.ones(net.n_edges, dtype=bool)
-    weight = setup.uniform(0.5, 1.5, (k, net.n_edges))
-    duration = net.duration.astype(np.float64)
-    incident = IncidentEdges(net.source, net.target, n)
-    infectious = model.is_infectious[health]
-    workloads = (infectious @ incident.degrees).astype(np.int64)
-
+    lanes = random_lanes([vt.net] * 4, model, seed=8)
     for kernel in KERNELS:
         with force_kernel(kernel):
             check_lanes_against_one_lane_calls(
-                model, taus, health, infectious, workloads, node_sus,
-                node_inf, supp, base_active, weight,
-                CandidateScan(net.source, net.target, duration), incident)
+                model, [0.3, 0.9, 2.5, 0.05], lanes)
 
 
-def check_lanes_against_one_lane_calls(model, taus, health, infectious,
-                                       workloads, node_sus, node_inf, supp,
-                                       base_active, weight, scan, incident):
+def test_transmission_kernel_over_a_union_equals_one_lane_calls(
+        vt, force_kernel):
+    """Lanes on different networks (a disjoint union, with two runs on
+    one network split by another): each lane's exposures and stream
+    position equal its one-lane call's, on each kernel."""
+    model = build_covid_model_with_symp_fraction(0.3, 0.65)
+    wy = load_region_assets("WY", 1e-3, DEFAULT_SEED)
+    lanes = random_lanes([vt.net, vt.net, wy.net, wy.net, vt.net], model,
+                         seed=9)
+    for kernel in KERNELS:
+        with force_kernel(kernel):
+            check_lanes_against_one_lane_calls(
+                model, [0.3, 0.9, 2.5, 0.05, 1.2], lanes)
+
+
+def lane_call(model, taus, rngs, lanes):
+    """One :func:`lane_transmissions` call over ``lanes`` concatenated
+    into flat stacks, on a fresh scan."""
+    def cat(name):
+        return np.concatenate([lane[name] for lane in lanes])
+
+    infectious = cat("infectious")
+    workloads = np.array([lane["infectious"] @ lane["incident"].degrees
+                          for lane in lanes])
+    scan = CandidateScan([lane["edges"] for lane in lanes],
+                         [lane["n"] for lane in lanes],
+                         [lane["incident"] for lane in lanes])
+    return lane_transmissions(
+        model, taus, rngs, cat("health"), infectious, workloads,
+        cat("node_sus"), cat("node_inf"), cat("supp"), cat("base_active"),
+        [lane["weight"] for lane in lanes], scan)
+
+
+def check_lanes_against_one_lane_calls(model, taus, lanes):
     """One K-lane call's exposures and stream positions, lane by lane,
     against one-lane calls on fresh scans."""
     k = len(taus)
     rngs = [np.random.default_rng(40 + i) for i in range(k)]
-    counts, sizes, pids, codes_out, infectors = lane_transmissions(
-        model, taus, rngs, health, infectious, workloads, node_sus,
-        node_inf, supp, base_active, weight, scan, incident)
+    counts, sizes, pids, codes_out, infectors = lane_call(model, taus, rngs,
+                                                          lanes)
     off = 0
     for i in range(k):
         one_rng = np.random.default_rng(40 + i)
-        one = lane_transmissions(
-            model, [taus[i]], [one_rng], health[i][None],
-            infectious[i][None], workloads[i:i + 1], node_sus[i][None],
-            node_inf[i][None], supp[i][None], base_active, weight[i][None],
-            CandidateScan(scan.source, scan.target, scan.duration),
-            incident)
+        one = lane_call(model, [taus[i]], [one_rng], [lanes[i]])
         assert counts[i] == one[0][0] > 0
         assert sizes[i] == one[1][0] > 0
         lo, hi = off, off + sizes[i]
@@ -234,7 +272,8 @@ def test_auto_rule_one_lane_is_the_solo_crossover(vt):
     seen = set()
     for prevalence in (0.0, 0.01, 0.03, 0.05, 0.08, 0.15, 0.4, 1.0):
         masks = setup.random((3, n)) < prevalence
-        gathered = [incident.degree_sum(np.flatnonzero(m)) for m in masks]
+        gathered = [incident.degrees[np.flatnonzero(m)].sum()
+                    for m in masks]
         # The driver's maintained degree sums, one per lane.
         workloads = masks @ incident.degrees
         for w, g in zip(workloads, gathered):

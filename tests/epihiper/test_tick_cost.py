@@ -13,10 +13,14 @@ row have anything to do):
 - tracemalloc bytes per tick: the peak a tick reaches above the bytes
   held when it starts (its transient working set).
 
-Two shapes, each a one-lane driver per run with fixed seeds: the
-``national_solo`` benchmark's (17 regions at 1e-3, every third by
-descending population, one 120-day run each, its four scenario cells
-cycled) and VA at 1e-2 (85k persons, 299k edges) for 120 days.
+Three shapes with fixed seeds: the ``national_solo`` benchmark's (17
+regions at 1e-3, every third by descending population, one 120-day run
+each, its four scenario cells cycled), each region on a one-lane driver;
+the same 17 runs as the lanes of one driver over the union of their
+networks (``national_solo_union``); and VA at 1e-2 (85k persons, 299k
+edges) for 120 days on a one-lane driver.  A driver's tick is extinct
+when every lane is, and its cost is shared evenly by its lanes: the
+figures are per lane-tick.
 
 The budgets were measured on the code they guard, with a margin of
 +0.5 calls per tick (less than the one call per tick a planted call
@@ -61,17 +65,22 @@ SOLO_REGIONS = tuple(list(reversed(BY_POPULATION))[::3])
 #: Where the budgets below were measured.
 MEASURED_ON = {"python": "3.11", "numpy": "2.4.6"}
 #: ``(shape, kind) -> (calls, bytes)`` per lane-tick.  Measured:
-#: national_solo 1,009 active ticks at 134.94 calls and 29,234 B, 1,031
-#: extinct at 54.16 calls and 7,526 B; VA@1e-2 88 active at 229.01 calls
-#: and 197,455 B, 32 extinct at 54.31 calls and 86,350 B.  The byte
-#: budgets date from a layout 4 calls per tick dearer (138.94, 58.16,
-#: 233.01 and 58.31 calls): one kernel decision per tick instead of one
-#: per lane and backend cut the calls and left the bytes where they were.
+#: national_solo 1,009 active lane-ticks at 126.85 calls and 29,109 B,
+#: 1,031 extinct at 41.16 calls and 7,495 B; national_solo_union 1,445
+#: active at 53.50 calls and 10,883 B, 595 extinct at 19.67 calls and
+#: 7,577 B; VA@1e-2 88 active at 220.69 calls and 197,402 B, 32 extinct
+#: at 41.31 calls and 86,318 B.  The one-lane byte budgets date from a
+#: layout dearer in calls (134.94, 54.16, 229.01 and 54.31 before lanes
+#: became slices of flat stacks and an extinct lane stopped gathering its
+#: frontier; 138.94, 58.16, 233.01 and 58.31 before one kernel decision
+#: per tick): both cuts left the bytes where they were.
 BUDGETS = {
-    ("national_solo", "active"): (135.4, 30_700),
-    ("national_solo", "extinct"): (54.6, 7_900),
-    ("va_1e-2", "active"): (229.5, 207_300),
-    ("va_1e-2", "extinct"): (54.8, 90_700),
+    ("national_solo", "active"): (127.4, 30_700),
+    ("national_solo", "extinct"): (41.7, 7_900),
+    ("national_solo_union", "active"): (54.0, 11_500),
+    ("national_solo_union", "extinct"): (20.2, 8_000),
+    ("va_1e-2", "active"): (221.2, 207_300),
+    ("va_1e-2", "extinct"): (41.8, 90_700),
 }
 
 
@@ -91,7 +100,12 @@ def va_runs():
     return [(load_region_assets("VA", 1e-2, DEFAULT_SEED), CELLS[1], 7)]
 
 
-SHAPES = {"national_solo": national_solo_runs, "va_1e-2": va_runs}
+#: shape -> its drivers, each a list of ``(assets, params, seed)`` lanes.
+SHAPES = {
+    "national_solo": lambda: [[run] for run in national_solo_runs()],
+    "national_solo_union": lambda: [national_solo_runs()],
+    "va_1e-2": lambda: [va_runs()],
+}
 
 
 def is_extinct(sim) -> bool:
@@ -100,10 +114,10 @@ def is_extinct(sim) -> bool:
     return sim.sched.n_pending == 0 and not infectious.any()
 
 
-def tick_costs(runs, *, memory: bool) -> dict[str, tuple[int, float]]:
-    """``kind -> (ticks, mean cost)`` over every lane-tick of ``runs``:
-    Python calls per tick, or (``memory``) tracemalloc peak bytes above
-    the tick's starting level."""
+def tick_costs(drivers, *, memory: bool) -> dict[str, tuple[int, float]]:
+    """``kind -> (lane-ticks, mean cost)`` over every lane-tick of
+    ``drivers``: Python calls per lane-tick, or (``memory``) tracemalloc
+    peak bytes above the tick's starting level, per lane."""
     totals = {"active": [0, 0], "extinct": [0, 0]}
     calls = [0]
 
@@ -111,16 +125,18 @@ def tick_costs(runs, *, memory: bool) -> dict[str, tuple[int, float]]:
         if event == "call":
             calls[0] += 1
 
-    for assets, params, seed in runs:
-        sim, _model = prepare_instance(assets, params, seed=seed)
-        engine = BatchedSimulation([sim])
+    for runs in drivers:
+        sims = [prepare_instance(assets, params, seed=seed)[0]
+                for assets, params, seed in runs]
+        engine = BatchedSimulation(sims)
         engine.begin()
         if memory:
             gc.collect()
             tracemalloc.start()
         try:
             for _ in range(N_DAYS):
-                kind = "extinct" if is_extinct(sim) else "active"
+                kind = ("extinct" if all(map(is_extinct, sims))
+                        else "active")
                 if memory:
                     tracemalloc.reset_peak()
                     start = tracemalloc.get_traced_memory()[0]
@@ -132,7 +148,7 @@ def tick_costs(runs, *, memory: bool) -> dict[str, tuple[int, float]]:
                     engine.step()
                     sys.setprofile(None)
                     cost = calls[0]
-                totals[kind][0] += 1
+                totals[kind][0] += len(sims)
                 totals[kind][1] += cost
         finally:
             if memory:
@@ -141,10 +157,10 @@ def tick_costs(runs, *, memory: bool) -> dict[str, tuple[int, float]]:
             for kind, (n, total) in totals.items()}
 
 
-def over_budget(shape: str, runs) -> list[str]:
-    """One line per budget the shape's runs exceed."""
-    calls = tick_costs(runs, memory=False)
-    nbytes = tick_costs(runs, memory=True)
+def over_budget(shape: str, drivers) -> list[str]:
+    """One line per budget the shape's drivers exceed."""
+    calls = tick_costs(drivers, memory=False)
+    nbytes = tick_costs(drivers, memory=True)
     bad = []
     for kind in ("active", "extinct"):
         max_calls, max_bytes = BUDGETS[(shape, kind)]
@@ -171,8 +187,9 @@ def test_tick_cost_within_budget(shape):
 
 
 def test_call_counts_repeat_exactly():
-    runs = va_runs()
-    assert tick_costs(runs, memory=False) == tick_costs(runs, memory=False)
+    drivers = SHAPES["va_1e-2"]()
+    assert tick_costs(drivers, memory=False) == tick_costs(drivers,
+                                                           memory=False)
 
 
 def test_a_planted_call_per_tick_fails_the_budget(monkeypatch):
@@ -187,7 +204,7 @@ def test_a_planted_call_per_tick_fails_the_budget(monkeypatch):
         step(self)
 
     monkeypatch.setattr(BatchedSimulation, "step", with_one_more_call)
-    bad = over_budget("va_1e-2", va_runs())
+    bad = over_budget("va_1e-2", SHAPES["va_1e-2"]())
     assert any("calls per tick" in line for line in bad), bad
     assert not any(" B per tick" in line for line in bad), bad
 
@@ -202,5 +219,5 @@ def test_a_planted_allocation_per_tick_fails_the_budget(monkeypatch):
         del held
 
     monkeypatch.setattr(BatchedSimulation, "step", holding_a_person_column)
-    bad = over_budget("va_1e-2", va_runs())
+    bad = over_budget("va_1e-2", SHAPES["va_1e-2"]())
     assert any(" B per tick" in line for line in bad), bad

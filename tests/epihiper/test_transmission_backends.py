@@ -165,9 +165,9 @@ def test_auto_switches_backend_as_prevalence_grows():
     assert auto_backend(many @ inc.degrees, n_edges) is \
         TransmissionBackend.DENSE
     # The crossover sits exactly at the documented gathered-slot fraction.
-    assert inc.degree_sum(np.flatnonzero(few)) <= \
+    assert inc.degrees[np.flatnonzero(few)].sum() <= \
         FRONTIER_DENSE_CROSSOVER * n_edges
-    assert inc.degree_sum(np.flatnonzero(many)) > \
+    assert inc.degrees[np.flatnonzero(many)].sum() > \
         FRONTIER_DENSE_CROSSOVER * n_edges
 
 
