@@ -71,28 +71,29 @@ def test_transmission_kernel_backends(benchmark, save_artifact):
             pop, net = build_region_network(code, scale=scale, seed=6)
             net = narrow_ids(net)  # the int32 ids a bundle carries
             inc = IncidentEdges(net.source, net.target, pop.size)
-            supp = np.zeros((1, net.n_edges), dtype=np.int16)
-            ones = np.ones((1, pop.size))
-            scan = CandidateScan(net.source, net.target, net.duration)
+            supp = np.zeros(net.n_edges, dtype=np.int16)
+            ones = np.ones(pop.size)
+            scan = CandidateScan([(net.source, net.target, net.duration)],
+                                 [pop.size], [inc])
             for prev in PREVALENCES:
                 health = _health_at_prevalence(model, pop.size, prev)
-                infectious = model.is_infectious[health][None]
+                infectious = model.is_infectious[health]
                 # An engine keeps its frontier degree sum as states change.
-                load = infectious @ inc.degrees
+                load = np.array([infectious @ inc.degrees])
 
                 def one_tick(backend):
                     rngs = [np.random.default_rng(RNG_SEED)]
                     taus = [model.transmissibility]
                     if backend == "auto":
                         return lane_transmissions(
-                            model, taus, rngs, health[None], infectious,
-                            load, ones, ones, supp, net.active, [net.weight],
-                            scan, inc)
+                            model, taus, rngs, health, infectious, load,
+                            ones, ones, supp, net.active, [net.weight], scan)
                     cand = scan.candidates(
-                        TransmissionBackend(backend), model, health[None],
-                        infectious, supp, net.active, [net.weight], inc)
+                        TransmissionBackend(backend), model, health,
+                        infectious, load, supp, net.active, [net.weight])
                     return (cand[4], *sample_transmissions(
-                        model, taus, rngs, health[None], ones, ones, cand))
+                        model, taus, rngs, health, ones, ones, scan.offsets,
+                        cand))
 
                 events = {b: one_tick(b) for b in BACKENDS}
                 base = events["dense"]

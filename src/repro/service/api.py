@@ -27,7 +27,7 @@ from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from ..core.parallel import InstanceSpec
-from ..core.runner import build_interventions, model_for_params
+from ..core.runner import PARAM_NAMES, build_interventions, model_for_params
 from ..params import DEFAULT_SCALE
 from ..synthpop.regions import REGIONS
 
@@ -185,7 +185,13 @@ MAX_LIST_LIMIT = 500
 
 
 def _runner_accepts(params: dict[str, Any]) -> None:
-    """Build what the runner builds from ``params``; raise where it would."""
+    """Build what the runner builds from ``params``; raise where it would,
+    or on a name it does not read (a misspelt name would otherwise run
+    the default silently)."""
+    for name in params:
+        if name not in PARAM_NAMES:
+            raise ValueError(f"{name!r} is not a param the runner reads "
+                             f"(it reads {', '.join(PARAM_NAMES)})")
     model_for_params(params)
     build_interventions(params)
 

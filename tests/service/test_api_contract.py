@@ -178,6 +178,8 @@ class TestHttpSurface:
     @pytest.mark.parametrize("params,name", [
         ({"TAU": 0.3, "SYMP": "abc"}, "SYMP"),
         ({"TAU": "abc"}, "TAU"),
+        # A misspelt name: it would otherwise run the default TAU.
+        ({"TUA": 0.3}, "TUA"),
     ])
     def test_params_the_runner_rejects_are_an_enveloped_400(
             self, server, params, name):
