@@ -256,7 +256,7 @@ def restore_simulation(sim: Simulation,
 
     tick = int(meta["tick"])
     try:
-        # In-place writes keep the arrays live as batched-lane row views.
+        # In-place writes keep the arrays live as batched-lane stack slices.
         sim.health[...] = payload["health"]
         sim.sched.schedule_remaining(payload["dwell"], tick)
         sim.sched.next_state[...] = payload["next_state"]
