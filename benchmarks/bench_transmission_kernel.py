@@ -5,13 +5,16 @@ Times one tick of Eq. (1) candidate enumeration + sampling with the
 plus ``sample_transmissions``) and with the engine's rule picking
 (``auto``: ``lane_transmissions``), on scaled state networks, at low /
 medium / high infectious prevalence — the engine's per-tick transmission
-phase over one lane, with the network's candidate scan built once, as an
-engine keeps it.  The frontier kernel's payoff is the early-epidemic
-regime calibration sweeps live in: at 0.1% prevalence it must beat the
-dense scan by >= 3x on the largest network, while ``auto`` must stay
-within 15% of the better forced kernel at every prevalence.  All three
-are verified bit-identical on every timed configuration.  This is the
-repo's A/B timing tool for the two kernels.
+phase over one lane, with the network's ``SharedNetwork`` and candidate
+scan built once, as an engine keeps them.  The three are timed
+interleaved (each repeat runs dense, frontier, then auto), so a change in
+host state lands on all three rather than on one kernel's whole block;
+each keeps its best of ``REPEATS``.  The frontier kernel's payoff is the
+early-epidemic regime calibration sweeps live in: at 0.1% prevalence it
+must beat the dense scan by >= 3x on the largest network, while ``auto``
+must stay within 15% of the better forced kernel at every prevalence.
+All three are verified bit-identical on every timed configuration.  This
+is the repo's A/B timing tool for the two kernels.
 """
 
 import time
@@ -20,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.epihiper import build_covid_model
-from repro.epihiper.interventions import IncidentEdges
+from repro.epihiper.engine import SharedNetwork
 from repro.epihiper.transmission import (
     CandidateScan,
     TransmissionBackend,
@@ -44,12 +47,15 @@ RNG_SEED = 9
 AUTO_TOLERANCE = 1.15
 
 
-def _best_time(fn, repeats=REPEATS):
-    best = np.inf
+def _best_times(fns, repeats=REPEATS):
+    """Best-of-``repeats`` seconds of each of ``fns`` (name -> callable),
+    timed interleaved: every repeat runs each once, in order."""
+    best = dict.fromkeys(fns, np.inf)
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+        for name, fn in fns.items():
+            t0 = time.perf_counter()
+            fn()
+            best[name] = min(best[name], time.perf_counter() - t0)
     return best
 
 
@@ -70,16 +76,15 @@ def test_transmission_kernel_backends(benchmark, save_artifact):
         for code, scale in NETWORKS:
             pop, net = build_region_network(code, scale=scale, seed=6)
             net = narrow_ids(net)  # the int32 ids a bundle carries
-            inc = IncidentEdges(net.source, net.target, pop.size)
+            network = SharedNetwork(net)
             supp = np.zeros(net.n_edges, dtype=np.int16)
             ones = np.ones(pop.size)
-            scan = CandidateScan([(net.source, net.target, net.duration)],
-                                 [pop.size], [inc])
+            scan = CandidateScan([network])
             for prev in PREVALENCES:
                 health = _health_at_prevalence(model, pop.size, prev)
                 infectious = model.is_infectious[health]
                 # An engine keeps its frontier degree sum as states change.
-                load = np.array([infectious @ inc.degrees])
+                load = np.array([infectious @ network.incident.degrees])
 
                 def one_tick(backend):
                     rngs = [np.random.default_rng(RNG_SEED)]
@@ -87,10 +92,10 @@ def test_transmission_kernel_backends(benchmark, save_artifact):
                     if backend == "auto":
                         return lane_transmissions(
                             model, taus, rngs, health, infectious, load,
-                            ones, ones, supp, net.active, [net.weight], scan)
+                            ones, ones, supp, [net.weight], scan)
                     cand = scan.candidates(
                         TransmissionBackend(backend), model, health,
-                        infectious, load, supp, net.active, [net.weight])
+                        infectious, load, supp, [net.weight])
                     return (cand[4], *sample_transmissions(
                         model, taus, rngs, health, ones, ones, scan.offsets,
                         cand))
@@ -101,8 +106,8 @@ def test_transmission_kernel_backends(benchmark, save_artifact):
                     for want, got in zip(base, events[b]):
                         np.testing.assert_array_equal(want, got)
 
-                times = {b: _best_time(lambda b=b: one_tick(b))
-                         for b in BACKENDS}
+                times = _best_times({b: lambda b=b: one_tick(b)
+                                     for b in BACKENDS})
                 rows.append((f"{code}@{scale:g}", net.n_edges, prev, times))
         return rows
 

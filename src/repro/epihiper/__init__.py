@@ -54,7 +54,7 @@ from .partition import (
 )
 from .ranks import RankProfile, simulate_rank_execution, strong_scaling_curve
 from .states import DiscreteDwell, FixedDwell, HealthState, NormalDwell
-from .transmission import TransmissionBackend, TransmissionEvents
+from .transmission import TransmissionBackend
 
 __all__ = [
     "BatchIncompatible",
@@ -77,7 +77,6 @@ __all__ = [
     "SimulationResult",
     "Transmission",
     "TransmissionBackend",
-    "TransmissionEvents",
     "TransitionLog",
     "at_tick",
     "build_covid_model",

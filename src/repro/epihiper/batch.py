@@ -16,10 +16,13 @@ The stacks are flat and lane-major: lane i owns the persons from
 network's.  Lanes that replicate one network are the case where the
 offsets step by N and E, so there is one layout and one code path; a
 flat position maps back to a lane-local id by subtracting the lane's
-offset.  Each lane keeps its own network's pieces: its
-:class:`~repro.epihiper.interventions.IncidentEdges` CSR (shared by the
-lanes on that network), the CSR's degree column, its edge columns and
-base activity.
+offset.  The stacks hold only what ticks write.  What no tick writes is
+held once per distinct network, in one
+:class:`~repro.epihiper.engine.SharedNetwork` that every lane on the
+network reads (its edge columns and base activity, its
+:class:`~repro.epihiper.interventions.IncidentEdges` CSR and degree
+column, its home-edge mask and the dense scan's tables), and the
+constructor is the one place that decides which lanes share one.
 
 Every phase calls its one kernel with K lanes:
 :func:`~repro.epihiper.transmission.lane_transmissions`,
@@ -76,6 +79,7 @@ from ..obs.registry import GAUGE, TIMER, MetricsRegistry, PhaseClock
 from .engine import (
     ENGINE_COUNTERS,
     ENGINE_TIMERS,
+    SharedNetwork,
     Simulation,
     SimulationResult,
     count_entries,
@@ -187,7 +191,7 @@ class BatchedSimulation:
 
     After construction each lane's ``health``, ``sched.due``,
     ``sched.next_state``, ``node_susceptibility``, ``node_infectivity``,
-    ``suppressor.count`` and ``base_active`` arrays, and its census,
+    and ``suppressor.count`` arrays, and its census,
     infectious mask and frontier degree sum, are slices of flat stacks
     the batch owns: lane i's persons start at ``offsets[i]`` and its
     edges follow the lanes before it.  The lanes remain fully functional
@@ -210,34 +214,33 @@ class BatchedSimulation:
         self.lanes = list(lanes)
         k = len(self.lanes)
 
-        # Lanes on one network share its incident CSR (read only), built
-        # here so the frontier kernel never pays for it mid-run, and its
-        # read-only person columns (contact degrees, age groups), held
-        # once per network: lane i's persons sit at ``_net_starts[i]`` of
-        # ``_net_degrees`` / ``_net_ages``.  A lane on a network of its
-        # own builds its own CSR.
-        shared: dict[tuple[int, int], tuple] = {}
-        starts, nets, net_bounds = [], [], [0]
+        # The one place that decides what is held per network: lanes on
+        # one population and network share one SharedNetwork (its
+        # columns, incident CSR, home mask and dense tables), built here
+        # so the frontier kernel never pays for the CSR mid-run, and the
+        # network's read-only person columns (contact degrees, age
+        # groups): lane i's persons sit at ``_net_starts[i]`` of
+        # ``_net_degrees`` / ``_net_ages``.
+        shared: dict[tuple[int, int], tuple[SharedNetwork, int]] = {}
+        starts, ages, n_held = [], [], 0
         for sim in self.lanes:
             key = (id(sim.pop), id(sim.net))
             if key not in shared:
-                shared[key] = (sim.incident, net_bounds[-1])
-                net_bounds.append(net_bounds[-1] + sim.pop.size)
-                nets.append(sim)
-            sim._incident, start = shared[key]
+                shared[key] = (sim.network, n_held)
+                ages.append(sim.pop.age_group)
+                n_held += sim.pop.size
+            sim._network, start = shared[key]
             starts.append(start)
-        self._net_degrees = _concat([sim.incident.degrees for sim in nets])
-        if len(nets) > 1:
+        self._net_degrees = _concat([net.incident.degrees
+                                     for net, _ in shared.values()])
+        if len(shared) > 1:
             # Each CSR's degree column becomes its slice: held once.
-            for sim, lo, hi in zip(nets, net_bounds, net_bounds[1:]):
-                sim._incident._degrees = self._net_degrees[lo:hi]
-        self._net_ages = _concat([sim.pop.age_group for sim in nets])
+            for net, lo in shared.values():
+                hi = lo + net.n_nodes
+                net.incident._degrees = self._net_degrees[lo:hi]
+        self._net_ages = _concat(ages)
         self._net_starts = np.array(starts, dtype=np.int64)
-        self._scan = CandidateScan(
-            [(sim.net.source, sim.net.target, sim.net.duration)
-             for sim in self.lanes],
-            [sim.pop.size for sim in self.lanes],
-            [sim._incident for sim in self.lanes])
+        self._scan = CandidateScan([sim.network for sim in self.lanes])
         self._offsets = self._scan.offsets
 
         # Flatten the per-lane state and rebind the lanes to slices; all
@@ -256,14 +259,13 @@ class BatchedSimulation:
         self._infectious = _flatten(self.lanes, "_infectious", persons)
         self._supp_count = _flatten([sim.suppressor for sim in self.lanes],
                                     "count", edges)
-        self._base_active = _flatten(self.lanes, "base_active", edges)
         self._frontier_degree = _flatten(self.lanes, "_frontier_degree",
                                          list(range(k + 1)))
         self._census = (first._census[None] if k == 1
                         else np.stack([sim._census for sim in self.lanes]))
         for i, sim in enumerate(self.lanes):
             sim._census = self._census[i]
-            sim._track_degrees(sim._incident.degrees)
+            sim._track_degrees(sim.network.incident.degrees)
         self._lane_arange = np.arange(k, dtype=np.int64)
 
         # Cross-lane scheduling tables (lanes agree on structure and dwell
@@ -369,8 +371,7 @@ class BatchedSimulation:
             [sim.model.transmissibility for sim in lanes],
             [sim.rng for sim in lanes], self._health, self._infectious,
             self._frontier_degree, self._node_sus, self._node_inf,
-            self._supp_count, self._base_active,
-            [sim.tick_weight for sim in lanes], self._scan)
+            self._supp_count, [sim.tick_weight for sim in lanes], self._scan)
         for sim, c in zip(lanes, counts.tolist()):
             sim._work["contacts_evaluated"] += c
         if pids.size:

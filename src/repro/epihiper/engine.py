@@ -12,10 +12,16 @@ A :class:`Simulation` is a *lane*; it has no tick loop of its own.  The
 one driver is :class:`~repro.epihiper.batch.BatchedSimulation`, and a
 solo run is a batch of one (:meth:`Simulation.run` builds it).  The lane
 keeps the surface interventions, NPIs and seeding use —
-:meth:`Simulation.enter_state`, :attr:`Simulation.incident`, the edge
+:meth:`Simulation.enter_state`, :attr:`Simulation.network`, the edge
 weights — and the two per-lane tick phases the driver calls: the
 intervention loop (:meth:`Simulation._run_interventions`) and the census
 row with its Figure 10 memory estimate (:meth:`Simulation._record_census`).
+
+A lane holds only what its ticks write: its per-person state, its edge
+suppression counts and, once it masks, its own weights.  What no tick
+writes — the network's columns, its incident CSR, its home-edge mask and
+the dense scan's tables — is one :class:`SharedNetwork` per network,
+which the driver hands every lane on that network.
 
 A tick's work follows what happens that day.  ``health`` changes in two
 places — :meth:`Simulation.enter_state` for entries outside the tick's
@@ -28,13 +34,11 @@ sweep is one comparison.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..obs.registry import TIMER, MetricsRegistry
-from ..obs.spans import Tracer
 from ..params import DEFAULT_SEED
 from ..synthpop.activities import HOME
 from ..synthpop.contacts import ContactNetwork
@@ -115,6 +119,48 @@ def count_entries(model: DiseaseModel, degrees: np.ndarray | None,
                                        minlength=k)
 
 
+class SharedNetwork:
+    """One contact network as the engine reads it, held once per network.
+
+    No tick writes any of it, so every lane on the network reads one:
+    the network's edge columns, read in place (a mapped bundle's stay
+    mapped; ``active`` is the base activity, which the kernels AND with
+    each lane's suppression counts), its
+    :class:`~repro.epihiper.interventions.IncidentEdges` CSR with the
+    CSR's degree column, the mask of edges whose both contexts are
+    *home* (the edges isolations keep), and, from its first dense tick
+    on, the dense scan's doubled-edge lookups and boolean scratch
+    (``tables``, ``scratch`` and ``live``, which
+    :class:`~repro.epihiper.transmission.CandidateScan` builds).  The
+    driver builds one per distinct network
+    (:class:`~repro.epihiper.batch.BatchedSimulation`); a bare lane
+    builds its own on first use (:attr:`Simulation.network`).  It lives
+    as long as its lanes: the CSR is never cached per network (see
+    :class:`~repro.epihiper.interventions.IncidentEdges`).
+    """
+
+    __slots__ = ("n_nodes", "n_edges", "source", "target", "duration",
+                 "active", "incident", "home", "tables", "scratch", "live")
+
+    def __init__(self, net: ContactNetwork) -> None:
+        self.n_nodes, self.n_edges = net.n_nodes, net.n_edges
+        self.source, self.target = net.source, net.target
+        self.duration, self.active = net.duration, net.active
+        self.incident = IncidentEdges(net.source, net.target, net.n_nodes)
+        self.home = ((net.source_activity == HOME)
+                     & (net.target_activity == HOME))
+        self.tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.scratch: np.ndarray | None = None
+        self.live: np.ndarray | None = None
+
+    def non_home_edges_of(self, pids: np.ndarray) -> np.ndarray:
+        """The incident edges of ``pids`` that are not home-home contacts
+        (ascending, distinct): what an isolation or a masking order
+        reaches."""
+        rows = self.incident.edges_of(pids)
+        return rows[~self.home[rows]]
+
+
 @dataclass(frozen=True, slots=True)
 class SimulationResult:
     """Everything a simulation run produces.
@@ -158,7 +204,6 @@ class Simulation:
         seed: int = DEFAULT_SEED,
         interventions: list[Intervention] | None = None,
         metrics: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
     ) -> None:
         if net.n_nodes != pop.size:
             raise ValueError("network and population sizes disagree")
@@ -197,17 +242,11 @@ class Simulation:
         #: user-defined named variables (Table V ``variable``).
         self.variables: dict[str, float] = {}
 
-        self.base_active = net.active.copy()
         # The network's own weight column until something asks for
         # ``edge_weight`` (see there); the tick reads whichever it is.
         self._weight = net.weight
         self.suppressor = EdgeSuppressor(net.n_edges)
-        self._incident: IncidentEdges | None = None
-
-        # Derived once, read every tick instead of reallocating O(|E|)
-        # arrays per step.
-        self._home_mask = ((net.source_activity == HOME)
-                           & (net.target_activity == HOME))
+        self._network: SharedNetwork | None = None
         self._mem_base = net.n_edges * EDGE_BYTES + pop.size * NODE_BYTES
 
         self.tick = 0
@@ -220,7 +259,6 @@ class Simulation:
         # work in plain ints (``_work``); the driver times the phases and
         # moves both into the registry at flush time.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer = tracer
         for name in ENGINE_COUNTERS:
             self.metrics.counter(f"engine.{name}")
         for name in ENGINE_TIMERS:
@@ -230,14 +268,21 @@ class Simulation:
     # -- derived structures ----------------------------------------------------
 
     @property
+    def network(self) -> SharedNetwork:
+        """The read-only state of this lane's network: the driver's, which
+        every lane on the network shares, or, on a bare lane, its own,
+        built on first use; from then on the frontier degree sum is
+        kept."""
+        if self._network is None:
+            self._network = SharedNetwork(self.net)
+            self._track_degrees(self._network.incident.degrees)
+        return self._network
+
+    @property
     def incident(self) -> IncidentEdges:
-        """Lazily built person -> incident-edge CSR (contact tracing, the
-        frontier kernel); from then on the frontier degree sum is kept."""
-        if self._incident is None:
-            self._incident = IncidentEdges(
-                self.net.source, self.net.target, self.pop.size)
-            self._track_degrees(self._incident.degrees)
-        return self._incident
+        """The network's person -> incident-edge CSR (contact tracing,
+        isolation, the frontier kernel)."""
+        return self.network.incident
 
     def _track_degrees(self, degrees: np.ndarray) -> None:
         """Start keeping the frontier degree sum over ``degrees``."""
@@ -274,17 +319,6 @@ class Simulation:
     def share_weight(self) -> None:
         """Drop any private copy and read the network's column again."""
         self._weight = self.net.weight
-
-    def active_edges(self) -> np.ndarray:
-        """Effective per-edge activity mask this tick (fresh array)."""
-        return self.suppressor.active_mask(self.base_active)
-
-    def home_edge_mask(self) -> np.ndarray:
-        """Edges whose both contexts are *home* (kept by isolations).
-
-        Computed once at init; callers must treat the array as read-only.
-        """
-        return self._home_mask
 
     def current_state_counts(self) -> np.ndarray:
         """Census over states right now (a copy of the maintained row)."""
@@ -376,21 +410,10 @@ class Simulation:
     def run(self, n_days: int) -> SimulationResult:
         """Run ``n_days`` ticks as a one-lane
         :class:`~repro.epihiper.batch.BatchedSimulation` and return the
-        result.
-
-        With a tracer attached the whole run is one ``engine:run`` span;
-        tracing never touches the RNG stream, so traced and bare runs
-        produce bit-identical outputs.
-        """
+        result."""
         from .batch import BatchedSimulation
 
-        span = (nullcontext() if self.tracer is None
-                else self.tracer.span("engine:run",
-                                      region=self.net.region_code,
-                                      n_days=n_days))
-        with span:
-            return BatchedSimulation([self], metrics=self.metrics).run(
-                n_days)[0]
+        return BatchedSimulation([self], metrics=self.metrics).run(n_days)[0]
 
     def _assemble_result(self) -> SimulationResult:
         """Freeze the ticks advanced so far into a :class:`SimulationResult`

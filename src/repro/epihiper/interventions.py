@@ -7,9 +7,11 @@ target set of nodes or edges, optionally on a sampled subset, and may be
 delayed.
 
 Edge deactivation is implemented with a *suppression counter* per edge so
-that overlapping interventions compose: an edge is active iff its base flag
-is set and no intervention currently suppresses it.  Every suppression is
-paired with a release, which lets timed isolations expire cleanly.
+that overlapping interventions compose: an edge is active iff its
+network's base flag is set and no intervention currently suppresses it
+(the transmission kernels read both on the edges they evaluate).  Every
+suppression is paired with a release, which lets timed isolations expire
+cleanly.
 """
 
 from __future__ import annotations
@@ -151,14 +153,6 @@ class EdgeSuppressor:
         self.total_operations += int(handle.edge_rows.size)
         handle.released = True
 
-    def active_mask(self, base_active: np.ndarray) -> np.ndarray:
-        """Effective edge activity: base flag and no live suppression.
-
-        The tick never builds this whole mask on a frontier tick: the
-        transmission kernels read ``count`` and the base flags on the
-        gathered rows only."""
-        return base_active & (self.count == 0)
-
 
 #: Most edges :class:`IncidentEdges` takes: its rows hold edge numbers
 #: as int32 (the 2E slot positions are int64).
@@ -168,17 +162,16 @@ _MAX_EDGES = np.iinfo(np.int32).max
 class IncidentEdges:
     """CSR-style person -> incident-edge-row index.
 
-    Built lazily once per :class:`~repro.epihiper.engine.Simulation`, or
-    once per network of a batch (a :class:`~repro.epihiper.batch.
-    BatchedSimulation` shares one across the lanes on that network, and
-    each lane of a union of networks holds its own network's) and dropped
-    with the engine.  It holds 16 B per edge (int32 edge rows and
-    neighbour ids over the 2E incidences, given the bundle's int32 ids)
-    and 16 B per person (the int64 offsets and the float64 degree
-    column).  It is not
-    cached per network: kept for all 17 regions of a national sweep at
-    1e-3 it would hold ≈ 8.8 MiB, ≈ +12 % of that sweep's peak RSS, so
-    the build is made cheap instead.  Contact tracing (D1CT / D2CT),
+    Built once per network of a driver, in the network's
+    :class:`~repro.epihiper.engine.SharedNetwork` that every lane on the
+    network reads (a bare :class:`~repro.epihiper.engine.Simulation`
+    builds its own on first use), and dropped with the driver and its
+    lanes.  It holds 16 B per edge (int32 edge rows and neighbour ids
+    over the 2E incidences, given the bundle's int32 ids) and 16 B per
+    person (the int64 offsets and the float64 degree column).  It is not
+    cached per network beyond its lanes: kept for all 17 regions of a
+    national sweep at 1e-3 it would hold ≈ 8.8 MiB, ≈ +12 % of that
+    sweep's peak RSS, so the build is made cheap instead.  Contact tracing (D1CT / D2CT),
     per-person isolation and the frontier transmission kernel need the
     edges touching a person; the CSR makes those operations O(degree).
 

@@ -76,8 +76,7 @@ def _isolate(
     """
     if pids.size == 0:
         return 0
-    rows = sim.incident.edges_of(pids)
-    rows = rows[~sim.home_edge_mask()[rows]]
+    rows = sim.network.non_home_edges_of(pids)
     handle = sim.suppressor.suppress(rows)
     releases.add(sim.tick + days, handle)
     return int(rows.size)
@@ -193,8 +192,7 @@ def make_sh(
         if state["handle"] is None and sim.tick == start:
             everyone = np.arange(sim.pop.size, dtype=np.int64)
             compliant = sample_subset(everyone, compliance, sim.rng)
-            rows = sim.incident.edges_of(compliant)
-            rows = rows[~sim.home_edge_mask()[rows]]
+            rows = sim.network.non_home_edges_of(compliant)
             state["handle"] = sim.suppressor.suppress(rows)
         elif state["handle"] is not None and end is not None and sim.tick >= end:
             sim.suppressor.release(state["handle"])
@@ -292,8 +290,7 @@ def make_ps(
         if phase == 0 and state["handle"] is None:
             everyone = np.arange(sim.pop.size, dtype=np.int64)
             compliant = sample_subset(everyone, compliance, sim.rng)
-            rows = sim.incident.edges_of(compliant)
-            rows = rows[~sim.home_edge_mask()[rows]]
+            rows = sim.network.non_home_edges_of(compliant)
             state["handle"] = sim.suppressor.suppress(rows)
         elif phase == days_on and state["handle"] is not None:
             sim.suppressor.release(state["handle"])
@@ -468,8 +465,7 @@ def make_masking(
         if state["rows"] is None and sim.tick == start:
             everyone = np.arange(sim.pop.size, dtype=np.int64)
             compliant = sample_subset(everyone, compliance, sim.rng)
-            rows = sim.incident.edges_of(compliant)
-            rows = rows[~sim.home_edge_mask()[rows]]
+            rows = sim.network.non_home_edges_of(compliant)
             sim.edge_weight[rows] *= weight_factor
             state["rows"] = rows
             sim.suppressor.total_operations += int(rows.size)

@@ -74,19 +74,22 @@ class ProgressionState:
 #: 64-72 entries (mixed or single entered code, K=1 on VA@1e-3).
 _SMALL_BATCH: int = 64
 
-#: Plain-python copies of population age-group columns, keyed by array
-#: identity.  The scalar scheduler indexes ages with python ints; list
-#: indexing skips numpy scalar boxing (~10x per lookup).  The strong
-#: reference in the value keeps ``id()`` keys from being recycled.
-_AGE_LISTS: dict[int, tuple[np.ndarray, list[int]]] = {}
+#: Plain-python copies of live population age-group columns, keyed by
+#: array identity.  The scalar scheduler indexes ages with python ints;
+#: list indexing skips numpy scalar boxing (~10x per lookup).  Each list
+#: is built once per process and dropped when its array dies (a
+#: ``weakref.finalize``, which runs before the ``id()`` can be reused),
+#: so the cache never keeps a bundle, or the file mapping a mapped
+#: bundle's columns view, alive.
+_AGE_LISTS: dict[int, list[int]] = {}
 
 
 def _age_list(age_group: np.ndarray) -> list[int]:
-    hit = _AGE_LISTS.get(id(age_group))
-    if hit is None or hit[0] is not age_group:
-        hit = (age_group, age_group.tolist())
-        _AGE_LISTS[id(age_group)] = hit
-    return hit[1]
+    ages = _AGE_LISTS.get(id(age_group))
+    if ages is None:
+        ages = _AGE_LISTS[id(age_group)] = age_group.tolist()
+        weakref.finalize(age_group, _AGE_LISTS.pop, id(age_group), None)
+    return ages
 
 
 def _dwell_key(d):

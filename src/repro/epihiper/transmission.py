@@ -18,12 +18,13 @@ each transmission).
 The driver, :class:`~repro.epihiper.batch.BatchedSimulation`, calls
 :func:`lane_transmissions` once per tick with its flat lane stacks (K = 1
 for a solo run): lane i owns a run of persons and a run of edges, and the
-lanes may sit on different networks (a disjoint union);
-:func:`transmission_step` is one lane's tick over loose arrays with the
-kernel given.  The driver hands in state it maintains where ``health``
-changes (each lane's infectious mask and its frontier degree sum) and the
-raw edge state (suppression counts and the base activity flags), so a
-frontier tick reads flags only on the persons and edges it gathers.  A
+lanes may sit on different networks (a disjoint union).  The driver
+hands in state it maintains where ``health`` changes (each lane's
+infectious mask and its frontier degree sum) and each lane's suppression
+counts; a lane's network — its edge columns, base activity flags and
+incident CSR — is the driver's
+:class:`~repro.epihiper.engine.SharedNetwork` for it, read in place, so
+a frontier tick reads flags only on the persons and edges it gathers.  A
 tick has three stages, each written once:
 
 Candidate enumeration (:class:`CandidateScan`)
@@ -32,7 +33,7 @@ Candidate enumeration (:class:`CandidateScan`)
     network, all those lanes at once; only a dense tick builds the
     ``(k, N)`` susceptible masks and the ``(k, E)`` activity mask.
     ``frontier`` gathers, lane by lane, only the edges incident to the
-    lane's infectious set through the lane's own
+    lane's infectious set through its network's
     :class:`~repro.epihiper.interventions.IncidentEdges` CSR and reads
     state and activity on those rows alone — O(frontier degree) instead
     of O(|E|), the early-epidemic common case; a lane whose frontier
@@ -61,16 +62,11 @@ stream are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .disease import DiseaseModel
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .interventions import IncidentEdges
 
 #: Contact durations in the network are minutes; propensities use days.
 MINUTES_PER_DAY: float = 24.0 * 60.0
@@ -95,16 +91,6 @@ class TransmissionBackend(Enum):
     FRONTIER = "frontier"
 
 
-@dataclass(frozen=True, slots=True)
-class TransmissionEvents:
-    """Newly exposed persons of one tick, with attribution."""
-
-    pids: np.ndarray  #: persons leaving a susceptible state
-    exposed_codes: np.ndarray  #: state each person enters
-    infectors: np.ndarray  #: the contact that caused each transition
-    n_candidates: int  #: directed susceptible-infectious contacts evaluated
-
-
 def auto_backend(workload: float, n_edges: int) -> TransmissionBackend:
     """The kernel for a gather workload: frontier while the summed
     frontier degree of a tick's lanes stays within
@@ -112,26 +98,6 @@ def auto_backend(workload: float, n_edges: int) -> TransmissionBackend:
     if workload <= FRONTIER_DENSE_CROSSOVER * n_edges:
         return TransmissionBackend.FRONTIER
     return TransmissionBackend.DENSE
-
-
-class _Network:
-    """One network of a union: its edge columns as the bundle stores them
-    (int32 ids and durations) and, from its first dense tick on, the
-    doubled-edge lookups of the stacked dense scan (40 B per edge: intp
-    ids, which every dense tick's takes index, and int32 durations —
-    built per engine and dropped with it, never cached per network) plus
-    its boolean scratch."""
-
-    __slots__ = ("source", "target", "duration", "tables", "scratch",
-                 "active")
-
-    def __init__(self, source, target, duration) -> None:
-        self.source = source
-        self.target = target
-        self.duration = duration
-        self.tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self.scratch: np.ndarray | None = None
-        self.active: np.ndarray | None = None
 
 
 #: The candidate columns of a lane that gathers nothing (read only).
@@ -145,30 +111,24 @@ class CandidateScan:
     Lane ``i`` owns persons ``offsets[i]:offsets[i + 1]`` of the flat
     person stacks and the next ``E_i`` edges of the flat edge stacks, in
     lane order; lanes that replicate one network are the case where the
-    offsets step by N and E.  Each lane brings its network's edge columns
-    (lanes passing the same arrays share one network, so its dense
-    tables are built once), its person count and its
-    :class:`~repro.epihiper.interventions.IncidentEdges` CSR (``None``
-    where no frontier tick runs).  Every gather widens what it reads
-    once, ids to ``intp`` and durations and weights to float64, so the
-    candidate columns are the same whatever the stored widths.
+    offsets step by N and E.  Each lane brings its network's
+    :class:`~repro.epihiper.engine.SharedNetwork`: lanes bringing the
+    same object share one network, so its dense tables are built once.
+    Every gather widens what it reads once, ids to ``intp`` and
+    durations and weights to float64, so the candidate columns are the
+    same whatever the stored widths.
     """
 
-    def __init__(self, edges, n_persons, incidents) -> None:
-        nets: dict[int, _Network] = {}
-        #: per lane: (p0, p1, e0, e1, network, incident)
+    def __init__(self, networks) -> None:
+        #: per lane: (p0, p1, e0, e1, network)
         self._lanes: list[tuple] = []
         #: maximal runs of consecutive lanes on one network, one stacked
         #: dense scan each: [first lane, end lane, network]
         self._runs: list[list] = []
         p = e = 0
-        for i, ((source, target, duration), n, incident) in enumerate(
-                zip(edges, n_persons, incidents)):
-            net = nets.get(id(source))
-            if net is None:
-                net = nets[id(source)] = _Network(source, target, duration)
-            m = source.shape[0]
-            self._lanes.append((p, p + n, e, e + m, net, incident))
+        for i, net in enumerate(networks):
+            n, m = net.n_nodes, net.n_edges
+            self._lanes.append((p, p + n, e, e + m, net))
             if self._runs and self._runs[-1][2] is net:
                 self._runs[-1][1] = i + 1
             else:
@@ -179,18 +139,18 @@ class CandidateScan:
                                 dtype=np.int64)
         #: the rule's |E|: the edges of the union's distinct networks
         #: (one network's for lanes that replicate it)
-        self.n_edges = sum(net.source.shape[0] for net in nets.values())
+        self.n_edges = sum(net.n_edges for net in set(networks))
 
     def candidates(self, kernel, model, health, infectious, workloads,
-                   supp_count, base_active, weights):
+                   supp_count, weights):
         """Every lane's candidate contacts as one lane-concatenated batch.
 
         ``kernel`` is the tick's :class:`TransmissionBackend`;
         ``health`` / ``infectious`` are the flat person stacks (state
         codes and maintained infectious masks), ``workloads`` each lane's
-        frontier degree sum, ``supp_count`` / ``base_active`` the flat
-        edge stacks (suppression counts and base activity: an edge is
-        active when its base flag is set and nothing suppresses it), and
+        frontier degree sum, ``supp_count`` the flat edge stack of
+        suppression counts (an edge is active when its network's base
+        flag is set and nothing suppresses it), and
         ``weights`` each lane's edge-weight column (lanes that never
         rescale weights pass their network's shared column).  On a
         frontier tick a lane whose workload is 0 — nobody infectious has
@@ -212,21 +172,17 @@ class CandidateScan:
                 *part, run_counts = self._dense(
                     net, model, health[p0:p1].reshape(k, -1),
                     infectious[p0:p1].reshape(k, -1),
-                    supp_count[e0:e1].reshape(k, -1),
-                    base_active[e0:e1].reshape(k, -1), weights[a:b])
+                    supp_count[e0:e1].reshape(k, -1), weights[a:b])
                 parts.append(part)
                 counts.append(run_counts)
             counts = counts[0] if len(counts) == 1 else np.concatenate(counts)
         else:
             sizes = []
-            for (p0, p1, e0, e1, net, incident), load, weight in zip(
+            for (p0, p1, e0, e1, net), load, weight in zip(
                     self._lanes, workloads.tolist(), weights):
-                if incident is None:
-                    raise ValueError(
-                        "the frontier kernel requires an IncidentEdges index")
                 part = _NO_CANDIDATES if not load else self._frontier(
                     net, model, health[p0:p1], infectious[p0:p1],
-                    supp_count[e0:e1], base_active[e0:e1], weight, incident)
+                    supp_count[e0:e1], weight)
                 parts.append(part)
                 sizes.append(part[0].shape[0])
             counts = np.array(sizes, dtype=np.int64)
@@ -234,21 +190,25 @@ class CandidateScan:
             return (*parts[0], counts)
         return (*[np.concatenate(col) for col in zip(*parts)], counts)
 
-    def _dense(self, net, model, health, inf, supp_count, base_active,
-               weights):
+    def _dense(self, net, model, health, inf, supp_count, weights):
         """Dense candidates of k stacked lanes on ``net``, in
         :meth:`candidates` form with the run's ``(k,)`` counts.
 
         The one place the full ``(k, N)`` susceptible masks and ``(k, E)``
-        activity mask are built.  Both contact directions are evaluated in
-        one ``(k, 2E)`` scan over the doubled-edge layout: column ``c`` is
-        the forward direction of edge ``c`` for ``c < E`` and the backward
-        direction of edge ``c - E`` otherwise.  ``np.flatnonzero`` over it
-        is row-major, so each lane's candidates come out
-        forward-then-backward in ascending edge order.
+        activity mask are built: the lanes' unsuppressed edges ANDed, by
+        broadcasting, with the network's one base activity column.  The
+        doubled-edge lookups (40 B per edge: intp ids, which every dense
+        tick's takes index, and int32 durations) and the scratch are
+        built on the network's first dense tick and kept on it.  Both
+        contact directions are evaluated in one ``(k, 2E)`` scan over the
+        doubled-edge layout: column ``c`` is the forward direction of edge
+        ``c`` for ``c < E`` and the backward direction of edge ``c - E``
+        otherwise.  ``np.flatnonzero`` over it is row-major, so each
+        lane's candidates come out forward-then-backward in ascending
+        edge order.
         """
         n_lanes = health.shape[0]
-        n_edges = net.source.shape[0]
+        n_edges = net.n_edges
         if net.tables is None:
             # The id tables index every tick's (k, 2E) takes, so they
             # are widened once here; durations are read per candidate.
@@ -261,12 +221,12 @@ class CandidateScan:
         inf_of, sus_of, dur_of = net.tables
         if net.scratch is None or net.scratch.shape[1] < n_lanes:
             net.scratch = np.empty((2, n_lanes, 2 * n_edges), dtype=bool)
-            net.active = np.empty((n_lanes, n_edges), dtype=bool)
+            net.live = np.empty((n_lanes, n_edges), dtype=bool)
         cand = net.scratch[0, :n_lanes]
         other = net.scratch[1, :n_lanes]
-        active = net.active[:n_lanes]
+        active = net.live[:n_lanes]
         np.equal(supp_count, 0, out=active)
-        active &= base_active
+        active &= net.active
         sus = np.take(model.is_susceptible, health)
         np.take(inf, inf_of, axis=1, out=cand)
         np.take(sus, sus_of, axis=1, out=other)
@@ -290,8 +250,7 @@ class CandidateScan:
         return (sus_of[col], inf_of[col],
                 dur_of[col].astype(np.float64, copy=False), w, counts)
 
-    def _frontier(self, net, model, health, inf, supp_count, base_active,
-                  weight, incident):
+    def _frontier(self, net, model, health, inf, supp_count, weight):
         """One lane's candidates gathered from its infectious frontier.
 
         ``edges_of``'s sort-dedup both drops rows whose two endpoints are
@@ -300,12 +259,12 @@ class CandidateScan:
         on the gathered rows and their endpoints only, so nothing here
         scales with |E|.
         """
-        rows = incident.edges_of(np.flatnonzero(inf))
+        rows = net.incident.edges_of(np.flatnonzero(inf))
         if not rows.size:  # nobody infectious has a contact
             return _NO_CANDIDATES
         src = net.source[rows].astype(np.intp, copy=False)
         tgt = net.target[rows].astype(np.intp, copy=False)
-        act = (supp_count[rows] == 0) & base_active[rows]
+        act = (supp_count[rows] == 0) & net.active[rows]
         sus = model.is_susceptible
         fwd = act & inf[src] & sus[health[tgt]]  # src infects tgt
         bwd = act & inf[tgt] & sus[health[src]]  # tgt infects src
@@ -396,8 +355,8 @@ def sample_transmissions(model: DiseaseModel, taus, rngs, health,
 
 
 def lane_transmissions(model: DiseaseModel, taus, rngs, health, infectious,
-                       workloads, node_sus, node_inf, supp_count,
-                       base_active, weights, scan: CandidateScan):
+                       workloads, node_sus, node_inf, supp_count, weights,
+                       scan: CandidateScan):
     """One tick of transmission for K lanes: pick, enumerate, sample.
 
     The kernel is :func:`auto_backend` over the sum of the lanes'
@@ -412,64 +371,8 @@ def lane_transmissions(model: DiseaseModel, taus, rngs, health, infectious,
     """
     kernel = auto_backend(workloads.sum(), scan.n_edges)
     cand = scan.candidates(kernel, model, health, infectious, workloads,
-                           supp_count, base_active, weights)
+                           supp_count, weights)
     return (cand[4], *sample_transmissions(model, taus, rngs, health,
                                            node_sus, node_inf, scan.offsets,
                                            cand))
 
-
-def transmission_step(
-    model: DiseaseModel,
-    health: np.ndarray,
-    node_susceptibility: np.ndarray,
-    node_infectivity: np.ndarray,
-    edge_source: np.ndarray,
-    edge_target: np.ndarray,
-    edge_active: np.ndarray,
-    edge_weight: np.ndarray,
-    edge_duration_min: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    kernel: TransmissionBackend = TransmissionBackend.DENSE,
-    incident: "IncidentEdges | None" = None,
-) -> TransmissionEvents:
-    """Evaluate the active contacts of one tick and sample transmissions.
-
-    One lane's tick over loose arrays, with the kernel given rather than
-    picked: the reference the kernel-equivalence tests drive.  The
-    infectious mask is derived from ``health`` (an engine maintains it
-    instead, and keeps its dense scan's lookups across ticks).
-
-    Args:
-        model: the disease model supplying state-level sigma / iota / omega.
-        health: per-person state codes.
-        node_susceptibility / node_infectivity: per-person scaling traits
-            (the rw ``susceptibility`` / ``infectivity`` values of Table V).
-        edge_*: the contact-network columns; only ``active`` edges transmit.
-        rng: the simulation's random stream.
-        kernel: candidate-enumeration kernel; both consume the RNG stream
-            identically and return bit-identical events.
-        incident: the person -> incident-edge CSR ``frontier`` gathers
-            through.
-
-    Returns:
-        One event per newly exposed person.  A person reachable through
-        several firing contacts is exposed once, attributed to a uniformly
-        random firing contact.
-    """
-    infectious = np.take(model.is_infectious, health)
-    scan = CandidateScan([(edge_source, edge_target, edge_duration_min)],
-                         [health.shape[0]], [incident])
-    # An engine keeps the frontier degree sum; here the infectious count
-    # stands in for it (zero exactly when there is nobody to gather from).
-    cand = scan.candidates(
-        kernel, model, health, infectious,
-        np.array([infectious.sum()], dtype=np.float64),
-        np.zeros(edge_active.shape[0], np.int8), edge_active,
-        [edge_weight])
-    _sizes, pids, codes, infectors = sample_transmissions(
-        model, [model.transmissibility], [rng], health,
-        node_susceptibility, node_infectivity, scan.offsets, cand)
-    return TransmissionEvents(pids=pids, exposed_codes=codes,
-                              infectors=infectors,
-                              n_candidates=int(cand[4][0]))

@@ -15,22 +15,24 @@ This module decomposes the model accordingly:
   bundle's columns); at paper scale it is the model residual ``EDGE_BYTES +
   NODE_BYTES - private``, so ``copy_total`` reproduces the historical
   Fig. 10 numbers exactly.
-- *private* bytes: what a :class:`~repro.epihiper.engine.Simulation`
-  lane allocates per worker even on a mapped bundle — the arrays its
-  ``__init__`` copies or derives because ticks mutate them, and the
-  incident CSR every driver builds.
+- *private* bytes: what a worker allocates per region even on a mapped
+  bundle — a :class:`~repro.epihiper.engine.Simulation` lane's arrays
+  that ticks mutate, and the network's
+  :class:`~repro.epihiper.engine.SharedNetwork` (its incident CSR and
+  home-edge mask) that every driver builds, once per network.
 
 The per-edge/per-node private constants are summed from the engine's
-actual allocations over the bundle's int32 ids: per edge ``base_active``
-(1) + ``_home_mask`` (1) + suppressor ``count`` i16 (2) + the CSR's
-int32 edge rows and neighbour ids over the 2E incidences (16) = 20; per
+actual allocations over the bundle's int32 ids: per edge suppressor
+``count`` i16 (2) + the network's home-edge mask (1) + the CSR's int32
+edge rows and neighbour ids over the 2E incidences (16) = 19; per
 node ``health`` i8 (1) + progression ``due`` i32 (4) + ``next_state``
 i8 (1) + ``node_susceptibility`` f64 (8) + ``node_infectivity`` f64 (8)
 + the maintained ``_infectious`` mask (1) + the CSR's int64 offsets and
-float64 degree column (16) = 39.  A lane reads the bundle's weight and
-duration columns in place, so neither is counted; a lane that masks
-adds its private float64 weights (8 B per edge), and one that reaches a
-dense tick the dense scan's lookups and buffers (45 B per edge).
+float64 degree column (16) = 39.  A lane reads the bundle's weight,
+duration and base-activity columns in place, so none is counted; a lane
+that masks adds its private float64 weights (8 B per edge), and a
+network whose lanes reach a dense tick the dense scan's lookups and
+buffers (45 B per edge).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from ..epihiper.engine import EDGE_BYTES, NODE_BYTES
 
 #: Private (unshareable) bytes per contact-network edge per worker.
-WORKER_EDGE_BYTES: int = 20
+WORKER_EDGE_BYTES: int = 19
 
 #: Private (unshareable) bytes per person per worker.
 WORKER_NODE_BYTES: int = 39

@@ -18,11 +18,10 @@ Rebuilding from *read-only* views is safe by construction:
 - every ``__post_init__`` on these dataclasses only validates (or fills
   defaults we always serialise explicitly, so the fill branch never runs
   on a mapped read);
-- the engine copies ``active`` → ``base_active`` before the first tick,
-  and reads ``weight`` in place until an NPI first rescales weights,
-  which takes the lane's private float64 copy; nothing writes a bundle
-  column, so simulations on mapped assets are bit-identical to ones on
-  privately built assets.
+- the engine reads ``active`` in place and ``weight`` in place until an
+  NPI first rescales weights, which takes the lane's private float64
+  copy; nothing writes a bundle column, so simulations on mapped assets
+  are bit-identical to ones on privately built assets.
 """
 
 from __future__ import annotations

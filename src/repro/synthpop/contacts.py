@@ -37,9 +37,13 @@ MIN_OVERLAP_MIN: int = 5
 class ContactNetwork:
     """Columnar undirected contact network for one region.
 
-    Edges are stored once with ``source < target``.  The ``active`` flag is
-    the dynamic on/off switch interventions toggle during simulation
-    (Section III: "each edge ... can be turned on and off dynamically").
+    Edges are stored once with ``source < target``.  The ``active`` flag
+    is each edge's base activity, which file round-trips may carry as
+    False; the engine reads it in place and never writes it.
+    Interventions turn edges on and off during a simulation (Section III:
+    "each edge ... can be turned on and off dynamically") through each
+    lane's :class:`~repro.epihiper.interventions.EdgeSuppressor`, and an
+    edge is active when its flag is set and nothing suppresses it.
     """
 
     region_code: str

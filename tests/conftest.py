@@ -6,6 +6,8 @@ suite stays fast while exercising the real code paths.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,49 @@ def _no_pool_across_tests():
 
 #: The transmission kernels a test can run on: two forced, and the rule.
 KERNELS = ("dense", "frontier", "auto")
+
+
+class Exposures(NamedTuple):
+    """One tick's exposures from :func:`one_lane_tick`."""
+
+    n_candidates: int  #: directed susceptible-infectious contacts evaluated
+    pids: np.ndarray  #: persons leaving a susceptible state
+    exposed_codes: np.ndarray  #: state each person enters
+    infectors: np.ndarray  #: the contact that caused each transition
+
+
+def one_lane_tick(kernel, model, health, src, tgt, dur, *, seed=0,
+                  sus=None, inf=None, active=None, weight=None):
+    """One lane's transmission tick over loose arrays with ``kernel``
+    forced, as the driver runs it: a ``CandidateScan`` over a network of
+    the given columns (all edges active and weights 1 unless given),
+    then ``sample_transmissions`` on a fresh stream of ``seed``."""
+    from repro.epihiper.engine import SharedNetwork
+    from repro.epihiper.transmission import (
+        CandidateScan,
+        TransmissionBackend,
+        sample_transmissions,
+    )
+    from repro.synthpop.contacts import ContactNetwork
+
+    n, m = health.shape[0], src.shape[0]
+    ones = np.ones(n)
+    weight = np.ones(m) if weight is None else weight
+    contexts = np.zeros(m, dtype=np.int8)
+    net = SharedNetwork(ContactNetwork(
+        "test", n, src, tgt, np.zeros(m, np.int32), dur, contexts, contexts,
+        weight, np.ones(m, bool) if active is None else active))
+    infectious = model.is_infectious[health]
+    scan = CandidateScan([net])
+    cand = scan.candidates(
+        TransmissionBackend(kernel), model, health, infectious,
+        np.array([infectious @ net.incident.degrees]),
+        np.zeros(m, np.int16), [weight])
+    _sizes, pids, codes, infectors = sample_transmissions(
+        model, [model.transmissibility], [np.random.default_rng(seed)],
+        health, ones if sus is None else sus, ones if inf is None else inf,
+        scan.offsets, cand)
+    return Exposures(int(cand[4][0]), pids, codes, infectors)
 
 
 @pytest.fixture

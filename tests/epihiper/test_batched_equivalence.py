@@ -274,10 +274,12 @@ def test_lanes_on_different_regions_share_a_driver(vt_assets, va_assets):
     activity: each runs on its own, bit-identically to solo."""
     pop, net = vt_assets
     va_pop, va_net = va_assets
-    flipped, _ = make_lane(pop, net, seed=7)
-    flipped.base_active[:50] = False
-    solo_flipped, _ = make_lane(pop, net, seed=7)
-    solo_flipped.base_active[:50] = False
+    # A copy of VT's network with its first 50 edges off.
+    active = net.active.copy()
+    active[:50] = False
+    flipped_net = dataclasses.replace(net, active=active)
+    flipped, _ = make_lane(pop, flipped_net, seed=7)
+    solo_flipped, _ = make_lane(pop, flipped_net, seed=7)
     solo = [make_lane(pop, net, seed=1)[0].run(N_DAYS),
             make_lane(va_pop, va_net, seed=2)[0].run(N_DAYS),
             solo_flipped.run(N_DAYS)]

@@ -63,13 +63,15 @@ N_DAYS = 120
 
 #: Budgets in tracemalloc bytes per edge of VA@1e-3 (30,577 edges,
 #: 8,536 persons), over preparing and running the lanes on an already
-#: built bundle.  Measured here: solo 39.1 held / 84.4 peak, K=4 82.3
-#: held / 114.5 peak; the layout with int64 ids and incidences, a
+#: built bundle.  Measured here: solo 39.6 held / 82.0 peak, K=4 75.1
+#: held / 107.4 peak, since a lane stopped copying the base activity
+#: and a home-edge mask is held once per network (40.6 / 84.1 and
+#: 82.3 / 114.5 before); the layout with int64 ids and incidences, a
 #: float64 duration copy and a float64 weight copy per lane read
 #: 71.0 / 116.3 and 166.0 / 203.4.  "Held" is what the engine keeps once
 #: its result is dropped.
-SOLO_HELD, SOLO_PEAK = 44.0, 89.0
-BATCH_HELD, BATCH_PEAK = 87.0, 119.0
+SOLO_HELD, SOLO_PEAK = 44.0, 86.5
+BATCH_HELD, BATCH_PEAK = 80.0, 112.0
 
 
 @pytest.fixture(scope="module")

@@ -60,27 +60,25 @@ def test_sample_subset_bounds():
 
 def test_suppressor_basic_cycle():
     sup = EdgeSuppressor(10)
-    base = np.ones(10, dtype=bool)
     h = sup.suppress(np.array([1, 2, 3]))
-    active = sup.active_mask(base)
+    active = sup.count == 0
     assert not active[[1, 2, 3]].any()
     assert active[[0, 4]].all()
     sup.release(h)
-    assert sup.active_mask(base).all()
+    assert (sup.count == 0).all()
 
 
 def test_suppressor_overlapping_counts():
     sup = EdgeSuppressor(5)
-    base = np.ones(5, dtype=bool)
     h1 = sup.suppress(np.array([2, 3]))
     h2 = sup.suppress(np.array([3, 4]))
     sup.release(h1)
-    active = sup.active_mask(base)
+    active = sup.count == 0
     assert active[2]
     assert not active[3]  # still held by h2
     assert not active[4]
     sup.release(h2)
-    assert sup.active_mask(base).all()
+    assert (sup.count == 0).all()
 
 
 def test_suppressor_double_release_idempotent():

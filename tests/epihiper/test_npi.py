@@ -23,6 +23,12 @@ from repro.epihiper.npi import (
 from repro.synthpop.activities import COLLEGE, SCHOOL
 
 
+def active_edges(sim):
+    """The lane's effective edge activity: its network's base flag and
+    no live suppression (what the transmission kernels read)."""
+    return sim.net.active & (sim.suppressor.count == 0)
+
+
 def run_sim(assets, model, interventions, days=60, seed=5, n_seeds=20):
     pop, net = assets
     sim = Simulation(model, pop, net, seed=seed,
@@ -37,7 +43,7 @@ def test_sc_disables_school_edges(va_assets, covid_model):
                      interventions=[make_sc(start=0)])
     engine = BatchedSimulation([sim])
     engine.step()
-    active = sim.active_edges()
+    active = active_edges(sim)
     school = (np.isin(net.source_activity, (SCHOOL, COLLEGE))
               | np.isin(net.target_activity, (SCHOOL, COLLEGE)))
     assert not active[school].any()
@@ -51,7 +57,7 @@ def test_sc_reopens_at_end(va_assets, covid_model):
     engine = BatchedSimulation([sim])
     for _ in range(5):
         engine.step()
-    assert sim.active_edges().all()
+    assert active_edges(sim).all()
 
 
 def test_sh_reduces_attack_rate(va_assets, covid_model):
@@ -74,10 +80,10 @@ def test_sh_ends_and_releases(va_assets, covid_model):
                      interventions=[make_sh(1.0, start=0, end=3)])
     engine = BatchedSimulation([sim])
     engine.step()
-    assert not sim.active_edges().all()
+    assert not active_edges(sim).all()
     for _ in range(4):
         engine.step()
-    assert sim.active_edges().all()
+    assert active_edges(sim).all()
 
 
 def test_vhi_isolates_symptomatic(va_assets, covid_model):
@@ -97,7 +103,7 @@ def test_ro_keeps_fraction_closed(va_assets, covid_model):
                      interventions=[make_ro(0.5, start=0)])
     engine = BatchedSimulation([sim])
     engine.step()
-    active = sim.active_edges()
+    active = active_edges(sim)
     closed_frac = 1.0 - active.mean()
     assert 0.1 < closed_frac < 0.6
 
@@ -111,7 +117,7 @@ def test_ps_pulses(va_assets, covid_model):
     engine = BatchedSimulation([sim])
     for _ in range(8):
         engine.step()
-        fractions.append(sim.active_edges().mean())
+        fractions.append(active_edges(sim).mean())
     arr = np.asarray(fractions)
     assert arr.min() < 0.9  # lockdown phases
     assert arr.max() == 1.0  # open phases
@@ -226,7 +232,7 @@ def test_masking_scales_weights(va_assets, covid_model):
     before = sim.edge_weight.copy()
     engine = BatchedSimulation([sim])
     engine.step()
-    home = sim.home_edge_mask()
+    home = sim.network.home
     assert np.allclose(sim.edge_weight[~home], before[~home] * 0.4)
     assert np.allclose(sim.edge_weight[home], before[home])
 

@@ -67,7 +67,7 @@ def assert_derived_state(sim, degrees):
     np.testing.assert_array_equal(sim._infectious, want_inf)
     assert sim._census[model.is_infectious].sum() == want_inf.sum()
     # The degree sum is kept from the moment the incident CSR exists.
-    assert (sim._degrees is None) == (sim._incident is None)
+    assert (sim._degrees is None) == (sim._network is None)
     if sim._degrees is not None:
         assert sim._frontier_degree[0] == degrees[want_inf].sum()
     assert sim.sched.n_pending == int((sim.sched.due > 0).sum())

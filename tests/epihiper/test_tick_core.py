@@ -9,6 +9,8 @@ estimate).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from repro.epihiper.covid import (
     RX_FAILURE,
     build_covid_model_with_symp_fraction,
 )
+from repro.epihiper.engine import SharedNetwork
 from repro.epihiper.interventions import IncidentEdges
 from repro.epihiper.npi import make_sc, make_vaccination
 from repro.epihiper.progression import (
@@ -175,24 +178,25 @@ def test_progression_sweep_equals_one_lane_calls():
 
 def random_lanes(networks, model, seed):
     """Per lane, on its network: heterogeneous health, traits, suppressed
-    edges and weights, with the network's edge columns and CSR."""
+    edges and weights.  Lanes on one network share one
+    :class:`SharedNetwork`, over a copy of the network with about a
+    tenth of its edges' base activity off."""
     codes = np.flatnonzero(model.is_infectious | model.is_susceptible)
     setup = np.random.default_rng(seed)
-    incidents = {}
+    shared = {}
     lanes = []
     for net in networks:
         n, e = net.n_nodes, net.n_edges
-        if id(net) not in incidents:
-            incidents[id(net)] = IncidentEdges(net.source, net.target, n)
+        if id(net) not in shared:
+            shared[id(net)] = SharedNetwork(dataclasses.replace(
+                net, active=setup.random(e) >= 0.1))
         health = setup.choice(codes, n).astype(np.int8)
         lanes.append(dict(
-            edges=(net.source, net.target, net.duration), n=n,
-            incident=incidents[id(net)], health=health,
+            network=shared[id(net)], health=health,
             infectious=model.is_infectious[health],
             node_sus=setup.uniform(0.2, 1.5, n),
             node_inf=setup.uniform(0.2, 1.5, n),
             supp=(setup.random(e) >= 0.8).astype(np.int16),
-            base_active=setup.random(e) >= 0.1,
             weight=setup.uniform(0.5, 1.5, e)))
     return lanes
 
@@ -232,14 +236,13 @@ def lane_call(model, taus, rngs, lanes):
         return np.concatenate([lane[name] for lane in lanes])
 
     infectious = cat("infectious")
-    workloads = np.array([lane["infectious"] @ lane["incident"].degrees
+    workloads = np.array([lane["infectious"]
+                          @ lane["network"].incident.degrees
                           for lane in lanes])
-    scan = CandidateScan([lane["edges"] for lane in lanes],
-                         [lane["n"] for lane in lanes],
-                         [lane["incident"] for lane in lanes])
+    scan = CandidateScan([lane["network"] for lane in lanes])
     return lane_transmissions(
         model, taus, rngs, cat("health"), infectious, workloads,
-        cat("node_sus"), cat("node_inf"), cat("supp"), cat("base_active"),
+        cat("node_sus"), cat("node_inf"), cat("supp"),
         [lane["weight"] for lane in lanes], scan)
 
 

@@ -10,7 +10,8 @@ from repro.epihiper.disease import (
     uniform,
 )
 from repro.epihiper.states import FixedDwell, HealthState
-from repro.epihiper.transmission import transmission_step
+
+from ..conftest import one_lane_tick
 
 
 def make_model(tau=1.0):
@@ -36,17 +37,8 @@ def star_network(n_leaves, duration_min=1440):
 
 def run_step(model, health, src, tgt, dur, seed=0, sus=None, inf=None,
              active=None, weight=None):
-    n = health.shape[0]
-    return transmission_step(
-        model, health,
-        sus if sus is not None else np.ones(n),
-        inf if inf is not None else np.ones(n),
-        src, tgt,
-        active if active is not None else np.ones(src.shape[0], bool),
-        weight if weight is not None else np.ones(src.shape[0]),
-        dur,
-        np.random.default_rng(seed),
-    )
+    return one_lane_tick("dense", model, health, src, tgt, dur, seed=seed,
+                         sus=sus, inf=inf, active=active, weight=weight)
 
 
 def test_no_infectious_no_events():

@@ -2,9 +2,9 @@
 
 The frontier kernel gathers only edges incident to the infectious set and
 sorts them into dense enumeration order, so for the same RNG stream it must
-reproduce the dense kernel's :class:`TransmissionEvents` exactly — pids,
-exposed codes, infectors, and candidate counts, over any network, health
-configuration, and intervention-suppressed edge mask.  The engine picks
+reproduce the dense kernel's exposures exactly — pids, exposed codes,
+infectors, and candidate counts, over any network, health configuration,
+and base edge activity.  The engine picks
 the kernel itself (:func:`auto_backend`); whole runs force one through
 the ``force_kernel`` fixture, whose own tests close this file.
 """
@@ -28,10 +28,9 @@ from repro.epihiper.transmission import (
     FRONTIER_DENSE_CROSSOVER,
     CandidateScan,
     auto_backend,
-    transmission_step,
 )
 
-from ..conftest import KERNELS
+from ..conftest import KERNELS, one_lane_tick
 
 pytestmark = pytest.mark.fast
 
@@ -79,11 +78,11 @@ def assert_events_identical(a, b):
         np.testing.assert_array_equal(x, y, err_msg=field)
 
 
-def run_backend(kernel, model, health, src, tgt, dur, w, active, inc,
+def run_backend(kernel, model, health, src, tgt, dur, w, active,
                 node_sus, node_inf, seed):
-    return transmission_step(
-        model, health, node_sus, node_inf, src, tgt, active, w, dur,
-        np.random.default_rng(seed), kernel=kernel, incident=inc)
+    return one_lane_tick(kernel, model, health, src, tgt, dur, seed=seed,
+                         sus=node_sus, inf=node_inf, active=active,
+                         weight=w)
 
 
 @pytest.mark.parametrize("n_nodes,n_edges", [(40, 120), (300, 1500),
@@ -100,10 +99,9 @@ def test_frontier_matches_dense_bitwise(n_nodes, n_edges, prevalence,
         active = setup.random(n_edges) < active_frac
         node_sus = setup.uniform(0.0, 1.5, n_nodes)
         node_inf = setup.uniform(0.0, 1.5, n_nodes)
-        inc = IncidentEdges(src, tgt, n_nodes)
         model = make_model()
 
-        args = (model, health, src, tgt, dur, w, active, inc,
+        args = (model, health, src, tgt, dur, w, active,
                 node_sus, node_inf, 7 + case_seed)
         dense = run_backend(TransmissionBackend.DENSE, *args)
         frontier = run_backend(TransmissionBackend.FRONTIER, *args)
@@ -120,26 +118,13 @@ def test_both_infectious_endpoints_edge_counted_once():
     w = np.ones(2)
     active = np.ones(2, bool)
     health = np.array([1, 1, 0], dtype=np.int8)
-    inc = IncidentEdges(src, tgt, 3)
     ones = np.ones(3)
     dense = run_backend(TransmissionBackend.DENSE, model, health, src, tgt,
-                        dur, w, active, inc, ones, ones, 5)
+                        dur, w, active, ones, ones, 5)
     frontier = run_backend(TransmissionBackend.FRONTIER, model, health, src,
-                           tgt, dur, w, active, inc, ones, ones, 5)
+                           tgt, dur, w, active, ones, ones, 5)
     assert_events_identical(dense, frontier)
     assert dense.n_candidates == 1  # only 1 -> 2 is a candidate
-
-
-def test_frontier_without_incident_raises():
-    model = make_model()
-    src = np.array([0], dtype=np.int64)
-    tgt = np.array([1], dtype=np.int64)
-    health = np.array([1, 0], dtype=np.int8)
-    with pytest.raises(ValueError, match="IncidentEdges"):
-        transmission_step(
-            model, health, np.ones(2), np.ones(2), src, tgt,
-            np.ones(1, bool), np.ones(1), np.array([60.0]),
-            np.random.default_rng(0), kernel=TransmissionBackend.FRONTIER)
 
 
 def test_backend_coercion():

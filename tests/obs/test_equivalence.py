@@ -1,10 +1,10 @@
 """Instrumentation must observe, never perturb: bit-identical outputs.
 
-The tracer and registry read clocks and count work, but the simulation's
-RNG stream and state evolution must be untouched — a traced run and a bare
-run of the same seed produce byte-for-byte the same outputs, and the trace
-metrics agree with the legacy counter views exactly (same observations,
-not a parallel measurement).
+The registry reads clocks and counts work, but the simulation's RNG
+stream and state evolution must be untouched — a run on its own registry
+and a bare run of the same seed produce byte-for-byte the same outputs,
+and the trace's metrics agree with the legacy counter views exactly (same
+observations, not a parallel measurement).
 """
 
 import numpy as np
@@ -18,30 +18,26 @@ pytestmark = pytest.mark.fast
 N_DAYS = 40
 
 
-def _run(vt_assets, covid_model, *, metrics=None, tracer=None):
+def _run(vt_assets, covid_model, *, metrics=None):
     pop, net = vt_assets
-    sim = Simulation(covid_model, pop, net, seed=11,
-                     metrics=metrics, tracer=tracer)
+    sim = Simulation(covid_model, pop, net, seed=11, metrics=metrics)
     sim.seed_infections(uniform_seeds(pop, 5, sim.rng))
     return sim.run(N_DAYS)
 
 
-def test_traced_run_is_bit_identical(tmp_path, vt_assets, covid_model):
+def test_run_on_own_registry_is_bit_identical(vt_assets, covid_model):
     bare = _run(vt_assets, covid_model)
-    path = tmp_path / "trace.jsonl"
-    with Tracer(path, run_id="equiv") as tr:
-        traced = _run(vt_assets, covid_model,
-                      metrics=MetricsRegistry(), tracer=tr)
+    counted = _run(vt_assets, covid_model, metrics=MetricsRegistry())
 
-    np.testing.assert_array_equal(bare.state_counts, traced.state_counts)
-    np.testing.assert_array_equal(bare.memory_series, traced.memory_series)
-    np.testing.assert_array_equal(bare.log.tick, traced.log.tick)
-    np.testing.assert_array_equal(bare.log.pid, traced.log.pid)
-    np.testing.assert_array_equal(bare.log.state, traced.log.state)
-    np.testing.assert_array_equal(bare.log.infector, traced.log.infector)
+    np.testing.assert_array_equal(bare.state_counts, counted.state_counts)
+    np.testing.assert_array_equal(bare.memory_series, counted.memory_series)
+    np.testing.assert_array_equal(bare.log.tick, counted.log.tick)
+    np.testing.assert_array_equal(bare.log.pid, counted.log.pid)
+    np.testing.assert_array_equal(bare.log.state, counted.log.state)
+    np.testing.assert_array_equal(bare.log.infector, counted.log.infector)
     # Work counters (not clocks) are identical too.
     for key in ("engine.transitions", "engine.contacts_evaluated"):
-        assert bare.metrics.value(key) == traced.metrics.value(key)
+        assert bare.metrics.value(key) == counted.metrics.value(key)
 
 
 def test_trace_phase_totals_equal_legacy_counters(tmp_path, vt_assets,
@@ -49,7 +45,7 @@ def test_trace_phase_totals_equal_legacy_counters(tmp_path, vt_assets,
     path = tmp_path / "trace.jsonl"
     reg = MetricsRegistry()
     with Tracer(path, run_id="phases") as tr:
-        result = _run(vt_assets, covid_model, metrics=reg, tracer=tr)
+        result = _run(vt_assets, covid_model, metrics=reg)
         tr.metrics(reg)
 
     s = summarize(path)

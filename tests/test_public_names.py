@@ -71,9 +71,6 @@ ALLOWLIST = {
     # References the tests check the program against.
     ("store/cas.py", "payload_digest"):
         "the content identity tests/golden/ pins outcomes by",
-    ("epihiper/transmission.py", "transmission_step"):
-        "one lane's tick over loose arrays with the kernel given, the "
-        "reference the kernel-equivalence tests drive",
     # Deletion candidate, kept for now because it carries tests of its
     # own (ROADMAP's satellite pool lists it for a later pass).
     ("cluster/popdb.py", "DatabaseFleet"):
