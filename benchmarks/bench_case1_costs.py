@@ -25,7 +25,7 @@ def outcome():
     })
     design = ExperimentDesign("economic", cells, ("VT", "RI"), 3)
     return run_economic_workflow(
-        regions=("VT", "RI"), design=design, n_days=150, scale=1e-3,
+        design=design, n_days=150, scale=1e-3,
         seed=41)
 
 

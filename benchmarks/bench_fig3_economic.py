@@ -38,7 +38,7 @@ def run_small_economic():
     })
     design = ExperimentDesign("economic", cells, ("VT", "RI"), 2)
     return run_economic_workflow(
-        regions=("VT", "RI"), design=design, n_days=120, scale=1e-3,
+        design=design, n_days=120, scale=1e-3,
         seed=21)
 
 

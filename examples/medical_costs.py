@@ -28,7 +28,7 @@ def main() -> None:
           f"= {design.n_simulations} simulations ==\n")
 
     result = run_economic_workflow(
-        regions=regions, design=design, n_days=150, scale=1e-3, seed=11)
+        design=design, n_days=150, scale=1e-3, seed=11)
 
     print(f"{'scenario':<52} {'attack':>7} {'outpat $M':>10} "
           f"{'hosp $M':>9} {'vent $M':>8} {'total $M':>10}")

@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Central coverage of every ensemble band: the paper's 95%.
+BAND_LEVEL: float = 0.95
+
 
 @dataclass(frozen=True, slots=True)
 class EnsembleBand:
@@ -41,31 +44,19 @@ class EnsembleBand:
             raise ValueError("observed series length mismatch")
         return (observed >= self.lower) & (observed <= self.upper)
 
-    def empirical_coverage(self, observed: np.ndarray) -> float:
-        """Fraction of observed points inside the band."""
-        return float(self.covers(observed).mean())
 
-
-def ensemble_band(
-    series: np.ndarray, *, level: float = 0.95
-) -> EnsembleBand:
-    """Build a quantile band from an ``(R, T)`` stack of replicate series.
-
-    Args:
-        series: replicates x time matrix.
-        level: central coverage of the band (default the paper's 95%).
-    """
+def ensemble_band(series: np.ndarray) -> EnsembleBand:
+    """Build the :data:`BAND_LEVEL` quantile band from an ``(R, T)``
+    stack of replicate series (replicates x time)."""
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 2 or series.shape[0] < 1:
         raise ValueError("series must be (replicates, time) with >= 1 row")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
-    alpha = (1.0 - level) / 2.0
+    alpha = (1.0 - BAND_LEVEL) / 2.0
     return EnsembleBand(
         median=np.quantile(series, 0.5, axis=0),
         lower=np.quantile(series, alpha, axis=0),
         upper=np.quantile(series, 1.0 - alpha, axis=0),
-        level=level,
+        level=BAND_LEVEL,
     )
 
 

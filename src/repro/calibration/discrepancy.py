@@ -24,8 +24,6 @@ def discrepancy_basis(
     t_len: int,
     *,
     p_delta: int = DEFAULT_P_DELTA,
-    sd: float = KERNEL_SD_DAYS,
-    spacing: float = KERNEL_SPACING_DAYS,
 ) -> np.ndarray:
     """Build the ``(t_len, p_delta)`` kernel matrix D.
 
@@ -35,12 +33,12 @@ def discrepancy_basis(
 
     Args:
         t_len: number of time points.
-        p_delta: number of kernels.
-        sd: kernel standard deviation in days.
-        spacing: distance between kernel centres in days.
+        p_delta: number of kernels, :data:`KERNEL_SPACING_DAYS` apart,
+            each :data:`KERNEL_SD_DAYS` wide.
     """
     if t_len < 1 or p_delta < 1:
         raise ValueError("t_len and p_delta must be positive")
+    spacing, sd = KERNEL_SPACING_DAYS, KERNEL_SD_DAYS
     block = (p_delta - 1) * spacing
     if block <= t_len - 1:
         start = (t_len - 1 - block) / 2.0

@@ -21,6 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Optimizer starts per fit; the best optimum is kept.
+GP_RESTARTS: int = 3
+
 
 def gpmsa_correlation(
     x1: np.ndarray, x2: np.ndarray, rho: np.ndarray
@@ -80,14 +83,6 @@ class GPEmulator:
         var = np.maximum(prior_var - np.einsum("ij,ji->i", k, v), 1e-12)
         return mean, var
 
-    def loo_residuals(self) -> np.ndarray:
-        """Leave-one-out standardised residuals (emulator diagnostics)."""
-        from scipy import linalg
-
-        cov_inv = linalg.cho_solve(self._chol, np.eye(len(self.y)))
-        diag = np.diag(cov_inv)
-        return (cov_inv @ self.y) / diag / np.sqrt(1.0 / diag)
-
 
 def _neg_log_marginal(
     params: np.ndarray, x: np.ndarray, y: np.ndarray
@@ -122,33 +117,23 @@ def _neg_log_marginal(
 def fit_gp(
     x: np.ndarray,
     y: np.ndarray,
-    rng: np.random.Generator | None = None,
-    *,
-    seed: int | None = None,
-    n_restarts: int = 3,
+    rng: np.random.Generator,
 ) -> GPEmulator:
     """Fit a :class:`GPEmulator` by regularised maximum marginal likelihood.
 
     The only randomness is the multi-start initialisation, and it is
-    fully determined by the caller: pass either an explicit ``rng`` or a
-    ``seed`` (two fits with the same seed produce identical kernels).
+    fully determined by the caller's ``rng`` (two fits from generators
+    in the same state produce identical kernels).  The best of
+    :data:`GP_RESTARTS` optimizer starts is kept.
 
     Args:
         x: ``(n, d)`` unit-cube inputs.
         y: ``(n,)`` coefficient values.
-        rng: used for multi-start initialisation; mutually exclusive
-            with ``seed``.
-        seed: convenience alternative to ``rng`` — the fit draws its
-            restarts from ``np.random.default_rng(seed)``.
-        n_restarts: optimizer restarts (keeps the best optimum).
+        rng: used for multi-start initialisation.
     """
     from scipy import optimize
     from scipy.special import expit
 
-    if rng is not None and seed is not None:
-        raise ValueError("pass either rng or seed, not both")
-    if rng is None:
-        rng = np.random.default_rng(0 if seed is None else seed)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.shape[0] != y.shape[0]:
@@ -158,7 +143,7 @@ def fit_gp(
     d = x.shape[1]
 
     best_params, best_val = None, np.inf
-    for k in range(n_restarts):
+    for k in range(GP_RESTARTS):
         x0 = np.concatenate([
             rng.normal(1.0, 0.5, size=d),  # logistic(1) ~ rho 0.73
             [rng.normal(0.0, 0.3)],

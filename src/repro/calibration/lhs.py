@@ -11,6 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Candidate designs a maximin LHS chooses among.
+MAXIMIN_CANDIDATES: int = 20
+
 
 @dataclass(frozen=True, slots=True)
 class ParameterSpace:
@@ -67,16 +70,15 @@ def maximin_lhs(
     n: int,
     dim: int,
     rng: np.random.Generator,
-    *,
-    n_candidates: int = 20,
 ) -> np.ndarray:
-    """Pick the candidate LHS with the largest minimum pairwise distance.
+    """Pick, of :data:`MAXIMIN_CANDIDATES` LHS draws, the one with the
+    largest minimum pairwise distance.
 
     A cheap space-filling improvement over plain LHS, standard practice for
     GP emulator designs [46].
     """
     best, best_score = None, -np.inf
-    for _ in range(n_candidates):
+    for _ in range(MAXIMIN_CANDIDATES):
         u = latin_hypercube(n, dim, rng)
         if n > 1:
             d2 = ((u[:, None, :] - u[None, :, :]) ** 2).sum(-1)
@@ -94,9 +96,7 @@ def sample_design(
     space: ParameterSpace,
     n: int,
     rng: np.random.Generator,
-    *,
-    maximin: bool = True,
 ) -> np.ndarray:
-    """An ``(n, dim)`` LHS design over ``space`` in natural units."""
-    u = (maximin_lhs if maximin else latin_hypercube)(n, space.dim, rng)
+    """An ``(n, dim)`` maximin LHS design over ``space`` in natural units."""
+    u = maximin_lhs(n, space.dim, rng)
     return space.from_unit(u)

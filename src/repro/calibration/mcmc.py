@@ -33,10 +33,6 @@ class MCMCResult:
     accept_rate: float
     scales: np.ndarray
 
-    def posterior_mean(self) -> np.ndarray:
-        """Mean of the kept samples."""
-        return self.samples.mean(axis=0)
-
     def credible_interval(self, level: float = 0.95) -> np.ndarray:
         """``(2, d)`` equal-tailed credible bounds."""
         alpha = (1 - level) / 2

@@ -63,17 +63,6 @@ class QuantileEmulator:
                              for gp in self.emulators[k]])
         return self.bases[k].reconstruct(w)
 
-    def predict_spread(self, thetas: np.ndarray) -> np.ndarray:
-        """Predicted inter-quantile spread (max - min level) per theta.
-
-        A cheap stochasticity summary: wide spread marks parameter regions
-        where replicates disagree and single-run calibration would be
-        overconfident.
-        """
-        lo = self.predict_quantile(min(self.quantiles), thetas)
-        hi = self.predict_quantile(max(self.quantiles), thetas)
-        return hi - lo
-
     def median(self, thetas: np.ndarray) -> np.ndarray:
         """Median-curve prediction (requires 0.5 among the levels)."""
         return self.predict_quantile(0.5, thetas)

@@ -79,13 +79,13 @@ class CheckpointPlan:
     """Picklable checkpoint configuration threaded through the fan-out.
 
     Attributes:
-        store_root: CAS directory snapshots are written through.
+        store_root: CAS directory snapshots are written through; its
+            lease table (:func:`~repro.store.cas.lease_dir`) takes the
+            heartbeats.
         every: checkpoint interval in ticks; ``0`` disables checkpointing
             entirely (the tick loop runs unchanged).
         salt: code-version salt for deriving instance cache keys inside
             workers (None = resolve from the worker's own source tree).
-        lease_root: lease-table directory heartbeats re-stamp (None =
-            no heartbeats).
         ledger_path: run-ledger file checkpoint events append to (None =
             no ledger events; pool workers append concurrently, one
             flushed line per event, the same discipline every ledger uses).
@@ -94,7 +94,6 @@ class CheckpointPlan:
     store_root: str
     every: int
     salt: str | None = None
-    lease_root: str | None = None
     ledger_path: str | None = None
 
     @property
@@ -121,7 +120,7 @@ def checkpoint_plan(store: ContentStore | None, every: int, *,
             "--checkpoint-every needs the result store (drop --no-cache)")
     return CheckpointPlan(
         store_root=str(store.root), every=every, salt=salt,
-        lease_root=str(lease_dir(store.root)), ledger_path=ledger)
+        ledger_path=ledger)
 
 
 class CheckpointManager:
@@ -134,8 +133,9 @@ class CheckpointManager:
         # Unbounded handle: checkpoint writes must never trigger the LRU
         # gc from inside a worker (the owning store enforces its bound).
         self.store = ContentStore(Path(plan.store_root))
-        self._leases = (LeaseTable(Path(plan.lease_root))
-                        if plan.lease_root else None)
+        # Heartbeats re-stamp the store's own lease table; a key nobody
+        # holds a lease on is skipped by renew().
+        self._leases = LeaseTable(lease_dir(plan.store_root))
         self._ledger: RunLedger | None = None
         # Per key, while this manager is its writer: the un-dropped ticks
         # (read from the journal once) and a clock since the last heartbeat.
@@ -216,11 +216,10 @@ class CheckpointManager:
         size = path.stat().st_size
         self.metrics.inc("checkpoint.written")
         self.metrics.inc("checkpoint.bytes", int(size))
-        if self._leases is not None:
-            last = self._renewed.get(instance_key)
-            if last is None or last.elapsed() >= self._leases.ttl_s / 4:
-                self._leases.renew(instance_key)
-                self._renewed[instance_key] = Stopwatch()
+        last = self._renewed.get(instance_key)
+        if last is None or last.elapsed() >= self._leases.ttl_s / 4:
+            self._leases.renew(instance_key)
+            self._renewed[instance_key] = Stopwatch()
         self._ledger_event("checkpoint_written", key=instance_key,
                            tick=int(tick), bytes=int(size))
         return blob_key

@@ -32,12 +32,6 @@ from .machines import (
     NIGHTLY_WINDOW,
     RIVANNA,
 )
-from .popdb import (
-    ConnectionLimitExceeded,
-    DBConnection,
-    DatabaseFleet,
-    PopulationDatabase,
-)
 from .slurm import (
     Job,
     JobRecord,
@@ -53,17 +47,13 @@ __all__ = [
     "AccessWindow",
     "BRIDGES",
     "ClusterSpec",
-    "ConnectionLimitExceeded",
     "CostModel",
-    "DBConnection",
-    "DatabaseFleet",
     "GlobusLink",
     "INTERVENTION_RUNTIME_FACTOR",
     "Job",
     "JobEstimate",
     "JobRecord",
     "NIGHTLY_WINDOW",
-    "PopulationDatabase",
     "RIVANNA",
     "ScheduleResult",
     "SlurmSimulator",

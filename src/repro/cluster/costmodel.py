@@ -46,6 +46,15 @@ STEP_OVERHEAD_SECONDS: float = 0.5
 BYTES_PER_EDGE_RESIDENT: float = 420.0
 #: Safety factor between peak memory and the node allocation.
 MEMORY_SAFETY: float = 1.0
+#: Time steps of the mean run the mapping problem plans for.
+EXPECTED_STEPS: int = 200
+#: A run "usually requires between 100 to 300 time steps" (inclusive).
+STEP_RANGE: tuple[int, int] = (100, 300)
+#: Steps at which the modelled interventions trigger (Figure 10), and
+#: the memory each adds per unit of compliance, as a share of the base
+#: (halving with each later intervention).
+INTERVENTION_STEPS: tuple[int, ...] = (30, 90)
+MEMORY_GROWTH_PER_INTERVENTION: float = 0.35
 
 
 def paper_scale_nodes(region: Region | str) -> int:
@@ -106,10 +115,9 @@ class CostModel:
         n_nodes: int,
         *,
         scenario: str = "base",
-        n_steps: int = 200,
     ) -> float:
         """Mean t(T[c, r]) for the mapping problem, in seconds."""
-        return n_steps * self.step_seconds(region, n_nodes, scenario)
+        return EXPECTED_STEPS * self.step_seconds(region, n_nodes, scenario)
 
     def sample_runtime(
         self,
@@ -118,7 +126,6 @@ class CostModel:
         rng: np.random.Generator,
         *,
         scenario: str = "base",
-        step_range: tuple[int, int] = (100, 300),
     ) -> JobEstimate:
         """A stochastic runtime draw (the Figure 8 across-cell variance).
 
@@ -129,7 +136,7 @@ class CostModel:
         """
         if isinstance(region, str):
             region = get_region(region)
-        n_steps = int(rng.integers(step_range[0], step_range[1] + 1))
+        n_steps = int(rng.integers(STEP_RANGE[0], STEP_RANGE[1] + 1))
         noise = rng.lognormal(0.0, 0.12)
         runtime = n_steps * self.step_seconds(region, n_nodes, scenario) * noise
         return JobEstimate(
@@ -152,9 +159,6 @@ class CostModel:
         region: Region | str,
         compliance: float,
         n_steps: int,
-        *,
-        intervention_steps: tuple[int, ...] = (30, 90),
-        growth_per_intervention: float = 0.35,
     ) -> np.ndarray:
         """Modelled memory trajectory over a run (Figure 10).
 
@@ -168,8 +172,8 @@ class CostModel:
         base = self.base_memory_bytes(region)
         t = np.arange(n_steps, dtype=np.float64)
         mem = np.full(n_steps, base)
-        for k, step in enumerate(intervention_steps):
-            bump = growth_per_intervention * compliance * base / (k + 1)
+        for k, step in enumerate(INTERVENTION_STEPS):
+            bump = MEMORY_GROWTH_PER_INTERVENTION * compliance * base / (k + 1)
             mem += bump * (t >= step)
         mem *= 1.0 + 0.0005 * t  # output buffers
         return mem

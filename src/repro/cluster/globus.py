@@ -31,13 +31,7 @@ class TransferRecord:
     src: str
     dst: str
     size_bytes: int
-    started_at: float
     duration: float
-
-    @property
-    def finished_at(self) -> float:
-        """Completion time."""
-        return self.started_at + self.duration
 
 
 @dataclass
@@ -77,8 +71,7 @@ class GlobusLink:
         return STARTUP_SECONDS + self.manual_delay + size_bytes / self.bandwidth
 
     def transfer(
-        self, name: str, src: str, dst: str, size_bytes: int, *,
-        now: float = 0.0,
+        self, name: str, src: str, dst: str, size_bytes: int,
     ) -> TransferRecord:
         """Execute (account) a transfer and append it to the ledger.
 
@@ -114,7 +107,7 @@ class GlobusLink:
                     self.faults.seed, "transfer.wasted", name, attempt))
         rec = TransferRecord(
             name=name, src=src, dst=dst, size_bytes=size_bytes,
-            started_at=now, duration=wasted + duration)
+            duration=wasted + duration)
         self.records.append(rec)
         self.metrics.inc("globus.transfers")
         self.metrics.inc("globus.bytes_out" if src == self.endpoint_a

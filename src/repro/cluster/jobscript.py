@@ -20,6 +20,11 @@ if TYPE_CHECKING:  # pragma: no cover - circular-import guard: this module
     from ..scheduling.levels import PackingResult
     from ..scheduling.wmp import MappingTask
 
+#: Walltime of a population-database server job (it outlives the night's
+#: arrays), and an array's margin over its slowest task.
+DB_WALLTIME_SECONDS: float = 36_000.0
+WALLTIME_SAFETY: float = 1.5
+
 SBATCH_TEMPLATE = """#!/bin/bash
 #SBATCH --job-name={name}
 #SBATCH --nodes={nodes}
@@ -72,12 +77,11 @@ class JobScript:
 
 def database_script(
     region_code: str, *, max_connections: int = 48,
-    walltime_seconds: float = 36_000.0,
 ) -> JobScript:
     """The per-region PostgreSQL snapshot-launch script."""
     content = DB_TEMPLATE.format(
         region=region_code.lower(),
-        walltime=_walltime(walltime_seconds),
+        walltime=_walltime(DB_WALLTIME_SECONDS),
         max_connections=max_connections,
     )
     return JobScript(f"popdb_{region_code.lower()}.sbatch", content)
@@ -90,7 +94,6 @@ def array_script(
     cores_per_node: int = 28,
     level: int | None = None,
     depends_on: str | None = None,
-    safety_factor: float = 1.5,
 ) -> JobScript:
     """A job-array script for one region's tasks (optionally one level).
 
@@ -100,7 +103,6 @@ def array_script(
         cores_per_node: MPI ranks per node.
         level: packing level (embedded in the job name).
         depends_on: job name this array must wait for (level barriers).
-        safety_factor: walltime margin over the slowest task.
     """
     if not tasks:
         raise ValueError("an array needs at least one task")
@@ -110,7 +112,7 @@ def array_script(
     name = f"epi-{region_code.lower()}"
     if level is not None:
         name += f"-l{level}"
-    walltime = max(t.est_time for t in tasks) * safety_factor
+    walltime = max(t.est_time for t in tasks) * WALLTIME_SAFETY
     dependency = ""
     if depends_on:
         dependency = f"\n#SBATCH --dependency=afterok:{depends_on}"

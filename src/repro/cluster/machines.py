@@ -38,10 +38,6 @@ class ClusterSpec:
         """Cores across the allocation."""
         return self.n_nodes * self.cores_per_node
 
-    def core_hours(self, hours: float) -> float:
-        """Core-hours available in a window of ``hours``."""
-        return self.total_cores * hours
-
 
 #: Table II, left column: Bridges HPC Facility allocation.
 BRIDGES = ClusterSpec(

@@ -92,22 +92,16 @@ def raw_bytes_per_simulation(
     raise ValueError(f"unknown raw_record {raw_record!r}")
 
 
-def account_workflow(
-    design: ExperimentDesign,
-    *,
-    attack_rate: float = DEFAULT_ATTACK_RATE,
-    n_days: int = SUMMARY_DAYS,
-    raw_record: str | None = None,
-) -> WorkflowAccounting:
+def account_workflow(design: ExperimentDesign) -> WorkflowAccounting:
     """Compute the Table I row for a design.
 
-    Prediction designs default to dendogram raw output with the shorter
-    prediction horizon's attack rate; others to full transition logs.
+    Prediction designs write dendogram raw output at the shorter
+    prediction horizon's attack rate; others full transition logs.
     """
-    if raw_record is None:
-        raw_record = "dendogram" if design.name == "prediction" else "transition"
-    if raw_record == "dendogram":
-        attack_rate = min(attack_rate, 0.17)  # prediction horizons are short
+    raw_record, attack_rate = "transition", DEFAULT_ATTACK_RATE
+    if design.name == "prediction":
+        # Prediction horizons are short.
+        raw_record, attack_rate = "dendogram", min(attack_rate, 0.17)
     raw_per_cellrep = sum(
         raw_bytes_per_simulation(code, attack_rate, raw_record=raw_record)
         for code in design.regions
@@ -117,7 +111,8 @@ def account_workflow(
                        else BYTES_PER_TREE_ENTRY)
     raw_entries = raw / bytes_per_entry
     summary_entries = (
-        design.n_simulations * n_days * SUMMARY_HEALTH_STATES * SUMMARY_COUNTS
+        design.n_simulations * SUMMARY_DAYS * SUMMARY_HEALTH_STATES
+        * SUMMARY_COUNTS
     )
     return WorkflowAccounting(
         name=design.name,

@@ -67,19 +67,18 @@ def _persons(spec) -> int | None:
 
 def batch_groups(
     specs: Sequence[Any],
-    max_lanes: int = MAX_BATCH_LANES,
 ) -> list[list[int]]:
     """Partition spec indices into batchable groups.
 
     Specs that share a :func:`group_key` form one group, split into
-    consecutive chunks of at most ``max_lanes``.  A spec alone under its
-    key — a *lone* spec — has no replicate partner; the lone specs of one
-    horizon are packed, in input order, into unions of their different
-    networks: a union takes the next lone spec while its persons stay
-    within the largest lone spec's of that horizon (and its lanes within
-    ``max_lanes``), else a new union starts.  The bound comes from the
-    input, so a union's stacks never outgrow what the largest lone lane
-    already costs alone.
+    consecutive chunks of at most :data:`MAX_BATCH_LANES`.  A spec alone
+    under its key — a *lone* spec — has no replicate partner; the lone
+    specs of one horizon are packed, in input order, into unions of their
+    different networks: a union takes the next lone spec while its
+    persons stay within the largest lone spec's of that horizon (and its
+    lanes within :data:`MAX_BATCH_LANES`), else a new union starts.  The
+    bound comes from the input, so a union's stacks never outgrow what
+    the largest lone lane already costs alone.
 
     Groups are ordered by each key's first occurrence in ``specs``, a
     union at its first member's; within a group, indices keep input order
@@ -88,7 +87,6 @@ def batch_groups(
 
     Args:
         specs: objects with the :func:`group_key` fields.
-        max_lanes: lanes per kernel at most.
 
     Returns:
         Index groups covering ``0..len(specs)-1`` exactly once.  A group
@@ -114,7 +112,7 @@ def batch_groups(
         union: list[int] = []
         load = 0
         for i, n in sized:
-            if union and (load + n > cap or len(union) == max_lanes):
+            if union and (load + n > cap or len(union) == MAX_BATCH_LANES):
                 union, load = [], 0
             if not union:
                 unions[i] = union
@@ -126,6 +124,6 @@ def batch_groups(
             if members[0] in unions:
                 groups.append(unions[members[0]])
             continue
-        for lo in range(0, len(members), max_lanes):
-            groups.append(members[lo:lo + max_lanes])
+        for lo in range(0, len(members), MAX_BATCH_LANES):
+            groups.append(members[lo:lo + MAX_BATCH_LANES])
     return groups

@@ -141,7 +141,6 @@ def run_calibration_workflow(
     n_days: int = 80,
     scale: float = DEFAULT_SCALE,
     seed: int = DEFAULT_SEED,
-    space: ParameterSpace | None = None,
     mcmc_samples: int = 1200,
     mcmc_burn_in: int = 800,
     store: ContentStore | None = None,
@@ -158,14 +157,13 @@ def run_calibration_workflow(
         n_days: observation window in ticks.
         scale: simulation scale.
         seed: master seed.
-        space: parameter space override (defaults to the Figure 15 space).
         mcmc_samples / mcmc_burn_in: posterior exploration budget.
         store: optional result store; instances already present are served
             instead of simulated (bit-identical either way).
         ledger: optional run journal for the instance events.
         parallel / max_workers: cell fan-out controls.
     """
-    space = space or case_study_space()
+    space = case_study_space()
     rng = np.random.default_rng((seed, 11))
     asset_key = AssetKey(region_code, scale, seed)
     assets = load_assets(asset_key, store=store)

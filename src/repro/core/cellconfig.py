@@ -109,11 +109,6 @@ class CellConfig:
         """Pretty-printed JSON text of this configuration."""
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "CellConfig":
-        """Rebuild a configuration from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
-
 
 def write_config_bundle(
     configs: list[CellConfig], path: str | Path

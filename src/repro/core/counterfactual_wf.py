@@ -20,9 +20,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ..analytics.aggregate import RegionSummary
-from ..economics.costs import CostParameters, MedicalCosts, compute_medical_costs
+from ..economics.costs import MedicalCosts, compute_medical_costs
 from ..params import DEFAULT_SCALE, DEFAULT_SEED
-from .designs import Cell, ExperimentDesign, economic_design
+from .designs import Cell, ExperimentDesign
 from .parallel import InstanceSpec, run_instances
 from .runner import model_for_params
 
@@ -69,36 +69,26 @@ class EconomicWorkflowResult:
 
 def run_economic_workflow(
     *,
-    regions: tuple[str, ...] = ("VA",),
-    design: ExperimentDesign | None = None,
-    replicates: int = 2,
+    design: ExperimentDesign,
     n_days: int = 120,
     scale: float = DEFAULT_SCALE,
     seed: int = DEFAULT_SEED,
-    cost_params: CostParameters | None = None,
     store=None,
     ledger=None,
 ) -> EconomicWorkflowResult:
     """Execute the economic workflow over a factorial design.
 
     Args:
-        regions: regions simulated (the paper runs all 51; the default
-            keeps the example laptop-sized).
-        design: factorial design; defaults to the Figure 3 12-cell design
-            restricted to ``regions`` and ``replicates``.
-        replicates: replicates per cell-region.
+        design: factorial design, e.g. the Figure 3 12-cell design
+            restricted to a few regions and replicates.
         n_days: simulation horizon.
         scale: simulation scale.
         seed: master seed; run ``i`` of the design (cell, then region,
             then replicate order) simulates with ``seed + 9000 + i``.
-        cost_params: unit-cost overrides.
         store: optional result store; runs already present are served
             instead of simulated (bit-identical either way).
         ledger: optional run journal for the instance events.
     """
-    if design is None:
-        base = economic_design(replicates)
-        design = ExperimentDesign(base.name, base.cells, regions, replicates)
     specs = [
         InstanceSpec(
             region_code=region, params=dict(cell.params), n_days=n_days,
@@ -113,7 +103,7 @@ def run_economic_workflow(
         cell_runs = runs[j * n_runs:(j + 1) * n_runs]
         costs = [compute_medical_costs(
                      r.summary, model_for_params(r.spec.params),
-                     scale=scale, params=cost_params)
+                     scale=scale)
                  for r in cell_runs]
         outcomes.append(ScenarioOutcome(
             cell=cell,

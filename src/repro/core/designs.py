@@ -110,7 +110,7 @@ def lhs_cells(
 # --- the paper's named designs ---------------------------------------------------
 
 
-def economic_design(replicates: int = 15) -> ExperimentDesign:
+def economic_design() -> ExperimentDesign:
     """Figure 3: (2 VHI compliances x 3 lockdown durations x 2 lockdown
     compliances) x 51 states x 15 replicates = 9,180 simulations."""
     cells = factorial_cells({
@@ -118,29 +118,27 @@ def economic_design(replicates: int = 15) -> ExperimentDesign:
         "lockdown_days": [30, 45, 60],
         "sh_compliance": [0.6, 0.9],
     })
-    return ExperimentDesign("economic", cells, ALL_CODES, replicates)
+    return ExperimentDesign("economic", cells, ALL_CODES, replicates=15)
 
 
-def prediction_design(replicates: int = 15) -> ExperimentDesign:
+def prediction_design() -> ExperimentDesign:
     """Figure 5: (3 partial reopening levels x 4 contact tracing
     compliances) x 51 states x 15 replicates = 9,180 simulations."""
     cells = factorial_cells({
         "reopen_level": [0.25, 0.5, 0.75],
         "tracing_compliance": [0.2, 0.4, 0.6, 0.8],
     })
-    return ExperimentDesign("prediction", cells, ALL_CODES, replicates)
+    return ExperimentDesign("prediction", cells, ALL_CODES, replicates=15)
 
 
-def calibration_design(
-    n_cells: int = 300, seed: int = 0
-) -> ExperimentDesign:
+def calibration_design(seed: int = 0) -> ExperimentDesign:
     """Figure 4: 300 cells x 51 states x 1 replicate = 15,300 simulations.
 
     Cells sample the case-study-3 parameter space: disease transmissibility
     (TAU), symptomatic fraction (SYMP), and SH / VHI compliances.
     """
     rng = np.random.default_rng(seed)
-    cells = lhs_cells(case_study_space(), n_cells, rng)
+    cells = lhs_cells(case_study_space(), 300, rng)
     return ExperimentDesign("calibration", cells, ALL_CODES, replicates=1)
 
 

@@ -44,13 +44,6 @@ class WorkflowRun:
         """Modelled completion time of the last task."""
         return max((r.finished for r in self.runs), default=0.0)
 
-    def task_run(self, name: str) -> TaskRun:
-        """Provenance of one task."""
-        for r in self.runs:
-            if r.task_name == name:
-                return r
-        raise KeyError(name)
-
 
 class WorkflowEngine:
     """Topologically executes a task graph."""

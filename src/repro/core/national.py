@@ -42,10 +42,6 @@ class NationalRun:
         """Sum of a target's series over regions."""
         return self.series[target_name].sum(axis=0)
 
-    def region_series(self, target_name: str, code: str) -> np.ndarray:
-        """One region's series for a target."""
-        return self.series[target_name][self.regions.index(code)]
-
 
 def run_national(
     params: dict[str, Any],

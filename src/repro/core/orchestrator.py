@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 from ..cluster.globus import GlobusLink
 from ..cluster.machines import BRIDGES, NIGHTLY_WINDOW, AccessWindow, ClusterSpec
-from ..cluster.popdb import SNAPSHOT_SECONDS_PER_M
 from ..cluster.slurm import ScheduleResult
 from ..obs.registry import MetricsRegistry
 from ..obs.spans import Tracer
@@ -44,6 +43,12 @@ AGGREGATION_SECONDS: float = 1800.0
 #: volume falls in Table II's 100MB-8.7GB daily range: the 12-cell
 #: prediction design ships ~0.3GB, the 300-cell calibration design ~7.7GB.
 CONFIG_BYTES_PER_CELL: float = 0.5 * MB
+
+#: Modelled population-database start-up (seconds) per million persons,
+#: from a snapshot — "to speed up the start of the population databases,
+#: snapshots of the databases are generated when the populations are
+#: initially created".
+SNAPSHOT_SECONDS_PER_M: float = 30.0
 
 #: Modelled checkpoint costs for ``orchestrate_night(checkpoint_every=N)``.
 #: Nightly production runs simulate ~4 months of epidemic; one snapshot is

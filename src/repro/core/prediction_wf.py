@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analytics.ensembles import EnsembleBand, ensemble_band, pool_cells
-from ..analytics.targets import ALL_TARGETS, Target, target_series
+from ..analytics.targets import ALL_TARGETS, target_series
 from ..params import DEFAULT_SEED
 from .calibration_wf import CalibrationWorkflowResult
 from .parallel import InstanceSpec, gather_ensemble, run_instances
@@ -94,7 +94,6 @@ def run_prediction_workflow(
     horizon: int = 56,
     reopen_levels: tuple[float, ...] = (),
     tracing_compliances: tuple[float, ...] = (),
-    targets: tuple[Target, ...] = ALL_TARGETS,
     seed: int = DEFAULT_SEED,
     store=None,
     ledger=None,
@@ -107,7 +106,6 @@ def run_prediction_workflow(
         replicates: replicates per cell.
         horizon: forecast ticks (Figure 17 shows 8 weeks = 56 days).
         reopen_levels / tracing_compliances: optional what-if factors.
-        targets: forecast targets to band.
         seed: RNG seed; member ``m`` simulates with ``seed + 5000 + m``.
         store: optional result store; members already present are served
             instead of simulated (bit-identical either way).
@@ -147,7 +145,7 @@ def run_prediction_workflow(
             t.name: ensemble_band(pool_cells([
                 target_series(o.summary, model_for_params(o.spec.params), t)
                 for o in outcomes]))
-            for t in targets
+            for t in ALL_TARGETS
         },
         history=calibration.observed,
         what_if=tuple(label for label, _params in members),

@@ -25,6 +25,11 @@ from .calibration_wf import CalibrationWorkflowResult
 from .prediction_wf import PredictionWorkflowResult
 from .review import ReviewOutcome, review_prediction
 
+#: Forecast rows of the briefing (days ahead).
+FORECAST_HORIZONS: tuple[int, ...] = (7, 14, 28)
+#: Days compared by the situation line's trend label.
+TREND_DAYS: int = 14
+
 
 @dataclass(frozen=True)
 class WeeklyReport:
@@ -40,13 +45,9 @@ class WeeklyReport:
     text: str
     review: ReviewOutcome
 
-    @property
-    def approved_for_release(self) -> bool:
-        """Whether the embedded review accepted the forecast."""
-        return self.review.accepted
 
-
-def _trend_label(history: np.ndarray, window: int = 14) -> str:
+def _trend_label(history: np.ndarray) -> str:
+    window = TREND_DAYS
     if history.shape[0] < window + 1:
         return "insufficient history"
     recent = float(history[-1] - history[-window - 1])
@@ -67,15 +68,12 @@ def _trend_label(history: np.ndarray, window: int = 14) -> str:
 def generate_weekly_report(
     calibration: CalibrationWorkflowResult,
     prediction: PredictionWorkflowResult,
-    *,
-    horizons: tuple[int, ...] = (7, 14, 28),
 ) -> WeeklyReport:
     """Render the weekly briefing for one region.
 
     Args:
         calibration: the week's calibration output.
         prediction: the forecast built on it.
-        horizons: forecast rows to include (days ahead).
     """
     region = calibration.region_code
     history = prediction.history
@@ -102,7 +100,7 @@ def generate_weekly_report(
     # Forecast.
     lines.append(f"FORECAST (cumulative confirmed, {prediction.n_members}"
                  "-member ensemble)")
-    for h in horizons:
+    for h in FORECAST_HORIZONS:
         d = min(t0 + h, band.n_days - 1)
         lines.append(
             f"  +{h:>2}d  median {band.median[d]:>9,.0f}   "

@@ -21,6 +21,16 @@ import numpy as np
 
 from .prediction_wf import PredictionWorkflowResult
 
+#: Review thresholds: the forecast's first-day median may sit this far
+#: (relative) from the last observation; its growth over the first
+#: ``TREND_WINDOW`` days may differ from the observed growth over the
+#: last ``TREND_WINDOW`` days by this factor either way; the final 95 %
+#: band may be this many medians wide.
+CONTINUITY_TOLERANCE: float = 0.35
+TREND_RATIO_LIMIT: float = 4.0
+MAX_RELATIVE_WIDTH: float = 6.0
+TREND_WINDOW: int = 14
+
 
 @dataclass(frozen=True, slots=True)
 class ReviewFinding:
@@ -59,24 +69,20 @@ class ReviewOutcome:
 
 def review_prediction(
     prediction: PredictionWorkflowResult,
-    *,
-    continuity_tolerance: float = 0.35,
-    trend_ratio_limit: float = 4.0,
-    max_relative_width: float = 6.0,
-    trend_window: int = 14,
 ) -> ReviewOutcome:
     """Run the consistency checklist on a prediction.
 
     Checks:
 
     1. **Continuity** — the forecast median at the forecast start is within
-       ``continuity_tolerance`` (relative) of the last observed value.
+       :data:`CONTINUITY_TOLERANCE` (relative) of the last observed value.
     2. **Trend consistency** — the median's growth over the first
-       ``trend_window`` forecast days is within ``trend_ratio_limit`` x of
-       the observed growth over the last ``trend_window`` history days
+       :data:`TREND_WINDOW` forecast days is within
+       :data:`TREND_RATIO_LIMIT` x of the observed growth over the last
+       :data:`TREND_WINDOW` history days
        (in either direction), unless both are negligible.
     3. **Band sanity** — the 95% band is non-degenerate (some members
-       differ) and not absurd (width under ``max_relative_width`` x the
+       differ) and not absurd (width under :data:`MAX_RELATIVE_WIDTH` x the
        median at the final horizon).
     4. **Monotonicity** — a cumulative-count forecast median never falls.
     """
@@ -92,12 +98,12 @@ def review_prediction(
     denom = max(last_obs, 1.0)
     rel = abs(joined - last_obs) / denom
     findings.append(ReviewFinding(
-        "continuity", rel <= continuity_tolerance,
+        "continuity", rel <= CONTINUITY_TOLERANCE,
         f"median on first forecast day {joined:.1f} vs observed "
         f"{last_obs:.1f} ({rel:.0%} off)"))
 
-    obs_growth = float(history[-1] - history[max(0, t0 - trend_window)])
-    fc_growth = float(band.median[min(t0 + trend_window,
+    obs_growth = float(history[-1] - history[max(0, t0 - TREND_WINDOW)])
+    fc_growth = float(band.median[min(t0 + TREND_WINDOW,
                                       band.n_days - 1)] - band.median[t0])
     if obs_growth < 1.0 and fc_growth < 1.0:
         trend_ok, detail = True, "both trends negligible"
@@ -106,8 +112,8 @@ def review_prediction(
         detail = (f"observed flat, forecast grows {fc_growth:.1f}")
     else:
         ratio = fc_growth / obs_growth
-        trend_ok = (1.0 / trend_ratio_limit) <= max(ratio, 1e-9) \
-            <= trend_ratio_limit
+        trend_ok = (1.0 / TREND_RATIO_LIMIT) <= max(ratio, 1e-9) \
+            <= TREND_RATIO_LIMIT
         detail = f"forecast/observed growth ratio {ratio:.2f}"
     findings.append(ReviewFinding("trend-consistency", trend_ok, detail))
 
@@ -116,7 +122,7 @@ def review_prediction(
     degenerate = np.allclose(prediction.confirmed_ensemble,
                              prediction.confirmed_ensemble[0])
     width_ok = (not degenerate) and (
-        final_width <= max_relative_width * final_median)
+        final_width <= MAX_RELATIVE_WIDTH * final_median)
     findings.append(ReviewFinding(
         "band-sanity", width_ok,
         f"final width {final_width:.1f} vs median {final_median:.1f}"

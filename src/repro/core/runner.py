@@ -82,13 +82,13 @@ class _AssetCache:
     Every entry is charged :func:`~repro.plane.bundle.bundle_nbytes` —
     bundles mapped from the store and private builds alike — and
     inserting evicts least-recently-used entries until the total fits
-    ``max_bytes``.  The entry just inserted is never dropped, so a single
-    bundle larger than the whole budget still runs.  Publishes ``assets.cache.hits`` /
-    ``misses`` / ``evictions`` and the ``assets.cache.bytes`` gauge.
+    :data:`ASSET_CACHE_BYTES`.  The entry just inserted is never dropped,
+    so a single bundle larger than the whole budget still runs.
+    Publishes ``assets.cache.hits`` / ``misses`` / ``evictions`` and the
+    ``assets.cache.bytes`` gauge.
     """
 
-    def __init__(self, max_bytes: int = ASSET_CACHE_BYTES) -> None:
-        self.max_bytes = max_bytes
+    def __init__(self) -> None:
         self._entries: OrderedDict[AssetKey, RegionAssets] = OrderedDict()
 
     def get(self, key: AssetKey, reg) -> RegionAssets | None:
@@ -106,7 +106,7 @@ class _AssetCache:
         # Sizes are recomputed (~15 us each), not stored: an insert is
         # already a miss that cost a build or an attach.
         total = sum(bundle_nbytes(a) for a in self._entries.values())
-        while total > self.max_bytes and len(self._entries) > 1:
+        while total > ASSET_CACHE_BYTES and len(self._entries) > 1:
             _key, dropped = self._entries.popitem(last=False)
             total -= bundle_nbytes(dropped)
             reg.inc("assets.cache.evictions")
@@ -219,13 +219,11 @@ def load_region_assets(
     region_code: str,
     scale: float = DEFAULT_SCALE,
     seed: int = DEFAULT_SEED,
-    truth_days: int = 210,
     *,
     metrics=None,
 ) -> RegionAssets:
     """Build (or reuse) one region's inputs."""
-    return load_assets(AssetKey(region_code, scale, seed, truth_days),
-                       metrics=metrics)
+    return load_assets(AssetKey(region_code, scale, seed), metrics=metrics)
 
 
 def build_interventions(params: dict[str, Any]) -> list:

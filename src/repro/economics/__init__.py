@@ -1,14 +1,12 @@
 """Medical-cost analytics (Case study 1)."""
 
 from .costs import (
-    CostParameters,
     MedicalCosts,
     compute_medical_costs,
     cost_per_capita,
 )
 
 __all__ = [
-    "CostParameters",
     "MedicalCosts",
     "compute_medical_costs",
     "cost_per_capita",

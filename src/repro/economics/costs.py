@@ -29,21 +29,13 @@ from ..epihiper.disease import DiseaseModel
 _ATTENDANCE = Target("attended", "is_symptomatic")
 
 
-@dataclass(frozen=True, slots=True)
-class CostParameters:
-    """Unit medical costs (2020 US dollars).
-
-    Attributes:
-        outpatient_visit: per medically attended case.
-        hospital_day: per inpatient bed-day (non-ICU average).
-        ventilator_day: ICU increment per ventilated day.
-        hospital_admission: fixed admission cost.
-    """
-
-    outpatient_visit: float = 330.0
-    hospital_day: float = 2_500.0
-    ventilator_day: float = 4_000.0
-    hospital_admission: float = 3_000.0
+#: Unit medical costs (2020 US dollars): per medically attended case, per
+#: inpatient bed-day (non-ICU average), ICU increment per ventilated day,
+#: and the fixed cost of an admission.
+OUTPATIENT_VISIT_COST: float = 330.0
+HOSPITAL_DAY_COST: float = 2_500.0
+VENTILATOR_DAY_COST: float = 4_000.0
+HOSPITAL_ADMISSION_COST: float = 3_000.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,7 +59,6 @@ def compute_medical_costs(
     model: DiseaseModel,
     *,
     scale: float,
-    params: CostParameters | None = None,
 ) -> MedicalCosts:
     """Cost a simulated scenario.
 
@@ -76,11 +67,9 @@ def compute_medical_costs(
         model: the disease model (state flags).
         scale: the simulation scale; counts are multiplied by ``1 / scale``
             to report paper-scale totals.
-        params: unit costs.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
-    p = params or CostParameters()
     gross = 1.0 / scale
 
     attended = float(target_series(summary, model, DAILY_CASES).sum())
@@ -89,10 +78,10 @@ def compute_medical_costs(
     admissions = float(target_series(summary, model, HOSPITALIZATIONS).sum())
 
     return MedicalCosts(
-        outpatient=attended * p.outpatient_visit * gross,
-        hospital=bed_days * p.hospital_day * gross,
-        ventilator=vent_days * p.ventilator_day * gross,
-        admissions=admissions * p.hospital_admission * gross,
+        outpatient=attended * OUTPATIENT_VISIT_COST * gross,
+        hospital=bed_days * HOSPITAL_DAY_COST * gross,
+        ventilator=vent_days * VENTILATOR_DAY_COST * gross,
+        admissions=admissions * HOSPITAL_ADMISSION_COST * gross,
     )
 
 

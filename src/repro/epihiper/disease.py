@@ -190,11 +190,6 @@ class DiseaseModel:
         """Integer code of state ``name``."""
         return self.index[name]
 
-    def terminal_states(self) -> list[str]:
-        """States with no outgoing progression (Recovered, Death, ...)."""
-        return [s.name for i, s in enumerate(self.states)
-                if i not in self.out_edges]
-
     def expected_path_lengths(self) -> dict[str, float]:
         """Expected ticks from each state to absorption (age-group mean).
 

@@ -14,6 +14,10 @@ import numpy as np
 from ..synthpop.persons import Population
 from .engine import Simulation
 
+#: Share of the population seeded from surveillance, and its floor.
+SEED_FRACTION: float = 0.002
+MIN_SEEDS: int = 5
+
 
 def proportional_county_seeds(
     pop: Population,
@@ -63,16 +67,14 @@ def uniform_seeds(
 def initialize_from_surveillance(
     sim: Simulation,
     county_cases: dict[int, float],
-    *,
-    seed_fraction: float = 0.002,
-    minimum: int = 5,
 ) -> np.ndarray:
     """Seed a simulation proportionally to surveillance case counts.
 
-    ``seed_fraction`` of the population (at least ``minimum`` persons) enters
-    the Exposed state at tick 0.  Returns the seeded person ids.
+    :data:`SEED_FRACTION` of the population (at least :data:`MIN_SEEDS`
+    persons) enters the Exposed state at tick 0.  Returns the seeded
+    person ids.
     """
-    n_seeds = max(minimum, int(round(sim.pop.size * seed_fraction)))
+    n_seeds = max(MIN_SEEDS, int(round(sim.pop.size * SEED_FRACTION)))
     pids = proportional_county_seeds(sim.pop, county_cases, n_seeds, sim.rng)
     sim.seed_infections(pids)
     return pids

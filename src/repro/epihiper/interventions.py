@@ -238,14 +238,6 @@ class IncidentEdges:
         shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
         return shift + np.arange(total, dtype=np.int64)
 
-    def edge_rows_of(self, pids: np.ndarray) -> np.ndarray:
-        """Incident edge rows of ``pids``, with one entry per incidence.
-
-        An edge whose both endpoints are in ``pids`` appears twice; callers
-        wanting the deduplicated (and ascending) set apply ``np.unique``.
-        """
-        return self._rows[self._gather_slots(pids)].astype(np.intp)
-
     def edges_of(self, pids: np.ndarray) -> np.ndarray:
         """Unique edge rows incident to any of ``pids`` (ascending)."""
         rows = self._rows[self._gather_slots(pids)]

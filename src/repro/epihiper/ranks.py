@@ -80,10 +80,6 @@ class RankProfile:
         """Speedup relative to a 1-rank profile of the same run."""
         return serial.total_time / self.total_time
 
-    def efficiency_over(self, serial: "RankProfile") -> float:
-        """Parallel efficiency: speedup / ranks."""
-        return self.speedup_over(serial) / self.n_ranks
-
 
 def simulate_rank_execution(
     result: SimulationResult,
@@ -141,15 +137,10 @@ def strong_scaling_curve(
     result: SimulationResult,
     net: ContactNetwork,
     rank_counts: list[int],
-    partition_fn=None,
 ) -> list[RankProfile]:
-    """Profiles across ``rank_counts`` for a strong-scaling study.
-
-    ``partition_fn(net, p)`` defaults to the paper's threshold algorithm.
-    """
+    """Profiles across ``rank_counts`` for a strong-scaling study, each
+    partitioned by the paper's threshold algorithm."""
     from .partition import partition_threshold
 
-    fn = partition_fn or partition_threshold
-    return [
-        simulate_rank_execution(result, net, fn(net, p)) for p in rank_counts
-    ]
+    return [simulate_rank_execution(result, net, partition_threshold(net, p))
+            for p in rank_counts]

@@ -26,6 +26,9 @@ from ..calibration.mcmc import MCMCResult, metropolis
 NOISE_FRACTION: float = 0.20
 #: Noise floor so zero-count days do not produce a degenerate likelihood.
 NOISE_FLOOR: float = 1.0
+#: Uniform prior ranges of the calibrated (beta, infectious_days).
+BETA_BOUNDS: tuple[float, float] = (0.1, 0.8)
+INFECTIOUS_BOUNDS: tuple[float, float] = (3.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -86,8 +89,6 @@ def calibrate_metapop(
     model: MetapopModel,
     truth: GroundTruth,
     *,
-    beta_bounds: tuple[float, float] = (0.1, 0.8),
-    infectious_bounds: tuple[float, float] = (3.0, 10.0),
     n_samples: int = 1000,
     burn_in: int = 600,
     seed: int = DEFAULT_SEED,
@@ -96,12 +97,12 @@ def calibrate_metapop(
     """Calibrate (beta, infectious_days) against county surveillance.
 
     Runs the deterministic model inside the Metropolis loop, exactly as the
-    paper describes for the metapopulation pathway.
+    paper describes for the metapopulation pathway, under uniform priors
+    on :data:`BETA_BOUNDS` x :data:`INFECTIOUS_BOUNDS`.
 
     Args:
         model: the county system (county count must match ``truth``).
         truth: the observed series.
-        beta_bounds / infectious_bounds: uniform prior ranges.
         n_samples / burn_in: MCMC budget.
         seed: RNG seed.
         initial_infected: total initial infections spread over counties.
@@ -110,8 +111,8 @@ def calibrate_metapop(
         raise ValueError("model and truth county counts differ")
     space = ParameterSpace(
         ("beta", "infectious_days"),
-        np.asarray([beta_bounds[0], infectious_bounds[0]]),
-        np.asarray([beta_bounds[1], infectious_bounds[1]]),
+        np.asarray([BETA_BOUNDS[0], INFECTIOUS_BOUNDS[0]]),
+        np.asarray([BETA_BOUNDS[1], INFECTIOUS_BOUNDS[1]]),
     )
     rng = np.random.default_rng(seed)
 
@@ -136,8 +137,8 @@ def calibrate_metapop(
         return county_log_likelihood(result.confirmed, obs_daily)
 
     theta0 = np.asarray([
-        (beta_bounds[0] + beta_bounds[1]) / 2,
-        (infectious_bounds[0] + infectious_bounds[1]) / 2,
+        (BETA_BOUNDS[0] + BETA_BOUNDS[1]) / 2,
+        (INFECTIOUS_BOUNDS[0] + INFECTIOUS_BOUNDS[1]) / 2,
     ])
     mcmc = metropolis(
         log_post, theta0,

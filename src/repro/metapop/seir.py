@@ -88,12 +88,10 @@ class MetapopResult:
         return float(np.abs(totals - totals[0]).max())
 
 
-def gravity_coupling(
-    county_pop: np.ndarray, mixing: float = DEFAULT_MIXING
-) -> np.ndarray:
+def gravity_coupling(county_pop: np.ndarray) -> np.ndarray:
     """Row-stochastic county contact matrix.
 
-    Diagonal mass ``1 - mixing``; the remaining mass spreads over other
+    Diagonal mass ``1 -`` :data:`DEFAULT_MIXING`; the rest spreads over other
     counties proportionally to their population (a gravity model with unit
     distance, standing in for ACS commute flows).
     """
@@ -104,7 +102,7 @@ def gravity_coupling(
     w = np.tile(county_pop, (c, 1))
     np.fill_diagonal(w, 0.0)
     w /= w.sum(axis=1, keepdims=True)
-    return (1.0 - mixing) * np.eye(c) + mixing * w
+    return (1.0 - DEFAULT_MIXING) * np.eye(c) + DEFAULT_MIXING * w
 
 
 class MetapopModel:
@@ -115,14 +113,13 @@ class MetapopModel:
         county_pop: np.ndarray,
         *,
         coupling: np.ndarray | None = None,
-        mixing: float = DEFAULT_MIXING,
     ) -> None:
         self.county_pop = np.asarray(county_pop, dtype=np.float64)
         if (self.county_pop <= 0).any():
             raise ValueError("county populations must be positive")
         self.coupling = (
             coupling if coupling is not None
-            else gravity_coupling(self.county_pop, mixing)
+            else gravity_coupling(self.county_pop)
         )
         c = self.county_pop.shape[0]
         if self.coupling.shape != (c, c):
@@ -132,17 +129,16 @@ class MetapopModel:
 
     @classmethod
     def for_region(
-        cls, region: Region | str, *, mixing: float = DEFAULT_MIXING,
-        seed: int = DEFAULT_SEED,
+        cls, region: Region | str,
     ) -> "MetapopModel":
         """Build a model from a region's heavy-tailed county populations."""
         if isinstance(region, str):
             region = get_region(region)
-        rng = np.random.default_rng((seed, region.fips, 7))
+        rng = np.random.default_rng((DEFAULT_SEED, region.fips, 7))
         ranks = np.arange(1, region.counties + 1, dtype=np.float64)
         w = ranks ** -0.9 * rng.lognormal(0.0, 0.25, size=region.counties)
         pops = np.maximum(w / w.sum() * region.population, 100.0)
-        return cls(pops, mixing=mixing)
+        return cls(pops)
 
     @property
     def n_counties(self) -> int:

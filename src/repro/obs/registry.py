@@ -145,20 +145,21 @@ class MetricsRegistry:
 
     # -- consumption -----------------------------------------------------------
 
-    def value(self, name: str, default: int | float = 0) -> int | float:
-        """Current value of a metric (timers report total seconds)."""
+    def value(self, name: str) -> int | float:
+        """Current value of a metric (timers report total seconds; 0 for
+        a metric never published)."""
         m = self._metrics.get(name)
-        return default if m is None else m.value
+        return 0 if m is None else m.value
 
     def count(self, name: str) -> int:
         """Observation count of a timer (0 for anything else or missing)."""
         m = self._metrics.get(name)
         return 0 if m is None else m.count
 
-    def names(self, prefix: str = "") -> list[str]:
-        """Sorted metric names, optionally restricted to a prefix."""
+    def names(self) -> list[str]:
+        """Sorted metric names."""
         with self._lock:
-            return sorted(n for n in self._metrics if n.startswith(prefix))
+            return sorted(self._metrics)
 
     def snapshot(self, prefix: str = "",
                  strip: bool = False) -> dict[str, int | float]:
@@ -240,12 +241,12 @@ class Stopwatch:
 
 
 class PhaseClock:
-    """Per-phase seconds a hot loop accumulates in plain floats, flushed
-    into a registry as timers by :meth:`flush` (:meth:`MetricsRegistry.
-    observe_n`): no lock and no context manager per phase.
+    """Per-phase seconds a hot loop accumulates in plain floats: no lock
+    and no context manager per phase.
 
     :meth:`start` opens a lap; :meth:`lap` charges the time since the
-    previous mark to one phase and opens the next.
+    previous mark to one phase and opens the next.  The owner reads and
+    resets :attr:`seconds` when it publishes them.
     """
 
     __slots__ = ("names", "seconds", "_t")
@@ -264,16 +265,6 @@ class PhaseClock:
         t = time.perf_counter()
         self.seconds[phase] += t - self._t
         self._t = t
-
-    def flush(self, registry: MetricsRegistry, prefix: str, n: int) -> None:
-        """Observe each phase's unflushed seconds as ``n`` observations of
-        ``<prefix><name>``, then reset.  With ``n <= 0`` nothing is
-        observed and the seconds keep accruing."""
-        if n <= 0:
-            return
-        for name, seconds in zip(self.names, self.seconds):
-            registry.observe_n(prefix + name, seconds, n)
-        self.seconds = [0.0] * len(self.names)
 
 
 #: Process-wide aggregation point: components that are not handed a

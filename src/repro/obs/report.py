@@ -234,8 +234,6 @@ def summarize(source: "str | Path | Tracer | tuple") -> TraceSummary:
     return summarize_events(tuple(source))
 
 
-def export_json(source: "str | Path | Tracer | tuple", *,
-                indent: int = 2) -> str:
+def export_json(source: "str | Path | Tracer | tuple") -> str:
     """The JSON export body (stable key order for diffable dashboards)."""
-    return json.dumps(summarize(source).to_json(),
-                      indent=indent, sort_keys=True)
+    return json.dumps(summarize(source).to_json(), indent=2, sort_keys=True)

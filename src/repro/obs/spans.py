@@ -76,13 +76,12 @@ class Tracer:
     """Records a span tree, optionally streaming events to a JSONL file."""
 
     def __init__(self, path: str | Path | None = None, *,
-                 run_id: str | None = None, fresh: bool = True,
-                 faults=None) -> None:
+                 run_id: str | None = None, faults=None) -> None:
         """Args:
-            path: JSONL trace file; None keeps the trace in memory only.
+            path: JSONL trace file, truncated first — one trace file is
+                one run; within the run every event is appended and
+                flushed.  None keeps the trace in memory only.
             run_id: stamped on every event (ties a trace to a night).
-            fresh: truncate an existing file first — one trace file is one
-                run; within the run every event is appended and flushed.
             faults: optional :class:`~repro.resilience.faults.FaultPlan`
                 forwarded to the trace's journal; ``ledger.torn`` rules
                 tear trace lines exactly as they tear run-ledger lines
@@ -99,7 +98,7 @@ class Tracer:
             from ..store.ledger import RunLedger
 
             path = Path(path)
-            if fresh and path.exists():
+            if path.exists():
                 path.unlink()
             self._ledger = RunLedger(path, run_id=run_id, faults=faults)
 

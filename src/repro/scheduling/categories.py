@@ -21,24 +21,20 @@ LARGE_NODES: int = 6
 _CATEGORY_CACHE: dict[str, int] = {}
 
 
-def node_category(
-    region: Region | str, cost_model: CostModel | None = None
-) -> int:
+def node_category(region: Region | str) -> int:
     """Compute nodes allocated to a region's jobs (2, 4 or 6)."""
     if isinstance(region, str):
         region = get_region(region)
-    if region.code in _CATEGORY_CACHE and cost_model is None:
+    if region.code in _CATEGORY_CACHE:
         return _CATEGORY_CACHE[region.code]
-    cm = cost_model or CostModel()
-    need = cm.min_nodes(region)
+    need = CostModel().min_nodes(region)
     if need <= SMALL_NODES:
         cat = SMALL_NODES
     elif need <= MEDIUM_NODES:
         cat = MEDIUM_NODES
     else:
         cat = LARGE_NODES
-    if cost_model is None:
-        _CATEGORY_CACHE[region.code] = cat
+    _CATEGORY_CACHE[region.code] = cat
     return cat
 
 

@@ -36,11 +36,6 @@ class Level:
     tasks: list[MappingTask] = field(default_factory=list)
     used_width: int = 0
 
-    @property
-    def height(self) -> float:
-        """Level duration = slowest task on the level."""
-        return max((t.est_time for t in self.tasks), default=0.0)
-
     def region_count(self, region_code: str) -> int:
         """Tasks of one region on this level (DB concurrency)."""
         return sum(1 for t in self.tasks if t.region_code == region_code)
@@ -59,16 +54,6 @@ class PackingResult:
     algorithm: str
     levels: list[Level]
     instance: WMPInstance
-
-    @property
-    def makespan_estimate(self) -> float:
-        """Packing height: sum of level heights (the strict-levels model)."""
-        return sum(lv.height for lv in self.levels)
-
-    @property
-    def n_levels(self) -> int:
-        """Number of shelves opened."""
-        return len(self.levels)
 
     def ordered_tasks(self) -> list[tuple[MappingTask, int]]:
         """(task, level) pairs in submission order for Slurm."""

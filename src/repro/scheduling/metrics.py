@@ -47,7 +47,6 @@ def execute_packing(
     result: PackingResult,
     *,
     cluster: ClusterSpec = BRIDGES,
-    reserved_nodes: int | None = None,
     metrics=None,
     faults=None,
     retry=None,
@@ -55,19 +54,17 @@ def execute_packing(
     """Run a packed workload on the Slurm simulator.
 
     One node per region is reserved for its population database (matching
-    the instance's width reduction) unless overridden.  ``metrics``
+    the instance's width reduction).  ``metrics``
     (a :class:`~repro.obs.registry.MetricsRegistry`) receives the
     simulator's ``slurm.*`` accounting when given; ``faults`` and
     ``retry`` (a :class:`~repro.resilience.faults.FaultPlan` and its
     :class:`~repro.resilience.retry.RetryPolicy`) inject ``node.fail``.
     """
     instance = result.instance
-    if reserved_nodes is None:
-        reserved_nodes = cluster.n_nodes - instance.machine_width
     sim = SlurmSimulator(
         cluster,
         db_caps=instance.db_caps,
-        reserved_nodes=reserved_nodes,
+        reserved_nodes=cluster.n_nodes - instance.machine_width,
         metrics=metrics,
         faults=faults,
         retry=retry,
@@ -90,16 +87,15 @@ class UtilizationSample:
 def utilization_experiment(
     *,
     n_nights: int,
-    algorithms: tuple[str, ...] = ("NFDT-DC", "FFDT-DC"),
     cells_per_region: int = 12,
     replicates: int = 15,
     regions: tuple[str, ...] = ALL_CODES,
-    cluster: ClusterSpec = BRIDGES,
     machine_width: int | None = None,
     db_cap: int = 16,
     seed: int = 0,
 ) -> list[UtilizationSample]:
-    """Replay ``n_nights`` of workflows under each mapping algorithm.
+    """Replay ``n_nights`` of workflows on Bridges under each mapping
+    algorithm.
 
     Each night draws fresh stochastic runtimes (as real nights would);
     both algorithms pack and execute the *same* task set per night.
@@ -115,14 +111,13 @@ def utilization_experiment(
             cells_per_region=cells_per_region,
             replicates=replicates,
             regions=regions,
-            cluster=cluster,
             machine_width=machine_width,
             db_cap=db_cap,
             seed=seed + night,
         )
-        for algo in algorithms:
-            packed = packers[algo](instance)
-            outcome = execute_packing(packed, cluster=cluster)
+        for algo, packer in packers.items():
+            packed = packer(instance)
+            outcome = execute_packing(packed)
             samples.append(UtilizationSample(
                 algorithm=algo,
                 night=night,

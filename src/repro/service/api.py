@@ -81,21 +81,20 @@ class ApiError(Exception):
 
     Attributes:
         code: one of :data:`ERROR_CODES`.
-        status: HTTP status (defaults per :data:`STATUS_OF_CODE`).
+        status: HTTP status, per :data:`STATUS_OF_CODE`.
         retry_after_s: optional backoff hint, also sent as the standard
             ``Retry-After`` header.
     """
 
     def __init__(self, code: str, message: str, *,
-                 retry_after_s: float | None = None,
-                 status: int | None = None) -> None:
+                 retry_after_s: float | None = None) -> None:
         super().__init__(message)
         if code not in ERROR_CODES:
             raise ValueError(f"unknown error code {code!r}")
         self.code = code
         self.message = message
         self.retry_after_s = retry_after_s
-        self.status = STATUS_OF_CODE[code] if status is None else status
+        self.status = STATUS_OF_CODE[code]
 
     def envelope(self) -> dict[str, Any]:
         """The JSON body for this error."""

@@ -31,6 +31,10 @@ from ..resilience.supervisor import QUARANTINE
 from ..store.memo import outcome_payload
 from .queue import Claim, ScenarioQueue
 
+#: How long the idle loop blocks waiting for work before it re-checks
+#: for a stop request.
+IDLE_WAIT_S: float = 0.1
+
 
 class Broker:
     """Background consumer of a :class:`ScenarioQueue`.
@@ -55,7 +59,6 @@ class Broker:
             fan-out cross-process execution exclusivity (every
             ``repro serve`` on one store); see
             :func:`~repro.core.parallel.supervise_instances`.
-        idle_wait_s: how long the loop blocks waiting for work.
         checkpoint: optional :class:`~repro.checkpoint.CheckpointPlan`;
             when enabled, in-flight instances snapshot state through the
             CAS and retries after mid-run worker deaths resume instead
@@ -78,7 +81,6 @@ class Broker:
         retry=None,
         faults=None,
         leases=None,
-        idle_wait_s: float = 0.1,
         checkpoint=None,
     ) -> None:
         if batch_size < 1:
@@ -96,7 +98,6 @@ class Broker:
         self.retry = retry
         self.faults = faults
         self.leases = leases
-        self.idle_wait_s = idle_wait_s
         self.checkpoint = checkpoint
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
@@ -147,7 +148,7 @@ class Broker:
                 if not self._drain or self.queue.depth() == 0:
                     return
                 continue
-            self.queue.wait_for_work(self.idle_wait_s)
+            self.queue.wait_for_work(IDLE_WAIT_S)
 
     # -- execution -------------------------------------------------------------
 

@@ -51,6 +51,11 @@ CANCELLED = "cancelled"
 #: States from which a request will not move again.
 TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED})
 
+#: Base of the deterministic retry-after hint returned with rejections.
+RETRY_AFTER_HINT_S: float = 0.5
+#: Finished request records kept for status polls (oldest dropped first).
+MAX_FINISHED: int = 4096
+
 
 @dataclass(frozen=True, slots=True)
 class Admission:
@@ -134,8 +139,6 @@ class ScenarioQueue:
         *,
         capacity: int = 64,
         aging_every: int = 8,
-        retry_after_hint_s: float = 0.5,
-        max_finished: int = 4096,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         """Args:
@@ -143,10 +146,6 @@ class ScenarioQueue:
                 coalescing joins do not count against it).
             aging_every: admissions per +1 effective-priority boost of a
                 waiting entry (smaller ages faster; must be >= 1).
-            retry_after_hint_s: base of the deterministic retry-after
-                hint returned with rejections.
-            max_finished: finished request records kept for status polls
-                (oldest are dropped beyond this).
             metrics: the ``service.*`` sink (a private registry when
                 omitted).
         """
@@ -156,8 +155,6 @@ class ScenarioQueue:
             raise ValueError("aging_every must be >= 1")
         self.capacity = capacity
         self.aging_every = aging_every
-        self.retry_after_hint_s = retry_after_hint_s
-        self.max_finished = max_finished
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._lock = threading.RLock()
         self._work = threading.Condition(self._lock)
@@ -196,7 +193,7 @@ class ScenarioQueue:
             depth = self._depth_locked()
             if depth >= self.capacity:
                 self.metrics.inc("service.rejected")
-                hint = self.retry_after_hint_s * (depth - self.capacity + 1)
+                hint = RETRY_AFTER_HINT_S * (depth - self.capacity + 1)
                 return Admission(admitted=False, status="rejected",
                                  request_id=None, key=key, depth=depth,
                                  retry_after_s=hint, reason="full")
@@ -241,7 +238,7 @@ class ScenarioQueue:
             self.metrics.inc("service.admitted")
             self.metrics.inc("service.completed")
             self.metrics.observe("service.request_s", rec.total_s)
-            while len(self._finished) > self.max_finished:
+            while len(self._finished) > MAX_FINISHED:
                 self._records.pop(self._finished.popleft(), None)
             return Admission(admitted=True, status="done", request_id=rid,
                             key=key, depth=self._depth_locked())
@@ -334,14 +331,14 @@ class ScenarioQueue:
         """Resolve an entry as failed: a terminal error, never a hang."""
         return self._terminalize(key, FAILED, error=error, kind=kind)
 
-    def cancel_pending(self, *, error: str = "service stopped") -> int:
+    def cancel_pending(self) -> int:
         """Terminalize every queued entry (non-drain shutdown path)."""
         with self._lock:
             pending = [e.key for e in self._entries.values()
                        if e.state == QUEUED]
         n = 0
         for key in pending:
-            n += self._terminalize(key, CANCELLED, error=error)
+            n += self._terminalize(key, CANCELLED, error="service stopped")
         return n
 
     def _terminalize(self, key: str, state: str, *,
@@ -364,7 +361,7 @@ class ScenarioQueue:
                 self._finished.append(rid)
             counter = "completed" if state == DONE else state
             self.metrics.inc(f"service.{counter}", len(entry.request_ids))
-            while len(self._finished) > self.max_finished:
+            while len(self._finished) > MAX_FINISHED:
                 self._records.pop(self._finished.popleft(), None)
             self._publish_depth_locked()
             entry.event.set()

@@ -147,11 +147,6 @@ class LedgerReplay:
                 out.add(e[field])
         return out
 
-    def wall_seconds(self, event: str = "instance_completed") -> float:
-        """Total recorded wall-clock over events carrying ``wall_s``."""
-        return float(sum(e.get("wall_s", 0.0) for e in self.events
-                         if e["event"] == event))
-
     def summary(self) -> str:
         """Human-readable replay digest."""
         parts = [f"{name}={n}" for name, n in sorted(self.counts().items())]

@@ -202,7 +202,6 @@ def build_corpus(
     ledgers: Iterable[str | Path] | None = None,
     *,
     salt: str | None = None,
-    n_days: int | None = None,
 ) -> Corpus:
     """Scan ledgers + store into a :class:`Corpus`.
 
@@ -216,9 +215,9 @@ def build_corpus(
             their spec re-keyed under this salt are dropped — they were
             produced by a different kernel version and would poison the
             training set.
-        n_days: restrict to one horizon; defaults to the most common
-            horizon among the resolved events (trajectory rows must share
-            a length for the output basis).
+
+    Only the most common horizon among the resolved events is kept
+    (trajectory rows must share a length for the output basis).
     """
     paths: list[Path] = [corpus_ledger_path(store)]
     for p in ledgers or ():
@@ -232,7 +231,8 @@ def build_corpus(
             continue  # stale code version: key no longer derivable
         rows.append((event["key"], spec))
 
-    if n_days is None and rows:
+    n_days = None
+    if rows:
         horizons = np.array([spec.n_days for _k, spec in rows])
         values, counts = np.unique(horizons, return_counts=True)
         n_days = int(values[np.argmax(counts)])

@@ -124,11 +124,11 @@ class SurrogatePrediction:
         peak = float(np.max(np.abs(self.mean)))
         return float(np.mean(self.sd) / max(peak, 1e-9))
 
-    def bands(self, z: float = BAND_Z) -> tuple[np.ndarray, np.ndarray]:
-        """``(lo, hi)`` trajectory band at ``z`` standard deviations
+    def bands(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)`` trajectory band at :data:`BAND_Z` standard deviations
         (cumulative counts: the lower band is clipped at zero)."""
-        return (np.maximum(self.mean - z * self.sd, 0.0),
-                self.mean + z * self.sd)
+        return (np.maximum(self.mean - BAND_Z * self.sd, 0.0),
+                self.mean + BAND_Z * self.sd)
 
 
 @dataclass(frozen=True)
@@ -272,7 +272,6 @@ def train_model(
     *,
     p_eta: int = DEFAULT_P_ETA,
     seed: int = 0,
-    n_restarts: int = 3,
 ) -> SurrogateModel:
     """Fit a :class:`SurrogateModel` to a corpus, deterministically.
 
@@ -282,7 +281,6 @@ def train_model(
         seed: training seed; each coefficient GP gets its own derived
             stream, so two trainings on the same corpus produce
             identical fitted kernels.
-        n_restarts: optimizer restarts per GP.
     """
     if len(corpus) < 3:
         raise ValueError(
@@ -293,13 +291,11 @@ def train_model(
     basis = fit_basis(corpus.outputs, p_eta=p_eta)
     coeffs = basis.project(corpus.outputs)
     gps = tuple(
-        fit_gp(x_unit, coeffs[:, k], np.random.default_rng([seed, k]),
-               n_restarts=n_restarts)
+        fit_gp(x_unit, coeffs[:, k], np.random.default_rng([seed, k]))
         for k in range(basis.p)
     )
     attack_gp = fit_gp(x_unit, corpus.attack_rates,
-                       np.random.default_rng([seed, 10 ** 6]),
-                       n_restarts=n_restarts)
+                       np.random.default_rng([seed, 10 ** 6]))
     return SurrogateModel(
         space=space,
         basis=basis,

@@ -68,7 +68,6 @@ class SurrogateGate:
     Args:
         registry: where trained models are published.
         rtol: relative-uncertainty threshold for serving.
-        hull_pad: extrapolation allowance (fraction of feature range).
         salt: cache-key salt override (tests); must match the salt the
             corpus was built under.
         metrics: ``surrogate.*`` sink (a private registry when omitted).
@@ -79,7 +78,6 @@ class SurrogateGate:
         registry: ModelRegistry,
         *,
         rtol: float = DEFAULT_RTOL,
-        hull_pad: float = DEFAULT_HULL_PAD,
         salt: str | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
@@ -87,7 +85,6 @@ class SurrogateGate:
             raise ValueError("rtol must be positive")
         self.registry = registry
         self.rtol = rtol
-        self.hull_pad = hull_pad
         self.salt = salt
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._cached: SurrogateModel | None = None
@@ -130,7 +127,7 @@ class SurrogateGate:
             self.metrics.inc("surrogate.fallback")
             return None
         features = featurize_spec(spec)
-        if not model.space.contains(features, pad=self.hull_pad):
+        if not model.space.contains(features, pad=DEFAULT_HULL_PAD):
             self.metrics.inc("surrogate.fallback")
             return None
         pred = model.predict_features(features)

@@ -86,8 +86,8 @@ def merge_sources(views: list[GroundTruth]) -> GroundTruth:
 def multi_source_truth(
     truth: GroundTruth,
     rng: np.random.Generator,
-    sources: tuple[SourceSpec, ...] = DEFAULT_SOURCES,
 ) -> GroundTruth:
-    """Simulate all sources and merge them — the calibration input feed."""
-    views = [observe_through_source(truth, s, rng) for s in sources]
+    """Simulate :data:`DEFAULT_SOURCES` and merge them — the calibration
+    input feed."""
+    views = [observe_through_source(truth, s, rng) for s in DEFAULT_SOURCES]
     return merge_sources(views)

@@ -63,15 +63,6 @@ class ActivityTable:
         """Total number of activity rows."""
         return int(self.person.shape[0])
 
-    def for_person(self, pid: int) -> np.ndarray:
-        """Row indices of activities belonging to ``pid``."""
-        return np.flatnonzero(self.person == pid)
-
-    def kind_counts(self) -> dict[str, int]:
-        """Mapping activity-type name -> number of rows of that type."""
-        counts = np.bincount(self.kind, minlength=len(ACTIVITY_TYPES))
-        return {name: int(c) for name, c in zip(ACTIVITY_TYPES, counts)}
-
 
 def _jitter(rng: np.random.Generator, center: int, spread: int, n: int) -> np.ndarray:
     """Integer times normally spread around ``center``, clipped to a day."""

@@ -86,14 +86,6 @@ class ContactNetwork:
         """Average contact degree."""
         return 2.0 * self.n_edges / max(1, self.n_nodes)
 
-    def neighbors(self, node: int) -> np.ndarray:
-        """Neighbour ids of ``node`` over all (active or not) edges."""
-        out = np.concatenate([
-            self.target[self.source == node],
-            self.source[self.target == node],
-        ])
-        return np.unique(out)
-
     def subset(self, mask: np.ndarray) -> "ContactNetwork":
         """A new network containing only edges where ``mask`` is true."""
         return ContactNetwork(

@@ -18,6 +18,12 @@ class IPFError(ValueError):
     """Raised when the IPF inputs are inconsistent or fitting fails."""
 
 
+#: Convergence: the largest absolute deviation of any fitted marginal
+#: entry from its target, and the most full axis sweeps tried.
+IPF_TOL: float = 1e-8
+IPF_MAX_SWEEPS: int = 200
+
+
 @dataclass(frozen=True, slots=True)
 class IPFResult:
     """Outcome of an IPF fit.
@@ -26,7 +32,7 @@ class IPFResult:
         table: fitted joint table, same shape as the seed.
         iterations: number of full sweeps performed.
         max_error: worst absolute marginal violation at termination.
-        converged: whether ``max_error <= tol`` was reached.
+        converged: whether ``max_error <=`` :data:`IPF_TOL` was reached.
     """
 
     table: np.ndarray
@@ -44,9 +50,6 @@ def _marginal(table: np.ndarray, axis: int) -> np.ndarray:
 def ipf_fit(
     seed: np.ndarray,
     marginals: list[np.ndarray],
-    *,
-    tol: float = 1e-8,
-    max_iter: int = 200,
 ) -> IPFResult:
     """Fit ``seed`` to one target marginal per axis.
 
@@ -55,13 +58,10 @@ def ipf_fit(
             that are zero in the seed stay zero (structural zeros).
         marginals: one 1-D target vector per axis of ``seed``; all targets
             must have equal totals (up to floating error).
-        tol: maximum absolute deviation of any fitted marginal entry from its
-            target at convergence.
-        max_iter: maximum number of full axis sweeps.
 
     Returns:
-        An :class:`IPFResult` whose table matches every marginal to ``tol``
-        when ``converged`` is true.
+        An :class:`IPFResult` whose table matches every marginal to
+        :data:`IPF_TOL` when ``converged`` is true.
 
     Raises:
         IPFError: on shape mismatch, negative inputs, inconsistent totals, or
@@ -92,7 +92,7 @@ def ipf_fit(
     table = seed.copy()
     n_iter = 0
     max_err = np.inf
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, IPF_MAX_SWEEPS + 1):
         for axis, target in enumerate(targets):
             current = _marginal(table, axis)
             # Cells whose whole slice is zero can never reach a positive
@@ -113,7 +113,7 @@ def ipf_fit(
             float(np.abs(_marginal(table, axis) - target).max())
             for axis, target in enumerate(targets)
         )
-        if max_err <= tol:
+        if max_err <= IPF_TOL:
             return IPFResult(table, n_iter, max_err, True)
     return IPFResult(table, n_iter, max_err, False)
 

@@ -82,10 +82,6 @@ class VisitTable:
         """Number of visit rows."""
         return int(self.person.shape[0])
 
-    def visitors_of(self, location: int) -> np.ndarray:
-        """Person ids visiting ``location``."""
-        return self.person[self.location == location]
-
 
 def _commute_matrix(
     county_codes: np.ndarray, rng: np.random.Generator

@@ -97,15 +97,6 @@ class Population:
         """Number of distinct households."""
         return int(np.unique(self.hid).size)
 
-    def household_members(self, hid: int) -> np.ndarray:
-        """Person ids belonging to household ``hid``."""
-        return self.pid[self.hid == hid]
-
-    def county_sizes(self) -> dict[int, int]:
-        """Mapping county FIPS -> resident count."""
-        codes, counts = np.unique(self.county, return_counts=True)
-        return dict(zip(codes.tolist(), counts.tolist()))
-
 
 def _county_weights(n_counties: int, rng: np.random.Generator) -> np.ndarray:
     """Heavy-tailed county population shares (rank-size / Zipf-like).

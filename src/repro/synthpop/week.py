@@ -32,7 +32,6 @@ WEEKDAYS: tuple[str, ...] = (
     "monday", "tuesday", "wednesday", "thursday", "friday",
     "saturday", "sunday",
 )
-WEDNESDAY: int = 2
 
 #: Fraction of workers who also work a weekend day.
 WEEKEND_WORK_RATE: float = 0.18
@@ -55,11 +54,6 @@ class WeeklyActivities:
     def day(self, index: int) -> ActivityTable:
         """The activity table of one day (0 = Monday)."""
         return self.days[index]
-
-    @property
-    def wednesday(self) -> ActivityTable:
-        """The typical-day slice the simulations use."""
-        return self.days[WEDNESDAY]
 
 
 def _weekend_table(

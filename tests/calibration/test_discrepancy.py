@@ -35,14 +35,14 @@ def test_kernel_spacing():
 
 
 def test_kernels_centered_in_window():
-    d = discrepancy_basis(200, p_delta=7, spacing=10.0)
+    d = discrepancy_basis(200, p_delta=7)
     peaks = d.argmax(axis=0)
     block_center = (peaks[0] + peaks[-1]) / 2
     assert abs(block_center - 99.5) < 2
 
 
 def test_short_series_spreads_kernels():
-    d = discrepancy_basis(30, p_delta=7, spacing=10.0)
+    d = discrepancy_basis(30, p_delta=7)
     peaks = d.argmax(axis=0)
     assert peaks[0] <= 2
     assert peaks[-1] >= 27

@@ -74,9 +74,13 @@ def test_spread_grows_with_stochasticity(fitted):
     """The noise sd grows with the rate parameter; the emulated spread
     must reflect it."""
     _space, _design, _outputs, em = fitted
-    low = em.predict_spread(np.array([[0.08]]))[0, -1]
-    high = em.predict_spread(np.array([[0.45]]))[0, -1]
-    assert high > low
+
+    def spread(theta):
+        lo = em.predict_quantile(min(em.quantiles), np.array([[theta]]))
+        hi = em.predict_quantile(max(em.quantiles), np.array([[theta]]))
+        return (hi - lo)[0, -1]
+
+    assert spread(0.45) > spread(0.08)
 
 
 def test_unknown_level_rejected(fitted):

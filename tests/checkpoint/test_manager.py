@@ -33,6 +33,7 @@ from repro.store.cas import (
     CHECKPOINT_FAMILY,
     ContentStore,
     LeaseTable,
+    lease_dir,
     write_blob,
 )
 from repro.store.keys import (
@@ -245,7 +246,7 @@ class TestLeaseHeartbeat:
         *owner's* record, preserving its identity.  It beats on a clock:
         the first write for a key always renews, later ones only once a
         quarter of the TTL has passed since this manager's last renewal."""
-        leases = LeaseTable(tmp_path / "leases", owner="broker")
+        leases = LeaseTable(lease_dir(tmp_path / "store"), owner="broker")
         assert leases.acquire(KEY)
         stale_ts = leases.holder(KEY)["ts"] - 3600.0
         path = leases.path_of(KEY)
@@ -253,8 +254,7 @@ class TestLeaseHeartbeat:
         record["ts"] = stale_ts
         path.write_text(json.dumps(record), encoding="utf-8")
 
-        plan = CheckpointPlan(store_root=str(tmp_path / "store"), every=5,
-                              lease_root=str(tmp_path / "leases"))
+        plan = CheckpointPlan(store_root=str(tmp_path / "store"), every=5)
         manager = plan.manager(metrics=MetricsRegistry())
         manager.write(KEY, payload(5), tick=5)
         holder = leases.holder(KEY)
@@ -272,11 +272,13 @@ class TestLeaseHeartbeat:
         assert renewed["ts"] > holder["ts"]
         assert (renewed["owner"], renewed["pid"]) == ("broker", os.getpid())
 
-    def test_write_without_lease_root_needs_no_table(self, tmp_path):
+    def test_write_without_a_held_lease_stamps_none(self, tmp_path):
         plan = CheckpointPlan(store_root=str(tmp_path / "store"), every=5)
         plan.manager(metrics=MetricsRegistry()).write(KEY, payload(5),
                                                       tick=5)
-        assert not (tmp_path / "leases").exists()
+        leases = LeaseTable(lease_dir(tmp_path / "store"))
+        assert leases.holder(KEY) is None
+        assert not leases.path_of(KEY).exists()
 
 
 class TestGcExemption:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.costmodel import (
+    INTERVENTION_STEPS,
     CostModel,
     INTERVENTION_RUNTIME_FACTOR,
     network_size_table,
@@ -97,9 +98,10 @@ def test_memory_grows_with_compliance(cm):
 
 
 def test_memory_steps_at_interventions(cm):
-    mem = cm.memory_series("VA", 0.8, 200, intervention_steps=(50,))
-    jump = mem[50] - mem[49]
-    drift = mem[49] - mem[48]
+    step = INTERVENTION_STEPS[0]
+    mem = cm.memory_series("VA", 0.8, 200)
+    jump = mem[step] - mem[step - 1]
+    drift = mem[step - 1] - mem[step - 2]
     assert jump > 5 * drift
 
 

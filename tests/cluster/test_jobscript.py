@@ -68,7 +68,7 @@ def test_scripts_from_nfdt_packing_chain_levels():
     inst = WMPInstance(
         tasks_for("VA", 8), machine_width=6, db_caps={"VA": 2})
     packed = pack_nfdt_dc(inst)
-    assert packed.n_levels > 1
+    assert len(packed.levels) > 1
     scripts = scripts_from_packing(packed)
     deps = [s for s in scripts if "--dependency=afterok:" in s.content]
     assert deps  # later levels wait on earlier ones

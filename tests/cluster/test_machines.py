@@ -31,10 +31,6 @@ def test_rivanna_smaller_than_bridges():
     assert RIVANNA.total_cores < BRIDGES.total_cores
 
 
-def test_core_hours():
-    assert BRIDGES.core_hours(10) == BRIDGES.total_cores * 10
-
-
 def test_nightly_window():
     assert NIGHTLY_WINDOW.duration_hours == 10.0
     assert NIGHTLY_WINDOW.duration_seconds == 36_000.0

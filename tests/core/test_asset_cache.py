@@ -20,7 +20,7 @@ from repro.core.parallel import (
     run_instances,
     supervise_instances,
 )
-from repro.core.runner import _AssetCache, _build_assets, load_region_assets
+from repro.core.runner import _AssetCache, _build_assets, load_assets
 from repro.obs import MetricsRegistry
 from repro.plane.bundle import AssetKey, bundle_nbytes
 from repro.store.cas import ContentStore
@@ -58,12 +58,14 @@ def test_six_regions_round_robin_build_once():
     assert reg.value("assets.cache.evictions") == 0
 
 
-def test_lru_eviction_respects_cap_and_counts():
+def test_lru_eviction_respects_cap_and_counts(monkeypatch):
     keys = [AssetKey("VT", 1e-3, seed, 40) for seed in range(3)]
     bundles = [_build_assets(key) for key in keys]
     sizes = [bundle_nbytes(b) for b in bundles]
     reg = MetricsRegistry()
-    cache = _AssetCache(max_bytes=sum(sizes) - 1)  # any two fit, not three
+    # Any two fit, not three.
+    monkeypatch.setattr(runner, "ASSET_CACHE_BYTES", sum(sizes) - 1)
+    cache = _AssetCache()
     cache.put(keys[0], bundles[0], reg)
     cache.put(keys[1], bundles[1], reg)
     assert reg.value("assets.cache.bytes") == sizes[0] + sizes[1]
@@ -79,12 +81,13 @@ def test_lru_eviction_respects_cap_and_counts():
     assert reg.value("assets.cache.misses") == 1
 
 
-def test_lone_over_budget_bundle_stays():
+def test_lone_over_budget_bundle_stays(monkeypatch):
     """The entry just inserted is never evicted, whatever its size."""
     keys = [AssetKey("VT", 1e-3, seed, 40) for seed in range(2)]
     bundles = [_build_assets(key) for key in keys]
     reg = MetricsRegistry()
-    cache = _AssetCache(max_bytes=1)
+    monkeypatch.setattr(runner, "ASSET_CACHE_BYTES", 1)
+    cache = _AssetCache()
     cache.put(keys[0], bundles[0], reg)
     assert cache.get(keys[0], reg) is bundles[0]
     assert reg.value("assets.cache.evictions") == 0
@@ -142,13 +145,13 @@ def test_pooled_fanouts_on_a_store_build_each_bundle_once(tmp_path):
 
 def test_load_region_assets_publishes_metrics():
     reg = MetricsRegistry()
-    a = load_region_assets("VT", 1e-3, 424242, 40, metrics=reg)
-    b = load_region_assets("VT", 1e-3, 424242, 40, metrics=reg)
+    a = load_assets(AssetKey("VT", 1e-3, 424242, 40), metrics=reg)
+    b = load_assets(AssetKey("VT", 1e-3, 424242, 40), metrics=reg)
     assert a is b
     assert reg.value("assets.cache.misses") == 1
     assert reg.value("assets.cache.hits") == 1
     # Distinct truth horizon = distinct canonical key = a real miss.
-    c = load_region_assets("VT", 1e-3, 424242, 50, metrics=reg)
+    c = load_assets(AssetKey("VT", 1e-3, 424242, 50), metrics=reg)
     assert c is not a
     assert reg.value("assets.cache.misses") == 2
 
@@ -156,11 +159,11 @@ def test_load_region_assets_publishes_metrics():
 def test_builds_are_timed_apart_from_cache_hits():
     """``assets.build_s`` times each synthesis once; hits add nothing."""
     reg = MetricsRegistry()
-    load_region_assets("VT", 1e-3, 424242, 40, metrics=reg)
+    load_assets(AssetKey("VT", 1e-3, 424242, 40), metrics=reg)
     assert reg.count("assets.build_s") == 1
     first = reg.value("assets.build_s")
     assert first > 0
-    load_region_assets("VT", 1e-3, 424242, 40, metrics=reg)
+    load_assets(AssetKey("VT", 1e-3, 424242, 40), metrics=reg)
     assert reg.count("assets.build_s") == 1
     assert reg.value("assets.build_s") == first
     assert reg.count("assets.build_s") == reg.value("assets.cache.builds")

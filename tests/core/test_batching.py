@@ -11,6 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core import batching
 from repro.core.batching import (
     batch_groups,
     group_key,
@@ -79,9 +80,10 @@ def test_batch_groups_order_and_membership():
     assert covered == list(range(len(specs)))
 
 
-def test_batch_groups_cap_split():
+def test_batch_groups_cap_split(monkeypatch):
+    monkeypatch.setattr(batching, "MAX_BATCH_LANES", 3)
     specs = make_specs(7)
-    groups = batch_groups(specs, max_lanes=3)
+    groups = batch_groups(specs)
     assert groups == [[0, 1, 2], [3, 4, 5], [6]]
 
 
@@ -110,7 +112,7 @@ def test_national_sweep_packs_lone_regions_under_the_largest():
                    for i in g) <= cap
 
 
-def test_union_cap_and_input_order():
+def test_union_cap_and_input_order(monkeypatch):
     """A union takes the next lone spec while it fits, else a new one
     starts; members keep input order, and the lane cap still holds."""
     # VA 8,536 persons; WY 579, VT 624, DC 706, ND 762; RI 1,059.
@@ -118,8 +120,9 @@ def test_union_cap_and_input_order():
     assert batch_groups(specs) == [[0], [1], [2, 3, 4, 5]]
     assert batch_groups(lone(["VA", "WY", "VT", "DC", "ND", "RI"])) == [
         [0], [1, 2, 3, 4, 5]]
-    assert batch_groups(lone(["VA", "WY", "VT", "DC", "ND", "RI"]),
-                        max_lanes=2) == [[0], [1, 2], [3, 4], [5]]
+    monkeypatch.setattr(batching, "MAX_BATCH_LANES", 2)
+    assert batch_groups(lone(["VA", "WY", "VT", "DC", "ND", "RI"])) == [
+        [0], [1, 2], [3, 4], [5]]
     # Similar sizes: nothing fits under the largest, so all run alone.
     assert batch_groups(lone(["WY", "VT", "DC", "ND"])) == [
         [0], [1], [2], [3]]

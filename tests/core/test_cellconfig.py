@@ -1,5 +1,7 @@
 """Cell-configuration serialisation and execution tests."""
 
+import json
+
 import pytest
 
 from repro.core.cellconfig import (
@@ -34,7 +36,7 @@ def test_json_roundtrip():
         disease={"TAU": 0.22, "SYMP": 0.6},
         interventions={"SH_COMPLIANCE": 0.7, "lockdown_days": 45},
     )
-    back = CellConfig.from_json(c.to_json())
+    back = CellConfig.from_dict(json.loads(c.to_json()))
     assert back == c
     assert back.runner_params() == {
         "TAU": 0.22, "SYMP": 0.6, "SH_COMPLIANCE": 0.7,

@@ -78,7 +78,8 @@ def test_timeline_serialises_per_site():
         WorkflowTask("r", REMOTE, noop, est_duration=3.0),
     ]
     run = WorkflowEngine(tasks).execute()
-    a, b, r = (run.task_run(n) for n in ("a", "b", "r"))
+    by_name = {t.task_name: t for t in run.runs}
+    a, b, r = (by_name[n] for n in ("a", "b", "r"))
     assert a.started == 0.0 and a.finished == 10.0
     assert b.started == 10.0  # same site serialises
     assert r.started == 0.0  # different site runs in parallel
@@ -92,14 +93,9 @@ def test_deps_gate_start_across_sites():
                      est_duration=2.0),
     ]
     run = WorkflowEngine(tasks).execute()
-    assert run.task_run("remote").started == 7.0
+    remote = next(t for t in run.runs if t.task_name == "remote")
+    assert remote.started == 7.0
     assert run.makespan == 9.0
-
-
-def test_task_run_lookup_missing():
-    run = WorkflowEngine([WorkflowTask("a", HOME, noop)]).execute()
-    with pytest.raises(KeyError):
-        run.task_run("zzz")
 
 
 def test_invalid_site():

@@ -31,7 +31,7 @@ def test_national_sums_regions(national):
 
 
 def test_region_series_lookup(national):
-    vt = national.region_series("confirmed", "VT")
+    vt = national.series["confirmed"][national.regions.index("VT")]
     assert vt.shape == (61,)
     assert (np.diff(vt) >= 0).all()  # cumulative target
 
@@ -81,6 +81,6 @@ def test_repeat_is_served_from_store(tmp_path):
 
 def test_bigger_region_more_cases(national):
     # RI (~1.06M) vs VT (~0.62M): larger population, larger counts.
-    ri = national.region_series("confirmed", "RI")[-1]
-    vt = national.region_series("confirmed", "VT")[-1]
+    confirmed = dict(zip(national.regions, national.series["confirmed"]))
+    ri, vt = confirmed["RI"][-1], confirmed["VT"][-1]
     assert ri + vt > 0

@@ -42,7 +42,8 @@ def test_task_graph_executed_in_order(night):
 
 
 def test_simulation_duration_patched(night):
-    sim_run = night.workflow_run.task_run("run-simulations")
+    sim_run = next(r for r in night.workflow_run.runs
+                   if r.task_name == "run-simulations")
     assert sim_run.duration == pytest.approx(night.schedule.makespan)
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import report as report_module
 from repro.core.calibration_wf import run_calibration_workflow
 from repro.core.prediction_wf import run_prediction_workflow
 from repro.core.report import generate_weekly_report
@@ -30,9 +31,10 @@ def test_report_structure(pipeline):
         assert name in text
 
 
-def test_report_forecast_rows(pipeline):
+def test_report_forecast_rows(pipeline, monkeypatch):
+    monkeypatch.setattr(report_module, "FORECAST_HORIZONS", (7, 21))
     cal, pred = pipeline
-    report = generate_weekly_report(cal, pred, horizons=(7, 21))
+    report = generate_weekly_report(cal, pred)
     assert "+ 7d" in report.text
     assert "+21d" in report.text
     assert "+14d" not in report.text
@@ -42,7 +44,7 @@ def test_report_embeds_review(pipeline):
     cal, pred = pipeline
     report = generate_weekly_report(cal, pred)
     assert report.review is not None
-    if report.approved_for_release:
+    if report.review.accepted:
         assert "APPROVED" in report.text
     else:
         assert "HELD" in report.text

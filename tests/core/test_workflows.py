@@ -108,7 +108,7 @@ def test_economic_workflow_small():
     })
     design = ExperimentDesign("economic", cells, ("VT",), 2)
     result = run_economic_workflow(
-        regions=("VT",), design=design, n_days=70, scale=1e-3, seed=6)
+        design=design, n_days=70, scale=1e-3, seed=6)
     assert len(result.outcomes) == 4
     for o in result.outcomes:
         assert o.total_cost >= 0
@@ -125,7 +125,7 @@ def test_economic_costs_scale_with_epidemic():
     cells = factorial_cells({"TAU": [0.03, 0.5]})
     design = ExperimentDesign("economic", cells, ("VT",), 3)
     result = run_economic_workflow(
-        regions=("VT",), design=design, n_days=80, scale=1e-3, seed=7)
+        design=design, n_days=80, scale=1e-3, seed=7)
     by_tau = {o.cell.params["TAU"]: o for o in result.outcomes}
     assert by_tau[0.5].mean_attack_rate > by_tau[0.03].mean_attack_rate
     assert by_tau[0.5].total_cost > by_tau[0.03].total_cost
@@ -209,7 +209,7 @@ def _reference_economic(design, *, n_days, scale, seed):
 def test_economic_matches_serial_reference():
     design = _small_design()
     result = run_economic_workflow(
-        regions=design.regions, design=design, n_days=40, scale=1e-3,
+        design=design, n_days=40, scale=1e-3,
         seed=6)
     reference = _reference_economic(design, n_days=40, scale=1e-3, seed=6)
     n_runs = design.n_regions * design.replicates
@@ -233,7 +233,7 @@ def test_economic_matches_serial_reference():
 
 def test_economic_repeat_is_served_from_store(tmp_path):
     design = _small_design()
-    kwargs = dict(regions=design.regions, design=design, n_days=20,
+    kwargs = dict(design=design, n_days=20,
                   scale=1e-3, seed=12,
                   store=ContentStore(tmp_path / "store"))
     cold = run_economic_workflow(**kwargs)

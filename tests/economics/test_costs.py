@@ -3,8 +3,8 @@
 import pytest
 
 from repro.analytics.aggregate import summarize
+from repro.economics import costs as cost_model
 from repro.economics.costs import (
-    CostParameters,
     MedicalCosts,
     compute_medical_costs,
     cost_per_capita,
@@ -32,11 +32,10 @@ def test_gross_up_by_scale(summary, covid_model):
     assert at_milli.total == pytest.approx(10 * at_centi.total)
 
 
-def test_custom_unit_costs(summary, covid_model):
+def test_custom_unit_costs(summary, covid_model, monkeypatch):
     base = compute_medical_costs(summary, covid_model, scale=1e-3)
-    doubled = compute_medical_costs(
-        summary, covid_model, scale=1e-3,
-        params=CostParameters(outpatient_visit=660.0))
+    monkeypatch.setattr(cost_model, "OUTPATIENT_VISIT_COST", 660.0)
+    doubled = compute_medical_costs(summary, covid_model, scale=1e-3)
     assert doubled.outpatient == pytest.approx(2 * base.outpatient)
     assert doubled.hospital == pytest.approx(base.hospital)
 

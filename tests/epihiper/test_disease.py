@@ -28,7 +28,8 @@ def test_valid_model_builds():
     m = tiny_sir()
     assert m.n_states == 3
     assert m.code("S") == 0
-    assert m.terminal_states() == ["S", "R"]
+    assert [s.name for i, s in enumerate(m.states)
+            if i not in m.out_edges] == ["S", "R"]
 
 
 def test_state_masks():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.epihiper import partition
 from repro.epihiper.partition import (
     partition_cached,
     partition_degree_greedy,
@@ -82,11 +83,12 @@ def test_degree_greedy_balances_better_than_round_robin():
     assert greedy.imbalance() <= rr.imbalance() + 0.05
 
 
-def test_threshold_respects_epsilon(va_assets):
+def test_threshold_respects_epsilon(va_assets, monkeypatch):
     """Larger epsilon lets partitions grow beyond the even share."""
     _pop, net = va_assets
-    tight = partition_threshold(net, 8, epsilon=0.0)
-    loose = partition_threshold(net, 8, epsilon=net.n_edges / 4)
+    tight = partition_threshold(net, 8)
+    monkeypatch.setattr(partition, "THRESHOLD_EPSILON", net.n_edges / 4)
+    loose = partition_threshold(net, 8)
     # The loose version front-loads early partitions.
     assert loose.edge_counts()[0] >= tight.edge_counts()[0]
 

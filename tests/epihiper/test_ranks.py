@@ -57,7 +57,7 @@ def test_efficiency_below_one(va_run):
     _pop, net, result = va_run
     base = simulate_rank_execution(result, net, partition_threshold(net, 1))
     p8 = simulate_rank_execution(result, net, partition_threshold(net, 8))
-    assert 0.0 < p8.efficiency_over(base) <= 1.0
+    assert 0.0 < p8.speedup_over(base) / p8.n_ranks <= 1.0
 
 
 def test_partition_mismatch_rejected(va_run, vt_assets):

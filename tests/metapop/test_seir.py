@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.metapop.scenarios import ALL_SCENARIOS, WORST_CASE
 from repro.metapop.seir import (
+    DEFAULT_MIXING,
     MetapopModel,
     SEIRParams,
     gravity_coupling,
@@ -28,9 +29,9 @@ def test_params_validation():
 
 def test_gravity_coupling_row_stochastic():
     pops = np.array([1000.0, 5000.0, 200.0])
-    c = gravity_coupling(pops, mixing=0.1)
+    c = gravity_coupling(pops)
     np.testing.assert_allclose(c.sum(axis=1), 1.0)
-    np.testing.assert_allclose(np.diag(c), 0.9)
+    np.testing.assert_allclose(np.diag(c), 1.0 - DEFAULT_MIXING)
     # Off-diagonal mass goes preferentially to the big county.
     assert c[0, 1] > c[0, 2]
 

@@ -91,4 +91,4 @@ def test_metrics_account_shedding():
     assert reg.value("degrade.shed_instances") == len(res.shed)
     assert reg.value("degrade.rounds") == res.rounds
     # The projection rounds' slurm.* accounting stays out of the sink.
-    assert reg.value("slurm.jobs", 0) == 0
+    assert reg.value("slurm.jobs") == 0

@@ -15,12 +15,17 @@ def make_instance(specs, width=10, caps=None):
     return WMPInstance(tasks, width, caps or {})
 
 
+def height(packing):
+    """Packing height: each level lasts as long as its slowest task."""
+    return sum(max(t.est_time for t in lv.tasks) for lv in packing.levels)
+
+
 def test_single_task():
     inst = make_instance([("A", 3, 10.0)])
     for packer in (pack_nfdt_dc, pack_ffdt_dc):
         p = packer(inst)
-        assert p.n_levels == 1
-        assert p.makespan_estimate == 10.0
+        assert len(p.levels) == 1
+        assert height(p) == 10.0
 
 
 def test_decreasing_time_order_within_packing():
@@ -36,8 +41,8 @@ def test_nfdt_closes_level_on_width():
                          width=10)
     p = pack_nfdt_dc(inst)
     # A(6) fits level 0; B(6) doesn't -> level 1; C(4) fits level 1.
-    assert p.n_levels == 2
-    assert p.makespan_estimate == 10.0 + 9.0
+    assert len(p.levels) == 2
+    assert height(p) == 10.0 + 9.0
 
 
 def test_ffdt_reuses_open_levels():
@@ -47,7 +52,7 @@ def test_ffdt_reuses_open_levels():
     # C goes back onto level 0 next to A: first-fit advantage.
     level_of = {t.task_id: lvl for t, lvl in p.ordered_tasks()}
     assert level_of["C-c2"] == 0
-    assert p.makespan_estimate == 10.0 + 9.0  # same heights here
+    assert height(p) == 10.0 + 9.0  # same heights here
 
 
 def test_db_cap_forces_new_level():
@@ -56,7 +61,7 @@ def test_db_cap_forces_new_level():
                          caps=caps)
     for packer in (pack_nfdt_dc, pack_ffdt_dc):
         p = packer(inst)
-        assert p.n_levels == 2  # same region cannot share a level
+        assert len(p.levels) == 2  # same region cannot share a level
 
 
 def test_validate_passes():
@@ -74,8 +79,8 @@ def test_ffdt_never_worse_than_nfdt():
                   float(rng.uniform(1, 50))) for _ in range(30)]
         inst = make_instance(specs, width=12,
                              caps={f"R{i}": 3 for i in range(4)})
-        nf = pack_nfdt_dc(inst).makespan_estimate
-        ff = pack_ffdt_dc(inst).makespan_estimate
+        nf = height(pack_nfdt_dc(inst))
+        ff = height(pack_ffdt_dc(inst))
         assert ff <= nf + 1e-9
 
 
@@ -97,7 +102,7 @@ def test_property_packing_within_classical_bounds(data):
     for packer in (pack_nfdt_dc, pack_ffdt_dc):
         p = packer(inst)
         p.validate()
-        assert p.makespan_estimate <= (3.0 + 1e-9) * inst.lower_bound()
+        assert height(p) <= (3.0 + 1e-9) * inst.lower_bound()
 
 
 @settings(max_examples=20, deadline=None)

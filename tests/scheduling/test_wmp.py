@@ -31,12 +31,6 @@ def test_lower_bound():
     assert wide.lower_bound() == 50.0  # tallest dominates
 
 
-def test_region_tasks():
-    inst = WMPInstance([task("A"), task("B", cell=1)], machine_width=4)
-    assert len(inst.region_tasks("A")) == 1
-    assert inst.region_tasks("A")[0].region_code == "A"
-
-
 def test_nightly_instance_prediction_scale():
     inst = make_nightly_instance(cells_per_region=12, replicates=15, seed=0)
     assert len(inst.tasks) == 12 * 15 * 51 == 9180  # Table I prediction row

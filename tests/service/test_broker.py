@@ -163,7 +163,7 @@ def test_batch_size_bounds_each_claim(store):
 
 
 def test_background_loop_drains_and_stops(store):
-    q, broker = make_broker(store, idle_wait_s=0.01)
+    q, broker = make_broker(store)
     broker.start()
     assert broker.running
     adm = q.submit(make_spec(0))

@@ -84,8 +84,8 @@ def test_concurrent_submits_against_live_broker(tmp_path):
     reg = MetricsRegistry()
     queue = ScenarioQueue(metrics=reg)
     store = ContentStore(tmp_path / "store")
-    broker = Broker(queue, store=store, registry=reg, parallel=False,
-                    idle_wait_s=0.01).start()
+    broker = Broker(queue, store=store, registry=reg,
+                    parallel=False).start()
     try:
         admissions = submit_all(queue)
         records = [queue.wait(adm.request_id, timeout_s=30.0)

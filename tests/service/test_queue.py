@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.parallel import InstanceSpec
+from repro.service import queue as queue_module
 from repro.service.queue import (
     CANCELLED,
     DONE,
@@ -40,7 +41,7 @@ def test_unknown_request_is_none():
 
 
 def test_backpressure_rejects_with_retry_hint():
-    q = ScenarioQueue(capacity=2, retry_after_hint_s=0.5)
+    q = ScenarioQueue(capacity=2)
     q.submit(make_spec(0))
     q.submit(make_spec(1))
     adm = q.submit(make_spec(2))
@@ -171,8 +172,9 @@ def test_cancel_pending_terminalizes_queued_only():
     assert q.metrics.value("service.cancelled") == 1
 
 
-def test_finished_records_are_bounded():
-    q = ScenarioQueue(max_finished=2)
+def test_finished_records_are_bounded(monkeypatch):
+    monkeypatch.setattr(queue_module, "MAX_FINISHED", 2)
+    q = ScenarioQueue()
     admitted = [q.submit(make_spec(i)) for i in range(4)]
     for claim in q.claim(4):
         q.complete(claim.key, {})

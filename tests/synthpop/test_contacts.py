@@ -39,7 +39,7 @@ def test_endpoints_in_range(net_pop):
 def test_household_members_connected(net_pop):
     """Cohabitants always meet at home: households form cliques."""
     pop, net = net_pop
-    hh = pop.household_members(0)
+    hh = pop.pid[pop.hid == 0]
     if hh.size >= 2:
         a, b = int(hh[0]), int(hh[1])
         mask = (net.source == min(a, b)) & (net.target == max(a, b))
@@ -65,14 +65,6 @@ def test_degrees_sum_to_twice_edges(net_pop):
 def test_mean_degree_realistic(net_pop):
     _pop, net = net_pop
     assert 2.0 < net.mean_degree() < 40.0
-
-
-def test_neighbors_symmetric(net_pop):
-    _pop, net = net_pop
-    a = int(net.source[0])
-    b = int(net.target[0])
-    assert b in net.neighbors(a)
-    assert a in net.neighbors(b)
 
 
 def test_subset_filters_edges(net_pop):

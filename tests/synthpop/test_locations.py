@@ -80,10 +80,3 @@ def test_location_kind_counts(setup):
     assert counts["school"] > 0
     # Schools are bigger than shops: fewer school locations per person.
     assert counts["school"] < counts["shopping"] or counts["shopping"] == 0
-
-
-def test_visitors_of(setup):
-    _pop, _acts, visits = setup
-    loc = int(visits.location[0])
-    vs = visits.visitors_of(loc)
-    assert visits.person[0] in vs

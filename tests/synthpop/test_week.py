@@ -6,7 +6,6 @@ import pytest
 from repro.synthpop.activities import RELIGION, SCHOOL, WORK
 from repro.synthpop.persons import generate_population
 from repro.synthpop.week import (
-    WEDNESDAY,
     WeeklyActivities,
     assign_week,
 )
@@ -22,7 +21,6 @@ def week():
 def test_seven_days(week):
     _pop, w = week
     assert len(w.days) == 7
-    assert w.day(WEDNESDAY) is w.wednesday
 
 
 def test_weekdays_have_school(week):
@@ -76,7 +74,7 @@ def test_tables_sorted(week):
 
 def test_summary_shape(week):
     _pop, w = week
-    school = [day.kind_counts()["school"] for day in w.days]
+    school = [int((day.kind == SCHOOL).sum()) for day in w.days]
     assert len(school) == 7
     assert school[5] == 0  # Saturday
     assert school[0] > 0  # Monday

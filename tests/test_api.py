@@ -83,7 +83,7 @@ def test_fitting_a_gp_loads_scipy_where_it_is_called():
         "from repro.calibration import fit_gp\n"
         "assert 'scipy' not in sys.modules\n"
         "x = np.linspace(0.0, 1.0, 6)[:, None]\n"
-        "gp = fit_gp(x, np.sin(3.0 * x[:, 0]), seed=0, n_restarts=1)\n"
+        "gp = fit_gp(x, np.sin(3.0 * x[:, 0]), np.random.default_rng(0))\n"
         "mean, var = gp.predict(x)\n"
         "assert np.allclose(mean, np.sin(3.0 * x[:, 0]), atol=0.1)\n"
         "assert (var > 0).all()")
