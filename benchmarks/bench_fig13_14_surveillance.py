@@ -46,7 +46,7 @@ def test_fig13_california_counties(benchmark, save_artifact):
 
 def test_fig14_all_states(benchmark, save_artifact):
     national = benchmark.pedantic(
-        lambda: generate_national_truth(n_days=210, seed=0),
+        lambda: generate_national_truth(seed=0),
         rounds=1, iterations=1)
     lines = [f"{'state':<7}{'take-off day':>13}{'final cumulative':>18}"]
     takeoffs = {}

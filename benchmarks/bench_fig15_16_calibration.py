@@ -58,7 +58,7 @@ def test_fig16_emulator_band(benchmark, calibration, save_artifact):
     def band_coverage():
         rng = np.random.default_rng(0)
         thetas = cal.posterior.select_configurations(10, rng)
-        band = cal.calibrator.emulator_band(thetas, n_draws_per_theta=10)
+        band = cal.calibrator.emulator_band(thetas)
         lo, hi = np.quantile(band, [0.025, 0.975], axis=0)
         return lo, hi
 

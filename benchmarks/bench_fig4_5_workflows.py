@@ -26,7 +26,7 @@ from repro.synthpop.regions import total_counties
 def test_fig4_calibration_inputs(benchmark, save_artifact):
     """[1] Incidence data: about 3000 counties x 200+ days of entries."""
     truth = benchmark.pedantic(
-        lambda: generate_national_truth(n_days=210, seed=0),
+        lambda: generate_national_truth(seed=0),
         rounds=1, iterations=1)
     counties = sum(t.n_counties for t in truth.values())
     entries = sum(t.n_counties * t.n_days for t in truth.values())

@@ -40,7 +40,6 @@ def main() -> None:
             location=region,
             target="cum case",
             forecast_start=CAL_DAYS,
-            horizons=(7, 14, 21, 28),
         )
         validate_hub_rows(rows)
         all_rows.extend(rows)

@@ -34,12 +34,11 @@ class TransitionRecorder:
         tick: int,
         pids: np.ndarray,
         states: np.ndarray,
-        infectors: np.ndarray | None = None,
     ) -> None:
-        """Record that ``pids`` entered ``states`` at ``tick``.
-
-        ``infectors`` defaults to -1 (progression events).
-        """
+        """Record that ``pids`` entered ``states`` at ``tick`` with no
+        infector (-1): seeding and interventions.  The driver records
+        transmissions, with their infectors, through
+        :meth:`record_chunks`."""
         n = pids.shape[0]
         if n == 0:
             return
@@ -47,10 +46,7 @@ class TransitionRecorder:
         self._ticks.append(np.full(n, tick, dtype=np.int32))
         self._pids.append(np.asarray(pids, dtype=np.int64))
         self._states.append(np.asarray(states, dtype=np.int8))
-        if infectors is None:
-            self._infectors.append(np.full(n, -1, dtype=np.int64))
-        else:
-            self._infectors.append(np.asarray(infectors, dtype=np.int64))
+        self._infectors.append(np.full(n, -1, dtype=np.int64))
 
     def record_chunks(
         self,

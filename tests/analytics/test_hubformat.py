@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analytics.hubformat import (
+    HUB_HORIZONS,
     HUB_QUANTILES,
     ensemble_to_hub_rows,
     read_hub_csv,
@@ -38,8 +39,7 @@ def test_quantiles_monotone(ensemble):
 
 def test_point_is_median(ensemble):
     rows = ensemble_to_hub_rows(
-        ensemble, location="VA", target="cum case", forecast_start=60,
-        horizons=(7,))
+        ensemble, location="VA", target="cum case", forecast_start=60)
     point = next(r for r in rows if r.type == "point")
     q50 = next(r for r in rows
                if r.type == "quantile" and r.quantile == 0.50)
@@ -49,7 +49,7 @@ def test_point_is_median(ensemble):
 def test_horizon_beyond_window(ensemble):
     with pytest.raises(ValueError, match="beyond"):
         ensemble_to_hub_rows(ensemble, location="VA", target="x",
-                             forecast_start=95, horizons=(28,))
+                             forecast_start=95)
 
 
 def test_csv_roundtrip(tmp_path, ensemble):
@@ -68,8 +68,7 @@ def test_csv_roundtrip(tmp_path, ensemble):
 
 def test_validation_catches_bad_quantiles(ensemble):
     rows = ensemble_to_hub_rows(
-        ensemble, location="VA", target="cum case", forecast_start=60,
-        horizons=(7,))
+        ensemble, location="VA", target="cum case", forecast_start=60)
     # Corrupt one quantile to break monotonicity.
     bad = [r for r in rows]
     idx = next(i for i, r in enumerate(bad)
@@ -93,6 +92,6 @@ def test_prediction_workflow_output_is_hub_ready():
                                    horizon=28, seed=14)
     rows = ensemble_to_hub_rows(
         pred.confirmed_ensemble, location="VT", target="cum case",
-        forecast_start=50, horizons=(7, 14, 28))
+        forecast_start=50)
     validate_hub_rows(rows)
-    assert len(rows) == 3 * (1 + len(HUB_QUANTILES))
+    assert len(rows) == len(HUB_HORIZONS) * (1 + len(HUB_QUANTILES))

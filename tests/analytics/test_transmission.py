@@ -18,8 +18,10 @@ def build_log(rows):
     """rows: (tick, pid, state, infector)."""
     rec = TransitionRecorder()
     for tick, pid, state, infector in rows:
-        rec.record(tick, np.array([pid]), np.array([state], np.int8),
-                   np.array([infector]))
+        rec.record_chunks(np.array([tick], np.int32),
+                          np.array([pid], np.int64),
+                          np.array([state], np.int8),
+                          np.array([infector], np.int64))
     return rec.finalize()
 
 

@@ -76,7 +76,7 @@ def test_emulator_band_brackets_observation(setup):
     _space, _truth, cal, post = setup
     rng = np.random.default_rng(2)
     thetas = post.select_configurations(10, rng)
-    band = cal.emulator_band(thetas, n_draws_per_theta=10)
+    band = cal.emulator_band(thetas)
     lo, hi = np.quantile(band, [0.025, 0.975], axis=0)
     observed = np.expm1(cal.z_obs * cal.basis.scale + cal.basis.mean)
     inside = ((observed >= lo) & (observed <= hi)).mean()

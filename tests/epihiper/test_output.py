@@ -17,8 +17,10 @@ def build_log(rows):
     """rows: list of (tick, pid, state, infector)."""
     rec = TransitionRecorder()
     for tick, pid, state, infector in rows:
-        rec.record(tick, np.array([pid]), np.array([state], np.int8),
-                   np.array([infector]))
+        rec.record_chunks(np.array([tick], np.int32),
+                          np.array([pid], np.int64),
+                          np.array([state], np.int8),
+                          np.array([infector], np.int64))
     return rec.finalize()
 
 
@@ -32,7 +34,8 @@ def test_empty_log():
 def test_recorder_chunks_concatenate():
     rec = TransitionRecorder()
     rec.record(0, np.array([1, 2]), np.array([3, 3], np.int8))
-    rec.record(1, np.array([4]), np.array([2], np.int8), np.array([1]))
+    rec.record_chunks(np.array([1], np.int32), np.array([4], np.int64),
+                      np.array([2], np.int8), np.array([1], np.int64))
     log = rec.finalize()
     assert log.size == 3
     assert log.tick.tolist() == [0, 0, 1]
